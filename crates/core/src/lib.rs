@@ -69,6 +69,7 @@ pub mod constraints;
 pub mod deps;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod lower_bound;
 pub mod prng;

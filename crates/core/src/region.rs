@@ -13,6 +13,7 @@
 //! Everything else (non-memory instructions, values, addressing modes) is
 //! irrelevant here and stays in the front-end IR crate.
 
+use crate::hash::{FastMap, FastSet};
 use crate::ids::MemOpId;
 use std::fmt;
 
@@ -104,13 +105,13 @@ pub struct StoreElim {
 pub struct RegionSpec {
     ops: Vec<MemOp>,
     /// Upper-triangle may-alias overrides, keyed by (min, max) index.
-    overrides: std::collections::HashMap<(u32, u32), bool>,
+    overrides: FastMap<(u32, u32), bool>,
     load_elims: Vec<LoadElim>,
     store_elims: Vec<StoreElim>,
     /// Ops whose address may fall in an *unspeculatable* range (see
     /// [`crate::range::NospecRanges`]): they must keep program order
     /// against every other memory op, regardless of the alias relation.
-    nospec: std::collections::HashSet<u32>,
+    nospec: FastSet<u32>,
 }
 
 impl RegionSpec {
@@ -311,7 +312,7 @@ impl<'a> SealedRegion<'a> {
 
         // Bucket ops by loc_class (first-seen class order, ascending
         // indices within each bucket).
-        let mut class_of: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+        let mut class_of: FastMap<u32, usize> = FastMap::default();
         let mut buckets: Vec<Vec<u32>> = Vec::new();
         for (i, op) in spec.ops.iter().enumerate() {
             let b = *class_of.entry(op.loc_class).or_insert_with(|| {

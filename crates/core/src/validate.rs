@@ -25,10 +25,10 @@ use crate::alloc::{AliasCode, Allocation};
 use crate::constraints::ConstraintGraph;
 use crate::deps::DepGraph;
 use crate::error::ValidationError;
+use crate::hash::FastSet;
 use crate::ids::MemOpId;
 use crate::queue::AliasQueue;
 use crate::region::RegionSpec;
-use std::collections::HashSet;
 
 /// Validates `alloc` against the region, its dependences and the schedule.
 ///
@@ -45,8 +45,8 @@ pub fn validate_allocation(
     // examined entry) pair — a bit-matrix lookup instead of a HashMap probe.
     let sealed = region.sealed();
     let graph = ConstraintGraph::derive(region, deps, schedule);
-    let required: HashSet<(MemOpId, MemOpId)> = graph.checks().map(|c| (c.src, c.dst)).collect();
-    let mut performed: HashSet<(MemOpId, MemOpId)> = HashSet::new();
+    let required: FastSet<(MemOpId, MemOpId)> = graph.checks().map(|c| (c.src, c.dst)).collect();
+    let mut performed: FastSet<(MemOpId, MemOpId)> = FastSet::default();
 
     // Determine the register count to model: the max offset referenced + 1
     // (callers that care about a specific file size compare working_set
@@ -148,7 +148,7 @@ pub fn validate_allocation(
     // REGISTER-ALLOCATION-RULE on the final orders, for the constraints
     // whose endpoints were not relocated by AMOVs (relocated ones are
     // covered by the replay above).
-    let moved: HashSet<MemOpId> = alloc
+    let moved: FastSet<MemOpId> = alloc
         .code()
         .iter()
         .filter_map(|c| match c {

@@ -19,7 +19,9 @@
 //! *after* the `--deny`/`--allow` policy is applied; `--json`
 //! additionally writes the structured report for CI artifacts, and
 //! `--nospec` forbids speculation across the given half-open address
-//! ranges (the chain analyzer proves none was scheduled).
+//! ranges (the chain analyzer proves none was scheduled). A malformed
+//! `SMARQ_NOSPEC` is reported and exits with status 2 before any command
+//! runs.
 
 use smarq_fuzz::{
     check_program, lint_paths_with, load_dir, run_campaign, CampaignParams, LintConfig,
@@ -46,6 +48,10 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = smarq_runtime::nospec_ranges_from_env() {
+        eprintln!("SMARQ_NOSPEC: {e}");
+        return ExitCode::from(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("fuzz") => cmd_fuzz(&args[1..]),

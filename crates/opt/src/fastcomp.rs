@@ -708,10 +708,10 @@ impl FastSim {
                         stats.ops = at as u64 + 1 + extra;
                         return self.fault(state, mem, v, stats);
                     }
+                    let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
                     if prog.can_fault {
-                        state.log_store(addr, mem.read(addr));
+                        state.log_store(addr, old);
                     }
-                    mem.write(addr, state.regs[ridx(rs)] as u64);
                 }
                 FastOp::FStore {
                     fs,
@@ -726,10 +726,10 @@ impl FastSim {
                         stats.ops = at as u64 + 1 + extra;
                         return self.fault(state, mem, v, stats);
                     }
+                    let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
                     if prog.can_fault {
-                        state.log_store(addr, mem.read(addr));
+                        state.log_store(addr, old);
                     }
-                    mem.write_f64(addr, state.fregs[ridx(fs)]);
                 }
                 FastOp::AlatClear { entry } => match &mut self.queue {
                     // SMARQ hardware ignores ALAT entry management.

@@ -52,7 +52,10 @@ pub use hub::{
 pub use multi::{run_multi, run_multi_interleaved, DEFAULT_SLICE_STEPS};
 pub use region::RegionCode;
 pub use stats::{RegionRecord, SystemStats};
-pub use system::{DispatchMode, DynOptSystem, ExecTier, RunStatus, StopReason, SystemConfig};
+pub use system::{
+    nospec_ranges_from_env, DispatchMode, DynOptSystem, ExecTier, RunStatus, StopReason,
+    SystemConfig,
+};
 pub use translate_service::{
     FinishedTranslation, JobInput, JobKind, StepExecutor, ThreadedExecutor, TranslationExecutor,
     TranslationJob, TranslationService,

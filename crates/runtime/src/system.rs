@@ -143,14 +143,25 @@ fn async_from_env() -> bool {
     })
 }
 
+/// Parses the `SMARQ_NOSPEC` environment variable; unset or blank means
+/// no ranges. Front ends call this before building a [`SystemConfig`], so
+/// a malformed value is reported to the user instead of panicking in
+/// [`SystemConfig::default`].
+///
+/// # Errors
+/// The [`NospecRanges::parse`] message for a malformed value.
+pub fn nospec_ranges_from_env() -> Result<NospecRanges, String> {
+    match std::env::var("SMARQ_NOSPEC") {
+        Ok(v) if !v.trim().is_empty() => NospecRanges::parse(&v),
+        _ => Ok(NospecRanges::none()),
+    }
+}
+
 fn nospec_from_env() -> NospecRanges {
     static FROM_ENV: std::sync::OnceLock<NospecRanges> = std::sync::OnceLock::new();
     FROM_ENV
-        .get_or_init(|| match std::env::var("SMARQ_NOSPEC") {
-            Ok(v) if !v.trim().is_empty() => {
-                NospecRanges::parse(&v).unwrap_or_else(|e| panic!("invalid SMARQ_NOSPEC: {e}"))
-            }
-            _ => NospecRanges::none(),
+        .get_or_init(|| {
+            nospec_ranges_from_env().unwrap_or_else(|e| panic!("invalid SMARQ_NOSPEC: {e}"))
         })
         .clone()
 }
@@ -164,6 +175,12 @@ fn exec_tier_from_env() -> ExecTier {
 }
 
 impl Default for SystemConfig {
+    /// The default configuration, with the `SMARQ_*` environment
+    /// overrides documented on each field applied.
+    ///
+    /// # Panics
+    /// If `SMARQ_NOSPEC` is set but malformed. Check it first with
+    /// [`nospec_ranges_from_env`] to report the error instead.
     fn default() -> Self {
         let machine = MachineConfig::default();
         SystemConfig {
@@ -191,6 +208,9 @@ impl Default for SystemConfig {
 
 impl SystemConfig {
     /// Default system targeting the given optimizer configuration.
+    ///
+    /// # Panics
+    /// As [`SystemConfig::default`]: if `SMARQ_NOSPEC` is malformed.
     pub fn with_opt(opt: OptConfig) -> Self {
         SystemConfig {
             opt,

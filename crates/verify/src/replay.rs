@@ -29,8 +29,9 @@
 //! all of them instead of stopping at the first.
 
 use crate::facts::RegionFacts;
+use smarq::hash::FastSet;
 use smarq::{AliasCode, Allocation, Diagnostic, MemOpId, RegionSpec, Severity};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One live alias register in the symbolic state.
 #[derive(Clone, Copy, Debug)]
@@ -57,7 +58,7 @@ pub fn replay(
     let num_regs = alloc.working_set().max(1) as u64;
     let mut base = 0u64;
     let mut entries: BTreeMap<u64, SymEntry> = BTreeMap::new();
-    let mut performed: HashSet<(MemOpId, MemOpId)> = HashSet::new();
+    let mut performed: FastSet<(MemOpId, MemOpId)> = FastSet::default();
     // Code position of each op, for diagnostic spans.
     let mut op_span: Vec<Option<usize>> = vec![None; spec.len()];
 
@@ -257,7 +258,7 @@ pub fn replay(
     // REGISTER-ALLOCATION-RULE on the final orders, for constraint
     // endpoints never relocated by an AMOV (relocated ones are covered by
     // the replay itself).
-    let moved: HashSet<MemOpId> = alloc
+    let moved: FastSet<MemOpId> = alloc
         .code()
         .iter()
         .filter_map(|c| match c {

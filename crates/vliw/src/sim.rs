@@ -474,8 +474,8 @@ impl<H: AliasHardware> Simulator<H> {
                             outcome = Some(RegionOutcome::AliasException(v));
                             break 'bundles;
                         }
-                        self.undo_scratch.push((addr, mem.read(addr)));
-                        mem.write(addr, state.regs[rs as usize] as u64);
+                        let old = mem.replace(addr, state.regs[rs as usize] as u64);
+                        self.undo_scratch.push((addr, old));
                         let _ = self.load_latency(addr); // write-allocate
                     }
                     VliwOp::FStore {
@@ -491,8 +491,8 @@ impl<H: AliasHardware> Simulator<H> {
                             outcome = Some(RegionOutcome::AliasException(v));
                             break 'bundles;
                         }
-                        self.undo_scratch.push((addr, mem.read(addr)));
-                        mem.write_f64(addr, state.fregs[fs as usize]);
+                        let old = mem.replace(addr, state.fregs[fs as usize].to_bits());
+                        self.undo_scratch.push((addr, old));
                         let _ = self.load_latency(addr); // write-allocate
                     }
                     VliwOp::AlatClear { entry } => self.hw.alat_clear(entry),

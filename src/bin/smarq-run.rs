@@ -24,7 +24,8 @@
 //! runs the whole-chain static analyzer. `--nospec LO..HI[,..]` declares
 //! half-open unspeculatable address ranges (also via `SMARQ_NOSPEC`):
 //! the optimizer never schedules speculation that can touch them, and the
-//! chain analyzer proves none was.
+//! chain analyzer proves none was. A malformed `SMARQ_NOSPEC` is reported
+//! and exits with status 2 before anything runs.
 //! `--exec-tier functional` runs optimized regions on the fast functional
 //! tier with sampled cycle-sim tier-down checks (also via
 //! `SMARQ_EXEC_TIER=functional`); `--dispatch naive` disables region
@@ -360,6 +361,10 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = smarq_runtime::nospec_ranges_from_env() {
+        eprintln!("SMARQ_NOSPEC: {e}");
+        return ExitCode::from(2);
+    }
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("lint") {
         return cmd_lint(&raw[1..]);
