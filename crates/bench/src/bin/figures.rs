@@ -6,7 +6,7 @@
 //! `figures bench-json [OUT.json]` instead runs the before/after perf
 //! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
 //! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR9.json`). The convention: a PR
+//! JSON baseline (default `BENCH_PR13.json`). The convention: a PR
 //! claiming performance work commits the file this prints, named
 //! `BENCH_PR<n>.json`.
 
@@ -18,12 +18,11 @@ fn bench_json(out_path: &str) {
     // takes a while, and a silent multi-minute gap is indistinguishable
     // from a hang.
     type ComparisonFn = fn() -> smarq_bench::harness::Comparison;
-    let parts: [(&str, ComparisonFn); 8] = [
+    let parts: [(&str, ComparisonFn); 7] = [
         ("constraint_analysis", perf::compare_constraint_analysis),
         ("allocator", perf::compare_allocator),
         ("mem_access_dense", perf::compare_mem_access_dense),
         ("mem_access_sparse", perf::compare_mem_access_sparse),
-        ("dispatch", perf::compare_dispatch),
         ("exec_tier", perf::compare_exec_tier),
         ("exec_tier_mem", perf::compare_exec_tier_mem),
         ("async_translate", perf::compare_async_translate),
@@ -35,9 +34,10 @@ fn bench_json(out_path: &str) {
         eprintln!("{}", c.report());
         comparisons.push(c);
     }
-    eprintln!("measuring absolute simulator + validator + analyzer throughput ...");
+    eprintln!("measuring absolute dispatch + simulator + validator + analyzer throughput ...");
     let (analyzer_region, analyzer_chain) = perf::measure_analyzer();
     let absolutes = vec![
+        perf::measure_dispatch(),
         perf::measure_simulator_region(),
         perf::measure_validator_regions(),
         analyzer_region,
@@ -103,7 +103,7 @@ fn main() {
     if arg == "bench-json" {
         let out = std::env::args()
             .nth(2)
-            .unwrap_or_else(|| "BENCH_PR9.json".into());
+            .unwrap_or_else(|| "BENCH_PR13.json".into());
         bench_json(&out);
         return;
     }

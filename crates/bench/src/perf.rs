@@ -2,12 +2,14 @@
 //!
 //! Each comparison times the *retained reference implementation* and the
 //! fast path it replaced **in the same process run**, so the reported
-//! speedups are apples-to-apples on the machine that produced them. The
+//! speedups are apples-to-apples on the machine that produced them. Paths
+//! whose reference implementation is gone are reported as absolute
+//! points and compared against earlier committed baselines instead. The
 //! `figures -- bench-json` mode serializes the results to a `BENCH_PR<n>.json`
 //! file at the repository root; each PR that claims a performance win
 //! commits one so the trajectory is reviewable.
 
-use crate::harness::{time_fn, Comparison, Measurement};
+use crate::harness::{median, time_fn, Comparison, Measurement};
 use crate::synth::hoist_region;
 use crate::Evaluation;
 use smarq::queue::AliasQueue;
@@ -18,7 +20,7 @@ use smarq_ir::{form_superblock, FormationParams};
 use smarq_opt::{
     optimize_superblock, optimize_superblock_traced, AliasBlacklist, OptConfig, OptTrace,
 };
-use smarq_runtime::{DispatchMode, DynOptSystem, ExecTier, SystemConfig};
+use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
 use smarq_vliw::{AnyAliasHw, HwKind, MachineConfig, Simulator, VliwState};
 use std::time::Instant;
 
@@ -143,70 +145,44 @@ pub fn compare_mem_access_sparse() -> Comparison {
     }
 }
 
-/// End-to-end dispatch overhead on a region-chained hot loop: the seed's
-/// naive dispatcher (per-entry hashmap probe, full guest marshal both
-/// ways, full-state checkpoint clone, per-block stat sync) vs the chained
-/// dispatcher (flat cache, memoized region→region links followed in a
-/// tight loop, resident guest state, write-masked checkpoints, batched
-/// stat sync).
+/// End-to-end dispatch overhead on a region-chained hot loop (flat cache,
+/// memoized region→region links followed in a tight loop, resident guest
+/// state, write-masked checkpoints, batched stat sync). An absolute point:
+/// the naive dispatcher it was once compared against is gone, so the
+/// trajectory compares it with the `dispatch` rows of earlier baselines.
 ///
-/// Both systems run the same effectively-infinite counted loop with a
-/// load/store pair. Each is warmed until the loop is translated, then
-/// timed on identical incremental budget slices of steady-state
-/// execution, so one timed iteration is exactly [`DISPATCH_STEP`] guest
-/// instructions dominated by region entries.
-pub fn compare_dispatch() -> Comparison {
+/// The system runs an effectively-infinite counted loop, is warmed until
+/// the loop is translated and chained, then timed on incremental budget
+/// slices of steady-state execution, so one timed iteration is exactly
+/// `DISPATCH_STEP` guest instructions dominated by region entries.
+pub fn measure_dispatch() -> Measurement {
     /// Guest instructions per timed closure call.
     const DISPATCH_STEP: u64 = 20_000;
     const WARM: u64 = 100_000;
 
-    fn warm(mode: DispatchMode) -> DynOptSystem {
-        // Register-only tiny loop: the per-iteration work is two guest
-        // instructions, so the measurement is dominated by dispatch
-        // (lookup, marshal, chaining) rather than by memory simulation.
-        let cfg = SystemConfig {
-            hot_threshold: 50,
-            dispatch: mode,
-            exec_tier: ExecTier::CycleSim,
-            ..Default::default()
-        };
-        let mut sys = DynOptSystem::new(reg_loop_kernel(), cfg);
-        sys.run_to_completion(WARM);
-        assert!(
-            sys.stats().regions_formed >= 1,
-            "hot loop must be translated before timing"
-        );
-        sys
-    }
-
-    let mut naive = warm(DispatchMode::Naive);
-    let mut budget = WARM;
-    let before = time_fn("dispatch/naive_hashmap_marshal", move || {
-        budget += DISPATCH_STEP;
-        naive.run_to_completion(budget)
-    });
-
-    let mut chained = warm(DispatchMode::Chained);
-    budget = WARM + DISPATCH_STEP;
+    // Register-only tiny loop: the per-iteration work is two guest
+    // instructions, so the measurement is dominated by dispatch (lookup,
+    // chaining) rather than by memory simulation.
+    let cfg = SystemConfig {
+        hot_threshold: 50,
+        exec_tier: ExecTier::CycleSim,
+        ..Default::default()
+    };
+    let mut sys = DynOptSystem::new(reg_loop_kernel(), cfg);
+    let mut budget = WARM + DISPATCH_STEP;
+    sys.run_to_completion(budget);
     // Prove the fast path is engaged before timing it.
-    chained.run_to_completion(budget);
     assert!(
-        chained.stats().chain_follows > 0,
-        "chained system must follow region links in steady state"
+        sys.stats().chain_follows > 0,
+        "the system must follow region links in steady state"
     );
-    let after = time_fn("dispatch/chained_resident", move || {
+    time_fn("dispatch/chained_resident", move || {
         budget += DISPATCH_STEP;
-        chained.run_to_completion(budget)
-    });
-
-    Comparison {
-        name: "dispatch".into(),
-        before,
-        after,
-    }
+        sys.run_to_completion(budget)
+    })
 }
 
-/// The dispatch-bound hot-loop kernel of [`compare_dispatch`]: two guest
+/// The dispatch-bound hot-loop kernel of [`measure_dispatch`]: two guest
 /// instructions per iteration, no memory traffic.
 fn reg_loop_kernel() -> Program {
     let mut b = ProgramBuilder::new();
@@ -265,7 +241,6 @@ fn compare_tiers(
     fn warm(kernel: fn() -> Program, tier: ExecTier) -> DynOptSystem {
         let cfg = SystemConfig {
             hot_threshold: 50,
-            dispatch: DispatchMode::Chained,
             exec_tier: tier,
             // Unroll the hot loop so the region carries real straight-line
             // work: with a 2-op region body both tiers are dominated by
@@ -373,8 +348,9 @@ fn many_loops_kernel(loops: usize, iters: i64) -> Program {
 /// synchronously, `translation_ns`) vs the async pipeline (the dispatch
 /// loop only enqueues a snapshot and later links in the finished region;
 /// its entire critical-path cost is `async_stall_ns`). Both numbers are
-/// reported per translation actually produced, from one end-to-end run
-/// each of the same translation-heavy multi-loop kernel.
+/// reported per translation actually produced, as the median (with
+/// min/max) over [`ASYNC_SAMPLES`] end-to-end runs each of the same
+/// translation-heavy multi-loop kernel.
 ///
 /// This is not a closure-timing microbench: the system's own monotonic
 /// accounting *is* the measurement, so the comparison captures exactly
@@ -389,28 +365,12 @@ pub fn compare_async_translate() -> Comparison {
     // unrolled so each translation job carries a realistic optimization
     // payload (scheduling + allocation cost grows with region size); the
     // async path's enqueue + publish bookkeeping does not.
-    let mut cfg = SystemConfig {
+    let inline_cfg = SystemConfig {
         hot_threshold: 50,
-        dispatch: DispatchMode::Chained,
+        unroll_factor: 8,
+        async_translate: false,
         ..Default::default()
     };
-    cfg.unroll_factor = 8;
-    cfg.async_translate = false;
-    let mut inline_sys = DynOptSystem::new(program.clone(), cfg.clone());
-    inline_sys.run_to_completion(u64::MAX);
-    let s = inline_sys.stats();
-    let inline_jobs = (s.regions_formed + s.retranslations).max(1) as u64;
-    assert!(
-        s.regions_formed >= 16,
-        "kernel must be translation-heavy, formed only {}",
-        s.regions_formed
-    );
-    let before = Measurement::single(
-        "async_translate/inline_stall",
-        s.translation_ns as f64 / inline_jobs as f64,
-        inline_jobs,
-    );
-
     // Async: the critical path only pays the enqueue and the publish
     // link-in. The deterministic in-thread stepper (`translate_workers =
     // 0`) stands in for the worker pool: on a single-core host a real
@@ -418,25 +378,56 @@ pub fn compare_async_translate() -> Comparison {
     // timers, so the measured "stall" would absorb slices of the
     // worker's own translation time and say nothing about the
     // bookkeeping cost the exec thread actually pays.
-    cfg.async_translate = true;
-    cfg.translate_workers = 0;
-    cfg.translate_queue_depth = 8;
-    let mut async_sys = DynOptSystem::new(program, cfg);
-    async_sys.run_to_completion(u64::MAX);
-    async_sys.translation_drain();
-    let s = async_sys.stats();
-    assert_eq!(s.translation_ns, 0, "async mode must not translate inline");
-    assert!(s.async_published >= 1, "async run must publish regions");
-    let after = Measurement::single(
-        "async_translate/queue_publish",
-        s.async_stall_ns as f64 / s.async_enqueued.max(1) as f64,
-        s.async_enqueued.max(1),
-    );
+    let async_cfg = SystemConfig {
+        async_translate: true,
+        translate_workers: 0,
+        translate_queue_depth: 8,
+        ..inline_cfg.clone()
+    };
+    let (mut inline_ns, mut async_ns) = (Vec::new(), Vec::new());
+    let (mut inline_jobs, mut async_jobs) = (0, 0);
+    for _ in 0..ASYNC_SAMPLES {
+        let mut sys = DynOptSystem::new(program.clone(), inline_cfg.clone());
+        sys.run_to_completion(u64::MAX);
+        let s = sys.stats();
+        inline_jobs = (s.regions_formed + s.retranslations).max(1) as u64;
+        assert!(
+            s.regions_formed >= 16,
+            "kernel must be translation-heavy, formed only {}",
+            s.regions_formed
+        );
+        inline_ns.push(s.translation_ns as f64 / inline_jobs as f64);
 
+        let mut sys = DynOptSystem::new(program.clone(), async_cfg.clone());
+        sys.run_to_completion(u64::MAX);
+        sys.translation_drain();
+        let s = sys.stats();
+        assert_eq!(s.translation_ns, 0, "async mode must not translate inline");
+        assert!(s.async_published >= 1, "async run must publish regions");
+        async_jobs = s.async_enqueued.max(1);
+        async_ns.push(s.async_stall_ns as f64 / async_jobs as f64);
+    }
     Comparison {
         name: "async_translate".into(),
-        before,
-        after,
+        before: sampled("async_translate/inline_stall", inline_ns, inline_jobs),
+        after: sampled("async_translate/queue_publish", async_ns, async_jobs),
+    }
+}
+
+/// End-to-end runs per side of [`compare_async_translate`].
+const ASYNC_SAMPLES: u32 = 5;
+
+/// A measurement from one per-iteration figure per run: median, min, max.
+fn sampled(name: &str, mut per_iter: Vec<f64>, iters: u64) -> Measurement {
+    let ns_min = per_iter.iter().copied().fold(f64::INFINITY, f64::min);
+    let ns_max = per_iter.iter().copied().fold(0.0, f64::max);
+    Measurement {
+        name: name.into(),
+        ns_per_iter: median(&mut per_iter),
+        ns_min,
+        ns_max,
+        iters_per_sample: iters,
+        samples: per_iter.len() as u32,
     }
 }
 

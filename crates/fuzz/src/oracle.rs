@@ -4,13 +4,10 @@
 //!
 //! 1. **End-to-end** — a pure [`Interpreter`] run is the reference; the
 //!    full [`DynOptSystem`] must reproduce the architectural state
-//!    bit-exactly under every hardware scheme. The same case is then
-//!    re-run with region chaining disabled ([`DispatchMode::Naive`]) and
-//!    the two dispatchers must agree on both the final architectural
-//!    state and the guest-instruction totals. A third run with the fast
+//!    bit-exactly under every hardware scheme. A second run with the fast
 //!    functional tier enabled ([`ExecTier::Functional`], sampling every
 //!    region entry) must likewise agree, with zero sampled tier-down
-//!    mismatches. A fourth run moves translation onto the async
+//!    mismatches. A third run moves translation onto the async
 //!    background pipeline (a manually stepped depth-1 queue driven by a
 //!    seeded interleaving schedule) and must again be bit-exact — every
 //!    publish/execute/deopt interleaving is architecturally invisible.
@@ -47,8 +44,9 @@
 //!
 //! A separate multi-guest oracle ([`check_multi_guest`]) runs G distinct
 //! programs as concurrent tenants of one shared
-//! [`smarq_runtime::TranslationHub`] under a seeded interleaved schedule
-//! and cross-checks every guest against the same program run alone —
+//! [`smarq_runtime::TranslationHub`] under a seeded interleaved schedule,
+//! with verify-on-emit and every functional-tier entry sampled, and
+//! cross-checks every guest against the same program run alone —
 //! covering the shared-cache, cross-guest-invalidation and scheduling
 //! machinery the single-guest layers cannot reach.
 
@@ -58,8 +56,8 @@ use smarq::{AliasCode, AllocScratch, Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
 use smarq_opt::{optimize_superblock_traced, OptConfig};
 use smarq_runtime::{
-    run_multi_interleaved, DispatchMode, DynOptSystem, ExecTier, GuestContext, HubConfig,
-    StepExecutor, StopReason, SystemConfig, TranslationHub,
+    run_multi_interleaved, DynOptSystem, ExecTier, GuestContext, HubConfig, StepExecutor,
+    StopReason, SystemConfig, TranslationHub,
 };
 
 /// Oracle budgets and system knobs.
@@ -113,17 +111,7 @@ pub enum Divergence {
         /// First differing locations.
         detail: String,
     },
-    /// Layer 1b: the chained dispatcher (region chaining + resident guest
-    /// state + batched stat sync) diverged from the retained naive
-    /// dispatcher — different architectural state or different
-    /// guest-instruction accounting on the same program.
-    DispatchMismatch {
-        /// Scheme label from [`schemes`].
-        scheme: &'static str,
-        /// What differed between the two dispatchers.
-        detail: String,
-    },
-    /// Layer 1c: the fast functional tier diverged from the cycle
+    /// Layer 1b: the fast functional tier diverged from the cycle
     /// simulator — different final architectural state, different
     /// guest-instruction accounting, or a sampled tier-down comparison
     /// that came back non-bit-exact mid-run.
@@ -133,7 +121,7 @@ pub enum Divergence {
         /// What differed between the functional tier and the cycle sim.
         detail: String,
     },
-    /// Layer 1d: the async background translation pipeline diverged from
+    /// Layer 1c: the async background translation pipeline diverged from
     /// inline translation — different architectural state or different
     /// guest-instruction accounting under a seeded publish/execute
     /// interleaving schedule.
@@ -213,7 +201,6 @@ impl Divergence {
         match self {
             Divergence::Nontermination => "nontermination",
             Divergence::ArchMismatch { .. } => "arch-mismatch",
-            Divergence::DispatchMismatch { .. } => "dispatch-mismatch",
             Divergence::TierMismatch { .. } => "tier-mismatch",
             Divergence::AsyncMismatch { .. } => "async-mismatch",
             Divergence::ValidatorReject { .. } => "validator-reject",
@@ -238,9 +225,6 @@ impl std::fmt::Display for Divergence {
             Divergence::Nontermination => write!(f, "nontermination (skipped)"),
             Divergence::ArchMismatch { scheme, detail } => {
                 write!(f, "arch-mismatch under {scheme}: {detail}")
-            }
-            Divergence::DispatchMismatch { scheme, detail } => {
-                write!(f, "dispatch-mismatch under {scheme}: {detail}")
             }
             Divergence::TierMismatch { scheme, detail } => {
                 write!(f, "tier-mismatch under {scheme}: {detail}")
@@ -299,8 +283,6 @@ impl std::fmt::Display for Divergence {
 pub struct OracleReport {
     /// Schemes executed end to end.
     pub schemes: usize,
-    /// Chained-vs-naive dispatcher differentials that came out bit-exact.
-    pub dispatch_differentials: usize,
     /// Functional-tier-vs-cycle-sim differentials that came out bit-exact
     /// (final state, instruction accounting, and every in-run sample).
     pub tier_differentials: usize,
@@ -373,37 +355,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
             });
         }
 
-        // Layer 1b: the chained dispatcher vs the retained naive
-        // dispatcher. Same program, same scheme, chaining off: the final
-        // architectural state and the guest-instruction accounting must
-        // both be bit-exact against the chained run above.
-        let mut naive_cfg = cfg.clone();
-        naive_cfg.dispatch = DispatchMode::Naive;
-        let mut naive_sys = DynOptSystem::new(program.clone(), naive_cfg);
-        naive_sys.run_to_completion(u64::MAX);
-        let naive_got = naive_sys.interp().arch_state();
-        if naive_got != expected {
-            return Err(Divergence::DispatchMismatch {
-                scheme: label,
-                detail: format!(
-                    "naive dispatch arch state: {}",
-                    arch_diff(&expected, &naive_got)
-                ),
-            });
-        }
-        if naive_sys.stats().guest_instrs() != sys.stats().guest_instrs() {
-            return Err(Divergence::DispatchMismatch {
-                scheme: label,
-                detail: format!(
-                    "guest_instrs: chained {} vs naive {}",
-                    sys.stats().guest_instrs(),
-                    naive_sys.stats().guest_instrs()
-                ),
-            });
-        }
-        report.dispatch_differentials += 1;
-
-        // Layer 1c: the fast functional tier vs the cycle simulator. Same
+        // Layer 1b: the fast functional tier vs the cycle simulator. Same
         // program, same scheme, functional tier on with every region entry
         // tier-down sampled: the final architectural state and the
         // guest-instruction accounting must match the cycle-sim run above,
@@ -445,7 +397,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         }
         report.tier_differentials += 1;
 
-        // Layer 1d: async background translation vs inline. Same program,
+        // Layer 1c: async background translation vs inline. Same program,
         // same scheme, but translations flow through a manually stepped
         // depth-1 pipeline whose publish points are interleaved against
         // guest dispatch by a seeded xorshift schedule. Whatever the
@@ -610,6 +562,8 @@ pub struct MultiGuestReport {
 ///
 /// * every guest's final architectural state is bit-exact vs. a pure
 ///   interpreter run of its program;
+/// * no guest reports a verify-on-emit error, a link-time chain error or
+///   a tier-down sample mismatch, and the hub verified no error;
 /// * the hub's publish ledger balances and nothing is left in flight;
 /// * on rollback-free runs, the shared cache translated each unique
 ///   region exactly once across guests (the solo runs' claim counts,
@@ -644,6 +598,11 @@ pub fn check_multi_guest(
         let mut cfg = SystemConfig::with_opt(opt.clone());
         cfg.hot_threshold = params.hot_threshold;
         cfg.unroll_factor = params.unroll_factor;
+        // Every guest verifies what it installs, chain-checks every link
+        // and (on the functional tier) replays every entry on the cycle
+        // simulator.
+        cfg.verify_translations = true;
+        cfg.tier_sample_interval = 1;
         let mut hub_cfg = HubConfig::from_system(&cfg);
         hub_cfg.workers = 0; // inline translation: deterministic in `seed`
         let err = |detail: String| Divergence::MultiGuestMismatch {
@@ -686,12 +645,31 @@ pub fn check_multi_guest(
             run_multi_interleaved(&hub, &mut guests, run_seed, budget);
             let states: Vec<ArchState> = guests.iter().map(|g| g.interp().arch_state()).collect();
             let halted = guests.iter().all(GuestContext::halted);
+            let findings = guests
+                .iter()
+                .map(|g| {
+                    let s = g.stats();
+                    (s.verify_errors, s.chain_errors, s.tier_sample_mismatches)
+                })
+                .find(|&f| f != (0, 0, 0));
             hub.drain();
-            (states, halted, hub.stats())
+            (states, halted, findings, hub.stats())
         };
-        let (states, halted, stats) = run(seed);
+        let (states, halted, findings, stats) = run(seed);
         if !halted {
             return Err(err("a shared-hub guest did not halt within budget".into()));
+        }
+        if let Some((verify, chain, tier)) = findings {
+            return Err(err(format!(
+                "a shared-hub guest reported {verify} verify error(s), {chain} chain \
+                 error(s) and {tier} tier-down sample mismatch(es)"
+            )));
+        }
+        if stats.verify_errors != 0 {
+            return Err(err(format!(
+                "the hub verified {} error(s)",
+                stats.verify_errors
+            )));
         }
         for (i, got) in states.iter().enumerate() {
             // Guests are programs[0..n] followed by programs[0] again.
@@ -723,7 +701,7 @@ pub fn check_multi_guest(
             }
             report.translate_once_checks += 1;
         }
-        let (states2, _, stats2) = run(seed);
+        let (states2, _, _, stats2) = run(seed);
         if states2 != states || stats2 != stats {
             return Err(err(
                 "same seed did not replay the same states and counters".into()
@@ -810,7 +788,6 @@ mod tests {
         let p = generate(1, &FuzzParams::default());
         let report = check_program(&p, &OracleParams::default()).expect("no divergence");
         assert_eq!(report.schemes, 6);
-        assert_eq!(report.dispatch_differentials, 6);
         assert_eq!(report.tier_differentials, 6);
         assert_eq!(report.async_differentials, 6);
         assert!(report.regions_checked > 0, "no regions formed");

@@ -1,84 +1,81 @@
-//! Per-tenant guest execution context for the multi-guest runtime.
+//! The guest execution context: the runtime's one dispatch engine.
 //!
-//! A [`GuestContext`] is the unshared half of the `DynOptSystem` split:
-//! its own interpreter (architectural state), resident `VliwState` /
-//! `FastState`, cycle and fast-functional executors (each owning its
-//! alias-detection queue — per-context by construction, as the paper's
-//! software-managed queue is per-hardware-context), statistics, and the
-//! chain-follow fast path over a private flat cache of *pins* into the
-//! shared [`crate::TranslationHub`] cache.
+//! A [`GuestContext`] is one guest's private half of the paper's Figure 1
+//! loop: interpreter and profile, resident `VliwState` / `FastState`, the
+//! cycle and fast-functional executors (each owning its alias queue, as
+//! the paper's queue is per hardware context), statistics, and a flat
+//! cache of *pins* into a shared [`TranslationHub`]. Each dispatch step
+//! interprets one block or runs one region chain; hot blocks request
+//! translations from the hub, alias exceptions report their pair to it and
+//! deoptimize. Functional-tier entries are sampled onto the cycle
+//! simulator, and under verify-on-emit the findings for every installed
+//! translation and every memoized link fold into [`SystemStats`].
 //!
-//! Sharing protocol: published regions are pinned as
-//! `Arc<SharedRegion>` and executed without any hub interaction on the
-//! hot path. At every dispatch-step boundary the context compares the
-//! hub's invalidation epoch with the one it last saw and, when it moved,
-//! revalidates every pin (dropping withdrawn or replaced regions and
-//! severing their chain links — PR5's unlink machinery, local edition).
-//! Mid-chain executions of a just-withdrawn region are legal stale
-//! executions, exactly the window PR7's async publication opened; the
-//! alias hardware still catches every true aliasing.
-//!
-//! The tier-down sampling oracle of the single-guest system is *not*
-//! replicated here: the multiguest fuzz oracle cross-checks per-guest
-//! architectural state against solo runs instead, which covers the same
-//! lowering bugs without cloning guest memory on the multi-guest hot
-//! path.
+//! At each dispatch-step boundary the context installs finished background
+//! translations and, when the hub's epoch moved, drops pins on withdrawn
+//! regions and severs their chain links. [`crate::DynOptSystem`] is this
+//! engine over a private hub.
 
-use crate::hub::{HubProbe, RegionKey, RollbackVerdict, SharedRegion, TranslationHub};
-use crate::region::{ChainAccum, ChainLink, NO_REGION};
+use crate::hub::{HubProbe, Installed, RegionKey, SharedRegion, Submitted, TranslationHub};
+use crate::region::{ChainAccum, ChainLink, ABANDONED, NO_REGION, PENDING};
 use crate::stats::{RegionRecord, SystemStats};
 use crate::system::{ExecTier, RunStatus, StopReason};
-use smarq::AllocScratch;
-use smarq_guest::{BlockId, Interpreter, Program};
+use crate::translate_service::{run_translation_job, FinishedTranslation, JobInput};
+use crate::HubConfig;
+use smarq::{AllocScratch, Diagnostic};
+use smarq_guest::{BlockId, Interpreter, Memory, Program};
+use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
-use smarq_vliw::{
-    AliasViolation, AnyAliasHw, FastState, MachineConfig, RegionOutcome, Simulator, VliwState,
-};
+use smarq_opt::AliasBlacklist;
+use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
+use smarq_vliw::{AliasViolation, AnyAliasHw, FastState, RegionOutcome, Simulator, VliwState};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// A pinned shared region plus this guest's private chain links
-/// (memoization is per-guest: links index into *this* context's region
-/// table and are never shared across threads).
+/// One slot per entry block ever pinned: the latest version seen plus
+/// this guest's private chain links. Live while `cache[entry]` points at
+/// it.
 struct LocalRegion {
     shared: Arc<SharedRegion>,
     links: Vec<ChainLink>,
 }
 
-/// One guest tenant: private architectural and resident state, executing
+/// One guest: private architectural and resident state, executing
 /// translations shared through a [`TranslationHub`].
 pub struct GuestContext {
     id: usize,
     program: Arc<Program>,
     program_hash: u64,
-    hot_threshold: u64,
-    exec_tier: ExecTier,
-    machine: MachineConfig,
+    cfg: Arc<HubConfig>,
     interp: Interpreter,
     vstate: VliwState,
     sim: Simulator<AnyAliasHw>,
     fast_sim: FastSim,
     fstate: FastState,
-    /// Flat cache: `cache[block.index()]` holds the local region index or
-    /// [`NO_REGION`] — same one-indexed-load dispatch as the single-guest
-    /// system, over pins instead of owned regions.
+    /// Functional entries left until the next tier-down sample (`0`:
+    /// sampling disabled). A countdown keeps the divide off the hot path.
+    tier_sample_countdown: u64,
+    /// `cache[block.index()]`: the pinned slot index, or [`NO_REGION`],
+    /// [`PENDING`] or [`ABANDONED`].
     cache: Vec<u32>,
-    regions: Vec<Option<LocalRegion>>,
-    /// `abandoned[block.index()]`: the hub gave up on this entry.
-    abandoned: Vec<bool>,
+    regions: Vec<LocalRegion>,
+    /// Whole-program value-range analysis; `None` unless nospec ranges or
+    /// verify-on-emit need it.
+    dataflow: Option<ProgramDataflow>,
+    /// The hub's blacklist as of the last stop, with its generation.
+    blacklist: (u64, Arc<AliasBlacklist>),
     scratch: AllocScratch,
     stats: SystemStats,
-    /// Hub invalidation epoch last seen; pins are revalidated at the
-    /// next dispatch-step boundary after it moves.
+    /// Hub invalidation epoch last seen.
     seen_epoch: u64,
     cursor: Option<BlockId>,
 }
 
 impl GuestContext {
     /// Creates a context for `program`, attached to `hub` (the hub's
-    /// config supplies every shared knob: hot threshold, exec tier,
-    /// machine model).
+    /// config supplies every shared knob).
     pub fn new(id: usize, program: Program, hub: &TranslationHub) -> Self {
-        let cfg = hub.config();
+        let cfg = Arc::clone(&hub.cfg);
         let hw = AnyAliasHw::for_kind(cfg.opt.hw, cfg.opt.num_alias_regs);
         let sim = Simulator::new(cfg.machine, hw);
         let fast_sim = FastSim::new(cfg.opt.hw, cfg.opt.num_alias_regs);
@@ -87,13 +84,16 @@ impl GuestContext {
         let num_blocks = program.num_blocks();
         let entry = program.entry();
         let program_hash = crate::hub::hash_program(&program);
+        let dataflow = (!cfg.opt.nospec.is_empty() || cfg.verify_translations)
+            .then(|| smarq_verify::analyze(&program));
         GuestContext {
             id,
             program: Arc::new(program),
             program_hash,
-            hot_threshold: cfg.hot_threshold,
-            exec_tier: cfg.exec_tier,
-            machine: cfg.machine,
+            // 1, not the interval: the first functional entry is always
+            // cross-checked.
+            tier_sample_countdown: u64::from(cfg.tier_sample_interval != 0),
+            cfg,
             interp,
             vstate: VliwState::new(),
             sim,
@@ -101,10 +101,11 @@ impl GuestContext {
             fstate: FastState::new(),
             cache: vec![NO_REGION; num_blocks],
             regions: Vec::new(),
-            abandoned: vec![false; num_blocks],
+            dataflow,
+            blacklist: hub.blacklist(),
             scratch: AllocScratch::new(),
             stats: SystemStats::default(),
-            seen_epoch: 0,
+            seen_epoch: hub.epoch(),
             cursor: Some(entry),
         }
     }
@@ -112,11 +113,6 @@ impl GuestContext {
     /// This guest's tenant id (assigned by the creator; stable).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// The guest-code hash this context's regions are keyed by.
-    pub fn program_hash(&self) -> u64 {
-        self.program_hash
     }
 
     /// The accumulated statistics.
@@ -129,13 +125,48 @@ impl GuestContext {
         &self.interp
     }
 
+    /// The hub's alias blacklist as of this guest's last stop.
+    pub fn blacklist(&self) -> &AliasBlacklist {
+        &self.blacklist.1
+    }
+
     /// Whether the guest program has halted.
     pub fn halted(&self) -> bool {
         self.cursor.is_none()
     }
 
+    /// The superblock of every region this guest has installed, one per
+    /// entry block in formation order (parallel to
+    /// [`SystemStats::per_region`]).
+    pub fn formed_superblocks(&self) -> impl Iterator<Item = &Superblock> + '_ {
+        self.regions.iter().map(|r| &r.shared.code.sb)
+    }
+
+    /// Runs the whole-chain static analyzer over every installed region
+    /// that carries an optimizer trace (verify-on-emit retains them).
+    /// `None` when no region does.
+    pub fn analyze_chain(&self) -> Option<ChainReport> {
+        let views: Vec<ChainRegionView<'_>> = (0..self.regions.len())
+            .filter_map(|i| self.chain_view(i))
+            .collect();
+        (!views.is_empty())
+            .then(|| smarq_verify::analyze_chain(&self.program, &views, &self.cfg.opt.nospec))
+    }
+
+    fn chain_view(&self, i: usize) -> Option<ChainRegionView<'_>> {
+        let code = &self.regions[i].shared.code;
+        Some(ChainRegionView {
+            region_id: i,
+            sb: &code.sb,
+            trace: code.trace.as_ref()?,
+            vliw: &code.vliw,
+            write_mask: code.write_mask,
+            assumed_entry: code.assumed_entry,
+        })
+    }
+
     /// Runs until the guest halts or roughly `budget` guest instructions
-    /// have retired (resumable, like the single-guest system).
+    /// have retired. Resumes from where the previous call stopped.
     pub fn run_to_completion(&mut self, hub: &TranslationHub, budget: u64) -> StopReason {
         match self.run_bounded(hub, u64::MAX, budget) {
             RunStatus::Halted => StopReason::Halted,
@@ -145,38 +176,63 @@ impl GuestContext {
     }
 
     /// Runs at most `max_steps` dispatch steps (each an interpreted block
-    /// or a region chain). Hub invalidations are picked up at each step
-    /// boundary — the multi-guest mirror of PR7's publish discipline.
+    /// or a region chain), stopping earlier on guest halt or once roughly
+    /// `budget` guest instructions have retired. Finished translations
+    /// and hub invalidations are picked up only at step boundaries, which
+    /// keeps every install atomic with respect to this guest.
     pub fn run_bounded(&mut self, hub: &TranslationHub, max_steps: u64, budget: u64) -> RunStatus {
         let Some(mut cur) = self.cursor else {
             return RunStatus::Halted;
         };
         let mut steps = 0u64;
-        while steps < max_steps {
+        let status = loop {
+            if steps == max_steps {
+                break RunStatus::Running;
+            }
             steps += 1;
+            if hub.outstanding() != 0 {
+                while let Some(fin) = hub.take_finished(false) {
+                    self.receive(hub, fin);
+                }
+            }
             let epoch = hub.epoch();
             if epoch != self.seen_epoch {
                 self.revalidate(hub);
                 self.seen_epoch = epoch;
             }
             if self.live_guest_instrs() >= budget {
-                self.cursor = Some(cur);
-                self.sync_interp_stats();
-                return RunStatus::BudgetExhausted;
+                break RunStatus::BudgetExhausted;
             }
-            let next = self.step(hub, cur, budget);
-            match next {
+            match self.step(hub, cur, budget) {
                 Some(b) => cur = b,
-                None => {
-                    self.cursor = None;
-                    self.sync_interp_stats();
-                    return RunStatus::Halted;
-                }
+                None => break RunStatus::Halted,
             }
-        }
-        self.cursor = Some(cur);
+        };
+        self.cursor = (status != RunStatus::Halted).then_some(cur);
         self.sync_interp_stats();
-        RunStatus::Running
+        if hub.blacklist_gen() != self.blacklist.0 {
+            self.blacklist = hub.blacklist();
+        }
+        status
+    }
+
+    /// Blocks until the hub's executor has no job outstanding, installing
+    /// each result as at a dispatch boundary.
+    pub fn drain(&mut self, hub: &TranslationHub) {
+        while let Some(fin) = hub.take_finished(true) {
+            self.receive(hub, fin);
+        }
+    }
+
+    /// Test hook: submits a duplicate first translation of `entry`,
+    /// bypassing single-flight dedup.
+    pub(crate) fn debug_submit(&mut self, hub: &TranslationHub, entry: BlockId) {
+        let input = JobInput::Form {
+            profile: self.interp.profile().clone(),
+        };
+        let key = self.key(entry);
+        let s = hub.submit(hub.job(key, Arc::clone(&self.program), input, None));
+        self.submitted(hub, key, s);
     }
 
     #[inline]
@@ -186,13 +242,21 @@ impl GuestContext {
 
     fn sync_interp_stats(&mut self) {
         self.stats.interp_instrs = self.interp.executed_instrs();
-        self.stats.interp_cycles = self.stats.interp_instrs * self.machine.interp_cycles_per_instr;
+        self.stats.interp_cycles =
+            self.stats.interp_instrs * self.cfg.machine.interp_cycles_per_instr;
+    }
+
+    fn key(&self, entry: BlockId) -> RegionKey {
+        RegionKey {
+            program: self.program_hash,
+            entry,
+        }
     }
 
     #[inline]
     fn cached_region(&self, b: BlockId) -> Option<usize> {
         match self.cache.get(b.index()) {
-            Some(&idx) if idx != NO_REGION => Some(idx as usize),
+            Some(&idx) if idx < ABANDONED => Some(idx as usize),
             _ => None,
         }
     }
@@ -200,102 +264,174 @@ impl GuestContext {
     fn step(&mut self, hub: &TranslationHub, cur: BlockId, budget: u64) -> Option<BlockId> {
         self.stats.dispatch_lookups += 1;
         if let Some(idx) = self.cached_region(cur) {
-            return self.run_region_local(hub, idx, budget);
+            return if self.cfg.exec_tier == ExecTier::Functional {
+                self.run_chain::<true>(hub, idx, budget)
+            } else {
+                self.run_chain::<false>(hub, idx, budget)
+            };
         }
         let next = self.interp.step_block(&self.program, cur);
         self.maybe_request(hub, cur);
         next
     }
 
-    /// Hot-block detection after an interpreted block: probe-or-request
-    /// through the hub. Single-flight means at most one guest anywhere
-    /// actually translates; everyone else subscribes by re-probing here
-    /// on later dispatches of the still-hot block.
+    /// Hot-block detection after an interpreted block. A pending block is
+    /// re-probed once the hub's cache changes (revalidation clears the
+    /// mark).
     fn maybe_request(&mut self, hub: &TranslationHub, cur: BlockId) {
-        if self.interp.profile().block_count(cur) >= self.hot_threshold
-            && self.cached_region(cur).is_none()
-            && !self.abandoned[cur.index()]
+        if self.interp.profile().block_count(cur) < self.cfg.hot_threshold
+            || self.cache[cur.index()] != NO_REGION
         {
-            let key = RegionKey {
-                program: self.program_hash,
-                entry: cur,
-            };
-            match hub.request(key, &self.program, self.interp.profile(), &mut self.scratch) {
-                HubProbe::Hit(r) => self.install_local(r),
-                HubProbe::Pending | HubProbe::Miss => {}
-                HubProbe::Abandoned => self.abandoned[cur.index()] = true,
+            return;
+        }
+        let t0 = Instant::now();
+        let key = self.key(cur);
+        let entry_state = self.dataflow.as_ref().map(|d| *d.entry_state(cur));
+        match hub.request(key, &self.program, self.interp.profile(), entry_state) {
+            HubProbe::Hit(r) => self.pin(r),
+            HubProbe::Abandoned => self.cache[cur.index()] = ABANDONED,
+            HubProbe::Pending => self.cache[cur.index()] = PENDING,
+            HubProbe::Miss => {}
+            HubProbe::Claimed(s) => self.submitted_since(hub, key, s, t0),
+        }
+    }
+
+    /// Accounts a submission that started at `t0`; a background one
+    /// charges its bookkeeping to the critical-path stall clock.
+    fn submitted_since(&mut self, hub: &TranslationHub, key: RegionKey, s: Submitted, t0: Instant) {
+        let background = !matches!(s, Submitted::Inline(_));
+        self.submitted(hub, key, s);
+        if background {
+            self.stats.async_stall_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Accounts an async enqueue (marking this guest's block pending) or
+    /// full-queue rejection, or runs an inline translation and installs it
+    /// on the spot.
+    fn submitted(&mut self, hub: &TranslationHub, key: RegionKey, s: Submitted) {
+        match s {
+            Submitted::Queued(depth) => {
+                self.stats.async_enqueued += 1;
+                self.stats.async_queue_peak = self.stats.async_queue_peak.max(depth as u64);
+                let b = key.entry.index();
+                if key.program == self.program_hash && self.cache[b] == NO_REGION {
+                    self.cache[b] = PENDING;
+                }
+            }
+            Submitted::Full => self.stats.async_queue_full += 1,
+            Submitted::Inline(job) => {
+                let fin = run_translation_job(*job, &mut self.scratch);
+                self.stats.translation_ns += fin.translate_ns;
+                self.stats.scheduling_ns += fin.opt.stats.sched_ns;
+                self.install(hub, fin, false);
             }
         }
     }
 
-    /// Pins a published region into the local flat cache. Per-guest
-    /// region records count *installs* (a retranslated region re-installs
-    /// under a new local slot).
-    fn install_local(&mut self, r: Arc<SharedRegion>) {
+    /// Installs one translation an executor finished.
+    fn receive(&mut self, hub: &TranslationHub, fin: FinishedTranslation) {
+        self.stats.async_worker_ns += fin.worker_ns;
+        let t0 = Instant::now();
+        self.install(hub, fin, true);
+        self.stats.async_stall_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Publishes a finished translation through the hub and pins it when
+    /// it is this guest's code; a stale result is resubmitted. Results an
+    /// executor produced (`background`) count in the async counters.
+    fn install(&mut self, hub: &TranslationHub, mut fin: FinishedTranslation, background: bool) {
+        let diags = fin.diags.take();
+        match hub.install(fin) {
+            Installed::Published(r) => {
+                self.fold_verify(diags);
+                self.stats.async_published += u64::from(background);
+                if r.key.program == self.program_hash {
+                    self.pin(r);
+                }
+            }
+            Installed::Conflict => {
+                self.fold_verify(diags);
+                self.stats.async_publish_conflicts += u64::from(background);
+            }
+            Installed::Stale(fin) => {
+                self.stats.async_publish_conflicts += u64::from(background);
+                let key = fin.key;
+                let s = hub.resubmit(*fin);
+                self.submitted(hub, key, s);
+            }
+        }
+    }
+
+    /// Folds verify-on-emit findings into [`SystemStats`] (observation
+    /// only: a bad region still runs).
+    fn fold_verify(&mut self, diags: Option<Vec<Diagnostic>>) {
+        if let Some(diags) = diags {
+            self.stats.regions_verified += 1;
+            for d in &diags {
+                if d.severity == smarq::Severity::Error {
+                    self.stats.verify_errors += 1;
+                }
+                self.keep_diagnostic(d);
+            }
+        }
+    }
+
+    fn keep_diagnostic(&mut self, d: &Diagnostic) {
+        if self.stats.verify_diagnostics.len() < SystemStats::VERIFY_DIAGNOSTIC_CAP {
+            self.stats.verify_diagnostics.push(d.to_json());
+        }
+    }
+
+    /// Pins a published region. The first pin of an entry forms a region;
+    /// a newer version in an existing slot counts as a retranslation.
+    fn pin(&mut self, r: Arc<SharedRegion>) {
         let entry = r.code.entry;
         let links = vec![ChainLink::Unresolved; r.code.vliw.exits.len()];
-        let idx = self.regions.len();
-        self.stats.regions_formed += 1;
-        self.stats.per_region.push(RegionRecord {
-            entry,
-            opt: r.code.opt_stats,
-            entries: 0,
-            rollbacks: 0,
-            retranslations: 0,
-        });
-        self.regions.push(Some(LocalRegion { shared: r, links }));
+        let idx = match self
+            .regions
+            .iter()
+            .position(|lr| lr.shared.code.entry == entry)
+        {
+            Some(idx) => {
+                self.unpin(idx);
+                if !Arc::ptr_eq(&self.regions[idx].shared, &r) {
+                    self.stats.retranslations += 1;
+                    let rec = &mut self.stats.per_region[idx];
+                    rec.retranslations += 1;
+                    rec.opt = r.code.opt_stats;
+                }
+                self.regions[idx] = LocalRegion { shared: r, links };
+                idx
+            }
+            None => {
+                self.stats.regions_formed += 1;
+                self.stats.per_region.push(RegionRecord {
+                    entry,
+                    opt: r.code.opt_stats,
+                    entries: 0,
+                    rollbacks: 0,
+                    retranslations: 0,
+                });
+                self.regions.push(LocalRegion { shared: r, links });
+                self.regions.len() - 1
+            }
+        };
         self.cache[entry.index()] = idx as u32;
     }
 
-    /// Drops every pin the hub has withdrawn or replaced since the last
-    /// boundary (pointer identity decides: a retranslation published a
-    /// *new* `Arc`, so the old pin no longer matches).
-    fn revalidate(&mut self, hub: &TranslationHub) {
-        for idx in 0..self.regions.len() {
-            let Some(lr) = &self.regions[idx] else {
-                continue;
-            };
-            let key = lr.shared.key;
-            let entry = lr.shared.code.entry;
-            let keep = match hub.probe(key) {
-                HubProbe::Hit(cur) => {
-                    let Some(lr) = &self.regions[idx] else {
-                        unreachable!("checked above")
-                    };
-                    Arc::ptr_eq(&cur, &lr.shared)
-                }
-                HubProbe::Abandoned => {
-                    self.abandoned[entry.index()] = true;
-                    false
-                }
-                HubProbe::Pending | HubProbe::Miss => false,
-            };
-            if !keep {
-                self.remove_local(idx);
-            }
-        }
-    }
-
-    /// Unpins local slot `idx`: clears the flat-cache mapping, drops the
-    /// slot's own memoized links and severs every link chaining into it.
-    fn remove_local(&mut self, idx: usize) {
-        let Some(lr) = self.regions[idx].take() else {
+    /// Unpins slot `idx` if it is live, dropping its own links and every
+    /// link into it, so chains never enter withdrawn code.
+    fn unpin(&mut self, idx: usize) {
+        let entry = self.regions[idx].shared.code.entry;
+        if self.cache[entry.index()] != idx as u32 {
             return;
-        };
-        let entry = lr.shared.code.entry;
-        if self.cache[entry.index()] == idx as u32 {
-            self.cache[entry.index()] = NO_REGION;
         }
-        let resolved = lr
-            .links
-            .iter()
-            .filter(|l| **l != ChainLink::Unresolved)
-            .count() as u64;
-        self.stats.chain_unlinks += resolved;
+        self.cache[entry.index()] = NO_REGION;
         let stale = ChainLink::Region(idx as u32);
-        for r in self.regions.iter_mut().flatten() {
+        for (i, r) in self.regions.iter_mut().enumerate() {
             for l in &mut r.links {
-                if *l == stale {
+                if *l != ChainLink::Unresolved && (i == idx || *l == stale) {
                     *l = ChainLink::Unresolved;
                     self.stats.chain_unlinks += 1;
                 }
@@ -303,17 +439,39 @@ impl GuestContext {
         }
     }
 
-    fn store_resident(&mut self, functional: bool) {
-        if functional {
-            self.fstate
-                .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-        } else {
-            self.vstate
-                .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
+    /// After the hub's cache changed: drops every pin the hub has
+    /// withdrawn or replaced (pointer identity decides: a retranslation
+    /// publishes a *new* `Arc`) and clears pending marks so those blocks
+    /// are probed again.
+    fn revalidate(&mut self, hub: &TranslationHub) {
+        for b in 0..self.cache.len() {
+            let idx = self.cache[b];
+            if idx == PENDING {
+                self.cache[b] = NO_REGION;
+            } else if idx < ABANDONED {
+                let shared = &self.regions[idx as usize].shared;
+                match hub.probe(shared.key) {
+                    HubProbe::Hit(cur) if Arc::ptr_eq(&cur, shared) => {}
+                    probe => {
+                        self.unpin(idx as usize);
+                        if matches!(probe, HubProbe::Abandoned) {
+                            self.cache[b] = ABANDONED;
+                        }
+                    }
+                }
+            }
         }
     }
 
-    fn flush_chain_stats(&mut self, acc: &ChainAccum) {
+    /// Ends a chain: surfaces the resident state and folds its statistics.
+    fn end_chain(&mut self, functional: bool, acc: &ChainAccum, run_idx: usize, run_entries: u64) {
+        let (regs, fregs) = (&mut self.interp.regs, &mut self.interp.fregs);
+        if functional {
+            self.fstate.store_guest(regs, fregs);
+        } else {
+            self.vstate.store_guest(regs, fregs);
+        }
+        self.stats.per_region[run_idx].entries += run_entries;
         self.stats.region_guest_instrs += acc.guest;
         self.stats.vliw_cycles += acc.cycles;
         self.stats.region_mem_ops += acc.mem_ops;
@@ -324,53 +482,78 @@ impl GuestContext {
         self.stats.async_stale_entries += acc.stale;
     }
 
-    /// The chained region-execution loop over pinned shared code — one
-    /// body for both tiers (the cycle simulator and the fast-functional
-    /// executor keep guest state resident in their own register files;
-    /// only the marshal points and the run call differ).
-    fn run_region_local(
+    /// Whether this functional entry is a tier-down sample. The countdown
+    /// starts at 1, so the first entry always is; `0` means sampling is
+    /// disabled and stays disabled.
+    #[inline]
+    fn sample_due(&mut self) -> bool {
+        match self.tier_sample_countdown {
+            0 => false,
+            1 => {
+                self.tier_sample_countdown = self.cfg.tier_sample_interval;
+                true
+            }
+            _ => {
+                self.tier_sample_countdown -= 1;
+                false
+            }
+        }
+    }
+
+    /// The region-chain loop, one body for both tiers (monomorphized per
+    /// tier, so the hot loop carries no tier branch): follows memoized
+    /// links without re-entering the dispatcher, guest state resident in
+    /// the executor's register file, statistics folded once per chain.
+    fn run_chain<const FUNCTIONAL: bool>(
         &mut self,
         hub: &TranslationHub,
         start: usize,
         budget: u64,
     ) -> Option<BlockId> {
-        let functional = self.exec_tier == ExecTier::Functional;
-        if functional {
-            self.fstate
-                .load_guest(&self.interp.regs, &self.interp.fregs);
+        let verify = self.cfg.verify_translations;
+        let (regs, fregs) = (&self.interp.regs, &self.interp.fregs);
+        if FUNCTIONAL {
+            self.fstate.load_guest(regs, fregs);
         } else {
-            self.vstate
-                .load_guest(&self.interp.regs, &self.interp.fregs);
+            self.vstate.load_guest(regs, fregs);
         }
-        let guest_base = self.interp.executed_instrs() + self.stats.region_guest_instrs;
+        let guest_base = self.live_guest_instrs();
         let hub_gen = hub.blacklist_gen();
         let mut acc = ChainAccum::default();
         let mut idx = start;
         let mut run_idx = idx;
         let mut run_entries = 0u64;
         loop {
-            let region = self.regions[idx]
-                .as_ref()
-                .expect("dispatched region is pinned");
-            if region.shared.code.blacklist_gen != hub_gen {
+            let code = &self.regions[idx].shared.code;
+            if code.blacklist_gen != hub_gen {
                 acc.stale += 1;
             }
-            let (outcome, rstats) = if functional {
-                let fast = region
-                    .shared
-                    .code
+            let (outcome, rstats) = if FUNCTIONAL {
+                // Decided before the fast run: the oracle replays from the
+                // pre-state.
+                let pre_mem = self.sample_due().then(|| {
+                    self.fstate.copy_to_vliw(&mut self.vstate);
+                    self.interp.mem.clone()
+                });
+                let code = &self.regions[idx].shared.code;
+                let fast = code
                     .fast
                     .as_ref()
-                    .expect("hub compiles fast code for functional-tier guests");
+                    .expect("functional-tier hubs compile fast code");
+                let (o, r) = self
+                    .fast_sim
+                    .run_region(fast, &mut self.fstate, &mut self.interp.mem);
                 self.stats.tier_fast_entries += 1;
-                self.fast_sim
-                    .run_region(fast, &mut self.fstate, &mut self.interp.mem)
+                if let Some(mut mem) = pre_mem {
+                    self.tier_down_sample(idx, &o, &mut mem);
+                }
+                (o, r)
             } else {
                 let (o, r) = self
                     .sim
                     .run_region_resident(
-                        &region.shared.code.vliw,
-                        region.shared.code.write_mask,
+                        &code.vliw,
+                        code.write_mask,
                         &mut self.vstate,
                         &mut self.interp.mem,
                     )
@@ -386,74 +569,46 @@ impl GuestContext {
                 RegionOutcome::Exited { exit_id } => exit_id as usize,
                 RegionOutcome::AliasException(v) => {
                     // The executor rolled the resident state back to this
-                    // region's entry; surface it and deoptimize through
-                    // the hub (blacklist + withdraw + retranslate).
-                    self.store_resident(functional);
-                    if functional {
+                    // region's entry — even mid-chain, the checkpoint is
+                    // exactly the pre-region guest state.
+                    self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                    if FUNCTIONAL {
                         self.stats.tier_deopts += 1;
                     }
-                    self.stats.per_region[run_idx].entries += run_entries;
-                    self.flush_chain_stats(&acc);
                     return self.deopt(hub, idx, v);
                 }
             };
-            acc.guest += self.regions[idx]
-                .as_ref()
-                .expect("still pinned")
-                .shared
-                .code
-                .exit_instrs[exit_id];
-            let link = self.regions[idx].as_ref().expect("still pinned").links[exit_id];
-            let next_idx = match link {
+            let code = &self.regions[idx].shared.code;
+            acc.guest += code.exit_instrs[exit_id];
+            let next_idx = match self.regions[idx].links[exit_id] {
                 ChainLink::Region(j) => j as usize,
                 ChainLink::Unresolved => {
-                    let target = self.regions[idx]
-                        .as_ref()
-                        .expect("still pinned")
-                        .shared
-                        .code
-                        .vliw
-                        .exits[exit_id]
-                        .guest_block;
-                    let Some(target) = target else {
+                    let Some(target) = code.vliw.exits[exit_id].guest_block else {
                         // Guest halt.
-                        self.store_resident(functional);
-                        self.stats.per_region[run_idx].entries += run_entries;
-                        self.flush_chain_stats(&acc);
+                        self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
                         return None;
                     };
                     acc.lookups += 1;
-                    match self.cached_region(BlockId(target)) {
-                        Some(j) => {
-                            self.regions[idx].as_mut().expect("still pinned").links[exit_id] =
-                                ChainLink::Region(j as u32);
-                            j
-                        }
-                        None => {
-                            // Not pinned (yet): never memoized, so a later
-                            // publish of the target is picked up here.
-                            self.store_resident(functional);
-                            self.stats.per_region[run_idx].entries += run_entries;
-                            self.flush_chain_stats(&acc);
-                            return Some(BlockId(target));
-                        }
+                    let Some(j) = self.cached_region(BlockId(target)) else {
+                        // Not pinned (yet): never memoized, so a later
+                        // publish of the target is picked up here.
+                        self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                        return Some(BlockId(target));
+                    };
+                    self.regions[idx].links[exit_id] = ChainLink::Region(j as u32);
+                    if verify {
+                        // Prove the hand-off before the link is ever
+                        // followed (observation mode).
+                        self.chain_check_link(idx, j);
                     }
+                    j
                 }
             };
             // Chain boundary: stop following links once the budget is
-            // spent so the scheduler can observe it.
+            // spent so the caller can observe it.
             if guest_base + acc.guest >= budget {
-                self.store_resident(functional);
-                self.stats.per_region[run_idx].entries += run_entries;
-                self.flush_chain_stats(&acc);
-                return Some(
-                    self.regions[next_idx]
-                        .as_ref()
-                        .expect("linked region is pinned")
-                        .shared
-                        .code
-                        .entry,
-                );
+                self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                return Some(self.regions[next_idx].shared.code.entry);
             }
             acc.follows += 1;
             if next_idx != run_idx {
@@ -465,26 +620,68 @@ impl GuestContext {
         }
     }
 
-    /// Alias-exception deopt: report the faulting pair to the hub (which
-    /// blacklists it for every guest and withdraws/retranslates or
-    /// abandons the region), drop the local pin, and make forward
-    /// progress by interpreting one block from the region entry.
+    /// Tier-down sample: replays the entry the fast tier just ran on the
+    /// cycle simulator from the same pre-state (`self.vstate`, `sim_mem`)
+    /// and bit-compares outcome, registers and memory; a disagreement
+    /// counts in [`SystemStats::tier_sample_mismatches`].
+    fn tier_down_sample(&mut self, idx: usize, fast_outcome: &RegionOutcome, sim_mem: &mut Memory) {
+        let code = &self.regions[idx].shared.code;
+        let (sim_outcome, sim_stats) = self
+            .sim
+            .run_region_resident(&code.vliw, code.write_mask, &mut self.vstate, sim_mem)
+            .expect("translated region is well formed");
+        self.stats.tier_samples += 1;
+        self.stats.tier_sampled_cycles += sim_stats.cycles;
+        let regs_agree = self.fstate.regs == self.vstate.regs
+            && self
+                .fstate
+                .fregs
+                .iter()
+                .zip(self.vstate.fregs.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if sim_outcome != *fast_outcome || !regs_agree || *sim_mem != self.interp.mem {
+            self.stats.tier_sample_mismatches += 1;
+        }
+    }
+
+    /// Link-time chain check (verify-on-emit): proves the hand-off
+    /// obligations of the two regions and folds the findings into
+    /// [`SystemStats`]. Observation only.
+    fn chain_check_link(&mut self, from: usize, to: usize) {
+        let ids: &[usize] = if from == to { &[from] } else { &[from, to] };
+        let Some(views) = ids
+            .iter()
+            .map(|&i| self.chain_view(i))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        let report = smarq_verify::analyze_chain(&self.program, &views, &self.cfg.opt.nospec);
+        self.stats.chain_checks += 1;
+        for d in &report.diagnostics {
+            if d.severity == smarq::Severity::Error {
+                self.stats.chain_errors += 1;
+            }
+            self.keep_diagnostic(d);
+        }
+    }
+
+    /// Alias-exception deopt: unpin the region, report the pair to the hub
+    /// (blacklist, then retranslate or abandon), and interpret one block
+    /// from the region entry. An inline retranslation is pinned before
+    /// that block runs, so one block is interpreted per rollback.
     fn deopt(&mut self, hub: &TranslationHub, idx: usize, v: AliasViolation) -> Option<BlockId> {
         self.stats.rollbacks += 1;
         self.stats.per_region[idx].rollbacks += 1;
-        let shared = Arc::clone(
-            &self.regions[idx]
-                .as_ref()
-                .expect("faulting region is pinned")
-                .shared,
-        );
+        let shared = Arc::clone(&self.regions[idx].shared);
         let entry = shared.code.entry;
         let a = shared.code.tag_origin[v.checker_tag as usize];
         let b = shared.code.tag_origin[v.producer_tag as usize];
-        let verdict = hub.report_rollback(&shared, a, b, &mut self.scratch);
-        self.remove_local(idx);
-        if verdict == RollbackVerdict::Abandoned {
-            self.abandoned[entry.index()] = true;
+        self.unpin(idx);
+        let t0 = Instant::now();
+        // An abandoned key is learnt from the hub at the next request.
+        if let Some(s) = hub.report_rollback(&shared, a, b) {
+            self.submitted_since(hub, shared.key, s, t0);
         }
         self.interp.step_block(&self.program, entry)
     }

@@ -1,62 +1,95 @@
-//! The shared translation hub: one thread-safe translation service for
-//! many concurrently executing guests (ROADMAP open item 1).
+//! The translation hub: the shared half of the runtime. Every
+//! [`crate::GuestContext`] runs over one, whether it is the only guest
+//! ([`crate::DynOptSystem`] owns a private hub) or one of many tenants.
 //!
-//! [`crate::DynOptSystem`] owns exactly one guest; N tenants through it
-//! mean N redundant translations of the same hot guest code. The
-//! [`TranslationHub`] factors the shareable half out:
+//! * A **sharded translation cache** keyed by ([`hash_program`], entry
+//!   block): published entries are immutable [`RegionCode`]s behind
+//!   `Arc`s, so guests execute shared code without synchronization. A
+//!   slot is `InFlight` (claimed, the pending-job record: single-flight
+//!   dedup), `Published` or `Abandoned`.
+//! * The **alias blacklist with a generation counter** — one speculation
+//!   failure anywhere teaches every guest, the paper's argument that the
+//!   software-managed queue makes runtime feedback cheap to centralize.
+//! * At most one [`TranslationExecutor`]. Without one the claiming guest
+//!   runs the job inline; with one, guests install finished jobs at their
+//!   dispatch-step boundaries, gated by an atomic outstanding-job count
+//!   (one load per step when idle).
 //!
-//! * a **sharded flat translation cache** keyed by
-//!   ([`hash_program`], entry block) — lookups take one shard mutex,
-//!   and published entries are immutable [`RegionCode`]s behind `Arc`s,
-//!   so guests execute shared code without further synchronization;
-//! * the **alias blacklist with a generation counter** — one speculation
-//!   failure anywhere teaches every guest, exactly the paper's argument
-//!   that the software-managed queue makes runtime feedback cheap enough
-//!   to centralize;
-//! * the **translation worker pool** (PR7's job/worker shape, promoted to
-//!   serve all guests) with **single-flight dedup**: the first requester
-//!   of a region claims an in-flight slot and every later requester
-//!   subscribes by simply re-probing at its next dispatch boundary.
+//! Rollback rule: the faulting pair is blacklisted for all guests. A
+//! repeat pair on a region optimized against the current generation, or
+//! a key over its rollback budget, is abandoned; a fresh pair, or a repeat
+//! pair on a region built against an older generation, is withdrawn and
+//! retranslated. Queue rule: a job the executor's full queue rejects
+//! withdraws its slot and un-counts the key's start, for first
+//! translations and retranslations alike.
 //!
-//! Invalidation (deopt, blacklist growth, retranslation, abandonment)
-//! publishes through two monotone counters: `blacklist_gen` (bumped under
-//! the blacklist lock on every fresh pair) and `epoch` (bumped whenever a
-//! published slot is withdrawn). Guests check `epoch` at dispatch-step
-//! boundaries — the same publish discipline PR7 established for async
-//! translation — and drop local pins on regions the hub withdrew. Stale
-//! *executions* (a region optimized against an older blacklist) remain
-//! legal: the alias hardware still catches every true aliasing, and the
-//! hub counts them so the oracle layers can audit the window.
+//! Every publish and withdrawal bumps the `epoch`; guests compare it at
+//! dispatch-step boundaries, drop pins on withdrawn regions and re-probe
+//! blocks they saw pending. Executing a region built against an older
+//! blacklist stays legal: the alias hardware still catches every true
+//! aliasing.
 //!
-//! Lock order, everywhere: blacklist → rollback counts → shard → queue.
+//! Lock order: blacklist → rollback counts → shard → executor; the
+//! counter lock is a leaf.
 
 use crate::region::RegionCode;
 use crate::translate_service::{
-    run_translation_job, FinishedTranslation, JobInput, JobKind, TranslationJob,
+    FinishedTranslation, JobInput, ThreadedExecutor, TranslationExecutor, TranslationJob,
 };
 use crate::{ExecTier, SystemConfig};
-use smarq::AllocScratch;
-use smarq_guest::{BlockId, Profile, Program};
+use smarq::hash::FastHasher;
+use smarq::range::RegState;
+use smarq_guest::{BlockId, Instr, Profile, Program, Terminator};
 use smarq_ir::{FormationParams, OpOrigin};
 use smarq_opt::{AliasBlacklist, OptConfig};
 use smarq_vliw::MachineConfig;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// FNV-1a hash of the program's disassembly — the guest-code identity the
-/// hub keys translations by. Two guests running byte-identical code hash
-/// equal and share every translation; the textual form sidesteps hashing
-/// floating-point immediates bit-by-bit in the instruction encoding.
+/// The guest-code identity the hub keys translations by: a
+/// [`FastHasher`] over the entry, every instruction and terminator, and
+/// the data image, with floating-point immediates hashed by their bits.
 pub fn hash_program(program: &Program) -> u64 {
-    let text = smarq_guest::disassemble(program);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = FastHasher::default();
+    program.entry().hash(&mut h);
+    for (_, block) in program.iter() {
+        block.instrs.len().hash(&mut h);
+        for i in &block.instrs {
+            discriminant(i).hash(&mut h);
+            match *i {
+                Instr::IConst { rd, value } => (rd, value).hash(&mut h),
+                Instr::Alu { op, rd, ra, rb } => (op, rd, ra, rb).hash(&mut h),
+                Instr::AluImm { op, rd, ra, imm } => (op, rd, ra, imm).hash(&mut h),
+                Instr::FConst { fd, value } => (fd, value.to_bits()).hash(&mut h),
+                Instr::Fpu { op, fd, fa, fb } => (op, fd, fa, fb).hash(&mut h),
+                Instr::ItoF { fd, ra } => (fd, ra).hash(&mut h),
+                Instr::FtoI { rd, fa } => (rd, fa).hash(&mut h),
+                Instr::Ld { rd: r, base, disp } | Instr::St { rs: r, base, disp } => {
+                    (r, base, disp).hash(&mut h)
+                }
+                Instr::FLd { fd: f, base, disp } | Instr::FSt { fs: f, base, disp } => {
+                    (f, base, disp).hash(&mut h)
+                }
+            }
+        }
+        discriminant(&block.term).hash(&mut h);
+        match block.term {
+            Terminator::Jump(t) => t.hash(&mut h),
+            Terminator::Branch {
+                op,
+                ra,
+                rb,
+                taken,
+                fallthrough,
+            } => (op, ra, rb, taken, fallthrough).hash(&mut h),
+            Terminator::Halt => {}
+        }
     }
-    h
+    program.data().hash(&mut h);
+    h.finish()
 }
 
 /// Identity of a translated region in the hub's shared cache.
@@ -68,66 +101,58 @@ pub struct RegionKey {
     pub entry: BlockId,
 }
 
-/// A published translation: immutable code plus its identity, shared
-/// across guests behind an `Arc`. Pointer identity doubles as version
-/// identity — a retranslation publishes a *new* `SharedRegion`, so
-/// `Arc::ptr_eq` tells a guest whether its pinned copy is still current.
-pub struct SharedRegion {
-    /// The cache key this region is published under.
+/// A published translation. Pointer identity is version identity: a
+/// retranslation publishes a *new* `Arc`, so `Arc::ptr_eq` tells a guest
+/// whether its pin is current.
+pub(crate) struct SharedRegion {
     pub key: RegionKey,
-    /// The guest program the region was formed from (kept so deopt-driven
-    /// retranslation jobs are self-contained).
+    /// Kept so deopt-driven retranslation jobs are self-contained.
     pub program: Arc<Program>,
-    /// The immutable translation artifact.
     pub code: RegionCode,
 }
 
-/// State of one key in the sharded cache.
 enum Slot {
-    /// Claimed by a requester; the translation is queued or computing.
     InFlight,
-    /// Published and executable.
     Published(Arc<SharedRegion>),
-    /// Permanently given up (blacklisting could not converge, or the
-    /// rollback budget ran out). Guests interpret this entry forever.
     Abandoned,
 }
 
-/// Result of probing (or requesting) a region from the hub.
-pub enum HubProbe {
-    /// Published: pin the `Arc` and execute.
+/// A cache probe, or (from [`TranslationHub::request`]) the fate of the
+/// first translation this call claimed and submitted.
+pub(crate) enum HubProbe {
     Hit(Arc<SharedRegion>),
-    /// A translation for this key is in flight (submitted by this call or
-    /// an earlier one — single-flight: re-probe at a later boundary).
     Pending,
-    /// Not cached and not requested (bounded queue was full); the block
-    /// stays hot, so a later dispatch retries.
     Miss,
-    /// Translation permanently abandoned for this key.
     Abandoned,
+    Claimed(Submitted),
 }
 
-/// What a rollback report decided.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RollbackVerdict {
-    /// The faulting pair was blacklisted and a conservative retranslation
-    /// is in flight; interpret until it publishes.
-    Retranslating,
-    /// Translation was abandoned for this key (blacklisting cannot
-    /// converge, or the per-key rollback budget ran out).
-    Abandoned,
-    /// Another guest's rollback already withdrew this region — nothing to
-    /// do beyond the blacklist insert that was just folded in.
-    Raced,
+/// What became of a job handed to [`TranslationHub::submit`].
+pub(crate) enum Submitted {
+    /// Queued on the executor; carries the jobs now outstanding.
+    Queued(usize),
+    /// Rejected by the full queue; the slot was withdrawn.
+    Full,
+    /// No executor: the caller runs the job and installs the result.
+    Inline(Box<TranslationJob>),
+}
+
+pub(crate) enum Installed {
+    Published(Arc<SharedRegion>),
+    /// The slot was withdrawn or already filled while the job ran.
+    Conflict,
+    /// The blacklist outgrew the job's snapshot: resubmit it.
+    Stale(Box<FinishedTranslation>),
 }
 
 /// Hub configuration: the translation-relevant half of [`SystemConfig`]
-/// plus pool sizing. Shared by every guest attached to the hub.
+/// plus executor sizing. Shared by every guest attached to the hub.
 #[derive(Clone, Debug)]
 pub struct HubConfig {
     /// Machine model.
     pub machine: MachineConfig,
-    /// Optimizer configuration (hardware scheme, speculation switches).
+    /// Optimizer configuration (hardware scheme, speculation switches,
+    /// nospec ranges).
     pub opt: OptConfig,
     /// Region-formation parameters.
     pub formation: FormationParams,
@@ -137,42 +162,44 @@ pub struct HubConfig {
     pub hot_threshold: u64,
     /// Per-key rollbacks after which the key is abandoned.
     pub max_rollbacks_per_region: u64,
-    /// Statically verify every (re)translated region on the worker.
+    /// Statically verify every (re)translated region, and chain-check
+    /// every memoized region→region link.
     pub verify_translations: bool,
-    /// Execution tier of the attached guests (decides whether workers
-    /// also lower regions for the fast-functional tier).
+    /// Execution tier of the attached guests (decides whether jobs also
+    /// lower regions for the fast-functional tier).
     pub exec_tier: ExecTier,
-    /// Worker threads. `0` runs every translation inline on the
-    /// requesting guest's thread — fully deterministic under a
-    /// deterministic scheduler, the configuration the fuzz oracle drives.
+    /// On the functional tier, every `tier_sample_interval`-th region
+    /// entry of each guest is replayed on the cycle simulator (see
+    /// [`SystemConfig::tier_sample_interval`]).
+    pub tier_sample_interval: u64,
+    /// Worker threads of [`TranslationHub::new`]'s [`ThreadedExecutor`];
+    /// `0` translates inline on the requesting guest's thread.
     pub workers: u32,
-    /// Bound of the job queue for *first* translations (deopt
-    /// retranslations bypass the bound: the slot is already withdrawn,
-    /// so dropping the job would strand the key in flight).
+    /// Bound of the executor's job queue (first translations and
+    /// retranslations alike).
     pub queue_depth: u32,
     /// Shard count of the translation cache (rounded up to at least 1).
     pub shards: u32,
 }
 
-impl Default for HubConfig {
-    fn default() -> Self {
-        Self::from_system(&SystemConfig::default())
-    }
-}
-
 impl HubConfig {
-    /// Derives a hub configuration from a single-guest [`SystemConfig`]
-    /// (the CLI path: one flag set configures either runtime).
+    /// Derives a hub configuration from a [`SystemConfig`]; its nospec
+    /// ranges become the optimizer's.
     pub fn from_system(cfg: &SystemConfig) -> Self {
+        let mut opt = cfg.opt.clone();
+        if !cfg.nospec_ranges.is_empty() {
+            opt.nospec = cfg.nospec_ranges.clone();
+        }
         HubConfig {
             machine: cfg.machine,
-            opt: cfg.opt.clone(),
+            opt,
             formation: cfg.formation,
             unroll_factor: cfg.unroll_factor,
             hot_threshold: cfg.hot_threshold,
             max_rollbacks_per_region: cfg.max_rollbacks_per_region,
             verify_translations: cfg.verify_translations,
             exec_tier: cfg.exec_tier,
+            tier_sample_interval: cfg.tier_sample_interval,
             workers: cfg.translate_workers,
             queue_depth: cfg.translate_queue_depth,
             shards: 8,
@@ -180,40 +207,19 @@ impl HubConfig {
     }
 }
 
-/// Monotone hub counters (all `SeqCst`; snapshot via
-/// [`TranslationHub::stats`]). The oracle layers assert these never
-/// regress and that the publish ledger balances.
-#[derive(Default)]
-struct Counters {
-    translations_started: AtomicU64,
-    translations_published: AtomicU64,
-    retranslations: AtomicU64,
-    gen_conflicts: AtomicU64,
-    publish_conflicts: AtomicU64,
-    single_flight_hits: AtomicU64,
-    probe_hits: AtomicU64,
-    queue_full: AtomicU64,
-    rollbacks: AtomicU64,
-    rollback_races: AtomicU64,
-    abandoned: AtomicU64,
-    regions_verified: AtomicU64,
-    verify_errors: AtomicU64,
-}
-
 /// Snapshot of the hub's counters and cache shape.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HubStats {
-    /// Unique keys ever claimed for a first translation. With
-    /// single-flight dedup this equals the number of distinct hot regions
-    /// across *all* guests — independent of how many guests run the same
-    /// code, which is the multi-tenant economics the hub exists for.
+    /// Keys claimed for a first translation, less those whose slot a full
+    /// queue withdrew: with single-flight dedup, the distinct hot regions
+    /// across *all* guests, however many run the same code.
     pub translations_started: u64,
     /// Translations published into the shared cache (first translations
     /// and retranslations).
     pub translations_published: u64,
-    /// Conservative retranslations enqueued by rollback reports.
+    /// Conservative retranslations requested by rollback reports.
     pub retranslations: u64,
-    /// Worker results discarded and recomputed because the blacklist
+    /// Finished results rejected and resubmitted because the blacklist
     /// generation advanced while the job ran.
     pub gen_conflicts: u64,
     /// Finished results dropped because the slot was withdrawn (abandoned
@@ -224,7 +230,7 @@ pub struct HubStats {
     pub single_flight_hits: u64,
     /// Requests answered from the published cache.
     pub probe_hits: u64,
-    /// First-translation submissions dropped on a full bounded queue.
+    /// Submissions rejected by a full executor queue.
     pub queue_full: u64,
     /// Rollbacks reported by guests.
     pub rollbacks: u64,
@@ -232,13 +238,13 @@ pub struct HubStats {
     pub rollback_races: u64,
     /// Keys permanently abandoned.
     pub abandoned: u64,
-    /// Regions statically verified on workers (verify-on-emit mode).
+    /// Regions statically verified (verify-on-emit mode).
     pub regions_verified: u64,
     /// Error-severity verify findings (0 for a correct optimizer).
     pub verify_errors: u64,
     /// Current blacklist generation.
     pub blacklist_gen: u64,
-    /// Current invalidation epoch.
+    /// Current cache epoch (publishes plus withdrawals).
     pub epoch: u64,
     /// Keys currently published.
     pub published_keys: u64,
@@ -248,35 +254,79 @@ pub struct HubStats {
     pub abandoned_keys: u64,
 }
 
-struct JobQueue {
-    jobs: VecDeque<HubJob>,
-    shutdown: bool,
+type Shard = Mutex<HashMap<RegionKey, Slot>>;
+
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a guest thread panicked while holding a hub lock")
 }
 
-struct HubJob {
-    key: RegionKey,
-    program: Arc<Program>,
-    job: TranslationJob,
-}
-
-struct HubShared {
-    cfg: HubConfig,
-    shards: Box<[Mutex<HashMap<RegionKey, Slot>>]>,
-    blacklist: Mutex<AliasBlacklist>,
-    /// Bumped under the blacklist lock on every fresh pair insert;
-    /// read lock-free by guests for stale-execution accounting.
+/// The shared, thread-safe translation service (see module docs).
+pub struct TranslationHub {
+    pub(crate) cfg: Arc<HubConfig>,
+    shards: Box<[Shard]>,
+    blacklist: Mutex<Arc<AliasBlacklist>>,
+    /// Bumped under the blacklist lock on every fresh pair insert.
     blacklist_gen: AtomicU64,
-    /// Bumped on every withdrawal of a published slot; guests revalidate
-    /// their pinned regions when it moves (dispatch-boundary check).
+    /// Bumped on every publish and every withdrawal.
     epoch: AtomicU64,
     rollback_counts: Mutex<HashMap<RegionKey, u64>>,
-    queue: Mutex<JobQueue>,
-    queue_cv: Condvar,
-    c: Counters,
+    /// `None`: translations run inline on the requesting guest's thread.
+    exec: Option<Mutex<Box<dyn TranslationExecutor>>>,
+    /// The executor's outstanding-job count, stored under its lock. Read
+    /// `Relaxed` as a gate only: results travel through the executor's
+    /// mutex.
+    outstanding: AtomicUsize,
+    /// The counters; the cache-shape fields are filled in by `stats`.
+    c: Mutex<HubStats>,
 }
 
-impl HubShared {
-    fn shard(&self, key: RegionKey) -> &Mutex<HashMap<RegionKey, Slot>> {
+impl TranslationHub {
+    /// Creates a hub; `cfg.workers ≥ 1` gives it a [`ThreadedExecutor`]
+    /// with that many workers, `0` translates inline.
+    pub fn new(cfg: HubConfig) -> Self {
+        let (workers, depth) = (cfg.workers as usize, cfg.queue_depth as usize);
+        let exec: Option<Box<dyn TranslationExecutor>> =
+            (workers > 0).then(|| Box::new(ThreadedExecutor::new(workers, depth)) as _);
+        Self::with_executor(cfg, exec)
+    }
+
+    /// Creates a hub whose translations run on `exec` (`None` = inline),
+    /// whatever `cfg.workers` says.
+    pub fn with_executor(cfg: HubConfig, exec: Option<Box<dyn TranslationExecutor>>) -> Self {
+        let shards = (0..cfg.shards.max(1))
+            .map(|_| Mutex::new(HashMap::new()))
+            .collect();
+        TranslationHub {
+            cfg: Arc::new(cfg),
+            shards,
+            blacklist: Mutex::new(Arc::new(AliasBlacklist::new())),
+            blacklist_gen: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            rollback_counts: Mutex::new(HashMap::new()),
+            exec: exec.map(Mutex::new),
+            outstanding: AtomicUsize::new(0),
+            c: Mutex::default(),
+        }
+    }
+
+    /// Current blacklist generation (lock-free read).
+    pub fn blacklist_gen(&self) -> u64 {
+        self.blacklist_gen.load(Ordering::SeqCst)
+    }
+
+    /// Current cache epoch (lock-free read).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// The accumulated blacklist and its generation, read together.
+    pub fn blacklist(&self) -> (u64, Arc<AliasBlacklist>) {
+        let bl = lock(&self.blacklist);
+        (self.blacklist_gen(), Arc::clone(&bl))
+    }
+
+    fn shard(&self, key: RegionKey) -> &Shard {
         // Mix the entry index in: one guest program's regions spread
         // across shards instead of piling onto the program hash's shard.
         let h = key
@@ -286,195 +336,12 @@ impl HubShared {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Builds a job against the *current* blacklist snapshot (generation
-    /// read under the blacklist lock, so snapshot and counter agree).
-    fn fresh_job(&self, kind: JobKind, input: JobInput, program: Arc<Program>) -> TranslationJob {
-        let bl = self.blacklist.lock().unwrap();
-        let blacklist_gen = self.blacklist_gen.load(Ordering::SeqCst);
-        TranslationJob {
-            kind,
-            input,
-            program,
-            formation: self.cfg.formation,
-            unroll_factor: self.cfg.unroll_factor,
-            opt: self.cfg.opt.clone(),
-            machine: self.cfg.machine,
-            blacklist: bl.clone(),
-            blacklist_gen,
-            verify: self.cfg.verify_translations,
-            compile_fast: self.cfg.exec_tier == ExecTier::Functional,
-            // The hub serves many guest programs and caches no per-program
-            // dataflow; assuming ⊤ at entry is sound (the nospec taint
-            // just falls back to assume-the-worst precision).
-            entry_state: None,
-        }
-    }
-
-    /// Publishes a finished translation into its claimed slot — or hands
-    /// the result back when the blacklist grew past the job's snapshot
-    /// (the caller re-optimizes against a fresh one, mirroring
-    /// `DynOptSystem`'s publish-reject-resubmit discipline). The
-    /// blacklist lock is held across the slot swap so a publish can never
-    /// interleave with a generation bump.
-    fn install(
-        &self,
-        key: RegionKey,
-        program: &Arc<Program>,
-        fin: FinishedTranslation,
-    ) -> Result<(), Box<FinishedTranslation>> {
-        let _bl = self.blacklist.lock().unwrap();
-        if fin.blacklist_gen != self.blacklist_gen.load(Ordering::SeqCst) {
-            self.c.gen_conflicts.fetch_add(1, Ordering::SeqCst);
-            return Err(Box::new(fin));
-        }
-        if fin.verified {
-            self.c.regions_verified.fetch_add(1, Ordering::SeqCst);
-            let errors = fin
-                .diags
-                .iter()
-                .filter(|d| d.severity == smarq::Severity::Error)
-                .count() as u64;
-            self.c.verify_errors.fetch_add(errors, Ordering::SeqCst);
-        }
-        let mut shard = self.shard(key).lock().unwrap();
-        match shard.get(&key) {
-            Some(Slot::InFlight) => {
-                let region = Arc::new(SharedRegion {
-                    key,
-                    program: Arc::clone(program),
-                    code: RegionCode::from_finished(fin),
-                });
-                shard.insert(key, Slot::Published(region));
-                self.c.translations_published.fetch_add(1, Ordering::SeqCst);
-            }
-            // Abandoned (or withdrawn and re-claimed by a racing path)
-            // while the job was in flight: drop the result.
-            _ => {
-                self.c.publish_conflicts.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        Ok(())
-    }
-
-    fn enqueue(&self, hj: HubJob, bounded: bool) -> bool {
-        let mut q = self.queue.lock().unwrap();
-        if bounded && q.jobs.len() >= self.cfg.queue_depth.max(1) as usize {
-            return false;
-        }
-        q.jobs.push_back(hj);
-        self.queue_cv.notify_one();
-        true
-    }
-}
-
-/// Runs one hub job to publication, recomputing against fresh blacklist
-/// snapshots for as long as the generation moves underneath it (bounded:
-/// the blacklist only grows toward the finite set of aliasing pairs).
-fn compute_and_install(inner: &HubShared, mut hj: HubJob, scratch: &mut AllocScratch) {
-    loop {
-        let fin = run_translation_job(hj.job, scratch);
-        match inner.install(hj.key, &hj.program, fin) {
-            Ok(()) => return,
-            Err(fin) => {
-                let kind = fin.kind;
-                let program = Arc::clone(&hj.program);
-                hj.job = inner.fresh_job(kind, JobInput::Ready(Box::new(fin.sb)), program);
-            }
-        }
-    }
-}
-
-fn worker_loop(inner: &HubShared) {
-    let mut scratch = AllocScratch::new();
-    loop {
-        let hj = {
-            let mut q = inner.queue.lock().unwrap();
-            loop {
-                if let Some(hj) = q.jobs.pop_front() {
-                    break hj;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = inner.queue_cv.wait(q).unwrap();
-            }
-        };
-        compute_and_install(inner, hj, &mut scratch);
-    }
-}
-
-/// The shared, thread-safe translation service (see module docs).
-pub struct TranslationHub {
-    inner: Arc<HubShared>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl TranslationHub {
-    /// Creates a hub and spawns its worker pool (`cfg.workers` threads;
-    /// `0` selects inline translation on the requesting guest's thread).
-    pub fn new(cfg: HubConfig) -> Self {
-        let shards = (0..cfg.shards.max(1))
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let workers = cfg.workers;
-        let inner = Arc::new(HubShared {
-            cfg,
-            shards,
-            blacklist: Mutex::new(AliasBlacklist::new()),
-            blacklist_gen: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            rollback_counts: Mutex::new(HashMap::new()),
-            queue: Mutex::new(JobQueue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            queue_cv: Condvar::new(),
-            c: Counters::default(),
-        });
-        let handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
-        TranslationHub {
-            inner,
-            workers: handles,
-        }
-    }
-
-    /// The hub's configuration (guests read their shared knobs here).
-    pub fn config(&self) -> &HubConfig {
-        &self.inner.cfg
-    }
-
-    /// Whether translations run on background workers (`false` = inline
-    /// on the requesting guest's thread).
-    pub fn threaded(&self) -> bool {
-        !self.workers.is_empty()
-    }
-
-    /// Current blacklist generation (lock-free read).
-    pub fn blacklist_gen(&self) -> u64 {
-        self.inner.blacklist_gen.load(Ordering::SeqCst)
-    }
-
-    /// Current invalidation epoch (lock-free read). Guests compare this
-    /// at dispatch-step boundaries and revalidate their pinned regions
-    /// when it moved.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::SeqCst)
-    }
-
-    /// A snapshot of the accumulated blacklist.
-    pub fn blacklist(&self) -> AliasBlacklist {
-        self.inner.blacklist.lock().unwrap().clone()
-    }
-
     /// Read-only probe: never claims or submits.
-    pub fn probe(&self, key: RegionKey) -> HubProbe {
-        let shard = self.inner.shard(key).lock().unwrap();
+    pub(crate) fn probe(&self, key: RegionKey) -> HubProbe {
+        Self::lookup(&lock(self.shard(key)), key)
+    }
+
+    fn lookup(shard: &HashMap<RegionKey, Slot>, key: RegionKey) -> HubProbe {
         match shard.get(&key) {
             Some(Slot::Published(r)) => HubProbe::Hit(Arc::clone(r)),
             Some(Slot::InFlight) => HubProbe::Pending,
@@ -483,226 +350,244 @@ impl TranslationHub {
         }
     }
 
+    /// Builds a job against the current blacklist snapshot.
+    pub(crate) fn job(
+        &self,
+        key: RegionKey,
+        program: Arc<Program>,
+        input: JobInput,
+        entry_state: Option<RegState>,
+    ) -> TranslationJob {
+        let (blacklist_gen, blacklist) = self.blacklist();
+        TranslationJob {
+            key,
+            input,
+            program,
+            cfg: Arc::clone(&self.cfg),
+            blacklist,
+            blacklist_gen,
+            entry_state,
+        }
+    }
+
     /// Requests the region for `key`, translating at most once across all
     /// guests (single-flight): the first requester claims the slot and
-    /// submits; every concurrent requester observes `Pending` and simply
-    /// re-probes at a later dispatch boundary. With `workers = 0` the
-    /// translation runs inline and the call returns `Hit` directly.
-    pub fn request(
+    /// submits; every concurrent requester observes `Pending` and
+    /// re-probes after the cache epoch moves.
+    pub(crate) fn request(
         &self,
         key: RegionKey,
         program: &Arc<Program>,
         profile: &Profile,
-        scratch: &mut AllocScratch,
+        entry_state: Option<RegState>,
     ) -> HubProbe {
-        let inner = &*self.inner;
-        {
-            let mut shard = inner.shard(key).lock().unwrap();
-            match shard.get(&key) {
-                Some(Slot::Published(r)) => {
-                    inner.c.probe_hits.fetch_add(1, Ordering::SeqCst);
-                    return HubProbe::Hit(Arc::clone(r));
-                }
-                Some(Slot::InFlight) => {
-                    inner.c.single_flight_hits.fetch_add(1, Ordering::SeqCst);
-                    return HubProbe::Pending;
-                }
-                Some(Slot::Abandoned) => return HubProbe::Abandoned,
-                None => {
-                    shard.insert(key, Slot::InFlight);
-                }
-            }
+        let mut shard = lock(self.shard(key));
+        let found = Self::lookup(&shard, key);
+        self.count(|c| match found {
+            HubProbe::Hit(_) => c.probe_hits += 1,
+            HubProbe::Pending => c.single_flight_hits += 1,
+            HubProbe::Miss => c.translations_started += 1,
+            _ => {}
+        });
+        if !matches!(found, HubProbe::Miss) {
+            return found;
         }
-        inner.c.translations_started.fetch_add(1, Ordering::SeqCst);
-        let job = inner.fresh_job(
-            JobKind::Translate { entry: key.entry },
-            JobInput::Form {
-                profile: profile.clone(),
-            },
-            Arc::clone(program),
-        );
-        let hj = HubJob {
-            key,
-            program: Arc::clone(program),
-            job,
+        shard.insert(key, Slot::InFlight);
+        drop(shard);
+        let input = JobInput::Form {
+            profile: profile.clone(),
         };
-        if self.threaded() {
-            if inner.enqueue(hj, true) {
-                HubProbe::Pending
-            } else {
-                // Full queue: withdraw the claim so a later dispatch of
-                // the still-hot block retries, and un-count the start —
-                // nothing was translated for it.
-                let mut shard = inner.shard(key).lock().unwrap();
-                if matches!(shard.get(&key), Some(Slot::InFlight)) {
-                    shard.remove(&key);
-                }
-                drop(shard);
-                inner.c.translations_started.fetch_sub(1, Ordering::SeqCst);
-                inner.c.queue_full.fetch_add(1, Ordering::SeqCst);
-                HubProbe::Miss
-            }
-        } else {
-            compute_and_install(inner, hj, scratch);
-            self.probe(key)
-        }
+        HubProbe::Claimed(self.submit(self.job(key, Arc::clone(program), input, entry_state)))
     }
 
-    /// Reports an alias-exception rollback of `region`, blacklisting the
-    /// faulting pair for *every* guest. If the region is still current,
-    /// it is withdrawn and either conservatively retranslated or — when
-    /// blacklisting cannot converge (a repeat pair on a current-generation
-    /// region) or the per-key rollback budget ran out — abandoned. A
-    /// repeat pair on a *stale* region retranslates instead of abandoning:
-    /// the cure (code built against the grown blacklist) is exactly what
-    /// the retranslation produces. The epoch bump tells every other guest
-    /// to drop its pin at the next dispatch boundary.
-    pub fn report_rollback(
+    /// Hands a job for a claimed slot to the executor, or back to the
+    /// caller when there is none (queue rule: module docs).
+    pub(crate) fn submit(&self, job: TranslationJob) -> Submitted {
+        let Some(exec) = &self.exec else {
+            return Submitted::Inline(Box::new(job));
+        };
+        let key = job.key;
+        {
+            let mut ex = lock(exec);
+            if ex.submit(job) {
+                let n = ex.outstanding();
+                self.outstanding.store(n, Ordering::SeqCst);
+                return Submitted::Queued(n);
+            }
+        }
+        let mut shard = lock(self.shard(key));
+        if matches!(shard.get(&key), Some(Slot::InFlight)) {
+            shard.remove(&key);
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            self.count(|c| c.translations_started -= 1);
+        }
+        self.count(|c| c.queue_full += 1);
+        Submitted::Full
+    }
+
+    /// Resubmits a stale result; only optimization re-runs.
+    pub(crate) fn resubmit(&self, fin: FinishedTranslation) -> Submitted {
+        let input = JobInput::Ready(Box::new(fin.sb));
+        self.submit(self.job(fin.key, fin.program, input, fin.entry_state))
+    }
+
+    /// Jobs submitted to the executor and not yet taken back (one atomic
+    /// load: the guests' per-step gate).
+    #[inline]
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.load(Ordering::Relaxed)
+    }
+
+    /// Takes one finished job from the executor, blocking for it when
+    /// `wait` is set and a job is outstanding.
+    pub(crate) fn take_finished(&self, wait: bool) -> Option<FinishedTranslation> {
+        let exec = self.exec.as_ref()?;
+        let mut ex = lock(exec);
+        let fin = if wait {
+            ex.recv_blocking()
+        } else {
+            ex.try_recv()
+        };
+        self.outstanding.store(ex.outstanding(), Ordering::SeqCst);
+        fin
+    }
+
+    /// Forwards [`TranslationExecutor::compute_one`] (`false` without an
+    /// executor).
+    pub fn compute_one(&self) -> bool {
+        self.exec.as_ref().is_some_and(|e| lock(e).compute_one())
+    }
+
+    /// Forwards [`TranslationExecutor::release_one`] (`false` without an
+    /// executor).
+    pub fn release_one(&self) -> bool {
+        self.exec.as_ref().is_some_and(|e| lock(e).release_one())
+    }
+
+    /// Publishes a finished translation into its claimed slot. The
+    /// blacklist lock is held across the swap so a publish never
+    /// interleaves with a generation bump.
+    pub(crate) fn install(&self, fin: FinishedTranslation) -> Installed {
+        let _bl = lock(&self.blacklist);
+        if fin.blacklist_gen != self.blacklist_gen() {
+            self.count(|c| c.gen_conflicts += 1);
+            return Installed::Stale(Box::new(fin));
+        }
+        if let Some(diags) = &fin.diags {
+            self.count(|c| c.regions_verified += 1);
+            let errors = diags
+                .iter()
+                .filter(|d| d.severity == smarq::Severity::Error)
+                .count() as u64;
+            self.count(|c| c.verify_errors += errors);
+        }
+        let key = fin.key;
+        let mut shard = lock(self.shard(key));
+        if !matches!(shard.get(&key), Some(Slot::InFlight)) {
+            // Abandoned, or filled by a duplicate job, while in flight.
+            self.count(|c| c.publish_conflicts += 1);
+            return Installed::Conflict;
+        }
+        let region = Arc::new(SharedRegion {
+            key,
+            program: Arc::clone(&fin.program),
+            code: RegionCode::from_finished(fin),
+        });
+        shard.insert(key, Slot::Published(Arc::clone(&region)));
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.count(|c| c.translations_published += 1);
+        Installed::Published(region)
+    }
+
+    /// Reports an alias-exception rollback of `region`: blacklists the pair
+    /// for every guest and applies the rollback rule (module docs) if the
+    /// region is still current. Returns the retranslation's submission;
+    /// `None` when the key was abandoned or another guest already
+    /// withdrew the region.
+    pub(crate) fn report_rollback(
         &self,
         region: &Arc<SharedRegion>,
         a: OpOrigin,
         b: OpOrigin,
-        scratch: &mut AllocScratch,
-    ) -> RollbackVerdict {
-        let inner = &*self.inner;
-        inner.c.rollbacks.fetch_add(1, Ordering::SeqCst);
+    ) -> Option<Submitted> {
+        self.count(|c| c.rollbacks += 1);
         let key = region.key;
-        let mut bl = inner.blacklist.lock().unwrap();
-        let fresh = bl.insert(a, b);
+        let mut bl = lock(&self.blacklist);
+        let fresh = Arc::make_mut(&mut bl).insert(a, b);
         if fresh {
-            inner.blacklist_gen.fetch_add(1, Ordering::SeqCst);
+            self.blacklist_gen.fetch_add(1, Ordering::SeqCst);
         }
-        let gen = inner.blacklist_gen.load(Ordering::SeqCst);
+        let gen = self.blacklist_gen();
         let over_budget = {
-            let mut rb = inner.rollback_counts.lock().unwrap();
+            let mut rb = lock(&self.rollback_counts);
             let n = rb.entry(key).or_insert(0);
             *n += 1;
-            *n > inner.cfg.max_rollbacks_per_region
+            *n > self.cfg.max_rollbacks_per_region
         };
         let cannot_converge = !fresh && region.code.blacklist_gen == gen;
-        let mut shard = inner.shard(key).lock().unwrap();
-        let verdict = match shard.get(&key) {
-            Some(Slot::Published(cur)) if Arc::ptr_eq(cur, region) => {
-                if over_budget || cannot_converge {
-                    shard.insert(key, Slot::Abandoned);
-                    inner.c.abandoned.fetch_add(1, Ordering::SeqCst);
-                    inner.epoch.fetch_add(1, Ordering::SeqCst);
-                    RollbackVerdict::Abandoned
-                } else {
-                    shard.insert(key, Slot::InFlight);
-                    inner.c.retranslations.fetch_add(1, Ordering::SeqCst);
-                    inner.epoch.fetch_add(1, Ordering::SeqCst);
-                    RollbackVerdict::Retranslating
+        {
+            let mut shard = lock(self.shard(key));
+            match shard.get(&key) {
+                Some(Slot::Published(cur)) if Arc::ptr_eq(cur, region) => {}
+                _ => {
+                    self.count(|c| c.rollback_races += 1);
+                    return None;
                 }
             }
-            _ => RollbackVerdict::Raced,
-        };
-        drop(shard);
-        if verdict == RollbackVerdict::Raced {
-            inner.c.rollback_races.fetch_add(1, Ordering::SeqCst);
-            return verdict;
-        }
-        if verdict == RollbackVerdict::Retranslating {
-            // Conservative retranslation against the just-grown snapshot
-            // (the blacklist lock is still held, so snapshot and
-            // generation agree); the region's superblock rides along, so
-            // only optimization re-runs.
-            let job = TranslationJob {
-                kind: JobKind::Translate { entry: key.entry },
-                input: JobInput::Ready(Box::new(region.code.sb.clone())),
-                program: Arc::clone(&region.program),
-                formation: inner.cfg.formation,
-                unroll_factor: inner.cfg.unroll_factor,
-                opt: inner.cfg.opt.clone(),
-                machine: inner.cfg.machine,
-                blacklist: bl.clone(),
-                blacklist_gen: gen,
-                verify: inner.cfg.verify_translations,
-                compile_fast: inner.cfg.exec_tier == ExecTier::Functional,
-                entry_state: None,
-            };
-            drop(bl);
-            let hj = HubJob {
-                key,
-                program: Arc::clone(&region.program),
-                job,
-            };
-            if self.threaded() {
-                // Unbounded: the slot is already withdrawn, so dropping
-                // the job would strand the key in flight forever.
-                inner.enqueue(hj, false);
-            } else {
-                compute_and_install(inner, hj, scratch);
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            if over_budget || cannot_converge {
+                shard.insert(key, Slot::Abandoned);
+                self.count(|c| c.abandoned += 1);
+                return None;
             }
+            shard.insert(key, Slot::InFlight);
+            self.count(|c| c.retranslations += 1);
         }
-        verdict
+        // Conservative retranslation against the just-grown snapshot; the
+        // superblock and entry state ride along (sound: the key pins the
+        // program).
+        let job = TranslationJob {
+            key,
+            input: JobInput::Ready(Box::new(region.code.sb.clone())),
+            program: Arc::clone(&region.program),
+            cfg: Arc::clone(&self.cfg),
+            blacklist: Arc::clone(&bl),
+            blacklist_gen: gen,
+            entry_state: region.code.assumed_entry,
+        };
+        drop(bl);
+        Some(self.submit(job))
     }
 
-    /// Spins until no translation is queued or in flight — the quiesce
-    /// point benches and tests use before reading final counters. Only
-    /// meaningful once guests stop submitting.
+    /// Blocks until the executor has no job outstanding, installing each
+    /// result (and resubmitting stale ones) — the quiesce point once
+    /// guests stop. These installs count in no guest's statistics.
     pub fn drain(&self) {
-        loop {
-            let queued = !self.inner.queue.lock().unwrap().jobs.is_empty();
-            let inflight = self.inner.shards.iter().any(|s| {
-                s.lock()
-                    .unwrap()
-                    .values()
-                    .any(|v| matches!(v, Slot::InFlight))
-            });
-            if !queued && !inflight {
-                return;
+        while let Some(fin) = self.take_finished(true) {
+            if let Installed::Stale(fin) = self.install(fin) {
+                self.resubmit(*fin);
             }
-            thread::yield_now();
         }
+    }
+
+    fn count(&self, f: impl FnOnce(&mut HubStats)) {
+        f(&mut lock(&self.c));
     }
 
     /// Snapshot of the hub counters and cache shape.
     pub fn stats(&self) -> HubStats {
-        let c = &self.inner.c;
-        let (mut published, mut inflight, mut abandoned_keys) = (0u64, 0u64, 0u64);
-        for s in self.inner.shards.iter() {
-            for slot in s.lock().unwrap().values() {
+        let mut s = *lock(&self.c);
+        for shard in self.shards.iter() {
+            for slot in lock(shard).values() {
                 match slot {
-                    Slot::Published(_) => published += 1,
-                    Slot::InFlight => inflight += 1,
-                    Slot::Abandoned => abandoned_keys += 1,
+                    Slot::Published(_) => s.published_keys += 1,
+                    Slot::InFlight => s.inflight_keys += 1,
+                    Slot::Abandoned => s.abandoned_keys += 1,
                 }
             }
         }
-        HubStats {
-            translations_started: c.translations_started.load(Ordering::SeqCst),
-            translations_published: c.translations_published.load(Ordering::SeqCst),
-            retranslations: c.retranslations.load(Ordering::SeqCst),
-            gen_conflicts: c.gen_conflicts.load(Ordering::SeqCst),
-            publish_conflicts: c.publish_conflicts.load(Ordering::SeqCst),
-            single_flight_hits: c.single_flight_hits.load(Ordering::SeqCst),
-            probe_hits: c.probe_hits.load(Ordering::SeqCst),
-            queue_full: c.queue_full.load(Ordering::SeqCst),
-            rollbacks: c.rollbacks.load(Ordering::SeqCst),
-            rollback_races: c.rollback_races.load(Ordering::SeqCst),
-            abandoned: c.abandoned.load(Ordering::SeqCst),
-            regions_verified: c.regions_verified.load(Ordering::SeqCst),
-            verify_errors: c.verify_errors.load(Ordering::SeqCst),
-            blacklist_gen: self.blacklist_gen(),
-            epoch: self.epoch(),
-            published_keys: published,
-            inflight_keys: inflight,
-            abandoned_keys,
-        }
-    }
-}
-
-impl Drop for TranslationHub {
-    fn drop(&mut self) {
-        {
-            let mut q = self.inner.queue.lock().unwrap();
-            q.shutdown = true;
-            q.jobs.clear();
-        }
-        self.inner.queue_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        s.blacklist_gen = self.blacklist_gen();
+        s.epoch = self.epoch();
+        s
     }
 }

@@ -6,6 +6,14 @@
 //! the simulated VLIW; alias exceptions roll the region back, blacklist
 //! the faulting pair, and re-optimize conservatively.
 //!
+//! One engine runs that loop. A [`GuestContext`] is one guest's dispatch
+//! loop, region chaining, tier-down sampling, verify-on-emit and deopt; a
+//! [`TranslationHub`] is the shared half — translation cache, blacklist,
+//! rollback rule, and an optional [`TranslationExecutor`] for background
+//! translation. [`DynOptSystem`] is a single guest on a private hub;
+//! [`run_multi`] and [`run_multi_interleaved`] schedule many guests on
+//! one shared hub.
+//!
 //! ```
 //! use smarq_guest::{ProgramBuilder, Reg, CmpOp, AluOp};
 //! use smarq_runtime::{DynOptSystem, SystemConfig};
@@ -45,18 +53,14 @@ mod system;
 pub mod translate_service;
 
 pub use context::GuestContext;
-pub use hub::{
-    hash_program, HubConfig, HubProbe, HubStats, RegionKey, RollbackVerdict, SharedRegion,
-    TranslationHub,
-};
+pub use hub::{hash_program, HubConfig, HubStats, RegionKey, TranslationHub};
 pub use multi::{run_multi, run_multi_interleaved, DEFAULT_SLICE_STEPS};
-pub use region::RegionCode;
 pub use stats::{RegionRecord, SystemStats};
 pub use system::{
     nospec_ranges_from_env, DispatchMode, DynOptSystem, ExecTier, RunStatus, StopReason,
     SystemConfig,
 };
 pub use translate_service::{
-    FinishedTranslation, JobInput, JobKind, StepExecutor, ThreadedExecutor, TranslationExecutor,
-    TranslationJob, TranslationService,
+    FinishedTranslation, JobInput, StepExecutor, ThreadedExecutor, TranslationExecutor,
+    TranslationJob,
 };

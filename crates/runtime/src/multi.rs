@@ -9,11 +9,9 @@
 //!   runs on at most one thread at a time — each context's state needs no
 //!   internal locking — while the hub serves translations to all of them.
 //! * [`run_multi_interleaved`] — a single-threaded, seeded round-robin
-//!   double with the same observable semantics. With `hub.workers = 0`
-//!   (inline translation) the whole multi-guest run is deterministic, and
-//!   the same seed replays the same schedule — the configuration the
-//!   multiguest fuzz oracle drives, mirroring PR7's seeded
-//!   race-interleaving harness.
+//!   double that also draws the executor's compute/release steps: with
+//!   inline translation or a manual [`crate::StepExecutor`] the whole run
+//!   is a pure function of the seed.
 
 use crate::context::GuestContext;
 use crate::hub::TranslationHub;
@@ -97,10 +95,9 @@ pub fn run_multi(
 }
 
 /// Single-threaded seeded round-robin: each turn picks a live guest and a
-/// slice length from an xorshift64 stream, so the interleaving of guest
-/// progress (and, with `hub.workers = 0`, of translations) is a pure
-/// function of `seed`. Failures found under a seed replay from the seed
-/// alone, like PR7's `run_interleaved` schedules.
+/// slice length from an xorshift64 stream, runs the slice, then draws the
+/// executor's next pipeline step (a no-op on an inline or threaded hub).
+/// Failures found under a seed replay from the seed alone.
 pub fn run_multi_interleaved(
     hub: &TranslationHub,
     guests: &mut [GuestContext],
@@ -115,6 +112,14 @@ pub fn run_multi_interleaved(
         let steps = 1 + xorshift64(&mut state) % 13;
         if guests[i].run_bounded(hub, steps, budget) != RunStatus::Running {
             live.swap_remove(pick);
+        }
+        // 0: compute, 1: release, 2: both, 3: let the guests run on.
+        let action = xorshift64(&mut state) % 4;
+        if action == 0 || action == 2 {
+            hub.compute_one();
+        }
+        if action == 1 || action == 2 {
+            hub.release_one();
         }
     }
 }

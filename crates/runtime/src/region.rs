@@ -1,44 +1,42 @@
-//! Shared region primitives: the immutable translation artifact and the
+//! Region primitives: the immutable translation artifact and the
 //! chain-dispatch bookkeeping types.
 //!
-//! Extracted from `system.rs` so that both the single-guest
-//! [`crate::DynOptSystem`] and the multi-guest hub/context split
-//! ([`crate::TranslationHub`] / [`crate::GuestContext`]) build on one
-//! definition of "a translated region" and one chain-link protocol. The
-//! hub publishes [`RegionCode`] values frozen behind an `Arc`; each guest
-//! keeps its *own* mutable chain links next to the shared code, so link
-//! memoization never crosses a thread boundary.
+//! The [`crate::TranslationHub`] publishes [`RegionCode`] values frozen
+//! behind an `Arc`; each [`crate::GuestContext`] keeps its *own* mutable
+//! chain links next to the shared code, so link memoization never crosses
+//! a thread boundary.
 
 use crate::translate_service::FinishedTranslation;
+use smarq::range::RegState;
 use smarq_guest::BlockId;
 use smarq_ir::{IrOp, OpOrigin, Superblock};
 use smarq_opt::fastcomp::FastProgram;
-use smarq_opt::OptStats;
+use smarq_opt::{OptStats, OptTrace};
 use smarq_vliw::{RegionWriteMask, VliwProgram};
 
-/// Sentinel for "no region cached for this block" in the flat cache.
+/// Flat-cache sentinels (values below [`ABANDONED`] are region slots):
+/// nothing cached or requested for this block.
 pub(crate) const NO_REGION: u32 = u32::MAX;
+/// A translation was requested and is in flight; not re-requested until
+/// the hub's cache changes.
+pub(crate) const PENDING: u32 = u32::MAX - 1;
+/// The hub gave up on this entry; it is interpreted forever.
+pub(crate) const ABANDONED: u32 = u32::MAX - 2;
 
-/// Memoized dispatch decision for one region exit.
-///
-/// Link lifecycle: every exit starts `Unresolved`; the first time the
-/// running region leaves through it with the target block cached, the
-/// dispatcher memoizes `Region(n)` and subsequent executions follow the
-/// link without touching the translation cache. Retranslating or
-/// abandoning region `n` resets every `Region(n)` link (and the
-/// retranslated region's own outgoing links) back to `Unresolved`.
+/// Memoized dispatch decision for one region exit. Every exit starts
+/// `Unresolved`; leaving through it with the target pinned memoizes
+/// `Region(n)`. Unpinning slot `n` resets its own links and every
+/// `Region(n)` link back to `Unresolved`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ChainLink {
     /// Not yet resolved, or invalidated: consult the translation cache.
     Unresolved,
-    /// The exit target is the entry of cached region `n`: continue there
-    /// directly, guest state staying resident in the VLIW register file.
+    /// Continue directly in region slot `n`, guest state resident.
     Region(u32),
 }
 
-/// Per-chain statistics accumulator: the chained dispatchers fold region
-/// execution stats in here (registers/locals on their hot loop) and flush
-/// the totals into [`crate::SystemStats`] once per chain.
+/// Per-chain statistics accumulator, folded into [`crate::SystemStats`]
+/// once per chain.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ChainAccum {
     pub guest: u64,
@@ -49,18 +47,16 @@ pub(crate) struct ChainAccum {
     pub follows: u64,
     pub lookups: u64,
     /// Entries into regions whose blacklist snapshot is older than the
-    /// system's (stale translations kept running while a fresher one is
-    /// produced in the background; async/hub modes only).
+    /// hub's (stale translations kept running until a fresher one is
+    /// published).
     pub stale: u64,
 }
 
 /// The immutable product of one translation: everything a guest needs to
-/// *execute* a region, and everything the runtime needs to re-optimize or
-/// invalidate it. Frozen at install time; the hub shares one `RegionCode`
-/// across every guest behind an `Arc`, which is what makes the
-/// translate-once-run-anywhere economics of the multi-guest runtime work.
+/// execute, verify or re-optimize a region. The hub shares one across
+/// every guest behind an `Arc`.
 #[derive(Debug)]
-pub struct RegionCode {
+pub(crate) struct RegionCode {
     /// The emitted VLIW code.
     pub vliw: VliwProgram,
     /// Memory-op tag (as reported in alias exceptions) → guest origin.
@@ -70,28 +66,29 @@ pub struct RegionCode {
     /// Guest instructions architecturally covered when leaving through
     /// each exit (approximated by the exit op's position in the trace).
     pub exit_instrs: Vec<u64>,
-    /// The region's entry block — the translation-cache key mapping here.
+    /// The region's entry block.
     pub entry: BlockId,
-    /// Precomputed register write-set for masked checkpointing on the
-    /// resident dispatch path.
+    /// Register write-set for masked checkpointing.
     pub write_mask: RegionWriteMask,
-    /// Fast-functional lowering of `vliw`, compiled when the owning
-    /// runtime executes the functional tier; `None` on the cycle-sim tier.
+    /// Fast-functional lowering of `vliw` (functional-tier hubs only).
     pub fast: Option<FastProgram>,
-    /// Blacklist generation this region was optimized against. Running a
-    /// region whose generation trails the runtime's is a *stale*
-    /// execution (legal — the alias hardware still catches every true
-    /// aliasing — but counted, because it is exactly the window
-    /// asynchronous publication opens).
+    /// Blacklist generation this region was optimized against; running it
+    /// under a newer one is a legal, counted *stale* execution.
     pub blacklist_gen: u64,
     /// Optimization statistics at emit time (per-region records).
     pub opt_stats: OptStats,
+    /// The optimizer's trace, retained under verify-on-emit only — the
+    /// link-time chain checks re-derive their facts from it.
+    pub trace: Option<OptTrace>,
+    /// The entry register state the nospec taint assumed (`None` = ⊤);
+    /// the chain analyzer proves every chained predecessor delivers it.
+    pub assumed_entry: Option<RegState>,
 }
 
 impl RegionCode {
     /// Freezes a finished translation into the immutable artifact.
     pub fn from_finished(fin: FinishedTranslation) -> Self {
-        let entry = fin.kind.entry();
+        let entry = fin.key.entry;
         let exit_instrs = exit_instr_counts(&fin.sb);
         let write_mask = RegionWriteMask::of(&fin.opt.vliw);
         RegionCode {
@@ -104,13 +101,14 @@ impl RegionCode {
             fast: fin.fast,
             blacklist_gen: fin.blacklist_gen,
             opt_stats: fin.opt.stats,
+            trace: fin.trace,
+            assumed_entry: fin.entry_state,
         }
     }
 }
 
 /// Xorshift64 step — the seeded schedule generator of
-/// [`crate::DynOptSystem::run_interleaved`] and the multi-guest
-/// round-robin scheduler (state must be non-zero).
+/// [`crate::run_multi_interleaved`] (state must be non-zero).
 pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

@@ -97,7 +97,7 @@ pub struct SystemStats {
     /// `vliw_cycles`: sampled runs are oracle work, not modeled guest
     /// time.
     pub tier_sampled_cycles: u64,
-    /// Translation jobs enqueued on the background service (async mode).
+    /// Translation jobs enqueued on the hub's executor (async mode).
     pub async_enqueued: u64,
     /// Finished translations atomically published into the translation
     /// cache at a dispatch boundary.
@@ -112,9 +112,9 @@ pub struct SystemStats {
     pub async_queue_full: u64,
     /// Peak number of jobs in flight at once.
     pub async_queue_peak: u64,
-    /// Region entries under a blacklist generation older than the
-    /// system's — executions of *stale* translations, the window async
-    /// publication opens while a fresher translation is produced.
+    /// Region entries under a blacklist generation older than the hub's
+    /// — executions of *stale* translations, the window rollbacks and
+    /// async publication open while a fresher translation is produced.
     pub async_stale_entries: u64,
     /// Host nanoseconds translation workers spent producing regions — off
     /// the guest's critical path (compare `translation_ns`, which is the
@@ -201,6 +201,7 @@ impl SystemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::tests::truly_aliasing_loop as aliasing_loop;
     use crate::{DynOptSystem, StopReason, SystemConfig};
     use smarq_guest::{AluOp, CmpOp, Program, ProgramBuilder, Reg};
     use smarq_opt::OptConfig;
@@ -238,27 +239,6 @@ mod tests {
         b.ld(body, Reg(4), Reg(3), 0); // never truly aliases the store
         b.alu(body, AluOp::Add, Reg(4), Reg(4), Reg(1));
         b.st(body, Reg(4), Reg(3), 0);
-        b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
-        b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
-        b.halt(done);
-        b.finish(entry)
-    }
-
-    /// Store and load of the same address through different registers: the
-    /// speculative schedule must fault, roll back and re-translate.
-    fn aliasing_loop(iters: i64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let entry = b.block();
-        let body = b.block();
-        let done = b.block();
-        b.iconst(entry, Reg(1), 0);
-        b.iconst(entry, Reg(2), iters);
-        b.iconst(entry, Reg(3), 0x1000);
-        b.iconst(entry, Reg(5), 0x1000);
-        b.jump(entry, body);
-        b.st(body, Reg(1), Reg(3), 0);
-        b.ld(body, Reg(4), Reg(5), 0);
-        b.alu_imm(body, AluOp::Add, Reg(6), Reg(4), 0);
         b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
         b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
         b.halt(done);
@@ -336,51 +316,45 @@ mod tests {
     }
 
     /// Batching `sync_interp_stats` off the per-block dispatch path must
-    /// not change any guest-instruction accounting: the naive (per-block
-    /// sync) and chained (boundary sync) dispatchers report identical
-    /// totals, and the synced counter always equals the interpreter's own
-    /// counter at every observable stop point.
+    /// not change any guest-instruction accounting: a run driven one
+    /// dispatch step at a time (a sync after every block or chain) reports
+    /// the same totals as one uninterrupted run, and the synced counter
+    /// equals the interpreter's own counter at every stop point.
     #[test]
     fn batched_stat_sync_preserves_guest_instr_totals() {
-        use crate::DispatchMode;
         for p in [counted_loop(300), aliasing_loop(300)] {
-            let mk = |mode: DispatchMode| {
-                let mut cfg = SystemConfig {
-                    hot_threshold: 10,
-                    ..SystemConfig::default()
-                };
-                cfg.dispatch = mode;
-                let mut sys = DynOptSystem::new(p.clone(), cfg);
-                assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
-                sys
+            let cfg = SystemConfig {
+                hot_threshold: 10,
+                ..SystemConfig::default()
             };
-            let naive = mk(DispatchMode::Naive);
-            let chained = mk(DispatchMode::Chained);
-            assert_eq!(
-                naive.stats().guest_instrs(),
-                chained.stats().guest_instrs(),
-                "total guest instructions are dispatch-invariant"
-            );
-            assert_eq!(
-                naive.stats().interp_instrs,
-                chained.stats().interp_instrs,
-                "interpreted share is dispatch-invariant"
-            );
-            for sys in [&naive, &chained] {
+            let mut sys = DynOptSystem::new(p.clone(), cfg.clone());
+            assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
+            let mut stepped = DynOptSystem::new(p.clone(), cfg);
+            while stepped.run_bounded(1, u64::MAX) == crate::RunStatus::Running {
                 assert_eq!(
-                    sys.stats().interp_instrs,
-                    sys.interp().executed_instrs(),
-                    "the synced counter matches the interpreter at stop"
+                    stepped.stats().interp_instrs,
+                    stepped.interp().executed_instrs(),
+                    "the synced counter matches the interpreter at every stop"
                 );
             }
+            assert_eq!(
+                sys.stats().guest_instrs(),
+                stepped.stats().guest_instrs(),
+                "total guest instructions are sync-invariant"
+            );
+            assert_eq!(
+                sys.stats().interp_instrs,
+                stepped.stats().interp_instrs,
+                "interpreted share is sync-invariant"
+            );
+            assert_eq!(sys.stats().interp_instrs, sys.interp().executed_instrs());
         }
 
         // Budget-exhausted stops are boundary syncs too.
-        let mut cfg = SystemConfig {
+        let cfg = SystemConfig {
             hot_threshold: 10,
             ..SystemConfig::default()
         };
-        cfg.dispatch = DispatchMode::Chained;
         let mut sys = DynOptSystem::new(counted_loop(1_000_000), cfg);
         assert_eq!(sys.run_to_completion(20_000), StopReason::BudgetExhausted);
         assert!(sys.stats().guest_instrs() >= 20_000);

@@ -1,42 +1,25 @@
-//! The dynamic optimization system loop.
+//! The single-guest system: configuration and the [`DynOptSystem`]
+//! facade, one [`GuestContext`] over a private [`TranslationHub`].
 
-use crate::region::{exit_instr_counts, xorshift64, ChainAccum, ChainLink, NO_REGION};
-use crate::stats::{RegionRecord, SystemStats};
-use crate::translate_service::{
-    FinishedTranslation, JobInput, JobKind, StepExecutor, ThreadedExecutor, TranslationExecutor,
-    TranslationJob, TranslationService,
-};
-use smarq::range::{NospecRanges, RegState};
-use smarq::AllocScratch;
-use smarq_guest::Memory;
+use crate::context::GuestContext;
+use crate::hub::{HubConfig, TranslationHub};
+use crate::multi::run_multi_interleaved;
+use crate::stats::SystemStats;
+use crate::translate_service::{StepExecutor, ThreadedExecutor, TranslationExecutor};
+use smarq::range::NospecRanges;
 use smarq_guest::{BlockId, Interpreter, Program};
-use smarq_ir::OpOrigin;
-use smarq_ir::{form_superblock, unroll_superblock, FormationParams, Superblock};
-use smarq_opt::fastcomp::{self, FastProgram, FastSim};
-use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptConfig, OptTrace};
-use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
-use smarq_vliw::{
-    AliasViolation, AnyAliasHw, FastState, MachineConfig, RegionOutcome, RegionStats,
-    RegionWriteMask, Simulator, VliwProgram, VliwState,
-};
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
+use smarq_ir::{FormationParams, Superblock};
+use smarq_opt::{AliasBlacklist, OptConfig};
+use smarq_verify::ChainReport;
+use smarq_vliw::MachineConfig;
 
 /// How the runtime dispatches between interpreter and translated regions.
+/// There is one dispatcher; the type remains so existing configurations
+/// keep compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DispatchMode {
-    /// The original dispatcher, retained as the differential oracle (per
-    /// repo convention for replaced hot paths): a hash-map lookup per
-    /// guest block, a full guest-register marshal around every region
-    /// entry/exit, and interpreter stat syncing after every interpreted
-    /// block.
-    Naive,
-    /// The overhauled dispatch path: a flat `Vec`-indexed translation
-    /// cache keyed by [`BlockId::index`], memoized region→region chain
-    /// links followed in a tight loop without re-entering the dispatcher,
-    /// guest state kept resident in the VLIW register file across chained
-    /// executions, and stat syncing batched to stop/boundary points.
+    /// Flat translation cache, memoized region→region chain links, guest
+    /// state resident across a chain (DESIGN.md §11).
     #[default]
     Chained,
 }
@@ -84,11 +67,8 @@ pub struct SystemConfig {
     /// Defaults to the `SMARQ_VERIFY` environment variable (non-empty,
     /// non-`0` value enables; read once per process).
     pub verify_translations: bool,
-    /// Dispatch-path implementation (see [`DispatchMode`]). The chained
-    /// dispatcher is the default; the naive one is the bit-exact oracle
-    /// used by the differential tests and the `dispatch` perf comparison.
-    /// Only consulted on the cycle-sim tier — the functional tier has a
-    /// single (chained) dispatcher.
+    /// Dispatch-path implementation. [`DispatchMode`] has a single value,
+    /// so this field changes nothing.
     pub dispatch: DispatchMode,
     /// Execution tier for translated regions (see [`ExecTier`]).
     /// Defaults to the `SMARQ_EXEC_TIER` environment variable
@@ -102,9 +82,9 @@ pub struct SystemConfig {
     /// cross-check.
     pub tier_sample_interval: u64,
     /// Run translation asynchronously: hot-region triggers enqueue a
-    /// [`TranslationJob`] on a bounded background service and the guest
-    /// keeps executing until the finished region is atomically published
-    /// at a dispatch boundary. Defaults to the `SMARQ_ASYNC_TRANSLATE`
+    /// [`crate::TranslationJob`] on a bounded background executor and the
+    /// guest keeps executing until the finished region is atomically
+    /// published at a dispatch boundary. Defaults to the `SMARQ_ASYNC_TRANSLATE`
     /// environment variable (non-empty, non-`0` enables; read once per
     /// process).
     pub async_translate: bool,
@@ -219,40 +199,6 @@ impl SystemConfig {
     }
 }
 
-struct CachedRegion {
-    vliw: VliwProgram,
-    tag_origin: Vec<OpOrigin>,
-    sb: Superblock,
-    /// Guest instructions architecturally covered when leaving through
-    /// each exit (approximated by the exit op's position in the trace).
-    exit_instrs: Vec<u64>,
-    rollbacks: u64,
-    /// The region's entry block — the translation-cache key mapping here.
-    entry: BlockId,
-    /// Precomputed register write-set for masked checkpointing on the
-    /// resident dispatch path.
-    write_mask: RegionWriteMask,
-    /// Memoized region→region links, parallel to `vliw.exits`.
-    links: Vec<ChainLink>,
-    /// Fast-functional lowering of `vliw`, compiled on install (and on
-    /// every retranslation) when the system runs the functional tier;
-    /// `None` on the cycle-sim tier.
-    fast: Option<FastProgram>,
-    /// Blacklist generation this region was optimized against. Running a
-    /// region whose generation trails the system's is a *stale* execution
-    /// (legal — the alias hardware still catches every true aliasing —
-    /// but counted, because it is exactly the window async translation
-    /// opens).
-    blacklist_gen: u64,
-    /// The optimizer's trace, retained under verify-on-emit mode only —
-    /// the link-time chain checks re-derive their facts from it.
-    trace: Option<OptTrace>,
-    /// The abstract entry register state the optimizer's nospec taint
-    /// assumed (`None` = assumed ⊤). The chain analyzer proves no chained
-    /// predecessor can deliver a state outside it.
-    assumed_entry: Option<RegState>,
-}
-
 /// Why [`DynOptSystem::run_to_completion`] stopped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopReason {
@@ -273,71 +219,27 @@ pub enum RunStatus {
     BudgetExhausted,
 }
 
-/// The dynamic binary optimization system (paper Figure 1).
+/// The dynamic binary optimization system (paper Figure 1) for one
+/// guest: a [`GuestContext`] over a private [`TranslationHub`].
 pub struct DynOptSystem {
-    /// Shared with in-flight translation jobs in async mode.
-    program: Arc<Program>,
-    config: SystemConfig,
-    interp: Interpreter,
-    vstate: VliwState,
-    sim: Simulator<AnyAliasHw>,
-    /// Fast-functional executor (owns the tier's alias-detection state).
-    fast_sim: FastSim,
-    /// Resident register state of the functional tier.
-    fstate: FastState,
-    /// Functional entries left until the next tier-down sample (`0` when
-    /// sampling is disabled). A countdown instead of
-    /// `tier_fast_entries % interval` keeps the u64 divide off the
-    /// per-region-entry fast path.
-    tier_sample_countdown: u64,
-    /// Flat translation cache: `cache[block.index()]` holds the region
-    /// index or [`NO_REGION`]. Replaces the per-block `HashMap` lookup of
-    /// the original dispatcher with one indexed load.
-    cache: Vec<u32>,
-    /// The `HashMap` cache the flat one replaced, kept in sync and
-    /// consulted only under [`DispatchMode::Naive`] so the retained
-    /// oracle measures the original dispatch cost faithfully.
-    naive_cache: HashMap<BlockId, usize>,
-    regions: Vec<CachedRegion>,
-    /// `abandoned[block.index()]`: translation permanently given up.
-    abandoned: Vec<bool>,
-    blacklist: AliasBlacklist,
-    /// Bumped on every fresh blacklist insert. In-flight translation jobs
-    /// snapshot it; publish rejects (and resubmits) results whose
-    /// snapshot trails it, and region entries under an older generation
-    /// count as stale executions.
-    blacklist_gen: u64,
-    stats: SystemStats,
-    /// Allocator scratch recycled across every (re)translation.
-    scratch: AllocScratch,
-    /// Whole-program value-range analysis (entry state per guest block);
-    /// `None` when neither nospec ranges nor verify-on-emit need it.
-    dataflow: Option<ProgramDataflow>,
-    /// The background translation service (async mode only).
-    service: Option<TranslationService>,
-    /// Resume point of [`Self::run_bounded`]: the next guest block to
-    /// dispatch, or `None` once the guest has halted.
-    cursor: Option<BlockId>,
+    hub: TranslationHub,
+    ctx: GuestContext,
 }
 
 impl DynOptSystem {
-    /// Creates a system for `program`. When the config enables async
-    /// translation, the executor is chosen from it: a [`ThreadedExecutor`]
-    /// pool, or the deterministic [`StepExecutor::auto`] when
-    /// `translate_workers` is 0.
+    /// Creates a system for `program`. Translation runs inline unless the
+    /// config enables async translation; then it runs on a
+    /// [`ThreadedExecutor`] pool, or on the deterministic
+    /// [`StepExecutor::auto`] when `translate_workers` is 0.
     pub fn new(program: Program, config: SystemConfig) -> Self {
-        let exec: Option<Box<dyn TranslationExecutor>> = config.async_translate.then(|| {
-            let depth = config.translate_queue_depth.max(1) as usize;
-            if config.translate_workers == 0 {
-                Box::new(StepExecutor::auto(depth)) as Box<dyn TranslationExecutor>
-            } else {
-                Box::new(ThreadedExecutor::new(
-                    config.translate_workers as usize,
-                    depth,
-                ))
-            }
-        });
-        Self::build(program, config, exec)
+        let depth = config.translate_queue_depth.max(1) as usize;
+        let exec: Option<Box<dyn TranslationExecutor>> =
+            match (config.async_translate, config.translate_workers) {
+                (false, _) => None,
+                (true, 0) => Some(Box::new(StepExecutor::auto(depth))),
+                (true, w) => Some(Box::new(ThreadedExecutor::new(w as usize, depth))),
+            };
+        Self::build(program, &config, exec)
     }
 
     /// Creates a system translating asynchronously through the given
@@ -345,1059 +247,106 @@ impl DynOptSystem {
     /// manually stepped [`StepExecutor`] here.
     pub fn with_executor(
         program: Program,
-        mut config: SystemConfig,
+        config: SystemConfig,
         exec: Box<dyn TranslationExecutor>,
     ) -> Self {
-        config.async_translate = true;
-        Self::build(program, config, Some(exec))
+        Self::build(program, &config, Some(exec))
     }
 
     fn build(
         program: Program,
-        mut config: SystemConfig,
+        config: &SystemConfig,
         exec: Option<Box<dyn TranslationExecutor>>,
     ) -> Self {
-        // Thread the system-level nospec set into the optimizer config so
-        // both the inline and worker translation paths enforce it.
-        if !config.nospec_ranges.is_empty() {
-            config.opt.nospec = config.nospec_ranges.clone();
-        }
-        // The whole-program value-range analysis that makes the nospec
-        // taint range-precise (and seeds chain verification). Computed
-        // once per system; skipped entirely when nothing consumes it.
-        let dataflow = (!config.opt.nospec.is_empty() || config.verify_translations)
-            .then(|| smarq_verify::analyze(&program));
-        let hw = AnyAliasHw::for_kind(config.opt.hw, config.opt.num_alias_regs);
-        let sim = Simulator::new(config.machine, hw);
-        let fast_sim = FastSim::new(config.opt.hw, config.opt.num_alias_regs);
-        let mut interp = Interpreter::new();
-        interp.load_data(&program);
-        let num_blocks = program.num_blocks();
-        let entry = program.entry();
-        // 1, not the interval: the very first functional entry is always
-        // cross-checked.
-        let sample_countdown = u64::from(config.tier_sample_interval != 0);
-        DynOptSystem {
-            program: Arc::new(program),
-            config,
-            interp,
-            vstate: VliwState::new(),
-            sim,
-            fast_sim,
-            fstate: FastState::new(),
-            tier_sample_countdown: sample_countdown,
-            cache: vec![NO_REGION; num_blocks],
-            naive_cache: HashMap::new(),
-            regions: Vec::new(),
-            abandoned: vec![false; num_blocks],
-            blacklist: AliasBlacklist::new(),
-            blacklist_gen: 0,
-            stats: SystemStats::default(),
-            scratch: AllocScratch::new(),
-            dataflow,
-            service: exec.map(|e| TranslationService::new(e, num_blocks)),
-            cursor: Some(entry),
-        }
+        let hub = TranslationHub::with_executor(HubConfig::from_system(config), exec);
+        let ctx = GuestContext::new(0, program, &hub);
+        DynOptSystem { hub, ctx }
     }
 
     /// The accumulated statistics.
     pub fn stats(&self) -> &SystemStats {
-        &self.stats
+        self.ctx.stats()
     }
 
     /// The guest interpreter (architectural state lives here).
     pub fn interp(&self) -> &Interpreter {
-        &self.interp
+        self.ctx.interp()
     }
 
     /// The alias blacklist accumulated from runtime exceptions.
     pub fn blacklist(&self) -> &AliasBlacklist {
-        &self.blacklist
+        self.ctx.blacklist()
     }
 
-    /// The superblocks of every region currently in the translation cache
-    /// (in formation order). External oracles — the fuzzer's allocation
-    /// validator and differential dependence checks — re-optimize exactly
-    /// these regions instead of guessing what the system formed.
+    /// The superblocks of every region the system formed, one per entry
+    /// block in formation order (see [`GuestContext::formed_superblocks`]).
     pub fn formed_superblocks(&self) -> impl Iterator<Item = &Superblock> + '_ {
-        self.regions.iter().map(|r| &r.sb)
+        self.ctx.formed_superblocks()
+    }
+
+    /// The whole-chain static analysis of the formed regions (see
+    /// [`GuestContext::analyze_chain`]).
+    pub fn analyze_chain(&self) -> Option<ChainReport> {
+        self.ctx.analyze_chain()
     }
 
     /// Runs until the guest halts or roughly `budget` guest instructions
     /// have been retired. Resumes from where the previous call stopped
     /// (budget-exhausted runs continue; a halted guest stays halted).
     pub fn run_to_completion(&mut self, budget: u64) -> StopReason {
-        match self.run_bounded(u64::MAX, budget) {
-            RunStatus::Halted => StopReason::Halted,
-            RunStatus::BudgetExhausted => StopReason::BudgetExhausted,
-            RunStatus::Running => unreachable!("u64::MAX dispatch steps"),
-        }
+        self.ctx.run_to_completion(&self.hub, budget)
     }
 
-    /// Runs at most `max_steps` dispatch steps (each an interpreted block
-    /// or a region chain), stopping earlier on guest halt or once roughly
-    /// `budget` guest instructions have retired. Finished background
-    /// translations are published at each step boundary — this is the
-    /// fine-grained clock the deterministic interleaving harness drives
-    /// guest progress with.
+    /// Runs at most `max_steps` dispatch steps (see
+    /// [`GuestContext::run_bounded`]) — the fine-grained clock the
+    /// deterministic interleaving harness drives guest progress with.
     pub fn run_bounded(&mut self, max_steps: u64, budget: u64) -> RunStatus {
-        let Some(mut cur) = self.cursor else {
-            // Already halted: publishes may still be pending, but guest
-            // execution is over.
-            return RunStatus::Halted;
-        };
-        let mut steps = 0u64;
-        while steps < max_steps {
-            steps += 1;
-            if self.service.is_some() {
-                self.poll_translations();
-            }
-            if self.live_guest_instrs() >= budget {
-                self.cursor = Some(cur);
-                self.sync_interp_stats();
-                return RunStatus::BudgetExhausted;
-            }
-            let next = if self.config.exec_tier == ExecTier::Functional {
-                self.step_functional(cur, budget)
-            } else {
-                match self.config.dispatch {
-                    DispatchMode::Naive => self.step_naive(cur),
-                    DispatchMode::Chained => self.step_chained(cur, budget),
-                }
-            };
-            match next {
-                Some(b) => cur = b,
-                None => {
-                    self.cursor = None;
-                    self.sync_interp_stats();
-                    return RunStatus::Halted;
-                }
-            }
-        }
-        self.cursor = Some(cur);
-        self.sync_interp_stats();
-        RunStatus::Running
+        self.ctx.run_bounded(&self.hub, max_steps, budget)
     }
 
-    /// Runs to completion under a seeded pseudo-random interleaving of
-    /// guest dispatch steps and translation pipeline steps (compute /
-    /// release), using the manually stepped executor's hooks. The same
-    /// seed replays the exact same schedule — failures reported by the
-    /// race harness are reproducible from the seed alone, like fuzz
-    /// corpus entries.
+    /// Runs to completion under a seeded interleaving of guest steps and
+    /// translation compute/release steps: [`run_multi_interleaved`] over
+    /// this one guest.
     pub fn run_interleaved(&mut self, seed: u64, budget: u64) -> StopReason {
-        let mut state = seed | 1;
-        loop {
-            let steps = 1 + xorshift64(&mut state) % 13;
-            match self.run_bounded(steps, budget) {
-                RunStatus::Halted => return StopReason::Halted,
-                RunStatus::BudgetExhausted => return StopReason::BudgetExhausted,
-                RunStatus::Running => {}
-            }
-            match xorshift64(&mut state) % 4 {
-                0 => {
-                    self.translation_compute_one();
-                }
-                1 => {
-                    self.translation_release_one();
-                }
-                2 => {
-                    self.translation_compute_one();
-                    self.translation_release_one();
-                }
-                _ => {} // let the guest run on
-            }
+        run_multi_interleaved(&self.hub, std::slice::from_mut(&mut self.ctx), seed, budget);
+        if self.ctx.halted() {
+            StopReason::Halted
+        } else {
+            StopReason::BudgetExhausted
         }
     }
 
     /// Translation jobs currently in flight (async mode; 0 otherwise).
     pub fn translation_outstanding(&self) -> usize {
-        self.service.as_ref().map_or(0, |s| s.outstanding())
+        self.hub.outstanding()
     }
 
-    /// Steps one queued translation job to its computed stage (manual
-    /// step executors only; see [`TranslationExecutor::compute_one`]).
+    /// Forwards [`TranslationExecutor::compute_one`].
     pub fn translation_compute_one(&mut self) -> bool {
-        self.service.as_mut().is_some_and(|s| s.compute_one())
+        self.hub.compute_one()
     }
 
-    /// Releases one computed translation for publication (manual step
-    /// executors only; see [`TranslationExecutor::release_one`]).
+    /// Forwards [`TranslationExecutor::release_one`].
     pub fn translation_release_one(&mut self) -> bool {
-        self.service.as_mut().is_some_and(|s| s.release_one())
+        self.hub.release_one()
     }
 
-    /// Blocks until every in-flight translation has finished, publishing
-    /// each — the pipeline drain used at shutdown and by the benchmarks.
+    /// Blocks until every in-flight translation has finished and is
+    /// published.
     pub fn translation_drain(&mut self) {
-        loop {
-            let Some(fin) = self.service.as_mut().and_then(|s| s.take_blocking()) else {
-                return;
-            };
-            self.publish_translation(fin);
-        }
+        self.ctx.drain(&self.hub);
     }
 
-    /// Test hook: force-submit a translation job for `entry`, bypassing
-    /// the hot-trigger and pending-job dedup (the double-publish race
-    /// tests need two in-flight jobs for the same block).
+    /// Test hook: submits a duplicate translation job for `entry`,
+    /// bypassing single-flight dedup.
     #[doc(hidden)]
     pub fn debug_submit_translate(&mut self, entry: BlockId) {
-        self.submit_translate(entry);
-    }
-
-    /// Guest instructions retired so far, computed live from the
-    /// interpreter counter so the budget check needs no per-block
-    /// [`SystemStats`] sync (stat syncing is batched to stop/boundary
-    /// points; see [`Self::sync_interp_stats`]).
-    #[inline]
-    fn live_guest_instrs(&self) -> u64 {
-        self.interp.executed_instrs() + self.stats.region_guest_instrs
-    }
-
-    fn sync_interp_stats(&mut self) {
-        self.stats.interp_instrs = self.interp.executed_instrs();
-        self.stats.interp_cycles =
-            self.stats.interp_instrs * self.config.machine.interp_cycles_per_instr;
-    }
-
-    /// The derived abstract register state at `b`'s entry, when the
-    /// whole-program range analysis ran (nospec or verify mode).
-    fn entry_state(&self, b: BlockId) -> Option<RegState> {
-        self.dataflow.as_ref().map(|d| *d.entry_state(b))
-    }
-
-    /// Flat-cache probe for the region cached at `b`, if any.
-    #[inline]
-    fn cached_region(&self, b: BlockId) -> Option<usize> {
-        match self.cache.get(b.index()) {
-            Some(&idx) if idx != NO_REGION => Some(idx as usize),
-            _ => None,
-        }
-    }
-
-    /// The original dispatcher, preserved as the oracle: one hash-map
-    /// lookup per guest block, full marshalling per region entry, stat
-    /// sync after every interpreted block.
-    fn step_naive(&mut self, cur: BlockId) -> Option<BlockId> {
-        self.stats.dispatch_lookups += 1;
-        if let Some(&idx) = self.naive_cache.get(&cur) {
-            return self.run_region_naive(cur, idx);
-        }
-        // Interpret one block.
-        let next = self.interp.step_block(&self.program, cur);
-        self.sync_interp_stats();
-        self.maybe_translate(cur);
-        next
-    }
-
-    /// The overhauled dispatcher: flat cache probe, then region chaining.
-    fn step_chained(&mut self, cur: BlockId, budget: u64) -> Option<BlockId> {
-        self.stats.dispatch_lookups += 1;
-        if let Some(idx) = self.cached_region(cur) {
-            return self.run_region_chained(idx, budget);
-        }
-        // Interpret one block; interpreter stats sync at stop/boundary
-        // only — the budget check reads the live counter instead.
-        let next = self.interp.step_block(&self.program, cur);
-        self.maybe_translate(cur);
-        next
-    }
-
-    /// Hot-block detection after an interpreted block. Inline mode
-    /// translates on the spot; async mode enqueues a job (unless one for
-    /// this entry is already in flight) and keeps going.
-    fn maybe_translate(&mut self, cur: BlockId) {
-        if self.interp.profile().block_count(cur) >= self.config.hot_threshold
-            && self.cached_region(cur).is_none()
-            && !self.abandoned[cur.index()]
-        {
-            match &self.service {
-                None => self.translate(cur),
-                Some(s) => {
-                    if !s.is_pending(cur) {
-                        self.submit_translate(cur);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds a translation job from the system's current configuration
-    /// and blacklist snapshot.
-    fn make_job(&self, kind: JobKind, input: JobInput) -> TranslationJob {
-        TranslationJob {
-            kind,
-            input,
-            program: Arc::clone(&self.program),
-            formation: self.config.formation,
-            unroll_factor: self.config.unroll_factor,
-            opt: self.config.opt.clone(),
-            machine: self.config.machine,
-            blacklist: self.blacklist.clone(),
-            blacklist_gen: self.blacklist_gen,
-            verify: self.config.verify_translations,
-            compile_fast: self.config.exec_tier == ExecTier::Functional,
-            entry_state: self.entry_state(kind.entry()),
-        }
-    }
-
-    /// Submits `job`, accounting the enqueue on the critical-path clock.
-    fn submit_job(&mut self, job: TranslationJob) {
-        let t0 = Instant::now();
-        let service = self.service.as_mut().expect("async mode");
-        if service.submit(job) {
-            self.stats.async_enqueued += 1;
-            let depth = service.outstanding() as u64;
-            self.stats.async_queue_peak = self.stats.async_queue_peak.max(depth);
-        } else {
-            self.stats.async_queue_full += 1;
-        }
-        self.stats.async_stall_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Enqueues a first translation of `entry`: the profile is
-    /// snapshotted here, formation happens on the worker.
-    fn submit_translate(&mut self, entry: BlockId) {
-        let job = self.make_job(
-            JobKind::Translate { entry },
-            JobInput::Form {
-                profile: self.interp.profile().clone(),
-            },
-        );
-        self.submit_job(job);
-    }
-
-    /// Enqueues a conservative retranslation of region slot `idx`
-    /// (reusing its superblock — only the optimization re-runs, against
-    /// the just-grown blacklist).
-    fn submit_retranslate(&mut self, idx: usize) {
-        let job = self.make_job(
-            JobKind::Retranslate {
-                region: idx as u32,
-                entry: self.regions[idx].entry,
-            },
-            JobInput::Ready(Box::new(self.regions[idx].sb.clone())),
-        );
-        self.submit_job(job);
-    }
-
-    /// Publishes every finished translation the service has ready. Runs
-    /// on the execution thread at dispatch-step boundaries only — that
-    /// single-threaded discipline is what makes each publish atomic with
-    /// respect to guest execution (no region is entered mid-swap).
-    fn poll_translations(&mut self) {
-        loop {
-            let Some(fin) = self.service.as_mut().and_then(|s| s.take()) else {
-                return;
-            };
-            self.publish_translation(fin);
-        }
-    }
-
-    /// Atomically publishes one finished translation — or rejects it when
-    /// the world moved while it was in flight: the entry was abandoned,
-    /// the slot was taken, or the blacklist grew past the job's snapshot
-    /// (rejected results are resubmitted against the fresh snapshot, so
-    /// convergence matches the inline path).
-    fn publish_translation(&mut self, fin: FinishedTranslation) {
-        self.stats.async_worker_ns += fin.worker_ns;
-        let t0 = Instant::now();
-        let entry = fin.kind.entry();
-        if self.abandoned[entry.index()] || self.cached_region(entry).is_some() {
-            // Abandoned while in flight, or a duplicate/raced job already
-            // installed code for this entry: drop the result.
-            self.stats.async_publish_conflicts += 1;
-        } else if fin.blacklist_gen != self.blacklist_gen {
-            // The blacklist grew while this job ran; its schedule may
-            // still speculate on a known-aliasing pair. Re-optimize
-            // against the fresh snapshot (the formed superblock rides
-            // along, so only optimization re-runs).
-            self.stats.async_publish_conflicts += 1;
-            let job = self.make_job(fin.kind, JobInput::Ready(Box::new(fin.sb)));
-            self.submit_job(job);
-        } else {
-            match fin.kind {
-                JobKind::Translate { .. } => self.install_translation(fin),
-                JobKind::Retranslate { region, .. } => {
-                    self.install_retranslation(region as usize, fin)
-                }
-            }
-            self.stats.async_published += 1;
-        }
-        self.stats.async_stall_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Installs a finished first translation as a new region (the async
-    /// twin of [`Self::translate`]'s install tail).
-    fn install_translation(&mut self, fin: FinishedTranslation) {
-        let entry = fin.kind.entry();
-        if fin.verified {
-            self.fold_verify_diags(&fin.diags);
-        }
-        let exit_instrs = exit_instr_counts(&fin.sb);
-        let write_mask = RegionWriteMask::of(&fin.opt.vliw);
-        let links = vec![ChainLink::Unresolved; fin.opt.vliw.exits.len()];
-        self.regions.push(CachedRegion {
-            vliw: fin.opt.vliw,
-            tag_origin: fin.opt.tag_origin,
-            sb: fin.sb,
-            exit_instrs,
-            rollbacks: 0,
-            entry,
-            write_mask,
-            links,
-            fast: fin.fast,
-            blacklist_gen: fin.blacklist_gen,
-            trace: fin.trace,
-            assumed_entry: fin.entry_state,
-        });
-        self.cache[entry.index()] = (self.regions.len() - 1) as u32;
-        self.naive_cache.insert(entry, self.regions.len() - 1);
-        self.stats.regions_formed += 1;
-        self.stats.per_region.push(RegionRecord {
-            entry,
-            opt: fin.opt.stats,
-            entries: 0,
-            rollbacks: 0,
-            retranslations: 0,
-        });
-    }
-
-    /// Re-publishes a finished retranslation into its existing region
-    /// slot (the async twin of [`Self::retranslate`]'s install tail; the
-    /// slot was unpublished when the deopt enqueued the job, so nothing
-    /// can have chained to it in between).
-    fn install_retranslation(&mut self, idx: usize, fin: FinishedTranslation) {
-        if fin.verified {
-            self.fold_verify_diags(&fin.diags);
-        }
-        let entry = self.regions[idx].entry;
-        self.regions[idx].fast = fin.fast;
-        self.regions[idx].vliw = fin.opt.vliw;
-        self.regions[idx].tag_origin = fin.opt.tag_origin;
-        self.regions[idx].trace = fin.trace;
-        self.regions[idx].assumed_entry = fin.entry_state;
-        self.regions[idx].write_mask = RegionWriteMask::of(&self.regions[idx].vliw);
-        let exits = self.regions[idx].vliw.exits.len();
-        self.regions[idx].links = vec![ChainLink::Unresolved; exits];
-        self.regions[idx].blacklist_gen = fin.blacklist_gen;
-        self.cache[entry.index()] = idx as u32;
-        self.naive_cache.insert(entry, idx);
-        self.stats.retranslations += 1;
-        self.stats.per_region[idx].retranslations += 1;
-        self.stats.per_region[idx].opt = fin.opt.stats;
-    }
-
-    /// Pulls region slot `idx` out of both translation caches and severs
-    /// every chain link in and out of it — after this, the region cannot
-    /// be dispatched or chained into, so an in-flight retranslation can
-    /// swap its code without racing execution.
-    fn unpublish(&mut self, idx: usize) {
-        let entry = self.regions[idx].entry;
-        self.cache[entry.index()] = NO_REGION;
-        self.naive_cache.remove(&entry);
-        let resolved = self.regions[idx]
-            .links
-            .iter()
-            .filter(|l| **l != ChainLink::Unresolved)
-            .count() as u64;
-        self.stats.chain_unlinks += resolved;
-        for l in &mut self.regions[idx].links {
-            *l = ChainLink::Unresolved;
-        }
-        self.unlink_into(idx);
-    }
-
-    fn translate(&mut self, entry: BlockId) {
-        let t0 = Instant::now();
-        let sb = form_superblock(
-            &self.program,
-            self.interp.profile(),
-            entry,
-            self.config.formation,
-        );
-        let (sb, _) = unroll_superblock(
-            &sb,
-            self.config.unroll_factor,
-            self.config.formation.max_ops,
-        );
-        let assumed_entry = self.entry_state(entry);
-        let (opt, trace) = optimize_superblock_traced_ranged(
-            &sb,
-            &self.config.opt,
-            &self.config.machine,
-            &self.blacklist,
-            &mut self.scratch,
-            assumed_entry.as_ref(),
-        );
-        let trace = self.config.verify_translations.then_some(trace);
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.stats.translation_ns += ns;
-        self.stats.scheduling_ns += opt.stats.sched_ns;
-        // Verify after the overhead clock stops: the paper's Figure 18
-        // overhead metric must not be polluted by an opt-in debug mode.
-        if let Some(trace) = &trace {
-            self.verify_emitted(self.regions.len(), trace);
-        }
-
-        let exit_instrs = exit_instr_counts(&sb);
-        let write_mask = RegionWriteMask::of(&opt.vliw);
-        let links = vec![ChainLink::Unresolved; opt.vliw.exits.len()];
-        let fast = self.compile_fast(&opt.vliw);
-        self.regions.push(CachedRegion {
-            vliw: opt.vliw,
-            tag_origin: opt.tag_origin,
-            sb,
-            exit_instrs,
-            rollbacks: 0,
-            entry,
-            write_mask,
-            links,
-            fast,
-            blacklist_gen: self.blacklist_gen,
-            trace,
-            assumed_entry,
-        });
-        self.cache[entry.index()] = (self.regions.len() - 1) as u32;
-        self.naive_cache.insert(entry, self.regions.len() - 1);
-        self.stats.regions_formed += 1;
-        self.stats.per_region.push(RegionRecord {
-            entry,
-            opt: opt.stats,
-            entries: 0,
-            rollbacks: 0,
-            retranslations: 0,
-        });
-    }
-
-    fn retranslate(&mut self, idx: usize) {
-        let t0 = Instant::now();
-        let assumed_entry = self.entry_state(self.regions[idx].entry);
-        let (opt, trace) = optimize_superblock_traced_ranged(
-            &self.regions[idx].sb,
-            &self.config.opt,
-            &self.config.machine,
-            &self.blacklist,
-            &mut self.scratch,
-            assumed_entry.as_ref(),
-        );
-        let trace = self.config.verify_translations.then_some(trace);
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.stats.translation_ns += ns;
-        self.stats.scheduling_ns += opt.stats.sched_ns;
-        if let Some(trace) = &trace {
-            self.verify_emitted(idx, trace);
-        }
-        self.regions[idx].trace = trace;
-        self.regions[idx].assumed_entry = assumed_entry;
-        self.regions[idx].fast = self.compile_fast(&opt.vliw);
-        self.regions[idx].vliw = opt.vliw;
-        self.regions[idx].tag_origin = opt.tag_origin;
-        self.regions[idx].write_mask = RegionWriteMask::of(&self.regions[idx].vliw);
-        // The emitted code changed: drop the region's own memoized links
-        // and conservatively invalidate every link pointing at it.
-        let resolved = self.regions[idx]
-            .links
-            .iter()
-            .filter(|l| **l != ChainLink::Unresolved)
-            .count() as u64;
-        self.stats.chain_unlinks += resolved;
-        let exits = self.regions[idx].vliw.exits.len();
-        self.regions[idx].links = vec![ChainLink::Unresolved; exits];
-        self.regions[idx].blacklist_gen = self.blacklist_gen;
-        self.unlink_into(idx);
-        self.stats.retranslations += 1;
-        self.stats.per_region[idx].retranslations += 1;
-        self.stats.per_region[idx].opt = opt.stats;
-    }
-
-    /// Invalidates every memoized link targeting region `target` (called
-    /// when the target is retranslated or abandoned — a stale link would
-    /// otherwise chain into dead or outdated code).
-    fn unlink_into(&mut self, target: usize) {
-        let stale = ChainLink::Region(target as u32);
-        for r in &mut self.regions {
-            for l in &mut r.links {
-                if *l == stale {
-                    *l = ChainLink::Unresolved;
-                    self.stats.chain_unlinks += 1;
-                }
-            }
-        }
-    }
-
-    /// Statically verifies a freshly emitted translation (verify-on-emit
-    /// mode) and folds the findings into [`SystemStats`]. Observation
-    /// only: a bad region still enters the cache — callers inspect
-    /// `verify_errors` to decide whether to trust the run.
-    fn verify_emitted(&mut self, region: usize, trace: &OptTrace) {
-        let diags = smarq_verify::verify_trace(region, trace, self.config.opt.num_alias_regs);
-        self.fold_verify_diags(&diags);
-    }
-
-    /// Folds verify-on-emit findings (computed inline or on a worker)
-    /// into [`SystemStats`].
-    fn fold_verify_diags(&mut self, diags: &[smarq::Diagnostic]) {
-        self.stats.regions_verified += 1;
-        for d in diags {
-            if d.severity == smarq::Severity::Error {
-                self.stats.verify_errors += 1;
-            }
-            if self.stats.verify_diagnostics.len() < SystemStats::VERIFY_DIAGNOSTIC_CAP {
-                self.stats.verify_diagnostics.push(d.to_json());
-            }
-        }
-    }
-
-    /// Chain-boundary verification at link time (verify-on-emit mode):
-    /// when the chained dispatcher memoizes a region→region link, the
-    /// hand-off obligations of the two regions involved — write-mask
-    /// coverage, entry-state soundness, nospec protection, dead `AMOV`s
-    /// and unreachable checks — are proven by the chain analyzer and the
-    /// findings folded into [`SystemStats`]. Observation only, like
-    /// [`Self::verify_emitted`].
-    fn chain_check_link(&mut self, from: usize, to: usize) {
-        let mut ids = vec![from];
-        if to != from {
-            ids.push(to);
-        }
-        let mut views = Vec::with_capacity(ids.len());
-        for &i in &ids {
-            let r = &self.regions[i];
-            // Regions installed before verify mode was on carry no trace;
-            // nothing to re-derive facts from.
-            let Some(trace) = r.trace.as_ref() else {
-                return;
-            };
-            views.push(ChainRegionView {
-                region_id: i,
-                sb: &r.sb,
-                trace,
-                vliw: &r.vliw,
-                write_mask: r.write_mask,
-                assumed_entry: r.assumed_entry,
-            });
-        }
-        let report = smarq_verify::analyze_chain(&self.program, &views, &self.config.opt.nospec);
-        self.stats.chain_checks += 1;
-        for d in &report.diagnostics {
-            if d.severity == smarq::Severity::Error {
-                self.stats.chain_errors += 1;
-            }
-            if self.stats.verify_diagnostics.len() < SystemStats::VERIFY_DIAGNOSTIC_CAP {
-                self.stats.verify_diagnostics.push(d.to_json());
-            }
-        }
-    }
-
-    /// Runs the whole-chain static analyzer over every cached region that
-    /// carries an optimizer trace (verify-on-emit mode retains them).
-    /// `None` when no region does — external oracles (the fuzzer's chain
-    /// layer, `smarq-run lint`) call this instead of rebuilding views.
-    pub fn analyze_chain(&self) -> Option<ChainReport> {
-        let views: Vec<ChainRegionView<'_>> = self
-            .regions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.trace.as_ref().map(|trace| ChainRegionView {
-                    region_id: i,
-                    sb: &r.sb,
-                    trace,
-                    vliw: &r.vliw,
-                    write_mask: r.write_mask,
-                    assumed_entry: r.assumed_entry,
-                })
-            })
-            .collect();
-        if views.is_empty() {
-            return None;
-        }
-        Some(smarq_verify::analyze_chain(
-            &self.program,
-            &views,
-            &self.config.opt.nospec,
-        ))
-    }
-
-    /// Folds one region execution's statistics into the system totals.
-    #[inline]
-    fn note_region_entry(&mut self, idx: usize, rstats: &RegionStats) {
-        self.stats.vliw_cycles += rstats.cycles;
-        self.stats.region_mem_ops += rstats.mem_ops;
-        self.stats.alias_entries_scanned += rstats.entries_scanned;
-        self.stats.region_entries += 1;
-        self.stats.per_region[idx].entries += 1;
-    }
-
-    /// One region execution under the naive dispatcher: guest registers
-    /// are marshalled into the VLIW state and back around every entry.
-    fn run_region_naive(&mut self, entry: BlockId, idx: usize) -> Option<BlockId> {
-        if self.service.is_some() && self.regions[idx].blacklist_gen != self.blacklist_gen {
-            self.stats.async_stale_entries += 1;
-        }
-        self.vstate
-            .load_guest(&self.interp.regs, &self.interp.fregs);
-        let (outcome, rstats) = self
-            .sim
-            .run_region(
-                &self.regions[idx].vliw,
-                &mut self.vstate,
-                &mut self.interp.mem,
-            )
-            .expect("translated region is well formed");
-        self.note_region_entry(idx, &rstats);
-        match outcome {
-            RegionOutcome::Exited { exit_id } => {
-                self.vstate
-                    .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                let covered = self.regions[idx].exit_instrs[exit_id as usize];
-                self.stats.region_guest_instrs += covered;
-                self.regions[idx].vliw.exits[exit_id as usize]
-                    .guest_block
-                    .map(BlockId)
-            }
-            RegionOutcome::AliasException(v) => {
-                // Rolled back: record the pair, re-optimize conservatively,
-                // and make forward progress by interpreting one block.
-                self.handle_alias_exception(idx, v);
-                let next = self.interp.step_block(&self.program, entry);
-                self.sync_interp_stats();
-                next
-            }
-        }
-    }
-
-    /// Region execution under the chained dispatcher: follows memoized
-    /// region→region links in a tight loop. Guest state stays resident in
-    /// the VLIW register file for the whole chain and is marshalled back
-    /// to the interpreter only at the translated→interpreted boundary (or
-    /// after an alias-exception rollback).
-    fn run_region_chained(&mut self, idx: usize, budget: u64) -> Option<BlockId> {
-        let mut idx = idx;
-        self.vstate
-            .load_guest(&self.interp.regs, &self.interp.fregs);
-        // Chain-local accumulators, folded into `SystemStats` once per
-        // chain (and per region switch for the per-region entry counter)
-        // instead of half a dozen global read-modify-writes per entry.
-        // The interpreter cannot retire instructions while the chain
-        // runs, so the budget check is two local adds and a compare.
-        let guest_base = self.interp.executed_instrs() + self.stats.region_guest_instrs;
-        let async_mode = self.service.is_some();
-        let mut acc = ChainAccum::default();
-        let mut run_idx = idx;
-        let mut run_entries = 0u64;
-        loop {
-            let region = &self.regions[idx];
-            if async_mode && region.blacklist_gen != self.blacklist_gen {
-                acc.stale += 1;
-            }
-            let (outcome, rstats) = self
-                .sim
-                .run_region_resident(
-                    &region.vliw,
-                    region.write_mask,
-                    &mut self.vstate,
-                    &mut self.interp.mem,
-                )
-                .expect("translated region is well formed");
-            acc.cycles += rstats.cycles;
-            acc.mem_ops += rstats.mem_ops;
-            acc.scanned += rstats.entries_scanned;
-            acc.entries += 1;
-            run_entries += 1;
-            let exit_id = match outcome {
-                RegionOutcome::Exited { exit_id } => exit_id as usize,
-                RegionOutcome::AliasException(v) => {
-                    // The simulator rolled the resident state back to this
-                    // region's entry — even mid-chain, the checkpoint taken
-                    // at the chained entry is exactly the pre-region guest
-                    // state. Surface it to the interpreter, then fall back.
-                    self.vstate
-                        .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                    self.stats.per_region[run_idx].entries += run_entries;
-                    self.flush_chain_stats(&acc);
-                    let entry = self.regions[idx].entry;
-                    self.handle_alias_exception(idx, v);
-                    return self.interp.step_block(&self.program, entry);
-                }
-            };
-            acc.guest += self.regions[idx].exit_instrs[exit_id];
-            // Resolve the exit: a memoized link, a fresh flat-cache probe,
-            // or a hand-off back to the interpreter.
-            let next_idx = match self.regions[idx].links[exit_id] {
-                ChainLink::Region(j) => j as usize,
-                ChainLink::Unresolved => {
-                    let Some(target) = self.regions[idx].vliw.exits[exit_id].guest_block else {
-                        // Guest halt.
-                        self.vstate
-                            .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                        self.stats.per_region[run_idx].entries += run_entries;
-                        self.flush_chain_stats(&acc);
-                        return None;
-                    };
-                    acc.lookups += 1;
-                    match self.cached_region(BlockId(target)) {
-                        Some(j) => {
-                            self.regions[idx].links[exit_id] = ChainLink::Region(j as u32);
-                            if self.config.verify_translations {
-                                // Prove the hand-off before the link is
-                                // ever followed (observation mode).
-                                self.chain_check_link(idx, j);
-                            }
-                            j
-                        }
-                        None => {
-                            // Not cached (yet): never memoized, so a later
-                            // translation of the target is picked up here.
-                            self.vstate
-                                .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                            self.stats.per_region[run_idx].entries += run_entries;
-                            self.flush_chain_stats(&acc);
-                            return Some(BlockId(target));
-                        }
-                    }
-                }
-            };
-            // Chain boundary: stop following links once the budget is
-            // spent so `run_to_completion` can observe it.
-            if guest_base + acc.guest >= budget {
-                self.vstate
-                    .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                self.stats.per_region[run_idx].entries += run_entries;
-                self.flush_chain_stats(&acc);
-                return Some(self.regions[next_idx].entry);
-            }
-            acc.follows += 1;
-            if next_idx != run_idx {
-                self.stats.per_region[run_idx].entries += run_entries;
-                run_idx = next_idx;
-                run_entries = 0;
-            }
-            idx = next_idx;
-        }
-    }
-
-    /// Lowers a freshly emitted region for the fast-functional tier —
-    /// only when that tier is actually selected, so cycle-sim runs pay
-    /// nothing for the feature existing.
-    fn compile_fast(&self, vliw: &VliwProgram) -> Option<FastProgram> {
-        (self.config.exec_tier == ExecTier::Functional)
-            .then(|| fastcomp::compile(vliw).expect("translated region is well formed"))
-    }
-
-    /// The functional-tier dispatcher: identical probe-and-chain shape to
-    /// [`Self::step_chained`], but cached regions run on the fast tier.
-    fn step_functional(&mut self, cur: BlockId, budget: u64) -> Option<BlockId> {
-        self.stats.dispatch_lookups += 1;
-        if let Some(idx) = self.cached_region(cur) {
-            return self.run_region_functional(idx, budget);
-        }
-        let next = self.interp.step_block(&self.program, cur);
-        self.maybe_translate(cur);
-        next
-    }
-
-    /// Region execution on the fast-functional tier: the chained-dispatch
-    /// loop of [`Self::run_region_chained`] with the guest state resident
-    /// in [`FastState`] and no cycle modeling. Periodically a region entry
-    /// is *sampled*: re-executed on the cycle simulator from the same
-    /// pre-state and bit-compared ([`Self::tier_down_sample`]). An alias
-    /// exception rolls the fast state back (checkpoint + store-undo log)
-    /// and deoptimizes to the interpreter through the same
-    /// blacklist/retranslate/unlink machinery as the cycle tier.
-    fn run_region_functional(&mut self, idx: usize, budget: u64) -> Option<BlockId> {
-        let mut idx = idx;
-        self.fstate
-            .load_guest(&self.interp.regs, &self.interp.fregs);
-        let guest_base = self.interp.executed_instrs() + self.stats.region_guest_instrs;
-        let async_mode = self.service.is_some();
-        let mut acc = ChainAccum::default();
-        let mut run_idx = idx;
-        let mut run_entries = 0u64;
-        loop {
-            if async_mode && self.regions[idx].blacklist_gen != self.blacklist_gen {
-                acc.stale += 1;
-            }
-            // Sampling decision *before* the fast run: the oracle needs
-            // the pre-state. The countdown starts at 1, so the very first
-            // functional entry is always cross-checked; `0` means
-            // sampling is disabled and stays disabled.
-            let sampled = self.tier_sample_countdown != 0 && {
-                self.tier_sample_countdown -= 1;
-                if self.tier_sample_countdown == 0 {
-                    self.tier_sample_countdown = self.config.tier_sample_interval;
-                    true
-                } else {
-                    false
-                }
-            };
-            let pre_mem = if sampled {
-                self.fstate.copy_to_vliw(&mut self.vstate);
-                Some(self.interp.mem.clone())
-            } else {
-                None
-            };
-            let fast = self.regions[idx]
-                .fast
-                .as_ref()
-                .expect("functional tier compiles regions on install");
-            let (outcome, rstats) =
-                self.fast_sim
-                    .run_region(fast, &mut self.fstate, &mut self.interp.mem);
-            self.stats.tier_fast_entries += 1;
-            // No cycles: the fast tier has no timing model. Sampled
-            // cycle-sim runs report into `tier_sampled_cycles` instead.
-            acc.mem_ops += rstats.mem_ops;
-            acc.scanned += rstats.entries_scanned;
-            acc.entries += 1;
-            run_entries += 1;
-            if let Some(mut mem) = pre_mem {
-                self.tier_down_sample(idx, &outcome, &mut mem);
-            }
-            let exit_id = match outcome {
-                RegionOutcome::Exited { exit_id } => exit_id as usize,
-                RegionOutcome::AliasException(v) => {
-                    // The fast executor rolled the resident state back to
-                    // the region entry; surface it and deoptimize.
-                    self.fstate
-                        .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                    self.stats.per_region[run_idx].entries += run_entries;
-                    self.flush_chain_stats(&acc);
-                    self.stats.tier_deopts += 1;
-                    let entry = self.regions[idx].entry;
-                    self.handle_alias_exception(idx, v);
-                    return self.interp.step_block(&self.program, entry);
-                }
-            };
-            acc.guest += self.regions[idx].exit_instrs[exit_id];
-            let next_idx = match self.regions[idx].links[exit_id] {
-                ChainLink::Region(j) => j as usize,
-                ChainLink::Unresolved => {
-                    let Some(target) = self.regions[idx].vliw.exits[exit_id].guest_block else {
-                        self.fstate
-                            .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                        self.stats.per_region[run_idx].entries += run_entries;
-                        self.flush_chain_stats(&acc);
-                        return None;
-                    };
-                    acc.lookups += 1;
-                    match self.cached_region(BlockId(target)) {
-                        Some(j) => {
-                            self.regions[idx].links[exit_id] = ChainLink::Region(j as u32);
-                            if self.config.verify_translations {
-                                // Prove the hand-off before the link is
-                                // ever followed (observation mode).
-                                self.chain_check_link(idx, j);
-                            }
-                            j
-                        }
-                        None => {
-                            self.fstate
-                                .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                            self.stats.per_region[run_idx].entries += run_entries;
-                            self.flush_chain_stats(&acc);
-                            return Some(BlockId(target));
-                        }
-                    }
-                }
-            };
-            if guest_base + acc.guest >= budget {
-                self.fstate
-                    .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
-                self.stats.per_region[run_idx].entries += run_entries;
-                self.flush_chain_stats(&acc);
-                return Some(self.regions[next_idx].entry);
-            }
-            acc.follows += 1;
-            if next_idx != run_idx {
-                self.stats.per_region[run_idx].entries += run_entries;
-                run_idx = next_idx;
-                run_entries = 0;
-            }
-            idx = next_idx;
-        }
-    }
-
-    /// Tier-down sample: replays the region entry the fast tier just ran
-    /// on the cycle simulator, starting from the identical pre-state
-    /// (`self.vstate` and `sim_mem` were captured before the fast run),
-    /// and bit-compares outcome, both register files and memory. The fast
-    /// result stays canonical either way; a disagreement only increments
-    /// [`SystemStats::tier_sample_mismatches`] for the oracles to flag.
-    fn tier_down_sample(&mut self, idx: usize, fast_outcome: &RegionOutcome, sim_mem: &mut Memory) {
-        let region = &self.regions[idx];
-        let (sim_outcome, sim_stats) = self
-            .sim
-            .run_region_resident(&region.vliw, region.write_mask, &mut self.vstate, sim_mem)
-            .expect("translated region is well formed");
-        self.stats.tier_samples += 1;
-        self.stats.tier_sampled_cycles += sim_stats.cycles;
-        let regs_agree = self.fstate.regs == self.vstate.regs
-            && self
-                .fstate
-                .fregs
-                .iter()
-                .zip(self.vstate.fregs.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if sim_outcome != *fast_outcome || !regs_agree || *sim_mem != self.interp.mem {
-            self.stats.tier_sample_mismatches += 1;
-        }
-    }
-
-    /// Folds one chain's accumulated statistics into the system totals
-    /// (the per-region entry counters are flushed separately, on region
-    /// switch, by [`Self::run_region_chained`]).
-    fn flush_chain_stats(&mut self, acc: &ChainAccum) {
-        self.stats.region_guest_instrs += acc.guest;
-        self.stats.vliw_cycles += acc.cycles;
-        self.stats.region_mem_ops += acc.mem_ops;
-        self.stats.alias_entries_scanned += acc.scanned;
-        self.stats.region_entries += acc.entries;
-        self.stats.chain_follows += acc.follows;
-        self.stats.dispatch_lookups += acc.lookups;
-        self.stats.async_stale_entries += acc.stale;
-    }
-
-    /// Blacklists the faulting pair of a rolled-back region, then
-    /// retranslates it conservatively — or abandons it to interpretation
-    /// when blacklisting cannot converge. Both paths invalidate the chain
-    /// links into the region.
-    fn handle_alias_exception(&mut self, idx: usize, v: AliasViolation) {
-        self.stats.rollbacks += 1;
-        self.regions[idx].rollbacks += 1;
-        self.stats.per_region[idx].rollbacks += 1;
-        let a = self.regions[idx].tag_origin[v.checker_tag as usize];
-        let b = self.regions[idx].tag_origin[v.producer_tag as usize];
-        let fresh = self.blacklist.insert(a, b);
-        if fresh {
-            // Every in-flight job snapshotted the previous generation;
-            // their results now re-optimize before publishing.
-            self.blacklist_gen += 1;
-        }
-        if !fresh || self.regions[idx].rollbacks > self.config.max_rollbacks_per_region {
-            // Livelock backstop: abandon translation for this block.
-            let entry = self.regions[idx].entry;
-            self.cache[entry.index()] = NO_REGION;
-            self.naive_cache.remove(&entry);
-            self.abandoned[entry.index()] = true;
-            self.unlink_into(idx);
-        } else if self.service.is_some() {
-            // Async deopt: unpublish the faulting region (so the stale
-            // code cannot be re-entered and re-fault while the fix is in
-            // flight) and queue the conservative retranslation. The guest
-            // interprets this block until the new code publishes.
-            self.unpublish(idx);
-            self.submit_retranslate(idx);
-        } else {
-            self.retranslate(idx);
-        }
+        self.ctx.debug_submit(&self.hub, entry);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use smarq_guest::{AluOp, CmpOp, ProgramBuilder, Reg};
 
@@ -1510,7 +459,7 @@ mod tests {
 
     /// Loop where the "unlikely" aliasing pair truly aliases: forces an
     /// alias exception, a rollback and a conservative re-translation.
-    fn truly_aliasing_loop(iters: i64) -> Program {
+    pub(crate) fn truly_aliasing_loop(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
         let entry = b.block();
         let body = b.block();
@@ -1655,17 +604,17 @@ mod tests {
         assert!(sys.stats().interp_instrs > 0);
     }
 
-    /// Runs `p` to completion under the given dispatch mode.
-    fn run_mode(p: &Program, mode: DispatchMode) -> DynOptSystem {
-        let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
-        cfg.dispatch = mode;
-        let mut sys = DynOptSystem::new(p.clone(), cfg);
+    /// Runs `p` to completion with the default SMARQ configuration.
+    fn run_chained(p: &Program) -> DynOptSystem {
+        let mut sys = DynOptSystem::new(p.clone(), SystemConfig::with_opt(OptConfig::smarq(64)));
         assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
         sys
     }
 
-    /// The chained dispatcher must be bit-exact with the naive oracle and
-    /// must actually bypass the dispatcher on the hot self-loop.
+    /// Chained dispatch must be bit-exact with the interpreter reference,
+    /// must match a run synced after every dispatch step, and must
+    /// actually bypass the dispatcher: an unchained dispatcher probes the
+    /// cache once per interpreted block and once per region entry.
     #[test]
     fn chained_dispatch_is_bit_exact_and_skips_the_dispatcher() {
         for p in [
@@ -1675,26 +624,29 @@ mod tests {
             two_phase_program(400),
         ] {
             let expected = reference_state(&p);
-            let naive = run_mode(&p, DispatchMode::Naive);
-            let chained = run_mode(&p, DispatchMode::Chained);
-            assert_eq!(naive.interp().arch_state(), expected);
+            let chained = run_chained(&p);
+            let mut stepped =
+                DynOptSystem::new(p.clone(), SystemConfig::with_opt(OptConfig::smarq(64)));
+            while stepped.run_bounded(1, u64::MAX) == RunStatus::Running {}
+            let s = chained.stats();
             assert_eq!(chained.interp().arch_state(), expected);
             assert_eq!(
-                naive.stats().guest_instrs(),
-                chained.stats().guest_instrs(),
+                s.guest_instrs(),
+                stepped.stats().guest_instrs(),
                 "batched stat syncing must not change totals"
             );
             assert_eq!(
-                naive.stats().region_entries,
-                chained.stats().region_entries,
+                s.region_entries,
+                stepped.stats().region_entries,
                 "chaining changes dispatch, not execution"
             );
-            assert_eq!(naive.stats().chain_follows, 0, "naive mode never chains");
+            let profile = chained.interp().profile();
+            let interpreted: u64 = p.iter().map(|(b, _)| profile.block_count(b)).sum();
+            let unchained_lookups = interpreted + s.region_entries;
             assert!(
-                chained.stats().dispatch_lookups < naive.stats().dispatch_lookups,
-                "chaining must shed dispatcher work: {} !< {}",
-                chained.stats().dispatch_lookups,
-                naive.stats().dispatch_lookups
+                s.dispatch_lookups < unchained_lookups,
+                "chaining must shed dispatcher work: {} !< {unchained_lookups}",
+                s.dispatch_lookups,
             );
         }
     }
@@ -1705,7 +657,7 @@ mod tests {
     #[test]
     fn self_loop_chains_without_redispatch() {
         let p = accumulating_loop(2000);
-        let sys = run_mode(&p, DispatchMode::Chained);
+        let sys = run_chained(&p);
         let s = sys.stats();
         assert!(s.chain_follows > 0, "self-link must be followed");
         assert!(
@@ -1764,14 +716,12 @@ mod tests {
     }
 
     /// Multiple distinct regions must chain into each other (not just the
-    /// self-link case) and stay bit-exact with the naive oracle.
+    /// self-link case) and stay bit-exact with the interpreter.
     #[test]
     fn distinct_regions_chain_region_to_region() {
         let p = ping_pong_program(300, 8);
         let expected = reference_state(&p);
-        let naive = run_mode(&p, DispatchMode::Naive);
-        let chained = run_mode(&p, DispatchMode::Chained);
-        assert_eq!(naive.interp().arch_state(), expected);
+        let chained = run_chained(&p);
         assert_eq!(chained.interp().arch_state(), expected);
         let s = chained.stats();
         assert!(
@@ -1820,7 +770,7 @@ mod tests {
     fn alias_exception_inside_chained_region_unlinks_and_reconverges() {
         let p = late_aliasing_loop(500, 250);
         let expected = reference_state(&p);
-        let sys = run_mode(&p, DispatchMode::Chained);
+        let sys = run_chained(&p);
         let s = sys.stats();
         assert_eq!(
             sys.interp().arch_state(),
@@ -1837,10 +787,6 @@ mod tests {
         assert!(!sys.blacklist().is_empty());
         let last = s.per_region.last().unwrap();
         assert!(last.rollbacks < 5, "blacklisting must converge");
-        // And the whole scenario is bit-exact with the naive oracle.
-        let naive = run_mode(&p, DispatchMode::Naive);
-        assert_eq!(naive.interp().arch_state(), expected);
-        assert_eq!(naive.stats().guest_instrs(), s.guest_instrs());
     }
 
     /// Abandoning a region mid-chain must unlink it so chained execution
@@ -1915,7 +861,7 @@ mod tests {
             late_aliasing_loop(500, 250),
         ] {
             let expected = reference_state(&p);
-            let chained = run_mode(&p, DispatchMode::Chained);
+            let chained = run_chained(&p);
             let func = run_functional(&p, 16);
             assert_eq!(func.interp().arch_state(), expected);
             assert_eq!(
@@ -1958,7 +904,7 @@ mod tests {
             "the functional dispatcher chains like the cycle-sim one"
         );
         // Work counters track the cycle tier exactly.
-        let chained = run_mode(&accumulating_loop(2000), DispatchMode::Chained);
+        let chained = run_chained(&accumulating_loop(2000));
         assert!(s.region_mem_ops > 0);
         assert_eq!(s.region_mem_ops, chained.stats().region_mem_ops);
         assert_eq!(

@@ -1,70 +1,38 @@
-//! Asynchronous background translation pipeline (ROADMAP open item 3).
+//! Translation jobs and the executors that run them.
 //!
 //! The paper's §7 overhead argument only holds if region formation,
-//! optimization and verification stay off the guest's critical path. This
-//! module provides the machinery: a [`TranslationJob`] captures everything
-//! a translation needs (program, profile snapshot, optimizer config,
-//! blacklist snapshot), [`run_translation_job`] executes one job to a
+//! optimization and verification can stay off the guest's critical path.
+//! A [`TranslationJob`] captures everything a translation needs (program,
+//! profile snapshot or formed superblock, hub configuration, blacklist
+//! snapshot), [`run_translation_job`] executes one job to a
 //! [`FinishedTranslation`], and a [`TranslationExecutor`] decides *where*
 //! and *when* jobs run:
 //!
 //! * [`ThreadedExecutor`] — the production shape: a bounded job queue
-//!   drained by a pool of worker threads, results returned over a channel
-//!   and atomically published by the execution thread at dispatch
-//!   boundaries.
+//!   drained by a pool of worker threads, results returned over a channel.
 //! * [`StepExecutor`] — a single-threaded, step-controlled double for the
 //!   deterministic race-interleaving harness: jobs advance through
 //!   *queued → computed → released* only when a test driver (or a seeded
 //!   schedule) says so, which lets tests enumerate and replay
 //!   publish-vs-execute-vs-unlink interleavings exactly.
 //!
-//! The execution thread never blocks on a worker: until a finished region
-//! is published, the guest keeps interpreting (or keeps running regions
-//! translated under an older blacklist — "stale" translations, counted in
-//! [`crate::SystemStats::async_stale_entries`]).
+//! A [`crate::TranslationHub`] owns at most one executor (none means
+//! inline translation); guests install finished jobs at their
+//! dispatch-step boundaries and never block on a worker.
 
+use crate::hub::{HubConfig, RegionKey};
+use crate::ExecTier;
 use smarq::range::RegState;
 use smarq::{AllocScratch, Diagnostic};
-use smarq_guest::{BlockId, Profile, Program};
-use smarq_ir::{form_superblock, unroll_superblock, FormationParams, Superblock};
+use smarq_guest::{Profile, Program};
+use smarq_ir::{form_superblock, unroll_superblock, Superblock};
 use smarq_opt::fastcomp::{self, FastProgram};
-use smarq_opt::{
-    optimize_superblock_traced_ranged, AliasBlacklist, OptConfig, OptTrace, Optimized,
-};
-use smarq_vliw::MachineConfig;
+use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized};
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
-
-/// What a translation job produces when published.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JobKind {
-    /// First translation of a hot block: on publish, a brand-new region
-    /// enters the translation cache.
-    Translate {
-        /// The hot entry block being translated.
-        entry: BlockId,
-    },
-    /// Conservative re-translation of an existing (unpublished) region
-    /// slot after an alias-exception deopt.
-    Retranslate {
-        /// The region slot the result is re-published into.
-        region: u32,
-        /// That slot's entry block.
-        entry: BlockId,
-    },
-}
-
-impl JobKind {
-    /// The guest entry block this job is keyed by (both kinds have one).
-    pub fn entry(&self) -> BlockId {
-        match *self {
-            JobKind::Translate { entry } | JobKind::Retranslate { entry, .. } => entry,
-        }
-    }
-}
 
 /// Where the job's superblock comes from.
 #[derive(Clone, Debug)]
@@ -80,117 +48,100 @@ pub enum JobInput {
     Ready(Box<Superblock>),
 }
 
-/// A self-contained translation request: everything the worker needs,
-/// snapshotted at submit time so the execution thread shares nothing
-/// mutable with the workers.
+/// A self-contained translation request, snapshotted at submit time so
+/// guests share nothing mutable with the workers.
 #[derive(Clone, Debug)]
 pub struct TranslationJob {
-    /// Install a new region or refresh an existing slot.
-    pub kind: JobKind,
+    /// The region the result is published under.
+    pub key: RegionKey,
     /// Superblock source (profile snapshot or pre-formed).
     pub input: JobInput,
     /// The guest program (shared, immutable).
     pub program: Arc<Program>,
-    /// Region-formation parameters.
-    pub formation: FormationParams,
-    /// Self-loop unrolling factor.
-    pub unroll_factor: u32,
-    /// Optimizer configuration.
-    pub opt: OptConfig,
-    /// Machine model (scheduling shape).
-    pub machine: MachineConfig,
+    /// Formation, optimizer, machine and verify settings of the hub.
+    pub cfg: Arc<HubConfig>,
     /// Alias-blacklist snapshot the optimization runs against.
-    pub blacklist: AliasBlacklist,
-    /// Generation counter of that snapshot; publish rejects results whose
-    /// generation is older than the system's (the blacklist grew while
-    /// the job was in flight) and resubmits with a fresh snapshot.
+    pub blacklist: Arc<AliasBlacklist>,
+    /// Generation of that snapshot; a result older than the hub's is
+    /// resubmitted.
     pub blacklist_gen: u64,
-    /// Statically verify the emitted region on the worker.
-    pub verify: bool,
-    /// Also lower the region for the fast-functional tier.
-    pub compile_fast: bool,
-    /// Abstract entry register state from the whole-program range
-    /// analysis (`None` = assume ⊤), for the range-precise nospec taint.
+    /// Entry register state from the range analysis (`None` = ⊤), for the
+    /// range-precise nospec taint.
     pub entry_state: Option<RegState>,
 }
 
-/// A finished translation, ready to be atomically published by the
-/// execution thread.
+/// A finished translation, ready to be installed by a guest at a
+/// dispatch-step boundary.
 #[derive(Debug)]
 pub struct FinishedTranslation {
-    /// The request this answers.
-    pub kind: JobKind,
+    /// The region this answers.
+    pub key: RegionKey,
+    /// The guest program.
+    pub program: Arc<Program>,
     /// The formed (or reused) superblock.
     pub sb: Superblock,
     /// The optimized region.
     pub opt: Optimized,
-    /// Verify-on-emit findings (empty when verification was off). In
-    /// async mode diagnostics are labeled by the entry block index — the
-    /// worker cannot know the final region index.
-    pub diags: Vec<Diagnostic>,
-    /// Whether the worker ran static verification.
-    pub verified: bool,
-    /// The optimizer's trace, retained when verification ran (the
-    /// publisher keeps it for link-time chain checks).
+    /// Verify-on-emit findings (labeled by entry block), if verify is on.
+    pub diags: Option<Vec<Diagnostic>>,
+    /// The optimizer's trace, retained when verification ran.
     pub trace: Option<OptTrace>,
     /// The entry state the optimization assumed (echoed from the job).
     pub entry_state: Option<RegState>,
-    /// Fast-functional lowering (when requested).
+    /// Fast-functional lowering (functional-tier hubs only).
     pub fast: Option<FastProgram>,
     /// Blacklist generation the job optimized against.
     pub blacklist_gen: u64,
-    /// Host nanoseconds the worker spent on this job — off the guest's
-    /// critical path by construction.
+    /// Host nanoseconds of formation and optimization (the paper's
+    /// Figure 18 overhead).
+    pub translate_ns: u64,
+    /// Host nanoseconds of the whole job.
     pub worker_ns: u64,
 }
 
-/// Runs one translation job to completion. Pure with respect to the
-/// system: everything it needs rides in the job, everything it produces
-/// rides in the result.
+/// Runs one translation job to completion; pure with respect to the
+/// runtime.
 pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> FinishedTranslation {
     let t0 = Instant::now();
+    let cfg = &job.cfg;
     let sb = match job.input {
         JobInput::Ready(sb) => *sb,
         JobInput::Form { profile } => {
-            let sb = form_superblock(&job.program, &profile, job.kind.entry(), job.formation);
-            let (sb, _) = unroll_superblock(&sb, job.unroll_factor, job.formation.max_ops);
-            sb
+            let sb = form_superblock(&job.program, &profile, job.key.entry, cfg.formation);
+            unroll_superblock(&sb, cfg.unroll_factor, cfg.formation.max_ops).0
         }
     };
     let (opt, trace) = optimize_superblock_traced_ranged(
         &sb,
-        &job.opt,
-        &job.machine,
+        &cfg.opt,
+        &cfg.machine,
         &job.blacklist,
         scratch,
         job.entry_state.as_ref(),
     );
-    let diags = if job.verify {
-        smarq_verify::verify_trace(job.kind.entry().index(), &trace, job.opt.num_alias_regs)
-    } else {
-        Vec::new()
-    };
-    let trace = job.verify.then_some(trace);
-    let fast = job
-        .compile_fast
+    let translate_ns = t0.elapsed().as_nanos() as u64;
+    let verify = cfg.verify_translations;
+    let diags = verify
+        .then(|| smarq_verify::verify_trace(job.key.entry.index(), &trace, cfg.opt.num_alias_regs));
+    let fast = (cfg.exec_tier == ExecTier::Functional)
         .then(|| fastcomp::compile(&opt.vliw).expect("translated region is well formed"));
     FinishedTranslation {
-        kind: job.kind,
+        key: job.key,
+        program: job.program,
         sb,
         opt,
         diags,
-        verified: job.verify,
-        trace,
+        trace: verify.then_some(trace),
         entry_state: job.entry_state,
         fast,
         blacklist_gen: job.blacklist_gen,
+        translate_ns,
         worker_ns: t0.elapsed().as_nanos() as u64,
     }
 }
 
 /// Where and when translation jobs run. Implementations must be `Send`
-/// so the owning system can move across threads (the evaluation harness
-/// runs systems in parallel).
+/// so the owning hub can be shared across guest threads.
 pub trait TranslationExecutor: Send {
     /// Enqueues a job. Returns `false` when the bounded queue is full —
     /// the job is dropped and the caller retries naturally (the block
@@ -219,7 +170,7 @@ pub trait TranslationExecutor: Send {
 
 /// The production executor: a bounded job channel drained by a pool of
 /// worker threads. Results flow back over an unbounded channel and are
-/// published by the execution thread at its next dispatch boundary.
+/// installed by the next guest to reach a dispatch-step boundary.
 pub struct ThreadedExecutor {
     tx: Option<mpsc::SyncSender<TranslationJob>>,
     rx: mpsc::Receiver<FinishedTranslation>,
@@ -240,7 +191,7 @@ impl ThreadedExecutor {
                 let rtx = rtx.clone();
                 thread::spawn(move || {
                     // Each worker recycles its own allocator scratch, like
-                    // the inline path recycles the system's.
+                    // the inline path recycles the guest's.
                     let mut scratch = AllocScratch::new();
                     loop {
                         // Hold the lock only for the dequeue, not the job.
@@ -316,7 +267,7 @@ impl Drop for ThreadedExecutor {
 /// result not yet visible) and **released** (visible to `try_recv`) —
 /// and only advances when [`TranslationExecutor::compute_one`] /
 /// [`TranslationExecutor::release_one`] are called. A test driver (or the
-/// seeded schedule in `DynOptSystem::run_interleaved`) therefore controls
+/// seeded schedule of [`crate::run_multi_interleaved`]) therefore controls
 /// exactly when a finished translation becomes publishable, relative to
 /// guest execution, deopts and unlinks.
 pub struct StepExecutor {
@@ -410,74 +361,5 @@ impl TranslationExecutor for StepExecutor {
         };
         self.released.push_back(fin);
         true
-    }
-}
-
-/// The system-facing wrapper around an executor: pending-job bookkeeping
-/// (at most one in-flight job per guest entry block) on top of whichever
-/// executor is installed.
-pub struct TranslationService {
-    exec: Box<dyn TranslationExecutor>,
-    /// `pending[block.index()]`: a job keyed by this entry block is in
-    /// flight (covers both translations and retranslations; cleared when
-    /// the result is taken for publish).
-    pending: Vec<bool>,
-}
-
-impl TranslationService {
-    /// Wraps `exec` for a program with `num_blocks` guest blocks.
-    pub fn new(exec: Box<dyn TranslationExecutor>, num_blocks: usize) -> Self {
-        TranslationService {
-            exec,
-            pending: vec![false; num_blocks],
-        }
-    }
-
-    /// Whether a job keyed by `entry` is already in flight.
-    pub fn is_pending(&self, entry: BlockId) -> bool {
-        self.pending[entry.index()]
-    }
-
-    /// Enqueues a job; returns `false` (job dropped) when the bounded
-    /// queue is full.
-    pub fn submit(&mut self, job: TranslationJob) -> bool {
-        let entry = job.kind.entry();
-        if self.exec.submit(job) {
-            self.pending[entry.index()] = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Takes one finished translation, if ready, clearing its pending
-    /// mark. Never blocks.
-    pub fn take(&mut self) -> Option<FinishedTranslation> {
-        let fin = self.exec.try_recv()?;
-        self.pending[fin.kind.entry().index()] = false;
-        Some(fin)
-    }
-
-    /// Blocking variant of [`Self::take`]; `None` once nothing is
-    /// outstanding.
-    pub fn take_blocking(&mut self) -> Option<FinishedTranslation> {
-        let fin = self.exec.recv_blocking()?;
-        self.pending[fin.kind.entry().index()] = false;
-        Some(fin)
-    }
-
-    /// Jobs in flight (queued, computed or released, not yet taken).
-    pub fn outstanding(&self) -> usize {
-        self.exec.outstanding()
-    }
-
-    /// Forwards [`TranslationExecutor::compute_one`].
-    pub fn compute_one(&mut self) -> bool {
-        self.exec.compute_one()
-    }
-
-    /// Forwards [`TranslationExecutor::release_one`].
-    pub fn release_one(&mut self) -> bool {
-        self.exec.release_one()
     }
 }

@@ -1,8 +1,9 @@
 //! Multi-guest runtime tests: the hub/context split, single-flight
-//! translation dedup, cross-guest blacklist/invalidation, and real
-//! multi-threaded stress over both the shared [`TranslationHub`] pool and
-//! PR7's [`ThreadedExecutor`] (N workers × M guests × corpus programs,
-//! bounded queue depth 1 and 8).
+//! translation dedup, cross-guest blacklist/invalidation, seeded
+//! interleavings over a manually stepped executor, and real
+//! multi-threaded stress over both a shared hub's [`ThreadedExecutor`]
+//! and private single-guest pools (N workers × M guests × corpus
+//! programs, bounded queue depth 1 and 8).
 //!
 //! The load-bearing assertions:
 //! * every guest's architectural state is bit-exact vs. the same program
@@ -21,8 +22,8 @@ use smarq_guest::{
 };
 use smarq_opt::OptConfig;
 use smarq_runtime::{
-    hash_program, DynOptSystem, ExecTier, GuestContext, HubConfig, StopReason, SystemConfig,
-    TranslationHub,
+    hash_program, run_multi_interleaved, DynOptSystem, ExecTier, GuestContext, HubConfig,
+    StepExecutor, StopReason, SystemConfig, TranslationHub,
 };
 use std::thread;
 
@@ -120,6 +121,25 @@ fn truly_aliasing_loop(iters: i64) -> Program {
     b.st(body, Reg(1), Reg(3), 0);
     b.ld(body, Reg(4), Reg(5), 0);
     b.alu_imm(body, AluOp::Add, Reg(6), Reg(4), 0);
+    b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
+    b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
+    b.halt(done);
+    b.finish(entry)
+}
+
+/// Loop storing an `fconst` NaN with the given payload bits: programs
+/// that differ only in the payload print identically in disassembly.
+fn nan_store_loop(payload: u64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let entry = b.block();
+    let body = b.block();
+    let done = b.block();
+    b.iconst(entry, Reg(1), 0);
+    b.iconst(entry, Reg(2), 500);
+    b.iconst(entry, Reg(3), 0x1000);
+    b.jump(entry, body);
+    b.fconst(body, FReg(1), f64::from_bits(payload));
+    b.fst(body, FReg(1), Reg(3), 0);
     b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
     b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
     b.halt(done);
@@ -256,6 +276,32 @@ fn distinct_programs_are_keyed_separately() {
     assert_ledger_balanced(&hub);
 }
 
+/// Two programs that differ only in a NaN payload must get distinct keys,
+/// so neither guest runs the other's translation.
+#[test]
+fn nan_payloads_are_keyed_separately() {
+    let pa = nan_store_loop(0x7ff8_0000_0000_0001);
+    let pb = nan_store_loop(0x7ff8_0000_0000_0002);
+    assert_ne!(hash_program(&pa), hash_program(&pb));
+    for tier in [ExecTier::CycleSim, ExecTier::Functional] {
+        let hub = TranslationHub::new(hub_config(0, 8, tier));
+        let guests = vec![
+            GuestContext::new(0, pa.clone(), &hub),
+            GuestContext::new(1, pb.clone(), &hub),
+        ];
+        let guests = smarq_runtime::run_multi(&hub, guests, 1, u64::MAX, 64);
+        for (g, p) in guests.iter().zip([&pa, &pb]) {
+            assert!(g.stats().regions_formed >= 1, "{tier:?}: translated");
+            assert_eq!(
+                g.interp().arch_state(),
+                reference_state(p),
+                "guest {} ({tier:?})",
+                g.id()
+            );
+        }
+    }
+}
+
 #[test]
 fn cross_guest_blacklist_and_invalidation() {
     let p = truly_aliasing_loop(400);
@@ -301,10 +347,57 @@ fn interleaved_schedule_replays_from_seed() {
 
 // ----------------------------------------------------------- stress: hub
 
+/// Seeded interleavings of guest slices and executor compute/release
+/// steps over a manually stepped hub executor: every guest bit-exact on
+/// both tiers under every seed, the ledger balanced after a drain, and
+/// each seed replaying identically.
+#[test]
+fn stepped_executor_interleavings_are_bit_exact_and_replay() {
+    let corpus = [
+        two_phase_program(300),
+        truly_aliasing_loop(300),
+        store_shadowed_loop(300),
+    ];
+    let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
+    for tier in [ExecTier::CycleSim, ExecTier::Functional] {
+        let run = |seed: u64| {
+            let mut cfg = hub_config(0, 2, tier);
+            cfg.verify_translations = true;
+            let hub = TranslationHub::with_executor(cfg, Some(Box::new(StepExecutor::manual(2))));
+            let mut guests: Vec<GuestContext> = (0..6)
+                .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
+                .collect();
+            run_multi_interleaved(&hub, &mut guests, seed, u64::MAX);
+            hub.drain();
+            let states: Vec<ArchState> = guests.iter().map(|g| g.interp().arch_state()).collect();
+            let published: u64 = guests.iter().map(|g| g.stats().async_published).sum();
+            assert_ledger_balanced(&hub);
+            (states, hub.stats(), published)
+        };
+        let mut published = 0;
+        for i in 0..12u64 {
+            let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
+            let first = run(seed);
+            for (g, state) in first.0.iter().enumerate() {
+                assert_eq!(
+                    state,
+                    &expected[g % corpus.len()],
+                    "guest {g} seed {seed:#x} ({tier:?})"
+                );
+            }
+            assert_eq!(first.1.verify_errors, 0);
+            assert_eq!(run(seed), first, "seed {seed:#x} must replay ({tier:?})");
+            published += first.2;
+        }
+        assert!(published > 0, "{tier:?}: no schedule ever published");
+    }
+}
+
 #[test]
 fn multiguest_threaded_stress_bit_exact_and_ledger() {
     // N hub workers × M guests × corpus programs, queue depth 1 and 8,
-    // 4 scheduler threads (CI pins RUST_TEST_THREADS=4 around this).
+    // 4 scheduler threads (CI pins RUST_TEST_THREADS=4 around this), with
+    // verify-on-emit and every functional-tier entry sampled.
     let corpus: Vec<Program> = vec![
         accumulating_loop(600),
         two_phase_program(400),
@@ -314,7 +407,10 @@ fn multiguest_threaded_stress_bit_exact_and_ledger() {
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
     for depth in [1u32, 8] {
         for tier in [ExecTier::CycleSim, ExecTier::Functional] {
-            let hub = TranslationHub::new(hub_config(2, depth, tier));
+            let mut cfg = hub_config(2, depth, tier);
+            cfg.verify_translations = true;
+            cfg.tier_sample_interval = 1;
+            let hub = TranslationHub::new(cfg);
             let guests: Vec<GuestContext> = (0..8)
                 .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
                 .collect();
@@ -327,6 +423,12 @@ fn multiguest_threaded_stress_bit_exact_and_ledger() {
                     expected[i % corpus.len()],
                     "guest {i} state (depth {depth}, {tier:?})"
                 );
+                let st = g.stats();
+                assert_eq!(
+                    (st.verify_errors, st.chain_errors, st.tier_sample_mismatches),
+                    (0, 0, 0),
+                    "guest {i} findings (depth {depth}, {tier:?})"
+                );
             }
             // The three clean programs contribute 4 unique hot regions
             // (1 + 2 + 1); the aliasing one adds 1. Exactly-once: even
@@ -337,6 +439,7 @@ fn multiguest_threaded_stress_bit_exact_and_ledger() {
             // upper bound there; at depth 8 five jobs never overflow the
             // queue and the count is exact.
             let s = hub.stats();
+            assert_eq!(s.verify_errors, 0, "{s:?}");
             assert!(
                 s.translations_started <= 5,
                 "no unique region is ever claimed twice (depth {depth}, {tier:?}): {s:?}"

@@ -4,7 +4,7 @@
 //! ```text
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
 //!                  [--regs N] [--unroll N] [--budget N]
-//!                  [--dispatch naive|chained] [--exec-tier cycle|functional]
+//!                  [--exec-tier cycle|functional]
 //!                  [--async-translate] [--translate-workers N]
 //!                  [--translate-queue N] [--guests N] [--threads M]
 //!                  [--dump-region] [--compare] [--verify]
@@ -28,8 +28,8 @@
 //! and exits with status 2 before anything runs.
 //! `--exec-tier functional` runs optimized regions on the fast functional
 //! tier with sampled cycle-sim tier-down checks (also via
-//! `SMARQ_EXEC_TIER=functional`); `--dispatch naive` disables region
-//! chaining. `--async-translate` moves region formation, optimization and
+//! `SMARQ_EXEC_TIER=functional`). `--async-translate` moves region
+//! formation, optimization and
 //! verification onto background worker threads (also via
 //! `SMARQ_ASYNC_TRANSLATE=1`): the guest keeps interpreting while
 //! translations are in flight and finished regions publish atomically at
@@ -43,12 +43,14 @@
 //! on `--threads M` host threads. `--translate-workers` then sizes the
 //! hub's background pool (`0` = translate inline in the requesting
 //! guest) and `--compare` checks every guest bit-exactly against pure
-//! interpretation.
+//! interpretation. Both paths print the same statistics (summed over
+//! guests, plus the hub's publish ledger when several guests share one)
+//! and exit with status 1 when verification found an error.
 
 use smarq_opt::OptConfig;
 use smarq_runtime::{
-    run_multi, DispatchMode, DynOptSystem, ExecTier, GuestContext, HubConfig, SystemConfig,
-    TranslationHub, DEFAULT_SLICE_STEPS,
+    run_multi, DynOptSystem, ExecTier, GuestContext, HubConfig, HubStats, SystemConfig,
+    SystemStats, TranslationHub, DEFAULT_SLICE_STEPS,
 };
 use std::process::ExitCode;
 
@@ -58,7 +60,6 @@ struct Args {
     regs: u32,
     unroll: u32,
     budget: u64,
-    dispatch: Option<DispatchMode>,
     exec_tier: Option<ExecTier>,
     async_translate: bool,
     translate_workers: Option<u32>,
@@ -74,7 +75,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
-         [--regs N] [--unroll N] [--budget N] [--dispatch naive|chained] \
+         [--regs N] [--unroll N] [--budget N] \
          [--exec-tier cycle|functional] [--async-translate] \
          [--translate-workers N] [--translate-queue N] \
          [--guests N] [--threads M] \
@@ -179,7 +180,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         regs: 64,
         unroll: 1,
         budget: u64::MAX,
-        dispatch: None,
         exec_tier: None,
         async_translate: false,
         translate_workers: None,
@@ -209,16 +209,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--budget" => {
                 args.budget = value("--budget")?.parse().map_err(|_| usage())?;
-            }
-            "--dispatch" => {
-                args.dispatch = Some(match value("--dispatch")?.as_str() {
-                    "naive" => DispatchMode::Naive,
-                    "chained" => DispatchMode::Chained,
-                    other => {
-                        eprintln!("unknown dispatch mode '{other}' (naive|chained)");
-                        return Err(usage());
-                    }
-                });
             }
             "--exec-tier" => {
                 args.exec_tier = Some(match value("--exec-tier")?.as_str() {
@@ -294,6 +284,126 @@ fn opt_for(hw: &str, regs: u32) -> Option<OptConfig> {
     })
 }
 
+/// Prints a run's statistics summed over `guests`, plus the shared hub's
+/// publish ledger when several guests ran on one. Returns exit status 1
+/// when verify-on-emit or a link-time chain check reported an error.
+fn report(
+    args: &Args,
+    tier: ExecTier,
+    async_on: bool,
+    guests: &[&SystemStats],
+    hub: Option<&HubStats>,
+) -> ExitCode {
+    let sum = |f: fn(&SystemStats) -> u64| guests.iter().map(|s| f(s)).sum::<u64>();
+    println!("hardware:            {}", args.hw);
+    println!("guest instructions:  {}", sum(SystemStats::guest_instrs));
+    println!("simulated cycles:    {}", sum(SystemStats::total_cycles));
+    println!(
+        "regions:             {} formed, {} entries, {} rollbacks, {} re-translations",
+        sum(|s| s.regions_formed as u64),
+        sum(|s| s.region_entries),
+        sum(|s| s.rollbacks),
+        sum(|s| s.retranslations as u64)
+    );
+    let overhead = SystemStats {
+        vliw_cycles: sum(|s| s.vliw_cycles),
+        interp_cycles: sum(|s| s.interp_cycles),
+        translation_ns: sum(|s| s.translation_ns),
+        ..SystemStats::default()
+    }
+    .optimization_overhead();
+    println!(
+        "optimization:        {:.4}% of execution time",
+        overhead * 100.0
+    );
+    if tier == ExecTier::Functional {
+        println!(
+            "functional tier:     {} fast entries, {} deopts, {} samples ({} mismatches, {} sampled cycles)",
+            sum(|s| s.tier_fast_entries),
+            sum(|s| s.tier_deopts),
+            sum(|s| s.tier_samples),
+            sum(|s| s.tier_sample_mismatches),
+            sum(|s| s.tier_sampled_cycles)
+        );
+    }
+    if async_on {
+        println!(
+            "async translation:   {} enqueued, {} published, {} conflicts, {} stale entries, \
+             {} stall cycles avoided",
+            sum(|s| s.async_enqueued),
+            sum(|s| s.async_published),
+            sum(|s| s.async_publish_conflicts),
+            sum(|s| s.async_stale_entries),
+            sum(SystemStats::stall_cycles_avoided)
+        );
+    }
+    if let Some(hs) = hub {
+        println!(
+            "shared hub:          {} translations, {} re-translations, {} cache hits, \
+             {} single-flight waits, {} rollbacks, {} abandoned",
+            hs.translations_started,
+            hs.retranslations,
+            hs.probe_hits,
+            hs.single_flight_hits,
+            hs.rollbacks,
+            hs.abandoned
+        );
+        println!(
+            "publish ledger:      {} published + {} conflicts, {} keys live, epoch {}",
+            hs.translations_published, hs.publish_conflicts, hs.published_keys, hs.epoch
+        );
+    }
+    let verify_errors = sum(|s| s.verify_errors as u64);
+    let chain_errors = sum(|s| s.chain_errors as u64);
+    let verified = sum(|s| s.regions_verified as u64);
+    if verified > 0 || verify_errors > 0 || chain_errors > 0 {
+        println!(
+            "verification:        {verified} region(s) statically verified, {verify_errors} \
+             error(s), {} chain check(s) with {chain_errors} error(s)",
+            sum(|s| s.chain_checks)
+        );
+        for d in guests.iter().flat_map(|s| &s.verify_diagnostics) {
+            println!("  {d}");
+        }
+    }
+    if let Some(r) = guests
+        .iter()
+        .flat_map(|s| &s.per_region)
+        .max_by_key(|r| r.entries)
+    {
+        println!(
+            "hot region:          {} memops, working set {}, {} checks, {} antis",
+            r.opt.mem_ops, r.opt.working_set, r.opt.checks, r.opt.antis
+        );
+    }
+    if verify_errors > 0 || chain_errors > 0 {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Compares every guest's final state with a pure interpreter run;
+/// `false` on a mismatch. Budgeted runs are skipped.
+fn compare(program: &smarq_guest::Program, budget: u64, states: &[smarq_guest::ArchState]) -> bool {
+    if budget != u64::MAX {
+        eprintln!("state check:         skipped (budgeted run)");
+        return true;
+    }
+    let mut reference = smarq_guest::Interpreter::new();
+    reference.run(program, u64::MAX);
+    let expected = reference.arch_state();
+    if let Some(i) = states.iter().position(|s| *s != expected) {
+        eprintln!("state check:         guest {i} MISMATCH vs pure interpretation");
+        return false;
+    }
+    println!(
+        "state check:         {} guest(s) bit-exact vs pure interpretation",
+        states.len()
+    );
+    true
+}
+
 /// The `--guests N` path: N tenants of the same program over one shared
 /// translation hub, scheduled on `--threads M` host threads.
 fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Args) -> ExitCode {
@@ -302,62 +412,36 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
         .map(|i| GuestContext::new(i, program.clone(), &hub))
         .collect();
     let t0 = std::time::Instant::now();
-    let guests = run_multi(&hub, guests, args.threads, args.budget, DEFAULT_SLICE_STEPS);
+    let mut guests = run_multi(&hub, guests, args.threads, args.budget, DEFAULT_SLICE_STEPS);
     let wall = t0.elapsed().as_secs_f64();
-    hub.drain();
-    let hs = hub.stats();
-
+    // Settle in-flight jobs through a guest, so their verify findings
+    // land in the statistics the report sums.
+    guests[0].drain(&hub);
     let halted = guests.iter().filter(|g| g.halted()).count();
     let instrs: u64 = guests.iter().map(|g| g.stats().guest_instrs()).sum();
-    let rollbacks: u64 = guests.iter().map(|g| g.stats().rollbacks).sum();
-    println!("hardware:            {}", args.hw);
     println!(
-        "multi-guest:         {} guests on {} threads, {}/{} halted, {:.3}s wall",
-        args.guests, args.threads, halted, args.guests, wall
-    );
-    println!(
-        "guest instructions:  {} total ({:.2}M/s aggregate)",
-        instrs,
+        "multi-guest:         {} guests on {} threads, {}/{} halted, {:.3}s wall \
+         ({:.2}M guest instructions/s)",
+        args.guests,
+        args.threads,
+        halted,
+        args.guests,
+        wall,
         instrs as f64 / wall / 1.0e6
     );
-    println!(
-        "shared hub:          {} translations, {} re-translations, {} cache hits, \
-         {} single-flight waits, {} rollbacks, {} abandoned",
-        hs.translations_started,
-        hs.retranslations,
-        hs.probe_hits,
-        hs.single_flight_hits,
-        rollbacks,
-        hs.abandoned
+    let stats: Vec<&SystemStats> = guests.iter().map(GuestContext::stats).collect();
+    let status = report(
+        args,
+        cfg.exec_tier,
+        cfg.translate_workers > 0,
+        &stats,
+        Some(&hub.stats()),
     );
-    println!(
-        "publish ledger:      {} published + {} conflicts, {} keys live, epoch {}",
-        hs.translations_published, hs.publish_conflicts, hs.published_keys, hs.epoch
-    );
-
-    if args.compare {
-        if args.budget == u64::MAX {
-            let mut reference = smarq_guest::Interpreter::new();
-            reference.run(&program, u64::MAX);
-            let expected = reference.arch_state();
-            for g in &guests {
-                if g.interp().arch_state() != expected {
-                    eprintln!(
-                        "state check:         guest {} MISMATCH vs pure interpretation",
-                        g.id()
-                    );
-                    return ExitCode::from(1);
-                }
-            }
-            println!(
-                "state check:         all {} guests bit-exact vs pure interpretation",
-                args.guests
-            );
-        } else {
-            eprintln!("state check:         skipped (budgeted run)");
-        }
+    let states: Vec<_> = guests.iter().map(|g| g.interp().arch_state()).collect();
+    if args.compare && !compare(&program, args.budget, &states) {
+        return ExitCode::from(1);
     }
-    ExitCode::SUCCESS
+    status
 }
 
 fn main() -> ExitCode {
@@ -397,9 +481,6 @@ fn main() -> ExitCode {
     if args.verify {
         cfg.verify_translations = true;
     }
-    if let Some(d) = args.dispatch {
-        cfg.dispatch = d;
-    }
     if let Some(t) = args.exec_tier {
         cfg.exec_tier = t;
     }
@@ -428,57 +509,7 @@ fn main() -> ExitCode {
         sys.translation_drain();
     }
     let s = sys.stats();
-
-    println!("hardware:            {}", args.hw);
-    println!("guest instructions:  {}", s.guest_instrs());
-    println!("simulated cycles:    {}", s.total_cycles());
-    println!(
-        "regions:             {} formed, {} entries, {} rollbacks, {} re-translations",
-        s.regions_formed, s.region_entries, s.rollbacks, s.retranslations
-    );
-    println!(
-        "optimization:        {:.4}% of execution time",
-        s.optimization_overhead() * 100.0
-    );
-    if tier == ExecTier::Functional {
-        println!(
-            "functional tier:     {} fast entries, {} deopts, {} samples ({} mismatches, {} sampled cycles)",
-            s.tier_fast_entries,
-            s.tier_deopts,
-            s.tier_samples,
-            s.tier_sample_mismatches,
-            s.tier_sampled_cycles
-        );
-    }
-    if async_on {
-        println!(
-            "async translation:   {} enqueued, {} published, {} conflicts, {} stale entries, \
-             {} stall cycles avoided",
-            s.async_enqueued,
-            s.async_published,
-            s.async_publish_conflicts,
-            s.async_stale_entries,
-            s.stall_cycles_avoided()
-        );
-    }
-    if s.regions_verified > 0 || s.verify_errors > 0 {
-        println!(
-            "verification:        {} region(s) statically verified, {} error(s)",
-            s.regions_verified, s.verify_errors
-        );
-        for d in &s.verify_diagnostics {
-            println!("  {d}");
-        }
-        if s.verify_errors > 0 {
-            return ExitCode::from(1);
-        }
-    }
-    if let Some(r) = s.per_region.iter().max_by_key(|r| r.entries) {
-        println!(
-            "hot region:          {} memops, working set {}, {} checks, {} antis",
-            r.opt.mem_ops, r.opt.working_set, r.opt.checks, r.opt.antis
-        );
-    }
+    let status = report(&args, tier, async_on, &[s], None);
 
     if args.dump_region {
         // Re-derive the hot region's translation for display.
@@ -506,19 +537,8 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.compare {
-        let mut reference = smarq_guest::Interpreter::new();
-        reference.run(&program, args.budget);
-        if args.budget == u64::MAX {
-            if sys.interp().arch_state() == reference.arch_state() {
-                println!("state check:         bit-exact vs pure interpretation");
-            } else {
-                eprintln!("state check:         MISMATCH vs pure interpretation");
-                return ExitCode::from(1);
-            }
-        } else {
-            eprintln!("state check:         skipped (budgeted run)");
-        }
+    if args.compare && !compare(&program, args.budget, &[sys.interp().arch_state()]) {
+        return ExitCode::from(1);
     }
-    ExitCode::SUCCESS
+    status
 }

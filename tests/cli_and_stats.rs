@@ -116,3 +116,49 @@ fn multi_guest_assembly_matches_interpreter() {
         "one hot region, translated once for all guests"
     );
 }
+
+/// The removed `--dispatch` flag is a usage error like any other unknown
+/// flag: exit status 2, no panic.
+#[test]
+fn dispatch_flag_is_rejected_as_unknown() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+        .args(["examples/hoist_loop.s", "--dispatch", "naive"])
+        .output()
+        .expect("spawn smarq-run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// `--verify` fails a run whose translations the verifier rejects, on
+/// the single-guest and the multi-guest path alike. The injected
+/// dependence-dropping fault makes the optimizer speculate past real
+/// dependences on a fuzz-generated program.
+#[test]
+fn verify_errors_fail_single_and_multi_guest_runs() {
+    let program = smarq_fuzz::generate(2, &smarq_fuzz::FuzzParams::default());
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("verify_fault_seed2.s");
+    std::fs::write(&path, smarq_guest::disassemble(&program)).expect("write program");
+    let run = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+            .arg(&path)
+            .arg("--verify")
+            .args(extra)
+            .env("SMARQ_FAULT_DROP_DEPS", "1")
+            .output()
+            .expect("spawn smarq-run");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let (single, stdout) = run(&[]);
+    assert_eq!(
+        single,
+        Some(1),
+        "precondition: single guest fails\n{stdout}"
+    );
+    let (multi, stdout) = run(&["--guests", "2"]);
+    assert_eq!(multi, Some(1), "{stdout}");
+    assert!(stdout.contains("\"severity\": \"error\""), "{stdout}");
+}

@@ -1,19 +1,19 @@
 //! Corpus-wide differential for the chained dispatcher.
 //!
-//! Every minimized repro in `tests/corpus/` is executed twice through the
-//! full `DynOptSystem` — once with region chaining enabled (the default
-//! dispatcher: flat cache, memoized region→region links, resident guest
-//! state, batched stat sync) and once with `DispatchMode::Naive` (the
-//! seed's per-block hashmap dispatcher, retained as an oracle). The two
-//! runs must agree bit-exactly on final architectural state and on
-//! guest-instruction accounting, under every hardware scheme.
+//! Every minimized repro in `tests/corpus/` is executed through the full
+//! `DynOptSystem` (flat cache, memoized region→region links, resident
+//! guest state, batched stat sync) and against a pure interpreter run of
+//! the same program. The two must agree bit-exactly on final
+//! architectural state under every hardware scheme, and the corpus as a
+//! whole must actually follow chain links.
 //!
 //! The targeted mid-chain alias-exception tests (unlink, rollback,
-//! blacklist, re-convergence) live next to the dispatcher in
+//! blacklist, re-convergence) live next to the facade in
 //! `crates/runtime/src/system.rs`; this test is the breadth half.
 
 use smarq_fuzz::{load_dir, schemes};
-use smarq_runtime::{DispatchMode, DynOptSystem, SystemConfig};
+use smarq_guest::Interpreter;
+use smarq_runtime::{DynOptSystem, SystemConfig};
 use std::path::Path;
 
 #[test]
@@ -28,38 +28,19 @@ fn corpus_is_bit_exact_with_chaining_on_and_off() {
 
     let mut chained_follows = 0u64;
     for (path, program) in &entries {
+        let mut reference = Interpreter::new();
+        reference.run(program, u64::MAX);
         for (label, opt) in schemes() {
             let mut cfg = SystemConfig::with_opt(opt);
             // Low threshold so the short corpus programs form regions.
             cfg.hot_threshold = 10;
-
-            let mut chained_cfg = cfg.clone();
-            chained_cfg.dispatch = DispatchMode::Chained;
-            let mut chained = DynOptSystem::new(program.clone(), chained_cfg);
+            let mut chained = DynOptSystem::new(program.clone(), cfg);
             chained.run_to_completion(u64::MAX);
-
-            let mut naive_cfg = cfg;
-            naive_cfg.dispatch = DispatchMode::Naive;
-            let mut naive = DynOptSystem::new(program.clone(), naive_cfg);
-            naive.run_to_completion(u64::MAX);
-
             assert_eq!(
                 chained.interp().arch_state(),
-                naive.interp().arch_state(),
-                "{} under {label}: chained and naive dispatch left \
-                 different architectural state",
-                path.display()
-            );
-            assert_eq!(
-                chained.stats().guest_instrs(),
-                naive.stats().guest_instrs(),
-                "{} under {label}: guest-instruction totals diverged",
-                path.display()
-            );
-            assert_eq!(
-                naive.stats().chain_follows,
-                0,
-                "{} under {label}: naive dispatch must never follow links",
+                reference.arch_state(),
+                "{} under {label}: chained dispatch and pure interpretation \
+                 left different architectural state",
                 path.display()
             );
             chained_follows += chained.stats().chain_follows;
