@@ -20,9 +20,10 @@
 //!   the register checkpoint *and* the store-undo log — commit is a
 //!   no-op, stores write through directly.
 //! * **Inlined alias queue**: under SMARQ with a hardware-sized file
-//!   (≤ 64 registers) the check/set/rotate/AMOV effects run against
-//!   [`FastAliasQueue`], a single-`u64` bitmask form of the ordered
-//!   queue, instead of the generic `AliasHardware` dispatch.
+//!   (≤ 64 registers) the check/set/rotate/AMOV effects call
+//!   [`FastAliasQueue`], the single-`u64` bitmask form of the ordered
+//!   queue that the cycle simulator also runs, directly instead of
+//!   through the generic `AliasHardware` dispatch.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -589,13 +590,14 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
     (v, 0)
 }
 
-/// Alias-detection state of the fast tier: the inlined single-word SMARQ
-/// queue when the configuration allows it, the generic hardware models
-/// otherwise. Bit-exact with the cycle simulator's `AnyAliasHw` either
-/// way.
+/// Alias-detection state of the fast tier: the hardware
+/// [`AnyAliasHw::for_kind`] builds, with the single-word SMARQ queue
+/// pulled out so the hot loop calls it without the enum dispatch. The
+/// cycle simulator runs the same queue, so the two tiers share one
+/// access routine.
 #[derive(Clone, Debug)]
 enum QueueImpl {
-    /// Inlined bitmask SMARQ queue (≤ 64 registers).
+    /// Single-word SMARQ queue (≤ 64 registers), called directly.
     Inline(FastAliasQueue),
     /// Generic dispatch for Efficeon/ALAT/none or oversized files.
     Generic(AnyAliasHw),
@@ -609,14 +611,12 @@ pub struct FastSim {
 }
 
 impl FastSim {
-    /// Creates an executor for the given hardware scheme, mirroring the
-    /// sizing rules of [`AnyAliasHw::for_kind`].
+    /// Creates an executor for the given hardware scheme, sized by
+    /// [`AnyAliasHw::for_kind`].
     pub fn new(kind: HwKind, num_regs: u32) -> Self {
-        let queue = match kind {
-            HwKind::Smarq if num_regs.max(1) <= 64 => {
-                QueueImpl::Inline(FastAliasQueue::new(num_regs.max(1)))
-            }
-            _ => QueueImpl::Generic(AnyAliasHw::for_kind(kind, num_regs)),
+        let queue = match AnyAliasHw::for_kind(kind, num_regs) {
+            AnyAliasHw::Smarq(q) => QueueImpl::Inline(q),
+            hw => QueueImpl::Generic(hw),
         };
         FastSim { queue }
     }
@@ -834,36 +834,13 @@ impl FastSim {
         if !matches!(alias, AliasAnnot::None) {
             stats.alias_checks += 1;
         }
-        match &mut self.queue {
-            QueueImpl::Inline(q) => {
-                let AliasAnnot::Smarq { p, c, offset } = alias else {
-                    debug_assert!(
-                        matches!(alias, AliasAnnot::None),
-                        "SMARQ fast queue received a foreign annotation: {alias:?}"
-                    );
-                    return Ok(());
-                };
-                let range = MemRange::word(addr);
-                if c {
-                    stats.entries_scanned += u64::from(q.valid_from(offset));
-                    if let Some(producer) = q.check_first(offset, is_load, range) {
-                        return Err(AliasViolation {
-                            checker_tag: tag,
-                            producer_tag: producer,
-                        });
-                    }
-                }
-                if p {
-                    q.set(offset, range, tag, is_load);
-                }
-                Ok(())
-            }
-            QueueImpl::Generic(hw) => {
-                let examined = hw.mem_access(alias, MemRange::word(addr), is_load, tag)?;
-                stats.entries_scanned += u64::from(examined);
-                Ok(())
-            }
-        }
+        let range = MemRange::word(addr);
+        let examined = match &mut self.queue {
+            QueueImpl::Inline(q) => q.access(alias, range, is_load, tag),
+            QueueImpl::Generic(hw) => hw.mem_access(alias, range, is_load, tag),
+        }?;
+        stats.entries_scanned += u64::from(examined);
+        Ok(())
     }
 
     /// Alias-exception path: roll architectural state back and reset the
@@ -1010,6 +987,35 @@ mod tests {
         assert_eq!(fstate.regs, vstate.regs, "rollback restored registers");
         assert_eq!(fmem, vmem, "rollback restored memory");
         assert_eq!(fmem.read(0x100), 41, "store undone");
+    }
+
+    /// A store whose check offset equals the register count: both tiers
+    /// must reject it with the shared bounds-contract panic, in release
+    /// builds too (the cycle-tier twin lives in `smarq_vliw::sim`).
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn out_of_range_check_offset_panics_on_the_fast_tier() {
+        let program = VliwProgram {
+            bundles: vec![Bundle {
+                ops: vec![
+                    VliwOp::Store {
+                        rs: 1,
+                        base: 2,
+                        disp: 0,
+                        alias: smarq_annot(false, true, 4),
+                        tag: 1,
+                    },
+                    VliwOp::Exit {
+                        exit_id: 0,
+                        cond: None,
+                    },
+                ],
+            }],
+            exits: exit_targets(1),
+        };
+        let prog = compile(&program).expect("test region compiles");
+        let mut fast = FastSim::new(HwKind::Smarq, 4);
+        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
     }
 
     #[test]

@@ -2,10 +2,31 @@
 //! (Table 1 and §2): the SMARQ ordered register queue, a
 //! Transmeta-Efficeon-style bit-mask file, an Itanium-ALAT-style table, and
 //! no hardware at all.
+//!
+//! SMARQ has two storage forms with one semantics. Files of up to 64
+//! registers (every shipped configuration) run on
+//! [`FastAliasQueue`], a single occupancy word that the cycle simulator
+//! (through [`AnyAliasHw`]) and the functional tier share; wider files
+//! (`smarq-run --regs 128`) fall back to [`SmarqQueueHw`] over the generic
+//! [`smarq::queue::AliasQueue`], which also stays the symbolic
+//! validator's model. Both forms enforce one bounds contract and panic
+//! with one message when a translated region breaks it.
 
+use crate::fast::FastAliasQueue;
 use crate::isa::{AliasAnnot, MemRange};
-use smarq::queue::AliasQueue;
+use smarq::queue::{AliasQueue, QueueOverflow};
 use std::fmt;
+
+/// The SMARQ bounds contract: every offset a translated region names is
+/// below the register count, and one rotation releases at most that many
+/// registers. A violation is a translator bug, so every SMARQ queue form
+/// panics here, with one message on every execution tier, instead of
+/// reading a wrapped or empty window.
+#[cold]
+#[inline(never)]
+pub(crate) fn contract_violation(e: QueueOverflow) -> ! {
+    panic!("SMARQ queue contract violated: {e}")
+}
 
 /// A detected (or spuriously detected) alias: the running memory operation
 /// `checker_tag` conflicted with the range set by `producer_tag`.
@@ -79,7 +100,10 @@ pub trait AliasHardware {
 }
 
 /// The SMARQ ordered alias register queue with P/C bits, rotation and AMOV
-/// (paper §3), backed by the functional model in [`smarq::queue`].
+/// (paper §3), backed by the functional model in [`smarq::queue`]. It
+/// serves files wider than one occupancy word; [`AnyAliasHw::for_kind`]
+/// builds [`FastAliasQueue`] for everything up to 64 registers, and the
+/// unit tests hold the two bit-exact.
 #[derive(Clone, Debug)]
 pub struct SmarqQueueHw {
     queue: AliasQueue<(MemRange, u32)>,
@@ -116,18 +140,21 @@ impl AliasHardware for SmarqQueueHw {
             );
             return Ok(0);
         };
+        if offset >= self.num_regs {
+            contract_violation(QueueOverflow {
+                offset,
+                num_regs: self.num_regs,
+            });
+        }
         let mut examined = 0;
         if c {
-            examined = self
-                .queue
-                .valid_from(offset)
-                .expect("translator emitted an in-range offset");
+            examined = self.queue.valid_from(offset).expect("offset checked");
             // Allocation-free first-hit scan: an alias exception fires on
             // the first conflicting entry, so later hits are irrelevant.
             let hit = self
                 .queue
                 .check_first(offset, is_load, |&(r, _)| r.overlaps(range))
-                .expect("translator emitted an in-range offset");
+                .expect("offset checked");
             if let Some(h) = hit {
                 let producer = self
                     .queue
@@ -145,7 +172,7 @@ impl AliasHardware for SmarqQueueHw {
         if p {
             self.queue
                 .set(offset, (range, tag), is_load)
-                .expect("translator emitted an in-range offset");
+                .expect("offset checked");
         }
         Ok(examined)
     }
@@ -153,11 +180,13 @@ impl AliasHardware for SmarqQueueHw {
     fn rotate(&mut self, amount: u32) {
         self.queue
             .rotate(amount)
-            .expect("rotation within file size");
+            .unwrap_or_else(|e| contract_violation(e));
     }
 
     fn amov(&mut self, src: u32, dst: u32) {
-        self.queue.amov(src, dst).expect("AMOV offsets in range");
+        self.queue
+            .amov(src, dst)
+            .unwrap_or_else(|e| contract_violation(e));
     }
 
     fn reset(&mut self) {
@@ -310,8 +339,10 @@ impl AliasHardware for AlatHw {
 /// pick the scheme at run time without generics.
 #[derive(Clone, Debug)]
 pub enum AnyAliasHw {
-    /// SMARQ ordered queue.
-    Smarq(SmarqQueueHw),
+    /// SMARQ ordered queue on one occupancy word (≤ 64 registers).
+    Smarq(FastAliasQueue),
+    /// SMARQ ordered queue wider than one occupancy word.
+    SmarqWide(SmarqQueueHw),
     /// Efficeon bit-mask file.
     Efficeon(EfficeonHw),
     /// Itanium-like ALAT.
@@ -322,10 +353,15 @@ pub enum AnyAliasHw {
 
 impl AnyAliasHw {
     /// Builds the hardware for `kind`. `num_regs` sizes the SMARQ queue or
-    /// the Efficeon file; the ALAT grows on demand.
+    /// the Efficeon file; the ALAT grows on demand. SMARQ files of up to
+    /// [`FastAliasQueue::MAX_REGS`] registers get the single-word queue,
+    /// wider ones [`SmarqQueueHw`].
     pub fn for_kind(kind: HwKind, num_regs: u32) -> Self {
         match kind {
-            HwKind::Smarq => AnyAliasHw::Smarq(SmarqQueueHw::new(num_regs.max(1))),
+            HwKind::Smarq => match num_regs.max(1) {
+                n if n <= FastAliasQueue::MAX_REGS => AnyAliasHw::Smarq(FastAliasQueue::new(n)),
+                n => AnyAliasHw::SmarqWide(SmarqQueueHw::new(n)),
+            },
             HwKind::Efficeon => {
                 AnyAliasHw::Efficeon(EfficeonHw::new(num_regs.min(EfficeonHw::MAX_REGS)))
             }
@@ -344,7 +380,8 @@ impl AliasHardware for AnyAliasHw {
         tag: u32,
     ) -> Result<u32, AliasViolation> {
         match self {
-            AnyAliasHw::Smarq(h) => h.mem_access(annot, range, is_load, tag),
+            AnyAliasHw::Smarq(q) => q.access(annot, range, is_load, tag),
+            AnyAliasHw::SmarqWide(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Efficeon(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Alat(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::None(h) => h.mem_access(annot, range, is_load, tag),
@@ -353,7 +390,8 @@ impl AliasHardware for AnyAliasHw {
 
     fn rotate(&mut self, amount: u32) {
         match self {
-            AnyAliasHw::Smarq(h) => h.rotate(amount),
+            AnyAliasHw::Smarq(q) => q.rotate(amount),
+            AnyAliasHw::SmarqWide(h) => h.rotate(amount),
             AnyAliasHw::Efficeon(h) => h.rotate(amount),
             AnyAliasHw::Alat(h) => h.rotate(amount),
             AnyAliasHw::None(h) => h.rotate(amount),
@@ -362,7 +400,8 @@ impl AliasHardware for AnyAliasHw {
 
     fn amov(&mut self, src: u32, dst: u32) {
         match self {
-            AnyAliasHw::Smarq(h) => h.amov(src, dst),
+            AnyAliasHw::Smarq(q) => q.amov(src, dst),
+            AnyAliasHw::SmarqWide(h) => h.amov(src, dst),
             AnyAliasHw::Efficeon(h) => h.amov(src, dst),
             AnyAliasHw::Alat(h) => h.amov(src, dst),
             AnyAliasHw::None(h) => h.amov(src, dst),
@@ -371,7 +410,9 @@ impl AliasHardware for AnyAliasHw {
 
     fn alat_clear(&mut self, entry: u32) {
         match self {
-            AnyAliasHw::Smarq(h) => h.alat_clear(entry),
+            // SMARQ hardware ignores ALAT entry management.
+            AnyAliasHw::Smarq(_) => {}
+            AnyAliasHw::SmarqWide(h) => h.alat_clear(entry),
             AnyAliasHw::Efficeon(h) => h.alat_clear(entry),
             AnyAliasHw::Alat(h) => h.alat_clear(entry),
             AnyAliasHw::None(h) => h.alat_clear(entry),
@@ -380,7 +421,8 @@ impl AliasHardware for AnyAliasHw {
 
     fn reset(&mut self) {
         match self {
-            AnyAliasHw::Smarq(h) => h.reset(),
+            AnyAliasHw::Smarq(q) => q.reset(),
+            AnyAliasHw::SmarqWide(h) => h.reset(),
             AnyAliasHw::Efficeon(h) => h.reset(),
             AnyAliasHw::Alat(h) => h.reset(),
             AnyAliasHw::None(h) => h.reset(),
@@ -541,6 +583,20 @@ mod tests {
             2,
         )
         .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn wide_queue_enforces_the_same_bounds_contract() {
+        // A P-only access names no window, yet its offset is still checked.
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 65);
+        assert!(matches!(hw, AnyAliasHw::SmarqWide(_)));
+        let annot = AliasAnnot::Smarq {
+            p: true,
+            c: false,
+            offset: 65,
+        };
+        let _ = hw.mem_access(annot, rng(0x100), true, 1);
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Fast-functional execution state: the compact register file the
-//! functional tier runs on, plus the inlined single-word SMARQ alias
-//! queue it uses in place of the generic hardware models.
+//! Fast-functional execution state and the single-word SMARQ alias
+//! queue.
 //!
 //! The cycle-level [`Simulator`](crate::Simulator) owns the timing model
 //! (scoreboard, issue, latencies); the functional tier reproduces only
 //! the *architectural* semantics — register/memory effects and alias
 //! exceptions — bit-exactly, so the cycle simulator can stay behind as a
-//! sampled timing/differential oracle. This module provides the pieces
-//! the tier shares with the rest of the machine substrate:
+//! sampled timing/differential oracle. This module provides:
 //!
 //! * [`FastState`]: both register files plus the recycled store-undo log
 //!   and masked register checkpoint that make alias-exception rollback
@@ -15,7 +13,10 @@
 //! * [`FastAliasQueue`]: the SMARQ ordered queue flattened onto a single
 //!   `u64` occupancy word (hardware configurations have ≤ 64 alias
 //!   registers), replicating [`smarq::queue::AliasQueue`]'s first-hit
-//!   scan order, load-set filtering, rotation and AMOV semantics.
+//!   scan order, load-set filtering, rotation and AMOV semantics. Both
+//!   tiers run it: the cycle simulator through
+//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq), the functional tier
+//!   by calling [`FastAliasQueue::access`] directly.
 //!
 //! The lowering from [`VliwProgram`](crate::VliwProgram) to the
 //! functional op stream, and the executor driving this state, live in
@@ -23,8 +24,10 @@
 //! in and out of guest registers and [`VliwState`] lives here so the
 //! runtime can tier-down a sampled execution onto the cycle simulator.
 
-use crate::isa::MemRange;
+use crate::alias_hw::{contract_violation, AliasViolation};
+use crate::isa::{AliasAnnot, MemRange};
 use crate::sim::{RegionWriteMask, VliwState};
+use smarq::queue::QueueOverflow;
 use smarq_guest::Memory;
 
 /// Architectural state of the fast-functional tier: the 64+64 register
@@ -149,17 +152,19 @@ fn span_mask(a: u32, b: u32) -> u64 {
 }
 
 /// The SMARQ ordered alias register queue flattened onto one `u64`
-/// occupancy word — the inlined form the fast-functional tier uses for
-/// hardware-sized files (≤ 64 registers; larger files fall back to the
-/// generic [`AnyAliasHw`](crate::AnyAliasHw)).
+/// occupancy word — the form both execution tiers run for
+/// hardware-sized files (≤ [`MAX_REGS`](Self::MAX_REGS) registers;
+/// larger files fall back to [`SmarqQueueHw`](crate::SmarqQueueHw)).
 ///
 /// Bit-exact with [`SmarqQueueHw`](crate::SmarqQueueHw) /
 /// [`smarq::queue::AliasQueue`]: checks scan offsets `from..n` in
 /// ascending order and report the *first* conflicting producer, loads
 /// skip load-set entries, rotation clears the registers that rotate
 /// out, and AMOV moves (or clears, for `src == dst`) a single entry.
-/// The unit tests drive both implementations through random operation
-/// sequences and assert identical observable behavior.
+/// Offsets, rotations and AMOV operands are bounds-checked in every
+/// build, with the same panic as the wide queue. The unit tests drive
+/// both implementations through random operation sequences and assert
+/// identical observable behavior.
 #[derive(Clone, Debug)]
 pub struct FastAliasQueue {
     /// Recorded access range per physical slot (valid where `occ` set).
@@ -177,6 +182,9 @@ pub struct FastAliasQueue {
 }
 
 impl FastAliasQueue {
+    /// Largest register file one occupancy word covers.
+    pub const MAX_REGS: u32 = 64;
+
     /// Creates a queue with `num_regs` registers, all free.
     ///
     /// # Panics
@@ -184,7 +192,7 @@ impl FastAliasQueue {
     /// only covers hardware-sized files.
     pub fn new(num_regs: u32) -> Self {
         assert!(
-            (1..=64).contains(&num_regs),
+            (1..=Self::MAX_REGS).contains(&num_regs),
             "fast alias queue covers 1..=64 registers, got {num_regs}"
         );
         FastAliasQueue {
@@ -210,9 +218,20 @@ impl FastAliasQueue {
         self.base = 0;
     }
 
+    /// Enforces the bounds contract on `offset`.
+    #[inline]
+    fn check_bounds(&self, offset: u32) {
+        if offset >= self.n {
+            contract_violation(QueueOverflow {
+                offset,
+                num_regs: self.n,
+            });
+        }
+    }
+
+    /// Physical slot of an in-bounds `offset`.
     #[inline]
     fn phys(&self, offset: u32) -> u32 {
-        debug_assert!(offset < self.n, "offset {offset} out of {} regs", self.n);
         let p = self.base + offset;
         if p >= self.n {
             p - self.n
@@ -234,9 +253,54 @@ impl FastAliasQueue {
         }
     }
 
-    /// **set** (`P` bit): records `range`/`tag` at `offset`.
+    /// One annotated memory access — the SMARQ semantics both tiers
+    /// share. The `C` check runs before the `P` set, so an op never
+    /// aliases with itself; a hit raises an [`AliasViolation`] naming the
+    /// first conflicting producer, otherwise the result is the number of
+    /// valid entries the check examined (the `entries_scanned` energy
+    /// proxy). Non-SMARQ annotations are ignored.
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when the check finds an overlapping entry.
+    ///
+    /// # Panics
+    /// Panics when `offset` is outside the register file (the bounds
+    /// contract).
     #[inline]
-    pub fn set(&mut self, offset: u32, range: MemRange, tag: u32, is_load: bool) {
+    pub fn access(
+        &mut self,
+        annot: AliasAnnot,
+        range: MemRange,
+        is_load: bool,
+        tag: u32,
+    ) -> Result<u32, AliasViolation> {
+        let AliasAnnot::Smarq { p, c, offset } = annot else {
+            debug_assert!(
+                matches!(annot, AliasAnnot::None),
+                "SMARQ hardware received a foreign annotation: {annot:?}"
+            );
+            return Ok(0);
+        };
+        self.check_bounds(offset);
+        let mut examined = 0;
+        if c {
+            examined = self.valid_from(offset);
+            if let Some(producer) = self.check_first(offset, is_load, range) {
+                return Err(AliasViolation {
+                    checker_tag: tag,
+                    producer_tag: producer,
+                });
+            }
+        }
+        if p {
+            self.set(offset, range, tag, is_load);
+        }
+        Ok(examined)
+    }
+
+    /// **set** (`P` bit): records `range`/`tag` at an in-bounds `offset`.
+    #[inline]
+    fn set(&mut self, offset: u32, range: MemRange, tag: u32, is_load: bool) {
         let idx = self.phys(offset);
         self.ranges[idx as usize] = range;
         self.tags[idx as usize] = tag;
@@ -252,7 +316,7 @@ impl FastAliasQueue {
     /// in ascending order (loads skip load-set entries) and returns the
     /// producer tag of the *first* one overlapping `range`, if any.
     #[inline]
-    pub fn check_first(&self, offset: u32, is_load: bool, range: MemRange) -> Option<u32> {
+    fn check_first(&self, offset: u32, is_load: bool, range: MemRange) -> Option<u32> {
         let candidates = if is_load {
             self.occ & !self.by_load
         } else {
@@ -274,16 +338,25 @@ impl FastAliasQueue {
     /// Number of valid entries a check starting at `offset` examines
     /// (the energy proxy; a popcount over the occupancy window).
     #[inline]
-    pub fn valid_from(&self, offset: u32) -> u32 {
+    fn valid_from(&self, offset: u32) -> u32 {
         let [r1, r2] = self.window(offset);
         (self.occ & (span_mask(r1.0, r1.1) | span_mask(r2.0, r2.1))).count_ones()
     }
 
     /// **rotate k**: advances the base by `amount`, clearing the
     /// registers that rotate out.
+    ///
+    /// # Panics
+    /// Panics when `amount` exceeds the register count (the bounds
+    /// contract).
     #[inline]
     pub fn rotate(&mut self, amount: u32) {
-        debug_assert!(amount <= self.n, "rotation within file size");
+        if amount > self.n {
+            contract_violation(QueueOverflow {
+                offset: amount,
+                num_regs: self.n,
+            });
+        }
         // Offsets 0..amount occupy the physical window starting at base.
         let start = self.base;
         let released = if start + amount <= self.n {
@@ -301,8 +374,14 @@ impl FastAliasQueue {
     /// **AMOV src, dst**: moves the entry at `src` to `dst`, clearing
     /// `src`; `src == dst` just clears. Moving an empty register clears
     /// `dst` (exactly as the reference queue does).
+    ///
+    /// # Panics
+    /// Panics when either offset is outside the register file (the
+    /// bounds contract).
     #[inline]
     pub fn amov(&mut self, src: u32, dst: u32) {
+        self.check_bounds(src);
+        self.check_bounds(dst);
         let sidx = self.phys(src);
         let present = self.occ & (1u64 << sidx) != 0;
         let was_load = self.by_load & (1u64 << sidx) != 0;
@@ -392,54 +471,37 @@ mod tests {
         }
     }
 
-    /// Drives the fast single-word queue and the reference SMARQ
-    /// hardware through random operation sequences: every check must
-    /// agree on hit/miss, producer tag and examined-entry count.
+    /// Drives the shared access routine of the single-word queue and the
+    /// wide SMARQ hardware through random operation sequences: every
+    /// access must agree on the examined-entry count, or on the
+    /// first-hit producer tag when the check fires.
     #[test]
     fn fast_queue_matches_reference_hardware() {
-        for &regs in &[1u32, 2, 5, 63, 64] {
+        for &regs in &[1u32, 2, 5, 16, 63, 64] {
             let mut rng = Prng::new(u64::from(regs) * 977 + 5);
             let mut fast = FastAliasQueue::new(regs);
             let mut reference = SmarqQueueHw::new(regs);
             let mut tag = 0u32;
+            let (mut hits, mut scanned) = (0, 0);
             for step in 0..600 {
                 match rng.bounded(8) {
                     0..=4 => {
                         // A memory access with random P/C bits.
-                        let p = rng.chance(1, 2);
-                        let c = rng.chance(1, 2);
-                        if !p && !c {
-                            continue;
-                        }
-                        let offset = rng.range_u32(0, regs);
+                        let annot = AliasAnnot::Smarq {
+                            p: rng.chance(1, 2),
+                            c: rng.chance(1, 2),
+                            offset: rng.range_u32(0, regs),
+                        };
                         let is_load = rng.chance(1, 2);
                         let addr = u64::from(rng.range_u32(0, 6)) * 8 + 0x100;
                         let range = MemRange::word(addr);
                         tag += 1;
-                        let annot = AliasAnnot::Smarq { p, c, offset };
                         let expect = reference.mem_access(annot, range, is_load, tag);
-                        let mut examined = 0;
-                        let got = if c {
-                            examined = fast.valid_from(offset);
-                            fast.check_first(offset, is_load, range)
-                        } else {
-                            None
-                        };
-                        match expect {
-                            Ok(n) => {
-                                assert_eq!(got, None, "regs={regs} step={step}");
-                                assert_eq!(examined, n, "regs={regs} step={step}");
-                                if p {
-                                    fast.set(offset, range, tag, is_load);
-                                }
-                            }
-                            Err(v) => {
-                                assert_eq!(
-                                    got,
-                                    Some(v.producer_tag),
-                                    "regs={regs} step={step}: first-hit producer"
-                                );
-                            }
+                        let got = fast.access(annot, range, is_load, tag);
+                        assert_eq!(got, expect, "regs={regs} step={step}");
+                        match got {
+                            Ok(n) => scanned += n,
+                            Err(_) => hits += 1,
                         }
                     }
                     5 => {
@@ -461,7 +523,20 @@ mod tests {
                     }
                 }
             }
+            assert!(hits > 0 && scanned > 0, "regs={regs}: stream too tame");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn over_long_rotation_panics() {
+        FastAliasQueue::new(4).rotate(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn out_of_range_amov_panics() {
+        FastAliasQueue::new(4).amov(0, 4);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   latencies (our substitute for the paper's lost Table 2 — see
 //!   EXPERIMENTS.md);
 //! * the four alias-detection hardware models of the paper's comparison
-//!   (Table 1): the SMARQ ordered queue ([`SmarqQueueHw`]), a
+//!   (Table 1): the SMARQ ordered queue ([`FastAliasQueue`] on one
+//!   occupancy word for files of up to 64 registers, [`SmarqQueueHw`]
+//!   beyond; [`AnyAliasHw::for_kind`] picks), a
 //!   Transmeta-Efficeon-style bit-mask file ([`EfficeonHw`]), an
 //!   Itanium-ALAT-style table with false positives ([`AlatHw`]), and
 //!   [`NoAliasHw`];

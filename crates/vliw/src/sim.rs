@@ -644,7 +644,7 @@ fn fp_sources(op: &VliwOp) -> impl Iterator<Item = u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias_hw::{NoAliasHw, SmarqQueueHw};
+    use crate::alias_hw::{AnyAliasHw, HwKind, NoAliasHw};
     use crate::isa::{Bundle, ExitTarget};
     use smarq_guest::AluOp;
 
@@ -823,7 +823,7 @@ mod tests {
             },
         ]);
         let cfg = MachineConfig::default();
-        let mut sim = Simulator::new(cfg, SmarqQueueHw::new(cfg.num_alias_regs));
+        let mut sim = Simulator::new(cfg, AnyAliasHw::for_kind(HwKind::Smarq, cfg.num_alias_regs));
         let mut st = VliwState::new();
         let mut mem = Memory::new();
         mem.write(0x100, 7);
@@ -840,6 +840,32 @@ mod tests {
         assert_eq!(st.regs[2], 0);
         assert_eq!(mem, mem_before, "memory rolled back");
         assert!(stats.cycles >= cfg.rollback_cycles);
+    }
+
+    /// A store whose check offset equals the register count: the cycle
+    /// tier panics with the same bounds-contract message as the fast tier
+    /// (`smarq_opt::fastcomp`'s twin test).
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn out_of_range_check_offset_panics_on_the_cycle_tier() {
+        let p = exit_program(vec![Bundle {
+            ops: vec![VliwOp::Store {
+                rs: 1,
+                base: 2,
+                disp: 0,
+                alias: AliasAnnot::Smarq {
+                    p: false,
+                    c: true,
+                    offset: 4,
+                },
+                tag: 1,
+            }],
+        }]);
+        let mut sim = Simulator::new(
+            MachineConfig::default(),
+            AnyAliasHw::for_kind(HwKind::Smarq, 4),
+        );
+        let _ = sim.run_region(&p, &mut VliwState::new(), &mut Memory::new());
     }
 
     /// The masked-checkpoint resident path must roll back to exactly the
@@ -896,7 +922,7 @@ mod tests {
         assert!(!mask.is_full());
 
         let cfg = MachineConfig::default();
-        let mut sim = Simulator::new(cfg, SmarqQueueHw::new(cfg.num_alias_regs));
+        let mut sim = Simulator::new(cfg, AnyAliasHw::for_kind(HwKind::Smarq, cfg.num_alias_regs));
         let mut st = VliwState::new();
         // Resident junk outside the guest window must survive the region
         // untouched (it is not in the write-set, so it is not saved).

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
-//!                  [--regs N] [--unroll N] [--budget N]
+//!                  [--regs 1..=4096] [--unroll N] [--budget N]
 //!                  [--exec-tier cycle|functional]
 //!                  [--async-translate] [--translate-workers N]
 //!                  [--translate-queue N] [--guests N] [--threads M]
@@ -37,6 +37,10 @@
 //! (`0` = a deterministic in-thread stepper) and `--translate-queue N`
 //! bounds the job queue.
 //!
+//! `--regs N` sizes the SMARQ alias register file, from 1 to
+//! [`MAX_ALIAS_REGS`]; files of up to 64 registers run on the single-word
+//! queue, wider ones on the generic one.
+//!
 //! `--guests N` (N >= 2) switches to the multi-guest runtime: N tenants
 //! of the same program run over one shared `TranslationHub` (sharded
 //! translation cache, single-flight dedup, shared blacklist), scheduled
@@ -53,6 +57,11 @@ use smarq_runtime::{
     SystemStats, TranslationHub, DEFAULT_SLICE_STEPS,
 };
 use std::process::ExitCode;
+
+/// Largest `--regs` value accepted. The wide queue allocates per
+/// register, so an unbounded value would abort on allocation instead of
+/// being reported as a usage error.
+const MAX_ALIAS_REGS: u32 = 4096;
 
 struct Args {
     file: String,
@@ -75,7 +84,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
-         [--regs N] [--unroll N] [--budget N] \
+         [--regs 1..=4096] [--unroll N] [--budget N] \
          [--exec-tier cycle|functional] [--async-translate] \
          [--translate-workers N] [--translate-queue N] \
          [--guests N] [--threads M] \
@@ -203,6 +212,10 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--hw" => args.hw = value("--hw")?,
             "--regs" => {
                 args.regs = value("--regs")?.parse().map_err(|_| usage())?;
+                if !(1..=MAX_ALIAS_REGS).contains(&args.regs) {
+                    eprintln!("--regs must be between 1 and {MAX_ALIAS_REGS}");
+                    return Err(usage());
+                }
             }
             "--unroll" => {
                 args.unroll = value("--unroll")?.parse().map_err(|_| usage())?;

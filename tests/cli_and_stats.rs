@@ -162,3 +162,36 @@ fn verify_errors_fail_single_and_multi_guest_runs() {
     assert_eq!(multi, Some(1), "{stdout}");
     assert!(stdout.contains("\"severity\": \"error\""), "{stdout}");
 }
+
+/// `--regs` is bounded: an oversized file is a usage error (exit 2, no
+/// allocation abort), while a file past one occupancy word still runs on
+/// the wide queue, bit-exact against pure interpretation.
+#[test]
+fn alias_register_count_is_bounded() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+            .args(args)
+            .output()
+            .expect("spawn smarq-run");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for regs in ["4000000000", "4097", "0"] {
+        let (code, _, stderr) = run(&["tests/corpus/seed_000000.s", "--regs", regs]);
+        assert_eq!(code, Some(2), "--regs {regs}: {stderr}");
+        assert!(stderr.contains("usage:"), "--regs {regs}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--regs {regs}: {stderr}");
+    }
+    for file in ["tests/corpus/seed_000000.s", "examples/hoist_loop.s"] {
+        let (code, stdout, stderr) = run(&[file, "--regs", "128", "--compare"]);
+        assert_eq!(code, Some(0), "{file}: {stderr}");
+        assert!(stdout.contains("bit-exact"), "{file}: {stdout}");
+        // The loop forms a region, so its run exercised the wide queue.
+        if file.starts_with("examples") {
+            assert!(stdout.contains("regions:             1 formed"), "{stdout}");
+        }
+    }
+}
