@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! smarq fuzz   [--seed N] [--cases N] [--budget-secs S] [--corpus-dir DIR]
-//!              [--max-repros N] [--multiguest G]
+//!              [--max-repros N] [--multiguest 0..=64]
 //!              [--inject-fault drop-plain-deps|drop-anti|drop-boundary|widen-range]
 //!              [--expect-divergence]
 //! smarq replay PATH...        # corpus files or directories
@@ -32,10 +32,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Largest `--multiguest` value accepted: each case runs that many
+/// guests, so an unbounded value exhausts memory instead of being
+/// reported as a usage error.
+const MAX_MULTI_GUESTS: usize = 64;
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq fuzz [--seed N] [--cases N] [--budget-secs S] [--corpus-dir DIR]\n\
-         \x20                 [--max-repros N] [--multiguest G]\n\
+         \x20                 [--max-repros N] [--multiguest 0..=64]\n\
          \x20                 [--inject-fault drop-plain-deps|drop-anti|drop-boundary|widen-range]\n\
          \x20                 [--expect-divergence]\n\
          \x20      smarq replay PATH...\n\
@@ -101,7 +106,11 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--multiguest" => match parse_num("--multiguest", value) {
-                Ok(v) => params.multi_guests = v,
+                Ok(v) if v <= MAX_MULTI_GUESTS => params.multi_guests = v,
+                Ok(_) => {
+                    eprintln!("--multiguest must be at most {MAX_MULTI_GUESTS}");
+                    return usage();
+                }
                 Err(e) => return fail(&e),
             },
             "--corpus-dir" => match value {

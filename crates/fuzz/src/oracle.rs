@@ -114,7 +114,7 @@ pub enum Divergence {
     /// Layer 1b: the fast functional tier diverged from the cycle
     /// simulator — different final architectural state, different
     /// guest-instruction accounting, or a sampled tier-down comparison
-    /// that came back non-bit-exact mid-run.
+    /// (state, memory or work counters) that disagreed mid-run.
     TierMismatch {
         /// Scheme label from [`schemes`].
         scheme: &'static str,
@@ -359,7 +359,9 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         // program, same scheme, functional tier on with every region entry
         // tier-down sampled: the final architectural state and the
         // guest-instruction accounting must match the cycle-sim run above,
-        // and every in-run sample must have been bit-exact.
+        // and every in-run sample must have been bit-exact, work counters
+        // included (so the compiled-out SMARQ queue's static examined
+        // counts are checked on every entry).
         let mut fast_cfg = cfg.clone();
         fast_cfg.exec_tier = ExecTier::Functional;
         fast_cfg.tier_sample_interval = 1;

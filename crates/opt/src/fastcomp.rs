@@ -19,11 +19,15 @@
 //!   raise an alias exception ([`FastProgram::can_fault`] false) skips
 //!   the register checkpoint *and* the store-undo log — commit is a
 //!   no-op, stores write through directly.
-//! * **Inlined alias queue**: under SMARQ with a hardware-sized file
-//!   (≤ 64 registers) the check/set/rotate/AMOV effects call
-//!   [`FastAliasQueue`], the single-`u64` bitmask form of the ordered
-//!   queue that the cycle simulator also runs, directly instead of
-//!   through the generic `AliasHardware` dispatch.
+//! * **Compiled-out alias queue**: a region is straight-line, so under
+//!   SMARQ the queue's state at every annotated op is fixed by the op's
+//!   position. `compile` replays [`FastAliasQueue`] once over the stream
+//!   (`QueuePlan`) and records, per memory op, the ordered producers its
+//!   check compares against, its static examined count and whether it
+//!   records its address. With a hardware-sized file (≤ 64 registers) a
+//!   check is then a few address compares, and `Rotate`/`Amov` do nothing
+//!   at run time; other schemes and wider files run the generic
+//!   `AliasHardware` dispatch.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -254,44 +258,213 @@ pub enum FastOp {
 }
 
 impl FastOp {
-    /// `true` when every register field indexes below `limit`. Debug-only
-    /// invariant check backing the executor's masked (unchecked) register
-    /// file accesses.
-    fn regs_in_range(&self, limit: u8) -> bool {
+    /// The largest register index any field of the op names (`0` for
+    /// ops without register operands); `compile` rejects the region when
+    /// it reaches past the 64-entry files.
+    fn max_reg(&self) -> u8 {
         match *self {
-            FastOp::IConst { rd, .. } => rd < limit,
-            FastOp::Alu { rd, ra, rb, .. } => rd < limit && ra < limit && rb < limit,
-            FastOp::AluImm { rd, ra, .. } => rd < limit && ra < limit,
-            FastOp::Copy { rd, ra } => rd < limit && ra < limit,
-            FastOp::FConst { fd, .. } => fd < limit,
-            FastOp::Fpu { fd, fa, fb, .. } => fd < limit && fa < limit && fb < limit,
-            FastOp::FCopy { fd, fa } => fd < limit && fa < limit,
-            FastOp::ItoF { fd, ra } => fd < limit && ra < limit,
-            FastOp::FtoI { rd, fa } => rd < limit && fa < limit,
-            FastOp::Load { rd, base, .. } => rd < limit && base < limit,
-            FastOp::Store { rs, base, .. } => rs < limit && base < limit,
-            FastOp::FLoad { fd, base, .. } => fd < limit && base < limit,
-            FastOp::FStore { fs, base, .. } => fs < limit && base < limit,
+            FastOp::IConst { rd, .. } => rd,
+            FastOp::Alu { rd, ra, rb, .. } => rd.max(ra).max(rb),
+            FastOp::AluImm { rd, ra, .. } | FastOp::Copy { rd, ra } => rd.max(ra),
+            FastOp::FConst { fd, .. } => fd,
+            FastOp::Fpu { fd, fa, fb, .. } => fd.max(fa).max(fb),
+            FastOp::FCopy { fd, fa } => fd.max(fa),
+            FastOp::ItoF { fd, ra } => fd.max(ra),
+            FastOp::FtoI { rd, fa } => rd.max(fa),
+            FastOp::Load { rd, base, .. } => rd.max(base),
+            FastOp::Store { rs, base, .. } => rs.max(base),
+            FastOp::FLoad { fd, base, .. } => fd.max(base),
+            FastOp::FStore { fs, base, .. } => fs.max(base),
             FastOp::AlatClear { .. }
             | FastOp::Rotate { .. }
             | FastOp::Amov { .. }
-            | FastOp::Exit { .. } => true,
-            FastOp::ExitIf { ra, rb, .. } => ra < limit && rb < limit,
-            FastOp::AluImmExitIf { rd, ra, ca, cb, .. } => {
-                rd < limit && ra < limit && ca < limit && cb < limit
-            }
-            FastOp::AluImmExitIfRep { rd, cb, .. } => rd < limit && cb < limit,
+            | FastOp::Exit { .. } => 0,
+            FastOp::ExitIf { ra, rb, .. } => ra.max(rb),
+            FastOp::AluImmExitIf { rd, ra, ca, cb, .. } => rd.max(ra).max(ca).max(cb),
+            FastOp::AluImmExitIfRep { rd, cb, .. } => rd.max(cb),
         }
     }
 }
 
+/// The SMARQ queue of one region, compiled out.
+///
+/// A region is straight-line code with side exits only, so at every
+/// annotated op the queue's occupancy, its load bits and the producer in
+/// each live register are fixed by the op's position; only addresses
+/// change between entries. [`compile`] therefore replays the queue once,
+/// on a [`FastAliasQueue`] of [`FastAliasQueue::MAX_REGS`] registers with
+/// producer ids standing in for addresses, and records per memory op
+/// what a check compares against. At run time a check only compares its
+/// address with the recorded addresses of its producers.
+///
+/// The plan holds on any file of `n` registers that satisfies the bounds
+/// contract (every offset below `n`, every rotation at most `n`): live
+/// entries then sit below `n`, so the window a check walks is the same
+/// at any `n` from the largest offset + 1 up to 64. [`FastSim`] enforces
+/// that contract once per entry.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct QueuePlan {
+    /// One entry per memory op, indexed by its position among the
+    /// region's memory ops (its *ordinal*).
+    mem: Box<[MemPlan]>,
+    /// Every check's producer list, concatenated.
+    producers: Box<[Producer]>,
+    /// Largest offset the region names (set, check or AMOV operand).
+    max_offset: u32,
+    /// Largest rotation the region performs.
+    max_rotation: u32,
+}
+
+/// What one memory op does to the compiled-out queue.
+#[derive(Clone, Copy, Debug, Default)]
+struct MemPlan {
+    /// `producers[start..end]` is the op's check list, in the order the
+    /// queue's window walk visits them (empty without a `C` bit).
+    start: u32,
+    /// End of the check list.
+    end: u32,
+    /// Valid entries the check examines (the `entries_scanned` proxy).
+    examined: u32,
+    /// Whether the `P` bit records the op's address.
+    records: bool,
+}
+
+/// A producer a check compares against.
+#[derive(Clone, Copy, Debug)]
+struct Producer {
+    /// The producer's memory-op ordinal (where its address is recorded).
+    ordinal: u32,
+    /// The producer's tag, reported in the alias exception.
+    tag: u32,
+}
+
+impl QueuePlan {
+    /// Replays the SMARQ queue over `ops`. Returns `None` when the
+    /// region carries a non-SMARQ annotation, or names an offset or AMOV
+    /// operand of 64 or more or a rotation past 64: such regions keep the
+    /// dynamic queue, which also enforces the bounds contract.
+    fn build(ops: &[FastOp]) -> Option<QueuePlan> {
+        const N: u32 = FastAliasQueue::MAX_REGS;
+        let mut queue = FastAliasQueue::new(N);
+        let (mut mem, mut producers, mut tags) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut max_offset, mut max_rotation) = (0, 0);
+        for op in ops {
+            let (alias, is_load, tag) = match *op {
+                FastOp::Load { alias, tag, .. } | FastOp::FLoad { alias, tag, .. } => {
+                    (alias, true, tag)
+                }
+                FastOp::Store { alias, tag, .. } | FastOp::FStore { alias, tag, .. } => {
+                    (alias, false, tag)
+                }
+                FastOp::Rotate { amount } => {
+                    if amount > N {
+                        return None;
+                    }
+                    max_rotation = max_rotation.max(amount);
+                    queue.rotate(amount);
+                    continue;
+                }
+                FastOp::Amov { src, dst } => {
+                    if src.max(dst) >= N {
+                        return None;
+                    }
+                    max_offset = max_offset.max(src).max(dst);
+                    queue.amov(src, dst);
+                    continue;
+                }
+                _ => continue,
+            };
+            let ordinal = mem.len() as u32;
+            let start = producers.len() as u32;
+            let entry = match alias {
+                AliasAnnot::None => MemPlan {
+                    start,
+                    end: start,
+                    ..MemPlan::default()
+                },
+                AliasAnnot::Smarq { p, c, offset } => {
+                    if offset >= N {
+                        return None;
+                    }
+                    max_offset = max_offset.max(offset);
+                    if c {
+                        queue.walk_window(offset, is_load, |_, producer| {
+                            producers.push(Producer {
+                                ordinal: producer,
+                                tag: tags[producer as usize],
+                            });
+                            false
+                        });
+                    }
+                    // Every op records a word of its own, so no check
+                    // hits and the replay follows the no-alias path.
+                    let word = MemRange::word(u64::from(ordinal) * 8);
+                    let examined = queue
+                        .access(alias, word, is_load, ordinal)
+                        .expect("distinct producer words never overlap");
+                    MemPlan {
+                        start,
+                        end: producers.len() as u32,
+                        examined,
+                        records: p,
+                    }
+                }
+                AliasAnnot::Efficeon { .. } | AliasAnnot::AlatSet { .. } => return None,
+            };
+            mem.push(entry);
+            tags.push(tag);
+        }
+        Some(QueuePlan {
+            mem: mem.into_boxed_slice(),
+            producers: producers.into_boxed_slice(),
+            max_offset,
+            max_rotation,
+        })
+    }
+
+    /// One planned memory access, the compiled-out form of
+    /// [`FastAliasQueue::access`]: compares the address of memory op
+    /// `ordinal` with the words its producers recorded in `words`, in
+    /// window order. The first overlap raises the [`AliasViolation`];
+    /// otherwise the op records its own word if its `P` bit is set and
+    /// the result is the static examined count.
+    #[inline]
+    fn access(
+        &self,
+        ordinal: usize,
+        addr: u64,
+        tag: u32,
+        words: &mut [u64],
+    ) -> Result<u32, AliasViolation> {
+        let m = self.mem[ordinal];
+        // Accesses are single words (`MemRange::word`), and two word
+        // ranges overlap exactly when they share the aligned word.
+        let word = addr & !7;
+        for p in &self.producers[m.start as usize..m.end as usize] {
+            if words[p.ordinal as usize] == word {
+                return Err(AliasViolation {
+                    checker_tag: tag,
+                    producer_tag: p.tag,
+                });
+            }
+        }
+        if m.records {
+            words[ordinal] = word;
+        }
+        Ok(m.examined)
+    }
+}
+
 /// A region compiled for the fast-functional tier: the flattened op
-/// stream plus the two facts the executor needs up front — the write
-/// mask (for the masked checkpoint) and whether any op can raise an
-/// alias exception at all.
+/// stream, the compiled-out SMARQ queue, and the two facts the executor
+/// needs up front — the write mask (for the masked checkpoint) and
+/// whether any op can raise an alias exception at all.
 #[derive(Clone, Debug)]
 pub struct FastProgram {
     ops: Box<[FastOp]>,
+    /// The compiled-out SMARQ queue; `None` for the regions
+    /// `QueuePlan::build` leaves to the dynamic one.
+    plan: Option<QueuePlan>,
     /// Registers the region may write (drives the masked checkpoint).
     pub write_mask: RegionWriteMask,
     /// `true` when some annotation in the region can raise an alias
@@ -304,16 +477,24 @@ impl FastProgram {
     pub fn ops(&self) -> &[FastOp] {
         &self.ops
     }
+
+    /// Whether the SMARQ queue is compiled out of this region.
+    pub fn is_planned(&self) -> bool {
+        self.plan.is_some()
+    }
 }
 
 /// Lowers an emitted region into a [`FastProgram`].
 ///
 /// Validation happens here, once, instead of on every execution: every
-/// exit id must be in range and the stream must end in an unconditional
-/// exit (the emitter guarantees both for well-formed regions).
+/// exit id must be in range, every register must index the 64-entry
+/// files, and the stream must end in an unconditional exit (the emitter
+/// guarantees all three for well-formed regions). The SMARQ queue is
+/// compiled out here too (`QueuePlan`).
 ///
 /// # Errors
 /// [`SimError::BadExitId`] for an out-of-range exit,
+/// [`SimError::BadRegister`] for a register past the files,
 /// [`SimError::MissingExit`] when control can fall off the end.
 pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
     let mut ops = Vec::with_capacity(program.op_count());
@@ -535,29 +716,35 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
     }
     let ops = fused;
     // The executor masks register indices to the 64-entry files instead
-    // of bounds-checking each access; pin the invariant that makes the
-    // mask a no-op here, where the op stream is born.
-    debug_assert!(
-        ops.iter().all(|op| op.regs_in_range(64)),
-        "VLIW program references a register >= 64"
-    );
-    // An ALAT store can fault on any valid entry regardless of its own
-    // annotation (false positives are the model's point), so the mere
-    // combination of an allocation and a later store makes the region
-    // faultable. Coarse (region-level, order-blind) but conservative.
-    let can_fault = has_check || (has_alat_set && has_store);
+    // of bounds-checking each access; rejecting wider indices here, where
+    // the op stream is born, makes the mask a no-op.
+    if let Some(reg) = ops.iter().map(FastOp::max_reg).max().filter(|&r| r >= 64) {
+        return Err(SimError::BadRegister { reg });
+    }
+    let plan = QueuePlan::build(&ops);
+    // A SMARQ check can only fire when its plan names a producer; without
+    // a plan, any check may. An ALAT store can fault on any valid entry
+    // regardless of its own annotation (false positives are the model's
+    // point), so the mere combination of an allocation and a later store
+    // makes the region faultable. Coarse (region-level, order-blind) but
+    // conservative.
+    let check_can_fire = match &plan {
+        Some(plan) => !plan.producers.is_empty(),
+        None => has_check,
+    };
+    let can_fault = check_can_fire || (has_alat_set && has_store);
     Ok(FastProgram {
         ops: ops.into_boxed_slice(),
+        plan,
         write_mask: RegionWriteMask::of(program),
         can_fault,
     })
 }
 
 /// Register index for the fast tier's fixed 64-entry files. The mask is
-/// a no-op for well-formed programs (`compile` debug-asserts every index
-/// is in range, and the cycle simulator panics past 64 long before a
-/// region reaches this tier); it exists so the optimizer can prove the
-/// access in-bounds and drop the per-operand bounds check.
+/// a no-op (`compile` rejects any index past the files); it exists so the
+/// optimizer can prove the access in-bounds and drop the per-operand
+/// bounds check.
 #[inline(always)]
 fn ridx(r: u8) -> usize {
     usize::from(r & 63)
@@ -590,59 +777,81 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
     (v, 0)
 }
 
-/// Alias-detection state of the fast tier: the hardware
-/// [`AnyAliasHw::for_kind`] builds, with the single-word SMARQ queue
-/// pulled out so the hot loop calls it without the enum dispatch. The
-/// cycle simulator runs the same queue, so the two tiers share one
-/// access routine.
-#[derive(Clone, Debug)]
-enum QueueImpl {
-    /// Single-word SMARQ queue (≤ 64 registers), called directly.
-    Inline(FastAliasQueue),
-    /// Generic dispatch for Efficeon/ALAT/none or oversized files.
-    Generic(AnyAliasHw),
-}
-
 /// Executor for [`FastProgram`]s: owns the alias-detection state and
 /// runs regions over a resident [`FastState`] with no timing model.
+///
+/// Under SMARQ with a single-word file (≤ 64 registers) a region that
+/// carries a `QueuePlan` runs with the queue compiled out: the only
+/// run-time detection state is the word each producer recorded on the
+/// current entry, and `Rotate`/`Amov` do nothing. Every other region and
+/// hardware kind runs the dynamic [`AnyAliasHw`].
 #[derive(Clone, Debug)]
 pub struct FastSim {
-    queue: QueueImpl,
+    hw: AnyAliasHw,
+    /// The word each planned producer recorded on the current entry, by
+    /// memory-op ordinal. Recycled across entries: a check's producers
+    /// always record earlier in the same entry, so stale words are never
+    /// read.
+    words: Vec<u64>,
 }
 
 impl FastSim {
     /// Creates an executor for the given hardware scheme, sized by
     /// [`AnyAliasHw::for_kind`].
     pub fn new(kind: HwKind, num_regs: u32) -> Self {
-        let queue = match AnyAliasHw::for_kind(kind, num_regs) {
-            AnyAliasHw::Smarq(q) => QueueImpl::Inline(q),
-            hw => QueueImpl::Generic(hw),
-        };
-        FastSim { queue }
+        FastSim {
+            hw: AnyAliasHw::for_kind(kind, num_regs),
+            words: Vec::new(),
+        }
     }
 
     /// Runs one region entry to completion. Architectural effects
     /// (registers, memory, exit choice, alias-exception outcome and
-    /// rollback) are bit-exact with the cycle simulator; the returned
-    /// stats report executed work only — `cycles` and `bundles` stay 0
-    /// because the fast tier has no timing model.
+    /// rollback) and the work counters are bit-exact with the cycle
+    /// simulator; `cycles` and `bundles` stay 0 because the fast tier has
+    /// no timing model.
+    ///
+    /// # Panics
+    /// Panics when a SMARQ region breaks the queue's bounds contract. A
+    /// planned region is checked once, before it runs.
     pub fn run_region(
         &mut self,
         prog: &FastProgram,
         state: &mut FastState,
         mem: &mut Memory,
     ) -> (RegionOutcome, RegionStats) {
-        let mut stats = RegionStats::default();
-        // Atomic-region entry: detection state always resets; the
-        // register checkpoint and store-undo log only exist on regions
-        // that can actually fault.
+        // Atomic-region entry: the register checkpoint and store-undo log
+        // only exist on regions that can actually fault.
         if prog.can_fault {
             state.begin_region(prog.write_mask);
         }
-        match &mut self.queue {
-            QueueImpl::Inline(q) => q.reset(),
-            QueueImpl::Generic(hw) => hw.reset(),
+        match (&self.hw, &prog.plan) {
+            (AnyAliasHw::Smarq(queue), Some(plan)) => {
+                queue.enforce_bounds(plan.max_offset, plan.max_rotation);
+                if self.words.len() < plan.mem.len() {
+                    self.words.resize(plan.mem.len(), 0);
+                }
+                self.exec::<true>(prog, plan, state, mem)
+            }
+            _ => {
+                self.hw.reset();
+                self.exec::<false>(prog, &QueuePlan::default(), state, mem)
+            }
         }
+    }
+
+    /// The region loop, one body for both queue forms (monomorphized, so
+    /// neither carries the other's branches): `PLANNED` runs `plan`'s
+    /// address compares, otherwise every annotation goes to the dynamic
+    /// hardware and `plan` is unused.
+    fn exec<const PLANNED: bool>(
+        &mut self,
+        prog: &FastProgram,
+        plan: &QueuePlan,
+        state: &mut FastState,
+        mem: &mut Memory,
+    ) -> (RegionOutcome, RegionStats) {
+        let mut stats = RegionStats::default();
         // Executed-op accounting is positional: the stream is
         // straight-line, so the op count at any return is the current
         // index plus one, plus one more per fused pair already passed
@@ -673,10 +882,10 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    stats.mem_ops += 1;
-                    if let Err(v) = self.access(alias, addr, true, tag, &mut stats) {
+                    if let Err(v) = self.access::<PLANNED>(plan, alias, addr, true, tag, &mut stats)
+                    {
                         stats.ops = at as u64 + 1 + extra;
-                        return self.fault(state, mem, v, stats);
+                        return fault(state, mem, v, stats);
                     }
                     state.regs[ridx(rd)] = mem.read(addr) as i64;
                 }
@@ -688,10 +897,10 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    stats.mem_ops += 1;
-                    if let Err(v) = self.access(alias, addr, true, tag, &mut stats) {
+                    if let Err(v) = self.access::<PLANNED>(plan, alias, addr, true, tag, &mut stats)
+                    {
                         stats.ops = at as u64 + 1 + extra;
-                        return self.fault(state, mem, v, stats);
+                        return fault(state, mem, v, stats);
                     }
                     state.fregs[ridx(fd)] = mem.read_f64(addr);
                 }
@@ -703,10 +912,11 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    stats.mem_ops += 1;
-                    if let Err(v) = self.access(alias, addr, false, tag, &mut stats) {
+                    if let Err(v) =
+                        self.access::<PLANNED>(plan, alias, addr, false, tag, &mut stats)
+                    {
                         stats.ops = at as u64 + 1 + extra;
-                        return self.fault(state, mem, v, stats);
+                        return fault(state, mem, v, stats);
                     }
                     let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
                     if prog.can_fault {
@@ -721,29 +931,33 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    stats.mem_ops += 1;
-                    if let Err(v) = self.access(alias, addr, false, tag, &mut stats) {
+                    if let Err(v) =
+                        self.access::<PLANNED>(plan, alias, addr, false, tag, &mut stats)
+                    {
                         stats.ops = at as u64 + 1 + extra;
-                        return self.fault(state, mem, v, stats);
+                        return fault(state, mem, v, stats);
                     }
                     let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
                     if prog.can_fault {
                         state.log_store(addr, old);
                     }
                 }
-                FastOp::AlatClear { entry } => match &mut self.queue {
-                    // SMARQ hardware ignores ALAT entry management.
-                    QueueImpl::Inline(_) => {}
-                    QueueImpl::Generic(hw) => hw.alat_clear(entry),
-                },
-                FastOp::Rotate { amount } => match &mut self.queue {
-                    QueueImpl::Inline(q) => q.rotate(amount),
-                    QueueImpl::Generic(hw) => hw.rotate(amount),
-                },
-                FastOp::Amov { src, dst } => match &mut self.queue {
-                    QueueImpl::Inline(q) => q.amov(src, dst),
-                    QueueImpl::Generic(hw) => hw.amov(src, dst),
-                },
+                // The plan already holds every queue-management effect.
+                FastOp::AlatClear { entry } => {
+                    if !PLANNED {
+                        self.hw.alat_clear(entry);
+                    }
+                }
+                FastOp::Rotate { amount } => {
+                    if !PLANNED {
+                        self.hw.rotate(amount);
+                    }
+                }
+                FastOp::Amov { src, dst } => {
+                    if !PLANNED {
+                        self.hw.amov(src, dst);
+                    }
+                }
                 FastOp::Exit { exit_id } => {
                     stats.ops = at as u64 + 1 + extra;
                     return (RegionOutcome::Exited { exit_id }, stats);
@@ -821,48 +1035,49 @@ impl FastSim {
     }
 
     /// The fast tier's copy of the simulator's `mem_hook`: count the
-    /// check, consult the detection state, accumulate the energy proxy.
-    #[inline]
-    fn access(
+    /// memory op and the check, run the detection (planned or dynamic),
+    /// accumulate the energy proxy.
+    #[inline(always)]
+    fn access<const PLANNED: bool>(
         &mut self,
+        plan: &QueuePlan,
         alias: AliasAnnot,
         addr: u64,
         is_load: bool,
         tag: u32,
         stats: &mut RegionStats,
     ) -> Result<(), AliasViolation> {
+        // The memory op's ordinal is the count of memory ops before it.
+        let ordinal = stats.mem_ops as usize;
+        stats.mem_ops += 1;
         if !matches!(alias, AliasAnnot::None) {
             stats.alias_checks += 1;
         }
-        let range = MemRange::word(addr);
-        let examined = match &mut self.queue {
-            QueueImpl::Inline(q) => q.access(alias, range, is_load, tag),
-            QueueImpl::Generic(hw) => hw.mem_access(alias, range, is_load, tag),
-        }?;
+        let examined = if PLANNED {
+            plan.access(ordinal, addr, tag, &mut self.words)?
+        } else {
+            self.hw
+                .mem_access(alias, MemRange::word(addr), is_load, tag)?
+        };
         stats.entries_scanned += u64::from(examined);
         Ok(())
     }
+}
 
-    /// Alias-exception path: roll architectural state back and reset the
-    /// detection state, exactly as the cycle simulator does (minus the
-    /// rollback-cycle penalty — no timing model here). Only reachable
-    /// from a check, so `can_fault` regions are the only callers and the
-    /// checkpoint taken in `run_region` is always live.
-    #[inline(never)]
-    fn fault(
-        &mut self,
-        state: &mut FastState,
-        mem: &mut Memory,
-        v: AliasViolation,
-        stats: RegionStats,
-    ) -> (RegionOutcome, RegionStats) {
-        state.rollback(mem);
-        match &mut self.queue {
-            QueueImpl::Inline(q) => q.reset(),
-            QueueImpl::Generic(hw) => hw.reset(),
-        }
-        (RegionOutcome::AliasException(v), stats)
-    }
+/// Alias-exception path: roll architectural state back, exactly as the
+/// cycle simulator does (minus the rollback-cycle penalty — no timing
+/// model here). The next entry resets the detection state. Only reachable
+/// from a check, so `can_fault` regions are the only callers and the
+/// checkpoint taken in `run_region` is always live.
+#[inline(never)]
+fn fault(
+    state: &mut FastState,
+    mem: &mut Memory,
+    v: AliasViolation,
+    stats: RegionStats,
+) -> (RegionOutcome, RegionStats) {
+    state.rollback(mem);
+    (RegionOutcome::AliasException(v), stats)
 }
 
 #[cfg(test)]
@@ -1018,6 +1233,307 @@ mod tests {
         fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
     }
 
+    /// The plan enforces the same contract as the dynamic queue, once per
+    /// entry: a rotation past the file panics before the region runs.
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn over_long_rotation_panics_on_the_fast_tier() {
+        let program = VliwProgram {
+            bundles: vec![Bundle {
+                ops: vec![
+                    VliwOp::Rotate { amount: 5 },
+                    VliwOp::Exit {
+                        exit_id: 0,
+                        cond: None,
+                    },
+                ],
+            }],
+            exits: exit_targets(1),
+        };
+        let prog = compile(&program).expect("test region compiles");
+        assert!(prog.is_planned());
+        let mut fast = FastSim::new(HwKind::Smarq, 4);
+        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+    }
+
+    /// Which regions get a plan: SMARQ (or unannotated) ones whose
+    /// offsets fit one occupancy word. A region past it still runs, on
+    /// the dynamic queue of a wide file, bit-exact with the cycle tier.
+    #[test]
+    fn planning_covers_word_sized_smarq_regions_only() {
+        let region = |alias: AliasAnnot, tail: Vec<VliwOp>| VliwProgram {
+            bundles: vec![Bundle {
+                ops: [
+                    vec![VliwOp::Load {
+                        rd: 10,
+                        base: 1,
+                        disp: 0,
+                        alias,
+                        tag: 1,
+                    }],
+                    tail,
+                    vec![
+                        VliwOp::Store {
+                            rs: 10,
+                            base: 2,
+                            disp: 0,
+                            alias: smarq_annot(false, true, 0),
+                            tag: 2,
+                        },
+                        VliwOp::Exit {
+                            exit_id: 0,
+                            cond: None,
+                        },
+                    ],
+                ]
+                .concat(),
+            }],
+            exits: exit_targets(1),
+        };
+        let planned = |p: &VliwProgram| compile(p).unwrap().is_planned();
+        assert!(planned(&region(smarq_annot(true, false, 63), vec![])));
+        assert!(planned(&region(AliasAnnot::None, vec![])));
+        assert!(planned(&region(
+            smarq_annot(true, false, 0),
+            vec![VliwOp::Rotate { amount: 64 }]
+        )));
+        assert!(!planned(&region(
+            smarq_annot(true, false, 0),
+            vec![VliwOp::Rotate { amount: 65 }]
+        )));
+        assert!(!planned(&region(
+            smarq_annot(true, false, 0),
+            vec![VliwOp::Amov { src: 0, dst: 64 }]
+        )));
+        assert!(!planned(&region(
+            AliasAnnot::Efficeon {
+                set: Some(0),
+                check_mask: 0,
+            },
+            vec![]
+        )));
+
+        // Offset 70 on a 128-register file: unplanned, dynamic, and the
+        // store still sees the load's entry after the AMOV to offset 0.
+        let wide = region(
+            smarq_annot(true, false, 70),
+            vec![VliwOp::Amov { src: 70, dst: 0 }],
+        );
+        let prog = compile(&wide).unwrap();
+        assert!(!prog.is_planned());
+        assert!(prog.can_fault);
+        let mut sim = Simulator::new(
+            MachineConfig::default(),
+            AnyAliasHw::for_kind(HwKind::Smarq, 128),
+        );
+        let mut fast = FastSim::new(HwKind::Smarq, 128);
+        for r2 in [0x100i64, 0x200] {
+            let (mut vstate, mut fstate) = (VliwState::new(), FastState::new());
+            vstate.regs[1] = 0x100;
+            vstate.regs[2] = r2;
+            fstate.copy_from_vliw(&vstate);
+            let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
+            let (vout, vstats) = sim
+                .run_region_resident(&wide, prog.write_mask, &mut vstate, &mut vmem)
+                .unwrap();
+            let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
+            assert_eq!(fout, vout, "r2={r2:#x}");
+            assert_eq!(
+                matches!(fout, RegionOutcome::AliasException(_)),
+                r2 == 0x100
+            );
+            assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
+            assert_eq!(fstate.regs, vstate.regs);
+            assert_eq!(fmem, vmem);
+        }
+    }
+
+    /// A register past the 64-entry files is a typed compile error, not
+    /// an index the executor would silently wrap.
+    #[test]
+    fn compile_rejects_registers_past_the_files() {
+        let with = |op: VliwOp| VliwProgram {
+            bundles: vec![Bundle {
+                ops: vec![
+                    op,
+                    VliwOp::Exit {
+                        exit_id: 0,
+                        cond: None,
+                    },
+                ],
+            }],
+            exits: exit_targets(1),
+        };
+        let err = |op| compile(&with(op)).unwrap_err();
+        assert_eq!(
+            err(VliwOp::IConst { rd: 64, value: 5 }),
+            SimError::BadRegister { reg: 64 }
+        );
+        assert_eq!(
+            err(VliwOp::FLoad {
+                fd: 1,
+                base: 200,
+                disp: 0,
+                alias: AliasAnnot::None,
+                tag: 0,
+            }),
+            SimError::BadRegister { reg: 200 }
+        );
+        assert_eq!(
+            err(VliwOp::Fpu {
+                op: FpuOp::Add,
+                fd: 3,
+                fa: 255,
+                fb: 70,
+            }),
+            SimError::BadRegister { reg: 255 }
+        );
+        assert!(compile(&with(VliwOp::IConst { rd: 63, value: 5 })).is_ok());
+    }
+
+    /// The compiled-out queue against the queue it replaces. Random
+    /// streams of SMARQ loads and stores, rotations and AMOVs at widths
+    /// 1, 4, 16 and 64 are lowered by `compile` (which plans at 64
+    /// registers) and replayed access by access: every planned access
+    /// must return what `FastAliasQueue::access` returns at the real
+    /// width — the examined count, or the first conflicting producer.
+    /// Addresses come from a pool of a few words, some unaligned, so
+    /// checks hit; a stream ends at its first hit, as a region entry
+    /// does. Each whole stream also runs on `FastSim` and on the cycle
+    /// simulator, which must agree on outcome, work counters and memory.
+    #[test]
+    fn plan_matches_the_dynamic_queue_on_random_streams() {
+        use smarq::prng::Prng;
+        for width in [1u32, 4, 16, 64] {
+            let mut rng = Prng::new(u64::from(width) * 7919 + 3);
+            let mut sim = Simulator::new(
+                MachineConfig::default(),
+                AnyAliasHw::for_kind(HwKind::Smarq, width),
+            );
+            let mut fast = FastSim::new(HwKind::Smarq, width);
+            let (mut hits, mut scanned, mut faults) = (0, 0, 0);
+            for stream in 0..300 {
+                let mut ops = Vec::new();
+                for tag in 1..=rng.range_u32(1, 40) {
+                    match rng.bounded(10) {
+                        0..=6 => {
+                            let alias = if rng.chance(1, 8) {
+                                AliasAnnot::None
+                            } else {
+                                smarq_annot(
+                                    rng.chance(2, 3),
+                                    rng.chance(1, 2),
+                                    rng.range_u32(0, width),
+                                )
+                            };
+                            let skew = if rng.chance(1, 4) {
+                                rng.range_u32(1, 8)
+                            } else {
+                                0
+                            };
+                            let disp = i64::from(0x100 + rng.range_u32(0, 6) * 8 + skew);
+                            ops.push(if rng.chance(1, 2) {
+                                VliwOp::Load {
+                                    rd: 1,
+                                    base: 0,
+                                    disp,
+                                    alias,
+                                    tag,
+                                }
+                            } else {
+                                VliwOp::Store {
+                                    rs: 1,
+                                    base: 0,
+                                    disp,
+                                    alias,
+                                    tag,
+                                }
+                            });
+                        }
+                        7 | 8 => {
+                            let amount = if rng.chance(1, 16) {
+                                width
+                            } else {
+                                rng.range_u32(0, width.min(4) + 1)
+                            };
+                            ops.push(VliwOp::Rotate { amount });
+                        }
+                        _ => ops.push(VliwOp::Amov {
+                            src: rng.range_u32(0, width),
+                            dst: rng.range_u32(0, width),
+                        }),
+                    }
+                }
+                ops.push(VliwOp::Exit {
+                    exit_id: 0,
+                    cond: None,
+                });
+                let program = VliwProgram {
+                    bundles: vec![Bundle { ops }],
+                    exits: exit_targets(1),
+                };
+                let prog = compile(&program).unwrap();
+                let plan = prog.plan.as_ref().expect("in-contract streams are planned");
+
+                // Access by access. The recorded words start out holding
+                // a pool word: a stale word must never be read.
+                let mut queue = FastAliasQueue::new(width);
+                let mut words = vec![0x100; plan.mem.len()];
+                let mut ordinal = 0;
+                for op in prog.ops() {
+                    let (alias, addr, is_load, tag) = match *op {
+                        FastOp::Load {
+                            disp, alias, tag, ..
+                        } => (alias, disp as u64, true, tag),
+                        FastOp::Store {
+                            disp, alias, tag, ..
+                        } => (alias, disp as u64, false, tag),
+                        FastOp::Rotate { amount } => {
+                            queue.rotate(amount);
+                            continue;
+                        }
+                        FastOp::Amov { src, dst } => {
+                            queue.amov(src, dst);
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    let want = queue.access(alias, MemRange::word(addr), is_load, tag);
+                    let got = plan.access(ordinal, addr, tag, &mut words);
+                    assert_eq!(got, want, "width={width} stream={stream} access={ordinal}");
+                    ordinal += 1;
+                    match got {
+                        Ok(n) => scanned += n,
+                        Err(_) => {
+                            hits += 1;
+                            break;
+                        }
+                    }
+                }
+
+                // The whole stream, on both tiers.
+                let (mut vstate, mut fstate) = (VliwState::new(), FastState::new());
+                let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
+                let (vout, vstats) = sim
+                    .run_region_resident(&program, prog.write_mask, &mut vstate, &mut vmem)
+                    .unwrap();
+                let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
+                assert_eq!(fout, vout, "width={width} stream={stream}");
+                assert_eq!(fstats.ops, vstats.ops, "width={width} stream={stream}");
+                assert_eq!(fstats.mem_ops, vstats.mem_ops);
+                assert_eq!(fstats.alias_checks, vstats.alias_checks);
+                assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
+                assert_eq!(fmem, vmem, "width={width} stream={stream}");
+                assert_eq!(fstate.regs, vstate.regs);
+                faults += u32::from(matches!(fout, RegionOutcome::AliasException(_)));
+            }
+            assert!(
+                hits > 20 && faults > 20 && scanned > 100,
+                "width={width}: stream too tame ({hits} hits, {scanned} scanned)"
+            );
+        }
+    }
+
     #[test]
     fn compile_flattens_and_truncates_after_exit() {
         let mut program = speculative_region();
@@ -1053,6 +1569,27 @@ mod tests {
         };
         let prog = compile(&program).unwrap();
         assert!(!prog.can_fault, "P-only annotations cannot fault");
+
+        // A check whose window is empty at its position cannot fire.
+        let lone_check = VliwProgram {
+            bundles: vec![Bundle {
+                ops: vec![
+                    VliwOp::Store {
+                        rs: 1,
+                        base: 2,
+                        disp: 0,
+                        alias: smarq_annot(true, true, 0),
+                        tag: 1,
+                    },
+                    VliwOp::Exit {
+                        exit_id: 0,
+                        cond: None,
+                    },
+                ],
+            }],
+            exits: exit_targets(1),
+        };
+        assert!(!compile(&lone_check).unwrap().can_fault);
 
         // ALAT: an allocation plus a later store can spuriously fault.
         let alat = VliwProgram {

@@ -28,7 +28,9 @@ use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
 use smarq_opt::AliasBlacklist;
 use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
-use smarq_vliw::{AliasViolation, AnyAliasHw, FastState, RegionOutcome, Simulator, VliwState};
+use smarq_vliw::{
+    AliasViolation, AnyAliasHw, FastState, RegionOutcome, RegionStats, Simulator, VliwState,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -545,7 +547,7 @@ impl GuestContext {
                     .run_region(fast, &mut self.fstate, &mut self.interp.mem);
                 self.stats.tier_fast_entries += 1;
                 if let Some(mut mem) = pre_mem {
-                    self.tier_down_sample(idx, &o, &mut mem);
+                    self.tier_down_sample(idx, &o, &r, &mut mem);
                 }
                 (o, r)
             } else {
@@ -622,9 +624,17 @@ impl GuestContext {
 
     /// Tier-down sample: replays the entry the fast tier just ran on the
     /// cycle simulator from the same pre-state (`self.vstate`, `sim_mem`)
-    /// and bit-compares outcome, registers and memory; a disagreement
+    /// and bit-compares outcome, registers, memory and the work counters
+    /// (ops, memory ops, alias checks, entries scanned — the last pins
+    /// the compiled-out queue's static examined counts); a disagreement
     /// counts in [`SystemStats::tier_sample_mismatches`].
-    fn tier_down_sample(&mut self, idx: usize, fast_outcome: &RegionOutcome, sim_mem: &mut Memory) {
+    fn tier_down_sample(
+        &mut self,
+        idx: usize,
+        fast_outcome: &RegionOutcome,
+        fast_stats: &RegionStats,
+        sim_mem: &mut Memory,
+    ) {
         let code = &self.regions[idx].shared.code;
         let (sim_outcome, sim_stats) = self
             .sim
@@ -639,7 +649,12 @@ impl GuestContext {
                 .iter()
                 .zip(self.vstate.fregs.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        if sim_outcome != *fast_outcome || !regs_agree || *sim_mem != self.interp.mem {
+        let work = |s: &RegionStats| (s.ops, s.mem_ops, s.alias_checks, s.entries_scanned);
+        if sim_outcome != *fast_outcome
+            || !regs_agree
+            || work(&sim_stats) != work(fast_stats)
+            || *sim_mem != self.interp.mem
+        {
             self.stats.tier_sample_mismatches += 1;
         }
     }

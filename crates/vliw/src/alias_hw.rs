@@ -6,7 +6,8 @@
 //! SMARQ has two storage forms with one semantics. Files of up to 64
 //! registers (every shipped configuration) run on
 //! [`FastAliasQueue`], a single occupancy word that the cycle simulator
-//! (through [`AnyAliasHw`]) and the functional tier share; wider files
+//! runs (through [`AnyAliasHw`]) and the functional tier compiles out of
+//! each region at translation time; wider files
 //! (`smarq-run --regs 128`) fall back to [`SmarqQueueHw`] over the generic
 //! [`smarq::queue::AliasQueue`], which also stays the symbolic
 //! validator's model. Both forms enforce one bounds contract and panic

@@ -13,10 +13,13 @@
 //! * [`FastAliasQueue`]: the SMARQ ordered queue flattened onto a single
 //!   `u64` occupancy word (hardware configurations have ≤ 64 alias
 //!   registers), replicating [`smarq::queue::AliasQueue`]'s first-hit
-//!   scan order, load-set filtering, rotation and AMOV semantics. Both
-//!   tiers run it: the cycle simulator through
-//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq), the functional tier
-//!   by calling [`FastAliasQueue::access`] directly.
+//!   scan order, load-set filtering, rotation and AMOV semantics. The
+//!   cycle simulator runs it through
+//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq); the functional
+//!   tier's lowering (`smarq_opt::fastcomp`) replays it once per region
+//!   at translation time, reading each check's ordered producer list off
+//!   [`FastAliasQueue::walk_window`], so its hot loop only compares
+//!   addresses.
 //!
 //! The lowering from [`VliwProgram`](crate::VliwProgram) to the
 //! functional op stream, and the executor driving this state, live in
@@ -312,11 +315,26 @@ impl FastAliasQueue {
         }
     }
 
-    /// **check** (`C` bit): scans valid entries at offsets `>= offset`
-    /// in ascending order (loads skip load-set entries) and returns the
-    /// producer tag of the *first* one overlapping `range`, if any.
+    /// **check** (`C` bit): the producer tag of the *first* entry in
+    /// the check window of `offset` that overlaps `range`, if any.
     #[inline]
     fn check_first(&self, offset: u32, is_load: bool, range: MemRange) -> Option<u32> {
+        self.walk_window(offset, is_load, |r, _| r.overlaps(range))
+    }
+
+    /// The ordered window walk of a check at an in-bounds `offset`:
+    /// visits the valid entries at offsets `>= offset` in ascending
+    /// order (a load skips load-set entries) and returns the tag of the
+    /// first one for which `hit(range, tag)` holds. The runtime check
+    /// stops at an overlap; the functional tier's planner never stops
+    /// and so reads off the whole ordered producer list.
+    #[inline]
+    pub fn walk_window(
+        &self,
+        offset: u32,
+        is_load: bool,
+        mut hit: impl FnMut(MemRange, u32) -> bool,
+    ) -> Option<u32> {
         let candidates = if is_load {
             self.occ & !self.by_load
         } else {
@@ -326,13 +344,31 @@ impl FastAliasQueue {
             let mut m = candidates & span_mask(a, b);
             while m != 0 {
                 let idx = m.trailing_zeros() as usize;
-                if self.ranges[idx].overlaps(range) {
+                if hit(self.ranges[idx], self.tags[idx]) {
                     return Some(self.tags[idx]);
                 }
                 m &= m - 1;
             }
         }
         None
+    }
+
+    /// Enforces the bounds contract for a whole region up front, given
+    /// the largest offset (set, check or AMOV operand) and the largest
+    /// rotation it names: panics exactly as the first offending access,
+    /// AMOV or rotation would.
+    ///
+    /// # Panics
+    /// Panics when `max_offset >= n` or `max_rotation > n`.
+    #[inline]
+    pub fn enforce_bounds(&self, max_offset: u32, max_rotation: u32) {
+        self.check_bounds(max_offset);
+        if max_rotation > self.n {
+            contract_violation(QueueOverflow {
+                offset: max_rotation,
+                num_regs: self.n,
+            });
+        }
     }
 
     /// Number of valid entries a check starting at `offset` examines
@@ -351,12 +387,7 @@ impl FastAliasQueue {
     /// contract).
     #[inline]
     pub fn rotate(&mut self, amount: u32) {
-        if amount > self.n {
-            contract_violation(QueueOverflow {
-                offset: amount,
-                num_regs: self.n,
-            });
-        }
+        self.enforce_bounds(0, amount);
         // Offsets 0..amount occupy the physical window starting at base.
         let start = self.base;
         let released = if start + amount <= self.n {

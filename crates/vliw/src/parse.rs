@@ -61,11 +61,22 @@ fn cmp_from(m: &str) -> Option<CmpOp> {
     })
 }
 
+/// Registers per file (`r0..r63`, `f0..f63`), as in [`VliwState`](crate::VliwState).
+const NUM_REGS: u8 = 64;
+
 fn reg(tok: &str, prefix: char) -> Result<u8, String> {
     let tok = tok.trim();
-    tok.strip_prefix(prefix)
+    let r: u8 = tok
+        .strip_prefix(prefix)
         .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("expected {prefix}-register, got `{tok}`"))
+        .ok_or_else(|| format!("expected {prefix}-register, got `{tok}`"))?;
+    if r >= NUM_REGS {
+        return Err(format!(
+            "register `{tok}` out of range ({prefix}0..{prefix}{})",
+            NUM_REGS - 1
+        ));
+    }
+    Ok(r)
 }
 
 fn num<T: std::str::FromStr>(tok: &str) -> Result<T, String> {
@@ -440,5 +451,27 @@ mod tests {
         }
         assert!(parse_vliw("   0: nop\n   2: nop\n").is_err());
         assert!(parse_vliw("exit #1 -> halt\n").is_err());
+    }
+
+    /// Both tiers index 64-entry register files, so a register number
+    /// past them is a parse error naming the line, not a program that
+    /// one tier wraps and the other panics on.
+    #[test]
+    fn registers_past_the_file_are_rejected() {
+        for (line, tok) in [
+            ("   0: iconst r64, 5", "r64"),
+            ("   0: fconst f64, 1.5", "f64"),
+            ("   0: add r1, r2, r255", "r255"),
+            ("   0: fld f1, [r200+0]", "r200"),
+        ] {
+            let src = format!("{line}\n   1: exit #0\nexit #0 -> halt\n");
+            let err = parse_vliw(&src).expect_err(line);
+            assert!(err.contains(line.trim()), "{err}");
+            assert!(err.contains(tok) && err.contains("out of range"), "{err}");
+        }
+        let ok =
+            parse_vliw("   0: iconst r63, 5 | fconst f63, 1.5\n   1: exit #0\nexit #0 -> halt\n")
+                .expect("r63/f63 are the last registers");
+        assert_eq!(ok.bundles.len(), 2);
     }
 }

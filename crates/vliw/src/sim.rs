@@ -170,6 +170,11 @@ pub enum SimError {
         /// The offending id.
         exit_id: u32,
     },
+    /// An op named a register outside the 64-entry register files.
+    BadRegister {
+        /// The offending register index.
+        reg: u8,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -177,6 +182,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::MissingExit => f.write_str("region fell off the end without an exit"),
             SimError::BadExitId { exit_id } => write!(f, "exit id {exit_id} out of range"),
+            SimError::BadRegister { reg } => write!(f, "register {reg} out of range (0..=63)"),
         }
     }
 }

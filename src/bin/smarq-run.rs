@@ -5,8 +5,9 @@
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
 //!                  [--regs 1..=4096] [--unroll N] [--budget N]
 //!                  [--exec-tier cycle|functional]
-//!                  [--async-translate] [--translate-workers N]
-//!                  [--translate-queue N] [--guests N] [--threads M]
+//!                  [--async-translate] [--translate-workers 0..=64]
+//!                  [--translate-queue 0..=4096] [--guests 1..=1024]
+//!                  [--threads 1..=64]
 //!                  [--dump-region] [--compare] [--verify]
 //!                  [--nospec LO..HI[,..]]
 //! smarq-run lint PATH... [--json FILE] [--nospec LO..HI[,..]]
@@ -39,7 +40,10 @@
 //!
 //! `--regs N` sizes the SMARQ alias register file, from 1 to
 //! [`MAX_ALIAS_REGS`]; files of up to 64 registers run on the single-word
-//! queue, wider ones on the generic one.
+//! queue, wider ones on the generic one. Every size flag is bounded
+//! (`--guests` by [`MAX_GUESTS`], `--threads` and `--translate-workers`
+//! by [`MAX_HOST_THREADS`], `--translate-queue` by
+//! [`MAX_TRANSLATE_QUEUE`]); a value out of range exits with status 2.
 //!
 //! `--guests N` (N >= 2) switches to the multi-guest runtime: N tenants
 //! of the same program run over one shared `TranslationHub` (sharded
@@ -56,12 +60,41 @@ use smarq_runtime::{
     run_multi, DynOptSystem, ExecTier, GuestContext, HubConfig, HubStats, SystemConfig,
     SystemStats, TranslationHub, DEFAULT_SLICE_STEPS,
 };
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Largest `--regs` value accepted. The wide queue allocates per
-/// register, so an unbounded value would abort on allocation instead of
-/// being reported as a usage error.
+/// Largest `--regs` value accepted (the wide queue allocates per
+/// register, so a larger value would abort on allocation).
 const MAX_ALIAS_REGS: u32 = 4096;
+/// Largest `--guests` value accepted (each guest owns an interpreter and
+/// its guest memory).
+const MAX_GUESTS: usize = 1024;
+/// Largest `--threads` and `--translate-workers` value accepted (each is
+/// a host thread).
+const MAX_HOST_THREADS: u32 = 64;
+/// Largest `--translate-queue` value accepted (the job channel allocates
+/// its capacity up front).
+const MAX_TRANSLATE_QUEUE: u32 = 4096;
+
+/// Parses the value of flag `name` and checks it against `range`; a
+/// malformed or out-of-range value is a usage error.
+fn bounded<T>(name: &str, raw: String, range: RangeInclusive<T>) -> Result<T, ExitCode>
+where
+    T: FromStr + PartialOrd + Display,
+{
+    let v: T = raw.parse().map_err(|_| usage())?;
+    if !range.contains(&v) {
+        eprintln!(
+            "{name} must be between {} and {}",
+            range.start(),
+            range.end()
+        );
+        return Err(usage());
+    }
+    Ok(v)
+}
 
 struct Args {
     file: String,
@@ -86,8 +119,8 @@ fn usage() -> ExitCode {
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
          [--regs 1..=4096] [--unroll N] [--budget N] \
          [--exec-tier cycle|functional] [--async-translate] \
-         [--translate-workers N] [--translate-queue N] \
-         [--guests N] [--threads M] \
+         [--translate-workers 0..=64] [--translate-queue 0..=4096] \
+         [--guests 1..=1024] [--threads 1..=64] \
          [--dump-region] [--compare] [--verify] [--nospec LO..HI[,..]]\n\
          \x20      smarq-run lint PATH... [--json FILE] [--nospec LO..HI[,..]] \
          [--deny CODE] [--allow CODE]\n\
@@ -210,13 +243,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         };
         match a.as_str() {
             "--hw" => args.hw = value("--hw")?,
-            "--regs" => {
-                args.regs = value("--regs")?.parse().map_err(|_| usage())?;
-                if !(1..=MAX_ALIAS_REGS).contains(&args.regs) {
-                    eprintln!("--regs must be between 1 and {MAX_ALIAS_REGS}");
-                    return Err(usage());
-                }
-            }
+            "--regs" => args.regs = bounded("--regs", value("--regs")?, 1..=MAX_ALIAS_REGS)?,
             "--unroll" => {
                 args.unroll = value("--unroll")?.parse().map_err(|_| usage())?;
             }
@@ -235,26 +262,19 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--async-translate" => args.async_translate = true,
             "--translate-workers" => {
+                let v = value("--translate-workers")?;
                 args.translate_workers =
-                    Some(value("--translate-workers")?.parse().map_err(|_| usage())?);
+                    Some(bounded("--translate-workers", v, 0..=MAX_HOST_THREADS)?);
             }
             "--translate-queue" => {
+                let v = value("--translate-queue")?;
                 args.translate_queue =
-                    Some(value("--translate-queue")?.parse().map_err(|_| usage())?);
+                    Some(bounded("--translate-queue", v, 0..=MAX_TRANSLATE_QUEUE)?);
             }
-            "--guests" => {
-                args.guests = value("--guests")?.parse().map_err(|_| usage())?;
-                if args.guests == 0 {
-                    eprintln!("--guests must be at least 1");
-                    return Err(usage());
-                }
-            }
+            "--guests" => args.guests = bounded("--guests", value("--guests")?, 1..=MAX_GUESTS)?,
             "--threads" => {
-                args.threads = value("--threads")?.parse().map_err(|_| usage())?;
-                if args.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    return Err(usage());
-                }
+                let v = value("--threads")?;
+                args.threads = bounded("--threads", v, 1..=MAX_HOST_THREADS as usize)?;
             }
             "--nospec" => {
                 args.nospec = Some(

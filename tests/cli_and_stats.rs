@@ -195,3 +195,52 @@ fn alias_register_count_is_bounded() {
         }
     }
 }
+
+/// The other size flags are bounded too: past its maximum each is a
+/// usage error (exit 2, no abort while allocating or spawning), and a
+/// value at each maximum still runs, bit-exact against interpretation.
+#[test]
+fn size_flags_are_bounded() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+            .arg("tests/corpus/seed_000000.s")
+            .args(args)
+            .output()
+            .expect("spawn smarq-run");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for args in [
+        &["--guests", "100000000"][..],
+        &["--guests", "1025"],
+        &["--async-translate", "--translate-workers", "100000"],
+        &["--async-translate", "--translate-workers", "65"],
+        &["--async-translate", "--translate-queue", "4000000000"],
+        &["--async-translate", "--translate-queue", "4097"],
+        &["--guests", "2", "--threads", "65"],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    for args in [
+        &["--guests", "1024", "--compare"][..],
+        &[
+            "--async-translate",
+            "--translate-workers",
+            "64",
+            "--translate-queue",
+            "4096",
+            "--compare",
+        ],
+        &["--guests", "4", "--threads", "64", "--compare"],
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains("bit-exact"), "{args:?}: {stdout}");
+    }
+}

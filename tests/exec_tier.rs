@@ -88,3 +88,35 @@ fn corpus_is_bit_exact_across_execution_tiers() {
         "no functional region entry was ever tier-down sampled"
     );
 }
+
+/// The 14 SPECFP stand-ins on the functional tier with every region entry
+/// tier-down sampled. Each sample compares the work counters too (ops,
+/// memory ops, alias checks, entries scanned), so every entry pins the
+/// compiled-out queue's static examined counts against the cycle
+/// simulator's dynamic queue; equake's truly aliasing strand makes some
+/// of the sampled entries roll back.
+#[test]
+fn stand_ins_sample_clean_on_the_functional_tier() {
+    let mut equake_rollbacks = 0;
+    for &name in &smarq_workloads::WORKLOAD_NAMES {
+        let w = smarq_workloads::scaled(name, 40).expect("known stand-in");
+        let mut cfg = SystemConfig::with_opt(smarq_opt::OptConfig::smarq(64));
+        cfg.hot_threshold = 10;
+        cfg.exec_tier = ExecTier::Functional;
+        cfg.tier_sample_interval = 1;
+        let mut sys = DynOptSystem::new(w.program, cfg);
+        sys.run_to_completion(u64::MAX);
+        let s = sys.stats();
+        assert!(s.tier_fast_entries > 0, "{name}: no functional entry");
+        assert_eq!(s.tier_samples, s.tier_fast_entries, "{name}");
+        assert_eq!(
+            s.tier_sample_mismatches, 0,
+            "{name}: {} of {} samples disagreed",
+            s.tier_sample_mismatches, s.tier_samples
+        );
+        if name == "equake" {
+            equake_rollbacks += s.rollbacks;
+        }
+    }
+    assert!(equake_rollbacks > 0, "equake must roll back");
+}
