@@ -1,7 +1,7 @@
 //! The paper's tables, regenerated with executable demonstrations.
 
 use smarq_vliw::{
-    AlatHw, AliasAnnot, AliasHardware, EfficeonHw, MachineConfig, MemRange, SmarqQueueHw,
+    AlatHw, AliasAnnot, AliasHardware, AnyAliasHw, EfficeonHw, HwKind, MachineConfig, MemRange,
 };
 
 /// Table 1: comparison between the HW alias detection schemes. Each cell
@@ -90,7 +90,7 @@ fn demo_alat_false_positive() -> &'static str {
 
 /// SMARQ checks only at or after the checker's queue order.
 fn demo_smarq_no_false_positive() -> &'static str {
-    let mut hw = SmarqQueueHw::new(4);
+    let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 4);
     hw.mem_access(
         AliasAnnot::Smarq {
             p: true,
@@ -135,7 +135,7 @@ fn demo_alat_no_store_store() -> &'static str {
 
 /// SMARQ detects reordered aliasing stores.
 fn demo_smarq_store_store() -> &'static str {
-    let mut hw = SmarqQueueHw::new(4);
+    let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 4);
     hw.mem_access(
         AliasAnnot::Smarq {
             p: true,

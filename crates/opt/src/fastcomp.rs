@@ -19,15 +19,14 @@
 //!   raise an alias exception ([`FastProgram::can_fault`] false) skips
 //!   the register checkpoint *and* the store-undo log — commit is a
 //!   no-op, stores write through directly.
-//! * **Compiled-out alias queue**: a region is straight-line, so under
-//!   SMARQ the queue's state at every annotated op is fixed by the op's
-//!   position. `compile` replays [`FastAliasQueue`] once over the stream
-//!   (`QueuePlan`) and records, per memory op, the ordered producers its
-//!   check compares against, its static examined count and whether it
-//!   records its address. With a hardware-sized file (≤ 64 registers) a
-//!   check is then a few address compares, and `Rotate`/`Amov` do nothing
-//!   at run time; other schemes and wider files run the generic
-//!   `AliasHardware` dispatch.
+//! * **Compiled-out alias hardware**: a region is straight-line, so
+//!   under every scheme the detection state at each annotated op is
+//!   fixed by the op's position. `compile` replays the region's hardware
+//!   once over the stream (`QueuePlan`) and records, per memory op, the
+//!   ordered producers its check compares against and its static
+//!   examined count. A check is then a few address compares, and
+//!   `Rotate`/`Amov`/`AlatClear` do nothing at run time: the executor has
+//!   no alias hardware of its own.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -35,8 +34,9 @@
 
 use smarq_guest::{AluOp, CmpOp, FpuOp, Memory};
 use smarq_vliw::{
-    AliasAnnot, AliasHardware, AliasViolation, AnyAliasHw, CondExit, FastAliasQueue, FastState,
-    HwKind, MemRange, RegionOutcome, RegionStats, RegionWriteMask, SimError, VliwOp, VliwProgram,
+    enforce_alias_bounds, AliasAnnot, AliasHardware, AliasViolation, AnyAliasHw, CondExit,
+    EfficeonHw, FastAliasQueue, FastState, HwKind, MemRange, RegionOutcome, RegionStats,
+    RegionWriteMask, SimError, VliwOp, VliwProgram,
 };
 
 /// One op of the fast-functional stream — [`VliwOp`] with the padding
@@ -284,49 +284,80 @@ impl FastOp {
             FastOp::AluImmExitIfRep { rd, cb, .. } => rd.max(cb),
         }
     }
+
+    /// `(annotation, is_load, tag)` of a memory op; `None` for the rest.
+    fn mem_access(&self) -> Option<(AliasAnnot, bool, u32)> {
+        match *self {
+            FastOp::Load { alias, tag, .. } | FastOp::FLoad { alias, tag, .. } => {
+                Some((alias, true, tag))
+            }
+            FastOp::Store { alias, tag, .. } | FastOp::FStore { alias, tag, .. } => {
+                Some((alias, false, tag))
+            }
+            _ => None,
+        }
+    }
+
+    /// The alias-hardware scheme the op targets: `None` for ops that
+    /// touch no alias hardware.
+    fn alias_kind(&self) -> HwKind {
+        match *self {
+            FastOp::Rotate { .. } | FastOp::Amov { .. } => HwKind::Smarq,
+            FastOp::AlatClear { .. } => HwKind::Alat,
+            _ => match self.mem_access() {
+                Some((AliasAnnot::Smarq { .. }, ..)) => HwKind::Smarq,
+                Some((AliasAnnot::Efficeon { .. }, ..)) => HwKind::Efficeon,
+                Some((AliasAnnot::AlatSet { .. }, ..)) => HwKind::Alat,
+                _ => HwKind::None,
+            },
+        }
+    }
 }
 
-/// The SMARQ queue of one region, compiled out.
+/// The alias hardware of one region, compiled out.
 ///
 /// A region is straight-line code with side exits only, so at every
-/// annotated op the queue's occupancy, its load bits and the producer in
-/// each live register are fixed by the op's position; only addresses
-/// change between entries. [`compile`] therefore replays the queue once,
-/// on a [`FastAliasQueue`] of [`FastAliasQueue::MAX_REGS`] registers with
+/// annotated op the hardware's detection state — which producers a check
+/// compares against, in which order — is fixed by the op's position;
+/// only addresses change between entries. [`compile`] therefore replays
+/// the region's hardware once, on the widest file of its kind (64 SMARQ
+/// registers, 15 Efficeon registers, an ALAT that grows on demand), with
 /// producer ids standing in for addresses, and records per memory op
-/// what a check compares against. At run time a check only compares its
-/// address with the recorded addresses of its producers.
+/// what its check compares against. At run time a check only compares
+/// its address with the recorded addresses of its producers.
 ///
 /// The plan holds on any file of `n` registers that satisfies the bounds
-/// contract (every offset below `n`, every rotation at most `n`): live
-/// entries then sit below `n`, so the window a check walks is the same
-/// at any `n` from the largest offset + 1 up to 64. [`FastSim`] enforces
-/// that contract once per entry.
-#[derive(Clone, Debug, Default)]
+/// contract (every register named below `n`, every rotation at most
+/// `n`): live entries then sit below `n`, so every walk visits the same
+/// producers at any `n` from the largest register named + 1 up to the
+/// widest file. [`FastSim`] enforces that contract once per entry.
+#[derive(Clone, Debug)]
 pub(crate) struct QueuePlan {
+    /// The scheme the region's annotations target (`HwKind::None` when
+    /// it carries none).
+    kind: HwKind,
     /// One entry per memory op, indexed by its position among the
     /// region's memory ops (its *ordinal*).
     mem: Box<[MemPlan]>,
     /// Every check's producer list, concatenated.
     producers: Box<[Producer]>,
-    /// Largest offset the region names (set, check or AMOV operand).
-    max_offset: u32,
+    /// Largest register the region names (SMARQ offset or AMOV operand,
+    /// Efficeon set index), if any.
+    max_reg: Option<u32>,
     /// Largest rotation the region performs.
     max_rotation: u32,
 }
 
-/// What one memory op does to the compiled-out queue.
-#[derive(Clone, Copy, Debug, Default)]
+/// What one memory op's check does under the compiled-out hardware.
+#[derive(Clone, Copy, Debug)]
 struct MemPlan {
     /// `producers[start..end]` is the op's check list, in the order the
-    /// queue's window walk visits them (empty without a `C` bit).
+    /// hardware's walk visits them (empty without a check).
     start: u32,
     /// End of the check list.
     end: u32,
     /// Valid entries the check examines (the `entries_scanned` proxy).
     examined: u32,
-    /// Whether the `P` bit records the op's address.
-    records: bool,
 }
 
 /// A producer a check compares against.
@@ -339,95 +370,106 @@ struct Producer {
 }
 
 impl QueuePlan {
-    /// Replays the SMARQ queue over `ops`. Returns `None` when the
-    /// region carries a non-SMARQ annotation, or names an offset or AMOV
-    /// operand of 64 or more or a rotation past 64: such regions keep the
-    /// dynamic queue, which also enforces the bounds contract.
-    fn build(ops: &[FastOp]) -> Option<QueuePlan> {
-        const N: u32 = FastAliasQueue::MAX_REGS;
-        let mut queue = FastAliasQueue::new(N);
+    /// Replays the region's alias hardware over `ops`. The scheme comes
+    /// from the annotations: SMARQ annotations, `Rotate` or `Amov` mean
+    /// SMARQ; Efficeon annotations Efficeon; `AlatSet` or `AlatClear` the
+    /// ALAT; none of these no hardware.
+    ///
+    /// # Errors
+    /// [`SimError::MixedAliasKinds`] for a region that mixes schemes,
+    /// [`SimError::AliasOutOfRange`] for a register or rotation no file
+    /// of its scheme holds.
+    fn build(ops: &[FastOp]) -> Result<QueuePlan, SimError> {
+        let mut kinds = ops
+            .iter()
+            .map(FastOp::alias_kind)
+            .filter(|&k| k != HwKind::None);
+        let kind = kinds.next().unwrap_or(HwKind::None);
+        if let Some(second) = kinds.find(|&k| k != kind) {
+            return Err(SimError::MixedAliasKinds {
+                first: kind,
+                second,
+            });
+        }
+        let widest = match kind {
+            HwKind::Smarq => FastAliasQueue::MAX_REGS,
+            HwKind::Efficeon => EfficeonHw::MAX_REGS,
+            HwKind::Alat | HwKind::None => 0,
+        };
+        let out_of_range = |value| SimError::AliasOutOfRange { kind, value };
+        let mut hw = AnyAliasHw::for_kind(kind, widest);
         let (mut mem, mut producers, mut tags) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut max_offset, mut max_rotation) = (0, 0);
+        let (mut max_reg, mut max_rotation) = (None, 0);
         for op in ops {
-            let (alias, is_load, tag) = match *op {
-                FastOp::Load { alias, tag, .. } | FastOp::FLoad { alias, tag, .. } => {
-                    (alias, true, tag)
-                }
-                FastOp::Store { alias, tag, .. } | FastOp::FStore { alias, tag, .. } => {
-                    (alias, false, tag)
-                }
-                FastOp::Rotate { amount } => {
-                    if amount > N {
-                        return None;
+            let Some((alias, is_load, tag)) = op.mem_access() else {
+                match *op {
+                    FastOp::Rotate { amount } => {
+                        if amount > widest {
+                            return Err(out_of_range(amount));
+                        }
+                        max_rotation = max_rotation.max(amount);
+                        hw.rotate(amount);
                     }
-                    max_rotation = max_rotation.max(amount);
-                    queue.rotate(amount);
-                    continue;
-                }
-                FastOp::Amov { src, dst } => {
-                    if src.max(dst) >= N {
-                        return None;
+                    FastOp::Amov { src, dst } => {
+                        if src.max(dst) >= widest {
+                            return Err(out_of_range(src.max(dst)));
+                        }
+                        max_reg = max_reg.max(Some(src.max(dst)));
+                        hw.amov(src, dst);
                     }
-                    max_offset = max_offset.max(src).max(dst);
-                    queue.amov(src, dst);
-                    continue;
+                    FastOp::AlatClear { entry } => hw.alat_clear(entry),
+                    _ => {}
                 }
-                _ => continue,
+                continue;
             };
+            let named = match alias {
+                AliasAnnot::Smarq { offset, .. } => Some(offset),
+                AliasAnnot::Efficeon { set, .. } => set.map(u32::from),
+                AliasAnnot::AlatSet { .. } | AliasAnnot::None => None,
+            };
+            if let Some(reg) = named {
+                if reg >= widest {
+                    return Err(out_of_range(reg));
+                }
+                max_reg = max_reg.max(Some(reg));
+            }
             let ordinal = mem.len() as u32;
             let start = producers.len() as u32;
-            let entry = match alias {
-                AliasAnnot::None => MemPlan {
-                    start,
-                    end: start,
-                    ..MemPlan::default()
-                },
-                AliasAnnot::Smarq { p, c, offset } => {
-                    if offset >= N {
-                        return None;
-                    }
-                    max_offset = max_offset.max(offset);
-                    if c {
-                        queue.walk_window(offset, is_load, |_, producer| {
-                            producers.push(Producer {
-                                ordinal: producer,
-                                tag: tags[producer as usize],
-                            });
-                            false
-                        });
-                    }
-                    // Every op records a word of its own, so no check
-                    // hits and the replay follows the no-alias path.
-                    let word = MemRange::word(u64::from(ordinal) * 8);
-                    let examined = queue
-                        .access(alias, word, is_load, ordinal)
-                        .expect("distinct producer words never overlap");
-                    MemPlan {
-                        start,
-                        end: producers.len() as u32,
-                        examined,
-                        records: p,
-                    }
-                }
-                AliasAnnot::Efficeon { .. } | AliasAnnot::AlatSet { .. } => return None,
-            };
-            mem.push(entry);
+            hw.walk(alias, is_load, |_, producer| {
+                producers.push(Producer {
+                    ordinal: producer,
+                    tag: tags[producer as usize],
+                });
+                false
+            });
+            // Every op records a word of its own, so no check hits and
+            // the replay follows the no-alias path.
+            let word = MemRange::word(u64::from(ordinal) * 8);
+            let examined = hw
+                .mem_access(alias, word, is_load, ordinal)
+                .expect("distinct producer words never overlap");
+            mem.push(MemPlan {
+                start,
+                end: producers.len() as u32,
+                examined,
+            });
             tags.push(tag);
         }
-        Some(QueuePlan {
+        Ok(QueuePlan {
+            kind,
             mem: mem.into_boxed_slice(),
             producers: producers.into_boxed_slice(),
-            max_offset,
+            max_reg,
             max_rotation,
         })
     }
 
-    /// One planned memory access, the compiled-out form of
-    /// [`FastAliasQueue::access`]: compares the address of memory op
+    /// One planned memory access, the compiled-out form of the
+    /// hardware's `mem_access`: compares the address of memory op
     /// `ordinal` with the words its producers recorded in `words`, in
-    /// window order. The first overlap raises the [`AliasViolation`];
-    /// otherwise the op records its own word if its `P` bit is set and
-    /// the result is the static examined count.
+    /// walk order. The first overlap raises the [`AliasViolation`];
+    /// otherwise the op records its own word and the result is the static
+    /// examined count.
     #[inline]
     fn access(
         &self,
@@ -448,27 +490,24 @@ impl QueuePlan {
                 });
             }
         }
-        if m.records {
-            words[ordinal] = word;
-        }
+        words[ordinal] = word;
         Ok(m.examined)
     }
 }
 
 /// A region compiled for the fast-functional tier: the flattened op
-/// stream, the compiled-out SMARQ queue, and the two facts the executor
-/// needs up front — the write mask (for the masked checkpoint) and
-/// whether any op can raise an alias exception at all.
+/// stream, the compiled-out alias hardware, and the two facts the
+/// executor needs up front — the write mask (for the masked checkpoint)
+/// and whether any op can raise an alias exception at all.
 #[derive(Clone, Debug)]
 pub struct FastProgram {
     ops: Box<[FastOp]>,
-    /// The compiled-out SMARQ queue; `None` for the regions
-    /// `QueuePlan::build` leaves to the dynamic one.
-    plan: Option<QueuePlan>,
+    /// The compiled-out alias hardware.
+    plan: QueuePlan,
     /// Registers the region may write (drives the masked checkpoint).
     pub write_mask: RegionWriteMask,
-    /// `true` when some annotation in the region can raise an alias
-    /// exception; `false` regions skip checkpoint and undo logging.
+    /// `true` when some check in the region has a producer to compare
+    /// against; `false` regions skip checkpoint and undo logging.
     pub can_fault: bool,
 }
 
@@ -477,41 +516,27 @@ impl FastProgram {
     pub fn ops(&self) -> &[FastOp] {
         &self.ops
     }
-
-    /// Whether the SMARQ queue is compiled out of this region.
-    pub fn is_planned(&self) -> bool {
-        self.plan.is_some()
-    }
 }
 
 /// Lowers an emitted region into a [`FastProgram`].
 ///
 /// Validation happens here, once, instead of on every execution: every
 /// exit id must be in range, every register must index the 64-entry
-/// files, and the stream must end in an unconditional exit (the emitter
-/// guarantees all three for well-formed regions). The SMARQ queue is
-/// compiled out here too (`QueuePlan`).
+/// files, the stream must end in an unconditional exit, and the alias
+/// annotations must target one scheme within its widest file (the
+/// emitter guarantees all of this for well-formed regions). The region's
+/// alias hardware is compiled out here too (`QueuePlan`).
 ///
 /// # Errors
 /// [`SimError::BadExitId`] for an out-of-range exit,
 /// [`SimError::BadRegister`] for a register past the files,
-/// [`SimError::MissingExit`] when control can fall off the end.
+/// [`SimError::MissingExit`] when control can fall off the end,
+/// [`SimError::MixedAliasKinds`] for annotations of two schemes,
+/// [`SimError::AliasOutOfRange`] for an alias register or rotation past
+/// the widest file of its scheme.
 pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
     let mut ops = Vec::with_capacity(program.op_count());
-    let mut has_check = false;
-    let mut has_store = false;
-    let mut has_alat_set = false;
     let mut terminated = false;
-
-    let mut note_annot = |alias: AliasAnnot, is_store: bool| {
-        has_store |= is_store;
-        match alias {
-            AliasAnnot::Smarq { c, .. } => has_check |= c,
-            AliasAnnot::Efficeon { check_mask, .. } => has_check |= check_mask != 0,
-            AliasAnnot::AlatSet { .. } => has_alat_set = true,
-            AliasAnnot::None => {}
-        }
-    };
 
     'bundles: for bundle in &program.bundles {
         for op in &bundle.ops {
@@ -533,7 +558,6 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                     alias,
                     tag,
                 } => {
-                    note_annot(alias, false);
                     ops.push(FastOp::Load {
                         rd,
                         base,
@@ -549,7 +573,6 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                     alias,
                     tag,
                 } => {
-                    note_annot(alias, true);
                     ops.push(FastOp::Store {
                         rs,
                         base,
@@ -565,7 +588,6 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                     alias,
                     tag,
                 } => {
-                    note_annot(alias, false);
                     ops.push(FastOp::FLoad {
                         fd,
                         base,
@@ -581,7 +603,6 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                     alias,
                     tag,
                 } => {
-                    note_annot(alias, true);
                     ops.push(FastOp::FStore {
                         fs,
                         base,
@@ -721,18 +742,9 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
     if let Some(reg) = ops.iter().map(FastOp::max_reg).max().filter(|&r| r >= 64) {
         return Err(SimError::BadRegister { reg });
     }
-    let plan = QueuePlan::build(&ops);
-    // A SMARQ check can only fire when its plan names a producer; without
-    // a plan, any check may. An ALAT store can fault on any valid entry
-    // regardless of its own annotation (false positives are the model's
-    // point), so the mere combination of an allocation and a later store
-    // makes the region faultable. Coarse (region-level, order-blind) but
-    // conservative.
-    let check_can_fire = match &plan {
-        Some(plan) => !plan.producers.is_empty(),
-        None => has_check,
-    };
-    let can_fault = check_can_fire || (has_alat_set && has_store);
+    let plan = QueuePlan::build(&ops)?;
+    // Only a check with a producer to compare against can fire.
+    let can_fault = !plan.producers.is_empty();
     Ok(FastProgram {
         ops: ops.into_boxed_slice(),
         plan,
@@ -777,18 +789,19 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
     (v, 0)
 }
 
-/// Executor for [`FastProgram`]s: owns the alias-detection state and
-/// runs regions over a resident [`FastState`] with no timing model.
+/// Executor for [`FastProgram`]s: runs regions over a resident
+/// [`FastState`] with no timing model and no alias hardware of its own.
 ///
-/// Under SMARQ with a single-word file (≤ 64 registers) a region that
-/// carries a `QueuePlan` runs with the queue compiled out: the only
-/// run-time detection state is the word each producer recorded on the
-/// current entry, and `Rotate`/`Amov` do nothing. Every other region and
-/// hardware kind runs the dynamic [`AnyAliasHw`].
+/// Every region carries its compiled-out hardware (`QueuePlan`), so the
+/// only run-time detection state is the word each memory op recorded on
+/// the current entry, and `Rotate`/`Amov`/`AlatClear` do nothing.
 #[derive(Clone, Debug)]
 pub struct FastSim {
-    hw: AnyAliasHw,
-    /// The word each planned producer recorded on the current entry, by
+    /// The scheme regions are translated for.
+    kind: HwKind,
+    /// The register count of that scheme's file ([`HwKind::file_regs`]).
+    num_regs: u32,
+    /// The word each memory op recorded on the current entry, by
     /// memory-op ordinal. Recycled across entries: a check's producers
     /// always record earlier in the same entry, so stale words are never
     /// read.
@@ -796,11 +809,15 @@ pub struct FastSim {
 }
 
 impl FastSim {
-    /// Creates an executor for the given hardware scheme, sized by
-    /// [`AnyAliasHw::for_kind`].
+    /// Creates an executor for the given hardware scheme, with the file
+    /// size [`AnyAliasHw::for_kind`] would build.
+    ///
+    /// # Panics
+    /// Panics for a SMARQ file of more than 64 registers.
     pub fn new(kind: HwKind, num_regs: u32) -> Self {
         FastSim {
-            hw: AnyAliasHw::for_kind(kind, num_regs),
+            kind,
+            num_regs: kind.file_regs(num_regs),
             words: Vec::new(),
         }
     }
@@ -812,42 +829,35 @@ impl FastSim {
     /// no timing model.
     ///
     /// # Panics
-    /// Panics when a SMARQ region breaks the queue's bounds contract. A
-    /// planned region is checked once, before it runs.
+    /// Panics when the region's annotations target another scheme than
+    /// this executor's, or break the bounds contract of its file. Both
+    /// are checked once, before the region runs.
     pub fn run_region(
         &mut self,
         prog: &FastProgram,
         state: &mut FastState,
         mem: &mut Memory,
     ) -> (RegionOutcome, RegionStats) {
+        let plan = &prog.plan;
+        if plan.kind != HwKind::None && plan.kind != self.kind {
+            kind_mismatch(plan.kind, self.kind);
+        }
+        enforce_alias_bounds(self.kind, self.num_regs, plan.max_reg, plan.max_rotation);
+        if self.words.len() < plan.mem.len() {
+            self.words.resize(plan.mem.len(), 0);
+        }
         // Atomic-region entry: the register checkpoint and store-undo log
         // only exist on regions that can actually fault.
         if prog.can_fault {
             state.begin_region(prog.write_mask);
         }
-        match (&self.hw, &prog.plan) {
-            (AnyAliasHw::Smarq(queue), Some(plan)) => {
-                queue.enforce_bounds(plan.max_offset, plan.max_rotation);
-                if self.words.len() < plan.mem.len() {
-                    self.words.resize(plan.mem.len(), 0);
-                }
-                self.exec::<true>(prog, plan, state, mem)
-            }
-            _ => {
-                self.hw.reset();
-                self.exec::<false>(prog, &QueuePlan::default(), state, mem)
-            }
-        }
+        self.exec(prog, state, mem)
     }
 
-    /// The region loop, one body for both queue forms (monomorphized, so
-    /// neither carries the other's branches): `PLANNED` runs `plan`'s
-    /// address compares, otherwise every annotation goes to the dynamic
-    /// hardware and `plan` is unused.
-    fn exec<const PLANNED: bool>(
+    /// The region loop.
+    fn exec(
         &mut self,
         prog: &FastProgram,
-        plan: &QueuePlan,
         state: &mut FastState,
         mem: &mut Memory,
     ) -> (RegionOutcome, RegionStats) {
@@ -882,8 +892,7 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access::<PLANNED>(plan, alias, addr, true, tag, &mut stats)
-                    {
+                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
                         stats.ops = at as u64 + 1 + extra;
                         return fault(state, mem, v, stats);
                     }
@@ -897,8 +906,7 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access::<PLANNED>(plan, alias, addr, true, tag, &mut stats)
-                    {
+                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
                         stats.ops = at as u64 + 1 + extra;
                         return fault(state, mem, v, stats);
                     }
@@ -912,9 +920,7 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) =
-                        self.access::<PLANNED>(plan, alias, addr, false, tag, &mut stats)
-                    {
+                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
                         stats.ops = at as u64 + 1 + extra;
                         return fault(state, mem, v, stats);
                     }
@@ -931,9 +937,7 @@ impl FastSim {
                     tag,
                 } => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) =
-                        self.access::<PLANNED>(plan, alias, addr, false, tag, &mut stats)
-                    {
+                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
                         stats.ops = at as u64 + 1 + extra;
                         return fault(state, mem, v, stats);
                     }
@@ -942,22 +946,8 @@ impl FastSim {
                         state.log_store(addr, old);
                     }
                 }
-                // The plan already holds every queue-management effect.
-                FastOp::AlatClear { entry } => {
-                    if !PLANNED {
-                        self.hw.alat_clear(entry);
-                    }
-                }
-                FastOp::Rotate { amount } => {
-                    if !PLANNED {
-                        self.hw.rotate(amount);
-                    }
-                }
-                FastOp::Amov { src, dst } => {
-                    if !PLANNED {
-                        self.hw.amov(src, dst);
-                    }
-                }
+                // The plan already holds every alias-hardware effect.
+                FastOp::AlatClear { .. } | FastOp::Rotate { .. } | FastOp::Amov { .. } => {}
                 FastOp::Exit { exit_id } => {
                     stats.ops = at as u64 + 1 + extra;
                     return (RegionOutcome::Exited { exit_id }, stats);
@@ -1035,15 +1025,14 @@ impl FastSim {
     }
 
     /// The fast tier's copy of the simulator's `mem_hook`: count the
-    /// memory op and the check, run the detection (planned or dynamic),
-    /// accumulate the energy proxy.
+    /// memory op and the check, run the planned detection, accumulate
+    /// the energy proxy.
     #[inline(always)]
-    fn access<const PLANNED: bool>(
+    fn access(
         &mut self,
         plan: &QueuePlan,
         alias: AliasAnnot,
         addr: u64,
-        is_load: bool,
         tag: u32,
         stats: &mut RegionStats,
     ) -> Result<(), AliasViolation> {
@@ -1053,20 +1042,23 @@ impl FastSim {
         if !matches!(alias, AliasAnnot::None) {
             stats.alias_checks += 1;
         }
-        let examined = if PLANNED {
-            plan.access(ordinal, addr, tag, &mut self.words)?
-        } else {
-            self.hw
-                .mem_access(alias, MemRange::word(addr), is_load, tag)?
-        };
+        let examined = plan.access(ordinal, addr, tag, &mut self.words)?;
         stats.entries_scanned += u64::from(examined);
         Ok(())
     }
 }
 
+/// A region translated for one alias-hardware scheme reached an executor
+/// of another: a translation contract, like the bounds contract.
+#[cold]
+#[inline(never)]
+fn kind_mismatch(region: HwKind, executor: HwKind) -> ! {
+    panic!("a region annotated for {region:?} alias hardware ran on a {executor:?} executor")
+}
+
 /// Alias-exception path: roll architectural state back, exactly as the
 /// cycle simulator does (minus the rollback-cycle penalty — no timing
-/// model here). The next entry resets the detection state. Only reachable
+/// model here). Only reachable
 /// from a check, so `can_fault` regions are the only callers and the
 /// checkpoint taken in `run_region` is always live.
 #[inline(never)]
@@ -1251,101 +1243,119 @@ mod tests {
             exits: exit_targets(1),
         };
         let prog = compile(&program).expect("test region compiles");
-        assert!(prog.is_planned());
         let mut fast = FastSim::new(HwKind::Smarq, 4);
         fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
     }
 
-    /// Which regions get a plan: SMARQ (or unannotated) ones whose
-    /// offsets fit one occupancy word. A region past it still runs, on
-    /// the dynamic queue of a wide file, bit-exact with the cycle tier.
-    #[test]
-    fn planning_covers_word_sized_smarq_regions_only() {
-        let region = |alias: AliasAnnot, tail: Vec<VliwOp>| VliwProgram {
+    /// A one-bundle region of `ops` ending in the unconditional exit.
+    fn region_of(ops: Vec<VliwOp>) -> VliwProgram {
+        let exit = VliwOp::Exit {
+            exit_id: 0,
+            cond: None,
+        };
+        VliwProgram {
             bundles: vec![Bundle {
-                ops: [
-                    vec![VliwOp::Load {
-                        rd: 10,
-                        base: 1,
-                        disp: 0,
-                        alias,
-                        tag: 1,
-                    }],
-                    tail,
-                    vec![
-                        VliwOp::Store {
-                            rs: 10,
-                            base: 2,
-                            disp: 0,
-                            alias: smarq_annot(false, true, 0),
-                            tag: 2,
-                        },
-                        VliwOp::Exit {
-                            exit_id: 0,
-                            cond: None,
-                        },
-                    ],
-                ]
-                .concat(),
+                ops: [ops, vec![exit]].concat(),
             }],
             exits: exit_targets(1),
-        };
-        let planned = |p: &VliwProgram| compile(p).unwrap().is_planned();
-        assert!(planned(&region(smarq_annot(true, false, 63), vec![])));
-        assert!(planned(&region(AliasAnnot::None, vec![])));
-        assert!(planned(&region(
-            smarq_annot(true, false, 0),
-            vec![VliwOp::Rotate { amount: 64 }]
-        )));
-        assert!(!planned(&region(
-            smarq_annot(true, false, 0),
-            vec![VliwOp::Rotate { amount: 65 }]
-        )));
-        assert!(!planned(&region(
-            smarq_annot(true, false, 0),
-            vec![VliwOp::Amov { src: 0, dst: 64 }]
-        )));
-        assert!(!planned(&region(
-            AliasAnnot::Efficeon {
-                set: Some(0),
-                check_mask: 0,
-            },
-            vec![]
-        )));
-
-        // Offset 70 on a 128-register file: unplanned, dynamic, and the
-        // store still sees the load's entry after the AMOV to offset 0.
-        let wide = region(
-            smarq_annot(true, false, 70),
-            vec![VliwOp::Amov { src: 70, dst: 0 }],
-        );
-        let prog = compile(&wide).unwrap();
-        assert!(!prog.is_planned());
-        assert!(prog.can_fault);
-        let mut sim = Simulator::new(
-            MachineConfig::default(),
-            AnyAliasHw::for_kind(HwKind::Smarq, 128),
-        );
-        let mut fast = FastSim::new(HwKind::Smarq, 128);
-        for r2 in [0x100i64, 0x200] {
-            let (mut vstate, mut fstate) = (VliwState::new(), FastState::new());
-            vstate.regs[1] = 0x100;
-            vstate.regs[2] = r2;
-            fstate.copy_from_vliw(&vstate);
-            let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
-            let (vout, vstats) = sim
-                .run_region_resident(&wide, prog.write_mask, &mut vstate, &mut vmem)
-                .unwrap();
-            let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
-            assert_eq!(fout, vout, "r2={r2:#x}");
-            assert_eq!(
-                matches!(fout, RegionOutcome::AliasException(_)),
-                r2 == 0x100
-            );
-            assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
-            assert_eq!(fstate.regs, vstate.regs);
-            assert_eq!(fmem, vmem);
         }
+    }
+
+    fn load(alias: AliasAnnot) -> VliwOp {
+        VliwOp::Load {
+            rd: 10,
+            base: 1,
+            disp: 0,
+            alias,
+            tag: 1,
+        }
+    }
+
+    fn efficeon_set(set: u8) -> AliasAnnot {
+        AliasAnnot::Efficeon {
+            set: Some(set),
+            check_mask: 0,
+        }
+    }
+
+    /// An annotation no hardware of its scheme holds, and a region that
+    /// mixes schemes, are typed compile errors; the widest in-range
+    /// operands compile.
+    #[test]
+    fn compile_rejects_alias_operands_no_hardware_holds() {
+        let err = |ops| compile(&region_of(ops)).unwrap_err();
+        let ok = |ops| compile(&region_of(ops)).is_ok();
+        let smarq_load = load(smarq_annot(true, false, 0));
+        assert!(ok(vec![load(smarq_annot(true, true, 63))]));
+        assert!(ok(vec![smarq_load, VliwOp::Rotate { amount: 64 }]));
+        assert!(ok(vec![load(efficeon_set(14))]));
+        assert!(ok(vec![load(AliasAnnot::AlatSet { entry: 1000 })]));
+        assert_eq!(
+            err(vec![load(smarq_annot(true, false, 64))]),
+            SimError::AliasOutOfRange {
+                kind: HwKind::Smarq,
+                value: 64
+            }
+        );
+        assert_eq!(
+            err(vec![smarq_load, VliwOp::Rotate { amount: 65 }]),
+            SimError::AliasOutOfRange {
+                kind: HwKind::Smarq,
+                value: 65
+            }
+        );
+        assert_eq!(
+            err(vec![VliwOp::Amov { src: 0, dst: 64 }]),
+            SimError::AliasOutOfRange {
+                kind: HwKind::Smarq,
+                value: 64
+            }
+        );
+        assert_eq!(
+            err(vec![load(efficeon_set(15))]),
+            SimError::AliasOutOfRange {
+                kind: HwKind::Efficeon,
+                value: 15
+            }
+        );
+        assert_eq!(
+            err(vec![smarq_load, load(efficeon_set(0))]),
+            SimError::MixedAliasKinds {
+                first: HwKind::Smarq,
+                second: HwKind::Efficeon
+            }
+        );
+        assert_eq!(
+            err(vec![
+                VliwOp::AlatClear { entry: 0 },
+                VliwOp::Rotate { amount: 0 }
+            ]),
+            SimError::MixedAliasKinds {
+                first: HwKind::Alat,
+                second: HwKind::Smarq
+            }
+        );
+    }
+
+    /// An Efficeon set index past the file panics with the contract
+    /// message before the region runs (the cycle-tier twin lives in
+    /// `smarq_vliw::sim`).
+    #[test]
+    #[should_panic(expected = "Efficeon alias file contract violated")]
+    fn efficeon_set_past_the_file_panics_on_the_fast_tier() {
+        let prog = compile(&region_of(vec![load(efficeon_set(12))])).unwrap();
+        let mut fast = FastSim::new(HwKind::Efficeon, 8);
+        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+    }
+
+    /// A region translated for one scheme cannot run on an executor of
+    /// another.
+    #[test]
+    #[should_panic(expected = "annotated for Efficeon alias hardware ran on a Smarq executor")]
+    fn region_of_another_scheme_panics_on_the_fast_tier() {
+        let prog = compile(&region_of(vec![load(efficeon_set(0))])).unwrap();
+        let mut fast = FastSim::new(HwKind::Smarq, 64);
+        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
     }
 
     /// A register past the 64-entry files is a typed compile error, not
@@ -1391,79 +1401,109 @@ mod tests {
         assert!(compile(&with(VliwOp::IConst { rd: 63, value: 5 })).is_ok());
     }
 
-    /// The compiled-out queue against the queue it replaces. Random
-    /// streams of SMARQ loads and stores, rotations and AMOVs at widths
-    /// 1, 4, 16 and 64 are lowered by `compile` (which plans at 64
-    /// registers) and replayed access by access: every planned access
-    /// must return what `FastAliasQueue::access` returns at the real
-    /// width — the examined count, or the first conflicting producer.
-    /// Addresses come from a pool of a few words, some unaligned, so
-    /// checks hit; a stream ends at its first hit, as a region entry
-    /// does. Each whole stream also runs on `FastSim` and on the cycle
-    /// simulator, which must agree on outcome, work counters and memory.
+    /// One random memory op or alias-management op of a `kind` stream
+    /// over a `width`-register file, addressing a pool of a few words
+    /// (some unaligned) so checks hit.
+    fn random_op(rng: &mut smarq::prng::Prng, kind: HwKind, width: u32, tag: u32) -> VliwOp {
+        if rng.chance(3, 10) {
+            match kind {
+                HwKind::Smarq if rng.chance(2, 3) => {
+                    let amount = if rng.chance(1, 16) {
+                        width
+                    } else {
+                        rng.range_u32(0, width.min(4) + 1)
+                    };
+                    return VliwOp::Rotate { amount };
+                }
+                HwKind::Smarq => {
+                    return VliwOp::Amov {
+                        src: rng.range_u32(0, width),
+                        dst: rng.range_u32(0, width),
+                    }
+                }
+                HwKind::Alat => {
+                    return VliwOp::AlatClear {
+                        entry: rng.range_u32(0, 4),
+                    }
+                }
+                _ => {}
+            }
+        }
+        let is_load = rng.chance(1, 2);
+        let alias = match kind {
+            _ if rng.chance(1, 8) => AliasAnnot::None,
+            HwKind::Smarq => {
+                smarq_annot(rng.chance(2, 3), rng.chance(1, 2), rng.range_u32(0, width))
+            }
+            HwKind::Efficeon => AliasAnnot::Efficeon {
+                set: rng.chance(2, 3).then(|| rng.range_u32(0, width) as u8),
+                // Mask bits past a narrow file name empty registers.
+                check_mask: rng.bounded(1 << EfficeonHw::MAX_REGS),
+            },
+            HwKind::Alat if is_load => AliasAnnot::AlatSet {
+                entry: rng.range_u32(0, 4),
+            },
+            _ => AliasAnnot::None,
+        };
+        let skew = if rng.chance(1, 4) {
+            rng.range_u32(1, 8)
+        } else {
+            0
+        };
+        let disp = i64::from(0x100 + rng.range_u32(0, 6) * 8 + skew);
+        if is_load {
+            VliwOp::Load {
+                rd: 1,
+                base: 0,
+                disp,
+                alias,
+                tag,
+            }
+        } else {
+            VliwOp::Store {
+                rs: 1,
+                base: 0,
+                disp,
+                alias,
+                tag,
+            }
+        }
+    }
+
+    /// The compiled-out hardware against the hardware it replaces, for
+    /// every scheme. Random streams of annotated loads and stores plus
+    /// the scheme's management ops (SMARQ rotations and AMOVs, ALAT
+    /// clears) are lowered by `compile`, which plans on the widest file,
+    /// and replayed access by access: every planned access must return
+    /// what `AnyAliasHw::mem_access` returns at the real width — the
+    /// examined count, or the first conflicting producer. A stream ends
+    /// at its first hit, as a region entry does. Each whole stream also
+    /// runs on `FastSim` and on the cycle simulator, which must agree on
+    /// outcome, work counters and memory.
     #[test]
     fn plan_matches_the_dynamic_queue_on_random_streams() {
         use smarq::prng::Prng;
-        for width in [1u32, 4, 16, 64] {
-            let mut rng = Prng::new(u64::from(width) * 7919 + 3);
-            let mut sim = Simulator::new(
-                MachineConfig::default(),
-                AnyAliasHw::for_kind(HwKind::Smarq, width),
-            );
-            let mut fast = FastSim::new(HwKind::Smarq, width);
+        let schemes = [
+            (HwKind::Smarq, 1u32),
+            (HwKind::Smarq, 4),
+            (HwKind::Smarq, 16),
+            (HwKind::Smarq, 64),
+            (HwKind::Efficeon, 1),
+            (HwKind::Efficeon, 4),
+            (HwKind::Efficeon, 15),
+            (HwKind::Alat, 0),
+        ];
+        for (kind, width) in schemes {
+            let at = format!("{kind:?}/{width}");
+            let mut rng = Prng::new(u64::from(width) * 7919 + kind as u64);
+            let mut sim =
+                Simulator::new(MachineConfig::default(), AnyAliasHw::for_kind(kind, width));
+            let mut fast = FastSim::new(kind, width);
             let (mut hits, mut scanned, mut faults) = (0, 0, 0);
             for stream in 0..300 {
-                let mut ops = Vec::new();
-                for tag in 1..=rng.range_u32(1, 40) {
-                    match rng.bounded(10) {
-                        0..=6 => {
-                            let alias = if rng.chance(1, 8) {
-                                AliasAnnot::None
-                            } else {
-                                smarq_annot(
-                                    rng.chance(2, 3),
-                                    rng.chance(1, 2),
-                                    rng.range_u32(0, width),
-                                )
-                            };
-                            let skew = if rng.chance(1, 4) {
-                                rng.range_u32(1, 8)
-                            } else {
-                                0
-                            };
-                            let disp = i64::from(0x100 + rng.range_u32(0, 6) * 8 + skew);
-                            ops.push(if rng.chance(1, 2) {
-                                VliwOp::Load {
-                                    rd: 1,
-                                    base: 0,
-                                    disp,
-                                    alias,
-                                    tag,
-                                }
-                            } else {
-                                VliwOp::Store {
-                                    rs: 1,
-                                    base: 0,
-                                    disp,
-                                    alias,
-                                    tag,
-                                }
-                            });
-                        }
-                        7 | 8 => {
-                            let amount = if rng.chance(1, 16) {
-                                width
-                            } else {
-                                rng.range_u32(0, width.min(4) + 1)
-                            };
-                            ops.push(VliwOp::Rotate { amount });
-                        }
-                        _ => ops.push(VliwOp::Amov {
-                            src: rng.range_u32(0, width),
-                            dst: rng.range_u32(0, width),
-                        }),
-                    }
-                }
+                let mut ops: Vec<VliwOp> = (1..=rng.range_u32(1, 40))
+                    .map(|tag| random_op(&mut rng, kind, width, tag))
+                    .collect();
                 ops.push(VliwOp::Exit {
                     exit_id: 0,
                     cond: None,
@@ -1473,34 +1513,34 @@ mod tests {
                     exits: exit_targets(1),
                 };
                 let prog = compile(&program).unwrap();
-                let plan = prog.plan.as_ref().expect("in-contract streams are planned");
+                let plan = &prog.plan;
 
                 // Access by access. The recorded words start out holding
                 // a pool word: a stale word must never be read.
-                let mut queue = FastAliasQueue::new(width);
+                let mut hw = AnyAliasHw::for_kind(kind, width);
                 let mut words = vec![0x100; plan.mem.len()];
                 let mut ordinal = 0;
                 for op in prog.ops() {
-                    let (alias, addr, is_load, tag) = match *op {
-                        FastOp::Load {
-                            disp, alias, tag, ..
-                        } => (alias, disp as u64, true, tag),
-                        FastOp::Store {
-                            disp, alias, tag, ..
-                        } => (alias, disp as u64, false, tag),
+                    let addr = match *op {
+                        FastOp::Load { disp, .. } | FastOp::Store { disp, .. } => disp as u64,
                         FastOp::Rotate { amount } => {
-                            queue.rotate(amount);
+                            hw.rotate(amount);
                             continue;
                         }
                         FastOp::Amov { src, dst } => {
-                            queue.amov(src, dst);
+                            hw.amov(src, dst);
+                            continue;
+                        }
+                        FastOp::AlatClear { entry } => {
+                            hw.alat_clear(entry);
                             continue;
                         }
                         _ => continue,
                     };
-                    let want = queue.access(alias, MemRange::word(addr), is_load, tag);
+                    let (alias, is_load, tag) = op.mem_access().unwrap();
+                    let want = hw.mem_access(alias, MemRange::word(addr), is_load, tag);
                     let got = plan.access(ordinal, addr, tag, &mut words);
-                    assert_eq!(got, want, "width={width} stream={stream} access={ordinal}");
+                    assert_eq!(got, want, "{at} stream={stream} access={ordinal}");
                     ordinal += 1;
                     match got {
                         Ok(n) => scanned += n,
@@ -1518,18 +1558,18 @@ mod tests {
                     .run_region_resident(&program, prog.write_mask, &mut vstate, &mut vmem)
                     .unwrap();
                 let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
-                assert_eq!(fout, vout, "width={width} stream={stream}");
-                assert_eq!(fstats.ops, vstats.ops, "width={width} stream={stream}");
+                assert_eq!(fout, vout, "{at} stream={stream}");
+                assert_eq!(fstats.ops, vstats.ops, "{at} stream={stream}");
                 assert_eq!(fstats.mem_ops, vstats.mem_ops);
                 assert_eq!(fstats.alias_checks, vstats.alias_checks);
                 assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
-                assert_eq!(fmem, vmem, "width={width} stream={stream}");
+                assert_eq!(fmem, vmem, "{at} stream={stream}");
                 assert_eq!(fstate.regs, vstate.regs);
                 faults += u32::from(matches!(fout, RegionOutcome::AliasException(_)));
             }
             assert!(
                 hits > 20 && faults > 20 && scanned > 100,
-                "width={width}: stream too tame ({hits} hits, {scanned} scanned)"
+                "{at}: stream too tame ({hits} hits, {faults} faults, {scanned} scanned)"
             );
         }
     }
@@ -1618,6 +1658,19 @@ mod tests {
             exits: exit_targets(1),
         };
         assert!(compile(&alat).unwrap().can_fault);
+
+        // A store before the allocation has no entry to check.
+        let alat_store_first = region_of(vec![
+            VliwOp::Store {
+                rs: 1,
+                base: 3,
+                disp: 0,
+                alias: AliasAnnot::None,
+                tag: 2,
+            },
+            load(AliasAnnot::AlatSet { entry: 0 }),
+        ]);
+        assert!(!compile(&alat_store_first).unwrap().can_fault);
     }
 
     #[test]

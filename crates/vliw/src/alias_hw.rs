@@ -1,32 +1,55 @@
 //! The four alias-detection hardware models compared by the paper
-//! (Table 1 and §2): the SMARQ ordered register queue, a
+//! (Table 1 and §2): the SMARQ ordered register queue ([`FastAliasQueue`],
+//! one occupancy word for the paper's 64 registers), a
 //! Transmeta-Efficeon-style bit-mask file, an Itanium-ALAT-style table, and
 //! no hardware at all.
 //!
-//! SMARQ has two storage forms with one semantics. Files of up to 64
-//! registers (every shipped configuration) run on
-//! [`FastAliasQueue`], a single occupancy word that the cycle simulator
-//! runs (through [`AnyAliasHw`]) and the functional tier compiles out of
-//! each region at translation time; wider files
-//! (`smarq-run --regs 128`) fall back to [`SmarqQueueHw`] over the generic
-//! [`smarq::queue::AliasQueue`], which also stays the symbolic
-//! validator's model. Both forms enforce one bounds contract and panic
-//! with one message when a translated region breaks it.
+//! Each model states its check rule once, as a walk over the producers
+//! the check compares against, in scan order ([`AnyAliasHw::walk`]), and
+//! its `mem_access` runs that walk. The cycle simulator runs the models;
+//! the functional tier (`smarq_opt::fastcomp`) replays them once per
+//! region and keeps only each check's producer list. Both tiers enforce
+//! one bounds contract per scheme, with one panic message.
 
 use crate::fast::FastAliasQueue;
 use crate::isa::{AliasAnnot, MemRange};
-use smarq::queue::{AliasQueue, QueueOverflow};
+use smarq::queue::QueueOverflow;
 use std::fmt;
 
-/// The SMARQ bounds contract: every offset a translated region names is
-/// below the register count, and one rotation releases at most that many
-/// registers. A violation is a translator bug, so every SMARQ queue form
-/// panics here, with one message on every execution tier, instead of
-/// reading a wrapped or empty window.
+/// The bounds contract of the register-file schemes: every SMARQ offset
+/// or AMOV operand and every Efficeon set index a translated region
+/// names is below the register count, and one SMARQ rotation releases at
+/// most that many registers. A violation is a translator bug, so every
+/// execution tier panics here, with one message per scheme, instead of
+/// reading a wrapped window or indexing past the file.
 #[cold]
 #[inline(never)]
-pub(crate) fn contract_violation(e: QueueOverflow) -> ! {
-    panic!("SMARQ queue contract violated: {e}")
+pub(crate) fn contract_violation(kind: HwKind, offset: u32, num_regs: u32) -> ! {
+    let hw = match kind {
+        HwKind::Efficeon => "Efficeon alias file",
+        _ => "SMARQ queue",
+    };
+    panic!(
+        "{hw} contract violated: {}",
+        QueueOverflow { offset, num_regs }
+    )
+}
+
+/// Enforces the bounds contract of a `kind` file of `num_regs` registers
+/// for a whole region up front, given the largest register it names
+/// (`None` when it names none) and its largest rotation: panics exactly
+/// as the first offending access, AMOV or rotation would.
+///
+/// # Panics
+/// Panics when `max_reg >= num_regs` or `max_rotation > num_regs`.
+#[inline]
+pub fn enforce_alias_bounds(kind: HwKind, num_regs: u32, max_reg: Option<u32>, max_rotation: u32) {
+    if let Some(reg) = max_reg.filter(|&r| r >= num_regs) {
+        contract_violation(kind, reg, num_regs);
+    }
+    if max_rotation > num_regs {
+        contract_violation(kind, max_rotation, num_regs);
+    }
 }
 
 /// A detected (or spuriously detected) alias: the running memory operation
@@ -60,6 +83,30 @@ pub enum HwKind {
     Alat,
     /// No alias-detection hardware.
     None,
+}
+
+impl HwKind {
+    /// The register count of the file [`AnyAliasHw::for_kind`] builds for
+    /// a requested `num_regs`: 1 to 64 for SMARQ, at most 15 for
+    /// Efficeon, and `u32::MAX` (no bound) for the ALAT, which grows on
+    /// demand, and for no hardware.
+    ///
+    /// # Panics
+    /// Panics for a SMARQ file of more than 64 registers, the paper's
+    /// machine.
+    pub fn file_regs(self, num_regs: u32) -> u32 {
+        match self {
+            HwKind::Smarq => {
+                assert!(
+                    num_regs <= FastAliasQueue::MAX_REGS,
+                    "SMARQ alias files hold at most 64 registers, got {num_regs}"
+                );
+                num_regs.max(1)
+            }
+            HwKind::Efficeon => num_regs.min(EfficeonHw::MAX_REGS),
+            HwKind::Alat | HwKind::None => u32::MAX,
+        }
+    }
 }
 
 /// Common interface of the alias-detection hardware models.
@@ -100,101 +147,6 @@ pub trait AliasHardware {
     fn reset(&mut self);
 }
 
-/// The SMARQ ordered alias register queue with P/C bits, rotation and AMOV
-/// (paper §3), backed by the functional model in [`smarq::queue`]. It
-/// serves files wider than one occupancy word; [`AnyAliasHw::for_kind`]
-/// builds [`FastAliasQueue`] for everything up to 64 registers, and the
-/// unit tests hold the two bit-exact.
-#[derive(Clone, Debug)]
-pub struct SmarqQueueHw {
-    queue: AliasQueue<(MemRange, u32)>,
-    num_regs: u32,
-}
-
-impl SmarqQueueHw {
-    /// Creates a queue with `num_regs` hardware registers.
-    pub fn new(num_regs: u32) -> Self {
-        SmarqQueueHw {
-            queue: AliasQueue::new(num_regs),
-            num_regs,
-        }
-    }
-
-    /// Hardware register count.
-    pub fn num_regs(&self) -> u32 {
-        self.num_regs
-    }
-}
-
-impl AliasHardware for SmarqQueueHw {
-    fn mem_access(
-        &mut self,
-        annot: AliasAnnot,
-        range: MemRange,
-        is_load: bool,
-        tag: u32,
-    ) -> Result<u32, AliasViolation> {
-        let AliasAnnot::Smarq { p, c, offset } = annot else {
-            debug_assert!(
-                matches!(annot, AliasAnnot::None),
-                "SMARQ hardware received a foreign annotation: {annot:?}"
-            );
-            return Ok(0);
-        };
-        if offset >= self.num_regs {
-            contract_violation(QueueOverflow {
-                offset,
-                num_regs: self.num_regs,
-            });
-        }
-        let mut examined = 0;
-        if c {
-            examined = self.queue.valid_from(offset).expect("offset checked");
-            // Allocation-free first-hit scan: an alias exception fires on
-            // the first conflicting entry, so later hits are irrelevant.
-            let hit = self
-                .queue
-                .check_first(offset, is_load, |&(r, _)| r.overlaps(range))
-                .expect("offset checked");
-            if let Some(h) = hit {
-                let producer = self
-                    .queue
-                    .get(h)
-                    .expect("hit in range")
-                    .expect("hit valid")
-                    .payload
-                    .1;
-                return Err(AliasViolation {
-                    checker_tag: tag,
-                    producer_tag: producer,
-                });
-            }
-        }
-        if p {
-            self.queue
-                .set(offset, (range, tag), is_load)
-                .expect("offset checked");
-        }
-        Ok(examined)
-    }
-
-    fn rotate(&mut self, amount: u32) {
-        self.queue
-            .rotate(amount)
-            .unwrap_or_else(|e| contract_violation(e));
-    }
-
-    fn amov(&mut self, src: u32, dst: u32) {
-        self.queue
-            .amov(src, dst)
-            .unwrap_or_else(|e| contract_violation(e));
-    }
-
-    fn reset(&mut self) {
-        self.queue.reset();
-    }
-}
-
 /// Efficeon-style alias registers: instructions name the register to set
 /// and carry an explicit bit-mask of registers to check (paper §2.2). The
 /// encoding limits the file to at most 15 registers — the scalability
@@ -222,6 +174,19 @@ impl EfficeonHw {
             regs: vec![None; num_regs as usize],
         }
     }
+
+    /// The check walk: visits the valid registers in `check_mask` in
+    /// ascending order and returns the tag of the first one for which
+    /// `hit(range, tag)` holds. Mask bits past the file name no register.
+    pub fn walk(&self, check_mask: u64, mut hit: impl FnMut(MemRange, u32) -> bool) -> Option<u32> {
+        self.regs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| check_mask & (1 << i) != 0)
+            .filter_map(|(_, slot)| *slot)
+            .find(|&(r, tag)| hit(r, tag))
+            .map(|(_, tag)| tag)
+    }
 }
 
 impl AliasHardware for EfficeonHw {
@@ -236,22 +201,21 @@ impl AliasHardware for EfficeonHw {
             debug_assert!(matches!(annot, AliasAnnot::None));
             return Ok(0);
         };
+        let num_regs = self.regs.len() as u32;
+        enforce_alias_bounds(HwKind::Efficeon, num_regs, set.map(u32::from), 0);
         let mut examined = 0;
-        for (i, slot) in self.regs.iter().enumerate() {
-            if check_mask & (1 << i) != 0 {
-                if let Some((r, producer)) = slot {
-                    examined += 1;
-                    if r.overlaps(range) {
-                        return Err(AliasViolation {
-                            checker_tag: tag,
-                            producer_tag: *producer,
-                        });
-                    }
-                }
-            }
+        let hit = self.walk(check_mask, |r, _| {
+            examined += 1;
+            r.overlaps(range)
+        });
+        if let Some(producer) = hit {
+            return Err(AliasViolation {
+                checker_tag: tag,
+                producer_tag: producer,
+            });
         }
         if let Some(idx) = set {
-            self.regs[idx as usize] = Some((range, tag));
+            self.regs[usize::from(idx)] = Some((range, tag));
         }
         Ok(examined)
     }
@@ -288,6 +252,20 @@ impl AlatHw {
             self.entries.resize(entry as usize + 1, None);
         }
     }
+
+    /// The check walk: a store visits every valid entry in entry order,
+    /// a load visits none; returns the tag of the first entry for which
+    /// `hit(range, tag)` holds.
+    pub fn walk(&self, is_load: bool, mut hit: impl FnMut(MemRange, u32) -> bool) -> Option<u32> {
+        if is_load {
+            return None;
+        }
+        self.entries
+            .iter()
+            .flatten()
+            .find(|&&(r, tag)| hit(r, tag))
+            .map(|&(_, tag)| tag)
+    }
 }
 
 impl AliasHardware for AlatHw {
@@ -299,17 +277,15 @@ impl AliasHardware for AlatHw {
         tag: u32,
     ) -> Result<u32, AliasViolation> {
         let mut examined = 0;
-        if !is_load {
-            // Stores implicitly check ALL valid entries.
-            for (r, producer) in self.entries.iter().flatten() {
-                examined += 1;
-                if r.overlaps(range) {
-                    return Err(AliasViolation {
-                        checker_tag: tag,
-                        producer_tag: *producer,
-                    });
-                }
-            }
+        let hit = self.walk(is_load, |r, _| {
+            examined += 1;
+            r.overlaps(range)
+        });
+        if let Some(producer) = hit {
+            return Err(AliasViolation {
+                checker_tag: tag,
+                producer_tag: producer,
+            });
         }
         match annot {
             AliasAnnot::AlatSet { entry } => {
@@ -340,10 +316,8 @@ impl AliasHardware for AlatHw {
 /// pick the scheme at run time without generics.
 #[derive(Clone, Debug)]
 pub enum AnyAliasHw {
-    /// SMARQ ordered queue on one occupancy word (≤ 64 registers).
+    /// SMARQ ordered queue on one occupancy word.
     Smarq(FastAliasQueue),
-    /// SMARQ ordered queue wider than one occupancy word.
-    SmarqWide(SmarqQueueHw),
     /// Efficeon bit-mask file.
     Efficeon(EfficeonHw),
     /// Itanium-like ALAT.
@@ -353,21 +327,48 @@ pub enum AnyAliasHw {
 }
 
 impl AnyAliasHw {
-    /// Builds the hardware for `kind`. `num_regs` sizes the SMARQ queue or
-    /// the Efficeon file; the ALAT grows on demand. SMARQ files of up to
-    /// [`FastAliasQueue::MAX_REGS`] registers get the single-word queue,
-    /// wider ones [`SmarqQueueHw`].
+    /// Builds the hardware for `kind`, with the file
+    /// [`HwKind::file_regs`] sizes from `num_regs`: the SMARQ queue or
+    /// the Efficeon file; the ALAT grows on demand.
+    ///
+    /// # Panics
+    /// Panics for a SMARQ file of more than [`FastAliasQueue::MAX_REGS`]
+    /// registers.
     pub fn for_kind(kind: HwKind, num_regs: u32) -> Self {
+        let n = kind.file_regs(num_regs);
         match kind {
-            HwKind::Smarq => match num_regs.max(1) {
-                n if n <= FastAliasQueue::MAX_REGS => AnyAliasHw::Smarq(FastAliasQueue::new(n)),
-                n => AnyAliasHw::SmarqWide(SmarqQueueHw::new(n)),
-            },
-            HwKind::Efficeon => {
-                AnyAliasHw::Efficeon(EfficeonHw::new(num_regs.min(EfficeonHw::MAX_REGS)))
-            }
+            HwKind::Smarq => AnyAliasHw::Smarq(FastAliasQueue::new(n)),
+            HwKind::Efficeon => AnyAliasHw::Efficeon(EfficeonHw::new(n)),
             HwKind::Alat => AnyAliasHw::Alat(AlatHw::new()),
             HwKind::None => AnyAliasHw::None(NoAliasHw),
+        }
+    }
+
+    /// The check walk of one memory access with annotation `annot`:
+    /// visits the producers the access's check compares against, in the
+    /// order the hardware scans them, and returns the tag of the first
+    /// one for which `hit(range, tag)` holds. The producers are the SMARQ
+    /// window from a `C` bit's offset, the registers of an Efficeon mask,
+    /// or every valid ALAT entry for a store; an access without a check
+    /// visits none. A SMARQ offset must lie inside the file.
+    pub fn walk(
+        &self,
+        annot: AliasAnnot,
+        is_load: bool,
+        hit: impl FnMut(MemRange, u32) -> bool,
+    ) -> Option<u32> {
+        match (self, annot) {
+            (
+                AnyAliasHw::Smarq(q),
+                AliasAnnot::Smarq {
+                    c: true, offset, ..
+                },
+            ) => q.walk_window(offset, is_load, hit),
+            (AnyAliasHw::Efficeon(h), AliasAnnot::Efficeon { check_mask, .. }) => {
+                h.walk(check_mask, hit)
+            }
+            (AnyAliasHw::Alat(h), _) => h.walk(is_load, hit),
+            _ => None,
         }
     }
 }
@@ -382,7 +383,6 @@ impl AliasHardware for AnyAliasHw {
     ) -> Result<u32, AliasViolation> {
         match self {
             AnyAliasHw::Smarq(q) => q.access(annot, range, is_load, tag),
-            AnyAliasHw::SmarqWide(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Efficeon(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Alat(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::None(h) => h.mem_access(annot, range, is_load, tag),
@@ -392,7 +392,6 @@ impl AliasHardware for AnyAliasHw {
     fn rotate(&mut self, amount: u32) {
         match self {
             AnyAliasHw::Smarq(q) => q.rotate(amount),
-            AnyAliasHw::SmarqWide(h) => h.rotate(amount),
             AnyAliasHw::Efficeon(h) => h.rotate(amount),
             AnyAliasHw::Alat(h) => h.rotate(amount),
             AnyAliasHw::None(h) => h.rotate(amount),
@@ -402,7 +401,6 @@ impl AliasHardware for AnyAliasHw {
     fn amov(&mut self, src: u32, dst: u32) {
         match self {
             AnyAliasHw::Smarq(q) => q.amov(src, dst),
-            AnyAliasHw::SmarqWide(h) => h.amov(src, dst),
             AnyAliasHw::Efficeon(h) => h.amov(src, dst),
             AnyAliasHw::Alat(h) => h.amov(src, dst),
             AnyAliasHw::None(h) => h.amov(src, dst),
@@ -413,7 +411,6 @@ impl AliasHardware for AnyAliasHw {
         match self {
             // SMARQ hardware ignores ALAT entry management.
             AnyAliasHw::Smarq(_) => {}
-            AnyAliasHw::SmarqWide(h) => h.alat_clear(entry),
             AnyAliasHw::Efficeon(h) => h.alat_clear(entry),
             AnyAliasHw::Alat(h) => h.alat_clear(entry),
             AnyAliasHw::None(h) => h.alat_clear(entry),
@@ -423,7 +420,6 @@ impl AliasHardware for AnyAliasHw {
     fn reset(&mut self) {
         match self {
             AnyAliasHw::Smarq(q) => q.reset(),
-            AnyAliasHw::SmarqWide(h) => h.reset(),
             AnyAliasHw::Efficeon(h) => h.reset(),
             AnyAliasHw::Alat(h) => h.reset(),
             AnyAliasHw::None(h) => h.reset(),
@@ -468,7 +464,7 @@ mod tests {
 
     #[test]
     fn smarq_hw_detects_ordered_aliases_only() {
-        let mut hw = SmarqQueueHw::new(4);
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 4);
         // Load sets offset 1; a later store checks from offset 0: conflict.
         hw.mem_access(
             AliasAnnot::Smarq {
@@ -516,7 +512,7 @@ mod tests {
 
     #[test]
     fn smarq_hw_rotation_and_amov() {
-        let mut hw = SmarqQueueHw::new(2);
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 2);
         hw.mem_access(
             AliasAnnot::Smarq {
                 p: true,
@@ -560,7 +556,7 @@ mod tests {
 
     #[test]
     fn smarq_hw_load_load_filter() {
-        let mut hw = SmarqQueueHw::new(2);
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 2);
         hw.mem_access(
             AliasAnnot::Smarq {
                 p: true,
@@ -588,14 +584,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "SMARQ queue contract violated")]
-    fn wide_queue_enforces_the_same_bounds_contract() {
+    fn p_only_access_past_the_full_file_panics() {
         // A P-only access names no window, yet its offset is still checked.
-        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 65);
-        assert!(matches!(hw, AnyAliasHw::SmarqWide(_)));
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, 64);
         let annot = AliasAnnot::Smarq {
             p: true,
             c: false,
-            offset: 65,
+            offset: 64,
         };
         let _ = hw.mem_access(annot, rng(0x100), true, 1);
     }

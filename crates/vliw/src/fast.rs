@@ -11,26 +11,25 @@
 //!   and masked register checkpoint that make alias-exception rollback
 //!   exact without per-entry allocation;
 //! * [`FastAliasQueue`]: the SMARQ ordered queue flattened onto a single
-//!   `u64` occupancy word (hardware configurations have ≤ 64 alias
-//!   registers), replicating [`smarq::queue::AliasQueue`]'s first-hit
-//!   scan order, load-set filtering, rotation and AMOV semantics. The
-//!   cycle simulator runs it through
-//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq); the functional
-//!   tier's lowering (`smarq_opt::fastcomp`) replays it once per region
-//!   at translation time, reading each check's ordered producer list off
-//!   [`FastAliasQueue::walk_window`], so its hot loop only compares
-//!   addresses.
+//!   `u64` occupancy word (the paper's machine has 64 alias registers),
+//!   replicating [`smarq::queue::AliasQueue`]'s first-hit scan order,
+//!   load-set filtering, rotation and AMOV semantics. The cycle
+//!   simulator runs it through
+//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq).
 //!
-//! The lowering from [`VliwProgram`](crate::VliwProgram) to the
-//! functional op stream, and the executor driving this state, live in
-//! `smarq_opt::fastcomp` (the optimizer owns region shape); marshalling
-//! in and out of guest registers and [`VliwState`] lives here so the
-//! runtime can tier-down a sampled execution onto the cycle simulator.
+//! The functional tier has no alias hardware of its own: its lowering
+//! (`smarq_opt::fastcomp`) replays the region's hardware once at
+//! translation time, reading each check's ordered producer list off
+//! [`AnyAliasHw::walk`](crate::AnyAliasHw::walk), so its hot loop only
+//! compares addresses. That lowering and the executor driving this state
+//! live in `smarq_opt::fastcomp` (the optimizer owns region shape);
+//! marshalling in and out of guest registers and [`VliwState`] lives here
+//! so the runtime can tier-down a sampled execution onto the cycle
+//! simulator.
 
-use crate::alias_hw::{contract_violation, AliasViolation};
+use crate::alias_hw::{contract_violation, AliasViolation, HwKind};
 use crate::isa::{AliasAnnot, MemRange};
 use crate::sim::{RegionWriteMask, VliwState};
-use smarq::queue::QueueOverflow;
 use smarq_guest::Memory;
 
 /// Architectural state of the fast-functional tier: the 64+64 register
@@ -155,19 +154,17 @@ fn span_mask(a: u32, b: u32) -> u64 {
 }
 
 /// The SMARQ ordered alias register queue flattened onto one `u64`
-/// occupancy word — the form both execution tiers run for
-/// hardware-sized files (≤ [`MAX_REGS`](Self::MAX_REGS) registers;
-/// larger files fall back to [`SmarqQueueHw`](crate::SmarqQueueHw)).
+/// occupancy word — the form the cycle simulator runs and the functional
+/// tier's planner replays, for files of up to
+/// [`MAX_REGS`](Self::MAX_REGS) registers.
 ///
-/// Bit-exact with [`SmarqQueueHw`](crate::SmarqQueueHw) /
-/// [`smarq::queue::AliasQueue`]: checks scan offsets `from..n` in
-/// ascending order and report the *first* conflicting producer, loads
-/// skip load-set entries, rotation clears the registers that rotate
-/// out, and AMOV moves (or clears, for `src == dst`) a single entry.
-/// Offsets, rotations and AMOV operands are bounds-checked in every
-/// build, with the same panic as the wide queue. The unit tests drive
-/// both implementations through random operation sequences and assert
-/// identical observable behavior.
+/// Bit-exact with [`smarq::queue::AliasQueue`]: checks scan offsets
+/// `from..n` in ascending order and report the *first* conflicting
+/// producer, loads skip load-set entries, rotation clears the registers
+/// that rotate out, and AMOV moves (or clears, for `src == dst`) a single
+/// entry. Offsets, rotations and AMOV operands are bounds-checked in
+/// every build. The unit tests drive both implementations through random
+/// operation sequences and assert identical observable behavior.
 #[derive(Clone, Debug)]
 pub struct FastAliasQueue {
     /// Recorded access range per physical slot (valid where `occ` set).
@@ -225,10 +222,7 @@ impl FastAliasQueue {
     #[inline]
     fn check_bounds(&self, offset: u32) {
         if offset >= self.n {
-            contract_violation(QueueOverflow {
-                offset,
-                num_regs: self.n,
-            });
+            contract_violation(HwKind::Smarq, offset, self.n);
         }
     }
 
@@ -353,24 +347,6 @@ impl FastAliasQueue {
         None
     }
 
-    /// Enforces the bounds contract for a whole region up front, given
-    /// the largest offset (set, check or AMOV operand) and the largest
-    /// rotation it names: panics exactly as the first offending access,
-    /// AMOV or rotation would.
-    ///
-    /// # Panics
-    /// Panics when `max_offset >= n` or `max_rotation > n`.
-    #[inline]
-    pub fn enforce_bounds(&self, max_offset: u32, max_rotation: u32) {
-        self.check_bounds(max_offset);
-        if max_rotation > self.n {
-            contract_violation(QueueOverflow {
-                offset: max_rotation,
-                num_regs: self.n,
-            });
-        }
-    }
-
     /// Number of valid entries a check starting at `offset` examines
     /// (the energy proxy; a popcount over the occupancy window).
     #[inline]
@@ -387,7 +363,9 @@ impl FastAliasQueue {
     /// contract).
     #[inline]
     pub fn rotate(&mut self, amount: u32) {
-        self.enforce_bounds(0, amount);
+        if amount > self.n {
+            contract_violation(HwKind::Smarq, amount, self.n);
+        }
         // Offsets 0..amount occupy the physical window starting at base.
         let start = self.base;
         let released = if start + amount <= self.n {
@@ -438,9 +416,9 @@ impl FastAliasQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias_hw::{AliasHardware, SmarqQueueHw};
     use crate::isa::AliasAnnot;
     use smarq::prng::Prng;
+    use smarq::queue::AliasQueue;
 
     #[test]
     fn state_marshal_roundtrips() {
@@ -502,8 +480,41 @@ mod tests {
         }
     }
 
+    /// One SMARQ access on the generic reference queue, with the
+    /// semantics [`FastAliasQueue::access`] documents: the `C` check
+    /// first (examined count or first-hit producer), then the `P` set.
+    fn reference_access(
+        queue: &mut AliasQueue<(MemRange, u32)>,
+        annot: AliasAnnot,
+        range: MemRange,
+        is_load: bool,
+        tag: u32,
+    ) -> Result<u32, AliasViolation> {
+        let AliasAnnot::Smarq { p, c, offset } = annot else {
+            unreachable!("the stream carries SMARQ annotations only")
+        };
+        let mut examined = 0;
+        if c {
+            examined = queue.valid_from(offset).unwrap();
+            let hit = queue
+                .check_first(offset, is_load, |&(r, _)| r.overlaps(range))
+                .unwrap();
+            if let Some(h) = hit {
+                let producer = queue.get(h).unwrap().expect("hit valid").payload.1;
+                return Err(AliasViolation {
+                    checker_tag: tag,
+                    producer_tag: producer,
+                });
+            }
+        }
+        if p {
+            queue.set(offset, (range, tag), is_load).unwrap();
+        }
+        Ok(examined)
+    }
+
     /// Drives the shared access routine of the single-word queue and the
-    /// wide SMARQ hardware through random operation sequences: every
+    /// generic reference queue through random operation sequences: every
     /// access must agree on the examined-entry count, or on the
     /// first-hit producer tag when the check fires.
     #[test]
@@ -511,7 +522,7 @@ mod tests {
         for &regs in &[1u32, 2, 5, 16, 63, 64] {
             let mut rng = Prng::new(u64::from(regs) * 977 + 5);
             let mut fast = FastAliasQueue::new(regs);
-            let mut reference = SmarqQueueHw::new(regs);
+            let mut reference = AliasQueue::new(regs);
             let mut tag = 0u32;
             let (mut hits, mut scanned) = (0, 0);
             for step in 0..600 {
@@ -527,7 +538,7 @@ mod tests {
                         let addr = u64::from(rng.range_u32(0, 6)) * 8 + 0x100;
                         let range = MemRange::word(addr);
                         tag += 1;
-                        let expect = reference.mem_access(annot, range, is_load, tag);
+                        let expect = reference_access(&mut reference, annot, range, is_load, tag);
                         let got = fast.access(annot, range, is_load, tag);
                         assert_eq!(got, expect, "regs={regs} step={step}");
                         match got {
@@ -537,13 +548,13 @@ mod tests {
                     }
                     5 => {
                         let amount = rng.range_u32(0, regs.min(4) + 1);
-                        reference.rotate(amount);
+                        reference.rotate(amount).unwrap();
                         fast.rotate(amount);
                     }
                     6 => {
                         let src = rng.range_u32(0, regs);
                         let dst = rng.range_u32(0, regs);
-                        reference.amov(src, dst);
+                        reference.amov(src, dst).unwrap();
                         fast.amov(src, dst);
                     }
                     _ => {

@@ -11,12 +11,14 @@
 //!   latencies (our substitute for the paper's lost Table 2 — see
 //!   EXPERIMENTS.md);
 //! * the four alias-detection hardware models of the paper's comparison
-//!   (Table 1): the SMARQ ordered queue ([`FastAliasQueue`] on one
-//!   occupancy word for files of up to 64 registers, [`SmarqQueueHw`]
-//!   beyond; [`AnyAliasHw::for_kind`] picks), a
+//!   (Table 1): the SMARQ ordered queue ([`FastAliasQueue`], one
+//!   occupancy word for the paper's 64 registers), a
 //!   Transmeta-Efficeon-style bit-mask file ([`EfficeonHw`]), an
 //!   Itanium-ALAT-style table with false positives ([`AlatHw`]), and
-//!   [`NoAliasHw`];
+//!   [`NoAliasHw`]. Each states its check rule once, as the walk
+//!   [`AnyAliasHw::walk`] dispatches to: the cycle simulator runs the
+//!   models, and the functional tier's lowering replays them once per
+//!   region to compile them out;
 //! * a cycle-level in-order [`Simulator`] with atomic-region semantics:
 //!   register checkpoint at entry, memory undo log, rollback on alias
 //!   exception.
@@ -34,7 +36,8 @@ mod parse;
 mod sim;
 
 pub use alias_hw::{
-    AlatHw, AliasHardware, AliasViolation, AnyAliasHw, EfficeonHw, HwKind, NoAliasHw, SmarqQueueHw,
+    enforce_alias_bounds, AlatHw, AliasHardware, AliasViolation, AnyAliasHw, EfficeonHw, HwKind,
+    NoAliasHw,
 };
 pub use cache::{CacheParams, DCache};
 pub use fast::{FastAliasQueue, FastState};

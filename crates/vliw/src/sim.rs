@@ -6,7 +6,7 @@
 //! atomic region checkpoints the register files on entry and logs memory
 //! writes; an alias exception rolls everything back (paper §1, Figure 1).
 
-use crate::alias_hw::{AliasHardware, AliasViolation};
+use crate::alias_hw::{AliasHardware, AliasViolation, HwKind};
 use crate::cache::DCache;
 use crate::isa::{AliasAnnot, CondExit, MemRange, VliwOp, VliwProgram};
 use crate::machine::MachineConfig;
@@ -175,6 +175,22 @@ pub enum SimError {
         /// The offending register index.
         reg: u8,
     },
+    /// An alias annotation or queue op names more than any `kind` file
+    /// holds: a SMARQ offset or AMOV operand ≥ 64, a rotation > 64, or an
+    /// Efficeon set index ≥ 15.
+    AliasOutOfRange {
+        /// The annotation's scheme.
+        kind: HwKind,
+        /// The offset, operand, rotation or set index.
+        value: u32,
+    },
+    /// The region mixes annotations or queue ops of two schemes.
+    MixedAliasKinds {
+        /// The scheme of the region's first annotation.
+        first: HwKind,
+        /// The other scheme.
+        second: HwKind,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -183,6 +199,12 @@ impl fmt::Display for SimError {
             SimError::MissingExit => f.write_str("region fell off the end without an exit"),
             SimError::BadExitId { exit_id } => write!(f, "exit id {exit_id} out of range"),
             SimError::BadRegister { reg } => write!(f, "register {reg} out of range (0..=63)"),
+            SimError::AliasOutOfRange { kind, value } => {
+                write!(f, "{kind:?} alias operand {value} past every file")
+            }
+            SimError::MixedAliasKinds { first, second } => {
+                write!(f, "region mixes {first:?} and {second:?} annotations")
+            }
         }
     }
 }
@@ -870,6 +892,31 @@ mod tests {
         let mut sim = Simulator::new(
             MachineConfig::default(),
             AnyAliasHw::for_kind(HwKind::Smarq, 4),
+        );
+        let _ = sim.run_region(&p, &mut VliwState::new(), &mut Memory::new());
+    }
+
+    /// An Efficeon set index past the file breaks the bounds contract:
+    /// the cycle tier panics with the contract message, not a raw index
+    /// error (`smarq_opt::fastcomp` has the fast-tier twin).
+    #[test]
+    #[should_panic(expected = "Efficeon alias file contract violated")]
+    fn efficeon_set_past_the_file_panics_on_the_cycle_tier() {
+        let p = exit_program(vec![Bundle {
+            ops: vec![VliwOp::Load {
+                rd: 1,
+                base: 2,
+                disp: 0,
+                alias: AliasAnnot::Efficeon {
+                    set: Some(12),
+                    check_mask: 0,
+                },
+                tag: 1,
+            }],
+        }]);
+        let mut sim = Simulator::new(
+            MachineConfig::default(),
+            AnyAliasHw::for_kind(HwKind::Efficeon, 8),
         );
         let _ = sim.run_region(&p, &mut VliwState::new(), &mut Memory::new());
     }

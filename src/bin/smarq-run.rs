@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
-//!                  [--regs 1..=4096] [--unroll N] [--budget N]
+//!                  [--regs 1..=64] [--unroll N] [--budget N]
 //!                  [--exec-tier cycle|functional]
 //!                  [--async-translate] [--translate-workers 0..=64]
 //!                  [--translate-queue 0..=4096] [--guests 1..=1024]
@@ -39,8 +39,7 @@
 //! bounds the job queue.
 //!
 //! `--regs N` sizes the SMARQ alias register file, from 1 to
-//! [`MAX_ALIAS_REGS`]; files of up to 64 registers run on the single-word
-//! queue, wider ones on the generic one. Every size flag is bounded
+//! [`MAX_ALIAS_REGS`], the paper's machine. Every size flag is bounded
 //! (`--guests` by [`MAX_GUESTS`], `--threads` and `--translate-workers`
 //! by [`MAX_HOST_THREADS`], `--translate-queue` by
 //! [`MAX_TRANSLATE_QUEUE`]); a value out of range exits with status 2.
@@ -65,9 +64,9 @@ use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-/// Largest `--regs` value accepted (the wide queue allocates per
-/// register, so a larger value would abort on allocation).
-const MAX_ALIAS_REGS: u32 = 4096;
+/// Largest `--regs` value accepted: the paper's machine has 64 alias
+/// registers, and the SMARQ queue is one 64-bit occupancy word.
+const MAX_ALIAS_REGS: u32 = 64;
 /// Largest `--guests` value accepted (each guest owns an interpreter and
 /// its guest memory).
 const MAX_GUESTS: usize = 1024;
@@ -117,7 +116,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
-         [--regs 1..=4096] [--unroll N] [--budget N] \
+         [--regs 1..=64] [--unroll N] [--budget N] \
          [--exec-tier cycle|functional] [--async-translate] \
          [--translate-workers 0..=64] [--translate-queue 0..=4096] \
          [--guests 1..=1024] [--threads 1..=64] \

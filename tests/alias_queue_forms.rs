@@ -1,21 +1,17 @@
-//! Whole-region differential between the forms of the SMARQ queue: the
-//! single-word `FastAliasQueue` that `AnyAliasHw::for_kind` builds for
-//! every shipped configuration, the wide `SmarqQueueHw` over
-//! `smarq::queue::AliasQueue` that serves files of more than 64
-//! registers, and the functional tier's `FastSim`, which runs the queue
-//! compiled out (`fastcomp`'s plan) on word-sized files and the dynamic
-//! wide queue beyond.
+//! Whole-region differential between the functional tier's compiled-out
+//! alias hardware and the cycle simulator's dynamic models, under every
+//! scheme.
 //!
 //! Every region the 14 SPECFP stand-ins and a few seeded random workloads
-//! form is optimized for 16 and for 64 alias registers and run on the
-//! cycle simulator under both storage forms and on `FastSim` (planned),
-//! from the same guest states the interpreter reaches at that region's
-//! entry; regions optimized for 128 registers run on the cycle simulator
-//! and on `FastSim` (unplanned). Outcome (including the alias exception
-//! and its producer), the work counters (every `RegionStats` field
-//! between the two cycle-simulator forms), registers and memory must
-//! agree. The speculative regions of `equake`, whose strand pointer truly
-//! aliases a store, fault and roll back.
+//! form is optimized for SMARQ with 16 and with 64 alias registers, for
+//! Efficeon, for the ALAT and for no hardware. Each is run on the cycle
+//! simulator (`AnyAliasHw`) and on `FastSim`, which runs the plan
+//! `fastcomp::compile` reads off one replay of the same hardware, from
+//! the guest states the interpreter reaches at that region's entry.
+//! Outcome (including the alias exception and its producer), the work
+//! counters, registers and memory must agree. The speculative regions of
+//! `equake`, whose strand pointer truly aliases a store, fault and roll
+//! back; Efficeon and ALAT regions fault too.
 
 use smarq_guest::{ArchState, BlockId, Interpreter, Program};
 use smarq_ir::Superblock;
@@ -23,8 +19,8 @@ use smarq_opt::fastcomp::{self, FastSim};
 use smarq_opt::{optimize_superblock, AliasBlacklist, OptConfig};
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_vliw::{
-    AliasHardware, AnyAliasHw, FastState, HwKind, MachineConfig, RegionOutcome, RegionStats,
-    RegionWriteMask, Simulator, SmarqQueueHw, VliwProgram, VliwState,
+    AnyAliasHw, FastState, MachineConfig, RegionOutcome, RegionStats, RegionWriteMask, Simulator,
+    VliwProgram, VliwState,
 };
 use smarq_workloads::WORKLOAD_NAMES;
 
@@ -85,7 +81,7 @@ fn entry_states(program: &Program, entries: &[BlockId]) -> Vec<Vec<ArchState>> {
 
 type Run = (RegionOutcome, RegionStats, VliwState, smarq_guest::Memory);
 
-fn run<H: AliasHardware>(sim: &mut Simulator<H>, vliw: &VliwProgram, pre: &ArchState) -> Run {
+fn run(sim: &mut Simulator<AnyAliasHw>, vliw: &VliwProgram, pre: &ArchState) -> Run {
     let mut state = VliwState::new();
     state.load_guest(&pre.regs, &pre.fregs.map(f64::from_bits));
     let mut mem = pre.mem.clone();
@@ -116,82 +112,97 @@ fn check_fast(fast: &mut FastSim, vliw: &VliwProgram, pre: &ArchState, cycle: &R
     assert_eq!(mem, *cycle_mem, "{at}: fast memory");
 }
 
-#[test]
-fn word_queue_matches_wide_queue_on_every_formed_region() {
+/// What one scheme's replay saw.
+#[derive(Default)]
+struct Tally {
+    regions: u64,
+    entries: u64,
+    faults: u64,
+    equake_faults: u64,
+    checks: u64,
+    scanned: u64,
+}
+
+/// Optimizes every formed region for `opt_cfg` and replays each of its
+/// entries on the cycle simulator and on `FastSim` of that scheme,
+/// asserting they agree.
+fn replay_every_formed_region(opt_cfg: &OptConfig) -> Tally {
     let machine = MachineConfig::default();
-    let (mut regions, mut entries, mut faults) = (0, 0, 0);
-    let (mut checks, mut scanned) = (0, 0);
-    let (mut equake_faults, mut wide_faults) = (0, 0);
+    let (hw, num_regs) = (opt_cfg.hw, opt_cfg.num_alias_regs);
+    let mut tally = Tally::default();
     for (name, program) in programs() {
         let sbs = formed_regions(&program);
         assert!(!sbs.is_empty(), "{name} forms no region");
         let starts: Vec<BlockId> = sbs.iter().map(|sb| sb.entry).collect();
         let states = entry_states(&program, &starts);
-        for num_regs in [16u32, 64] {
-            let opt_cfg = OptConfig::smarq(num_regs);
-            let word = AnyAliasHw::for_kind(HwKind::Smarq, num_regs);
-            assert!(
-                matches!(word, AnyAliasHw::Smarq(_)),
-                "{num_regs} fits a word"
-            );
-            let mut word_sim = Simulator::new(machine, word);
-            let mut wide_sim = Simulator::new(machine, SmarqQueueHw::new(num_regs));
-            let mut fast = FastSim::new(HwKind::Smarq, num_regs);
-            for (sb, pres) in sbs.iter().zip(&states) {
-                let opt = optimize_superblock(sb, &opt_cfg, &machine, &AliasBlacklist::new());
-                assert!(
-                    fastcomp::compile(&opt.vliw).unwrap().is_planned(),
-                    "{name} regs={num_regs}: a word-sized region gets a plan"
-                );
-                regions += 1;
-                for (k, pre) in pres.iter().enumerate() {
-                    let at = format!("{name} regs={num_regs} entry={:?} visit#{k}", sb.entry);
-                    let (wide_out, wide_stats, wide_state, wide_mem) =
-                        run(&mut wide_sim, &opt.vliw, pre);
-                    let (word_out, word_stats, word_state, word_mem) =
-                        run(&mut word_sim, &opt.vliw, pre);
-                    assert_eq!(word_out, wide_out, "{at}: outcome");
-                    assert_eq!(word_stats, wide_stats, "{at}: region stats");
-                    assert_eq!(word_state.regs, wide_state.regs, "{at}: int registers");
-                    assert_eq!(
-                        word_state.fregs.map(f64::to_bits),
-                        wide_state.fregs.map(f64::to_bits),
-                        "{at}: fp registers"
-                    );
-                    assert_eq!(word_mem, wide_mem, "{at}: memory");
-                    let word_run = (word_out, word_stats, word_state, word_mem);
-                    check_fast(&mut fast, &opt.vliw, pre, &word_run, &at);
-                    entries += 1;
-                    checks += word_stats.alias_checks;
-                    scanned += word_stats.entries_scanned;
-                    if matches!(word_run.0, RegionOutcome::AliasException(_)) {
-                        faults += 1;
-                        equake_faults += u64::from(name == "equake");
-                    }
+        let mut sim = Simulator::new(machine, AnyAliasHw::for_kind(hw, num_regs));
+        let mut fast = FastSim::new(hw, num_regs);
+        for (sb, pres) in sbs.iter().zip(&states) {
+            let opt = optimize_superblock(sb, opt_cfg, &machine, &AliasBlacklist::new());
+            tally.regions += 1;
+            for (k, pre) in pres.iter().enumerate() {
+                let at = format!("{name} {hw:?}/{num_regs} entry={:?} visit#{k}", sb.entry);
+                let cycle = run(&mut sim, &opt.vliw, pre);
+                check_fast(&mut fast, &opt.vliw, pre, &cycle, &at);
+                tally.entries += 1;
+                tally.checks += cycle.1.alias_checks;
+                tally.scanned += cycle.1.entries_scanned;
+                if matches!(cycle.0, RegionOutcome::AliasException(_)) {
+                    tally.faults += 1;
+                    tally.equake_faults += u64::from(name == "equake");
                 }
             }
         }
-        // Past one occupancy word: the cycle simulator's wide queue
-        // against the functional tier's dynamic one.
-        let opt_cfg = OptConfig::smarq(128);
-        let mut wide_sim = Simulator::new(machine, AnyAliasHw::for_kind(HwKind::Smarq, 128));
-        let mut fast = FastSim::new(HwKind::Smarq, 128);
-        for (sb, pres) in sbs.iter().zip(&states) {
-            let opt = optimize_superblock(sb, &opt_cfg, &machine, &AliasBlacklist::new());
-            for (k, pre) in pres.iter().enumerate() {
-                let at = format!("{name} regs=128 entry={:?} visit#{k}", sb.entry);
-                let wide_run = run(&mut wide_sim, &opt.vliw, pre);
-                check_fast(&mut fast, &opt.vliw, pre, &wide_run, &at);
-                wide_faults += u64::from(matches!(wide_run.0, RegionOutcome::AliasException(_)));
-            }
-        }
     }
-    assert!(wide_faults > 0, "128-register regions must fault too");
-    assert!(entries > regions, "too few replayed entries: {entries}");
-    assert!(checks > 0 && scanned > 0, "regions must exercise the queue");
     assert!(
-        equake_faults > 0,
-        "equake's truly aliasing strand must fault"
+        tally.entries > tally.regions,
+        "{hw:?}: too few replayed entries: {}",
+        tally.entries
     );
-    assert!(faults > equake_faults, "random workloads should fault too");
+    tally
+}
+
+#[test]
+fn smarq_plan_matches_the_cycle_simulator_on_every_formed_region() {
+    for num_regs in [16, 64] {
+        let t = replay_every_formed_region(&OptConfig::smarq(num_regs));
+        assert!(
+            t.checks > 0 && t.scanned > 0,
+            "regions must exercise the queue"
+        );
+        assert!(
+            t.equake_faults > 0,
+            "equake's truly aliasing strand must fault"
+        );
+        assert!(
+            t.faults > t.equake_faults,
+            "random workloads should fault too"
+        );
+    }
+}
+
+#[test]
+fn efficeon_plan_matches_the_cycle_simulator_on_every_formed_region() {
+    let t = replay_every_formed_region(&OptConfig::efficeon());
+    assert!(
+        t.checks > 0 && t.scanned > 0,
+        "regions must exercise the file"
+    );
+    assert!(t.faults > 0, "Efficeon regions must fault");
+}
+
+#[test]
+fn alat_plan_matches_the_cycle_simulator_on_every_formed_region() {
+    let t = replay_every_formed_region(&OptConfig::alat());
+    assert!(
+        t.checks > 0 && t.scanned > 0,
+        "regions must exercise the ALAT"
+    );
+    assert!(t.faults > 0, "ALAT regions must fault");
+}
+
+#[test]
+fn unannotated_regions_match_the_cycle_simulator_without_hardware() {
+    let t = replay_every_formed_region(&OptConfig::no_alias_hw());
+    assert_eq!((t.checks, t.scanned, t.faults), (0, 0, 0));
 }

@@ -163,9 +163,9 @@ fn verify_errors_fail_single_and_multi_guest_runs() {
     assert!(stdout.contains("\"severity\": \"error\""), "{stdout}");
 }
 
-/// `--regs` is bounded: an oversized file is a usage error (exit 2, no
-/// allocation abort), while a file past one occupancy word still runs on
-/// the wide queue, bit-exact against pure interpretation.
+/// `--regs` is bounded by the paper's 64-register machine: a larger file
+/// is a usage error (exit 2, no panic or allocation abort), while the
+/// full 64-register file runs bit-exact against pure interpretation.
 #[test]
 fn alias_register_count_is_bounded() {
     let run = |args: &[&str]| {
@@ -179,17 +179,17 @@ fn alias_register_count_is_bounded() {
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    for regs in ["4000000000", "4097", "0"] {
+    for regs in ["4000000000", "65", "0"] {
         let (code, _, stderr) = run(&["tests/corpus/seed_000000.s", "--regs", regs]);
         assert_eq!(code, Some(2), "--regs {regs}: {stderr}");
         assert!(stderr.contains("usage:"), "--regs {regs}: {stderr}");
         assert!(!stderr.contains("panicked"), "--regs {regs}: {stderr}");
     }
     for file in ["tests/corpus/seed_000000.s", "examples/hoist_loop.s"] {
-        let (code, stdout, stderr) = run(&[file, "--regs", "128", "--compare"]);
+        let (code, stdout, stderr) = run(&[file, "--regs", "64", "--compare"]);
         assert_eq!(code, Some(0), "{file}: {stderr}");
         assert!(stdout.contains("bit-exact"), "{file}: {stdout}");
-        // The loop forms a region, so its run exercised the wide queue.
+        // The loop forms a region, so its run exercised the full queue.
         if file.starts_with("examples") {
             assert!(stdout.contains("regions:             1 formed"), "{stdout}");
         }
