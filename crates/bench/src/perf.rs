@@ -222,8 +222,8 @@ fn mem_loop_kernel() -> Program {
 
 /// End-to-end guest execution under the chained **cycle simulator**
 /// (scoreboard, issue modeling, per-bundle timing) vs the same program
-/// under the fast **functional tier** (direct-threaded ops over a compact
-/// [`FastState`], default 1-in-256 tier-down sampling kept on so the
+/// under the fast **functional tier** (direct-threaded ops over the resident
+/// [`VliwState`], default 1-in-256 tier-down sampling kept on so the
 /// timed number reflects the deployed configuration). Both systems warm
 /// until the loop is translated and chained, then identical steady-state
 /// budget slices are timed — one iteration is exactly `step` guest

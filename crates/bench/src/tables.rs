@@ -1,8 +1,6 @@
 //! The paper's tables, regenerated with executable demonstrations.
 
-use smarq_vliw::{
-    AlatHw, AliasAnnot, AliasHardware, AnyAliasHw, EfficeonHw, HwKind, MachineConfig, MemRange,
-};
+use smarq_vliw::{AlatHw, AliasAnnot, AnyAliasHw, EfficeonHw, HwKind, MachineConfig, MemRange};
 
 /// Table 1: comparison between the HW alias detection schemes. Each cell
 /// is backed by an executable demonstration below (and by the unit tests

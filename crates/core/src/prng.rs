@@ -95,6 +95,34 @@ impl Prng {
             items.swap(i, j);
         }
     }
+
+    /// Applies one seeded mutation to `bytes`: a bit flip, an inserted
+    /// random byte, a deleted byte, or a duplicated line. Front-door
+    /// tests feed parsers real inputs mutated this way.
+    pub fn mutate_bytes(&mut self, bytes: &mut Vec<u8>) {
+        let kind = if bytes.is_empty() { 1 } else { self.bounded(4) };
+        let len = bytes.len();
+        match kind {
+            0 => bytes[self.range_usize(0, len)] ^= 1 << self.bounded(8),
+            1 => bytes.insert(self.range_usize(0, len + 1), self.next_u64() as u8),
+            2 => {
+                bytes.remove(self.range_usize(0, len));
+            }
+            _ => {
+                let at = self.range_usize(0, len);
+                let start = bytes[..at]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |i| i + 1);
+                let end = bytes[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(len, |i| at + i + 1);
+                let line = bytes[start..end].to_vec();
+                bytes.splice(end..end, line);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,5 +187,33 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn mutate_bytes_reaches_every_kind() {
+        let mut p = Prng::new(13);
+        let src = b"ab\ncd\n".to_vec();
+        let (mut flips, mut inserts, mut deletes, mut dups) = (0, 0, 0, 0);
+        for _ in 0..400 {
+            let mut m = src.clone();
+            p.mutate_bytes(&mut m);
+            match m.len() {
+                5 => deletes += 1,
+                6 => {
+                    assert_eq!(m.iter().zip(&src).filter(|(a, b)| a != b).count(), 1);
+                    flips += 1;
+                }
+                7 => inserts += 1,
+                9 => {
+                    assert!(m == b"ab\nab\ncd\n" || m == b"ab\ncd\ncd\n", "{m:?}");
+                    dups += 1;
+                }
+                n => panic!("unexpected length {n}"),
+            }
+        }
+        assert!(flips > 0 && inserts > 0 && deletes > 0 && dups > 0);
+        let mut empty = Vec::new();
+        p.mutate_bytes(&mut empty);
+        assert_eq!(empty.len(), 1, "an empty input only grows");
     }
 }

@@ -165,4 +165,37 @@ fn parser_never_panics() {
             .collect();
         let _ = parse_program(&src);
     }
+    // Seeded byte mutations of real inputs: every corpus repro and the
+    // example program. Each mutant must parse to `Ok` or `Err`.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut inputs: Vec<_> = std::fs::read_dir(format!("{root}/tests/corpus"))
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "s"))
+        .collect();
+    inputs.sort();
+    inputs.push(format!("{root}/examples/hoist_loop.s").into());
+    let (mut ok, mut err) = (0, 0);
+    for (i, path) in inputs.iter().enumerate() {
+        let text = std::fs::read(path).expect("readable input");
+        assert!(
+            parse_program(&String::from_utf8_lossy(&text)).is_ok(),
+            "{path:?}"
+        );
+        for m in 0..MUTANTS_PER_INPUT {
+            let mut rng = Prng::new((i as u64) << 32 | m);
+            let mut bytes = text.clone();
+            for _ in 0..rng.range_u32(1, 5) {
+                rng.mutate_bytes(&mut bytes);
+            }
+            match parse_program(&String::from_utf8_lossy(&bytes)) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+    }
+    assert!(inputs.len() > 1 && ok > 0 && err > 0, "{ok} ok, {err} err");
 }
+
+/// Mutants parsed per real input in [`parser_never_panics`].
+const MUTANTS_PER_INPUT: u64 = 256;

@@ -1,5 +1,5 @@
 //! Fast-functional lowering: compiles an emitted VLIW region into a
-//! flat, direct-threaded op stream over [`FastState`], executed with no
+//! flat, direct-threaded op stream over [`VliwState`], executed with no
 //! per-cycle scoreboard, issue modeling or bundle bookkeeping.
 //!
 //! The cycle simulator stays the timing and differential oracle; this
@@ -34,9 +34,9 @@
 
 use smarq_guest::{AluOp, CmpOp, FpuOp, Memory};
 use smarq_vliw::{
-    enforce_alias_bounds, AliasAnnot, AliasHardware, AliasViolation, AnyAliasHw, CondExit,
-    EfficeonHw, FastAliasQueue, FastState, HwKind, MemRange, RegionOutcome, RegionStats,
-    RegionWriteMask, SimError, VliwOp, VliwProgram,
+    enforce_alias_bounds, AliasAnnot, AliasViolation, AnyAliasHw, CondExit, EfficeonHw,
+    FastAliasQueue, HwKind, MemRange, RegionOutcome, RegionStats, RegionWriteMask, SimError,
+    VliwOp, VliwProgram, VliwState,
 };
 
 /// One op of the fast-functional stream — [`VliwOp`] with the padding
@@ -790,7 +790,7 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
 }
 
 /// Executor for [`FastProgram`]s: runs regions over a resident
-/// [`FastState`] with no timing model and no alias hardware of its own.
+/// [`VliwState`] with no timing model and no alias hardware of its own.
 ///
 /// Every region carries its compiled-out hardware (`QueuePlan`), so the
 /// only run-time detection state is the word each memory op recorded on
@@ -835,7 +835,7 @@ impl FastSim {
     pub fn run_region(
         &mut self,
         prog: &FastProgram,
-        state: &mut FastState,
+        state: &mut VliwState,
         mem: &mut Memory,
     ) -> (RegionOutcome, RegionStats) {
         let plan = &prog.plan;
@@ -858,7 +858,7 @@ impl FastSim {
     fn exec(
         &mut self,
         prog: &FastProgram,
-        state: &mut FastState,
+        state: &mut VliwState,
         mem: &mut Memory,
     ) -> (RegionOutcome, RegionStats) {
         let mut stats = RegionStats::default();
@@ -1056,14 +1056,14 @@ fn kind_mismatch(region: HwKind, executor: HwKind) -> ! {
     panic!("a region annotated for {region:?} alias hardware ran on a {executor:?} executor")
 }
 
-/// Alias-exception path: roll architectural state back, exactly as the
-/// cycle simulator does (minus the rollback-cycle penalty — no timing
-/// model here). Only reachable
-/// from a check, so `can_fault` regions are the only callers and the
-/// checkpoint taken in `run_region` is always live.
+/// Alias-exception path: the cycle simulator's own rollback
+/// ([`VliwState::rollback`]), minus the rollback-cycle penalty — no timing
+/// model here. Only reachable from a check, so `can_fault` regions are
+/// the only callers and the checkpoint taken in `run_region` is always
+/// live.
 #[inline(never)]
 fn fault(
-    state: &mut FastState,
+    state: &mut VliwState,
     mem: &mut Memory,
     v: AliasViolation,
     stats: RegionStats,
@@ -1075,7 +1075,7 @@ fn fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarq_vliw::{Bundle, ExitTarget, MachineConfig, Simulator, VliwState};
+    use smarq_vliw::{Bundle, ExitTarget, MachineConfig, Simulator};
 
     fn exit_targets(n: u32) -> Vec<ExitTarget> {
         (0..n).map(|_| ExitTarget { guest_block: None }).collect()
@@ -1130,12 +1130,12 @@ mod tests {
         }
     }
 
-    type TierRun<S> = (RegionOutcome, RegionStats, S, Memory);
+    type TierRun = (RegionOutcome, RegionStats, VliwState, Memory);
 
     fn run_both(
         program: &VliwProgram,
         setup: impl Fn(&mut [i64; 64], &mut Memory),
-    ) -> (TierRun<VliwState>, TierRun<FastState>) {
+    ) -> (TierRun, TierRun) {
         let prog = compile(program).expect("test region compiles");
 
         let mut sim = Simulator::new(
@@ -1150,7 +1150,7 @@ mod tests {
             .expect("cycle sim runs");
 
         let mut fast = FastSim::new(HwKind::Smarq, 4);
-        let mut fstate = FastState::new();
+        let mut fstate = VliwState::new();
         let mut fmem = Memory::new();
         setup(&mut fstate.regs, &mut fmem);
         let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
@@ -1222,7 +1222,7 @@ mod tests {
         };
         let prog = compile(&program).expect("test region compiles");
         let mut fast = FastSim::new(HwKind::Smarq, 4);
-        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+        fast.run_region(&prog, &mut VliwState::new(), &mut Memory::new());
     }
 
     /// The plan enforces the same contract as the dynamic queue, once per
@@ -1244,7 +1244,7 @@ mod tests {
         };
         let prog = compile(&program).expect("test region compiles");
         let mut fast = FastSim::new(HwKind::Smarq, 4);
-        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+        fast.run_region(&prog, &mut VliwState::new(), &mut Memory::new());
     }
 
     /// A one-bundle region of `ops` ending in the unconditional exit.
@@ -1345,7 +1345,7 @@ mod tests {
     fn efficeon_set_past_the_file_panics_on_the_fast_tier() {
         let prog = compile(&region_of(vec![load(efficeon_set(12))])).unwrap();
         let mut fast = FastSim::new(HwKind::Efficeon, 8);
-        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+        fast.run_region(&prog, &mut VliwState::new(), &mut Memory::new());
     }
 
     /// A region translated for one scheme cannot run on an executor of
@@ -1355,7 +1355,7 @@ mod tests {
     fn region_of_another_scheme_panics_on_the_fast_tier() {
         let prog = compile(&region_of(vec![load(efficeon_set(0))])).unwrap();
         let mut fast = FastSim::new(HwKind::Smarq, 64);
-        fast.run_region(&prog, &mut FastState::new(), &mut Memory::new());
+        fast.run_region(&prog, &mut VliwState::new(), &mut Memory::new());
     }
 
     /// A register past the 64-entry files is a typed compile error, not
@@ -1552,7 +1552,7 @@ mod tests {
                 }
 
                 // The whole stream, on both tiers.
-                let (mut vstate, mut fstate) = (VliwState::new(), FastState::new());
+                let (mut vstate, mut fstate) = (VliwState::new(), VliwState::new());
                 let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
                 let (vout, vstats) = sim
                     .run_region_resident(&program, prog.write_mask, &mut vstate, &mut vmem)

@@ -126,37 +126,24 @@ pub fn optimize_superblock(
     machine: &MachineConfig,
     blacklist: &AliasBlacklist,
 ) -> Optimized {
-    optimize_superblock_with_scratch(
+    optimize_superblock_traced(
         sb,
         config,
         machine,
         blacklist,
         &mut smarq::AllocScratch::new(),
     )
+    .0
 }
 
 /// Like [`optimize_superblock`], but recycles `scratch` for the embedded
-/// alias register allocator. A long-running translator (see
-/// `smarq-runtime`) keeps one scratch per thread so back-to-back region
-/// translations reuse the allocator's working memory instead of
-/// reallocating it. Results are identical to [`optimize_superblock`].
-///
-/// # Panics
-/// Panics if `sb` fails [`Superblock::validate`] (caller bug).
-pub fn optimize_superblock_with_scratch(
-    sb: &Superblock,
-    config: &OptConfig,
-    machine: &MachineConfig,
-    blacklist: &AliasBlacklist,
-    scratch: &mut smarq::AllocScratch,
-) -> Optimized {
-    optimize_superblock_traced(sb, config, machine, blacklist, scratch).0
-}
-
-/// Like [`optimize_superblock_with_scratch`], but also returns the
-/// [`OptTrace`] of the successful attempt so callers can replay external
-/// oracles (allocation validation, differential dependence checks) over
-/// the exact region/schedule/allocation the optimizer committed to.
+/// alias register allocator and also returns the [`OptTrace`] of the
+/// successful attempt. A long-running translator (see `smarq-runtime`)
+/// keeps one scratch per thread so back-to-back region translations reuse
+/// the allocator's working memory; results are identical to a fresh
+/// scratch. The trace lets callers replay external oracles (allocation
+/// validation, differential dependence checks) over the exact
+/// region/schedule/allocation the optimizer committed to.
 ///
 /// # Panics
 /// Panics if `sb` fails [`Superblock::validate`] (caller bug).

@@ -1,13 +1,13 @@
 //! The guest execution context: the runtime's one dispatch engine.
 //!
 //! A [`GuestContext`] is one guest's private half of the paper's Figure 1
-//! loop: interpreter and profile, resident `VliwState` / `FastState`, the
-//! cycle and fast-functional executors (each owning its alias queue, as
-//! the paper's queue is per hardware context), statistics, and a flat
-//! cache of *pins* into a shared [`TranslationHub`]. Each dispatch step
-//! interprets one block or runs one region chain; hot blocks request
-//! translations from the hub, alias exceptions report their pair to it and
-//! deoptimize. Functional-tier entries are sampled onto the cycle
+//! loop: interpreter and profile, the resident `VliwState` both tiers run
+//! on, the cycle and fast-functional executors (the cycle simulator owns
+//! the alias hardware, as the paper's queue is per hardware context),
+//! statistics, and a flat cache of *pins* into a shared
+//! [`TranslationHub`]. Each dispatch step interprets one block or runs one
+//! region chain; hot blocks request translations from the hub, alias
+//! exceptions report their pair to it and deoptimize. Functional-tier entries are sampled onto the cycle
 //! simulator, and under verify-on-emit the findings for every installed
 //! translation and every memoized link fold into [`SystemStats`].
 //!
@@ -28,9 +28,7 @@ use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
 use smarq_opt::AliasBlacklist;
 use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
-use smarq_vliw::{
-    AliasViolation, AnyAliasHw, FastState, RegionOutcome, RegionStats, Simulator, VliwState,
-};
+use smarq_vliw::{AliasViolation, AnyAliasHw, RegionOutcome, RegionStats, Simulator, VliwState};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,10 +48,12 @@ pub struct GuestContext {
     program_hash: u64,
     cfg: Arc<HubConfig>,
     interp: Interpreter,
-    vstate: VliwState,
-    sim: Simulator<AnyAliasHw>,
+    /// Guest registers, resident across a region chain on either tier.
+    state: VliwState,
+    /// The pre-state a tier-down sample replays on the cycle simulator.
+    pre: VliwState,
+    sim: Simulator,
     fast_sim: FastSim,
-    fstate: FastState,
     /// Functional entries left until the next tier-down sample (`0`:
     /// sampling disabled). A countdown keeps the divide off the hot path.
     tier_sample_countdown: u64,
@@ -97,10 +97,10 @@ impl GuestContext {
             tier_sample_countdown: u64::from(cfg.tier_sample_interval != 0),
             cfg,
             interp,
-            vstate: VliwState::new(),
+            state: VliwState::new(),
+            pre: VliwState::new(),
             sim,
             fast_sim,
-            fstate: FastState::new(),
             cache: vec![NO_REGION; num_blocks],
             regions: Vec::new(),
             dataflow,
@@ -466,13 +466,9 @@ impl GuestContext {
     }
 
     /// Ends a chain: surfaces the resident state and folds its statistics.
-    fn end_chain(&mut self, functional: bool, acc: &ChainAccum, run_idx: usize, run_entries: u64) {
-        let (regs, fregs) = (&mut self.interp.regs, &mut self.interp.fregs);
-        if functional {
-            self.fstate.store_guest(regs, fregs);
-        } else {
-            self.vstate.store_guest(regs, fregs);
-        }
+    fn end_chain(&mut self, acc: &ChainAccum, run_idx: usize, run_entries: u64) {
+        self.state
+            .store_guest(&mut self.interp.regs, &mut self.interp.fregs);
         self.stats.per_region[run_idx].entries += run_entries;
         self.stats.region_guest_instrs += acc.guest;
         self.stats.vliw_cycles += acc.cycles;
@@ -505,7 +501,7 @@ impl GuestContext {
     /// The region-chain loop, one body for both tiers (monomorphized per
     /// tier, so the hot loop carries no tier branch): follows memoized
     /// links without re-entering the dispatcher, guest state resident in
-    /// the executor's register file, statistics folded once per chain.
+    /// `self.state`, statistics folded once per chain.
     fn run_chain<const FUNCTIONAL: bool>(
         &mut self,
         hub: &TranslationHub,
@@ -513,12 +509,7 @@ impl GuestContext {
         budget: u64,
     ) -> Option<BlockId> {
         let verify = self.cfg.verify_translations;
-        let (regs, fregs) = (&self.interp.regs, &self.interp.fregs);
-        if FUNCTIONAL {
-            self.fstate.load_guest(regs, fregs);
-        } else {
-            self.vstate.load_guest(regs, fregs);
-        }
+        self.state.load_guest(&self.interp.regs, &self.interp.fregs);
         let guest_base = self.live_guest_instrs();
         let hub_gen = hub.blacklist_gen();
         let mut acc = ChainAccum::default();
@@ -534,7 +525,8 @@ impl GuestContext {
                 // Decided before the fast run: the oracle replays from the
                 // pre-state.
                 let pre_mem = self.sample_due().then(|| {
-                    self.fstate.copy_to_vliw(&mut self.vstate);
+                    self.pre.regs = self.state.regs;
+                    self.pre.fregs = self.state.fregs;
                     self.interp.mem.clone()
                 });
                 let code = &self.regions[idx].shared.code;
@@ -544,7 +536,7 @@ impl GuestContext {
                     .expect("functional-tier hubs compile fast code");
                 let (o, r) = self
                     .fast_sim
-                    .run_region(fast, &mut self.fstate, &mut self.interp.mem);
+                    .run_region(fast, &mut self.state, &mut self.interp.mem);
                 self.stats.tier_fast_entries += 1;
                 if let Some(mut mem) = pre_mem {
                     self.tier_down_sample(idx, &o, &r, &mut mem);
@@ -556,7 +548,7 @@ impl GuestContext {
                     .run_region_resident(
                         &code.vliw,
                         code.write_mask,
-                        &mut self.vstate,
+                        &mut self.state,
                         &mut self.interp.mem,
                     )
                     .expect("translated region is well formed");
@@ -573,7 +565,7 @@ impl GuestContext {
                     // The executor rolled the resident state back to this
                     // region's entry — even mid-chain, the checkpoint is
                     // exactly the pre-region guest state.
-                    self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                    self.end_chain(&acc, run_idx, run_entries);
                     if FUNCTIONAL {
                         self.stats.tier_deopts += 1;
                     }
@@ -587,14 +579,14 @@ impl GuestContext {
                 ChainLink::Unresolved => {
                     let Some(target) = code.vliw.exits[exit_id].guest_block else {
                         // Guest halt.
-                        self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                        self.end_chain(&acc, run_idx, run_entries);
                         return None;
                     };
                     acc.lookups += 1;
                     let Some(j) = self.cached_region(BlockId(target)) else {
                         // Not pinned (yet): never memoized, so a later
                         // publish of the target is picked up here.
-                        self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                        self.end_chain(&acc, run_idx, run_entries);
                         return Some(BlockId(target));
                     };
                     self.regions[idx].links[exit_id] = ChainLink::Region(j as u32);
@@ -609,7 +601,7 @@ impl GuestContext {
             // Chain boundary: stop following links once the budget is
             // spent so the caller can observe it.
             if guest_base + acc.guest >= budget {
-                self.end_chain(FUNCTIONAL, &acc, run_idx, run_entries);
+                self.end_chain(&acc, run_idx, run_entries);
                 return Some(self.regions[next_idx].shared.code.entry);
             }
             acc.follows += 1;
@@ -623,7 +615,7 @@ impl GuestContext {
     }
 
     /// Tier-down sample: replays the entry the fast tier just ran on the
-    /// cycle simulator from the same pre-state (`self.vstate`, `sim_mem`)
+    /// cycle simulator from the same pre-state (`self.pre`, `sim_mem`)
     /// and bit-compares outcome, registers, memory and the work counters
     /// (ops, memory ops, alias checks, entries scanned — the last pins
     /// the compiled-out queue's static examined counts); a disagreement
@@ -638,16 +630,16 @@ impl GuestContext {
         let code = &self.regions[idx].shared.code;
         let (sim_outcome, sim_stats) = self
             .sim
-            .run_region_resident(&code.vliw, code.write_mask, &mut self.vstate, sim_mem)
+            .run_region_resident(&code.vliw, code.write_mask, &mut self.pre, sim_mem)
             .expect("translated region is well formed");
         self.stats.tier_samples += 1;
         self.stats.tier_sampled_cycles += sim_stats.cycles;
-        let regs_agree = self.fstate.regs == self.vstate.regs
+        let regs_agree = self.state.regs == self.pre.regs
             && self
-                .fstate
+                .state
                 .fregs
                 .iter()
-                .zip(self.vstate.fregs.iter())
+                .zip(self.pre.fregs.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         let work = |s: &RegionStats| (s.ops, s.mem_ops, s.alias_checks, s.entries_scanned);
         if sim_outcome != *fast_outcome

@@ -4,12 +4,13 @@
 //! Transmeta-Efficeon-style bit-mask file, an Itanium-ALAT-style table, and
 //! no hardware at all.
 //!
-//! Each model states its check rule once, as a walk over the producers
-//! the check compares against, in scan order ([`AnyAliasHw::walk`]), and
-//! its `mem_access` runs that walk. The cycle simulator runs the models;
-//! the functional tier (`smarq_opt::fastcomp`) replays them once per
-//! region and keeps only each check's producer list. Both tiers enforce
-//! one bounds contract per scheme, with one panic message.
+//! [`AnyAliasHw`] is the one type the cycle simulator runs: each model
+//! states its check rule once, as a walk over the producers the check
+//! compares against, in scan order ([`AnyAliasHw::walk`]), and its
+//! `mem_access` runs that walk. The functional tier
+//! (`smarq_opt::fastcomp`) replays the same models once per region and
+//! keeps only each check's producer list. Both tiers enforce one bounds
+//! contract per scheme, with one panic message.
 
 use crate::fast::FastAliasQueue;
 use crate::isa::{AliasAnnot, MemRange};
@@ -109,44 +110,6 @@ impl HwKind {
     }
 }
 
-/// Common interface of the alias-detection hardware models.
-///
-/// The simulator calls [`AliasHardware::mem_access`] for every executed
-/// load/store, passing the instruction's annotation and the concrete
-/// access range, and [`AliasHardware::rotate`]/[`AliasHardware::amov`] for
-/// the SMARQ queue-management instructions. `reset` is invoked at atomic
-/// region boundaries (entry, commit and rollback all invalidate the
-/// detection state).
-pub trait AliasHardware {
-    /// Processes one memory access, returning the number of alias entries
-    /// the hardware had to examine (an energy proxy — paper §2.4 points
-    /// out that unnecessary detections cost energy).
-    ///
-    /// # Errors
-    /// [`AliasViolation`] when the hardware detects (possibly spuriously —
-    /// that is the point of modeling ALAT) an alias that requires a region
-    /// rollback.
-    fn mem_access(
-        &mut self,
-        annot: AliasAnnot,
-        range: MemRange,
-        is_load: bool,
-        tag: u32,
-    ) -> Result<u32, AliasViolation>;
-
-    /// Rotates the register queue (SMARQ only; others ignore it).
-    fn rotate(&mut self, amount: u32);
-
-    /// Moves/clears an alias register (SMARQ only; others ignore it).
-    fn amov(&mut self, src: u32, dst: u32);
-
-    /// Invalidates one ALAT entry (ALAT only; others ignore it).
-    fn alat_clear(&mut self, _entry: u32) {}
-
-    /// Invalidates all detection state (atomic region boundary).
-    fn reset(&mut self);
-}
-
 /// Efficeon-style alias registers: instructions name the register to set
 /// and carry an explicit bit-mask of registers to check (paper §2.2). The
 /// encoding limits the file to at most 15 registers — the scalability
@@ -187,10 +150,18 @@ impl EfficeonHw {
             .find(|&(r, tag)| hit(r, tag))
             .map(|(_, tag)| tag)
     }
-}
 
-impl AliasHardware for EfficeonHw {
-    fn mem_access(
+    /// One memory access: checks the registers in the annotation's mask,
+    /// then sets its register. Returns the number of valid registers the
+    /// check examined.
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when a checked register's range overlaps.
+    ///
+    /// # Panics
+    /// Panics when the set index is outside the file (the bounds
+    /// contract).
+    pub fn mem_access(
         &mut self,
         annot: AliasAnnot,
         range: MemRange,
@@ -220,11 +191,8 @@ impl AliasHardware for EfficeonHw {
         Ok(examined)
     }
 
-    fn rotate(&mut self, _amount: u32) {}
-
-    fn amov(&mut self, _src: u32, _dst: u32) {}
-
-    fn reset(&mut self) {
+    /// Invalidates every register (atomic region boundary).
+    pub fn reset(&mut self) {
         self.regs.iter_mut().for_each(|r| *r = None);
     }
 }
@@ -266,10 +234,15 @@ impl AlatHw {
             .find(|&&(r, tag)| hit(r, tag))
             .map(|&(_, tag)| tag)
     }
-}
 
-impl AliasHardware for AlatHw {
-    fn mem_access(
+    /// One memory access: a store checks every valid entry, then an
+    /// `AlatSet` load allocates its entry. Returns the number of entries
+    /// the check examined.
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when a store overlaps any valid entry, needed or
+    /// not (the ALAT's false positives).
+    pub fn mem_access(
         &mut self,
         annot: AliasAnnot,
         range: MemRange,
@@ -298,22 +271,26 @@ impl AliasHardware for AlatHw {
         Ok(examined)
     }
 
-    fn rotate(&mut self, _amount: u32) {}
-
-    fn amov(&mut self, _src: u32, _dst: u32) {}
-
-    fn alat_clear(&mut self, entry: u32) {
+    /// Invalidates one entry.
+    pub fn alat_clear(&mut self, entry: u32) {
         self.ensure(entry);
         self.entries[entry as usize] = None;
     }
 
-    fn reset(&mut self) {
+    /// Invalidates every entry (atomic region boundary).
+    pub fn reset(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
     }
 }
 
-/// A dispatching wrapper over the four hardware models, so runtimes can
-/// pick the scheme at run time without generics.
+/// The four hardware models behind one type, so the simulator and the
+/// runtimes pick the scheme at run time. The simulator calls
+/// [`AnyAliasHw::mem_access`] for every executed load/store,
+/// [`AnyAliasHw::rotate`]/[`AnyAliasHw::amov`] for the SMARQ
+/// queue-management instructions and [`AnyAliasHw::alat_clear`] for the
+/// ALAT's; each of these reaches only the models it concerns.
+/// [`AnyAliasHw::reset`] runs at atomic region boundaries (entry and
+/// rollback both invalidate the detection state).
 #[derive(Clone, Debug)]
 pub enum AnyAliasHw {
     /// SMARQ ordered queue on one occupancy word.
@@ -322,8 +299,9 @@ pub enum AnyAliasHw {
     Efficeon(EfficeonHw),
     /// Itanium-like ALAT.
     Alat(AlatHw),
-    /// No hardware.
-    None(NoAliasHw),
+    /// No alias-detection hardware: every access succeeds (the optimizer
+    /// must not speculate on memory at all when targeting this).
+    None,
 }
 
 impl AnyAliasHw {
@@ -340,7 +318,7 @@ impl AnyAliasHw {
             HwKind::Smarq => AnyAliasHw::Smarq(FastAliasQueue::new(n)),
             HwKind::Efficeon => AnyAliasHw::Efficeon(EfficeonHw::new(n)),
             HwKind::Alat => AnyAliasHw::Alat(AlatHw::new()),
-            HwKind::None => AnyAliasHw::None(NoAliasHw),
+            HwKind::None => AnyAliasHw::None,
         }
     }
 
@@ -371,10 +349,21 @@ impl AnyAliasHw {
             _ => None,
         }
     }
-}
 
-impl AliasHardware for AnyAliasHw {
-    fn mem_access(
+    /// Processes one memory access, returning the number of alias entries
+    /// the hardware had to examine (an energy proxy — paper §2.4 points
+    /// out that unnecessary detections cost energy).
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when the hardware detects (possibly spuriously —
+    /// that is the point of modeling ALAT) an alias that requires a region
+    /// rollback.
+    ///
+    /// # Panics
+    /// Panics when a SMARQ offset or Efficeon set index is outside the
+    /// file (the bounds contract).
+    #[inline]
+    pub fn mem_access(
         &mut self,
         annot: AliasAnnot,
         range: MemRange,
@@ -385,73 +374,56 @@ impl AliasHardware for AnyAliasHw {
             AnyAliasHw::Smarq(q) => q.access(annot, range, is_load, tag),
             AnyAliasHw::Efficeon(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Alat(h) => h.mem_access(annot, range, is_load, tag),
-            AnyAliasHw::None(h) => h.mem_access(annot, range, is_load, tag),
+            AnyAliasHw::None => {
+                debug_assert!(
+                    matches!(annot, AliasAnnot::None),
+                    "no-alias hardware cannot honor {annot:?}"
+                );
+                Ok(0)
+            }
         }
     }
 
-    fn rotate(&mut self, amount: u32) {
-        match self {
-            AnyAliasHw::Smarq(q) => q.rotate(amount),
-            AnyAliasHw::Efficeon(h) => h.rotate(amount),
-            AnyAliasHw::Alat(h) => h.rotate(amount),
-            AnyAliasHw::None(h) => h.rotate(amount),
+    /// **rotate k** on the SMARQ queue; no other model has a queue.
+    ///
+    /// # Panics
+    /// Panics when `amount` exceeds the SMARQ register count.
+    #[inline]
+    pub fn rotate(&mut self, amount: u32) {
+        if let AnyAliasHw::Smarq(q) = self {
+            q.rotate(amount);
         }
     }
 
-    fn amov(&mut self, src: u32, dst: u32) {
-        match self {
-            AnyAliasHw::Smarq(q) => q.amov(src, dst),
-            AnyAliasHw::Efficeon(h) => h.amov(src, dst),
-            AnyAliasHw::Alat(h) => h.amov(src, dst),
-            AnyAliasHw::None(h) => h.amov(src, dst),
+    /// **AMOV src, dst** on the SMARQ queue; no other model has a queue.
+    ///
+    /// # Panics
+    /// Panics when either offset is outside the SMARQ file.
+    #[inline]
+    pub fn amov(&mut self, src: u32, dst: u32) {
+        if let AnyAliasHw::Smarq(q) = self {
+            q.amov(src, dst);
         }
     }
 
-    fn alat_clear(&mut self, entry: u32) {
-        match self {
-            // SMARQ hardware ignores ALAT entry management.
-            AnyAliasHw::Smarq(_) => {}
-            AnyAliasHw::Efficeon(h) => h.alat_clear(entry),
-            AnyAliasHw::Alat(h) => h.alat_clear(entry),
-            AnyAliasHw::None(h) => h.alat_clear(entry),
+    /// Invalidates one ALAT entry; no other model has entries to clear.
+    #[inline]
+    pub fn alat_clear(&mut self, entry: u32) {
+        if let AnyAliasHw::Alat(h) = self {
+            h.alat_clear(entry);
         }
     }
 
-    fn reset(&mut self) {
+    /// Invalidates all detection state (atomic region boundary).
+    #[inline]
+    pub fn reset(&mut self) {
         match self {
             AnyAliasHw::Smarq(q) => q.reset(),
             AnyAliasHw::Efficeon(h) => h.reset(),
             AnyAliasHw::Alat(h) => h.reset(),
-            AnyAliasHw::None(h) => h.reset(),
+            AnyAliasHw::None => {}
         }
     }
-}
-
-/// No alias-detection hardware: every access succeeds (the optimizer must
-/// not speculate on memory at all when targeting this).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoAliasHw;
-
-impl AliasHardware for NoAliasHw {
-    fn mem_access(
-        &mut self,
-        annot: AliasAnnot,
-        _range: MemRange,
-        _is_load: bool,
-        _tag: u32,
-    ) -> Result<u32, AliasViolation> {
-        debug_assert!(
-            matches!(annot, AliasAnnot::None),
-            "no-alias hardware cannot honor {annot:?}"
-        );
-        Ok(0)
-    }
-
-    fn rotate(&mut self, _amount: u32) {}
-
-    fn amov(&mut self, _src: u32, _dst: u32) {}
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -672,7 +644,7 @@ mod tests {
 
     #[test]
     fn no_alias_hw_never_faults() {
-        let mut hw = NoAliasHw;
+        let mut hw = AnyAliasHw::for_kind(HwKind::None, 0);
         hw.mem_access(AliasAnnot::None, rng(0x100), false, 1)
             .unwrap();
         hw.mem_access(AliasAnnot::None, rng(0x100), true, 2)

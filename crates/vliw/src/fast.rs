@@ -1,146 +1,20 @@
-//! Fast-functional execution state and the single-word SMARQ alias
-//! queue.
+//! The single-word SMARQ alias queue.
 //!
-//! The cycle-level [`Simulator`](crate::Simulator) owns the timing model
-//! (scoreboard, issue, latencies); the functional tier reproduces only
-//! the *architectural* semantics — register/memory effects and alias
-//! exceptions — bit-exactly, so the cycle simulator can stay behind as a
-//! sampled timing/differential oracle. This module provides:
-//!
-//! * [`FastState`]: both register files plus the recycled store-undo log
-//!   and masked register checkpoint that make alias-exception rollback
-//!   exact without per-entry allocation;
-//! * [`FastAliasQueue`]: the SMARQ ordered queue flattened onto a single
-//!   `u64` occupancy word (the paper's machine has 64 alias registers),
-//!   replicating [`smarq::queue::AliasQueue`]'s first-hit scan order,
-//!   load-set filtering, rotation and AMOV semantics. The cycle
-//!   simulator runs it through
-//!   [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq).
+//! [`FastAliasQueue`] is the SMARQ ordered queue flattened onto a single
+//! `u64` occupancy word (the paper's machine has 64 alias registers),
+//! replicating [`smarq::queue::AliasQueue`]'s first-hit scan order,
+//! load-set filtering, rotation and AMOV semantics. The cycle simulator
+//! runs it through [`AnyAliasHw::Smarq`](crate::AnyAliasHw::Smarq).
 //!
 //! The functional tier has no alias hardware of its own: its lowering
 //! (`smarq_opt::fastcomp`) replays the region's hardware once at
 //! translation time, reading each check's ordered producer list off
 //! [`AnyAliasHw::walk`](crate::AnyAliasHw::walk), so its hot loop only
-//! compares addresses. That lowering and the executor driving this state
-//! live in `smarq_opt::fastcomp` (the optimizer owns region shape);
-//! marshalling in and out of guest registers and [`VliwState`] lives here
-//! so the runtime can tier-down a sampled execution onto the cycle
-//! simulator.
+//! compares addresses. Both tiers run over the one atomic-region state,
+//! [`VliwState`](crate::VliwState).
 
 use crate::alias_hw::{contract_violation, AliasViolation, HwKind};
 use crate::isa::{AliasAnnot, MemRange};
-use crate::sim::{RegionWriteMask, VliwState};
-use smarq_guest::Memory;
-
-/// Architectural state of the fast-functional tier: the 64+64 register
-/// files (guest state resident in the low 32 of each, like
-/// [`VliwState`]) plus the rollback machinery an atomic region needs —
-/// a masked register checkpoint and a store-undo log, both recycled
-/// across region entries so steady-state execution never allocates.
-#[derive(Clone, Debug)]
-pub struct FastState {
-    /// Integer register file.
-    pub regs: [i64; 64],
-    /// Floating-point register file.
-    pub fregs: [f64; 64],
-    /// Store-undo log `(addr, old_word)`, replayed in reverse on
-    /// rollback.
-    undo: Vec<(u64, u64)>,
-    /// Masked integer-register checkpoint (write-set registers only).
-    ckpt_ints: Vec<(u8, i64)>,
-    /// Masked FP-register checkpoint.
-    ckpt_fps: Vec<(u8, f64)>,
-}
-
-impl Default for FastState {
-    fn default() -> Self {
-        FastState {
-            regs: [0; 64],
-            fregs: [0.0; 64],
-            undo: Vec::new(),
-            ckpt_ints: Vec::new(),
-            ckpt_fps: Vec::new(),
-        }
-    }
-}
-
-impl FastState {
-    /// Creates a zeroed state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Loads guest registers (32+32) into the low half of the files.
-    pub fn load_guest(&mut self, regs: &[i64; 32], fregs: &[f64; 32]) {
-        self.regs[..32].copy_from_slice(regs);
-        self.fregs[..32].copy_from_slice(fregs);
-    }
-
-    /// Stores the low half of the files back to guest registers.
-    pub fn store_guest(&self, regs: &mut [i64; 32], fregs: &mut [f64; 32]) {
-        regs.copy_from_slice(&self.regs[..32]);
-        fregs.copy_from_slice(&self.fregs[..32]);
-    }
-
-    /// Copies both full register files into a [`VliwState`] — the
-    /// marshal-out used when a sampled execution tiers down onto the
-    /// cycle simulator from the fast tier's resident state.
-    pub fn copy_to_vliw(&self, vstate: &mut VliwState) {
-        vstate.regs = self.regs;
-        vstate.fregs = self.fregs;
-    }
-
-    /// Copies both full register files in from a [`VliwState`].
-    pub fn copy_from_vliw(&mut self, vstate: &VliwState) {
-        self.regs = vstate.regs;
-        self.fregs = vstate.fregs;
-    }
-
-    /// Atomic-region entry for a region that can fault: snapshots the
-    /// registers in `mask` (the region's write-set) and clears the
-    /// store-undo log. Regions that cannot raise an alias exception
-    /// skip this entirely — that is the fast tier's main win.
-    pub fn begin_region(&mut self, mask: RegionWriteMask) {
-        self.undo.clear();
-        self.ckpt_ints.clear();
-        self.ckpt_fps.clear();
-        let mut m = mask.ints;
-        while m != 0 {
-            let r = m.trailing_zeros() as usize;
-            self.ckpt_ints.push((r as u8, self.regs[r]));
-            m &= m - 1;
-        }
-        let mut m = mask.fps;
-        while m != 0 {
-            let r = m.trailing_zeros() as usize;
-            self.ckpt_fps.push((r as u8, self.fregs[r]));
-            m &= m - 1;
-        }
-    }
-
-    /// Logs the pre-store memory word for rollback.
-    #[inline]
-    pub fn log_store(&mut self, addr: u64, old: u64) {
-        self.undo.push((addr, old));
-    }
-
-    /// Alias-exception rollback: restores the checkpointed registers and
-    /// replays the store-undo log in reverse. Only meaningful after
-    /// [`FastState::begin_region`] on the same entry.
-    pub fn rollback(&mut self, mem: &mut Memory) {
-        for &(r, v) in &self.ckpt_ints {
-            self.regs[r as usize] = v;
-        }
-        for &(r, v) in &self.ckpt_fps {
-            self.fregs[r as usize] = v;
-        }
-        for i in (0..self.undo.len()).rev() {
-            let (addr, old) = self.undo[i];
-            mem.write(addr, old);
-        }
-        self.undo.clear();
-    }
-}
 
 /// Bitmask for physical slots `[a, b)` of a single-word queue.
 #[inline]
@@ -420,9 +294,12 @@ mod tests {
     use smarq::prng::Prng;
     use smarq::queue::AliasQueue;
 
+    /// The functional tier's state is the cycle simulator's state: guest
+    /// registers marshal in and out through it, and a sampled tier-down
+    /// hands the very same value to the simulator with no copy step.
     #[test]
     fn state_marshal_roundtrips() {
-        let mut fs = FastState::new();
+        let mut fs = crate::FastState::new();
         let mut regs = [0i64; 32];
         let mut fregs = [0f64; 32];
         regs[5] = 99;
@@ -437,47 +314,9 @@ mod tests {
 
         fs.regs[40] = -7;
         fs.fregs[63] = 0.5;
-        let mut vs = VliwState::new();
-        fs.copy_to_vliw(&mut vs);
+        let vs: crate::VliwState = fs.clone();
         assert_eq!(vs.regs, fs.regs);
         assert_eq!(vs.fregs, fs.fregs);
-        let mut back = FastState::new();
-        back.copy_from_vliw(&vs);
-        assert_eq!(back.regs, fs.regs);
-        assert_eq!(back.fregs, fs.fregs);
-    }
-
-    #[test]
-    fn masked_checkpoint_rollback_is_exact() {
-        let mut fs = FastState::new();
-        fs.regs[1] = 10;
-        fs.regs[40] = -77; // outside the mask: must survive untouched
-        fs.fregs[2] = 1.5;
-        let mut mem = Memory::new();
-        mem.write(0x100, 7);
-        let snapshot_regs = fs.regs;
-        let snapshot_fregs = fs.fregs;
-        let mem_before = mem.clone();
-
-        let mask = RegionWriteMask {
-            ints: (1 << 1) | (1 << 2),
-            fps: 1 << 2,
-        };
-        // Two entries through the same recycled buffers.
-        for _ in 0..2 {
-            fs.begin_region(mask);
-            fs.regs[1] = 999;
-            fs.regs[2] = 888;
-            fs.fregs[2] = 9.25;
-            fs.log_store(0x100, mem.read(0x100));
-            mem.write(0x100, 42);
-            fs.log_store(0x200, mem.read(0x200));
-            mem.write(0x200, 43);
-            fs.rollback(&mut mem);
-            assert_eq!(fs.regs, snapshot_regs);
-            assert_eq!(fs.fregs, snapshot_fregs);
-            assert_eq!(mem, mem_before, "undo log replayed in reverse");
-        }
     }
 
     /// One SMARQ access on the generic reference queue, with the

@@ -11,17 +11,20 @@
 //!   latencies (our substitute for the paper's lost Table 2 — see
 //!   EXPERIMENTS.md);
 //! * the four alias-detection hardware models of the paper's comparison
-//!   (Table 1): the SMARQ ordered queue ([`FastAliasQueue`], one
-//!   occupancy word for the paper's 64 registers), a
-//!   Transmeta-Efficeon-style bit-mask file ([`EfficeonHw`]), an
-//!   Itanium-ALAT-style table with false positives ([`AlatHw`]), and
-//!   [`NoAliasHw`]. Each states its check rule once, as the walk
-//!   [`AnyAliasHw::walk`] dispatches to: the cycle simulator runs the
-//!   models, and the functional tier's lowering replays them once per
+//!   (Table 1), as the variants of [`AnyAliasHw`]: the SMARQ ordered
+//!   queue ([`FastAliasQueue`], one occupancy word for the paper's 64
+//!   registers), a Transmeta-Efficeon-style bit-mask file
+//!   ([`EfficeonHw`]), an Itanium-ALAT-style table with false positives
+//!   ([`AlatHw`]), and no hardware. Each states its check rule once, as
+//!   the walk [`AnyAliasHw::walk`] dispatches to: the cycle simulator runs
+//!   the models, and the functional tier's lowering replays them once per
 //!   region to compile them out;
-//! * a cycle-level in-order [`Simulator`] with atomic-region semantics:
-//!   register checkpoint at entry, memory undo log, rollback on alias
-//!   exception.
+//! * [`VliwState`], the one atomic-region state both execution tiers run
+//!   on: the register files, a masked register checkpoint taken at region
+//!   entry and a store-undo log, so an alias exception rolls back
+//!   exactly;
+//! * a cycle-level in-order [`Simulator`] over that state, with the
+//!   timing model and the alias hardware.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,15 +38,14 @@ mod machine;
 mod parse;
 mod sim;
 
-pub use alias_hw::{
-    enforce_alias_bounds, AlatHw, AliasHardware, AliasViolation, AnyAliasHw, EfficeonHw, HwKind,
-    NoAliasHw,
-};
+pub use alias_hw::{enforce_alias_bounds, AlatHw, AliasViolation, AnyAliasHw, EfficeonHw, HwKind};
 pub use cache::{CacheParams, DCache};
-pub use fast::{FastAliasQueue, FastState};
+pub use fast::FastAliasQueue;
 pub use isa::{AliasAnnot, Bundle, CondExit, ExitTarget, MemRange, SlotClass, VliwOp, VliwProgram};
 pub use machine::MachineConfig;
 pub use parse::parse_vliw;
-pub use sim::{
-    RegionOutcome, RegionStats, RegionWriteMask, SimError, Simulator, TraceEvent, VliwState,
-};
+pub use sim::{RegionOutcome, RegionStats, RegionWriteMask, SimError, Simulator, VliwState};
+
+/// The functional tier's former name for [`VliwState`], kept so callers
+/// written against it still build.
+pub type FastState = VliwState;

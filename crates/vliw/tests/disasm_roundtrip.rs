@@ -199,4 +199,25 @@ fn parser_never_panics() {
             .collect();
         let _ = parse_vliw(&src);
     }
+    // Seeded byte mutations of real disassembly: each random program's
+    // text, mutated, must parse to `Ok` or `Err`.
+    let (mut ok, mut err) = (0, 0);
+    for seed in 0..256u64 {
+        let text = program(&mut Prng::new(seed)).to_string().into_bytes();
+        for m in 0..MUTANTS_PER_INPUT {
+            let mut rng = Prng::new(seed << 32 | m);
+            let mut bytes = text.clone();
+            for _ in 0..rng.range_u32(1, 5) {
+                rng.mutate_bytes(&mut bytes);
+            }
+            match parse_vliw(&String::from_utf8_lossy(&bytes)) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+    }
+    assert!(ok > 0 && err > 0, "{ok} ok, {err} err");
 }
+
+/// Mutants parsed per random program in [`parser_never_panics`].
+const MUTANTS_PER_INPUT: u64 = 16;

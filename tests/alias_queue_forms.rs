@@ -19,8 +19,8 @@ use smarq_opt::fastcomp::{self, FastSim};
 use smarq_opt::{optimize_superblock, AliasBlacklist, OptConfig};
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_vliw::{
-    AnyAliasHw, FastState, MachineConfig, RegionOutcome, RegionStats, RegionWriteMask, Simulator,
-    VliwProgram, VliwState,
+    AnyAliasHw, MachineConfig, RegionOutcome, RegionStats, RegionWriteMask, Simulator, VliwProgram,
+    VliwState,
 };
 use smarq_workloads::WORKLOAD_NAMES;
 
@@ -81,7 +81,7 @@ fn entry_states(program: &Program, entries: &[BlockId]) -> Vec<Vec<ArchState>> {
 
 type Run = (RegionOutcome, RegionStats, VliwState, smarq_guest::Memory);
 
-fn run(sim: &mut Simulator<AnyAliasHw>, vliw: &VliwProgram, pre: &ArchState) -> Run {
+fn run(sim: &mut Simulator, vliw: &VliwProgram, pre: &ArchState) -> Run {
     let mut state = VliwState::new();
     state.load_guest(&pre.regs, &pre.fregs.map(f64::from_bits));
     let mut mem = pre.mem.clone();
@@ -95,7 +95,7 @@ fn run(sim: &mut Simulator<AnyAliasHw>, vliw: &VliwProgram, pre: &ArchState) -> 
 /// the cycle simulator's `cycle` run of the same entry.
 fn check_fast(fast: &mut FastSim, vliw: &VliwProgram, pre: &ArchState, cycle: &Run, at: &str) {
     let prog = fastcomp::compile(vliw).expect("an emitted region lowers");
-    let mut state = FastState::new();
+    let mut state = VliwState::new();
     state.load_guest(&pre.regs, &pre.fregs.map(f64::from_bits));
     let mut mem = pre.mem.clone();
     let (outcome, stats) = fast.run_region(&prog, &mut state, &mut mem);
