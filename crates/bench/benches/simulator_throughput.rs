@@ -1,11 +1,5 @@
-//! Cycle-level simulator throughput on a real translated region, plus the
-//! queue-check microbench (dense vs sparse occupancy) behind the
-//! simulator's memory-access path.
-
-use smarq_bench::perf::{compare_mem_access_dense, compare_mem_access_sparse};
+//! Cycle-level simulator throughput on a real translated region.
 
 fn main() {
     println!("{}", smarq_bench::perf::measure_simulator_region().line());
-    println!("{}", compare_mem_access_dense().report());
-    println!("{}", compare_mem_access_sparse().report());
 }

@@ -18,11 +18,9 @@ fn bench_json(out_path: &str) {
     // takes a while, and a silent multi-minute gap is indistinguishable
     // from a hang.
     type ComparisonFn = fn() -> smarq_bench::harness::Comparison;
-    let parts: [(&str, ComparisonFn); 7] = [
+    let parts: [(&str, ComparisonFn); 5] = [
         ("constraint_analysis", perf::compare_constraint_analysis),
         ("allocator", perf::compare_allocator),
-        ("mem_access_dense", perf::compare_mem_access_dense),
-        ("mem_access_sparse", perf::compare_mem_access_sparse),
         ("exec_tier", perf::compare_exec_tier),
         ("exec_tier_mem", perf::compare_exec_tier_mem),
         ("async_translate", perf::compare_async_translate),

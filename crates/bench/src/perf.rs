@@ -12,7 +12,6 @@
 use crate::harness::{median, time_fn, Comparison, Measurement};
 use crate::synth::hoist_region;
 use crate::Evaluation;
-use smarq::queue::AliasQueue;
 use smarq::{allocate, AllocScratch, Allocator, DepGraph};
 use smarq_guest::Program;
 use smarq_guest::{AluOp, BlockId, CmpOp, Interpreter, Memory, ProgramBuilder, Reg};
@@ -63,83 +62,6 @@ pub fn compare_allocator() -> Comparison {
     });
     Comparison {
         name: "allocator".into(),
-        before,
-        after,
-    }
-}
-
-/// A 64-register queue with most slots occupied — the steady state of a
-/// region whose hoisted loads have not rotated out yet.
-fn dense_queue() -> AliasQueue<(u64, u64)> {
-    let mut q = AliasQueue::new(64);
-    for off in 0..56u32 {
-        let lo = off as u64 * 16;
-        q.set(off, (lo, lo + 8), off % 3 == 0).unwrap();
-    }
-    q
-}
-
-/// A 512-register file with only a handful of live entries — the common
-/// case right after a rotation drained the window.
-fn sparse_queue() -> AliasQueue<(u64, u64)> {
-    let mut q = AliasQueue::new(512);
-    for off in [13u32, 200, 400, 490] {
-        let lo = off as u64 * 16;
-        q.set(off, (lo, lo + 8), false).unwrap();
-    }
-    q
-}
-
-/// The simulator's C-bit path on a dense queue where the access conflicts
-/// with every live entry: the old path collected **all** hits into a `Vec`
-/// and took the first; [`AliasQueue::check_first`] short-circuits.
-pub fn compare_mem_access_dense() -> Comparison {
-    let q = dense_queue();
-    // A probe range overlapping every entry, black-boxed so the overlap
-    // test cannot be constant-folded away.
-    let probe = (0u64, u64::MAX);
-    let before = time_fn("sim_mem_access/dense_full_scan", || {
-        let p = std::hint::black_box(probe);
-        q.check(0, false, |&(lo, hi)| lo < p.1 && p.0 < hi)
-            .unwrap()
-            .first()
-            .copied()
-    });
-    let q = dense_queue();
-    let after = time_fn("sim_mem_access/dense_first_hit", || {
-        let p = std::hint::black_box(probe);
-        q.check_first(0, false, |&(lo, hi)| lo < p.1 && p.0 < hi)
-            .unwrap()
-    });
-    Comparison {
-        name: "sim_mem_access_dense".into(),
-        before,
-        after,
-    }
-}
-
-/// The same path on a sparse queue with no conflict: the old path
-/// inspected every slot; the bitmask scan visits only occupied words.
-pub fn compare_mem_access_sparse() -> Comparison {
-    let q = sparse_queue();
-    // A probe range beyond every entry (no hit), black-boxed so the scan
-    // cannot be folded away.
-    let probe = (u64::MAX - 16, u64::MAX - 8);
-    let before = time_fn("sim_mem_access/sparse_full_scan", || {
-        let p = std::hint::black_box(probe);
-        q.check(0, false, |&(lo, hi)| lo < p.1 && p.0 < hi)
-            .unwrap()
-            .first()
-            .copied()
-    });
-    let q = sparse_queue();
-    let after = time_fn("sim_mem_access/sparse_first_hit", || {
-        let p = std::hint::black_box(probe);
-        q.check_first(0, false, |&(lo, hi)| lo < p.1 && p.0 < hi)
-            .unwrap()
-    });
-    Comparison {
-        name: "sim_mem_access_sparse".into(),
         before,
         after,
     }
@@ -200,7 +122,7 @@ fn reg_loop_kernel() -> Program {
 
 /// A memory-bound hot-loop kernel: a load/store pair through the same
 /// address plus the induction update, so the translated region carries
-/// alias annotations and the functional tier's inlined bitmask queue
+/// alias annotations and the functional tier's compiled-out queue
 /// checks are on the timed path.
 fn mem_loop_kernel() -> Program {
     let mut b = ProgramBuilder::new();
@@ -299,7 +221,7 @@ pub fn compare_exec_tier() -> Comparison {
 }
 
 /// [`compare_tiers`] on the load/store hot loop: the per-memory-op cost
-/// difference (inlined bitmask queue check + direct memory access vs the
+/// difference (compiled-out queue check + direct memory access vs the
 /// cycle simulator's modeled memory pipeline).
 pub fn compare_exec_tier_mem() -> Comparison {
     compare_tiers(

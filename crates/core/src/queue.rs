@@ -20,8 +20,9 @@
 //!   register at `o2`, clearing `o1` (`o1 == o2` is a pure clean-up).
 //!
 //! The model is generic over the entry payload `T` so the same semantics
-//! serve both the symbolic allocation validator (payload = producing op id)
-//! and the cycle-level VLIW simulator (payload = concrete address range).
+//! serve the symbolic allocation validator (payload = producing op id) and,
+//! as the reference, the differential test of the executors' single-word
+//! queue (payload = address range and tag).
 
 use std::fmt;
 
@@ -59,33 +60,15 @@ impl std::error::Error for QueueOverflow {}
 
 /// The alias register queue model. See the [module docs](self).
 ///
-/// Alongside the `slots` payload array the queue maintains two bitmasks
-/// indexed by *physical* slot: `occupancy` (which registers hold a valid
-/// entry) and `set_by_load` (which of those were set by loads). Checks walk
-/// the masks with trailing-zeros arithmetic instead of probing every slot,
-/// and [`valid_from`](Self::valid_from) is a popcount. The masks are
-/// word-arrays so files larger than 64 registers (the symbolic validator
-/// sizes the queue to the allocation's working set) stay supported; real
-/// hardware configurations (≤64) use exactly one word.
+/// A plain reference model: a ring of `N` slots indexed by
+/// `(BASE + offset) mod N`, scanned slot by slot. The executors run the
+/// single-word `smarq_vliw::FastAliasQueue` or, on the functional tier,
+/// no queue at all (the region's checks are compiled out).
 #[derive(Clone, Debug)]
 pub struct AliasQueue<T> {
     slots: Vec<Option<Entry<T>>>,
-    /// Bit `p` set ⇔ `slots[p]` is `Some`.
-    occupancy: Vec<u64>,
-    /// Bit `p` set ⇔ `slots[p]` was set by a load (only meaningful where
-    /// the occupancy bit is set).
-    set_by_load: Vec<u64>,
     /// Absolute order of the register currently at offset 0.
     base: u64,
-}
-
-#[inline]
-fn bit_set(words: &mut [u64], idx: usize, value: bool) {
-    if value {
-        words[idx >> 6] |= 1u64 << (idx & 63);
-    } else {
-        words[idx >> 6] &= !(1u64 << (idx & 63));
-    }
 }
 
 impl<T: Clone> AliasQueue<T> {
@@ -96,99 +79,22 @@ impl<T: Clone> AliasQueue<T> {
     /// Panics if `num_regs == 0`.
     pub fn new(num_regs: u32) -> Self {
         assert!(num_regs > 0, "alias register file cannot be empty");
-        let words = (num_regs as usize).div_ceil(64);
         AliasQueue {
             slots: vec![None; num_regs as usize],
-            occupancy: vec![0; words],
-            set_by_load: vec![0; words],
             base: 0,
         }
     }
 
-    /// Number of hardware registers.
-    pub fn num_regs(&self) -> u32 {
+    fn num_regs(&self) -> u32 {
         self.slots.len() as u32
-    }
-
-    /// Current `BASE` (the absolute order of offset 0).
-    pub fn base(&self) -> u64 {
-        self.base
     }
 
     fn slot_index(&self, offset: u32) -> usize {
         ((self.base + offset as u64) % self.slots.len() as u64) as usize
     }
 
-    /// The physical ranges `[a, b)` covering offsets `from_offset..num_regs`
-    /// in increasing-offset order (the circular window splits into at most
-    /// two linear runs).
-    fn phys_ranges(&self, from_offset: u32) -> [(usize, usize); 2] {
-        let n = self.slots.len();
-        let start = self.slot_index(from_offset);
-        let len = n - from_offset as usize;
-        if start + len <= n {
-            [(start, start + len), (0, 0)]
-        } else {
-            [(start, n), (0, start + len - n)]
-        }
-    }
-
-    /// Visits the set occupancy bits in physical range `[a, b)` in
-    /// increasing physical order; stops early when `visit` returns `true`
-    /// and reports the physical index it stopped at.
-    fn scan_occupied(
-        &self,
-        a: usize,
-        b: usize,
-        skip_load_set: bool,
-        mut visit: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        let mut w = a >> 6;
-        while (w << 6) < b {
-            let word_base = w << 6;
-            let mut word = self.occupancy[w];
-            if skip_load_set {
-                word &= !self.set_by_load[w];
-            }
-            if word_base < a {
-                word &= !0u64 << (a - word_base);
-            }
-            if b - word_base < 64 {
-                word &= (1u64 << (b - word_base)) - 1;
-            }
-            while word != 0 {
-                let phys = word_base + word.trailing_zeros() as usize;
-                if visit(phys) {
-                    return Some(phys);
-                }
-                word &= word - 1;
-            }
-            w += 1;
-        }
-        None
-    }
-
-    /// Popcount of the occupancy bits in physical range `[a, b)`.
-    fn count_occupied(&self, a: usize, b: usize) -> u32 {
-        let mut count = 0;
-        let mut w = a >> 6;
-        while (w << 6) < b {
-            let word_base = w << 6;
-            let mut word = self.occupancy[w];
-            if word_base < a {
-                word &= !0u64 << (a - word_base);
-            }
-            if b - word_base < 64 {
-                word &= (1u64 << (b - word_base)) - 1;
-            }
-            count += word.count_ones();
-            w += 1;
-        }
-        count
-    }
-
     fn bounds(&self, offset: u32) -> Result<(), QueueOverflow> {
-        if (offset as usize) < self.slots.len() {
+        if offset < self.num_regs() {
             Ok(())
         } else {
             Err(QueueOverflow {
@@ -196,6 +102,12 @@ impl<T: Clone> AliasQueue<T> {
                 num_regs: self.num_regs(),
             })
         }
+    }
+
+    /// The valid entries at offsets `from_offset..N`, in offset order.
+    fn entries_from(&self, from_offset: u32) -> impl Iterator<Item = (u32, &Entry<T>)> {
+        (from_offset..self.num_regs())
+            .filter_map(move |off| Some((off, self.slots[self.slot_index(off)].as_ref()?)))
     }
 
     /// Reads the entry at `offset`, if any.
@@ -218,26 +130,16 @@ impl<T: Clone> AliasQueue<T> {
             payload,
             set_by_load,
         });
-        bit_set(&mut self.occupancy, idx, true);
-        bit_set(&mut self.set_by_load, idx, set_by_load);
         Ok(())
     }
 
-    /// **check** (reference implementation): scans every valid register at
-    /// offsets `>= from_offset` and returns *all* offsets whose entries
-    /// satisfy `conflicts` — skipping load-set entries when
-    /// `checker_is_load` (loads never alias loads).
+    /// **check**: scans every valid register at offsets `>= from_offset`
+    /// and returns *all* offsets whose entries satisfy `conflicts`, in
+    /// offset order — skipping load-set entries when `checker_is_load`
+    /// (loads never alias loads). The hardware raises its exception on the
+    /// first; the symbolic validator's precision proof needs every one.
     ///
     /// An empty result means no alias exception.
-    ///
-    /// This is the full-scan oracle: it probes every slot and heap-allocates
-    /// the hit list. The simulator hot path uses [`check_first`]
-    /// (allocation-free, mask-driven, short-circuiting); the differential
-    /// property tests assert the two agree on the first hit. Callers that
-    /// genuinely need every hit (the symbolic validator's precision proof)
-    /// keep using this form.
-    ///
-    /// [`check_first`]: Self::check_first
     ///
     /// # Errors
     /// [`QueueOverflow`] if `from_offset` is outside the register file.
@@ -248,54 +150,11 @@ impl<T: Clone> AliasQueue<T> {
         mut conflicts: impl FnMut(&T) -> bool,
     ) -> Result<Vec<u32>, QueueOverflow> {
         self.bounds(from_offset)?;
-        let mut hits = Vec::new();
-        for off in from_offset..self.num_regs() {
-            if let Some(e) = &self.slots[self.slot_index(off)] {
-                if checker_is_load && e.set_by_load {
-                    continue;
-                }
-                if conflicts(&e.payload) {
-                    hits.push(off);
-                }
-            }
-        }
-        Ok(hits)
-    }
-
-    /// **check**, hot-path form: returns the *lowest* offset `>=
-    /// from_offset` whose valid entry satisfies `conflicts` (skipping
-    /// load-set entries when `checker_is_load`), or `None` when no alias is
-    /// detected.
-    ///
-    /// Semantically identical to `self.check(..)?.first().copied()` but
-    /// allocation-free: empty slots are skipped by occupancy-mask
-    /// arithmetic and the scan short-circuits at the first conflict —
-    /// exactly what the alias-exception hardware model needs, since an
-    /// exception fires on the first hit regardless of how many more exist.
-    ///
-    /// # Errors
-    /// [`QueueOverflow`] if `from_offset` is outside the register file.
-    pub fn check_first(
-        &self,
-        from_offset: u32,
-        checker_is_load: bool,
-        mut conflicts: impl FnMut(&T) -> bool,
-    ) -> Result<Option<u32>, QueueOverflow> {
-        self.bounds(from_offset)?;
-        let n = self.slots.len();
-        let base_idx = (self.base % n as u64) as usize;
-        for (a, b) in self.phys_ranges(from_offset) {
-            let hit = self.scan_occupied(a, b, checker_is_load, |phys| {
-                let e = self.slots[phys]
-                    .as_ref()
-                    .expect("occupancy bit set for an empty slot");
-                conflicts(&e.payload)
-            });
-            if let Some(phys) = hit {
-                return Ok(Some(((phys + n - base_idx) % n) as u32));
-            }
-        }
-        Ok(None)
+        Ok(self
+            .entries_from(from_offset)
+            .filter(|(_, e)| !(checker_is_load && e.set_by_load) && conflicts(&e.payload))
+            .map(|(off, _)| off)
+            .collect())
     }
 
     /// **rotate k**: advances `BASE` by `amount`, clearing the registers
@@ -305,7 +164,7 @@ impl<T: Clone> AliasQueue<T> {
     /// [`QueueOverflow`] if `amount` exceeds the register count (the
     /// hardware cannot release more registers than it has in one go).
     pub fn rotate(&mut self, amount: u32) -> Result<(), QueueOverflow> {
-        if amount as usize > self.slots.len() {
+        if amount > self.num_regs() {
             return Err(QueueOverflow {
                 offset: amount,
                 num_regs: self.num_regs(),
@@ -314,7 +173,6 @@ impl<T: Clone> AliasQueue<T> {
         for off in 0..amount {
             let idx = self.slot_index(off);
             self.slots[idx] = None;
-            bit_set(&mut self.occupancy, idx, false);
         }
         self.base += amount as u64;
         Ok(())
@@ -331,55 +189,29 @@ impl<T: Clone> AliasQueue<T> {
         self.bounds(dst)?;
         let sidx = self.slot_index(src);
         let entry = self.slots[sidx].take();
-        bit_set(&mut self.occupancy, sidx, false);
         if src != dst {
             let didx = self.slot_index(dst);
-            bit_set(&mut self.occupancy, didx, entry.is_some());
-            bit_set(
-                &mut self.set_by_load,
-                didx,
-                entry.as_ref().is_some_and(|e| e.set_by_load),
-            );
             self.slots[didx] = entry;
         }
         Ok(())
     }
 
-    /// Clears every register and resets `BASE` to 0 (used at atomic region
+    /// Clears every register and resets `BASE` to 0 (atomic region
     /// boundaries: commit or rollback invalidates all alias registers).
-    ///
-    /// Runs at every region entry of the simulator's hot loop, so it walks
-    /// the occupancy mask and clears only the slots that actually hold an
-    /// entry (`occupancy` bit set ⇔ slot is `Some`) instead of sweeping
-    /// the whole file.
     pub fn reset(&mut self) {
-        for (w, word) in self.occupancy.iter_mut().enumerate() {
-            let mut m = *word;
-            while m != 0 {
-                self.slots[(w << 6) + m.trailing_zeros() as usize] = None;
-                m &= m - 1;
-            }
-            *word = 0;
-        }
+        self.slots.fill(None);
         self.base = 0;
-    }
-
-    /// Number of currently valid entries (a popcount of the occupancy
-    /// mask).
-    pub fn live_entries(&self) -> usize {
-        self.occupancy.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of valid entries a check starting at `from_offset` examines
     /// (an energy proxy — paper §2.4 notes unnecessary detections cost
-    /// energy). A popcount over the occupancy mask.
+    /// energy).
     ///
     /// # Errors
     /// [`QueueOverflow`] if `from_offset` is outside the register file.
     pub fn valid_from(&self, from_offset: u32) -> Result<u32, QueueOverflow> {
         self.bounds(from_offset)?;
-        let [r1, r2] = self.phys_ranges(from_offset);
-        Ok(self.count_occupied(r1.0, r1.1) + self.count_occupied(r2.0, r2.1))
+        Ok(self.entries_from(from_offset).count() as u32)
     }
 }
 
@@ -434,14 +266,13 @@ mod tests {
         q.set(0, 10, false).unwrap();
         q.set(1, 11, false).unwrap();
         q.rotate(1).unwrap();
-        assert_eq!(q.base(), 1);
         // Old offset 1 is now offset 0.
         assert_eq!(q.get(0).unwrap().map(|e| e.payload), Some(11));
         // The rotated-out register is free and reusable at the tail.
         assert_eq!(q.get(1).unwrap(), None);
         q.set(1, 12, false).unwrap();
         assert_eq!(q.get(1).unwrap().map(|e| e.payload), Some(12));
-        assert_eq!(q.live_entries(), 2);
+        assert_eq!(q.valid_from(0).unwrap(), 2);
     }
 
     #[test]
@@ -458,7 +289,10 @@ mod tests {
         let _ = q.check(0, false, |_| false).unwrap();
         q.rotate(1).unwrap();
         let _ = q.check(0, false, |_| false).unwrap(); // M2 checks last reg
-        assert_eq!(q.base(), 2);
+
+        // Two rotations released M5 and M3; M4 sits at offset 0 now.
+        assert_eq!(q.get(0).unwrap().map(|e| e.payload), Some(4));
+        assert_eq!(q.valid_from(0).unwrap(), 1);
     }
 
     #[test]
@@ -471,7 +305,7 @@ mod tests {
         // Clean-up form.
         q.amov(0, 0).unwrap();
         assert_eq!(q.get(0).unwrap(), None);
-        assert_eq!(q.live_entries(), 0);
+        assert_eq!(q.valid_from(0).unwrap(), 0);
     }
 
     #[test]
@@ -502,80 +336,14 @@ mod tests {
         let mut q: AliasQueue<u32> = AliasQueue::new(3);
         q.set(0, 1, false).unwrap();
         q.rotate(2).unwrap();
+        q.set(0, 2, false).unwrap();
         q.reset();
-        assert_eq!(q.base(), 0);
-        assert_eq!(q.live_entries(), 0);
+        assert_eq!(q.valid_from(0).unwrap(), 0);
     }
 
     #[test]
     #[should_panic(expected = "alias register file cannot be empty")]
     fn zero_registers_rejected() {
         let _: AliasQueue<u32> = AliasQueue::new(0);
-    }
-
-    #[test]
-    fn check_first_matches_first_full_scan_hit() {
-        let mut q: AliasQueue<u32> = AliasQueue::new(4);
-        q.set(1, 7, true).unwrap();
-        q.set(3, 7, false).unwrap();
-        for from in 0..4 {
-            for &is_load in &[false, true] {
-                let full = q.check(from, is_load, |&v| v == 7).unwrap();
-                let first = q.check_first(from, is_load, |&v| v == 7).unwrap();
-                assert_eq!(first, full.first().copied());
-            }
-        }
-    }
-
-    #[test]
-    fn check_first_returns_lowest_offset_across_wraparound() {
-        // Rotate so the offset window wraps the physical array.
-        let mut q: AliasQueue<u32> = AliasQueue::new(4);
-        q.rotate(3).unwrap();
-        q.set(0, 1, false).unwrap(); // physical slot 3
-        q.set(2, 1, false).unwrap(); // physical slot 1 (wrapped)
-        assert_eq!(q.check_first(0, false, |&v| v == 1).unwrap(), Some(0));
-        assert_eq!(q.check_first(1, false, |&v| v == 1).unwrap(), Some(2));
-        assert_eq!(q.check_first(3, false, |&v| v == 1).unwrap(), None);
-    }
-
-    #[test]
-    fn masks_track_random_operation_sequences() {
-        // Drive a large (multi-word) and a small queue through random
-        // set/rotate/amov/reset sequences; the mask-driven valid_from,
-        // live_entries and check_first must always agree with slot scans.
-        use crate::prng::Prng;
-        for &regs in &[5u32, 64, 67, 130] {
-            let mut rng = Prng::new(u64::from(regs) * 31 + 1);
-            let mut q: AliasQueue<u32> = AliasQueue::new(regs);
-            for _ in 0..400 {
-                match rng.bounded(8) {
-                    0..=3 => {
-                        let off = rng.range_u32(0, regs);
-                        let _ = q.set(off, rng.range_u32(0, 3), rng.chance(1, 2));
-                    }
-                    4 => {
-                        let _ = q.rotate(rng.range_u32(0, regs.min(4)));
-                    }
-                    5 => {
-                        let _ = q.amov(rng.range_u32(0, regs), rng.range_u32(0, regs));
-                    }
-                    6 if rng.chance(1, 8) => q.reset(),
-                    _ => {}
-                }
-                let naive_live = (0..regs).filter(|&o| q.get(o).unwrap().is_some()).count();
-                assert_eq!(q.live_entries(), naive_live);
-                let from = rng.range_u32(0, regs);
-                let naive_valid = (from..regs)
-                    .filter(|&o| q.get(o).unwrap().is_some())
-                    .count() as u32;
-                assert_eq!(q.valid_from(from).unwrap(), naive_valid);
-                let target = rng.range_u32(0, 3);
-                let is_load = rng.chance(1, 2);
-                let full = q.check(from, is_load, |&v| v == target).unwrap();
-                let first = q.check_first(from, is_load, |&v| v == target).unwrap();
-                assert_eq!(first, full.first().copied(), "regs={regs} from={from}");
-            }
-        }
     }
 }

@@ -5,15 +5,12 @@
 //! * [`DepGraph::compute`] (sealed-region bit-matrix, output-sensitive)
 //!   vs [`DepGraph::compute_naive`] (all-pairs reference).
 //! * [`SealedRegion`] probes vs [`RegionSpec`] HashMap lookups.
-//! * [`AliasQueue::check_first`] (bitmask short-circuit) vs the full-scan
-//!   [`AliasQueue::check`] oracle, across random operation sequences.
 //! * [`Allocator::with_scratch`] buffer reuse vs fresh allocators.
 //!
 //! Scenarios come from the in-repo seeded [`Prng`]; each failure prints
 //! its seed for exact reproduction.
 
 use smarq::prng::Prng;
-use smarq::queue::AliasQueue;
 use smarq::{allocate, AllocScratch, Allocator, Dep, DepGraph, MemKind, MemOpId, RegionSpec};
 
 const CASES: u64 = 256;
@@ -113,53 +110,6 @@ fn sealed_region_matches_spec_probes() {
                     sealed.may_alias(a, b),
                     region.may_alias(a, b),
                     "may_alias({a:?}, {b:?}) diverges for seed {seed}"
-                );
-            }
-        }
-    }
-}
-
-/// Replays a random sequence of queue operations; after every step the
-/// short-circuit check must agree with the first hit of the full scan,
-/// for every possible scan start and both checker kinds.
-#[test]
-fn queue_check_first_matches_full_scan() {
-    for case in 0..CASES {
-        let seed = 0x30_000 + case;
-        let mut rng = Prng::new(seed);
-        let regs = *rng.pick(&[3u32, 8, 64, 70, 130]);
-        let mut q: AliasQueue<u32> = AliasQueue::new(regs);
-        for step in 0..120 {
-            match rng.range_u32(0, 10) {
-                0..=4 => {
-                    let off = rng.range_u32(0, regs);
-                    let payload = rng.range_u32(0, 8);
-                    q.set(off, payload, rng.chance(1, 2)).unwrap();
-                }
-                5..=6 => {
-                    let amount = rng.range_u32(0, regs + 1);
-                    q.rotate(amount).unwrap();
-                }
-                7 => {
-                    let src = rng.range_u32(0, regs);
-                    let dst = rng.range_u32(0, regs);
-                    q.amov(src, dst).unwrap();
-                }
-                _ => {}
-            }
-            let from = rng.range_u32(0, regs);
-            let needle = rng.range_u32(0, 8);
-            for is_load in [false, true] {
-                let full = q
-                    .check(from, is_load, |&p| p == needle)
-                    .unwrap()
-                    .first()
-                    .copied();
-                let first = q.check_first(from, is_load, |&p| p == needle).unwrap();
-                assert_eq!(
-                    first, full,
-                    "check_first diverges at seed {seed}, step {step}, \
-                     from {from}, is_load {is_load}"
                 );
             }
         }

@@ -19,9 +19,9 @@
 //! *after* the `--deny`/`--allow` policy is applied; `--json`
 //! additionally writes the structured report for CI artifacts, and
 //! `--nospec` forbids speculation across the given half-open address
-//! ranges (the chain analyzer proves none was scheduled). A malformed
-//! `SMARQ_NOSPEC` is reported and exits with status 2 before any command
-//! runs.
+//! ranges (the chain analyzer proves none was scheduled). `--nospec`
+//! defaults to the `SMARQ_NOSPEC` environment variable; a malformed value
+//! is reported and exits with status 2 before any command runs.
 
 use smarq_fuzz::{
     check_program, lint_paths_with, load_dir, run_campaign, CampaignParams, LintConfig,
@@ -53,15 +53,18 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    if let Err(e) = smarq_runtime::nospec_ranges_from_env() {
-        eprintln!("SMARQ_NOSPEC: {e}");
-        return ExitCode::from(2);
-    }
+    let env_nospec = match smarq_runtime::nospec_ranges_from_env() {
+        Ok(ranges) => ranges,
+        Err(e) => {
+            eprintln!("SMARQ_NOSPEC: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
+        Some("lint") => cmd_lint(&args[1..], env_nospec),
         Some("snippet") => cmd_snippet(&args[1..]),
         _ => usage(),
     }
@@ -239,13 +242,13 @@ fn list_codes() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+/// `smarq lint`; `nospec` is the `--nospec` default.
+fn cmd_lint(args: &[String], mut nospec: smarq::range::NospecRanges) -> ExitCode {
     if args.iter().any(|a| a == "--list") {
         return list_codes();
     }
     let mut paths: Vec<&str> = Vec::new();
     let mut json_out: Option<PathBuf> = None;
-    let mut nospec = smarq::range::NospecRanges::none();
     let mut deny: Vec<String> = Vec::new();
     let mut allow: Vec<String> = Vec::new();
     let mut i = 0;

@@ -148,7 +148,7 @@ mod tests {
         let program = generate(3, &FuzzParams::default());
         let repro = Repro {
             seed: 3,
-            divergence: "queue-mismatch".to_string(),
+            divergence: "static-verify".to_string(),
             original_ops: program.static_instrs(),
             program,
         };

@@ -22,11 +22,8 @@
 //!    production dependence analysis, so a consistent-but-wrong analysis
 //!    (the injected faults of `smarq::fault`) is caught here without any
 //!    execution at all.
-//! 4. **Fast-path differentials** — on the same live regions,
-//!    [`DepGraph::compute`] vs [`DepGraph::compute_naive`] edge sets, and
-//!    [`AliasQueue::check_first`] vs the full-scan
-//!    [`AliasQueue::check`] at every C-bit instruction of the allocated
-//!    code.
+//! 4. **Fast-path differential** — on the same live regions,
+//!    [`DepGraph::compute`] vs [`DepGraph::compute_naive`] edge sets.
 //! 5. **Whole-chain analysis** — the main run executes under
 //!    verify-on-emit, so every memoized region→region link is
 //!    chain-checked at resolution time, and afterwards
@@ -50,9 +47,8 @@
 //! covering the shared-cache, cross-guest-invalidation and scheduling
 //! machinery the single-guest layers cannot reach.
 
-use smarq::queue::AliasQueue;
 use smarq::validate::validate_allocation;
-use smarq::{AliasCode, AllocScratch, Dep, DepGraph, MemOpId};
+use smarq::{AllocScratch, Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
 use smarq_opt::{optimize_superblock_traced, OptConfig};
 use smarq_runtime::{
@@ -184,15 +180,6 @@ pub enum Divergence {
         /// convergence-failure note).
         detail: String,
     },
-    /// Layer 4: `check_first` disagrees with the full-scan `check`.
-    QueueMismatch {
-        /// Scheme label.
-        scheme: &'static str,
-        /// Region index in formation order.
-        region: usize,
-        /// The disagreeing check.
-        detail: String,
-    },
 }
 
 impl Divergence {
@@ -208,7 +195,6 @@ impl Divergence {
             Divergence::DepGraphMismatch { .. } => "depgraph-mismatch",
             Divergence::MultiGuestMismatch { .. } => "multiguest-mismatch",
             Divergence::ChainVerify { .. } => "chain-verify",
-            Divergence::QueueMismatch { .. } => "queue-mismatch",
         }
     }
 
@@ -269,11 +255,6 @@ impl std::fmt::Display for Divergence {
             Divergence::ChainVerify { scheme, detail } => {
                 write!(f, "chain-verify under {scheme}: {detail}")
             }
-            Divergence::QueueMismatch {
-                scheme,
-                region,
-                detail,
-            } => write!(f, "queue-mismatch under {scheme} region {region}: {detail}"),
         }
     }
 }
@@ -440,7 +421,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
             let (_, trace) =
                 optimize_superblock_traced(sb, &opt, &cfg.machine, sys.blacklist(), &mut scratch);
 
-            // Layer 3a: dependence fast path vs naive oracle.
+            // Layer 4: dependence fast path vs naive oracle.
             let mut fast: Vec<_> = DepGraph::compute(&trace.spec).iter().collect();
             let mut naive: Vec<_> = DepGraph::compute_naive(&trace.spec).iter().collect();
             fast.sort_by_key(dep_key);
@@ -471,10 +452,6 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
                     });
                 }
                 report.allocations_validated += 1;
-
-                // Layer 4b: check_first vs full-scan check, replaying the
-                // allocated alias code on a live queue.
-                queue_differential(alloc, label, region)?;
             }
 
             // Layer 3: the independent static verifier. Fed the original
@@ -713,71 +690,6 @@ pub fn check_multi_guest(
         report.guests = programs.len() + 1;
     }
     Ok(report)
-}
-
-/// Replays `alloc`'s alias code on an [`AliasQueue`] and compares the
-/// bitmask fast path against the full scan at every C-bit instruction.
-fn queue_differential(
-    alloc: &smarq::Allocation,
-    scheme: &'static str,
-    region: usize,
-) -> Result<(), Divergence> {
-    let num_regs = alloc.working_set().max(1);
-    let mut queue: AliasQueue<MemOpId> = AliasQueue::new(num_regs);
-    let err = |detail: String| Divergence::QueueMismatch {
-        scheme,
-        region,
-        detail,
-    };
-    for code in alloc.code() {
-        match *code {
-            AliasCode::Op {
-                id,
-                p_bit,
-                c_bit,
-                offset,
-            } => {
-                let Some(offset) = offset else { continue };
-                // The allocator does not record load/store kinds in the
-                // code stream; exercising both polarities subsumes the
-                // real one and doubles the differential coverage.
-                for is_load in [false, true] {
-                    if c_bit {
-                        let full = queue
-                            .check(offset.value(), is_load, |_| true)
-                            .map_err(|e| err(format!("full scan overflowed at {}", e.offset)))?;
-                        let first = queue
-                            .check_first(offset.value(), is_load, |_| true)
-                            .map_err(|e| err(format!("fast scan overflowed at {}", e.offset)))?;
-                        if first != full.first().copied() {
-                            return Err(err(format!(
-                                "op {id:?} from offset {}: check_first={first:?} \
-                                 but full scan starts {:?}",
-                                offset.value(),
-                                full.first()
-                            )));
-                        }
-                    }
-                }
-                if p_bit {
-                    queue
-                        .set(offset.value(), id, false)
-                        .map_err(|e| err(format!("set overflowed at {}", e.offset)))?;
-                }
-            }
-            AliasCode::Amov(amov) => {
-                queue
-                    .amov(amov.src_offset.value(), amov.dst_offset.value())
-                    .map_err(|e| err(format!("amov overflowed at {}", e.offset)))?;
-            }
-            AliasCode::Rotate(r) => {
-                queue
-                    .rotate(r.amount)
-                    .map_err(|e| err(format!("rotate overflowed at {}", e.offset)))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

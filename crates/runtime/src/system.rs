@@ -64,16 +64,13 @@ pub struct SystemConfig {
     /// Verify-on-emit: statically verify every (re)translated region with
     /// `smarq_verify` before it enters the code cache. Findings accumulate
     /// in [`SystemStats`]; execution is never blocked (observation mode).
-    /// Defaults to the `SMARQ_VERIFY` environment variable (non-empty,
-    /// non-`0` value enables; read once per process).
+    /// Off by default.
     pub verify_translations: bool,
     /// Dispatch-path implementation. [`DispatchMode`] has a single value,
     /// so this field changes nothing.
     pub dispatch: DispatchMode,
-    /// Execution tier for translated regions (see [`ExecTier`]).
-    /// Defaults to the `SMARQ_EXEC_TIER` environment variable
-    /// (`functional`, `fast` or `1` select the functional tier; read
-    /// once per process), otherwise the cycle simulator.
+    /// Execution tier for translated regions (see [`ExecTier`]); the
+    /// cycle simulator by default.
     pub exec_tier: ExecTier,
     /// On the functional tier, every `tier_sample_interval`-th region
     /// entry is also executed on the cycle simulator from the same
@@ -84,9 +81,7 @@ pub struct SystemConfig {
     /// Run translation asynchronously: hot-region triggers enqueue a
     /// [`crate::TranslationJob`] on a bounded background executor and the
     /// guest keeps executing until the finished region is atomically
-    /// published at a dispatch boundary. Defaults to the `SMARQ_ASYNC_TRANSLATE`
-    /// environment variable (non-empty, non-`0` enables; read once per
-    /// process).
+    /// published at a dispatch boundary. Off by default.
     pub async_translate: bool,
     /// Worker threads for the background translation pool. `0` selects
     /// the deterministic auto-stepped executor ([`StepExecutor::auto`]):
@@ -104,29 +99,15 @@ pub struct SystemConfig {
     /// contract for MMIO-like regions). Propagated into
     /// [`OptConfig::nospec`] at system construction; the whole-program
     /// value-range analysis ([`smarq_verify::analyze`]) supplies each
-    /// region's entry state so the taint is range-precise. Defaults to
-    /// the `SMARQ_NOSPEC` environment variable (`lo..hi[,lo..hi…]`,
-    /// half-open, decimal or `0x` hex; read once per process).
+    /// region's entry state so the taint is range-precise. None by
+    /// default; the CLIs default `--nospec` to `SMARQ_NOSPEC` through
+    /// [`nospec_ranges_from_env`].
     pub nospec_ranges: NospecRanges,
 }
 
-fn verify_from_env() -> bool {
-    static FROM_ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FROM_ENV
-        .get_or_init(|| std::env::var_os("SMARQ_VERIFY").is_some_and(|v| !v.is_empty() && v != "0"))
-}
-
-fn async_from_env() -> bool {
-    static FROM_ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var_os("SMARQ_ASYNC_TRANSLATE").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
 /// Parses the `SMARQ_NOSPEC` environment variable; unset or blank means
-/// no ranges. Front ends call this before building a [`SystemConfig`], so
-/// a malformed value is reported to the user instead of panicking in
-/// [`SystemConfig::default`].
+/// no ranges. The CLIs use it as the default of `--nospec` and report a
+/// malformed value; the library reads no environment.
 ///
 /// # Errors
 /// The [`NospecRanges::parse`] message for a malformed value.
@@ -137,30 +118,8 @@ pub fn nospec_ranges_from_env() -> Result<NospecRanges, String> {
     }
 }
 
-fn nospec_from_env() -> NospecRanges {
-    static FROM_ENV: std::sync::OnceLock<NospecRanges> = std::sync::OnceLock::new();
-    FROM_ENV
-        .get_or_init(|| {
-            nospec_ranges_from_env().unwrap_or_else(|e| panic!("invalid SMARQ_NOSPEC: {e}"))
-        })
-        .clone()
-}
-
-fn exec_tier_from_env() -> ExecTier {
-    static FROM_ENV: std::sync::OnceLock<ExecTier> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var_os("SMARQ_EXEC_TIER") {
-        Some(v) if v == "functional" || v == "fast" || v == "1" => ExecTier::Functional,
-        _ => ExecTier::CycleSim,
-    })
-}
-
 impl Default for SystemConfig {
-    /// The default configuration, with the `SMARQ_*` environment
-    /// overrides documented on each field applied.
-    ///
-    /// # Panics
-    /// If `SMARQ_NOSPEC` is set but malformed. Check it first with
-    /// [`nospec_ranges_from_env`] to report the error instead.
+    /// The default configuration. It reads no environment variable.
     fn default() -> Self {
         let machine = MachineConfig::default();
         SystemConfig {
@@ -174,23 +133,20 @@ impl Default for SystemConfig {
             },
             unroll_factor: 1,
             max_rollbacks_per_region: 64,
-            verify_translations: verify_from_env(),
+            verify_translations: false,
             dispatch: DispatchMode::default(),
-            exec_tier: exec_tier_from_env(),
+            exec_tier: ExecTier::default(),
             tier_sample_interval: 256,
-            async_translate: async_from_env(),
+            async_translate: false,
             translate_workers: 1,
             translate_queue_depth: 4,
-            nospec_ranges: nospec_from_env(),
+            nospec_ranges: NospecRanges::none(),
         }
     }
 }
 
 impl SystemConfig {
     /// Default system targeting the given optimizer configuration.
-    ///
-    /// # Panics
-    /// As [`SystemConfig::default`]: if `SMARQ_NOSPEC` is malformed.
     pub fn with_opt(opt: OptConfig) -> Self {
         SystemConfig {
             opt,

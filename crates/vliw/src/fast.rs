@@ -335,10 +335,10 @@ mod tests {
         let mut examined = 0;
         if c {
             examined = queue.valid_from(offset).unwrap();
-            let hit = queue
-                .check_first(offset, is_load, |&(r, _)| r.overlaps(range))
+            let hits = queue
+                .check(offset, is_load, |&(r, _)| r.overlaps(range))
                 .unwrap();
-            if let Some(h) = hit {
+            if let Some(&h) = hits.first() {
                 let producer = queue.get(h).unwrap().expect("hit valid").payload.1;
                 return Err(AliasViolation {
                     checker_tag: tag,

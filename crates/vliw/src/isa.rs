@@ -6,6 +6,7 @@
 //! above side exits). Instructions are grouped into [`Bundle`]s issued
 //! in order, one bundle per cycle at best.
 
+use crate::alias_hw::HwKind;
 use smarq_guest::{AluOp, CmpOp, FpuOp};
 use std::fmt;
 
@@ -76,10 +77,17 @@ pub struct CondExit {
 }
 
 /// One VLIW operation (slot content).
+///
+/// The tag is a `u8` starting at 4. The functional tier's op stream wraps
+/// `VliwOp` in an enum with four forms of its own, which take tag values
+/// 0–3: the wrapper stays the size of a `VliwOp` and dispatches on one
+/// jump table. `repr(u8)` keeps each variant's fields in declaration
+/// order, so a memory op lists its `tag` before `disp` to fit 32 bytes.
 #[derive(Clone, Copy, PartialEq, Debug)]
+#[repr(u8)]
 pub enum VliwOp {
     /// No operation.
-    Nop,
+    Nop = 4,
     /// `rd = value`.
     IConst {
         /// Destination (integer file).
@@ -161,12 +169,12 @@ pub enum VliwOp {
         rd: u8,
         /// Base register.
         base: u8,
+        /// Region-local memory-op tag for exception reporting.
+        tag: u32,
         /// Displacement.
         disp: i64,
         /// Alias-detection annotation.
         alias: AliasAnnot,
-        /// Region-local memory-op tag for exception reporting.
-        tag: u32,
     },
     /// Integer store `mem[base + disp] = rs`.
     Store {
@@ -174,12 +182,12 @@ pub enum VliwOp {
         rs: u8,
         /// Base register.
         base: u8,
+        /// Region-local memory-op tag.
+        tag: u32,
         /// Displacement.
         disp: i64,
         /// Alias-detection annotation.
         alias: AliasAnnot,
-        /// Region-local memory-op tag.
-        tag: u32,
     },
     /// FP load `fd = mem[base + disp]`.
     FLoad {
@@ -187,12 +195,12 @@ pub enum VliwOp {
         fd: u8,
         /// Base register.
         base: u8,
+        /// Region-local memory-op tag.
+        tag: u32,
         /// Displacement.
         disp: i64,
         /// Alias-detection annotation.
         alias: AliasAnnot,
-        /// Region-local memory-op tag.
-        tag: u32,
     },
     /// FP store `mem[base + disp] = fs`.
     FStore {
@@ -200,12 +208,12 @@ pub enum VliwOp {
         fs: u8,
         /// Base register.
         base: u8,
+        /// Region-local memory-op tag.
+        tag: u32,
         /// Displacement.
         disp: i64,
         /// Alias-detection annotation.
         alias: AliasAnnot,
-        /// Region-local memory-op tag.
-        tag: u32,
     },
     /// Invalidate ALAT entry `entry` (the hoisted load's home position has
     /// been passed: its aliases no longer matter). Analogous to Itanium's
@@ -254,6 +262,58 @@ impl VliwOp {
     /// `true` for loads and stores.
     pub fn is_mem(&self) -> bool {
         self.slot_class() == SlotClass::Mem
+    }
+
+    /// The largest register index any field of the op names (`0` for
+    /// ops without register operands).
+    pub fn max_reg(&self) -> u8 {
+        match *self {
+            VliwOp::IConst { rd, .. } => rd,
+            VliwOp::Alu { rd, ra, rb, .. } => rd.max(ra).max(rb),
+            VliwOp::AluImm { rd, ra, .. } | VliwOp::Copy { rd, ra } => rd.max(ra),
+            VliwOp::FConst { fd, .. } => fd,
+            VliwOp::Fpu { fd, fa, fb, .. } => fd.max(fa).max(fb),
+            VliwOp::FCopy { fd, fa } => fd.max(fa),
+            VliwOp::ItoF { fd, ra } => fd.max(ra),
+            VliwOp::FtoI { rd, fa } => rd.max(fa),
+            VliwOp::Load { rd, base, .. } => rd.max(base),
+            VliwOp::Store { rs, base, .. } => rs.max(base),
+            VliwOp::FLoad { fd, base, .. } => fd.max(base),
+            VliwOp::FStore { fs, base, .. } => fs.max(base),
+            VliwOp::Exit { cond, .. } => cond.map_or(0, |c| c.ra.max(c.rb)),
+            VliwOp::Nop
+            | VliwOp::AlatClear { .. }
+            | VliwOp::Rotate { .. }
+            | VliwOp::Amov { .. } => 0,
+        }
+    }
+
+    /// `(annotation, is_load, tag)` of a memory op; `None` for the rest.
+    pub fn mem_access(&self) -> Option<(AliasAnnot, bool, u32)> {
+        match *self {
+            VliwOp::Load { alias, tag, .. } | VliwOp::FLoad { alias, tag, .. } => {
+                Some((alias, true, tag))
+            }
+            VliwOp::Store { alias, tag, .. } | VliwOp::FStore { alias, tag, .. } => {
+                Some((alias, false, tag))
+            }
+            _ => None,
+        }
+    }
+
+    /// The alias-hardware scheme the op targets: [`HwKind::None`] for ops
+    /// that touch no alias hardware.
+    pub fn alias_kind(&self) -> HwKind {
+        match *self {
+            VliwOp::Rotate { .. } | VliwOp::Amov { .. } => HwKind::Smarq,
+            VliwOp::AlatClear { .. } => HwKind::Alat,
+            _ => match self.mem_access() {
+                Some((AliasAnnot::Smarq { .. }, ..)) => HwKind::Smarq,
+                Some((AliasAnnot::Efficeon { .. }, ..)) => HwKind::Efficeon,
+                Some((AliasAnnot::AlatSet { .. }, ..)) => HwKind::Alat,
+                _ => HwKind::None,
+            },
+        }
     }
 }
 
@@ -364,6 +424,12 @@ mod tests {
         );
         assert_eq!(VliwOp::Rotate { amount: 1 }.slot_class(), SlotClass::Alu);
         assert_eq!(VliwOp::Nop.slot_class(), SlotClass::Alu);
+    }
+
+    /// The declared field order packs every op into 32 bytes.
+    #[test]
+    fn ops_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<VliwOp>(), 32);
     }
 
     #[test]

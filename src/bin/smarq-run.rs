@@ -20,21 +20,20 @@
 //! hardware scheme — see `crates/verify`. `--list` prints the stable
 //! diagnostic code table; `--deny CODE` / `--allow CODE` raise/lower a
 //! code's severity before the exit status is decided. `--verify` enables
-//! the runtime's verify-on-emit mode for a normal run (also via
-//! `SMARQ_VERIFY=1`); with it, region→region link formation additionally
-//! runs the whole-chain static analyzer. `--nospec LO..HI[,..]` declares
-//! half-open unspeculatable address ranges (also via `SMARQ_NOSPEC`):
-//! the optimizer never schedules speculation that can touch them, and the
-//! chain analyzer proves none was. A malformed `SMARQ_NOSPEC` is reported
-//! and exits with status 2 before anything runs.
+//! the runtime's verify-on-emit mode for a normal run; with it,
+//! region→region link formation additionally runs the whole-chain static
+//! analyzer. `--nospec LO..HI[,..]` declares half-open unspeculatable
+//! address ranges: the optimizer never schedules speculation that can
+//! touch them, and the chain analyzer proves none was. Both commands
+//! default `--nospec` to the `SMARQ_NOSPEC` environment variable; a
+//! malformed value is reported and exits with status 2 before anything
+//! runs. No other variable changes the configuration.
 //! `--exec-tier functional` runs optimized regions on the fast functional
-//! tier with sampled cycle-sim tier-down checks (also via
-//! `SMARQ_EXEC_TIER=functional`). `--async-translate` moves region
-//! formation, optimization and
-//! verification onto background worker threads (also via
-//! `SMARQ_ASYNC_TRANSLATE=1`): the guest keeps interpreting while
-//! translations are in flight and finished regions publish atomically at
-//! dispatch-step boundaries. `--translate-workers N` sizes the pool
+//! tier with sampled cycle-sim tier-down checks. `--async-translate`
+//! moves region formation, optimization and verification onto background
+//! worker threads: the guest keeps interpreting while translations are
+//! in flight and finished regions publish atomically at dispatch-step
+//! boundaries. `--translate-workers N` sizes the pool
 //! (`0` = a deterministic in-thread stepper) and `--translate-queue N`
 //! bounds the job queue.
 //!
@@ -128,7 +127,8 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+/// `smarq-run lint`; `nospec` is the `--nospec` default.
+fn cmd_lint(args: &[String], mut nospec: smarq::range::NospecRanges) -> ExitCode {
     if args.iter().any(|a| a == "--list") {
         println!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
         for info in smarq_verify::CODES {
@@ -144,7 +144,6 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
     let mut paths: Vec<&str> = Vec::new();
     let mut json_out: Option<std::path::PathBuf> = None;
-    let mut nospec = smarq::range::NospecRanges::none();
     let mut deny: Vec<String> = Vec::new();
     let mut allow: Vec<String> = Vec::new();
     let mut i = 0;
@@ -477,13 +476,16 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
 }
 
 fn main() -> ExitCode {
-    if let Err(e) = smarq_runtime::nospec_ranges_from_env() {
-        eprintln!("SMARQ_NOSPEC: {e}");
-        return ExitCode::from(2);
-    }
+    let env_nospec = match smarq_runtime::nospec_ranges_from_env() {
+        Ok(ranges) => ranges,
+        Err(e) => {
+            eprintln!("SMARQ_NOSPEC: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("lint") {
-        return cmd_lint(&raw[1..]);
+        return cmd_lint(&raw[1..], env_nospec);
     }
     let args = match parse_args() {
         Ok(a) => a,
@@ -525,9 +527,7 @@ fn main() -> ExitCode {
     if let Some(q) = args.translate_queue {
         cfg.translate_queue_depth = q;
     }
-    if let Some(n) = args.nospec.clone() {
-        cfg.nospec_ranges = n;
-    }
+    cfg.nospec_ranges = args.nospec.clone().unwrap_or(env_nospec);
     if args.guests >= 2 {
         return run_multi_guests(program, cfg, &args);
     }
