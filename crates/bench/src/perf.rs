@@ -16,11 +16,14 @@ use smarq::{allocate, AllocScratch, Allocator, DepGraph};
 use smarq_guest::Program;
 use smarq_guest::{AluOp, BlockId, CmpOp, Interpreter, Memory, ProgramBuilder, Reg};
 use smarq_ir::{form_superblock, FormationParams};
+use smarq_opt::fastcomp::{self, FastSim};
 use smarq_opt::{
     optimize_superblock, optimize_superblock_traced, AliasBlacklist, OptConfig, OptTrace,
 };
-use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
-use smarq_vliw::{AnyAliasHw, HwKind, MachineConfig, Simulator, VliwState};
+use smarq_runtime::{DynOptSystem, SystemConfig};
+use smarq_vliw::{
+    AnyAliasHw, HwKind, MachineConfig, RegionOutcome, RegionWriteMask, Simulator, VliwState,
+};
 use std::time::Instant;
 
 /// Dependence + constraint analysis: the all-pairs reference
@@ -87,7 +90,6 @@ pub fn measure_dispatch() -> Measurement {
     // chaining) rather than by memory simulation.
     let cfg = SystemConfig {
         hot_threshold: 50,
-        exec_tier: ExecTier::CycleSim,
         ..Default::default()
     };
     let mut sys = DynOptSystem::new(reg_loop_kernel(), cfg);
@@ -142,65 +144,64 @@ fn mem_loop_kernel() -> Program {
     b.finish(entry)
 }
 
-/// End-to-end guest execution under the chained **cycle simulator**
-/// (scoreboard, issue modeling, per-bundle timing) vs the same program
-/// under the fast **functional tier** (direct-threaded ops over the resident
-/// [`VliwState`], default 1-in-256 tier-down sampling kept on so the
-/// timed number reflects the deployed configuration). Both systems warm
-/// until the loop is translated and chained, then identical steady-state
-/// budget slices are timed — one iteration is exactly `step` guest
-/// instructions.
-fn compare_tiers(
+/// One region entry on the retained reference executor, the cycle
+/// simulator's [`Simulator::run_region_resident`] (scoreboard, issue
+/// modeling, alias hardware), vs the timed [`FastSim::run_region`] the
+/// runtime runs on every entry of a machine without a data cache (the
+/// same statistics, cycles included, from a compiled-out timing table).
+/// The region is the hot loop of `kernel`, unrolled and translated by a
+/// warmed system; each executor then runs it back to back from the
+/// warmed guest state, so every timed iteration is one steady-state
+/// entry that leaves through the loop-back exit into the same region.
+fn compare_executors(
     name: &str,
     before_label: &str,
     after_label: &str,
     kernel: fn() -> Program,
 ) -> Comparison {
-    /// Guest instructions per timed closure call.
-    const STEP: u64 = 20_000;
-    const WARM: u64 = 100_000;
+    let cfg = SystemConfig {
+        hot_threshold: 50,
+        // Unroll the hot loop so the region carries real straight-line
+        // work: with a 2-op body both executors are dominated by the
+        // per-entry bookkeeping. Unrolled regions are also the deployed
+        // shape — the optimizer exists to form them.
+        unroll_factor: 16,
+        ..Default::default()
+    };
+    let mut sys = DynOptSystem::new(kernel(), cfg.clone());
+    sys.run_to_completion(100_000);
+    let sb = sys
+        .formed_superblocks()
+        .next()
+        .expect("hot loop must be translated before timing");
+    let vliw = optimize_superblock(sb, &cfg.opt, &cfg.machine, sys.blacklist()).vliw;
+    let fast = fastcomp::compile_for(&vliw, &cfg.machine).expect("an emitted region lowers");
+    let mask = RegionWriteMask::of(&vliw);
+    let warm = || {
+        let mut state = VliwState::new();
+        state.load_guest(&sys.interp().regs, &sys.interp().fregs);
+        (state, sys.interp().mem.clone())
+    };
+    let regs = cfg.opt.num_alias_regs;
+    let mut sim = Simulator::new(cfg.machine, AnyAliasHw::for_kind(cfg.opt.hw, regs));
+    let mut fast_sim = FastSim::new(cfg.opt.hw, regs);
+    // Prove both executors take the steady-state path, and agree on it.
+    let ((mut vs, mut vm), (mut fs, mut fm)) = (warm(), warm());
+    let want = sim
+        .run_region_resident(&vliw, mask, &mut vs, &mut vm)
+        .expect("an emitted region is well formed");
+    assert!(matches!(want.0, RegionOutcome::Exited { .. }));
+    assert_eq!(fast_sim.run_region(&fast, &mut fs, &mut fm), want);
 
-    fn warm(kernel: fn() -> Program, tier: ExecTier) -> DynOptSystem {
-        let cfg = SystemConfig {
-            hot_threshold: 50,
-            exec_tier: tier,
-            // Unroll the hot loop so the region carries real straight-line
-            // work: with a 2-op region body both tiers are dominated by
-            // the same per-entry chain bookkeeping and the comparison
-            // measures dispatch, not execution. Unrolled regions are also
-            // the deployed shape — the optimizer exists to form them.
-            unroll_factor: 16,
-            ..Default::default()
-        };
-        let mut sys = DynOptSystem::new(kernel(), cfg);
-        sys.run_to_completion(WARM);
-        assert!(
-            sys.stats().regions_formed >= 1,
-            "hot loop must be translated before timing"
-        );
-        sys
-    }
-
-    let mut cycle = warm(kernel, ExecTier::CycleSim);
-    let mut budget = WARM;
+    let (mut state, mut mem) = warm();
     let before = time_fn(before_label, move || {
-        budget += STEP;
-        cycle.run_to_completion(budget)
+        sim.run_region_resident(&vliw, mask, &mut state, &mut mem)
+            .expect("an emitted region is well formed")
     });
-
-    let mut fast = warm(kernel, ExecTier::Functional);
-    budget = WARM + STEP;
-    // Prove the functional tier is engaged before timing it.
-    fast.run_to_completion(budget);
-    assert!(
-        fast.stats().tier_fast_entries > 0,
-        "functional tier must run regions in steady state"
-    );
+    let (mut state, mut mem) = warm();
     let after = time_fn(after_label, move || {
-        budget += STEP;
-        fast.run_to_completion(budget)
+        fast_sim.run_region(&fast, &mut state, &mut mem)
     });
-
     Comparison {
         name: name.into(),
         before,
@@ -208,26 +209,26 @@ fn compare_tiers(
     }
 }
 
-/// [`compare_tiers`] on the register-only dispatch kernel: isolates the
-/// per-region overhead difference (no scoreboard, no cycle accounting, no
-/// VLIW state marshal).
+/// [`compare_executors`] on the register-only dispatch kernel: the
+/// per-op cost of the scoreboard and issue modeling against the timing
+/// table.
 pub fn compare_exec_tier() -> Comparison {
-    compare_tiers(
+    compare_executors(
         "exec_tier",
-        "exec_tier/chained_cycle_sim",
-        "exec_tier/functional",
+        "exec_tier/cycle_sim_entry",
+        "exec_tier/timed_fast_entry",
         reg_loop_kernel,
     )
 }
 
-/// [`compare_tiers`] on the load/store hot loop: the per-memory-op cost
-/// difference (compiled-out queue check + direct memory access vs the
-/// cycle simulator's modeled memory pipeline).
+/// [`compare_executors`] on the load/store hot loop: adds the per-memory-op
+/// cost difference (compiled-out queue check + direct memory access vs
+/// the cycle simulator's alias hardware and modeled memory pipeline).
 pub fn compare_exec_tier_mem() -> Comparison {
-    compare_tiers(
+    compare_executors(
         "exec_tier_mem",
-        "exec_tier/mem_chained_cycle_sim",
-        "exec_tier/mem_functional",
+        "exec_tier/mem_cycle_sim_entry",
+        "exec_tier/mem_timed_fast_entry",
         mem_loop_kernel,
     )
 }

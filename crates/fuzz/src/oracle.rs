@@ -4,13 +4,14 @@
 //!
 //! 1. **End-to-end** — a pure [`Interpreter`] run is the reference; the
 //!    full [`DynOptSystem`] must reproduce the architectural state
-//!    bit-exactly under every hardware scheme. A second run with the fast
-//!    functional tier enabled ([`ExecTier::Functional`], sampling every
-//!    region entry) must likewise agree, with zero sampled tier-down
-//!    mismatches. A third run moves translation onto the async
-//!    background pipeline (a manually stepped depth-1 queue driven by a
-//!    seeded interleaving schedule) and must again be bit-exact — every
-//!    publish/execute/deopt interleaving is architecturally invisible.
+//!    bit-exactly under every hardware scheme. A second run tier-down
+//!    samples every region entry: each entry the timed `FastSim` ran is
+//!    replayed on the cycle simulator, the reference, and must agree on
+//!    state and on every region statistic, cycles included. A third run moves translation
+//!    onto the async background pipeline (a manually stepped depth-1
+//!    queue driven by a seeded interleaving schedule) and must again be
+//!    bit-exact — every publish/execute/deopt interleaving is
+//!    architecturally invisible.
 //! 2. **Allocation validation** — every superblock the system formed is
 //!    re-optimized through [`smarq_opt::optimize_superblock_traced`] and
 //!    the resulting allocation is replayed symbolically by
@@ -42,7 +43,7 @@
 //! A separate multi-guest oracle ([`check_multi_guest`]) runs G distinct
 //! programs as concurrent tenants of one shared
 //! [`smarq_runtime::TranslationHub`] under a seeded interleaved schedule,
-//! with verify-on-emit and every functional-tier entry sampled, and
+//! with verify-on-emit and every region entry sampled, and
 //! cross-checks every guest against the same program run alone —
 //! covering the shared-cache, cross-guest-invalidation and scheduling
 //! machinery the single-guest layers cannot reach.
@@ -52,8 +53,8 @@ use smarq::{AllocScratch, Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
 use smarq_opt::{optimize_superblock_traced, OptConfig};
 use smarq_runtime::{
-    run_multi_interleaved, DynOptSystem, ExecTier, GuestContext, HubConfig, StepExecutor,
-    StopReason, SystemConfig, TranslationHub,
+    run_multi_interleaved, DynOptSystem, GuestContext, HubConfig, StepExecutor, StopReason,
+    SystemConfig, TranslationHub,
 };
 
 /// Oracle budgets and system knobs.
@@ -336,15 +337,14 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
             });
         }
 
-        // Layer 1b: the fast functional tier vs the cycle simulator. Same
-        // program, same scheme, functional tier on with every region entry
-        // tier-down sampled: the final architectural state and the
-        // guest-instruction accounting must match the cycle-sim run above,
-        // and every in-run sample must have been bit-exact, work counters
-        // included (so the compiled-out SMARQ queue's static examined
-        // counts are checked on every entry).
+        // Layer 1b: the timed `FastSim` vs the cycle simulator. Same
+        // program, same scheme, every region entry tier-down sampled: the
+        // final architectural state and the guest-instruction accounting
+        // must match the run above, and every in-run sample must have
+        // been bit-exact, statistics included (so the compiled-out
+        // queue's static examined counts and the compiled-out timing are
+        // checked on every entry).
         let mut fast_cfg = cfg.clone();
-        fast_cfg.exec_tier = ExecTier::Functional;
         fast_cfg.tier_sample_interval = 1;
         let mut fast_sys = DynOptSystem::new(program.clone(), fast_cfg);
         fast_sys.run_to_completion(u64::MAX);
@@ -578,8 +578,7 @@ pub fn check_multi_guest(
         cfg.hot_threshold = params.hot_threshold;
         cfg.unroll_factor = params.unroll_factor;
         // Every guest verifies what it installs, chain-checks every link
-        // and (on the functional tier) replays every entry on the cycle
-        // simulator.
+        // and replays every region entry on the cycle simulator.
         cfg.verify_translations = true;
         cfg.tier_sample_interval = 1;
         let mut hub_cfg = HubConfig::from_system(&cfg);

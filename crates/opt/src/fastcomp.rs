@@ -2,12 +2,13 @@
 //! flat, direct-threaded op stream over [`VliwState`], executed with no
 //! per-cycle scoreboard, issue modeling or bundle bookkeeping.
 //!
-//! The cycle simulator stays the timing and differential oracle; this
-//! tier reproduces only the *architectural* contract of a region run —
-//! register/memory effects, guest-visible exit choice and alias-exception
-//! outcomes must be bit-exact with `Simulator::run_region_resident` on
-//! the same program (the runtime's sampled tier-down and the fuzz
-//! oracle's functional-vs-cycle-sim layer both enforce this).
+//! The cycle simulator stays the hardware model and the differential
+//! oracle; this tier reproduces its whole contract on a machine without
+//! a data cache — register/memory effects, guest-visible exit choice,
+//! alias-exception outcomes and every [`RegionStats`] field, cycles and
+//! bundles included, must be bit-exact with
+//! `Simulator::run_region_resident` on the same program (the runtime's
+//! sampled tier-down and the fuzz oracle's tier layer both enforce this).
 //!
 //! Lowering decisions that buy the speedup:
 //!
@@ -27,6 +28,12 @@
 //!   examined count. A check is then a few address compares, and
 //!   `Rotate`/`Amov`/`AlatClear` do nothing at run time: the executor has
 //!   no alias hardware of its own.
+//! * **Compiled-out timing**: without a data cache an entry's cycles and
+//!   bundles depend only on the op where it ends. `compile_for` runs the
+//!   simulator's scoreboard once over the region
+//!   ([`smarq_vliw::entry_stamps`]), and the executor reads the stamp of
+//!   the op where the entry ended, once per entry, off the positional op
+//!   count it already keeps.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -34,9 +41,9 @@
 
 use smarq_guest::{AluOp, CmpOp, Memory};
 use smarq_vliw::{
-    enforce_alias_bounds, AliasAnnot, AliasViolation, AnyAliasHw, CondExit, EfficeonHw,
-    FastAliasQueue, HwKind, MemRange, RegionOutcome, RegionStats, RegionWriteMask, SimError,
-    VliwOp, VliwProgram, VliwState,
+    enforce_alias_bounds, entry_stamps, AliasAnnot, AliasViolation, AnyAliasHw, CondExit,
+    EfficeonHw, EntryStamp, FastAliasQueue, HwKind, MachineConfig, MemRange, RegionOutcome,
+    RegionStats, RegionWriteMask, SimError, VliwOp, VliwProgram, VliwState,
 };
 
 /// One op of the fast-functional stream: a [`VliwOp`] as emitted, or one
@@ -313,14 +320,17 @@ impl QueuePlan {
 }
 
 /// A region compiled for the fast-functional tier: the flattened op
-/// stream, the compiled-out alias hardware, and the two facts the
-/// executor needs up front — the write mask (for the masked checkpoint)
-/// and whether any op can raise an alias exception at all.
+/// stream, the compiled-out alias hardware and timing, and the two facts
+/// the executor needs up front — the write mask (for the masked
+/// checkpoint) and whether any op can raise an alias exception at all.
 #[derive(Clone, Debug)]
 pub struct FastProgram {
     ops: Box<[FastOp]>,
     /// The compiled-out alias hardware.
     plan: QueuePlan,
+    /// The compiled-out timing: `timing[n - 1]` is the cycles and bundles
+    /// of an entry that executed `n` ops ([`entry_stamps`]).
+    timing: Box<[EntryStamp]>,
     /// Registers the region may write (drives the masked checkpoint).
     pub write_mask: RegionWriteMask,
     /// `true` when some check in the region has a producer to compare
@@ -335,30 +345,42 @@ impl FastProgram {
     }
 }
 
-/// Lowers an emitted region into a [`FastProgram`].
+/// [`compile_for`] on the default machine.
+///
+/// # Errors
+/// As [`compile_for`].
+pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
+    compile_for(program, &MachineConfig::default())
+}
+
+/// Lowers an emitted region into a [`FastProgram`] for `machine`, whose
+/// latencies, checkpoint and rollback costs the timing table reads (its
+/// data cache, if any, is ignored: the table assumes `lat_load`).
 ///
 /// Validation happens here, once, instead of on every execution: every
-/// exit id must be in range, every register must index the 64-entry
-/// files, the stream must end in an unconditional exit, and the alias
-/// annotations must target one scheme within its widest file (the
-/// emitter guarantees all of this for well-formed regions). The region's
-/// alias hardware is compiled out here too (`QueuePlan`).
+/// exit id must be in range, every register of an issuing bundle must
+/// index the 64-entry files, the stream must end in an unconditional
+/// exit, and the alias annotations must target one scheme within its
+/// widest file (the emitter guarantees all of this for well-formed
+/// regions). The region's alias hardware (`QueuePlan`) and timing
+/// ([`entry_stamps`]) are compiled out here too.
 ///
 /// # Errors
 /// [`SimError::BadExitId`] for an out-of-range exit,
-/// [`SimError::BadRegister`] for a register past the files,
 /// [`SimError::MissingExit`] when control can fall off the end,
+/// [`SimError::BadRegister`] for a register past the files,
 /// [`SimError::MixedAliasKinds`] for annotations of two schemes,
 /// [`SimError::AliasOutOfRange`] for an alias register or rotation past
 /// the widest file of its scheme.
-pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
+pub fn compile_for(
+    program: &VliwProgram,
+    machine: &MachineConfig,
+) -> Result<FastProgram, SimError> {
     let mut ops = Vec::with_capacity(program.op_count());
-    let mut max_reg = 0;
     let mut terminated = false;
 
     'bundles: for bundle in &program.bundles {
         for &op in &bundle.ops {
-            max_reg = max_reg.max(op.max_reg());
             match op {
                 VliwOp::Nop => {}
                 VliwOp::Exit { exit_id, cond } => {
@@ -387,11 +409,10 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
         return Err(SimError::MissingExit);
     }
     // The executor masks register indices to the 64-entry files instead
-    // of bounds-checking each access; rejecting wider indices here, where
-    // the op stream is born, makes the mask a no-op.
-    if max_reg >= 64 {
-        return Err(SimError::BadRegister { reg: max_reg });
-    }
+    // of bounds-checking each access; the timing pass rejects wider
+    // indices here, where the op stream is born, which makes the mask a
+    // no-op.
+    let timing = entry_stamps(program, machine)?.into_boxed_slice();
     // Peephole superinstruction fusion. The stream is straight-line, so
     // any adjacent pair may be fused without reordering concerns; the
     // executor performs the two halves in original order.
@@ -496,6 +517,7 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
     Ok(FastProgram {
         ops: ops.into_boxed_slice(),
         plan,
+        timing,
         write_mask: RegionWriteMask::of(program),
         can_fault,
     })
@@ -538,11 +560,12 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
 }
 
 /// Executor for [`FastProgram`]s: runs regions over a resident
-/// [`VliwState`] with no timing model and no alias hardware of its own.
+/// [`VliwState`] with no scoreboard and no alias hardware of its own.
 ///
-/// Every region carries its compiled-out hardware (`QueuePlan`), so the
-/// only run-time detection state is the word each memory op recorded on
-/// the current entry, and `Rotate`/`Amov`/`AlatClear` do nothing.
+/// Every region carries its compiled-out hardware (`QueuePlan`) and
+/// timing, so the only run-time detection state is the word each memory
+/// op recorded on the current entry, `Rotate`/`Amov`/`AlatClear` do
+/// nothing, and an entry's cycles are one table lookup.
 #[derive(Clone, Debug)]
 pub struct FastSim {
     /// The scheme regions are translated for.
@@ -572,9 +595,10 @@ impl FastSim {
 
     /// Runs one region entry to completion. Architectural effects
     /// (registers, memory, exit choice, alias-exception outcome and
-    /// rollback) and the work counters are bit-exact with the cycle
-    /// simulator; `cycles` and `bundles` stay 0 because the fast tier has
-    /// no timing model.
+    /// rollback) and every statistic are bit-exact with the cycle
+    /// simulator on the machine the region was compiled for, when that
+    /// machine has no data cache. `cycles` and `bundles` come from the
+    /// region's timing table, rollback penalty included.
     ///
     /// # Panics
     /// Panics when the region's annotations target another scheme than
@@ -599,7 +623,12 @@ impl FastSim {
         if prog.can_fault {
             state.begin_region(prog.write_mask);
         }
-        self.exec(prog, state, mem)
+        let (outcome, mut stats) = self.exec(prog, state, mem);
+        // The positional op count names the op where the entry ended.
+        let stamp = prog.timing[stats.ops as usize - 1];
+        stats.cycles = stamp.cycles;
+        stats.bundles = stamp.bundles;
+        (outcome, stats)
     }
 
     /// The region loop.
@@ -821,10 +850,9 @@ fn kind_mismatch(region: HwKind, executor: HwKind) -> ! {
 }
 
 /// Alias-exception path: the cycle simulator's own rollback
-/// ([`VliwState::rollback`]), minus the rollback-cycle penalty — no timing
-/// model here. Only reachable from a check, so `can_fault` regions are
-/// the only callers and the checkpoint taken in `run_region` is always
-/// live.
+/// ([`VliwState::rollback`]); the timing table charges the rollback
+/// cycles. Only reachable from a check, so `can_fault` regions are the
+/// only callers and the checkpoint taken in `run_region` is always live.
 #[inline(never)]
 fn fault(
     state: &mut VliwState,
@@ -937,25 +965,28 @@ mod tests {
         assert_eq!(fstate.regs, vstate.regs);
         assert_eq!(fstate.fregs, vstate.fregs);
         assert_eq!(fmem, vmem);
-        // Work counters agree; timing exists only on the cycle sim.
+        // Work counters and timing agree.
         assert_eq!(fstats.ops, vstats.ops);
         assert_eq!(fstats.mem_ops, vstats.mem_ops);
         assert_eq!(fstats.alias_checks, vstats.alias_checks);
         assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
-        assert_eq!(fstats.cycles, 0);
+        assert_eq!(fstats.cycles, vstats.cycles);
+        assert_eq!(fstats.bundles, vstats.bundles);
         assert!(vstats.cycles > 0);
     }
 
     #[test]
     fn alias_exception_rolls_back_bit_exactly() {
         let program = speculative_region();
-        let ((vout, _, vstate, vmem), (fout, _, fstate, fmem)) = run_both(&program, |regs, mem| {
-            regs[1] = 0x100;
-            regs[2] = 0x100; // same word: the check fires
-            mem.write(0x100, 41);
-        });
+        let ((vout, vstats, vstate, vmem), (fout, fstats, fstate, fmem)) =
+            run_both(&program, |regs, mem| {
+                regs[1] = 0x100;
+                regs[2] = 0x100; // same word: the check fires
+                mem.write(0x100, 41);
+            });
         assert!(matches!(vout, RegionOutcome::AliasException(_)));
         assert_eq!(fout, vout);
+        assert_eq!(fstats, vstats, "rollback cycles included");
         assert_eq!(fstate.regs, vstate.regs, "rollback restored registers");
         assert_eq!(fmem, vmem, "rollback restored memory");
         assert_eq!(fmem.read(0x100), 41, "store undone");
@@ -1166,6 +1197,47 @@ mod tests {
         assert!(compile(&with(VliwOp::IConst { rd: 63, value: 5 })).is_ok());
     }
 
+    /// A register past the files is rejected by both executors before the
+    /// region runs: in an issuing op, and in a slot after the
+    /// unconditional exit of the same bundle, which the bundle's issue
+    /// stall reads. A bundle after the exit's never issues.
+    #[test]
+    fn registers_past_the_files_are_rejected_by_both_executors() {
+        let exit = VliwOp::Exit {
+            exit_id: 0,
+            cond: None,
+        };
+        let r64 = VliwOp::Copy { rd: 1, ra: 64 };
+        let program = |bundles: Vec<Vec<VliwOp>>| VliwProgram {
+            bundles: bundles.into_iter().map(|ops| Bundle { ops }).collect(),
+            exits: exit_targets(1),
+        };
+        let run = |p: &VliwProgram| {
+            let mut sim = Simulator::new(
+                MachineConfig::default(),
+                AnyAliasHw::for_kind(HwKind::None, 0),
+            );
+            let mut st = VliwState::new();
+            st.regs[1] = 7;
+            let got = sim
+                .run_region(p, &mut st, &mut Memory::new())
+                .map(|(o, _)| o);
+            assert_eq!(st.regs[1], 7, "nothing ran");
+            got
+        };
+        let bad = SimError::BadRegister { reg: 64 };
+        for p in [
+            program(vec![vec![r64], vec![exit]]),
+            program(vec![vec![exit, r64]]),
+        ] {
+            assert_eq!(compile(&p).unwrap_err(), bad, "{p:?}");
+            assert_eq!(run(&p).unwrap_err(), bad, "{p:?}");
+        }
+        let unreached = program(vec![vec![exit], vec![r64]]);
+        assert!(compile(&unreached).is_ok());
+        assert_eq!(run(&unreached), Ok(RegionOutcome::Exited { exit_id: 0 }));
+    }
+
     /// One random memory op or alias-management op of a `kind` stream
     /// over a `width`-register file, addressing a pool of a few words
     /// (some unaligned) so checks hit.
@@ -1244,7 +1316,7 @@ mod tests {
     /// examined count, or the first conflicting producer. A stream ends
     /// at its first hit, as a region entry does. Each whole stream also
     /// runs on `FastSim` and on the cycle simulator, which must agree on
-    /// outcome, work counters and memory.
+    /// outcome, every statistic (timing too) and memory.
     #[test]
     fn plan_matches_the_dynamic_queue_on_random_streams() {
         use smarq::prng::Prng;
@@ -1261,6 +1333,7 @@ mod tests {
         for (kind, width) in schemes {
             let at = format!("{kind:?}/{width}");
             let mut rng = Prng::new(u64::from(width) * 7919 + kind as u64);
+            let mut split = Prng::new(u64::from(width) + 1);
             let mut sim =
                 Simulator::new(MachineConfig::default(), AnyAliasHw::for_kind(kind, width));
             let mut fast = FastSim::new(kind, width);
@@ -1273,8 +1346,17 @@ mod tests {
                     exit_id: 0,
                     cond: None,
                 });
+                // Bundles of 1 to 4 slots, so loads into r1 stall the
+                // stores that read it and the timing has shape.
+                let mut bundles = Vec::new();
+                while !ops.is_empty() {
+                    let take = (split.range_u32(1, 5) as usize).min(ops.len());
+                    bundles.push(Bundle {
+                        ops: ops.drain(..take).collect(),
+                    });
+                }
                 let program = VliwProgram {
-                    bundles: vec![Bundle { ops }],
+                    bundles,
                     exits: exit_targets(1),
                 };
                 let prog = compile(&program).unwrap();
@@ -1325,10 +1407,8 @@ mod tests {
                     .unwrap();
                 let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
                 assert_eq!(fout, vout, "{at} stream={stream}");
-                assert_eq!(fstats.ops, vstats.ops, "{at} stream={stream}");
-                assert_eq!(fstats.mem_ops, vstats.mem_ops);
-                assert_eq!(fstats.alias_checks, vstats.alias_checks);
-                assert_eq!(fstats.entries_scanned, vstats.entries_scanned);
+                // Work counters, cycles and bundles, faults included.
+                assert_eq!(fstats, vstats, "{at} stream={stream}");
                 assert_eq!(fmem, vmem, "{at} stream={stream}");
                 assert_eq!(fstate.regs, vstate.regs);
                 faults += u32::from(matches!(fout, RegionOutcome::AliasException(_)));
@@ -1606,7 +1686,7 @@ mod tests {
                 });
             assert_eq!(fout, vout, "bound={bound}");
             assert_eq!(fstate.regs, vstate.regs, "bound={bound}");
-            assert_eq!(fstats.ops, vstats.ops, "bound={bound}");
+            assert_eq!(fstats, vstats, "bound={bound}");
         }
     }
 
@@ -1868,7 +1948,8 @@ mod tests {
     /// simulator: a coalesced 6-rep run followed by a second fused pair
     /// on a *different* induction register. Early-outs inside the run,
     /// exactly at its end, and past it (falling through into the next
-    /// pair) must agree on outcome, registers and executed-op counts.
+    /// pair) must agree on outcome, registers, executed-op counts and
+    /// timing.
     #[test]
     fn rep_boundary_early_outs_match_cycle_sim() {
         let rep_pair = |_: usize| {
@@ -1943,6 +2024,11 @@ mod tests {
             assert_eq!(fout, vout, "bound={bound}: outcome");
             assert_eq!(fstate.regs, vstate.regs, "bound={bound}: registers");
             assert_eq!(fstats.ops, vstats.ops, "bound={bound}: op accounting");
+            assert_eq!(
+                (fstats.cycles, fstats.bundles),
+                (vstats.cycles, vstats.bundles),
+                "bound={bound}: timing"
+            );
             let expect_exit = match bound {
                 1..=6 => 1,
                 7 => 2,

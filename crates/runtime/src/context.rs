@@ -1,14 +1,16 @@
 //! The guest execution context: the runtime's one dispatch engine.
 //!
 //! A [`GuestContext`] is one guest's private half of the paper's Figure 1
-//! loop: interpreter and profile, the resident `VliwState` both tiers run
-//! on, the cycle and fast-functional executors (the cycle simulator owns
-//! the alias hardware, as the paper's queue is per hardware context),
+//! loop: interpreter and profile, the resident `VliwState` both executors
+//! run on, the cycle simulator (which owns the alias hardware, as the
+//! paper's queue is per hardware context) and the timed `FastSim`,
 //! statistics, and a flat cache of *pins* into a shared
 //! [`TranslationHub`]. Each dispatch step interprets one block or runs one
 //! region chain; hot blocks request translations from the hub, alias
-//! exceptions report their pair to it and deoptimize. Functional-tier entries are sampled onto the cycle
-//! simulator, and under verify-on-emit the findings for every installed
+//! exceptions report their pair to it and deoptimize. Without a data
+//! cache every region entry runs on `FastSim` and a sample of them is
+//! replayed on the cycle simulator; with one, every entry runs on the
+//! cycle simulator. Under verify-on-emit the findings for every installed
 //! translation and every memoized link fold into [`SystemStats`].
 //!
 //! At each dispatch-step boundary the context installs finished background
@@ -19,7 +21,7 @@
 use crate::hub::{HubProbe, Installed, RegionKey, SharedRegion, Submitted, TranslationHub};
 use crate::region::{ChainAccum, ChainLink, ABANDONED, NO_REGION, PENDING};
 use crate::stats::{RegionRecord, SystemStats};
-use crate::system::{ExecTier, RunStatus, StopReason};
+use crate::system::{RunStatus, StopReason};
 use crate::translate_service::{run_translation_job, FinishedTranslation, JobInput};
 use crate::HubConfig;
 use smarq::{AllocScratch, Diagnostic};
@@ -48,13 +50,13 @@ pub struct GuestContext {
     program_hash: u64,
     cfg: Arc<HubConfig>,
     interp: Interpreter,
-    /// Guest registers, resident across a region chain on either tier.
+    /// Guest registers, resident across a region chain on either executor.
     state: VliwState,
     /// The pre-state a tier-down sample replays on the cycle simulator.
     pre: VliwState,
     sim: Simulator,
     fast_sim: FastSim,
-    /// Functional entries left until the next tier-down sample (`0`:
+    /// `FastSim` entries left until the next tier-down sample (`0`:
     /// sampling disabled). A countdown keeps the divide off the hot path.
     tier_sample_countdown: u64,
     /// `cache[block.index()]`: the pinned slot index, or [`NO_REGION`],
@@ -92,7 +94,7 @@ impl GuestContext {
             id,
             program: Arc::new(program),
             program_hash,
-            // 1, not the interval: the first functional entry is always
+            // 1, not the interval: the first `FastSim` entry is always
             // cross-checked.
             tier_sample_countdown: u64::from(cfg.tier_sample_interval != 0),
             cfg,
@@ -266,7 +268,9 @@ impl GuestContext {
     fn step(&mut self, hub: &TranslationHub, cur: BlockId, budget: u64) -> Option<BlockId> {
         self.stats.dispatch_lookups += 1;
         if let Some(idx) = self.cached_region(cur) {
-            return if self.cfg.exec_tier == ExecTier::Functional {
+            // A data cache makes load latency depend on the cache state,
+            // which the timing table of `FastSim` cannot know.
+            return if self.cfg.machine.dcache.is_none() {
                 self.run_chain::<true>(hub, idx, budget)
             } else {
                 self.run_chain::<false>(hub, idx, budget)
@@ -480,7 +484,7 @@ impl GuestContext {
         self.stats.async_stale_entries += acc.stale;
     }
 
-    /// Whether this functional entry is a tier-down sample. The countdown
+    /// Whether this `FastSim` entry is a tier-down sample. The countdown
     /// starts at 1, so the first entry always is; `0` means sampling is
     /// disabled and stays disabled.
     #[inline]
@@ -498,11 +502,12 @@ impl GuestContext {
         }
     }
 
-    /// The region-chain loop, one body for both tiers (monomorphized per
-    /// tier, so the hot loop carries no tier branch): follows memoized
-    /// links without re-entering the dispatcher, guest state resident in
-    /// `self.state`, statistics folded once per chain.
-    fn run_chain<const FUNCTIONAL: bool>(
+    /// The region-chain loop, one body for both executors (monomorphized
+    /// per executor, so the hot loop carries no executor branch): the
+    /// timed `FastSim` when `FAST`, the cycle simulator otherwise. Follows
+    /// memoized links without re-entering the dispatcher, guest state
+    /// resident in `self.state`, statistics folded once per chain.
+    fn run_chain<const FAST: bool>(
         &mut self,
         hub: &TranslationHub,
         start: usize,
@@ -521,7 +526,7 @@ impl GuestContext {
             if code.blacklist_gen != hub_gen {
                 acc.stale += 1;
             }
-            let (outcome, rstats) = if FUNCTIONAL {
+            let (outcome, rstats) = if FAST {
                 // Decided before the fast run: the oracle replays from the
                 // pre-state.
                 let pre_mem = self.sample_due().then(|| {
@@ -530,31 +535,25 @@ impl GuestContext {
                     self.interp.mem.clone()
                 });
                 let code = &self.regions[idx].shared.code;
-                let fast = code
-                    .fast
-                    .as_ref()
-                    .expect("functional-tier hubs compile fast code");
-                let (o, r) = self
-                    .fast_sim
-                    .run_region(fast, &mut self.state, &mut self.interp.mem);
+                let (o, r) =
+                    self.fast_sim
+                        .run_region(&code.fast, &mut self.state, &mut self.interp.mem);
                 self.stats.tier_fast_entries += 1;
                 if let Some(mut mem) = pre_mem {
                     self.tier_down_sample(idx, &o, &r, &mut mem);
                 }
                 (o, r)
             } else {
-                let (o, r) = self
-                    .sim
+                self.sim
                     .run_region_resident(
                         &code.vliw,
                         code.write_mask,
                         &mut self.state,
                         &mut self.interp.mem,
                     )
-                    .expect("translated region is well formed");
-                acc.cycles += r.cycles;
-                (o, r)
+                    .expect("translated region is well formed")
             };
+            acc.cycles += rstats.cycles;
             acc.mem_ops += rstats.mem_ops;
             acc.scanned += rstats.entries_scanned;
             acc.entries += 1;
@@ -566,7 +565,7 @@ impl GuestContext {
                     // region's entry — even mid-chain, the checkpoint is
                     // exactly the pre-region guest state.
                     self.end_chain(&acc, run_idx, run_entries);
-                    if FUNCTIONAL {
+                    if FAST {
                         self.stats.tier_deopts += 1;
                     }
                     return self.deopt(hub, idx, v);
@@ -614,12 +613,12 @@ impl GuestContext {
         }
     }
 
-    /// Tier-down sample: replays the entry the fast tier just ran on the
+    /// Tier-down sample: replays the entry `FastSim` just ran on the
     /// cycle simulator from the same pre-state (`self.pre`, `sim_mem`)
-    /// and bit-compares outcome, registers, memory and the work counters
-    /// (ops, memory ops, alias checks, entries scanned — the last pins
-    /// the compiled-out queue's static examined counts); a disagreement
-    /// counts in [`SystemStats::tier_sample_mismatches`].
+    /// and bit-compares outcome, registers, memory and every region
+    /// statistic (entries scanned pins the compiled-out queue's static
+    /// examined counts, cycles and bundles the compiled-out timing); a
+    /// disagreement counts in [`SystemStats::tier_sample_mismatches`].
     fn tier_down_sample(
         &mut self,
         idx: usize,
@@ -641,10 +640,9 @@ impl GuestContext {
                 .iter()
                 .zip(self.pre.fregs.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        let work = |s: &RegionStats| (s.ops, s.mem_ops, s.alias_checks, s.entries_scanned);
         if sim_outcome != *fast_outcome
             || !regs_agree
-            || work(&sim_stats) != work(fast_stats)
+            || sim_stats != *fast_stats
             || *sim_mem != self.interp.mem
         {
             self.stats.tier_sample_mismatches += 1;

@@ -165,11 +165,11 @@ pub struct HubConfig {
     /// Statically verify every (re)translated region, and chain-check
     /// every memoized region→region link.
     pub verify_translations: bool,
-    /// Execution tier of the attached guests (decides whether jobs also
-    /// lower regions for the fast-functional tier).
+    /// Execution tier of the attached guests. Both values run the same
+    /// path (see [`ExecTier`]); the field changes nothing.
     pub exec_tier: ExecTier,
-    /// On the functional tier, every `tier_sample_interval`-th region
-    /// entry of each guest is replayed on the cycle simulator (see
+    /// Every `tier_sample_interval`-th `FastSim` region entry of each
+    /// guest is replayed on the cycle simulator (see
     /// [`SystemConfig::tier_sample_interval`]).
     pub tier_sample_interval: u64,
     /// Worker threads of [`TranslationHub::new`]'s [`ThreadedExecutor`];

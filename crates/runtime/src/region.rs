@@ -70,8 +70,8 @@ pub(crate) struct RegionCode {
     pub entry: BlockId,
     /// Register write-set for masked checkpointing.
     pub write_mask: RegionWriteMask,
-    /// Fast-functional lowering of `vliw` (functional-tier hubs only).
-    pub fast: Option<FastProgram>,
+    /// Fast-functional lowering of `vliw`, timed for the hub's machine.
+    pub fast: FastProgram,
     /// Blacklist generation this region was optimized against; running it
     /// under a newer one is a legal, counted *stale* execution.
     pub blacklist_gen: u64,

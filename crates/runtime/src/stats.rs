@@ -27,7 +27,9 @@ pub struct SystemStats {
     /// (approximated per exit point).
     pub region_guest_instrs: u64,
     /// Simulated cycles spent in translated regions (incl. checkpoint and
-    /// rollback penalties).
+    /// rollback penalties): exact on either tier, from the timed
+    /// `FastSim`'s table without a data cache and from the cycle simulator
+    /// with one.
     pub vliw_cycles: u64,
     /// Simulated cycles attributed to interpretation
     /// (`interp_instrs × interp_cycles_per_instr`).
@@ -79,23 +81,26 @@ pub struct SystemStats {
     /// 0 for a correct optimizer/runtime — any other value is a chained
     /// hand-off bug caught before the link was ever followed.
     pub chain_errors: usize,
-    /// Region entries executed on the fast-functional tier (these carry
-    /// no `vliw_cycles` — the fast tier has no timing model).
+    /// Region entries executed on the timed `FastSim`: every region
+    /// entry on a machine without a data cache, on either
+    /// [`crate::ExecTier`]. Their cycles count in `vliw_cycles`.
     pub tier_fast_entries: u64,
-    /// Functional-tier entries that were also replayed on the cycle
-    /// simulator as tier-down samples.
+    /// `FastSim` entries that were also replayed on the cycle simulator
+    /// as tier-down samples.
     pub tier_samples: u64,
-    /// Tier-down samples whose architectural result (outcome, register
-    /// files, memory) differed from the fast tier's. Always 0 for a
-    /// correct lowering — any other value is a fast-tier bug caught by
-    /// the sampling oracle.
+    /// Tier-down samples whose result (outcome, register files, memory,
+    /// or any region statistic, cycles and bundles included) differed
+    /// from `FastSim`'s. Always 0 for a correct lowering — any other value
+    /// is a fast-tier bug caught by the sampling oracle.
     pub tier_sample_mismatches: u64,
-    /// Alias exceptions taken on the functional tier (each deoptimizes
-    /// to the interpreter; also counted in `rollbacks`).
+    /// Alias exceptions taken on `FastSim` entries (each deoptimizes to
+    /// the interpreter; also counted in `rollbacks`).
     pub tier_deopts: u64,
-    /// Simulated cycles accumulated by tier-down samples. Kept out of
-    /// `vliw_cycles`: sampled runs are oracle work, not modeled guest
-    /// time.
+    /// Simulated cycles the cycle simulator reported for the tier-down
+    /// samples. Kept out of `vliw_cycles`, which already counts the same
+    /// entries' cycles from `FastSim`: sampled runs are oracle work, not
+    /// modeled guest time. `tier_sampled_cycles / tier_samples` is the
+    /// mean cycles of a sampled entry.
     pub tier_sampled_cycles: u64,
     /// Translation jobs enqueued on the hub's executor (async mode).
     pub async_enqueued: u64,

@@ -21,7 +21,6 @@
 //! dispatch-step boundaries and never block on a worker.
 
 use crate::hub::{HubConfig, RegionKey};
-use crate::ExecTier;
 use smarq::range::RegState;
 use smarq::{AllocScratch, Diagnostic};
 use smarq_guest::{Profile, Program};
@@ -88,8 +87,8 @@ pub struct FinishedTranslation {
     pub trace: Option<OptTrace>,
     /// The entry state the optimization assumed (echoed from the job).
     pub entry_state: Option<RegState>,
-    /// Fast-functional lowering (functional-tier hubs only).
-    pub fast: Option<FastProgram>,
+    /// Fast-functional lowering, timed for the hub's machine.
+    pub fast: FastProgram,
     /// Blacklist generation the job optimized against.
     pub blacklist_gen: u64,
     /// Host nanoseconds of formation and optimization (the paper's
@@ -123,8 +122,8 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
     let verify = cfg.verify_translations;
     let diags = verify
         .then(|| smarq_verify::verify_trace(job.key.entry.index(), &trace, cfg.opt.num_alias_regs));
-    let fast = (cfg.exec_tier == ExecTier::Functional)
-        .then(|| fastcomp::compile(&opt.vliw).expect("translated region is well formed"));
+    let fast =
+        fastcomp::compile_for(&opt.vliw, &cfg.machine).expect("translated region is well formed");
     FinishedTranslation {
         key: job.key,
         program: job.program,

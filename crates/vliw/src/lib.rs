@@ -24,7 +24,9 @@
 //!   entry and a store-undo log, so an alias exception rolls back
 //!   exactly;
 //! * a cycle-level in-order [`Simulator`] over that state, with the
-//!   timing model and the alias hardware.
+//!   timing model and the alias hardware, and [`entry_stamps`], the same
+//!   timing model run once per region: without a data cache an entry's
+//!   cycles depend only on the op where it ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +46,10 @@ pub use fast::FastAliasQueue;
 pub use isa::{AliasAnnot, Bundle, CondExit, ExitTarget, MemRange, SlotClass, VliwOp, VliwProgram};
 pub use machine::MachineConfig;
 pub use parse::parse_vliw;
-pub use sim::{RegionOutcome, RegionStats, RegionWriteMask, SimError, Simulator, VliwState};
+pub use sim::{
+    entry_stamps, EntryStamp, RegionOutcome, RegionStats, RegionWriteMask, SimError, Simulator,
+    VliwState,
+};
 
 /// The functional tier's former name for [`VliwState`], kept so callers
 /// written against it still build.

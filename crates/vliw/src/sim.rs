@@ -7,9 +7,11 @@
 //! ([`VliwProgram`]) over it with the timing model: bundles issue in order
 //! (one per cycle at best), each bundle stalling until all of its
 //! operands are ready (scoreboard), and every memory access runs through
-//! the configured [`AnyAliasHw`]. The functional tier
-//! (`smarq_opt::fastcomp::FastSim`) runs the same state without timing or
-//! alias hardware.
+//! the configured [`AnyAliasHw`]. Without a data cache an entry's timing
+//! is fixed by where it ends, so [`entry_stamps`] computes it once per
+//! region with the same rules, and the functional tier
+//! (`smarq_opt::fastcomp::FastSim`) runs the same state with that table
+//! in place of the scoreboard and the alias hardware compiled out.
 
 use crate::alias_hw::{AliasViolation, AnyAliasHw, HwKind};
 use crate::cache::DCache;
@@ -346,7 +348,9 @@ impl Simulator {
     /// region executions.
     ///
     /// # Errors
-    /// [`SimError`] on malformed programs (translator bugs).
+    /// [`SimError`] on malformed programs (translator bugs). Registers are
+    /// checked once, before the region runs: [`SimError::BadRegister`]
+    /// for a register past the files in a bundle that can issue.
     pub fn run_region_resident(
         &mut self,
         program: &VliwProgram,
@@ -354,6 +358,7 @@ impl Simulator {
         state: &mut VliwState,
         mem: &mut Memory,
     ) -> Result<(RegionOutcome, RegionStats), SimError> {
+        check_registers(program)?;
         let cfg = self.config;
         let mut stats = RegionStats {
             cycles: cfg.checkpoint_cycles,
@@ -387,45 +392,31 @@ impl Simulator {
                 if !matches!(op, VliwOp::Nop) {
                     stats.ops += 1;
                 }
+                // A load's latency, read from the data cache when one is
+                // configured.
+                let mut load = 0;
                 match *op {
                     VliwOp::Nop => {}
-                    VliwOp::IConst { rd, value } => {
-                        state.regs[rd as usize] = value;
-                        self.int_ready[rd as usize] = issue + u64::from(cfg.lat_int);
-                    }
+                    VliwOp::IConst { rd, value } => state.regs[rd as usize] = value,
                     VliwOp::Alu { op, rd, ra, rb } => {
                         state.regs[rd as usize] =
                             op.apply(state.regs[ra as usize], state.regs[rb as usize]);
-                        self.int_ready[rd as usize] = issue + u64::from(cfg.alu_latency(op));
                     }
                     VliwOp::AluImm { op, rd, ra, imm } => {
                         state.regs[rd as usize] = op.apply(state.regs[ra as usize], imm);
-                        self.int_ready[rd as usize] = issue + u64::from(cfg.alu_latency(op));
                     }
-                    VliwOp::Copy { rd, ra } => {
-                        state.regs[rd as usize] = state.regs[ra as usize];
-                        self.int_ready[rd as usize] = issue + u64::from(cfg.lat_int);
-                    }
-                    VliwOp::FConst { fd, value } => {
-                        state.fregs[fd as usize] = value;
-                        self.fp_ready[fd as usize] = issue + u64::from(cfg.lat_int);
-                    }
+                    VliwOp::Copy { rd, ra } => state.regs[rd as usize] = state.regs[ra as usize],
+                    VliwOp::FConst { fd, value } => state.fregs[fd as usize] = value,
                     VliwOp::Fpu { op, fd, fa, fb } => {
                         state.fregs[fd as usize] =
                             op.apply(state.fregs[fa as usize], state.fregs[fb as usize]);
-                        self.fp_ready[fd as usize] = issue + u64::from(cfg.fpu_latency(op));
                     }
-                    VliwOp::FCopy { fd, fa } => {
-                        state.fregs[fd as usize] = state.fregs[fa as usize];
-                        self.fp_ready[fd as usize] = issue + u64::from(cfg.lat_int);
-                    }
+                    VliwOp::FCopy { fd, fa } => state.fregs[fd as usize] = state.fregs[fa as usize],
                     VliwOp::ItoF { fd, ra } => {
-                        state.fregs[fd as usize] = state.regs[ra as usize] as f64;
-                        self.fp_ready[fd as usize] = issue + u64::from(cfg.lat_int);
+                        state.fregs[fd as usize] = state.regs[ra as usize] as f64
                     }
                     VliwOp::FtoI { rd, fa } => {
-                        state.regs[rd as usize] = state.fregs[fa as usize] as i64;
-                        self.int_ready[rd as usize] = issue + u64::from(cfg.lat_int);
+                        state.regs[rd as usize] = state.fregs[fa as usize] as i64
                     }
                     VliwOp::Load {
                         rd,
@@ -441,7 +432,7 @@ impl Simulator {
                             break 'bundles;
                         }
                         state.regs[rd as usize] = mem.read(addr) as i64;
-                        self.int_ready[rd as usize] = issue + self.load_latency(addr);
+                        load = self.load_latency(addr);
                     }
                     VliwOp::FLoad {
                         fd,
@@ -457,7 +448,7 @@ impl Simulator {
                             break 'bundles;
                         }
                         state.fregs[fd as usize] = mem.read_f64(addr);
-                        self.fp_ready[fd as usize] = issue + self.load_latency(addr);
+                        load = self.load_latency(addr);
                     }
                     VliwOp::Store {
                         rs,
@@ -513,6 +504,14 @@ impl Simulator {
                         }
                     }
                 }
+                mark_ready(
+                    &cfg,
+                    op,
+                    issue,
+                    load,
+                    &mut self.int_ready,
+                    &mut self.fp_ready,
+                );
             }
         }
 
@@ -588,6 +587,130 @@ fn stall_on_sources(mut issue: u64, op: &VliwOp, ir: &[u64; 64], fr: &[u64; 64])
         | VliwOp::Exit { cond: None, .. } => {}
     }
     issue
+}
+
+/// The scoreboard's write rule, stated once for the simulator and the
+/// static timing pass ([`entry_stamps`]): `op`, issued at `issue`, makes
+/// its destination register ready after its latency. `load` is a load's
+/// latency (the data cache's answer, or `lat_load` without one). Ops
+/// without a register destination mark nothing.
+#[inline]
+fn mark_ready(
+    cfg: &MachineConfig,
+    op: &VliwOp,
+    issue: u64,
+    load: u64,
+    ir: &mut [u64; 64],
+    fr: &mut [u64; 64],
+) {
+    let int = u64::from(cfg.lat_int);
+    match *op {
+        VliwOp::IConst { rd, .. } | VliwOp::Copy { rd, .. } | VliwOp::FtoI { rd, .. } => {
+            ir[rd as usize] = issue + int;
+        }
+        VliwOp::Alu { op, rd, .. } | VliwOp::AluImm { op, rd, .. } => {
+            ir[rd as usize] = issue + u64::from(cfg.alu_latency(op));
+        }
+        VliwOp::Load { rd, .. } => ir[rd as usize] = issue + load,
+        VliwOp::FConst { fd, .. } | VliwOp::FCopy { fd, .. } | VliwOp::ItoF { fd, .. } => {
+            fr[fd as usize] = issue + int;
+        }
+        VliwOp::Fpu { op, fd, .. } => fr[fd as usize] = issue + u64::from(cfg.fpu_latency(op)),
+        VliwOp::FLoad { fd, .. } => fr[fd as usize] = issue + load,
+        VliwOp::Store { .. }
+        | VliwOp::FStore { .. }
+        | VliwOp::AlatClear { .. }
+        | VliwOp::Rotate { .. }
+        | VliwOp::Amov { .. }
+        | VliwOp::Exit { .. }
+        | VliwOp::Nop => {}
+    }
+}
+
+/// Rejects a region that names a register past the 64-entry files in a
+/// bundle an entry can issue: every bundle up to and including the one
+/// that holds the first unconditional exit. The whole of that last
+/// bundle counts, slots after the exit too, because a bundle's issue
+/// stall reads every slot.
+///
+/// # Errors
+/// [`SimError::BadRegister`] with the largest register named.
+fn check_registers(program: &VliwProgram) -> Result<(), SimError> {
+    let mut max = 0;
+    for bundle in &program.bundles {
+        max = bundle.ops.iter().map(VliwOp::max_reg).fold(max, u8::max);
+        if bundle
+            .ops
+            .iter()
+            .any(|op| matches!(op, VliwOp::Exit { cond: None, .. }))
+        {
+            break;
+        }
+    }
+    if max >= 64 {
+        return Err(SimError::BadRegister { reg: max });
+    }
+    Ok(())
+}
+
+/// What a region entry that ends at one op reports: the
+/// [`RegionStats::cycles`] and [`RegionStats::bundles`] of the
+/// [`Simulator`] without a data cache.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EntryStamp {
+    /// Cycles, including the checkpoint and, at a memory op, the rollback.
+    pub cycles: u64,
+    /// Bundles issued.
+    pub bundles: u64,
+}
+
+/// The static timing pass: the timing of every way an entry of `program`
+/// can end, on machine `cfg` without a data cache. One stamp per
+/// non-`Nop` op, in slot order, up to and including the first
+/// unconditional exit, so an entry that executed `n` ops ended at stamp
+/// `n - 1`.
+///
+/// Without a cache an entry's timing depends only on where it ends: the
+/// scoreboard is all-zero at entry, every latency is a `cfg` constant,
+/// and the bundles that issue before the last one are fixed by the
+/// straight-line code. The pass therefore walks the bundles once, with
+/// the simulator's stall (`stall_on_sources`) and scoreboard
+/// (`mark_ready`) rules. A stamp is the issue cycle of the op's bundle
+/// plus 1, and the bundle's index plus 1. A memory op's stamp adds
+/// `rollback_cycles`: a memory op ends an entry only by faulting.
+///
+/// # Errors
+/// [`SimError::BadRegister`] for a register past the 64-entry files in a
+/// bundle an entry can issue: every bundle up to and including the one
+/// that holds the first unconditional exit, whose issue stall reads every
+/// slot.
+pub fn entry_stamps(
+    program: &VliwProgram,
+    cfg: &MachineConfig,
+) -> Result<Vec<EntryStamp>, SimError> {
+    check_registers(program)?;
+    let (mut ir, mut fr) = ([0u64; 64], [0u64; 64]);
+    let mut clock = cfg.checkpoint_cycles;
+    let mut stamps = Vec::new();
+    for (b, bundle) in program.bundles.iter().enumerate() {
+        let issue = bundle
+            .ops
+            .iter()
+            .fold(clock, |t, op| stall_on_sources(t, op, &ir, &fr));
+        clock = issue + 1;
+        for op in bundle.ops.iter().filter(|op| !matches!(op, VliwOp::Nop)) {
+            let fault = if op.is_mem() { cfg.rollback_cycles } else { 0 };
+            stamps.push(EntryStamp {
+                cycles: clock + fault,
+                bundles: b as u64 + 1,
+            });
+            if matches!(op, VliwOp::Exit { cond: None, .. }) {
+                return Ok(stamps);
+            }
+            mark_ready(cfg, op, issue, u64::from(cfg.lat_load), &mut ir, &mut fr);
+        }
+    }
+    Ok(stamps)
 }
 
 /// Integer source registers of an op (the readable reference form of
@@ -1153,6 +1276,123 @@ mod trace_tests {
         assert_eq!(out, RegionOutcome::Exited { exit_id: 0 });
         assert_eq!(stats.bundles, 1, "bundles after the taken exit never issue");
         assert_eq!(st.regs[1], 0);
+    }
+
+    /// A region with two side exits, a load-use and a multiply stall, a
+    /// check that can fault, and a slot after the unconditional exit.
+    fn stamped_region() -> VliwProgram {
+        use smarq_guest::{AluOp, CmpOp};
+        let exit_if = |exit_id, ra, rb| VliwOp::Exit {
+            exit_id,
+            cond: Some(CondExit {
+                op: CmpOp::Eq,
+                ra,
+                rb,
+            }),
+        };
+        let smarq = |p, c| AliasAnnot::Smarq { p, c, offset: 0 };
+        let one = |op| Bundle { ops: vec![op] };
+        VliwProgram {
+            bundles: vec![
+                Bundle {
+                    ops: vec![
+                        VliwOp::IConst {
+                            rd: 1,
+                            value: 0x100,
+                        },
+                        VliwOp::Nop,
+                    ],
+                },
+                one(VliwOp::Load {
+                    rd: 2,
+                    base: 1,
+                    disp: 0,
+                    alias: smarq(true, false),
+                    tag: 1,
+                }),
+                one(exit_if(1, 3, 0)),
+                one(VliwOp::Alu {
+                    op: AluOp::Mul,
+                    rd: 4,
+                    ra: 2,
+                    rb: 2,
+                }),
+                Bundle {
+                    ops: vec![exit_if(2, 4, 5), VliwOp::Nop],
+                },
+                one(VliwOp::Store {
+                    rs: 4,
+                    base: 6,
+                    disp: 0,
+                    alias: smarq(false, true),
+                    tag: 2,
+                }),
+                Bundle {
+                    ops: vec![
+                        VliwOp::Exit {
+                            exit_id: 0,
+                            cond: None,
+                        },
+                        VliwOp::IConst { rd: 7, value: 1 },
+                    ],
+                },
+            ],
+            exits: (0..3).map(|_| ExitTarget { guest_block: None }).collect(),
+        }
+    }
+
+    /// The static timing pass against the simulator, at every way an
+    /// entry of [`stamped_region`] can end (two side exits, the final
+    /// exit, a fault), on the default machine and on a slower one: the
+    /// stamp of the op where the entry ended is the simulator's cycles
+    /// and bundles.
+    #[test]
+    fn entry_stamps_match_the_simulator_wherever_an_entry_ends() {
+        let p = stamped_region();
+        let slow = MachineConfig {
+            lat_load: 8,
+            lat_mul: 5,
+            checkpoint_cycles: 3,
+            rollback_cycles: 1000,
+            ..MachineConfig::default()
+        };
+        for cfg in [MachineConfig::default(), slow] {
+            let stamps = entry_stamps(&p, &cfg).unwrap();
+            assert_eq!(
+                stamps.len(),
+                7,
+                "non-Nop ops up to the first unconditional exit"
+            );
+            let mut sim = Simulator::new(cfg, AnyAliasHw::for_kind(HwKind::Smarq, 64));
+            // (r3, r5, r6): r3 == 0 takes exit 1, r5 == 0 (the squared
+            // load of an empty word) exit 2, r6 == r1 faults the store.
+            let cases = [
+                ((0, 0, 0x200), Some(1)),
+                ((1, 0, 0x200), Some(2)),
+                ((1, 7, 0x200), Some(0)),
+                ((1, 7, 0x100), None),
+            ];
+            let mut fault_cycles = 0;
+            for ((r3, r5, r6), exit) in cases {
+                let mut st = VliwState::new();
+                (st.regs[3], st.regs[5], st.regs[6]) = (r3, r5, r6);
+                let (out, stats) = sim.run_region(&p, &mut st, &mut Memory::new()).unwrap();
+                match exit {
+                    Some(exit_id) => assert_eq!(out, RegionOutcome::Exited { exit_id }),
+                    None => {
+                        assert!(matches!(out, RegionOutcome::AliasException(_)));
+                        fault_cycles = stats.cycles;
+                    }
+                }
+                let stamp = stamps[stats.ops as usize - 1];
+                assert_eq!(
+                    (stamp.cycles, stamp.bundles),
+                    (stats.cycles, stats.bundles),
+                    "{cfg:?} r3={r3} r5={r5} r6={r6}"
+                );
+            }
+            assert!(fault_cycles > cfg.rollback_cycles);
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! ```text
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
 //!                  [--regs 1..=64] [--unroll N] [--budget N]
-//!                  [--exec-tier cycle|functional]
 //!                  [--async-translate] [--translate-workers 0..=64]
 //!                  [--translate-queue 0..=4096] [--guests 1..=1024]
 //!                  [--threads 1..=64]
@@ -28,8 +27,9 @@
 //! default `--nospec` to the `SMARQ_NOSPEC` environment variable; a
 //! malformed value is reported and exits with status 2 before anything
 //! runs. No other variable changes the configuration.
-//! `--exec-tier functional` runs optimized regions on the fast functional
-//! tier with sampled cycle-sim tier-down checks. `--async-translate`
+//! Optimized regions run on the timed fast executor, with a sample of
+//! region entries replayed on the cycle simulator; the `functional tier:`
+//! line reports those tier-down checks. `--async-translate`
 //! moves region formation, optimization and verification onto background
 //! worker threads: the guest keeps interpreting while translations are
 //! in flight and finished regions publish atomically at dispatch-step
@@ -55,8 +55,8 @@
 
 use smarq_opt::OptConfig;
 use smarq_runtime::{
-    run_multi, DynOptSystem, ExecTier, GuestContext, HubConfig, HubStats, SystemConfig,
-    SystemStats, TranslationHub, DEFAULT_SLICE_STEPS,
+    run_multi, DynOptSystem, GuestContext, HubConfig, HubStats, SystemConfig, SystemStats,
+    TranslationHub, DEFAULT_SLICE_STEPS,
 };
 use std::fmt::Display;
 use std::ops::RangeInclusive;
@@ -100,7 +100,6 @@ struct Args {
     regs: u32,
     unroll: u32,
     budget: u64,
-    exec_tier: Option<ExecTier>,
     async_translate: bool,
     translate_workers: Option<u32>,
     translate_queue: Option<u32>,
@@ -115,8 +114,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
-         [--regs 1..=64] [--unroll N] [--budget N] \
-         [--exec-tier cycle|functional] [--async-translate] \
+         [--regs 1..=64] [--unroll N] [--budget N] [--async-translate] \
          [--translate-workers 0..=64] [--translate-queue 0..=4096] \
          [--guests 1..=1024] [--threads 1..=64] \
          [--dump-region] [--compare] [--verify] [--nospec LO..HI[,..]]\n\
@@ -220,7 +218,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         regs: 64,
         unroll: 1,
         budget: u64::MAX,
-        exec_tier: None,
         async_translate: false,
         translate_workers: None,
         translate_queue: None,
@@ -247,16 +244,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--budget" => {
                 args.budget = value("--budget")?.parse().map_err(|_| usage())?;
-            }
-            "--exec-tier" => {
-                args.exec_tier = Some(match value("--exec-tier")?.as_str() {
-                    "cycle" | "cycle-sim" => ExecTier::CycleSim,
-                    "functional" | "fast" => ExecTier::Functional,
-                    other => {
-                        eprintln!("unknown exec tier '{other}' (cycle|functional)");
-                        return Err(usage());
-                    }
-                });
             }
             "--async-translate" => args.async_translate = true,
             "--translate-workers" => {
@@ -320,7 +307,6 @@ fn opt_for(hw: &str, regs: u32) -> Option<OptConfig> {
 /// when verify-on-emit or a link-time chain check reported an error.
 fn report(
     args: &Args,
-    tier: ExecTier,
     async_on: bool,
     guests: &[&SystemStats],
     hub: Option<&HubStats>,
@@ -347,7 +333,7 @@ fn report(
         "optimization:        {:.4}% of execution time",
         overhead * 100.0
     );
-    if tier == ExecTier::Functional {
+    if sum(|s| s.tier_samples) > 0 {
         println!(
             "functional tier:     {} fast entries, {} deopts, {} samples ({} mismatches, {} sampled cycles)",
             sum(|s| s.tier_fast_entries),
@@ -461,13 +447,7 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
         instrs as f64 / wall / 1.0e6
     );
     let stats: Vec<&SystemStats> = guests.iter().map(GuestContext::stats).collect();
-    let status = report(
-        args,
-        cfg.exec_tier,
-        cfg.translate_workers > 0,
-        &stats,
-        Some(&hub.stats()),
-    );
+    let status = report(args, cfg.translate_workers > 0, &stats, Some(&hub.stats()));
     let states: Vec<_> = guests.iter().map(|g| g.interp().arch_state()).collect();
     if args.compare && !compare(&program, args.budget, &states) {
         return ExitCode::from(1);
@@ -515,9 +495,6 @@ fn main() -> ExitCode {
     if args.verify {
         cfg.verify_translations = true;
     }
-    if let Some(t) = args.exec_tier {
-        cfg.exec_tier = t;
-    }
     if args.async_translate {
         cfg.async_translate = true;
     }
@@ -532,7 +509,6 @@ fn main() -> ExitCode {
         return run_multi_guests(program, cfg, &args);
     }
 
-    let tier = cfg.exec_tier;
     let async_on = cfg.async_translate;
     let mut sys = DynOptSystem::new(program.clone(), cfg);
     sys.run_to_completion(args.budget);
@@ -541,7 +517,7 @@ fn main() -> ExitCode {
         sys.translation_drain();
     }
     let s = sys.stats();
-    let status = report(&args, tier, async_on, &[s], None);
+    let status = report(&args, async_on, &[s], None);
 
     if args.dump_region {
         // Re-derive the hot region's translation for display.

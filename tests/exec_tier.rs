@@ -1,12 +1,17 @@
-//! Corpus-wide differential for the fast functional execution tier.
+//! Corpus-wide differential for the timed fast executor.
 //!
-//! Every minimized repro in `tests/corpus/` is executed twice through the
-//! full `DynOptSystem` — once on the default chained cycle simulator and
-//! once with `ExecTier::Functional` and every functional region entry
-//! tier-down sampled (`tier_sample_interval = 1`). The two runs must
-//! agree bit-exactly on final architectural state and guest-instruction
-//! accounting, and every in-run sample must have compared bit-exact,
-//! under every hardware scheme.
+//! Both execution tiers run every region entry on the timed `FastSim`
+//! when the machine has no data cache; the cycle simulator is the oracle
+//! that tier-down samples replay entries on, and the executor of every
+//! entry when a data cache is configured. Every minimized repro in
+//! `tests/corpus/` runs three times through the full `DynOptSystem`:
+//! once on the default configuration, once with `ExecTier::Functional`
+//! and every region entry tier-down sampled (`tier_sample_interval = 1`),
+//! and once with a data cache, so the cycle simulator runs every entry.
+//! The runs must agree bit-exactly on final architectural state and
+//! guest-instruction accounting, the two cache-free runs on modeled
+//! cycles too, and every in-run sample must have compared bit-exact,
+//! statistics included, under every hardware scheme.
 //!
 //! The targeted tier-transition tests (tier-up on install, deopt state
 //! equivalence, sampling on/off, abandonment) live next to the tiering
@@ -15,6 +20,7 @@
 
 use smarq_fuzz::{load_dir, schemes};
 use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
+use smarq_vliw::{CacheParams, MachineConfig};
 use std::path::Path;
 
 #[test]
@@ -29,6 +35,7 @@ fn corpus_is_bit_exact_across_execution_tiers() {
 
     let mut fast_entries = 0u64;
     let mut samples = 0u64;
+    let mut cached_entries = 0u64;
     for (path, program) in &entries {
         for (label, opt) in schemes() {
             let mut cfg = SystemConfig::with_opt(opt);
@@ -39,23 +46,39 @@ fn corpus_is_bit_exact_across_execution_tiers() {
             let mut cycle = DynOptSystem::new(program.clone(), cfg.clone());
             cycle.run_to_completion(u64::MAX);
 
-            let mut fast_cfg = cfg;
+            let mut fast_cfg = cfg.clone();
             fast_cfg.exec_tier = ExecTier::Functional;
             fast_cfg.tier_sample_interval = 1;
             let mut fast = DynOptSystem::new(program.clone(), fast_cfg);
             fast.run_to_completion(u64::MAX);
 
+            let mut cached_cfg = cfg;
+            cached_cfg.machine = MachineConfig {
+                dcache: Some(CacheParams::default()),
+                ..cached_cfg.machine
+            };
+            let mut cached = DynOptSystem::new(program.clone(), cached_cfg);
+            cached.run_to_completion(u64::MAX);
+
+            for (tier, sys) in [("functional", &fast), ("data-cache", &cached)] {
+                assert_eq!(
+                    sys.interp().arch_state(),
+                    cycle.interp().arch_state(),
+                    "{} under {label}: the {tier} run and the cycle tier left \
+                     different architectural state",
+                    path.display()
+                );
+                assert_eq!(
+                    sys.stats().guest_instrs(),
+                    cycle.stats().guest_instrs(),
+                    "{} under {label}: {tier} guest-instruction totals diverged",
+                    path.display()
+                );
+            }
             assert_eq!(
-                fast.interp().arch_state(),
-                cycle.interp().arch_state(),
-                "{} under {label}: functional tier and cycle sim left \
-                 different architectural state",
-                path.display()
-            );
-            assert_eq!(
-                fast.stats().guest_instrs(),
-                cycle.stats().guest_instrs(),
-                "{} under {label}: guest-instruction totals diverged",
+                fast.stats().vliw_cycles,
+                cycle.stats().vliw_cycles,
+                "{} under {label}: the tiers modeled different region cycles",
                 path.display()
             );
             assert_eq!(
@@ -68,20 +91,21 @@ fn corpus_is_bit_exact_across_execution_tiers() {
                 fast.stats().tier_samples
             );
             assert_eq!(
-                cycle.stats().tier_fast_entries,
+                cached.stats().tier_fast_entries,
                 0,
-                "{} under {label}: cycle-sim run must never enter the \
-                 functional tier",
+                "{} under {label}: with a data cache the cycle simulator \
+                 must run every region entry",
                 path.display()
             );
             fast_entries += fast.stats().tier_fast_entries;
             samples += fast.stats().tier_samples;
+            cached_entries += cached.stats().region_entries;
         }
     }
     assert!(
-        fast_entries > 0,
-        "no corpus entry ever ran on the functional tier; the \
-         differential is not exercising the fast path"
+        fast_entries > 0 && cached_entries > 0,
+        "no corpus entry ever ran a region; the differential is not \
+         exercising either executor"
     );
     assert!(
         samples > 0,
@@ -89,18 +113,19 @@ fn corpus_is_bit_exact_across_execution_tiers() {
     );
 }
 
-/// The 14 SPECFP stand-ins on the functional tier with every region entry
-/// tier-down sampled. Each sample compares the work counters too (ops,
-/// memory ops, alias checks, entries scanned), so every entry pins the
-/// compiled-out queue's static examined counts against the cycle
-/// simulator's dynamic queue; equake's truly aliasing strand makes some
-/// of the sampled entries roll back.
-#[test]
-fn stand_ins_sample_clean_on_the_functional_tier() {
+/// Runs the 14 SPECFP stand-ins on `machine` with every region entry
+/// tier-down sampled and checks that every sample agreed. Each sample
+/// compares every region statistic (ops, memory ops, alias checks,
+/// entries scanned, cycles, bundles), so every entry pins the
+/// compiled-out queue's static examined counts and the compiled-out
+/// timing against the cycle simulator; equake's truly aliasing strand
+/// makes some of the sampled entries roll back.
+fn stand_ins_sample_clean_on(machine: MachineConfig) {
     let mut equake_rollbacks = 0;
     for &name in &smarq_workloads::WORKLOAD_NAMES {
         let w = smarq_workloads::scaled(name, 40).expect("known stand-in");
         let mut cfg = SystemConfig::with_opt(smarq_opt::OptConfig::smarq(64));
+        cfg.machine = machine;
         cfg.hot_threshold = 10;
         cfg.exec_tier = ExecTier::Functional;
         cfg.tier_sample_interval = 1;
@@ -111,12 +136,42 @@ fn stand_ins_sample_clean_on_the_functional_tier() {
         assert_eq!(s.tier_samples, s.tier_fast_entries, "{name}");
         assert_eq!(
             s.tier_sample_mismatches, 0,
-            "{name}: {} of {} samples disagreed",
+            "{name} on {machine:?}: {} of {} samples disagreed",
             s.tier_sample_mismatches, s.tier_samples
         );
+        assert_eq!(s.vliw_cycles, s.tier_sampled_cycles, "{name}");
         if name == "equake" {
             equake_rollbacks += s.rollbacks;
         }
     }
     assert!(equake_rollbacks > 0, "equake must roll back");
+}
+
+#[test]
+fn stand_ins_sample_clean_on_the_functional_tier() {
+    stand_ins_sample_clean_on(MachineConfig::default());
+}
+
+/// The timing table follows the configured machine: the cache-free
+/// machines of the `sensitivity` study (load latency 2 and 8, a
+/// 1000-cycle rollback) sample as clean as the default one.
+#[test]
+fn stand_ins_sample_clean_on_the_sensitivity_machines() {
+    let base = MachineConfig::default();
+    for machine in [
+        MachineConfig {
+            lat_load: 2,
+            ..base
+        },
+        MachineConfig {
+            lat_load: 8,
+            ..base
+        },
+        MachineConfig {
+            rollback_cycles: 1000,
+            ..base
+        },
+    ] {
+        stand_ins_sample_clean_on(machine);
+    }
 }
