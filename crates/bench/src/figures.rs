@@ -248,13 +248,6 @@ pub fn sensitivity() -> String {
                 ..base
             },
         ),
-        (
-            "16 KiB L1 D-cache (hit 4, miss 24)".into(),
-            MachineConfig {
-                dcache: Some(smarq_vliw::CacheParams::default()),
-                ..base
-            },
-        ),
     ];
     for (name, m) in variants {
         let (swim, ammp) = run(&name, m);

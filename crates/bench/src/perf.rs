@@ -147,8 +147,8 @@ fn mem_loop_kernel() -> Program {
 /// One region entry on the retained reference executor, the cycle
 /// simulator's [`Simulator::run_region_resident`] (scoreboard, issue
 /// modeling, alias hardware), vs the timed [`FastSim::run_region`] the
-/// runtime runs on every entry of a machine without a data cache (the
-/// same statistics, cycles included, from a compiled-out timing table).
+/// runtime runs on every region entry (the same statistics, cycles
+/// included, from a compiled-out timing table).
 /// The region is the hot loop of `kernel`, unrolled and translated by a
 /// warmed system; each executor then runs it back to back from the
 /// warmed guest state, so every timed iteration is one steady-state

@@ -15,19 +15,17 @@
 //! `fuzz` exits non-zero when a divergence was found (or, with
 //! `--expect-divergence`, when none was — the mutation sanity mode).
 //! Minimized repros are written to `--corpus-dir` (default
-//! `tests/corpus`). `lint` exits non-zero on any error-severity finding
-//! *after* the `--deny`/`--allow` policy is applied; `--json`
-//! additionally writes the structured report for CI artifacts, and
+//! `tests/corpus`). `lint` exits 1 on any error-severity finding
+//! *after* the `--deny`/`--allow` policy is applied and 2 on a malformed
+//! command line, as `smarq-run lint` does (both run
+//! `smarq_fuzz::lint::cli`); `--json` additionally writes the structured
+//! report for CI artifacts, and
 //! `--nospec` forbids speculation across the given half-open address
 //! ranges (the chain analyzer proves none was scheduled). `--nospec`
 //! defaults to the `SMARQ_NOSPEC` environment variable; a malformed value
 //! is reported and exits with status 2 before any command runs.
 
-use smarq_fuzz::{
-    check_program, lint_paths_with, load_dir, run_campaign, CampaignParams, LintConfig,
-    OracleParams, Repro,
-};
-use smarq_verify::{LintPolicy, CODES, CODE_TABLE_VERSION};
+use smarq_fuzz::{check_program, load_dir, run_campaign, CampaignParams, OracleParams, Repro};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -64,7 +62,9 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..], env_nospec),
+        Some("lint") => smarq_fuzz::lint::cli("smarq", &args[1..], env_nospec, || {
+            usage();
+        }),
         Some("snippet") => cmd_snippet(&args[1..]),
         _ => usage(),
     }
@@ -224,101 +224,6 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         fail(&format!("{failures} corpus entr(ies) diverged"))
-    }
-}
-
-/// Prints the stable diagnostic code table (`smarq lint --list`).
-fn list_codes() -> ExitCode {
-    println!("code table version {CODE_TABLE_VERSION}");
-    for info in CODES {
-        println!(
-            "{:<24} {:<9} {:<7} {}",
-            info.code,
-            info.origin.label(),
-            format!("{:?}", info.default_severity).to_lowercase(),
-            info.description
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// `smarq lint`; `nospec` is the `--nospec` default.
-fn cmd_lint(args: &[String], mut nospec: smarq::range::NospecRanges) -> ExitCode {
-    if args.iter().any(|a| a == "--list") {
-        return list_codes();
-    }
-    let mut paths: Vec<&str> = Vec::new();
-    let mut json_out: Option<PathBuf> = None;
-    let mut deny: Vec<String> = Vec::new();
-    let mut allow: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => match args.get(i + 1) {
-                Some(v) => {
-                    json_out = Some(PathBuf::from(v));
-                    i += 2;
-                }
-                None => return fail("--json needs a value"),
-            },
-            "--nospec" => match args.get(i + 1) {
-                Some(v) => match smarq::range::NospecRanges::parse(v) {
-                    Ok(r) => {
-                        nospec = r;
-                        i += 2;
-                    }
-                    Err(e) => return fail(&format!("--nospec: {e}")),
-                },
-                None => return fail("--nospec needs a value"),
-            },
-            "--deny" => match args.get(i + 1) {
-                Some(v) => {
-                    deny.push(v.clone());
-                    i += 2;
-                }
-                None => return fail("--deny needs a value"),
-            },
-            "--allow" => match args.get(i + 1) {
-                Some(v) => {
-                    allow.push(v.clone());
-                    i += 2;
-                }
-                None => return fail("--allow needs a value"),
-            },
-            flag if flag.starts_with("--") => return fail(&format!("unknown flag {flag}")),
-            p => {
-                paths.push(p);
-                i += 1;
-            }
-        }
-    }
-    if paths.is_empty() {
-        return usage();
-    }
-    let policy = match LintPolicy::new(deny, allow) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let config = LintConfig { nospec, policy };
-    let path_refs: Vec<&Path> = paths.iter().map(Path::new).collect();
-    let outcome = match lint_paths_with(&path_refs, &config, |line| println!("[lint] {line}")) {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    println!(
-        "[lint] {} entr(ies), {} region(s): {} error(s), {} warning(s)",
-        outcome.entries, outcome.regions, outcome.errors, outcome.warnings
-    );
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, smarq_fuzz::lint::to_json(&outcome)) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
-        println!("[lint] wrote {}", path.display());
-    }
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        fail(&format!("{} error-severity finding(s)", outcome.errors))
     }
 }
 

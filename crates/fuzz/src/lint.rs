@@ -7,7 +7,8 @@
 //! trace, and runs the static validator plus the default lint passes over
 //! the result — no guest execution is compared, only the emitted regions
 //! are judged. Findings come back as structured [`Diagnostic`]s and the
-//! whole report serializes to JSON for the CI artifact.
+//! whole report serializes to JSON for the CI artifact. [`cli`] is the
+//! `lint` subcommand of both the `smarq` and the `smarq-run` binary.
 
 use crate::oracle::schemes;
 use smarq::range::NospecRanges;
@@ -17,6 +18,7 @@ use smarq_opt::optimize_superblock_traced_ranged;
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_verify::{check_trace_ranged, LintPolicy};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Knobs for a lint run: unspeculatable address ranges threaded into the
 /// optimizer (and checked by the chain analyzer), plus a severity policy
@@ -249,6 +251,119 @@ pub fn lint_paths_with(
         return Err("no corpus entries found".to_string());
     }
     Ok(lint_entries_with(&entries, config, log))
+}
+
+/// A parsed `lint` command line.
+enum Command {
+    /// `--list`: print the diagnostic code table.
+    List,
+    /// Lint `paths`, writing the JSON report to `json` when given.
+    Run {
+        paths: Vec<PathBuf>,
+        json: Option<PathBuf>,
+        config: LintConfig,
+    },
+}
+
+/// Parses the arguments after `lint`; `nospec` is the `--nospec`
+/// default. `Err` carries the reason the command line is malformed.
+fn parse_cli(args: &[String], mut nospec: NospecRanges) -> Result<Command, String> {
+    if args.iter().any(|a| a == "--list") {
+        return Ok(Command::List);
+    }
+    let (mut paths, mut json, mut deny, mut allow) = (Vec::new(), None, Vec::new(), Vec::new());
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--json" | "--nospec" | "--deny" | "--allow" => {
+                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                match flag.as_str() {
+                    "--json" => json = Some(PathBuf::from(v)),
+                    "--nospec" => {
+                        nospec = NospecRanges::parse(v).map_err(|e| format!("--nospec: {e}"))?;
+                    }
+                    "--deny" => deny.push(v.clone()),
+                    _ => allow.push(v.clone()),
+                }
+            }
+            f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
+            p => paths.push(PathBuf::from(p)),
+        }
+    }
+    if paths.is_empty() {
+        return Err("no PATH given".to_string());
+    }
+    let policy = LintPolicy::new(deny, allow)?;
+    Ok(Command::Run {
+        paths,
+        json,
+        config: LintConfig { nospec, policy },
+    })
+}
+
+/// The `lint` subcommand of the `smarq` and `smarq-run` binaries:
+///
+/// ```text
+/// lint PATH... [--json FILE] [--nospec LO..HI[,..]] [--deny CODE] [--allow CODE]
+/// lint --list
+/// ```
+///
+/// `args` are the arguments after `lint`, `nospec` is the `--nospec`
+/// default, and `prog` prefixes error messages. `--list` prints the
+/// stable diagnostic code table. The exit status is 2 for a malformed
+/// command line (after `usage` prints the binary's usage line); 1 for an
+/// error-severity finding once the `--deny`/`--allow` policy is applied,
+/// or for an unreadable input or report file; 0 otherwise.
+pub fn cli(prog: &str, args: &[String], nospec: NospecRanges, usage: impl FnOnce()) -> ExitCode {
+    let (paths, json, config) = match parse_cli(args, nospec) {
+        Ok(Command::Run {
+            paths,
+            json,
+            config,
+        }) => (paths, json, config),
+        Ok(Command::List) => {
+            println!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
+            for info in smarq_verify::CODES {
+                println!(
+                    "{:<24} {:<9} {:<7} {}",
+                    info.code,
+                    info.origin.label(),
+                    format!("{:?}", info.default_severity).to_lowercase(),
+                    info.description
+                );
+            }
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("{prog}: {e}");
+            usage();
+            return ExitCode::from(2);
+        }
+    };
+    let fail = |e: &str| {
+        eprintln!("{prog}: {e}");
+        ExitCode::from(1)
+    };
+    let path_refs: Vec<&Path> = paths.iter().map(PathBuf::as_path).collect();
+    let outcome = match lint_paths_with(&path_refs, &config, |line| println!("[lint] {line}")) {
+        Ok(o) => o,
+        Err(e) => return fail(&e),
+    };
+    println!(
+        "[lint] {} entr(ies), {} region(s): {} error(s), {} warning(s)",
+        outcome.entries, outcome.regions, outcome.errors, outcome.warnings
+    );
+    if let Some(path) = json {
+        if let Err(e) = std::fs::write(&path, to_json(&outcome)) {
+            return fail(&format!("writing {}: {e}", path.display()));
+        }
+        println!("[lint] wrote {}", path.display());
+    }
+    if outcome.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        fail(&format!("{} error-severity finding(s)", outcome.errors))
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Front-door robustness of the `smarq` CLI: malformed environment input
-//! is a usage error, not a panic.
+//! and malformed `lint` arguments are usage errors, not panics.
 
 use std::process::Command;
 
@@ -42,4 +42,45 @@ fn multiguest_count_is_bounded() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("1 cases"), "{stdout}");
+}
+
+/// `smarq lint` and `smarq-run lint` share one front door
+/// (`smarq_fuzz::lint::cli`): a malformed command line exits 2 without a
+/// panic, and an error-severity finding exits 1, so a typo and a finding
+/// never look alike. The `smarq-run` half lives in the root `tests/cli_env.rs`.
+#[test]
+fn lint_exit_status_separates_malformed_arguments_from_findings() {
+    let lint = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_smarq"))
+            .arg("lint")
+            .args(args)
+            .output()
+            .expect("spawn smarq");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for args in [
+        &["../../tests/corpus", "--nospec", "garbage"][..],
+        &["../../tests/corpus", "--bogus"],
+        &["../../tests/corpus", "--json"],
+        &["../../tests/corpus", "--deny", "NOPE"],
+    ] {
+        let (code, stderr) = lint(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // The example's regions lint clean with warnings; denying the
+    // warning's code turns them into errors.
+    let (code, stderr) = lint(&["../../examples/hoist_loop.s"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, stderr) = lint(&[
+        "../../examples/hoist_loop.s",
+        "--deny",
+        "chain-unreachable-check",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("error-severity finding"), "{stderr}");
 }

@@ -3,8 +3,8 @@
 //! per-cycle scoreboard, issue modeling or bundle bookkeeping.
 //!
 //! The cycle simulator stays the hardware model and the differential
-//! oracle; this tier reproduces its whole contract on a machine without
-//! a data cache — register/memory effects, guest-visible exit choice,
+//! oracle; this tier, which runs every region entry, reproduces its whole
+//! contract — register/memory effects, guest-visible exit choice,
 //! alias-exception outcomes and every [`RegionStats`] field, cycles and
 //! bundles included, must be bit-exact with
 //! `Simulator::run_region_resident` on the same program (the runtime's
@@ -28,8 +28,8 @@
 //!   examined count. A check is then a few address compares, and
 //!   `Rotate`/`Amov`/`AlatClear` do nothing at run time: the executor has
 //!   no alias hardware of its own.
-//! * **Compiled-out timing**: without a data cache an entry's cycles and
-//!   bundles depend only on the op where it ends. `compile_for` runs the
+//! * **Compiled-out timing**: every latency is a machine constant, so an
+//!   entry's cycles and bundles depend only on the op where it ends. `compile_for` runs the
 //!   simulator's scoreboard once over the region
 //!   ([`smarq_vliw::entry_stamps`]), and the executor reads the stamp of
 //!   the op where the entry ended, once per entry, off the positional op
@@ -354,8 +354,7 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
 }
 
 /// Lowers an emitted region into a [`FastProgram`] for `machine`, whose
-/// latencies, checkpoint and rollback costs the timing table reads (its
-/// data cache, if any, is ignored: the table assumes `lat_load`).
+/// latencies, checkpoint and rollback costs the timing table reads.
 ///
 /// Validation happens here, once, instead of on every execution: every
 /// exit id must be in range, every register of an issuing bundle must
@@ -596,9 +595,9 @@ impl FastSim {
     /// Runs one region entry to completion. Architectural effects
     /// (registers, memory, exit choice, alias-exception outcome and
     /// rollback) and every statistic are bit-exact with the cycle
-    /// simulator on the machine the region was compiled for, when that
-    /// machine has no data cache. `cycles` and `bundles` come from the
-    /// region's timing table, rollback penalty included.
+    /// simulator on the machine the region was compiled for. `cycles` and
+    /// `bundles` come from the region's timing table, rollback penalty
+    /// included.
     ///
     /// # Panics
     /// Panics when the region's annotations target another scheme than

@@ -1,16 +1,14 @@
 //! The guest execution context: the runtime's one dispatch engine.
 //!
 //! A [`GuestContext`] is one guest's private half of the paper's Figure 1
-//! loop: interpreter and profile, the resident `VliwState` both executors
-//! run on, the cycle simulator (which owns the alias hardware, as the
-//! paper's queue is per hardware context) and the timed `FastSim`,
-//! statistics, and a flat cache of *pins* into a shared
-//! [`TranslationHub`]. Each dispatch step interprets one block or runs one
-//! region chain; hot blocks request translations from the hub, alias
-//! exceptions report their pair to it and deoptimize. Without a data
-//! cache every region entry runs on `FastSim` and a sample of them is
-//! replayed on the cycle simulator; with one, every entry runs on the
-//! cycle simulator. Under verify-on-emit the findings for every installed
+//! loop: interpreter and profile, the resident `VliwState` regions run on,
+//! the timed `FastSim` that runs every region entry, the cycle simulator
+//! (which owns the alias hardware, as the paper's queue is per hardware
+//! context) that replays a sample of them as the oracle, statistics, and
+//! a flat cache of *pins* into a shared [`TranslationHub`]. Each dispatch
+//! step interprets one block or runs one region chain; hot blocks request
+//! translations from the hub, alias exceptions report their pair to it
+//! and deoptimize. Under verify-on-emit the findings for every installed
 //! translation and every memoized link fold into [`SystemStats`].
 //!
 //! At each dispatch-step boundary the context installs finished background
@@ -50,7 +48,7 @@ pub struct GuestContext {
     program_hash: u64,
     cfg: Arc<HubConfig>,
     interp: Interpreter,
-    /// Guest registers, resident across a region chain on either executor.
+    /// Guest registers, resident across a region chain.
     state: VliwState,
     /// The pre-state a tier-down sample replays on the cycle simulator.
     pre: VliwState,
@@ -268,13 +266,7 @@ impl GuestContext {
     fn step(&mut self, hub: &TranslationHub, cur: BlockId, budget: u64) -> Option<BlockId> {
         self.stats.dispatch_lookups += 1;
         if let Some(idx) = self.cached_region(cur) {
-            // A data cache makes load latency depend on the cache state,
-            // which the timing table of `FastSim` cannot know.
-            return if self.cfg.machine.dcache.is_none() {
-                self.run_chain::<true>(hub, idx, budget)
-            } else {
-                self.run_chain::<false>(hub, idx, budget)
-            };
+            return self.run_chain(hub, idx, budget);
         }
         let next = self.interp.step_block(&self.program, cur);
         self.maybe_request(hub, cur);
@@ -479,12 +471,13 @@ impl GuestContext {
         self.stats.region_mem_ops += acc.mem_ops;
         self.stats.alias_entries_scanned += acc.scanned;
         self.stats.region_entries += acc.entries;
+        self.stats.tier_fast_entries += acc.entries;
         self.stats.chain_follows += acc.follows;
         self.stats.dispatch_lookups += acc.lookups;
         self.stats.async_stale_entries += acc.stale;
     }
 
-    /// Whether this `FastSim` entry is a tier-down sample. The countdown
+    /// Whether this region entry is a tier-down sample. The countdown
     /// starts at 1, so the first entry always is; `0` means sampling is
     /// disabled and stays disabled.
     #[inline]
@@ -502,17 +495,11 @@ impl GuestContext {
         }
     }
 
-    /// The region-chain loop, one body for both executors (monomorphized
-    /// per executor, so the hot loop carries no executor branch): the
-    /// timed `FastSim` when `FAST`, the cycle simulator otherwise. Follows
+    /// The region-chain loop: runs each entry on the timed `FastSim`,
+    /// replaying the due tier-down samples on the cycle simulator. Follows
     /// memoized links without re-entering the dispatcher, guest state
     /// resident in `self.state`, statistics folded once per chain.
-    fn run_chain<const FAST: bool>(
-        &mut self,
-        hub: &TranslationHub,
-        start: usize,
-        budget: u64,
-    ) -> Option<BlockId> {
+    fn run_chain(&mut self, hub: &TranslationHub, start: usize, budget: u64) -> Option<BlockId> {
         let verify = self.cfg.verify_translations;
         self.state.load_guest(&self.interp.regs, &self.interp.fregs);
         let guest_base = self.live_guest_instrs();
@@ -522,37 +509,23 @@ impl GuestContext {
         let mut run_idx = idx;
         let mut run_entries = 0u64;
         loop {
-            let code = &self.regions[idx].shared.code;
-            if code.blacklist_gen != hub_gen {
+            if self.regions[idx].shared.code.blacklist_gen != hub_gen {
                 acc.stale += 1;
             }
-            let (outcome, rstats) = if FAST {
-                // Decided before the fast run: the oracle replays from the
-                // pre-state.
-                let pre_mem = self.sample_due().then(|| {
-                    self.pre.regs = self.state.regs;
-                    self.pre.fregs = self.state.fregs;
-                    self.interp.mem.clone()
-                });
-                let code = &self.regions[idx].shared.code;
-                let (o, r) =
-                    self.fast_sim
-                        .run_region(&code.fast, &mut self.state, &mut self.interp.mem);
-                self.stats.tier_fast_entries += 1;
-                if let Some(mut mem) = pre_mem {
-                    self.tier_down_sample(idx, &o, &r, &mut mem);
-                }
-                (o, r)
-            } else {
-                self.sim
-                    .run_region_resident(
-                        &code.vliw,
-                        code.write_mask,
-                        &mut self.state,
-                        &mut self.interp.mem,
-                    )
-                    .expect("translated region is well formed")
-            };
+            // Decided before the fast run: the oracle replays from the
+            // pre-state.
+            let pre_mem = self.sample_due().then(|| {
+                self.pre.regs = self.state.regs;
+                self.pre.fregs = self.state.fregs;
+                self.interp.mem.clone()
+            });
+            let code = &self.regions[idx].shared.code;
+            let (outcome, rstats) =
+                self.fast_sim
+                    .run_region(&code.fast, &mut self.state, &mut self.interp.mem);
+            if let Some(mut mem) = pre_mem {
+                self.tier_down_sample(idx, &outcome, &rstats, &mut mem);
+            }
             acc.cycles += rstats.cycles;
             acc.mem_ops += rstats.mem_ops;
             acc.scanned += rstats.entries_scanned;
@@ -561,13 +534,10 @@ impl GuestContext {
             let exit_id = match outcome {
                 RegionOutcome::Exited { exit_id } => exit_id as usize,
                 RegionOutcome::AliasException(v) => {
-                    // The executor rolled the resident state back to this
+                    // `FastSim` rolled the resident state back to this
                     // region's entry — even mid-chain, the checkpoint is
                     // exactly the pre-region guest state.
                     self.end_chain(&acc, run_idx, run_entries);
-                    if FAST {
-                        self.stats.tier_deopts += 1;
-                    }
                     return self.deopt(hub, idx, v);
                 }
             };

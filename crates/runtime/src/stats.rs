@@ -27,9 +27,8 @@ pub struct SystemStats {
     /// (approximated per exit point).
     pub region_guest_instrs: u64,
     /// Simulated cycles spent in translated regions (incl. checkpoint and
-    /// rollback penalties): exact on either tier, from the timed
-    /// `FastSim`'s table without a data cache and from the cycle simulator
-    /// with one.
+    /// rollback penalties), read off the timed `FastSim`'s table, which
+    /// the tier-down samples check against the cycle simulator.
     pub vliw_cycles: u64,
     /// Simulated cycles attributed to interpretation
     /// (`interp_instrs × interp_cycles_per_instr`).
@@ -81,9 +80,9 @@ pub struct SystemStats {
     /// 0 for a correct optimizer/runtime — any other value is a chained
     /// hand-off bug caught before the link was ever followed.
     pub chain_errors: usize,
-    /// Region entries executed on the timed `FastSim`: every region
-    /// entry on a machine without a data cache, on either
-    /// [`crate::ExecTier`]. Their cycles count in `vliw_cycles`.
+    /// Region entries executed on the timed `FastSim`. Every region entry
+    /// runs there, on either [`crate::ExecTier`], so this always equals
+    /// `region_entries`.
     pub tier_fast_entries: u64,
     /// `FastSim` entries that were also replayed on the cycle simulator
     /// as tier-down samples.
@@ -93,9 +92,6 @@ pub struct SystemStats {
     /// from `FastSim`'s. Always 0 for a correct lowering — any other value
     /// is a fast-tier bug caught by the sampling oracle.
     pub tier_sample_mismatches: u64,
-    /// Alias exceptions taken on `FastSim` entries (each deoptimizes to
-    /// the interpreter; also counted in `rollbacks`).
-    pub tier_deopts: u64,
     /// Simulated cycles the cycle simulator reported for the tier-down
     /// samples. Kept out of `vliw_cycles`, which already counts the same
     /// entries' cycles from `FastSim`: sampled runs are oracle work, not

@@ -25,16 +25,13 @@ pub enum DispatchMode {
 }
 
 /// The execution tier a configuration names. **Both values run the same
-/// path**: the machine decides the executor, not this type. Without a
-/// data cache (`MachineConfig::dcache` is `None`) every region entry runs
-/// on the timed `FastSim` (`smarq_opt::fastcomp`), whose compiled-out
-/// timing table makes it bit-exact with the cycle simulator, cycles
-/// included; every [`SystemConfig::tier_sample_interval`]-th entry is
-/// replayed on the cycle simulator and compared
-/// ([`SystemStats::tier_sample_mismatches`]). With a data cache every
-/// entry runs on the cycle simulator, whose load latency depends on the
-/// cache state. The type remains so configurations that name a tier keep
-/// compiling.
+/// path**: every region entry runs on the timed `FastSim`
+/// (`smarq_opt::fastcomp`), whose compiled-out timing table makes it
+/// bit-exact with the cycle simulator, cycles included; every
+/// [`SystemConfig::tier_sample_interval`]-th entry is replayed on the
+/// cycle simulator and compared
+/// ([`SystemStats::tier_sample_mismatches`]). The type remains so
+/// configurations that name a tier keep compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecTier {
     /// The cycle-level tier. The default; runs as [`ExecTier`] says.
@@ -881,8 +878,7 @@ pub(crate) mod tests {
             let sys = run_functional(&p, 16);
             let s = sys.stats();
             assert_eq!(sys.interp().arch_state(), expected, "deopt state exact");
-            assert!(s.tier_deopts >= 1, "true aliasing must deopt");
-            assert_eq!(s.tier_deopts, s.rollbacks);
+            assert!(s.rollbacks >= 1, "true aliasing must deopt");
             assert!(s.retranslations >= 1);
             assert!(!sys.blacklist().is_empty());
             let last = s.per_region.last().unwrap();
@@ -914,7 +910,7 @@ pub(crate) mod tests {
         let mut sys = DynOptSystem::new(p, cfg);
         assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
         assert_eq!(sys.interp().arch_state(), expected);
-        assert!(sys.stats().tier_deopts >= 1);
+        assert!(sys.stats().rollbacks >= 1);
     }
 
     // ----- tier-down sampling countdown edge cases (PR6 gap coverage) --
@@ -982,7 +978,7 @@ pub(crate) mod tests {
             let sys = run_functional(&p, 1);
             let s = sys.stats();
             assert_eq!(sys.interp().arch_state(), expected);
-            assert!(s.tier_deopts >= 1, "true aliasing must deopt");
+            assert!(s.rollbacks >= 1, "true aliasing must deopt");
             assert_eq!(s.tier_samples, s.tier_fast_entries);
             assert_eq!(
                 s.tier_sample_mismatches, 0,

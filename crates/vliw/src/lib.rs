@@ -25,14 +25,13 @@
 //!   exactly;
 //! * a cycle-level in-order [`Simulator`] over that state, with the
 //!   timing model and the alias hardware, and [`entry_stamps`], the same
-//!   timing model run once per region: without a data cache an entry's
-//!   cycles depend only on the op where it ends.
+//!   timing model run once per region: every latency is a machine
+//!   constant, so an entry's cycles depend only on the op where it ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alias_hw;
-mod cache;
 mod disasm;
 mod fast;
 mod isa;
@@ -41,7 +40,6 @@ mod parse;
 mod sim;
 
 pub use alias_hw::{enforce_alias_bounds, AlatHw, AliasViolation, AnyAliasHw, EfficeonHw, HwKind};
-pub use cache::{CacheParams, DCache};
 pub use fast::FastAliasQueue;
 pub use isa::{AliasAnnot, Bundle, CondExit, ExitTarget, MemRange, SlotClass, VliwOp, VliwProgram};
 pub use machine::MachineConfig;

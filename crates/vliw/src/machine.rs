@@ -3,8 +3,6 @@
 //! alias-detection schemes run on the *same* machine model so that the
 //! relative comparisons of the evaluation are preserved.
 
-use crate::cache::CacheParams;
-
 /// Parameters of the in-order VLIW machine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MachineConfig {
@@ -22,7 +20,7 @@ pub struct MachineConfig {
     pub lat_mul: u32,
     /// Integer divide latency.
     pub lat_div: u32,
-    /// Load-use latency (L1 hit).
+    /// Load-use latency, the same for every access.
     pub lat_load: u32,
     /// FP add/sub/mul latency.
     pub lat_fpu: u32,
@@ -37,10 +35,6 @@ pub struct MachineConfig {
     /// Cycles a pure interpreter spends per guest instruction (used when
     /// execution falls back to interpretation).
     pub interp_cycles_per_instr: u64,
-    /// Optional L1 data cache. `None` (the default) uses the fixed
-    /// `lat_load` for every access, keeping the evaluation deterministic;
-    /// `Some(..)` makes load latency locality-dependent.
-    pub dcache: Option<CacheParams>,
 }
 
 impl Default for MachineConfig {
@@ -60,7 +54,6 @@ impl Default for MachineConfig {
             checkpoint_cycles: 1,
             rollback_cycles: 100,
             interp_cycles_per_instr: 20,
-            dcache: None,
         }
     }
 }

@@ -7,14 +7,14 @@
 //! ([`VliwProgram`]) over it with the timing model: bundles issue in order
 //! (one per cycle at best), each bundle stalling until all of its
 //! operands are ready (scoreboard), and every memory access runs through
-//! the configured [`AnyAliasHw`]. Without a data cache an entry's timing
-//! is fixed by where it ends, so [`entry_stamps`] computes it once per
-//! region with the same rules, and the functional tier
-//! (`smarq_opt::fastcomp::FastSim`) runs the same state with that table
-//! in place of the scoreboard and the alias hardware compiled out.
+//! the configured [`AnyAliasHw`]. Every latency is a machine constant, so
+//! an entry's timing is fixed by where it ends: [`entry_stamps`] computes
+//! it once per region with the same rules, and the functional tier
+//! (`smarq_opt::fastcomp::FastSim`), which runs every region entry, runs
+//! the same state with that table in place of the scoreboard and the
+//! alias hardware compiled out. The simulator is that tier's oracle.
 
 use crate::alias_hw::{AliasViolation, AnyAliasHw, HwKind};
-use crate::cache::DCache;
 use crate::isa::{AliasAnnot, CondExit, MemRange, VliwOp, VliwProgram};
 use crate::machine::MachineConfig;
 use smarq_guest::Memory;
@@ -142,11 +142,6 @@ impl RegionWriteMask {
         }
     }
 
-    /// `true` if the mask covers both whole files.
-    pub fn is_full(self) -> bool {
-        self.ints == u64::MAX && self.fps == u64::MAX
-    }
-
     /// Scans `program` once and collects every destination register.
     pub fn of(program: &VliwProgram) -> Self {
         let mut m = RegionWriteMask::default();
@@ -270,56 +265,12 @@ impl Error for SimError {}
 pub struct Simulator {
     config: MachineConfig,
     hw: AnyAliasHw,
-    dcache: Option<DCache>,
-    /// Integer scoreboard (cycle each register's value is ready), kept
-    /// across region executions and re-zeroed per the region's write mask
-    /// on exit — all-zero between regions, without a 1 KiB memset per
-    /// entry.
-    int_ready: [u64; 64],
-    /// FP scoreboard, managed like `int_ready`.
-    fp_ready: [u64; 64],
 }
 
 impl Simulator {
     /// Creates a simulator for `config` using alias hardware `hw`.
     pub fn new(config: MachineConfig, hw: AnyAliasHw) -> Self {
-        Simulator {
-            config,
-            hw,
-            dcache: config.dcache.map(DCache::new),
-            int_ready: [0; 64],
-            fp_ready: [0; 64],
-        }
-    }
-
-    /// Restores the between-regions all-zero scoreboard invariant: only
-    /// registers in `mask` can have been marked ready, so only they need
-    /// clearing (a full mask keeps the plain memset).
-    fn clear_scoreboard(&mut self, mask: RegionWriteMask) {
-        if mask.is_full() {
-            self.int_ready = [0; 64];
-            self.fp_ready = [0; 64];
-        } else {
-            let mut m = mask.ints;
-            while m != 0 {
-                self.int_ready[m.trailing_zeros() as usize] = 0;
-                m &= m - 1;
-            }
-            let mut m = mask.fps;
-            while m != 0 {
-                self.fp_ready[m.trailing_zeros() as usize] = 0;
-                m &= m - 1;
-            }
-        }
-    }
-
-    /// Load-use latency of an access to `addr` (cache-dependent when a
-    /// data cache is configured).
-    fn load_latency(&mut self, addr: u64) -> u64 {
-        match &mut self.dcache {
-            Some(c) => u64::from(c.access(addr)),
-            None => u64::from(self.config.lat_load),
-        }
+        Simulator { config, hw }
     }
 
     /// Executes one atomic region.
@@ -370,10 +321,8 @@ impl Simulator {
         state.begin_region(mask);
         self.hw.reset();
 
-        // Scoreboard: cycle at which each register's value is ready. The
-        // arrays live in `self` and are all-zero on entry — every exit
-        // path re-zeroes exactly the write-masked registers, so a tiny
-        // chained region never pays a full-file sweep.
+        // Scoreboard: cycle at which each register's value is ready.
+        let (mut ir, mut fr) = ([0u64; 64], [0u64; 64]);
         let mut clock: u64 = cfg.checkpoint_cycles;
 
         let mut outcome: Option<RegionOutcome> = None;
@@ -383,7 +332,7 @@ impl Simulator {
             // every slot is ready.
             let mut issue = clock;
             for op in &bundle.ops {
-                issue = stall_on_sources(issue, op, &self.int_ready, &self.fp_ready);
+                issue = stall_on_sources(issue, op, &ir, &fr);
             }
             stats.bundles += 1;
             clock = issue + 1;
@@ -392,9 +341,6 @@ impl Simulator {
                 if !matches!(op, VliwOp::Nop) {
                     stats.ops += 1;
                 }
-                // A load's latency, read from the data cache when one is
-                // configured.
-                let mut load = 0;
                 match *op {
                     VliwOp::Nop => {}
                     VliwOp::IConst { rd, value } => state.regs[rd as usize] = value,
@@ -432,7 +378,6 @@ impl Simulator {
                             break 'bundles;
                         }
                         state.regs[rd as usize] = mem.read(addr) as i64;
-                        load = self.load_latency(addr);
                     }
                     VliwOp::FLoad {
                         fd,
@@ -448,7 +393,6 @@ impl Simulator {
                             break 'bundles;
                         }
                         state.fregs[fd as usize] = mem.read_f64(addr);
-                        load = self.load_latency(addr);
                     }
                     VliwOp::Store {
                         rs,
@@ -465,7 +409,6 @@ impl Simulator {
                         }
                         let old = mem.replace(addr, state.regs[rs as usize] as u64);
                         state.log_store(addr, old);
-                        let _ = self.load_latency(addr); // write-allocate
                     }
                     VliwOp::FStore {
                         fs,
@@ -482,14 +425,12 @@ impl Simulator {
                         }
                         let old = mem.replace(addr, state.fregs[fs as usize].to_bits());
                         state.log_store(addr, old);
-                        let _ = self.load_latency(addr); // write-allocate
                     }
                     VliwOp::AlatClear { entry } => self.hw.alat_clear(entry),
                     VliwOp::Rotate { amount } => self.hw.rotate(amount),
                     VliwOp::Amov { src, dst } => self.hw.amov(src, dst),
                     VliwOp::Exit { exit_id, cond } => {
                         if exit_id as usize >= program.exits.len() {
-                            self.clear_scoreboard(mask);
                             return Err(SimError::BadExitId { exit_id });
                         }
                         let take = match cond {
@@ -504,19 +445,11 @@ impl Simulator {
                         }
                     }
                 }
-                mark_ready(
-                    &cfg,
-                    op,
-                    issue,
-                    load,
-                    &mut self.int_ready,
-                    &mut self.fp_ready,
-                );
+                mark_ready(&cfg, op, issue, &mut ir, &mut fr);
             }
         }
 
         stats.cycles = clock.max(stats.cycles);
-        self.clear_scoreboard(mask);
         match outcome {
             Some(RegionOutcome::Exited { exit_id }) => {
                 // Commit: keep state and memory.
@@ -591,19 +524,18 @@ fn stall_on_sources(mut issue: u64, op: &VliwOp, ir: &[u64; 64], fr: &[u64; 64])
 
 /// The scoreboard's write rule, stated once for the simulator and the
 /// static timing pass ([`entry_stamps`]): `op`, issued at `issue`, makes
-/// its destination register ready after its latency. `load` is a load's
-/// latency (the data cache's answer, or `lat_load` without one). Ops
-/// without a register destination mark nothing.
+/// its destination register ready after its latency. Ops without a
+/// register destination mark nothing.
 #[inline]
 fn mark_ready(
     cfg: &MachineConfig,
     op: &VliwOp,
     issue: u64,
-    load: u64,
     ir: &mut [u64; 64],
     fr: &mut [u64; 64],
 ) {
     let int = u64::from(cfg.lat_int);
+    let load = u64::from(cfg.lat_load);
     match *op {
         VliwOp::IConst { rd, .. } | VliwOp::Copy { rd, .. } | VliwOp::FtoI { rd, .. } => {
             ir[rd as usize] = issue + int;
@@ -655,7 +587,7 @@ fn check_registers(program: &VliwProgram) -> Result<(), SimError> {
 
 /// What a region entry that ends at one op reports: the
 /// [`RegionStats::cycles`] and [`RegionStats::bundles`] of the
-/// [`Simulator`] without a data cache.
+/// [`Simulator`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EntryStamp {
     /// Cycles, including the checkpoint and, at a memory op, the rollback.
@@ -665,12 +597,12 @@ pub struct EntryStamp {
 }
 
 /// The static timing pass: the timing of every way an entry of `program`
-/// can end, on machine `cfg` without a data cache. One stamp per
+/// can end, on machine `cfg`. One stamp per
 /// non-`Nop` op, in slot order, up to and including the first
 /// unconditional exit, so an entry that executed `n` ops ended at stamp
 /// `n - 1`.
 ///
-/// Without a cache an entry's timing depends only on where it ends: the
+/// An entry's timing depends only on where it ends: the
 /// scoreboard is all-zero at entry, every latency is a `cfg` constant,
 /// and the bundles that issue before the last one are fixed by the
 /// straight-line code. The pass therefore walks the bundles once, with
@@ -707,7 +639,7 @@ pub fn entry_stamps(
             if matches!(op, VliwOp::Exit { cond: None, .. }) {
                 return Ok(stamps);
             }
-            mark_ready(cfg, op, issue, u64::from(cfg.lat_load), &mut ir, &mut fr);
+            mark_ready(cfg, op, issue, &mut ir, &mut fr);
         }
     }
     Ok(stamps)
@@ -1054,7 +986,6 @@ mod tests {
         let mask = RegionWriteMask::of(&p);
         assert_eq!(mask.ints, (1 << 1) | (1 << 2), "r1 and r2 are written");
         assert_eq!(mask.fps, 0);
-        assert!(!mask.is_full());
 
         let cfg = MachineConfig::default();
         let mut sim = Simulator::new(cfg, AnyAliasHw::for_kind(HwKind::Smarq, cfg.num_alias_regs));

@@ -18,7 +18,9 @@
 //! system forms for the given programs (or corpus directories) under every
 //! hardware scheme — see `crates/verify`. `--list` prints the stable
 //! diagnostic code table; `--deny CODE` / `--allow CODE` raise/lower a
-//! code's severity before the exit status is decided. `--verify` enables
+//! code's severity before the exit status is decided: 1 on an
+//! error-severity finding, 2 on a malformed command line, as for
+//! `smarq lint` (both run `smarq_fuzz::lint::cli`). `--verify` enables
 //! the runtime's verify-on-emit mode for a normal run; with it,
 //! region→region link formation additionally runs the whole-chain static
 //! analyzer. `--nospec LO..HI[,..]` declares half-open unspeculatable
@@ -123,92 +125,6 @@ fn usage() -> ExitCode {
          \x20      smarq-run lint --list"
     );
     ExitCode::from(2)
-}
-
-/// `smarq-run lint`; `nospec` is the `--nospec` default.
-fn cmd_lint(args: &[String], mut nospec: smarq::range::NospecRanges) -> ExitCode {
-    if args.iter().any(|a| a == "--list") {
-        println!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
-        for info in smarq_verify::CODES {
-            println!(
-                "{:<24} {:<9} {:<7} {}",
-                info.code,
-                info.origin.label(),
-                format!("{:?}", info.default_severity).to_lowercase(),
-                info.description
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    let mut paths: Vec<&str> = Vec::new();
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut deny: Vec<String> = Vec::new();
-    let mut allow: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if matches!(flag, "--json" | "--nospec" | "--deny" | "--allow") {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("{flag} needs a value");
-                return usage();
-            };
-            match flag {
-                "--json" => json_out = Some(std::path::PathBuf::from(v)),
-                "--nospec" => match smarq::range::NospecRanges::parse(v) {
-                    Ok(r) => nospec = r,
-                    Err(e) => {
-                        eprintln!("--nospec: {e}");
-                        return usage();
-                    }
-                },
-                "--deny" => deny.push(v.clone()),
-                _ => allow.push(v.clone()),
-            }
-            i += 2;
-        } else if flag.starts_with('-') {
-            eprintln!("unknown flag '{flag}'");
-            return usage();
-        } else {
-            paths.push(flag);
-            i += 1;
-        }
-    }
-    if paths.is_empty() {
-        return usage();
-    }
-    let policy = match smarq_verify::LintPolicy::new(deny, allow) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("smarq-run: {e}");
-            return usage();
-        }
-    };
-    let config = smarq_fuzz::LintConfig { nospec, policy };
-    let path_refs: Vec<&std::path::Path> = paths.iter().map(std::path::Path::new).collect();
-    let outcome =
-        match smarq_fuzz::lint_paths_with(&path_refs, &config, |line| println!("[lint] {line}")) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("smarq-run: {e}");
-                return ExitCode::from(1);
-            }
-        };
-    println!(
-        "[lint] {} entr(ies), {} region(s): {} error(s), {} warning(s)",
-        outcome.entries, outcome.regions, outcome.errors, outcome.warnings
-    );
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, smarq_fuzz::lint::to_json(&outcome)) {
-            eprintln!("smarq-run: writing {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
-        println!("[lint] wrote {}", path.display());
-    }
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
 }
 
 fn parse_args() -> Result<Args, ExitCode> {
@@ -335,9 +251,9 @@ fn report(
     );
     if sum(|s| s.tier_samples) > 0 {
         println!(
-            "functional tier:     {} fast entries, {} deopts, {} samples ({} mismatches, {} sampled cycles)",
+            "functional tier:     {} fast entries, {} rollbacks, {} samples ({} mismatches, {} sampled cycles)",
             sum(|s| s.tier_fast_entries),
-            sum(|s| s.tier_deopts),
+            sum(|s| s.rollbacks),
             sum(|s| s.tier_samples),
             sum(|s| s.tier_sample_mismatches),
             sum(|s| s.tier_sampled_cycles)
@@ -465,7 +381,9 @@ fn main() -> ExitCode {
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("lint") {
-        return cmd_lint(&raw[1..], env_nospec);
+        return smarq_fuzz::lint::cli("smarq-run", &raw[1..], env_nospec, || {
+            usage();
+        });
     }
     let args = match parse_args() {
         Ok(a) => a,
