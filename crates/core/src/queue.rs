@@ -20,11 +20,13 @@
 //!   register at `o2`, clearing `o1` (`o1 == o2` is a pure clean-up).
 //!
 //! The model is generic over the entry payload `T` so the same semantics
-//! serve the symbolic allocation validator (payload = producing op id) and,
-//! as the reference, the differential test of the executors' single-word
-//! queue (payload = address range and tag).
+//! serve the symbolic allocation validator (payload = producing op id),
+//! the cycle simulator and the functional tier's planner (payload =
+//! address range and tag).
 
 use std::fmt;
+use std::iter::{Chain, Enumerate};
+use std::slice;
 
 /// A valid alias register entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,15 +62,14 @@ impl std::error::Error for QueueOverflow {}
 
 /// The alias register queue model. See the [module docs](self).
 ///
-/// A plain reference model: a ring of `N` slots indexed by
-/// `(BASE + offset) mod N`, scanned slot by slot. The executors run the
-/// single-word `smarq_vliw::FastAliasQueue` or, on the functional tier,
-/// no queue at all (the region's checks are compiled out).
+/// A plain ring of `N` slots; `BASE` stays in `0..N`, so the slot of an
+/// offset is one add and one compare. The symbolic validator, the cycle
+/// simulator and the functional tier's planner all run this one model.
 #[derive(Clone, Debug)]
 pub struct AliasQueue<T> {
     slots: Vec<Option<Entry<T>>>,
-    /// Absolute order of the register currently at offset 0.
-    base: u64,
+    /// Slot of the register currently at offset 0.
+    base: u32,
 }
 
 impl<T: Clone> AliasQueue<T> {
@@ -85,14 +86,24 @@ impl<T: Clone> AliasQueue<T> {
         }
     }
 
-    fn num_regs(&self) -> u32 {
+    /// The hardware register count.
+    #[inline]
+    pub fn num_regs(&self) -> u32 {
         self.slots.len() as u32
     }
 
+    /// Slot of an in-range `offset`.
+    #[inline]
     fn slot_index(&self, offset: u32) -> usize {
-        ((self.base + offset as u64) % self.slots.len() as u64) as usize
+        let idx = self.base + offset;
+        (if idx >= self.num_regs() {
+            idx - self.num_regs()
+        } else {
+            idx
+        }) as usize
     }
 
+    #[inline]
     fn bounds(&self, offset: u32) -> Result<(), QueueOverflow> {
         if offset < self.num_regs() {
             Ok(())
@@ -102,12 +113,6 @@ impl<T: Clone> AliasQueue<T> {
                 num_regs: self.num_regs(),
             })
         }
-    }
-
-    /// The valid entries at offsets `from_offset..N`, in offset order.
-    fn entries_from(&self, from_offset: u32) -> impl Iterator<Item = (u32, &Entry<T>)> {
-        (from_offset..self.num_regs())
-            .filter_map(move |off| Some((off, self.slots[self.slot_index(off)].as_ref()?)))
     }
 
     /// Reads the entry at `offset`, if any.
@@ -123,6 +128,7 @@ impl<T: Clone> AliasQueue<T> {
     ///
     /// # Errors
     /// [`QueueOverflow`] if `offset` is outside the register file.
+    #[inline]
     pub fn set(&mut self, offset: u32, payload: T, set_by_load: bool) -> Result<(), QueueOverflow> {
         self.bounds(offset)?;
         let idx = self.slot_index(offset);
@@ -133,28 +139,45 @@ impl<T: Clone> AliasQueue<T> {
         Ok(())
     }
 
-    /// **check**: scans every valid register at offsets `>= from_offset`
-    /// and returns *all* offsets whose entries satisfy `conflicts`, in
-    /// offset order — skipping load-set entries when `checker_is_load`
-    /// (loads never alias loads). The hardware raises its exception on the
-    /// first; the symbolic validator's precision proof needs every one.
+    /// **check**: one pass over the registers at offsets `>= from_offset`,
+    /// in offset order. The returned [`Scan`] yields, lazily, each valid
+    /// entry whose payload satisfies `conflicts` — skipping load-set
+    /// entries when `checker_is_load` (loads never alias loads) — and
+    /// counts the valid entries it passes ([`Scan::examined`]). The
+    /// hardware raises its exception on the first hit; the symbolic
+    /// validator's precision proof takes every one.
     ///
-    /// An empty result means no alias exception.
+    /// No hit means no alias exception.
     ///
     /// # Errors
     /// [`QueueOverflow`] if `from_offset` is outside the register file.
-    pub fn check(
+    #[inline]
+    pub fn check<F: FnMut(&T) -> bool>(
         &self,
         from_offset: u32,
         checker_is_load: bool,
-        mut conflicts: impl FnMut(&T) -> bool,
-    ) -> Result<Vec<u32>, QueueOverflow> {
+        conflicts: F,
+    ) -> Result<Scan<'_, T, F>, QueueOverflow> {
         self.bounds(from_offset)?;
-        Ok(self
-            .entries_from(from_offset)
-            .filter(|(_, e)| !(checker_is_load && e.set_by_load) && conflicts(&e.payload))
-            .map(|(off, _)| off)
-            .collect())
+        // The window from..N starts at slot BASE + from and wraps at most
+        // once: a tail of the ring followed by a head.
+        let start = self.slot_index(from_offset);
+        let len = (self.num_regs() - from_offset) as usize;
+        let (tail, head) = if start + len <= self.slots.len() {
+            (&self.slots[start..start + len], &self.slots[..0])
+        } else {
+            (
+                &self.slots[start..],
+                &self.slots[..start + len - self.slots.len()],
+            )
+        };
+        Ok(Scan {
+            window: tail.iter().chain(head).enumerate(),
+            from: from_offset,
+            checker_is_load,
+            conflicts,
+            examined: 0,
+        })
     }
 
     /// **rotate k**: advances `BASE` by `amount`, clearing the registers
@@ -163,6 +186,7 @@ impl<T: Clone> AliasQueue<T> {
     /// # Errors
     /// [`QueueOverflow`] if `amount` exceeds the register count (the
     /// hardware cannot release more registers than it has in one go).
+    #[inline]
     pub fn rotate(&mut self, amount: u32) -> Result<(), QueueOverflow> {
         if amount > self.num_regs() {
             return Err(QueueOverflow {
@@ -174,7 +198,7 @@ impl<T: Clone> AliasQueue<T> {
             let idx = self.slot_index(off);
             self.slots[idx] = None;
         }
-        self.base += amount as u64;
+        self.base = self.slot_index(amount) as u32;
         Ok(())
     }
 
@@ -184,6 +208,7 @@ impl<T: Clone> AliasQueue<T> {
     ///
     /// # Errors
     /// [`QueueOverflow`] if either offset is outside the register file.
+    #[inline]
     pub fn amov(&mut self, src: u32, dst: u32) -> Result<(), QueueOverflow> {
         self.bounds(src)?;
         self.bounds(dst)?;
@@ -198,6 +223,7 @@ impl<T: Clone> AliasQueue<T> {
 
     /// Clears every register and resets `BASE` to 0 (atomic region
     /// boundaries: commit or rollback invalidates all alias registers).
+    #[inline]
     pub fn reset(&mut self) {
         self.slots.fill(None);
         self.base = 0;
@@ -210,8 +236,48 @@ impl<T: Clone> AliasQueue<T> {
     /// # Errors
     /// [`QueueOverflow`] if `from_offset` is outside the register file.
     pub fn valid_from(&self, from_offset: u32) -> Result<u32, QueueOverflow> {
-        self.bounds(from_offset)?;
-        Ok(self.entries_from(from_offset).count() as u32)
+        let mut scan = self.check(from_offset, false, |_| false)?;
+        scan.by_ref().for_each(drop);
+        Ok(scan.examined())
+    }
+}
+
+/// A run of ring slots in offset order.
+type Slots<'q, T> = slice::Iter<'q, Option<Entry<T>>>;
+
+/// One pass of a check over its window, from [`AliasQueue::check`]: an
+/// iterator over the hits, as `(offset, entry)` in offset order.
+pub struct Scan<'q, T, F> {
+    window: Enumerate<Chain<Slots<'q, T>, Slots<'q, T>>>,
+    from: u32,
+    checker_is_load: bool,
+    conflicts: F,
+    examined: u32,
+}
+
+impl<T, F> Scan<'_, T, F> {
+    /// Valid entries the scan has passed so far, hits and load-set
+    /// entries a load skips included: once the scan is exhausted, the
+    /// number the check examines.
+    #[inline]
+    pub fn examined(&self) -> u32 {
+        self.examined
+    }
+}
+
+impl<'q, T, F: FnMut(&T) -> bool> Iterator for Scan<'q, T, F> {
+    type Item = (u32, &'q Entry<T>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        for (i, slot) in self.window.by_ref() {
+            let Some(entry) = slot else { continue };
+            self.examined += 1;
+            if !(self.checker_is_load && entry.set_by_load) && (self.conflicts)(&entry.payload) {
+                return Some((self.from + i as u32, entry));
+            }
+        }
+        None
     }
 }
 
@@ -223,20 +289,29 @@ mod tests {
         a.0 <= b.1 && b.0 <= a.1
     }
 
+    /// The offsets of every hit of a check, in scan order.
+    fn hits<T: Clone>(
+        q: &AliasQueue<T>,
+        from: u32,
+        is_load: bool,
+        conflicts: impl FnMut(&T) -> bool,
+    ) -> Vec<u32> {
+        q.check(from, is_load, conflicts)
+            .unwrap()
+            .map(|(off, _)| off)
+            .collect()
+    }
+
     #[test]
     fn set_then_check_detects_overlap() {
         let mut q: AliasQueue<(u64, u64)> = AliasQueue::new(4);
         q.set(1, (100, 103), true).unwrap();
         // A store checking from offset 0 sees the load-set entry.
-        let hits = q
-            .check(0, false, |r| ranges_overlap(*r, (102, 105)))
-            .unwrap();
-        assert_eq!(hits, vec![1]);
+        let found = hits(&q, 0, false, |r| ranges_overlap(*r, (102, 105)));
+        assert_eq!(found, vec![1]);
         // Disjoint range: no exception.
-        let hits = q
-            .check(0, false, |r| ranges_overlap(*r, (104, 107)))
-            .unwrap();
-        assert!(hits.is_empty());
+        let found = hits(&q, 0, false, |r| ranges_overlap(*r, (104, 107)));
+        assert!(found.is_empty());
     }
 
     #[test]
@@ -245,8 +320,7 @@ mod tests {
         q.set(0, 7, false).unwrap();
         q.set(2, 7, false).unwrap();
         // Checking from offset 1 must not see offset 0.
-        let hits = q.check(1, false, |&v| v == 7).unwrap();
-        assert_eq!(hits, vec![2]);
+        assert_eq!(hits(&q, 1, false, |&v| v == 7), vec![2]);
     }
 
     #[test]
@@ -254,10 +328,12 @@ mod tests {
         let mut q: AliasQueue<u32> = AliasQueue::new(2);
         q.set(0, 1, true).unwrap();
         q.set(1, 1, false).unwrap();
-        let hits = q.check(0, true, |&v| v == 1).unwrap();
-        assert_eq!(hits, vec![1]); // only the store-set entry
-        let hits = q.check(0, false, |&v| v == 1).unwrap();
-        assert_eq!(hits, vec![0, 1]); // a store checks both
+        assert_eq!(hits(&q, 0, true, |&v| v == 1), vec![1]); // only the store-set entry
+        assert_eq!(hits(&q, 0, false, |&v| v == 1), vec![0, 1]); // a store checks both
+                                                                 // A load still examines the load-set entry it skips.
+        let mut scan = q.check(0, true, |&v| v == 1).unwrap();
+        assert_eq!(scan.next().map(|(off, e)| (off, e.payload)), Some((1, 1)));
+        assert_eq!(scan.examined(), 2);
     }
 
     #[test]
@@ -283,12 +359,12 @@ mod tests {
         let mut q: AliasQueue<u32> = AliasQueue::new(2);
         q.set(0, 5, true).unwrap(); // M5 sets AR0
         q.set(1, 3, true).unwrap(); // M3 sets AR1
-        let _ = q.check(0, false, |_| false).unwrap(); // M0 checks offsets 0..
+        assert!(hits(&q, 0, false, |_| false).is_empty()); // M0 checks offsets 0..
         q.rotate(1).unwrap(); // release AR0
         q.set(1, 4, true).unwrap(); // M4 sets (reused) register at offset 1
-        let _ = q.check(0, false, |_| false).unwrap();
+        assert!(hits(&q, 0, false, |_| false).is_empty());
         q.rotate(1).unwrap();
-        let _ = q.check(0, false, |_| false).unwrap(); // M2 checks last reg
+        assert!(hits(&q, 0, false, |_| false).is_empty()); // M2 checks last reg
 
         // Two rotations released M5 and M3; M4 sits at offset 0 now.
         assert_eq!(q.get(0).unwrap().map(|e| e.payload), Some(4));
@@ -339,6 +415,67 @@ mod tests {
         q.set(0, 2, false).unwrap();
         q.reset();
         assert_eq!(q.valid_from(0).unwrap(), 0);
+    }
+
+    /// Random streams of sets, checks, rotations, AMOVs and resets on the
+    /// ring agree with the plainest statement of the model: a vector
+    /// indexed by offset that a rotation shifts down.
+    #[test]
+    fn ring_matches_a_shifting_vector() {
+        use crate::prng::Prng;
+        for regs in [1u32, 2, 5, 16, 64] {
+            let mut rng = Prng::new(u64::from(regs) * 977 + 5);
+            let mut q: AliasQueue<u32> = AliasQueue::new(regs);
+            let mut model: Vec<Option<Entry<u32>>> = vec![None; regs as usize];
+            for step in 0..2000u32 {
+                match rng.bounded(8) {
+                    0..=2 => {
+                        let (off, by_load) = (rng.range_u32(0, regs), rng.chance(1, 2));
+                        let value = rng.range_u32(0, 4);
+                        q.set(off, value, by_load).unwrap();
+                        model[off as usize] = Some(Entry {
+                            payload: value,
+                            set_by_load: by_load,
+                        });
+                    }
+                    3 | 4 => {
+                        let (from, is_load) = (rng.range_u32(0, regs), rng.chance(1, 2));
+                        let value = rng.range_u32(0, 4);
+                        let mut scan = q.check(from, is_load, |&v| v == value).unwrap();
+                        let found: Vec<_> = scan.by_ref().map(|(off, e)| (off, *e)).collect();
+                        let window = || (from..regs).filter_map(|o| Some((o, model[o as usize]?)));
+                        let expect: Vec<_> = window()
+                            .filter(|(_, e)| !(is_load && e.set_by_load) && e.payload == value)
+                            .collect();
+                        assert_eq!(found, expect, "regs={regs} step={step}");
+                        assert_eq!(scan.examined(), window().count() as u32);
+                    }
+                    5 => {
+                        let amount = rng.range_u32(0, regs + 1);
+                        q.rotate(amount).unwrap();
+                        model.drain(..amount as usize);
+                        model.resize(regs as usize, None);
+                    }
+                    6 => {
+                        let (src, dst) = (rng.range_u32(0, regs), rng.range_u32(0, regs));
+                        q.amov(src, dst).unwrap();
+                        let entry = model[src as usize].take();
+                        if src != dst {
+                            model[dst as usize] = entry;
+                        }
+                    }
+                    _ => {
+                        if rng.chance(1, 4) {
+                            q.reset();
+                            model.fill(None);
+                        }
+                    }
+                }
+                for off in 0..regs {
+                    assert_eq!(q.get(off).unwrap(), model[off as usize].as_ref());
+                }
+            }
+        }
     }
 
     #[test]

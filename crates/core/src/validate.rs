@@ -89,12 +89,8 @@ pub fn validate_allocation(
                     let hits = queue
                         .check(offset.value(), is_load, |_| true)
                         .map_err(|e| oob(id, e.offset))?;
-                    for h in hits {
-                        let z = queue
-                            .get(h)
-                            .expect("hit offset in range")
-                            .expect("hit slot valid")
-                            .payload;
+                    for (_, hit) in hits {
+                        let z = hit.payload;
                         performed.insert((id, z));
                         // Precision: a genuine alias here must be required.
                         if sealed.may_alias(id, z)

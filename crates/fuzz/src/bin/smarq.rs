@@ -25,7 +25,9 @@
 //! defaults to the `SMARQ_NOSPEC` environment variable; a malformed value
 //! is reported and exits with status 2 before any command runs.
 
-use smarq_fuzz::{check_program, load_dir, run_campaign, CampaignParams, OracleParams, Repro};
+use smarq_fuzz::{
+    check_program, load_dir, out, outln, run_campaign, CampaignParams, OracleParams, Repro,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -145,8 +147,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         params.budget = Some(Duration::from_secs(60));
     }
 
-    let outcome = run_campaign(&params, |line| println!("[fuzz] {line}"));
-    println!(
+    let outcome = run_campaign(&params, |line| outln!("[fuzz] {line}"));
+    outln!(
         "[fuzz] {} cases, {} skipped (nonterminating), {} repro(s)",
         outcome.cases_run,
         outcome.skipped,
@@ -155,10 +157,10 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     for repro in &outcome.repros {
         match repro.write_to(&corpus_dir) {
             Ok(path) => {
-                println!("[fuzz] wrote {}", path.display());
-                println!("----- paste-ready regression test -----");
-                print!("{}", repro.rust_snippet());
-                println!("---------------------------------------");
+                outln!("[fuzz] wrote {}", path.display());
+                outln!("----- paste-ready regression test -----");
+                out!("{}", repro.rust_snippet());
+                outln!("---------------------------------------");
             }
             Err(e) => return fail(&format!("writing repro: {e}")),
         }
@@ -166,7 +168,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     let found = !outcome.repros.is_empty();
     if expect_divergence {
         if found {
-            println!("[fuzz] divergence found, as expected");
+            outln!("[fuzz] divergence found, as expected");
             ExitCode::SUCCESS
         } else {
             fail("expected a divergence but the oracles stayed green")
@@ -207,7 +209,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     let mut failures = 0;
     for (path, program) in &entries {
         match check_program(program, &OracleParams::default()) {
-            Ok(report) => println!(
+            Ok(report) => outln!(
                 "[replay] {}: green ({} schemes, {} regions)",
                 path.display(),
                 report.schemes,
@@ -215,12 +217,12 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             ),
             Err(d) => {
                 failures += 1;
-                println!("[replay] {}: {d}", path.display());
+                outln!("[replay] {}: {d}", path.display());
             }
         }
     }
     if failures == 0 {
-        println!("[replay] {} entr(ies) green", entries.len());
+        outln!("[replay] {} entr(ies) green", entries.len());
         ExitCode::SUCCESS
     } else {
         fail(&format!("{failures} corpus entr(ies) diverged"))
@@ -250,7 +252,7 @@ fn cmd_snippet(args: &[String]) -> ExitCode {
         original_ops: program.static_instrs(),
         program,
     };
-    print!("{}", repro.rust_snippet());
+    out!("{}", repro.rust_snippet());
     ExitCode::SUCCESS
 }
 

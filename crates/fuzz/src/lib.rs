@@ -9,7 +9,8 @@
 //! The `smarq` binary (`src/bin/smarq.rs`) fronts the same machinery:
 //! `smarq fuzz` for campaigns, `smarq replay` for corpus entries,
 //! `smarq snippet` to print a paste-ready Rust test. The whole pipeline
-//! is deterministic in the seed.
+//! is deterministic in the seed. Both front ends print through [`mod@out`],
+//! so a closed stdout never panics them.
 //!
 //! The "testing the testers" story lives in `smarq::fault`: a deliberate
 //! constraint-rule weakening that the oracles must catch — exercised by
@@ -24,6 +25,7 @@ pub mod gen;
 pub mod lint;
 pub mod minimize;
 pub mod oracle;
+pub mod out;
 
 pub use corpus::{load_dir, Repro};
 pub use driver::{run_campaign, CampaignOutcome, CampaignParams};

@@ -11,6 +11,7 @@
 //! `lint` subcommand of both the `smarq` and the `smarq-run` binary.
 
 use crate::oracle::schemes;
+use crate::outln;
 use smarq::range::NospecRanges;
 use smarq::{AllocScratch, Diagnostic, Severity};
 use smarq_guest::Program;
@@ -322,9 +323,9 @@ pub fn cli(prog: &str, args: &[String], nospec: NospecRanges, usage: impl FnOnce
             config,
         }) => (paths, json, config),
         Ok(Command::List) => {
-            println!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
+            outln!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
             for info in smarq_verify::CODES {
-                println!(
+                outln!(
                     "{:<24} {:<9} {:<7} {}",
                     info.code,
                     info.origin.label(),
@@ -345,19 +346,22 @@ pub fn cli(prog: &str, args: &[String], nospec: NospecRanges, usage: impl FnOnce
         ExitCode::from(1)
     };
     let path_refs: Vec<&Path> = paths.iter().map(PathBuf::as_path).collect();
-    let outcome = match lint_paths_with(&path_refs, &config, |line| println!("[lint] {line}")) {
+    let outcome = match lint_paths_with(&path_refs, &config, |line| outln!("[lint] {line}")) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
-    println!(
+    outln!(
         "[lint] {} entr(ies), {} region(s): {} error(s), {} warning(s)",
-        outcome.entries, outcome.regions, outcome.errors, outcome.warnings
+        outcome.entries,
+        outcome.regions,
+        outcome.errors,
+        outcome.warnings
     );
     if let Some(path) = json {
         if let Err(e) = std::fs::write(&path, to_json(&outcome)) {
             return fail(&format!("writing {}: {e}", path.display()));
         }
-        println!("[lint] wrote {}", path.display());
+        outln!("[lint] wrote {}", path.display());
     }
     if outcome.is_clean() {
         ExitCode::SUCCESS

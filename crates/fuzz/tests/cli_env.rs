@@ -84,3 +84,37 @@ fn lint_exit_status_separates_malformed_arguments_from_findings() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error-severity finding"), "{stderr}");
 }
+
+/// A reader that has gone (as in `smarq lint --list | head -2`) drops the
+/// output instead of panicking: with stdout already closed, each command
+/// exits with the status it returns on an open stdout. The `smarq-run`
+/// half lives in the root `tests/cli_env.rs`.
+#[test]
+fn closed_stdout_keeps_the_exit_status_without_panicking() {
+    for (args, status) in [
+        (&["lint", "--list"][..], 0),
+        (&["lint", "../../examples/hoist_loop.s"], 0),
+        (
+            &[
+                "lint",
+                "../../examples/hoist_loop.s",
+                "--deny",
+                "chain-unreachable-check",
+            ],
+            1,
+        ),
+        (&["replay", "../../tests/corpus"], 0),
+        (&["fuzz", "--seed", "0", "--cases", "2"], 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_smarq"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn smarq");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(status), "{args:?}: {stderr}");
+    }
+}

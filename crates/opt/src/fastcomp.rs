@@ -42,8 +42,8 @@
 use smarq_guest::{AluOp, CmpOp, Memory};
 use smarq_vliw::{
     enforce_alias_bounds, entry_stamps, AliasAnnot, AliasViolation, AnyAliasHw, CondExit,
-    EfficeonHw, EntryStamp, FastAliasQueue, HwKind, MachineConfig, MemRange, RegionOutcome,
-    RegionStats, RegionWriteMask, SimError, VliwOp, VliwProgram, VliwState,
+    EfficeonHw, EntryStamp, HwKind, MachineConfig, MemRange, RegionOutcome, RegionStats,
+    RegionWriteMask, SimError, VliwOp, VliwProgram, VliwState, SMARQ_MAX_REGS,
 };
 
 /// One op of the fast-functional stream: a [`VliwOp`] as emitted, or one
@@ -137,17 +137,19 @@ pub enum FastOp {
 /// annotated op the hardware's detection state — which producers a check
 /// compares against, in which order — is fixed by the op's position;
 /// only addresses change between entries. [`compile`] therefore replays
-/// the region's hardware once, on the widest file of its kind (64 SMARQ
-/// registers, 15 Efficeon registers, an ALAT that grows on demand), with
-/// producer ids standing in for addresses, and records per memory op
-/// what its check compares against. At run time a check only compares
-/// its address with the recorded addresses of its producers.
+/// the region's hardware once, with producer ids standing in for
+/// addresses, and records per memory op what its check compares
+/// against. At run time a check only compares its address with the
+/// recorded addresses of its producers.
 ///
 /// The plan holds on any file of `n` registers that satisfies the bounds
 /// contract (every register named below `n`, every rotation at most
 /// `n`): live entries then sit below `n`, so every walk visits the same
-/// producers at any `n` from the largest register named + 1 up to the
-/// widest file. [`FastSim`] enforces that contract once per entry.
+/// producers at any such `n` up to the widest file of the scheme (64
+/// SMARQ registers, 15 Efficeon registers). The replay therefore runs on
+/// the smallest: the largest register named + 1, or the largest
+/// rotation, whichever is greater (the ALAT grows on demand). [`FastSim`]
+/// enforces the contract on its own file once per entry.
 #[derive(Clone, Debug)]
 pub(crate) struct QueuePlan {
     /// The scheme the region's annotations target (`HwKind::None` when
@@ -216,47 +218,48 @@ impl QueuePlan {
             });
         }
         let widest = match kind {
-            HwKind::Smarq => FastAliasQueue::MAX_REGS,
+            HwKind::Smarq => SMARQ_MAX_REGS,
             HwKind::Efficeon => EfficeonHw::MAX_REGS,
             HwKind::Alat | HwKind::None => 0,
         };
         let out_of_range = |value| SimError::AliasOutOfRange { kind, value };
-        let mut hw = AnyAliasHw::for_kind(kind, widest);
-        let (mut mem, mut producers, mut tags) = (Vec::new(), Vec::new(), Vec::new());
         let (mut max_reg, mut max_rotation) = (None, 0);
+        for op in emitted() {
+            match *op {
+                VliwOp::Rotate { amount } => {
+                    if amount > widest {
+                        return Err(out_of_range(amount));
+                    }
+                    max_rotation = max_rotation.max(amount);
+                }
+                VliwOp::Amov { src, dst } => max_reg = max_reg.max(Some(src.max(dst))),
+                _ => {
+                    max_reg = max_reg.max(match op.mem_access() {
+                        Some((AliasAnnot::Smarq { offset, .. }, ..)) => Some(offset),
+                        Some((AliasAnnot::Efficeon { set, .. }, ..)) => set.map(u32::from),
+                        _ => None,
+                    })
+                }
+            }
+            if let Some(reg) = max_reg.filter(|&r| r >= widest) {
+                return Err(out_of_range(reg));
+            }
+        }
+        // The smallest file the bounds contract admits: the plan is the
+        // same on every admissible file, and a smaller one scans less.
+        let num_regs = max_reg.map_or(0, |r| r + 1).max(max_rotation);
+        let mut hw = AnyAliasHw::for_kind(kind, num_regs);
+        let (mut mem, mut producers, mut tags) = (Vec::new(), Vec::new(), Vec::new());
         for op in emitted() {
             let Some((alias, is_load, tag)) = op.mem_access() else {
                 match *op {
-                    VliwOp::Rotate { amount } => {
-                        if amount > widest {
-                            return Err(out_of_range(amount));
-                        }
-                        max_rotation = max_rotation.max(amount);
-                        hw.rotate(amount);
-                    }
-                    VliwOp::Amov { src, dst } => {
-                        if src.max(dst) >= widest {
-                            return Err(out_of_range(src.max(dst)));
-                        }
-                        max_reg = max_reg.max(Some(src.max(dst)));
-                        hw.amov(src, dst);
-                    }
+                    VliwOp::Rotate { amount } => hw.rotate(amount),
+                    VliwOp::Amov { src, dst } => hw.amov(src, dst),
                     VliwOp::AlatClear { entry } => hw.alat_clear(entry),
                     _ => {}
                 }
                 continue;
             };
-            let named = match alias {
-                AliasAnnot::Smarq { offset, .. } => Some(offset),
-                AliasAnnot::Efficeon { set, .. } => set.map(u32::from),
-                AliasAnnot::AlatSet { .. } | AliasAnnot::None => None,
-            };
-            if let Some(reg) = named {
-                if reg >= widest {
-                    return Err(out_of_range(reg));
-                }
-                max_reg = max_reg.max(Some(reg));
-            }
             let ordinal = mem.len() as u32;
             let start = producers.len() as u32;
             hw.walk(alias, is_load, |_, producer| {
@@ -1309,8 +1312,9 @@ mod tests {
     /// The compiled-out hardware against the hardware it replaces, for
     /// every scheme. Random streams of annotated loads and stores plus
     /// the scheme's management ops (SMARQ rotations and AMOVs, ALAT
-    /// clears) are lowered by `compile`, which plans on the widest file,
-    /// and replayed access by access: every planned access must return
+    /// clears) are lowered by `compile`, which plans on the smallest
+    /// admissible file, and replayed access by access: every planned
+    /// access must return
     /// what `AnyAliasHw::mem_access` returns at the real width — the
     /// examined count, or the first conflicting producer. A stream ends
     /// at its first hit, as a region entry does. Each whole stream also

@@ -794,7 +794,6 @@ pub(crate) mod tests {
     /// sampling interval.
     fn run_functional(p: &Program, interval: u64) -> DynOptSystem {
         let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
-        cfg.exec_tier = ExecTier::Functional;
         cfg.tier_sample_interval = interval;
         let mut sys = DynOptSystem::new(p.clone(), cfg);
         assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
@@ -904,7 +903,6 @@ pub(crate) mod tests {
         let p = truly_aliasing_loop(300);
         let expected = reference_state(&p);
         let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
-        cfg.exec_tier = ExecTier::Functional;
         cfg.tier_sample_interval = 16;
         cfg.max_rollbacks_per_region = 0;
         let mut sys = DynOptSystem::new(p, cfg);
@@ -1079,7 +1077,6 @@ pub(crate) mod tests {
         let p = two_phase_program(500);
         let expected = reference_state(&p);
         let mut cfg = async_auto_cfg();
-        cfg.exec_tier = ExecTier::Functional;
         cfg.tier_sample_interval = 16;
         let mut sys = DynOptSystem::new(p, cfg);
         assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);

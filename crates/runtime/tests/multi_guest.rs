@@ -22,8 +22,8 @@ use smarq_guest::{
 };
 use smarq_opt::OptConfig;
 use smarq_runtime::{
-    hash_program, run_multi_interleaved, DynOptSystem, ExecTier, GuestContext, HubConfig,
-    StepExecutor, StopReason, SystemConfig, TranslationHub,
+    hash_program, run_multi_interleaved, DynOptSystem, GuestContext, HubConfig, StepExecutor,
+    StopReason, SystemConfig, TranslationHub,
 };
 use std::thread;
 
@@ -155,10 +155,9 @@ fn reference_state(p: &Program) -> ArchState {
 }
 
 /// Hub config for tests: low hot threshold so short programs translate.
-fn hub_config(workers: u32, queue_depth: u32, tier: ExecTier) -> HubConfig {
+fn hub_config(workers: u32, queue_depth: u32) -> HubConfig {
     let mut sys = SystemConfig::with_opt(OptConfig::smarq(64));
     sys.hot_threshold = 20;
-    sys.exec_tier = tier;
     let mut cfg = HubConfig::from_system(&sys);
     cfg.workers = workers;
     cfg.queue_depth = queue_depth;
@@ -190,21 +189,18 @@ fn assert_ledger_balanced(hub: &TranslationHub) {
 fn single_guest_through_hub_matches_interpreter_both_tiers() {
     let p = accumulating_loop(500);
     let expected = reference_state(&p);
-    for tier in [ExecTier::CycleSim, ExecTier::Functional] {
-        let hub = TranslationHub::new(hub_config(0, 8, tier));
-        let mut g = GuestContext::new(0, p.clone(), &hub);
-        assert_eq!(g.run_to_completion(&hub, u64::MAX), StopReason::Halted);
-        assert_eq!(g.interp().arch_state(), expected, "tier {tier:?}");
-        assert!(g.stats().regions_formed >= 1);
-        if tier == ExecTier::Functional {
-            assert!(g.stats().tier_fast_entries > 0);
-        } else {
-            assert!(g.stats().vliw_cycles > 0);
-        }
-        hub.drain();
-        assert!(hub.stats().translations_published >= 1);
-        assert_ledger_balanced(&hub);
-    }
+    let hub = TranslationHub::new(hub_config(0, 8));
+    let mut g = GuestContext::new(0, p.clone(), &hub);
+    assert_eq!(g.run_to_completion(&hub, u64::MAX), StopReason::Halted);
+    assert_eq!(g.interp().arch_state(), expected);
+    assert!(g.stats().regions_formed >= 1);
+    // Both tiers are one path: every region entry runs the functional
+    // tier, and its cycles are the timing model's.
+    assert!(g.stats().tier_fast_entries > 0);
+    assert!(g.stats().vliw_cycles > 0);
+    hub.drain();
+    assert!(hub.stats().translations_published >= 1);
+    assert_ledger_balanced(&hub);
 }
 
 #[test]
@@ -213,7 +209,7 @@ fn shared_hub_translates_each_region_exactly_once() {
     let expected = reference_state(&p);
 
     // Solo baseline: how many unique regions does one guest claim?
-    let solo_hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+    let solo_hub = TranslationHub::new(hub_config(0, 8));
     let mut solo = GuestContext::new(0, p.clone(), &solo_hub);
     solo.run_to_completion(&solo_hub, u64::MAX);
     let solo_started = solo_hub.stats().translations_started;
@@ -221,7 +217,7 @@ fn shared_hub_translates_each_region_exactly_once() {
 
     // Six guests, same program, one shared hub: the unique-region count
     // must not grow with the guest count — translate once, run anywhere.
-    let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+    let hub = TranslationHub::new(hub_config(0, 8));
     let mut guests: Vec<GuestContext> = (0..6)
         .map(|i| GuestContext::new(i, p.clone(), &hub))
         .collect();
@@ -245,7 +241,7 @@ fn shared_hub_translates_each_region_exactly_once() {
     // full translation bill itself.
     let mut private_started = 0;
     for i in 0..3 {
-        let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+        let hub = TranslationHub::new(hub_config(0, 8));
         let mut g = GuestContext::new(i, p.clone(), &hub);
         g.run_to_completion(&hub, u64::MAX);
         assert_eq!(g.interp().arch_state(), expected);
@@ -261,7 +257,7 @@ fn distinct_programs_are_keyed_separately() {
     assert_ne!(hash_program(&pa), hash_program(&pb));
     let ea = reference_state(&pa);
     let eb = reference_state(&pb);
-    let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+    let hub = TranslationHub::new(hub_config(0, 8));
     let mut guests = vec![
         GuestContext::new(0, pa.clone(), &hub),
         GuestContext::new(1, pb.clone(), &hub),
@@ -283,22 +279,20 @@ fn nan_payloads_are_keyed_separately() {
     let pa = nan_store_loop(0x7ff8_0000_0000_0001);
     let pb = nan_store_loop(0x7ff8_0000_0000_0002);
     assert_ne!(hash_program(&pa), hash_program(&pb));
-    for tier in [ExecTier::CycleSim, ExecTier::Functional] {
-        let hub = TranslationHub::new(hub_config(0, 8, tier));
-        let guests = vec![
-            GuestContext::new(0, pa.clone(), &hub),
-            GuestContext::new(1, pb.clone(), &hub),
-        ];
-        let guests = smarq_runtime::run_multi(&hub, guests, 1, u64::MAX, 64);
-        for (g, p) in guests.iter().zip([&pa, &pb]) {
-            assert!(g.stats().regions_formed >= 1, "{tier:?}: translated");
-            assert_eq!(
-                g.interp().arch_state(),
-                reference_state(p),
-                "guest {} ({tier:?})",
-                g.id()
-            );
-        }
+    let hub = TranslationHub::new(hub_config(0, 8));
+    let guests = vec![
+        GuestContext::new(0, pa.clone(), &hub),
+        GuestContext::new(1, pb.clone(), &hub),
+    ];
+    let guests = smarq_runtime::run_multi(&hub, guests, 1, u64::MAX, 64);
+    for (g, p) in guests.iter().zip([&pa, &pb]) {
+        assert!(g.stats().regions_formed >= 1, "translated");
+        assert_eq!(
+            g.interp().arch_state(),
+            reference_state(p),
+            "guest {}",
+            g.id()
+        );
     }
 }
 
@@ -306,7 +300,7 @@ fn nan_payloads_are_keyed_separately() {
 fn cross_guest_blacklist_and_invalidation() {
     let p = truly_aliasing_loop(400);
     let expected = reference_state(&p);
-    let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+    let hub = TranslationHub::new(hub_config(0, 8));
     let mut guests: Vec<GuestContext> = (0..4)
         .map(|i| GuestContext::new(i, p.clone(), &hub))
         .collect();
@@ -331,7 +325,7 @@ fn cross_guest_blacklist_and_invalidation() {
 fn interleaved_schedule_replays_from_seed() {
     let p = two_phase_program(300);
     let run = |seed: u64| {
-        let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+        let hub = TranslationHub::new(hub_config(0, 8));
         let mut guests: Vec<GuestContext> = (0..3)
             .map(|i| GuestContext::new(i, p.clone(), &hub))
             .collect();
@@ -348,9 +342,9 @@ fn interleaved_schedule_replays_from_seed() {
 // ----------------------------------------------------------- stress: hub
 
 /// Seeded interleavings of guest slices and executor compute/release
-/// steps over a manually stepped hub executor: every guest bit-exact on
-/// both tiers under every seed, the ledger balanced after a drain, and
-/// each seed replaying identically.
+/// steps over a manually stepped hub executor: every guest bit-exact
+/// under every seed, the ledger balanced after a drain, and each seed
+/// replaying identically.
 #[test]
 fn stepped_executor_interleavings_are_bit_exact_and_replay() {
     let corpus = [
@@ -359,38 +353,36 @@ fn stepped_executor_interleavings_are_bit_exact_and_replay() {
         store_shadowed_loop(300),
     ];
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
-    for tier in [ExecTier::CycleSim, ExecTier::Functional] {
-        let run = |seed: u64| {
-            let mut cfg = hub_config(0, 2, tier);
-            cfg.verify_translations = true;
-            let hub = TranslationHub::with_executor(cfg, Some(Box::new(StepExecutor::manual(2))));
-            let mut guests: Vec<GuestContext> = (0..6)
-                .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
-                .collect();
-            run_multi_interleaved(&hub, &mut guests, seed, u64::MAX);
-            hub.drain();
-            let states: Vec<ArchState> = guests.iter().map(|g| g.interp().arch_state()).collect();
-            let published: u64 = guests.iter().map(|g| g.stats().async_published).sum();
-            assert_ledger_balanced(&hub);
-            (states, hub.stats(), published)
-        };
-        let mut published = 0;
-        for i in 0..12u64 {
-            let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
-            let first = run(seed);
-            for (g, state) in first.0.iter().enumerate() {
-                assert_eq!(
-                    state,
-                    &expected[g % corpus.len()],
-                    "guest {g} seed {seed:#x} ({tier:?})"
-                );
-            }
-            assert_eq!(first.1.verify_errors, 0);
-            assert_eq!(run(seed), first, "seed {seed:#x} must replay ({tier:?})");
-            published += first.2;
+    let run = |seed: u64| {
+        let mut cfg = hub_config(0, 2);
+        cfg.verify_translations = true;
+        let hub = TranslationHub::with_executor(cfg, Some(Box::new(StepExecutor::manual(2))));
+        let mut guests: Vec<GuestContext> = (0..6)
+            .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
+            .collect();
+        run_multi_interleaved(&hub, &mut guests, seed, u64::MAX);
+        hub.drain();
+        let states: Vec<ArchState> = guests.iter().map(|g| g.interp().arch_state()).collect();
+        let published: u64 = guests.iter().map(|g| g.stats().async_published).sum();
+        assert_ledger_balanced(&hub);
+        (states, hub.stats(), published)
+    };
+    let mut published = 0;
+    for i in 0..12u64 {
+        let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1);
+        let first = run(seed);
+        for (g, state) in first.0.iter().enumerate() {
+            assert_eq!(
+                state,
+                &expected[g % corpus.len()],
+                "guest {g} seed {seed:#x}"
+            );
         }
-        assert!(published > 0, "{tier:?}: no schedule ever published");
+        assert_eq!(first.1.verify_errors, 0);
+        assert_eq!(run(seed), first, "seed {seed:#x} must replay");
+        published += first.2;
     }
+    assert!(published > 0, "no schedule ever published");
 }
 
 #[test]
@@ -406,59 +398,57 @@ fn multiguest_threaded_stress_bit_exact_and_ledger() {
     ];
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
     for depth in [1u32, 8] {
-        for tier in [ExecTier::CycleSim, ExecTier::Functional] {
-            let mut cfg = hub_config(2, depth, tier);
-            cfg.verify_translations = true;
-            cfg.tier_sample_interval = 1;
-            let hub = TranslationHub::new(cfg);
-            let guests: Vec<GuestContext> = (0..8)
-                .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
-                .collect();
-            let guests = smarq_runtime::run_multi(&hub, guests, 4, u64::MAX, 256);
-            hub.drain();
-            for (i, g) in guests.iter().enumerate() {
-                assert!(g.halted(), "guest {i} halted (depth {depth}, {tier:?})");
-                assert_eq!(
-                    g.interp().arch_state(),
-                    expected[i % corpus.len()],
-                    "guest {i} state (depth {depth}, {tier:?})"
-                );
-                let st = g.stats();
-                assert_eq!(
-                    (st.verify_errors, st.chain_errors, st.tier_sample_mismatches),
-                    (0, 0, 0),
-                    "guest {i} findings (depth {depth}, {tier:?})"
-                );
-            }
-            // The three clean programs contribute 4 unique hot regions
-            // (1 + 2 + 1); the aliasing one adds 1. Exactly-once: even
-            // with 2 guests per program and real racing, each unique key
-            // is claimed at most once. At depth 1 the bounded queue can
-            // reject a claim (rolled back, `queue_full` counts it) and a
-            // short guest may halt before retrying, so the count is an
-            // upper bound there; at depth 8 five jobs never overflow the
-            // queue and the count is exact.
-            let s = hub.stats();
-            assert_eq!(s.verify_errors, 0, "{s:?}");
-            assert!(
-                s.translations_started <= 5,
-                "no unique region is ever claimed twice (depth {depth}, {tier:?}): {s:?}"
+        let mut cfg = hub_config(2, depth);
+        cfg.verify_translations = true;
+        cfg.tier_sample_interval = 1;
+        let hub = TranslationHub::new(cfg);
+        let guests: Vec<GuestContext> = (0..8)
+            .map(|i| GuestContext::new(i, corpus[i % corpus.len()].clone(), &hub))
+            .collect();
+        let guests = smarq_runtime::run_multi(&hub, guests, 4, u64::MAX, 256);
+        hub.drain();
+        for (i, g) in guests.iter().enumerate() {
+            assert!(g.halted(), "guest {i} halted (depth {depth})");
+            assert_eq!(
+                g.interp().arch_state(),
+                expected[i % corpus.len()],
+                "guest {i} state (depth {depth})"
             );
-            if depth >= 8 {
-                assert_eq!(
-                    s.translations_started, 5,
-                    "each unique region claimed exactly once (depth {depth}, {tier:?}): {s:?}"
-                );
-            }
-            assert_ledger_balanced(&hub);
+            let st = g.stats();
+            assert_eq!(
+                (st.verify_errors, st.chain_errors, st.tier_sample_mismatches),
+                (0, 0, 0),
+                "guest {i} findings (depth {depth})"
+            );
         }
+        // The three clean programs contribute 4 unique hot regions
+        // (1 + 2 + 1); the aliasing one adds 1. Exactly-once: even
+        // with 2 guests per program and real racing, each unique key
+        // is claimed at most once. At depth 1 the bounded queue can
+        // reject a claim (rolled back, `queue_full` counts it) and a
+        // short guest may halt before retrying, so the count is an
+        // upper bound there; at depth 8 five jobs never overflow the
+        // queue and the count is exact.
+        let s = hub.stats();
+        assert_eq!(s.verify_errors, 0, "{s:?}");
+        assert!(
+            s.translations_started <= 5,
+            "no unique region is ever claimed twice (depth {depth}): {s:?}"
+        );
+        if depth >= 8 {
+            assert_eq!(
+                s.translations_started, 5,
+                "each unique region claimed exactly once (depth {depth}): {s:?}"
+            );
+        }
+        assert_ledger_balanced(&hub);
     }
 }
 
 #[test]
 fn multiguest_budgeted_runs_stop_and_resume() {
     let p = accumulating_loop(1_000_000);
-    let hub = TranslationHub::new(hub_config(0, 8, ExecTier::CycleSim));
+    let hub = TranslationHub::new(hub_config(0, 8));
     let guests: Vec<GuestContext> = (0..3)
         .map(|i| GuestContext::new(i, p.clone(), &hub))
         .collect();

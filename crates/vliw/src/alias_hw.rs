@@ -1,6 +1,7 @@
 //! The four alias-detection hardware models compared by the paper
-//! (Table 1 and §2): the SMARQ ordered register queue ([`FastAliasQueue`],
-//! one occupancy word for the paper's 64 registers), a
+//! (Table 1 and §2): the SMARQ ordered register queue (the one model
+//! [`smarq::queue::AliasQueue`], which the allocation validator also
+//! replays, here holding each entry's access range and tag), a
 //! Transmeta-Efficeon-style bit-mask file, an Itanium-ALAT-style table, and
 //! no hardware at all.
 //!
@@ -12,10 +13,13 @@
 //! keeps only each check's producer list. Both tiers enforce one bounds
 //! contract per scheme, with one panic message.
 
-use crate::fast::FastAliasQueue;
 use crate::isa::{AliasAnnot, MemRange};
-use smarq::queue::QueueOverflow;
+use smarq::queue::{AliasQueue, QueueOverflow};
 use std::fmt;
+
+/// The largest SMARQ register file: the paper's machine has 64 alias
+/// registers (§6, Table 2).
+pub const SMARQ_MAX_REGS: u32 = 64;
 
 /// The bounds contract of the register-file schemes: every SMARQ offset
 /// or AMOV operand and every Efficeon set index a translated region
@@ -34,6 +38,13 @@ pub(crate) fn contract_violation(kind: HwKind, offset: u32, num_regs: u32) -> ! 
         "{hw} contract violated: {}",
         QueueOverflow { offset, num_regs }
     )
+}
+
+/// The value of a SMARQ queue operation, or the bounds-contract panic
+/// when it names a register (or a rotation) past the file.
+#[inline]
+fn smarq_contract<T>(result: Result<T, QueueOverflow>) -> T {
+    result.unwrap_or_else(|e| contract_violation(HwKind::Smarq, e.offset, e.num_regs))
 }
 
 /// Enforces the bounds contract of a `kind` file of `num_regs` registers
@@ -99,7 +110,7 @@ impl HwKind {
         match self {
             HwKind::Smarq => {
                 assert!(
-                    num_regs <= FastAliasQueue::MAX_REGS,
+                    num_regs <= SMARQ_MAX_REGS,
                     "SMARQ alias files hold at most 64 registers, got {num_regs}"
                 );
                 num_regs.max(1)
@@ -293,8 +304,9 @@ impl AlatHw {
 /// rollback both invalidate the detection state).
 #[derive(Clone, Debug)]
 pub enum AnyAliasHw {
-    /// SMARQ ordered queue on one occupancy word.
-    Smarq(FastAliasQueue),
+    /// SMARQ ordered queue; each entry holds its producer's access range
+    /// and tag.
+    Smarq(AliasQueue<(MemRange, u32)>),
     /// Efficeon bit-mask file.
     Efficeon(EfficeonHw),
     /// Itanium-like ALAT.
@@ -310,12 +322,11 @@ impl AnyAliasHw {
     /// the Efficeon file; the ALAT grows on demand.
     ///
     /// # Panics
-    /// Panics for a SMARQ file of more than [`FastAliasQueue::MAX_REGS`]
-    /// registers.
+    /// Panics for a SMARQ file of more than [`SMARQ_MAX_REGS`] registers.
     pub fn for_kind(kind: HwKind, num_regs: u32) -> Self {
         let n = kind.file_regs(num_regs);
         match kind {
-            HwKind::Smarq => AnyAliasHw::Smarq(FastAliasQueue::new(n)),
+            HwKind::Smarq => AnyAliasHw::Smarq(AliasQueue::new(n)),
             HwKind::Efficeon => AnyAliasHw::Efficeon(EfficeonHw::new(n)),
             HwKind::Alat => AnyAliasHw::Alat(AlatHw::new()),
             HwKind::None => AnyAliasHw::None,
@@ -328,12 +339,16 @@ impl AnyAliasHw {
     /// one for which `hit(range, tag)` holds. The producers are the SMARQ
     /// window from a `C` bit's offset, the registers of an Efficeon mask,
     /// or every valid ALAT entry for a store; an access without a check
-    /// visits none. A SMARQ offset must lie inside the file.
+    /// visits none.
+    ///
+    /// # Panics
+    /// Panics when a SMARQ check offset is outside the file (the bounds
+    /// contract).
     pub fn walk(
         &self,
         annot: AliasAnnot,
         is_load: bool,
-        hit: impl FnMut(MemRange, u32) -> bool,
+        mut hit: impl FnMut(MemRange, u32) -> bool,
     ) -> Option<u32> {
         match (self, annot) {
             (
@@ -341,7 +356,9 @@ impl AnyAliasHw {
                 AliasAnnot::Smarq {
                     c: true, offset, ..
                 },
-            ) => q.walk_window(offset, is_load, hit),
+            ) => smarq_contract(q.check(offset, is_load, |_| true))
+                .find(|(_, e)| hit(e.payload.0, e.payload.1))
+                .map(|(_, e)| e.payload.1),
             (AnyAliasHw::Efficeon(h), AliasAnnot::Efficeon { check_mask, .. }) => {
                 h.walk(check_mask, hit)
             }
@@ -371,7 +388,7 @@ impl AnyAliasHw {
         tag: u32,
     ) -> Result<u32, AliasViolation> {
         match self {
-            AnyAliasHw::Smarq(q) => q.access(annot, range, is_load, tag),
+            AnyAliasHw::Smarq(q) => smarq_access(q, annot, range, is_load, tag),
             AnyAliasHw::Efficeon(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::Alat(h) => h.mem_access(annot, range, is_load, tag),
             AnyAliasHw::None => {
@@ -391,7 +408,7 @@ impl AnyAliasHw {
     #[inline]
     pub fn rotate(&mut self, amount: u32) {
         if let AnyAliasHw::Smarq(q) = self {
-            q.rotate(amount);
+            smarq_contract(q.rotate(amount));
         }
     }
 
@@ -402,7 +419,7 @@ impl AnyAliasHw {
     #[inline]
     pub fn amov(&mut self, src: u32, dst: u32) {
         if let AnyAliasHw::Smarq(q) = self {
-            q.amov(src, dst);
+            smarq_contract(q.amov(src, dst));
         }
     }
 
@@ -424,6 +441,47 @@ impl AnyAliasHw {
             AnyAliasHw::None => {}
         }
     }
+}
+
+/// One SMARQ memory access. The `C` check runs before the `P` set, so an
+/// op never aliases with itself; a hit raises an [`AliasViolation`]
+/// naming the first conflicting producer, otherwise the result is the
+/// number of valid entries the check examined (the `entries_scanned`
+/// energy proxy). The offset is bounds-checked even when the access only
+/// sets. Non-SMARQ annotations are ignored.
+#[inline]
+fn smarq_access(
+    q: &mut AliasQueue<(MemRange, u32)>,
+    annot: AliasAnnot,
+    range: MemRange,
+    is_load: bool,
+    tag: u32,
+) -> Result<u32, AliasViolation> {
+    let AliasAnnot::Smarq { p, c, offset } = annot else {
+        debug_assert!(
+            matches!(annot, AliasAnnot::None),
+            "SMARQ hardware received a foreign annotation: {annot:?}"
+        );
+        return Ok(0);
+    };
+    if offset >= q.num_regs() {
+        contract_violation(HwKind::Smarq, offset, q.num_regs());
+    }
+    let mut examined = 0;
+    if c {
+        let mut scan = smarq_contract(q.check(offset, is_load, |&(r, _)| r.overlaps(range)));
+        if let Some((_, e)) = scan.next() {
+            return Err(AliasViolation {
+                checker_tag: tag,
+                producer_tag: e.payload.1,
+            });
+        }
+        examined = scan.examined();
+    }
+    if p {
+        smarq_contract(q.set(offset, (range, tag), is_load));
+    }
+    Ok(examined)
 }
 
 #[cfg(test)]
@@ -524,6 +582,40 @@ mod tests {
             3,
         )
         .unwrap();
+
+        // The full file: every register set, then one rotation of the
+        // whole file leaves nothing valid.
+        let mut hw = AnyAliasHw::for_kind(HwKind::Smarq, SMARQ_MAX_REGS);
+        let smarq = |p, c, offset| AliasAnnot::Smarq { p, c, offset };
+        for off in 0..SMARQ_MAX_REGS {
+            hw.mem_access(smarq(true, false, off), rng(0x100), false, off)
+                .unwrap();
+        }
+        assert_eq!(
+            hw.mem_access(smarq(false, true, 0), rng(0x200), false, 100),
+            Ok(SMARQ_MAX_REGS)
+        );
+        let err = hw
+            .mem_access(smarq(false, true, 0), rng(0x100), false, 101)
+            .unwrap_err();
+        assert_eq!(err.producer_tag, 0);
+        hw.rotate(SMARQ_MAX_REGS);
+        assert_eq!(
+            hw.mem_access(smarq(false, true, 0), rng(0x100), false, 102),
+            Ok(0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn over_long_rotation_panics() {
+        AnyAliasHw::for_kind(HwKind::Smarq, 4).rotate(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "SMARQ queue contract violated")]
+    fn out_of_range_amov_panics() {
+        AnyAliasHw::for_kind(HwKind::Smarq, 4).amov(0, 4);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   EXPERIMENTS.md);
 //! * the four alias-detection hardware models of the paper's comparison
 //!   (Table 1), as the variants of [`AnyAliasHw`]: the SMARQ ordered
-//!   queue ([`FastAliasQueue`], one occupancy word for the paper's 64
-//!   registers), a Transmeta-Efficeon-style bit-mask file
-//!   ([`EfficeonHw`]), an Itanium-ALAT-style table with false positives
-//!   ([`AlatHw`]), and no hardware. Each states its check rule once, as
+//!   queue (the one model `smarq::queue::AliasQueue`, up to the paper's
+//!   [`SMARQ_MAX_REGS`] = 64 registers), a Transmeta-Efficeon-style
+//!   bit-mask file ([`EfficeonHw`]), an Itanium-ALAT-style table with
+//!   false positives ([`AlatHw`]), and no hardware. Each states its check rule once, as
 //!   the walk [`AnyAliasHw::walk`] dispatches to: the cycle simulator runs
 //!   the models, and the functional tier's lowering replays them once per
 //!   region to compile them out;
@@ -39,8 +39,10 @@ mod machine;
 mod parse;
 mod sim;
 
-pub use alias_hw::{enforce_alias_bounds, AlatHw, AliasViolation, AnyAliasHw, EfficeonHw, HwKind};
-pub use fast::FastAliasQueue;
+pub use alias_hw::{
+    enforce_alias_bounds, AlatHw, AliasViolation, AnyAliasHw, EfficeonHw, HwKind, SMARQ_MAX_REGS,
+};
+pub use fast::FastState;
 pub use isa::{AliasAnnot, Bundle, CondExit, ExitTarget, MemRange, SlotClass, VliwOp, VliwProgram};
 pub use machine::MachineConfig;
 pub use parse::parse_vliw;
@@ -48,7 +50,3 @@ pub use sim::{
     entry_stamps, EntryStamp, RegionOutcome, RegionStats, RegionWriteMask, SimError, Simulator,
     VliwState,
 };
-
-/// The functional tier's former name for [`VliwState`], kept so callers
-/// written against it still build.
-pub type FastState = VliwState;

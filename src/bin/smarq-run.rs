@@ -40,7 +40,7 @@
 //! bounds the job queue.
 //!
 //! `--regs N` sizes the SMARQ alias register file, from 1 to
-//! [`MAX_ALIAS_REGS`], the paper's machine. Every size flag is bounded
+//! [`SMARQ_MAX_REGS`], the paper's machine. Every size flag is bounded
 //! (`--guests` by [`MAX_GUESTS`], `--threads` and `--translate-workers`
 //! by [`MAX_HOST_THREADS`], `--translate-queue` by
 //! [`MAX_TRANSLATE_QUEUE`]); a value out of range exits with status 2.
@@ -55,19 +55,18 @@
 //! guests, plus the hub's publish ledger when several guests share one)
 //! and exit with status 1 when verification found an error.
 
+use smarq_fuzz::outln;
 use smarq_opt::OptConfig;
 use smarq_runtime::{
     run_multi, DynOptSystem, GuestContext, HubConfig, HubStats, SystemConfig, SystemStats,
     TranslationHub, DEFAULT_SLICE_STEPS,
 };
+use smarq_vliw::SMARQ_MAX_REGS;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-/// Largest `--regs` value accepted: the paper's machine has 64 alias
-/// registers, and the SMARQ queue is one 64-bit occupancy word.
-const MAX_ALIAS_REGS: u32 = 64;
 /// Largest `--guests` value accepted (each guest owns an interpreter and
 /// its guest memory).
 const MAX_GUESTS: usize = 1024;
@@ -154,7 +153,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         };
         match a.as_str() {
             "--hw" => args.hw = value("--hw")?,
-            "--regs" => args.regs = bounded("--regs", value("--regs")?, 1..=MAX_ALIAS_REGS)?,
+            "--regs" => args.regs = bounded("--regs", value("--regs")?, 1..=SMARQ_MAX_REGS)?,
             "--unroll" => {
                 args.unroll = value("--unroll")?.parse().map_err(|_| usage())?;
             }
@@ -228,10 +227,10 @@ fn report(
     hub: Option<&HubStats>,
 ) -> ExitCode {
     let sum = |f: fn(&SystemStats) -> u64| guests.iter().map(|s| f(s)).sum::<u64>();
-    println!("hardware:            {}", args.hw);
-    println!("guest instructions:  {}", sum(SystemStats::guest_instrs));
-    println!("simulated cycles:    {}", sum(SystemStats::total_cycles));
-    println!(
+    outln!("hardware:            {}", args.hw);
+    outln!("guest instructions:  {}", sum(SystemStats::guest_instrs));
+    outln!("simulated cycles:    {}", sum(SystemStats::total_cycles));
+    outln!(
         "regions:             {} formed, {} entries, {} rollbacks, {} re-translations",
         sum(|s| s.regions_formed as u64),
         sum(|s| s.region_entries),
@@ -245,12 +244,12 @@ fn report(
         ..SystemStats::default()
     }
     .optimization_overhead();
-    println!(
+    outln!(
         "optimization:        {:.4}% of execution time",
         overhead * 100.0
     );
     if sum(|s| s.tier_samples) > 0 {
-        println!(
+        outln!(
             "functional tier:     {} fast entries, {} rollbacks, {} samples ({} mismatches, {} sampled cycles)",
             sum(|s| s.tier_fast_entries),
             sum(|s| s.rollbacks),
@@ -260,7 +259,7 @@ fn report(
         );
     }
     if async_on {
-        println!(
+        outln!(
             "async translation:   {} enqueued, {} published, {} conflicts, {} stale entries, \
              {} stall cycles avoided",
             sum(|s| s.async_enqueued),
@@ -271,7 +270,7 @@ fn report(
         );
     }
     if let Some(hs) = hub {
-        println!(
+        outln!(
             "shared hub:          {} translations, {} re-translations, {} cache hits, \
              {} single-flight waits, {} rollbacks, {} abandoned",
             hs.translations_started,
@@ -281,22 +280,25 @@ fn report(
             hs.rollbacks,
             hs.abandoned
         );
-        println!(
+        outln!(
             "publish ledger:      {} published + {} conflicts, {} keys live, epoch {}",
-            hs.translations_published, hs.publish_conflicts, hs.published_keys, hs.epoch
+            hs.translations_published,
+            hs.publish_conflicts,
+            hs.published_keys,
+            hs.epoch
         );
     }
     let verify_errors = sum(|s| s.verify_errors as u64);
     let chain_errors = sum(|s| s.chain_errors as u64);
     let verified = sum(|s| s.regions_verified as u64);
     if verified > 0 || verify_errors > 0 || chain_errors > 0 {
-        println!(
+        outln!(
             "verification:        {verified} region(s) statically verified, {verify_errors} \
              error(s), {} chain check(s) with {chain_errors} error(s)",
             sum(|s| s.chain_checks)
         );
         for d in guests.iter().flat_map(|s| &s.verify_diagnostics) {
-            println!("  {d}");
+            outln!("  {d}");
         }
     }
     if let Some(r) = guests
@@ -304,9 +306,12 @@ fn report(
         .flat_map(|s| &s.per_region)
         .max_by_key(|r| r.entries)
     {
-        println!(
+        outln!(
             "hot region:          {} memops, working set {}, {} checks, {} antis",
-            r.opt.mem_ops, r.opt.working_set, r.opt.checks, r.opt.antis
+            r.opt.mem_ops,
+            r.opt.working_set,
+            r.opt.checks,
+            r.opt.antis
         );
     }
     if verify_errors > 0 || chain_errors > 0 {
@@ -330,7 +335,7 @@ fn compare(program: &smarq_guest::Program, budget: u64, states: &[smarq_guest::A
         eprintln!("state check:         guest {i} MISMATCH vs pure interpretation");
         return false;
     }
-    println!(
+    outln!(
         "state check:         {} guest(s) bit-exact vs pure interpretation",
         states.len()
     );
@@ -352,7 +357,7 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
     guests[0].drain(&hub);
     let halted = guests.iter().filter(|g| g.halted()).count();
     let instrs: u64 = guests.iter().map(|g| g.stats().guest_instrs()).sum();
-    println!(
+    outln!(
         "multi-guest:         {} guests on {} threads, {}/{} halted, {:.3}s wall \
          ({:.2}M guest instructions/s)",
         args.guests,
@@ -459,7 +464,7 @@ fn main() -> ExitCode {
                 &smarq_vliw::MachineConfig::default(),
                 sys.blacklist(),
             );
-            println!("\ntranslated hot region:\n{}", o.vliw);
+            outln!("\ntranslated hot region:\n{}", o.vliw);
         }
     }
 

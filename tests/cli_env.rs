@@ -92,3 +92,37 @@ fn lint_exit_status_separates_malformed_arguments_from_findings() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error-severity finding"), "{stderr}");
 }
+
+/// A reader that has gone (as in `smarq-run ... | head -1`) drops the
+/// output instead of panicking: with stdout already closed, each command
+/// exits with the status it returns on an open stdout. The `smarq` half
+/// lives in `crates/fuzz/tests`.
+#[test]
+fn closed_stdout_keeps_the_exit_status_without_panicking() {
+    for (args, status) in [
+        (&["examples/hoist_loop.s"][..], 0),
+        (&["lint", "--list"], 0),
+        (&["lint", "examples/hoist_loop.s"], 0),
+        (
+            &[
+                "lint",
+                "examples/hoist_loop.s",
+                "--deny",
+                "chain-unreachable-check",
+            ],
+            1,
+        ),
+        (&["lint", "tests/corpus", "--bogus"], 2),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn smarq-run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(status), "{args:?}: {stderr}");
+    }
+}
