@@ -96,7 +96,7 @@ pub fn fig17(ev: &Evaluation) -> String {
         let mem = reg.opt.scheduled_mem_ops.max(1) as f64;
         let p = reg.opt.p_ops as f64 / mem;
         let ws = f64::from(reg.opt.working_set) / mem;
-        let lb = f64::from(reg.opt.lower_bound) / mem;
+        let lb = f64::from(r.hot_lower_bound(EvalConfig::Smarq64).unwrap_or(0)) / mem;
         sp += p;
         ss += ws;
         sl += lb;
@@ -445,16 +445,7 @@ mod tests {
         // Two benchmarks are enough to exercise the formatting paths.
         let rows = ["art", "swim"]
             .iter()
-            .map(|name| {
-                let w = smarq_workloads::by_name(name).unwrap();
-                BenchmarkRow {
-                    name: w.name,
-                    stats: EvalConfig::ALL
-                        .iter()
-                        .map(|&c| crate::run_workload(&w, c))
-                        .collect(),
-                }
-            })
+            .map(|name| BenchmarkRow::run(&smarq_workloads::by_name(name).unwrap()))
             .collect();
         Evaluation { rows }
     }

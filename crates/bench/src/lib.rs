@@ -74,9 +74,35 @@ impl EvalConfig {
 
 /// Runs one workload to completion under one configuration.
 pub fn run_workload(w: &Workload, config: EvalConfig) -> SystemStats {
+    run_system(w, config).stats().clone()
+}
+
+fn run_system(w: &Workload, config: EvalConfig) -> DynOptSystem {
     let mut sys = DynOptSystem::new(w.program.clone(), SystemConfig::with_opt(config.opt()));
     sys.run_to_completion(u64::MAX);
-    sys.stats().clone()
+    sys
+}
+
+/// Index of the hottest region (most entries; the last on a tie).
+fn hot_index(stats: &SystemStats) -> Option<usize> {
+    stats
+        .per_region
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, r)| r.entries)
+        .map(|(i, _)| i)
+}
+
+/// One evaluation cell: the run's stats, and the Figure 17 live-range
+/// lower bound of its hottest region, re-derived after the run so no
+/// translation pays for it (`None` without regions or when the hottest
+/// region ran stale).
+fn run_cell(w: &Workload, config: EvalConfig) -> (SystemStats, Option<u32>) {
+    let sys = run_system(w, config);
+    let lower_bound = hot_index(sys.stats())
+        .and_then(|i| sys.region_trace(i))
+        .map(|t| t.lower_bound());
+    (sys.stats().clone(), lower_bound)
 }
 
 /// One benchmark's results across all configurations.
@@ -86,9 +112,22 @@ pub struct BenchmarkRow {
     pub name: &'static str,
     /// Stats per configuration, indexed like [`EvalConfig::ALL`].
     pub stats: Vec<SystemStats>,
+    /// Per configuration, the live-range lower bound on the hottest
+    /// region's working set (see [`BenchmarkRow::hot_region`]).
+    pub hot_lower_bound: Vec<Option<u32>>,
 }
 
 impl BenchmarkRow {
+    /// Runs `w` under every configuration, serially.
+    pub fn run(w: &Workload) -> Self {
+        let (stats, hot_lower_bound) = EvalConfig::ALL.iter().map(|&c| run_cell(w, c)).unzip();
+        BenchmarkRow {
+            name: w.name,
+            stats,
+            hot_lower_bound,
+        }
+    }
+
     /// Stats for one configuration.
     pub fn get(&self, c: EvalConfig) -> &SystemStats {
         let i = EvalConfig::ALL.iter().position(|&x| x == c).unwrap();
@@ -102,7 +141,15 @@ impl BenchmarkRow {
 
     /// The record of the hottest region (most entries) under `c`.
     pub fn hot_region(&self, c: EvalConfig) -> Option<&smarq_runtime::RegionRecord> {
-        self.get(c).per_region.iter().max_by_key(|r| r.entries)
+        let stats = self.get(c);
+        hot_index(stats).map(|i| &stats.per_region[i])
+    }
+
+    /// The live-range lower bound on the working set of
+    /// [`BenchmarkRow::hot_region`] under `c`.
+    pub fn hot_lower_bound(&self, c: EvalConfig) -> Option<u32> {
+        let i = EvalConfig::ALL.iter().position(|&x| x == c).unwrap();
+        self.hot_lower_bound[i]
     }
 }
 
@@ -135,7 +182,8 @@ impl Evaluation {
         // Work-stealing over a flat cell index: long-running workloads do
         // not serialize behind each other the way a per-row split would.
         let next = AtomicUsize::new(0);
-        let cells: Vec<Mutex<Option<SystemStats>>> = (0..total).map(|_| Mutex::new(None)).collect();
+        type Cell = Mutex<Option<(SystemStats, Option<u32>)>>;
+        let cells: Vec<Cell> = (0..total).map(|_| Mutex::new(None)).collect();
         let workers = threads.clamp(1, total.max(1));
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -144,8 +192,8 @@ impl Evaluation {
                     if i >= total {
                         break;
                     }
-                    let stats = run_workload(&workloads[i / n_cfg], EvalConfig::ALL[i % n_cfg]);
-                    *cells[i].lock().expect("no panics while holding lock") = Some(stats);
+                    let cell = run_cell(&workloads[i / n_cfg], EvalConfig::ALL[i % n_cfg]);
+                    *cells[i].lock().expect("no panics while holding lock") = Some(cell);
                 });
             }
         });
@@ -154,9 +202,13 @@ impl Evaluation {
             .map(|m| m.into_inner().unwrap().expect("every cell computed"));
         let rows = workloads
             .iter()
-            .map(|w| BenchmarkRow {
-                name: w.name,
-                stats: (0..n_cfg).map(|_| it.next().unwrap()).collect(),
+            .map(|w| {
+                let (stats, hot_lower_bound) = (0..n_cfg).map(|_| it.next().unwrap()).unzip();
+                BenchmarkRow {
+                    name: w.name,
+                    stats,
+                    hot_lower_bound,
+                }
             })
             .collect();
         Evaluation { rows }
@@ -216,15 +268,12 @@ mod tests {
     #[test]
     fn benchmark_row_accessors() {
         let w = smarq_workloads::by_name("art").unwrap();
-        let row = BenchmarkRow {
-            name: w.name,
-            stats: EvalConfig::ALL
-                .iter()
-                .map(|&c| run_workload(&w, c))
-                .collect(),
-        };
+        let row = BenchmarkRow::run(&w);
         assert!(row.speedup(EvalConfig::Smarq64) >= 1.0);
-        assert!(row.hot_region(EvalConfig::Smarq64).is_some());
+        let hot = row.hot_region(EvalConfig::Smarq64).unwrap();
+        let lb = row.hot_lower_bound(EvalConfig::Smarq64).unwrap();
+        assert!(lb <= hot.opt.working_set);
+        assert_eq!(row.hot_lower_bound(EvalConfig::Baseline), Some(0));
         assert!((row.speedup(EvalConfig::Baseline) - 1.0).abs() < 1e-12);
     }
 }

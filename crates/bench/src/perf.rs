@@ -209,9 +209,9 @@ fn compare_executors(
     }
 }
 
-/// [`compare_executors`] on the register-only dispatch kernel: the
-/// per-op cost of the scoreboard and issue modeling against the timing
-/// table.
+/// The cycle simulator against the timed fast tier, entry for entry, on
+/// the register-only dispatch kernel: the per-op cost of the scoreboard
+/// and issue modeling against the timing table.
 pub fn compare_exec_tier() -> Comparison {
     compare_executors(
         "exec_tier",
@@ -221,7 +221,7 @@ pub fn compare_exec_tier() -> Comparison {
     )
 }
 
-/// [`compare_executors`] on the load/store hot loop: adds the per-memory-op
+/// [`compare_exec_tier`] on the load/store hot loop: adds the per-memory-op
 /// cost difference (compiled-out queue check + direct memory access vs
 /// the cycle simulator's alias hardware and modeled memory pipeline).
 pub fn compare_exec_tier_mem() -> Comparison {
@@ -272,7 +272,7 @@ fn many_loops_kernel(loops: usize, iters: i64) -> Program {
 /// loop only enqueues a snapshot and later links in the finished region;
 /// its entire critical-path cost is `async_stall_ns`). Both numbers are
 /// reported per translation actually produced, as the median (with
-/// min/max) over [`ASYNC_SAMPLES`] end-to-end runs each of the same
+/// min/max) over five end-to-end runs each of the same
 /// translation-heavy multi-loop kernel.
 ///
 /// This is not a closure-timing microbench: the system's own monotonic

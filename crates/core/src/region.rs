@@ -55,9 +55,11 @@ pub struct MemOp {
     /// An opaque location class used by the *default* may-alias relation:
     /// two operations with the same class are assumed to **must** alias,
     /// different classes to **not** alias, unless overridden with
-    /// [`RegionSpec::set_may_alias`]. Front ends that run a real alias
-    /// analysis typically give every op a distinct class and set explicit
-    /// pairs.
+    /// [`RegionSpec::set_may_alias`]. A front end that runs a real alias
+    /// analysis can give every op the same class and record only its
+    /// disjoint pairs as `false` overrides (the optimizer's
+    /// `smarq_ir::build_region_spec` does), which keeps the override map
+    /// as small as the analysis's no-alias answers.
     pub loc_class: u32,
 }
 
@@ -323,14 +325,22 @@ impl<'a> SealedRegion<'a> {
         }
 
         // Default relation: within-bucket pairs alias. Cost is
-        // Σ|bucket|² — output-sensitive, not n², when classes are spread.
+        // Σ|bucket|² — output-sensitive, not n², when classes are spread;
+        // one class covering every op sets every bit a word at a time.
         let pairs = n * n.saturating_sub(1) / 2;
         let mut alias_bits = vec![0u64; pairs.div_ceil(64)];
-        for bucket in &buckets {
-            for (k, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[k + 1..] {
-                    let idx = Self::pair_index(n, i, j);
-                    alias_bits[idx >> 6] |= 1u64 << (idx & 63);
+        if buckets.len() == 1 {
+            alias_bits.fill(u64::MAX);
+            if !pairs.is_multiple_of(64) {
+                *alias_bits.last_mut().expect("pairs > 0") = (1u64 << (pairs % 64)) - 1;
+            }
+        } else {
+            for bucket in &buckets {
+                for (k, &i) in bucket.iter().enumerate() {
+                    for &j in &bucket[k + 1..] {
+                        let idx = Self::pair_index(n, i, j);
+                        alias_bits[idx >> 6] |= 1u64 << (idx & 63);
+                    }
                 }
             }
         }

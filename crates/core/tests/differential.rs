@@ -4,7 +4,9 @@
 //!
 //! * [`DepGraph::compute`] (sealed-region bit-matrix, output-sensitive)
 //!   vs [`DepGraph::compute_naive`] (all-pairs reference).
-//! * [`SealedRegion`] probes vs [`RegionSpec`] HashMap lookups.
+//! * [`SealedRegion`] probes vs [`RegionSpec`] HashMap lookups, on
+//!   spread location classes and on the single-class, sparse-override
+//!   regions the optimizer emits.
 //! * [`Allocator::with_scratch`] buffer reuse vs fresh allocators.
 //!
 //! Scenarios come from the in-repo seeded [`Prng`]; each failure prints
@@ -105,6 +107,84 @@ fn sealed_region_matches_spec_probes() {
                 region.is_eliminated(a),
                 "elim bit diverges for {a:?}, seed {seed}"
             );
+            for (b, _) in region.iter() {
+                assert_eq!(
+                    sealed.may_alias(a, b),
+                    region.may_alias(a, b),
+                    "may_alias({a:?}, {b:?}) diverges for seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+/// A region in the shape the optimizer emits: every op in one location
+/// class, the analysis's disjoint pairs recorded sparsely as `false`
+/// overrides, some ops unspeculatable, and random valid eliminations.
+fn sparse_region(rng: &mut Prng, max_ops: usize) -> RegionSpec {
+    let n = rng.range_usize(1, max_ops + 1);
+    let mut region = RegionSpec::new();
+    let ids: Vec<MemOpId> = (0..n)
+        .map(|_| {
+            let kind = if rng.chance(1, 2) {
+                MemKind::Store
+            } else {
+                MemKind::Load
+            };
+            region.push(kind, 0)
+        })
+        .collect();
+    let disjoint = u64::from(rng.range_u32(0, 4));
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.chance(disjoint, 4) {
+                region.set_may_alias(ids[i], ids[j], false);
+            }
+        }
+        if rng.chance(1, 12) {
+            region.set_nospec(ids[i]);
+        }
+    }
+    let mut eliminated = vec![false; n];
+    for zi in 1..n {
+        if rng.chance(1, 6) && !eliminated[zi] && region.op(ids[zi]).kind.is_load() {
+            let xi = rng.range_usize(0, zi);
+            if !eliminated[xi] {
+                region.add_load_elim(ids[xi], ids[zi]);
+                eliminated[zi] = true;
+            }
+        }
+    }
+    for xi in 0..n.saturating_sub(1) {
+        let zi = rng.range_usize(xi + 1, n);
+        if rng.chance(1, 8)
+            && !eliminated[xi]
+            && !eliminated[zi]
+            && region.op(ids[xi]).kind.is_store()
+            && region.op(ids[zi]).kind.is_store()
+        {
+            region.add_store_elim(ids[xi], ids[zi]);
+            eliminated[xi] = true;
+        }
+    }
+    region
+}
+
+#[test]
+fn single_class_sparse_regions_match_naive_and_spec_probes() {
+    for case in 0..CASES {
+        let seed = 0x50_000 + case;
+        // Up to 70 ops: past the optimizer's 50 and across several words
+        // of the sealed bit matrix.
+        let region = sparse_region(&mut Prng::new(seed), 70);
+        let fast: Vec<Dep> = DepGraph::compute(&region).iter().collect();
+        let naive: Vec<Dep> = DepGraph::compute_naive(&region).iter().collect();
+        assert_eq!(fast, naive, "dep graphs diverge for seed {seed}");
+        let sealed = region.sealed();
+        assert_eq!(sealed.class_buckets().len(), 1, "one class, one bucket");
+        assert!(sealed.overrides().iter().all(|&(_, _, may)| !may));
+        for (a, _) in region.iter() {
+            assert_eq!(sealed.is_eliminated(a), region.is_eliminated(a));
             for (b, _) in region.iter() {
                 assert_eq!(
                     sealed.may_alias(a, b),

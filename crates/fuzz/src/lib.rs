@@ -2,7 +2,7 @@
 //!
 //! Adversarial, self-shrinking correctness tooling: a seeded structured
 //! generator ([`gen`]) drives layered differential oracles ([`oracle`]),
-//! failures are delta-debugged to near-minimal programs ([`minimize`])
+//! failures are delta-debugged to near-minimal programs ([`mod@minimize`])
 //! and captured as replayable corpus entries ([`corpus`]) that the
 //! workspace replays forever as regression tests.
 //!

@@ -38,8 +38,13 @@ impl RegionMap {
 }
 
 /// Builds the [`RegionSpec`] for a superblock from the alias analysis:
-/// every memory operation in original order, with explicit pairwise
-/// may-alias facts (`May`/`Must` → may alias, `No` → no alias).
+/// every memory operation in original order, and the pairwise may-alias
+/// facts (`May`/`Must` → may alias, `No` → no alias).
+///
+/// The relation is stored sparsely: every op shares one `loc_class`, so
+/// by default every pair may alias, and only the analysis's disjoint
+/// (`No`) pairs are recorded, as `false` overrides. A region of n memory
+/// ops with d disjoint pairs costs d map entries instead of n(n−1)/2.
 ///
 /// Eliminations are recorded by the optimizer afterwards via
 /// [`RegionSpec::add_load_elim`]/[`RegionSpec::add_store_elim`].
@@ -56,16 +61,15 @@ pub fn build_region_spec(sb: &Superblock, analysis: &AliasAnalysis) -> (RegionSp
         } else {
             MemKind::Load
         };
-        // Distinct loc classes; aliasing is set explicitly below.
-        let id = spec.push(kind, op_index.len() as u32);
+        let id = spec.push(kind, 0);
         mem_id[i] = Some(id);
         op_index.push(i);
     }
     for a in 0..op_index.len() {
         for b in (a + 1)..op_index.len() {
-            let rel = analysis.relation(op_index[a], op_index[b]);
-            let may = rel != AliasRel::No;
-            spec.set_may_alias(MemOpId::new(a), MemOpId::new(b), may);
+            if analysis.relation(op_index[a], op_index[b]) == AliasRel::No {
+                spec.set_may_alias(MemOpId::new(a), MemOpId::new(b), false);
+            }
         }
     }
     (spec, RegionMap { op_index, mem_id })
@@ -129,6 +133,9 @@ mod tests {
                                          // Same base, disjoint disps: no alias. Different base: may.
         assert!(!spec.may_alias(MemOpId::new(0), MemOpId::new(1)));
         assert!(spec.may_alias(MemOpId::new(0), MemOpId::new(2)));
+        // Sparse: one class, and only the disjoint pair is recorded.
+        assert_eq!(spec.sealed().class_buckets().len(), 1);
+        assert_eq!(spec.sealed().overrides(), &[(0, 1, false)]);
         assert_eq!(spec.op(MemOpId::new(2)).kind, MemKind::Store);
         // Dependences follow: no dep between disambiguated pair.
         let deps = DepGraph::compute(&spec);

@@ -6,14 +6,19 @@
 //! carries that knowledge across re-translations: blacklisted pairs are
 //! never speculated on again.
 
+use smarq::hash::FastSet;
 use smarq_ir::OpOrigin;
-use std::collections::HashSet;
 
 /// A set of guest memory-operation pairs known to alias at runtime.
+///
+/// Probed on every translation, so both sets hash with the unkeyed
+/// [`smarq::hash::FastHasher`] rather than SipHash.
 #[derive(Clone, Debug, Default)]
 pub struct AliasBlacklist {
-    pairs: HashSet<(OpOrigin, OpOrigin)>,
-    members: HashSet<OpOrigin>,
+    pairs: FastSet<(OpOrigin, OpOrigin)>,
+    /// Every op that appears in some pair: `contains(a, b)` implies
+    /// `involves(a)` and `involves(b)`.
+    members: FastSet<OpOrigin>,
 }
 
 impl AliasBlacklist {

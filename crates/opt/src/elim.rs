@@ -19,7 +19,6 @@ use crate::blacklist::AliasBlacklist;
 use crate::config::OptConfig;
 use smarq::RegionSpec;
 use smarq_ir::{AliasAnalysis, AliasRel, IrOp, RegionMap, Superblock};
-use std::collections::{HashMap, HashSet};
 
 /// The outcome of the elimination pass.
 #[derive(Clone, Debug)]
@@ -77,11 +76,11 @@ pub fn run_eliminations(
     let redefined_fp =
         |reg: u8, lo: usize, hi: usize| sb.ops[lo + 1..hi].iter().any(|o| o.fp_def() == Some(reg));
 
-    // l -> (ultimate source op index, value register, is_fp).
-    let mut fwd: HashMap<usize, usize> = HashMap::new();
-    // Stores that must keep executing because a speculative load elimination
-    // relies on their alias register.
-    let mut pinned: HashSet<usize> = HashSet::new();
+    // Per op index: the ultimate forwarding source of an eliminated load.
+    let mut fwd: Vec<Option<usize>> = vec![None; n];
+    // Per op index: a store that must keep executing because a speculative
+    // load elimination relies on its alias register.
+    let mut pinned: Vec<bool> = vec![false; n];
 
     // ---- Load elimination (backward scan per load) ----
     for l in 0..n {
@@ -116,11 +115,11 @@ pub fn run_eliminations(
                             // A previously eliminated load resolves to its
                             // own ultimate source: the alias checks must
                             // guard the *original* window.
-                            let src = fwd.get(&j).copied().unwrap_or(j);
+                            let src = fwd[j].unwrap_or(j);
                             found = Some((src, rd));
                         }
                         IrOp::FLd { fd, .. } if l_fp && !redefined_fp(fd, j, l) => {
-                            let src = fwd.get(&j).copied().unwrap_or(j);
+                            let src = fwd[j].unwrap_or(j);
                             found = Some((src, fd));
                         }
                         _ => {} // cross-file must-alias: blocker
@@ -178,7 +177,7 @@ pub fn run_eliminations(
                 ra: value_reg,
             }
         });
-        fwd.insert(l, src);
+        fwd[l] = Some(src);
         spec.add_load_elim(
             map.mem_id(src).expect("source is a memory op"),
             map.mem_id(l).expect("load is a memory op"),
@@ -186,7 +185,7 @@ pub fn run_eliminations(
         if speculative {
             out.spec_load_elims += 1;
             if sb.ops[src].is_store() {
-                pinned.insert(src);
+                pinned[src] = true;
             }
         } else {
             out.nonspec_elims += 1;
@@ -195,7 +194,7 @@ pub fn run_eliminations(
 
     // ---- Store elimination (forward scan per store) ----
     for i in 0..n {
-        if !sb.ops[i].is_store() || pinned.contains(&i) || out.removed[i] {
+        if !sb.ops[i].is_store() || pinned[i] || out.removed[i] {
             continue;
         }
         let mut overwriter: Option<usize> = None;
@@ -265,7 +264,7 @@ pub fn run_eliminations(
             }
         }
         out.removed[i] = true;
-        pinned.insert(z); // the overwriter must not be eliminated in turn
+        pinned[z] = true; // the overwriter must not be eliminated in turn
         spec.add_store_elim(
             map.mem_id(i).expect("store is a memory op"),
             map.mem_id(z).expect("overwriter is a memory op"),

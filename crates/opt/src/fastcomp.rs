@@ -262,19 +262,20 @@ impl QueuePlan {
             };
             let ordinal = mem.len() as u32;
             let start = producers.len() as u32;
-            hw.walk(alias, is_load, |_, producer| {
-                producers.push(Producer {
-                    ordinal: producer,
-                    tag: tags[producer as usize],
-                });
-                false
-            });
-            // Every op records a word of its own, so no check hits and
-            // the replay follows the no-alias path.
+            // One access per op: the check collects every producer it
+            // compares against and never hits, so the replay follows the
+            // no-alias path, counts the examined entries and records the
+            // op (under a word of its own, tagged with its ordinal).
             let word = MemRange::word(u64::from(ordinal) * 8);
             let examined = hw
-                .mem_access(alias, word, is_load, ordinal)
-                .expect("distinct producer words never overlap");
+                .access_with(alias, word, is_load, ordinal, |_, producer| {
+                    producers.push(Producer {
+                        ordinal: producer,
+                        tag: tags[producer as usize],
+                    });
+                    false
+                })
+                .expect("a check that never hits raises no violation");
             mem.push(MemPlan {
                 start,
                 end: producers.len() as u32,

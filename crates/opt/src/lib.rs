@@ -41,6 +41,12 @@ use smarq_vliw::{MachineConfig, VliwProgram};
 
 /// Aggregate optimization statistics for one region (feeding the paper's
 /// Figures 14, 17 and 19).
+///
+/// Only what the translation computes anyway is recorded here. Figure 17's
+/// live-range lower bound on the working set re-derives the region's whole
+/// constraint graph, so it is not: [`OptTrace::lower_bound`] computes it
+/// on demand, and a runtime that kept no trace re-derives one off the
+/// translation path (`smarq_runtime::DynOptSystem::region_trace`).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct OptStats {
     /// IR operations in the region (before elimination).
@@ -65,8 +71,6 @@ pub struct OptStats {
     pub p_ops: usize,
     /// Alias register working set (max offset + 1).
     pub working_set: u32,
-    /// Live-range lower bound on the working set.
-    pub lower_bound: u32,
     /// Scheduled memory operations (after elimination).
     pub scheduled_mem_ops: usize,
     /// Times the scheduler retried with less speculation after a register
@@ -109,6 +113,19 @@ pub struct OptTrace {
     /// Lets external analyzers relate allocation-level findings back to
     /// the IR (e.g. to re-derive address ranges for scheduled mem ops).
     pub mem_origin: Vec<usize>,
+}
+
+impl OptTrace {
+    /// The live-range lower bound on the alias register working set of
+    /// this schedule (Figure 17; see [`smarq::live_range_lower_bound`]),
+    /// or 0 without an allocation. Computed on demand: it re-derives the
+    /// region's constraint graph, which no translation needs.
+    pub fn lower_bound(&self) -> u32 {
+        match self.allocation {
+            Some(_) => smarq::live_range_lower_bound(&self.spec, &self.deps, &self.mem_schedule),
+            None => 0,
+        }
+    }
 }
 
 /// Optimizes one superblock for the configured hardware.
@@ -234,8 +251,19 @@ fn try_optimize(
         elim::run_eliminations(sb, &analysis, &mut spec, &map, config, blacklist, &taint);
     elim::dce(sb, &mut elims);
     let deps = DepGraph::compute(&spec);
+    // The drop-deps fault models an allocator that misses a dependence the
+    // scheduler speculated past, so the scheduler keeps the whole graph.
+    let unfaulted;
+    let dag_deps = if smarq::fault::drop_plain_deps_enabled() {
+        unfaulted = DepGraph::compute_naive(&spec);
+        &unfaulted
+    } else {
+        &deps
+    };
     let work = dag::build_work_list(sb, &elims);
-    let graph = dag::build_dag(sb, &analysis, &work, config, machine, blacklist, &taint);
+    let graph = dag::build_dag(
+        sb, &analysis, &work, dag_deps, &map, config, machine, blacklist, &taint,
+    );
     let sched_start = std::time::Instant::now();
     // On overflow the scratch is dropped inside the allocator; leave the
     // caller's slot holding a fresh (empty) one.
@@ -299,7 +327,6 @@ fn try_optimize(
         stats.amov_moves = s.amov_moves;
         stats.p_ops = s.p_ops;
         stats.working_set = alloc.working_set();
-        stats.lower_bound = smarq::live_range_lower_bound(&spec, &deps, &mem_sched);
     }
 
     // Memory-op tags are MemOpId indices; map them back to guest origins.

@@ -251,6 +251,8 @@ mod tests {
             &sb,
             &analysis,
             &work,
+            &deps,
+            &map,
             config,
             &MachineConfig::default(),
             &AliasBlacklist::new(),

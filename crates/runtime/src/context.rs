@@ -26,7 +26,7 @@ use smarq::{AllocScratch, Diagnostic};
 use smarq_guest::{BlockId, Interpreter, Memory, Program};
 use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
-use smarq_opt::AliasBlacklist;
+use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace};
 use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
 use smarq_vliw::{AliasViolation, AnyAliasHw, RegionOutcome, RegionStats, Simulator, VliwState};
 use std::sync::Arc;
@@ -142,6 +142,31 @@ impl GuestContext {
     /// [`SystemStats::per_region`]).
     pub fn formed_superblocks(&self) -> impl Iterator<Item = &Superblock> + '_ {
         self.regions.iter().map(|r| &r.shared.code.sb)
+    }
+
+    /// Re-derives the optimizer trace of region `i` (indexed like
+    /// [`SystemStats::per_region`]) by optimizing its superblock again,
+    /// under the hub's configuration, the blacklist it was translated
+    /// against and the entry state it assumed. Translation keeps no trace
+    /// unless verify-on-emit is on, so what only a trace answers, such as
+    /// Figure 17's [`OptTrace::lower_bound`], is computed here, off the
+    /// translation path. `None` when `i` is out of range or the region is
+    /// stale (the blacklist grew after its last translation, so a
+    /// re-optimization would not reproduce it).
+    pub fn region_trace(&self, i: usize) -> Option<OptTrace> {
+        let code = &self.regions.get(i)?.shared.code;
+        if code.blacklist_gen != self.blacklist.0 {
+            return None;
+        }
+        let (_, trace) = optimize_superblock_traced_ranged(
+            &code.sb,
+            &self.cfg.opt,
+            &self.cfg.machine,
+            &self.blacklist.1,
+            &mut AllocScratch::new(),
+            code.assumed_entry.as_ref(),
+        );
+        Some(trace)
     }
 
     /// Runs the whole-chain static analyzer over every installed region

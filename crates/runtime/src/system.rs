@@ -9,7 +9,7 @@ use crate::translate_service::{StepExecutor, ThreadedExecutor, TranslationExecut
 use smarq::range::NospecRanges;
 use smarq_guest::{BlockId, Interpreter, Program};
 use smarq_ir::{FormationParams, Superblock};
-use smarq_opt::{AliasBlacklist, OptConfig};
+use smarq_opt::{AliasBlacklist, OptConfig, OptTrace};
 use smarq_verify::ChainReport;
 use smarq_vliw::MachineConfig;
 
@@ -236,6 +236,12 @@ impl DynOptSystem {
     /// block in formation order (see [`GuestContext::formed_superblocks`]).
     pub fn formed_superblocks(&self) -> impl Iterator<Item = &Superblock> + '_ {
         self.ctx.formed_superblocks()
+    }
+
+    /// Region `i`'s optimizer trace, re-derived on demand (see
+    /// [`GuestContext::region_trace`]).
+    pub fn region_trace(&self, i: usize) -> Option<OptTrace> {
+        self.ctx.region_trace(i)
     }
 
     /// The whole-chain static analysis of the formed regions (see

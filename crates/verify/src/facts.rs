@@ -69,7 +69,17 @@ impl RegionFacts {
             c_req: vec![false; n],
             pos: vec![None; n],
         };
-        let live = |i: usize| !region.is_eliminated(MemOpId::new(i));
+        // Survivors and unspeculatable ops, read once off the spec's
+        // records rather than probed per pair.
+        let mut survives = vec![true; n];
+        for le in region.load_elims() {
+            survives[le.eliminated.index()] = false;
+        }
+        for se in region.store_elims() {
+            survives[se.eliminated.index()] = false;
+        }
+        let live = |i: usize| survives[i];
+        let nospec: Vec<bool> = (0..n).map(|i| region.is_nospec(MemOpId::new(i))).collect();
 
         // DEPENDENCE: all-pairs walk, original order.
         for i in 0..n {
@@ -83,7 +93,7 @@ impl RegionFacts {
                 let (x, y) = (MemOpId::new(i), MemOpId::new(j));
                 let a_store = region.op(x).kind.is_store();
                 let b_store = region.op(y).kind.is_store();
-                let ordered = region.may_alias(x, y) || region.is_nospec(x) || region.is_nospec(y);
+                let ordered = region.may_alias(x, y) || nospec[i] || nospec[j];
                 if (a_store || b_store) && ordered {
                     f.dep[i * n + j] = true;
                 }

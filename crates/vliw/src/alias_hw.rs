@@ -7,10 +7,11 @@
 //!
 //! [`AnyAliasHw`] is the one type the cycle simulator runs: each model
 //! states its check rule once, as a walk over the producers the check
-//! compares against, in scan order ([`AnyAliasHw::walk`]), and its
-//! `mem_access` runs that walk. The functional tier
-//! (`smarq_opt::fastcomp`) replays the same models once per region and
-//! keeps only each check's producer list. Both tiers enforce one bounds
+//! compares against, in scan order, and one access runs that walk with a
+//! hit test ([`AnyAliasHw::access_with`]; `mem_access` tests for
+//! overlap). The functional tier (`smarq_opt::fastcomp`) replays the same
+//! accesses once per region, with a test that never hits, and keeps only
+//! each check's producer list and examined count. Both tiers enforce one bounds
 //! contract per scheme, with one panic message.
 
 use crate::isa::{AliasAnnot, MemRange};
@@ -176,8 +177,27 @@ impl EfficeonHw {
         &mut self,
         annot: AliasAnnot,
         range: MemRange,
+        is_load: bool,
+        tag: u32,
+    ) -> Result<u32, AliasViolation> {
+        self.access_with(annot, range, is_load, tag, |r, _| r.overlaps(range))
+    }
+
+    /// [`EfficeonHw::mem_access`] with the check's hit test supplied (see
+    /// [`AnyAliasHw::access_with`]).
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when `hit` holds for a checked register.
+    ///
+    /// # Panics
+    /// As [`EfficeonHw::mem_access`].
+    pub fn access_with(
+        &mut self,
+        annot: AliasAnnot,
+        range: MemRange,
         _is_load: bool,
         tag: u32,
+        mut hit: impl FnMut(MemRange, u32) -> bool,
     ) -> Result<u32, AliasViolation> {
         let AliasAnnot::Efficeon { set, check_mask } = annot else {
             debug_assert!(matches!(annot, AliasAnnot::None));
@@ -186,9 +206,9 @@ impl EfficeonHw {
         let num_regs = self.regs.len() as u32;
         enforce_alias_bounds(HwKind::Efficeon, num_regs, set.map(u32::from), 0);
         let mut examined = 0;
-        let hit = self.walk(check_mask, |r, _| {
+        let hit = self.walk(check_mask, |r, t| {
             examined += 1;
-            r.overlaps(range)
+            hit(r, t)
         });
         if let Some(producer) = hit {
             return Err(AliasViolation {
@@ -260,10 +280,26 @@ impl AlatHw {
         is_load: bool,
         tag: u32,
     ) -> Result<u32, AliasViolation> {
+        self.access_with(annot, range, is_load, tag, |r, _| r.overlaps(range))
+    }
+
+    /// [`AlatHw::mem_access`] with the check's hit test supplied (see
+    /// [`AnyAliasHw::access_with`]).
+    ///
+    /// # Errors
+    /// [`AliasViolation`] when `hit` holds for a checked entry.
+    pub fn access_with(
+        &mut self,
+        annot: AliasAnnot,
+        range: MemRange,
+        is_load: bool,
+        tag: u32,
+        mut hit: impl FnMut(MemRange, u32) -> bool,
+    ) -> Result<u32, AliasViolation> {
         let mut examined = 0;
-        let hit = self.walk(is_load, |r, _| {
+        let hit = self.walk(is_load, |r, t| {
             examined += 1;
-            r.overlaps(range)
+            hit(r, t)
         });
         if let Some(producer) = hit {
             return Err(AliasViolation {
@@ -333,40 +369,6 @@ impl AnyAliasHw {
         }
     }
 
-    /// The check walk of one memory access with annotation `annot`:
-    /// visits the producers the access's check compares against, in the
-    /// order the hardware scans them, and returns the tag of the first
-    /// one for which `hit(range, tag)` holds. The producers are the SMARQ
-    /// window from a `C` bit's offset, the registers of an Efficeon mask,
-    /// or every valid ALAT entry for a store; an access without a check
-    /// visits none.
-    ///
-    /// # Panics
-    /// Panics when a SMARQ check offset is outside the file (the bounds
-    /// contract).
-    pub fn walk(
-        &self,
-        annot: AliasAnnot,
-        is_load: bool,
-        mut hit: impl FnMut(MemRange, u32) -> bool,
-    ) -> Option<u32> {
-        match (self, annot) {
-            (
-                AnyAliasHw::Smarq(q),
-                AliasAnnot::Smarq {
-                    c: true, offset, ..
-                },
-            ) => smarq_contract(q.check(offset, is_load, |_| true))
-                .find(|(_, e)| hit(e.payload.0, e.payload.1))
-                .map(|(_, e)| e.payload.1),
-            (AnyAliasHw::Efficeon(h), AliasAnnot::Efficeon { check_mask, .. }) => {
-                h.walk(check_mask, hit)
-            }
-            (AnyAliasHw::Alat(h), _) => h.walk(is_load, hit),
-            _ => None,
-        }
-    }
-
     /// Processes one memory access, returning the number of alias entries
     /// the hardware had to examine (an energy proxy — paper §2.4 points
     /// out that unnecessary detections cost energy).
@@ -387,10 +389,39 @@ impl AnyAliasHw {
         is_load: bool,
         tag: u32,
     ) -> Result<u32, AliasViolation> {
+        self.access_with(annot, range, is_load, tag, |r, _| r.overlaps(range))
+    }
+
+    /// [`AnyAliasHw::mem_access`] with the check's hit test supplied:
+    /// `hit(range, tag)` is asked of each producer the access's check
+    /// compares against, in the order the hardware scans them, until one
+    /// holds. The producers are the SMARQ window from a `C` bit's offset
+    /// (load-set entries skipped for a load), the registers of an Efficeon
+    /// mask, or every valid ALAT entry for a store; an access without a
+    /// check asks none. The access then records `range` as usual.
+    ///
+    /// A test that never holds visits every producer, so one call yields
+    /// an op's producer list, its examined count and its recording: the
+    /// fast-tier planner replays the hardware this way.
+    ///
+    /// # Errors
+    /// [`AliasViolation`] naming the first producer `hit` holds for.
+    ///
+    /// # Panics
+    /// As [`AnyAliasHw::mem_access`].
+    #[inline]
+    pub fn access_with(
+        &mut self,
+        annot: AliasAnnot,
+        range: MemRange,
+        is_load: bool,
+        tag: u32,
+        hit: impl FnMut(MemRange, u32) -> bool,
+    ) -> Result<u32, AliasViolation> {
         match self {
-            AnyAliasHw::Smarq(q) => smarq_access(q, annot, range, is_load, tag),
-            AnyAliasHw::Efficeon(h) => h.mem_access(annot, range, is_load, tag),
-            AnyAliasHw::Alat(h) => h.mem_access(annot, range, is_load, tag),
+            AnyAliasHw::Smarq(q) => smarq_access(q, annot, range, is_load, tag, hit),
+            AnyAliasHw::Efficeon(h) => h.access_with(annot, range, is_load, tag, hit),
+            AnyAliasHw::Alat(h) => h.access_with(annot, range, is_load, tag, hit),
             AnyAliasHw::None => {
                 debug_assert!(
                     matches!(annot, AliasAnnot::None),
@@ -444,11 +475,11 @@ impl AnyAliasHw {
 }
 
 /// One SMARQ memory access. The `C` check runs before the `P` set, so an
-/// op never aliases with itself; a hit raises an [`AliasViolation`]
-/// naming the first conflicting producer, otherwise the result is the
-/// number of valid entries the check examined (the `entries_scanned`
-/// energy proxy). The offset is bounds-checked even when the access only
-/// sets. Non-SMARQ annotations are ignored.
+/// op never aliases with itself; the first producer `hit` holds for
+/// raises an [`AliasViolation`], otherwise the result is the number of
+/// valid entries the check examined (the `entries_scanned` energy proxy).
+/// The offset is bounds-checked even when the access only sets.
+/// Non-SMARQ annotations are ignored.
 #[inline]
 fn smarq_access(
     q: &mut AliasQueue<(MemRange, u32)>,
@@ -456,6 +487,7 @@ fn smarq_access(
     range: MemRange,
     is_load: bool,
     tag: u32,
+    mut hit: impl FnMut(MemRange, u32) -> bool,
 ) -> Result<u32, AliasViolation> {
     let AliasAnnot::Smarq { p, c, offset } = annot else {
         debug_assert!(
@@ -469,7 +501,7 @@ fn smarq_access(
     }
     let mut examined = 0;
     if c {
-        let mut scan = smarq_contract(q.check(offset, is_load, |&(r, _)| r.overlaps(range)));
+        let mut scan = smarq_contract(q.check(offset, is_load, |&(r, t)| hit(r, t)));
         if let Some((_, e)) = scan.next() {
             return Err(AliasViolation {
                 checker_tag: tag,

@@ -3,7 +3,7 @@
 //! The functional tier has no alias hardware and no state of its own:
 //! its lowering (`smarq_opt::fastcomp`) replays the region's hardware
 //! once at translation time, reading each check's ordered producer list
-//! off [`AnyAliasHw::walk`](crate::AnyAliasHw::walk), so its hot loop
+//! off [`AnyAliasHw::access_with`](crate::AnyAliasHw::access_with), so its hot loop
 //! only compares addresses, and it runs over the cycle simulator's
 //! [`VliwState`].
 

@@ -16,7 +16,7 @@
 //!   [`SMARQ_MAX_REGS`] = 64 registers), a Transmeta-Efficeon-style
 //!   bit-mask file ([`EfficeonHw`]), an Itanium-ALAT-style table with
 //!   false positives ([`AlatHw`]), and no hardware. Each states its check rule once, as
-//!   the walk [`AnyAliasHw::walk`] dispatches to: the cycle simulator runs
+//!   the walk [`AnyAliasHw::access_with`] dispatches to: the cycle simulator runs
 //!   the models, and the functional tier's lowering replays them once per
 //!   region to compile them out;
 //! * [`VliwState`], the one atomic-region state both execution tiers run

@@ -53,6 +53,8 @@ fn main() {
         &sb,
         &analysis,
         &work,
+        &deps,
+        &map,
         &config,
         &machine,
         &AliasBlacklist::new(),

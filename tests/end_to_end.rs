@@ -163,9 +163,16 @@ fn working_set_statistics_are_consistent() {
         SystemConfig::with_opt(OptConfig::smarq(64)),
     );
     sys.run_to_completion(u64::MAX);
-    for r in &sys.stats().per_region {
+    for (i, r) in sys.stats().per_region.iter().enumerate() {
         assert!(r.opt.working_set <= 64);
-        assert!(r.opt.lower_bound <= r.opt.working_set);
+        // The lower bound is re-derived on demand from the region's trace,
+        // which reproduces the installed translation.
+        let trace = sys
+            .region_trace(i)
+            .expect("no rollbacks, so no stale region");
+        let alloc = trace.allocation.as_ref().expect("SMARQ allocates");
+        assert_eq!(alloc.working_set(), r.opt.working_set);
+        assert!(trace.lower_bound() <= r.opt.working_set);
         assert!(r.opt.p_ops <= r.opt.scheduled_mem_ops);
         // order = base + offset holds inside the allocator; here just
         // sanity-check the counters.
