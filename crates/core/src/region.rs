@@ -191,6 +191,16 @@ impl RegionSpec {
         }
     }
 
+    /// The explicit overrides recorded by [`RegionSpec::set_may_alias`],
+    /// one `(lo, hi, may)` per overridden pair with `lo < hi`, in no
+    /// particular order. Every pair not listed takes the `loc_class`
+    /// default.
+    pub fn may_alias_overrides(&self) -> impl Iterator<Item = (MemOpId, MemOpId, bool)> + '_ {
+        self.overrides
+            .iter()
+            .map(|(&(lo, hi), &may)| (MemOpId(lo), MemOpId(hi), may))
+    }
+
     /// Records a speculative load elimination (see [`LoadElim`]).
     ///
     /// # Panics

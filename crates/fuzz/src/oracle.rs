@@ -474,15 +474,20 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         // link-time incremental checks already ran during execution; here
         // the full cross-region fixpoint is re-proven in one pass.
         if sys.stats().chain_errors != 0 {
-            // `verify_diagnostics` mixes emission and chain findings; pick
-            // the first one carrying a chain-layer code.
+            // `verify_diagnostics` mixes emission and chain findings, and
+            // warnings with errors; pick the first chain-layer error.
             let detail = sys
                 .stats()
                 .verify_diagnostics
                 .iter()
-                .find(|j| j.contains("\"chain-") || j.contains("\"nospec-speculation\""))
-                .cloned()
-                .unwrap_or_else(|| "link-time chain check failed".to_string());
+                .find(|d| {
+                    d.severity == smarq::Severity::Error
+                        && (d.code.starts_with("chain-") || d.code == "nospec-speculation")
+                })
+                .map_or_else(
+                    || "link-time chain check failed".to_string(),
+                    |d| d.to_json(),
+                );
             return Err(Divergence::ChainVerify {
                 scheme: label,
                 detail,

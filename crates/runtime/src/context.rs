@@ -64,6 +64,10 @@ pub struct GuestContext {
     /// Whole-program value-range analysis; `None` unless nospec ranges or
     /// verify-on-emit need it.
     dataflow: Option<ProgramDataflow>,
+    /// The never-faulted analysis that seeds the chain checks, computed
+    /// only when `dataflow` ran under the `SMARQ_FAULT_WIDEN_RANGE`
+    /// mutation (otherwise `dataflow` is that analysis).
+    reference: Option<ProgramDataflow>,
     /// The hub's blacklist as of the last stop, with its generation.
     blacklist: (u64, Arc<AliasBlacklist>),
     scratch: AllocScratch,
@@ -88,6 +92,8 @@ impl GuestContext {
         let program_hash = crate::hub::hash_program(&program);
         let dataflow = (!cfg.opt.nospec.is_empty() || cfg.verify_translations)
             .then(|| smarq_verify::analyze(&program));
+        let reference = (cfg.verify_translations && smarq::fault::widen_range_enabled())
+            .then(|| smarq_verify::analyze_reference(&program));
         GuestContext {
             id,
             program: Arc::new(program),
@@ -104,6 +110,7 @@ impl GuestContext {
             cache: vec![NO_REGION; num_blocks],
             regions: Vec::new(),
             dataflow,
+            reference,
             blacklist: hub.blacklist(),
             scratch: AllocScratch::new(),
             stats: SystemStats::default(),
@@ -176,8 +183,19 @@ impl GuestContext {
         let views: Vec<ChainRegionView<'_>> = (0..self.regions.len())
             .filter_map(|i| self.chain_view(i))
             .collect();
-        (!views.is_empty())
-            .then(|| smarq_verify::analyze_chain(&self.program, &views, &self.cfg.opt.nospec))
+        (!views.is_empty()).then(|| self.analyze_views(&views))
+    }
+
+    /// The chain analysis of `views`, seeded from this program's
+    /// never-faulted dataflow (every view implies verify-on-emit, which
+    /// computes it).
+    fn analyze_views(&self, views: &[ChainRegionView<'_>]) -> ChainReport {
+        let reference = self
+            .reference
+            .as_ref()
+            .or(self.dataflow.as_ref())
+            .expect("verify-on-emit computes the program dataflow");
+        smarq_verify::analyze_chain_seeded(reference, views, &self.cfg.opt.nospec)
     }
 
     fn chain_view(&self, i: usize) -> Option<ChainRegionView<'_>> {
@@ -186,6 +204,7 @@ impl GuestContext {
             region_id: i,
             sb: &code.sb,
             trace: code.trace.as_ref()?,
+            facts: code.facts.as_ref()?,
             vliw: &code.vliw,
             write_mask: code.write_mask,
             assumed_entry: code.assumed_entry,
@@ -391,18 +410,12 @@ impl GuestContext {
     fn fold_verify(&mut self, diags: Option<Vec<Diagnostic>>) {
         if let Some(diags) = diags {
             self.stats.regions_verified += 1;
-            for d in &diags {
+            for d in diags {
                 if d.severity == smarq::Severity::Error {
                     self.stats.verify_errors += 1;
                 }
-                self.keep_diagnostic(d);
+                self.stats.keep_diagnostic(d);
             }
-        }
-    }
-
-    fn keep_diagnostic(&mut self, d: &Diagnostic) {
-        if self.stats.verify_diagnostics.len() < SystemStats::VERIFY_DIAGNOSTIC_CAP {
-            self.stats.verify_diagnostics.push(d.to_json());
         }
     }
 
@@ -656,13 +669,13 @@ impl GuestContext {
         else {
             return;
         };
-        let report = smarq_verify::analyze_chain(&self.program, &views, &self.cfg.opt.nospec);
+        let report = self.analyze_views(&views);
         self.stats.chain_checks += 1;
-        for d in &report.diagnostics {
+        for d in report.diagnostics {
             if d.severity == smarq::Severity::Error {
                 self.stats.chain_errors += 1;
             }
-            self.keep_diagnostic(d);
+            self.stats.keep_diagnostic(d);
         }
     }
 
@@ -684,5 +697,85 @@ impl GuestContext {
             self.submitted_since(hub, shared.key, s, t0);
         }
         self.interp.step_block(&self.program, entry)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SystemConfig;
+    use smarq::NospecRanges;
+    use smarq_verify::RegionFacts;
+
+    /// The 14 stand-ins and the regression corpus.
+    fn programs() -> Vec<(String, Program)> {
+        let mut out: Vec<(String, Program)> = smarq_workloads::WORKLOAD_NAMES
+            .iter()
+            .map(|&n| {
+                let w = smarq_workloads::scaled(n, 300).expect("stand-in exists");
+                (n.to_string(), w.program)
+            })
+            .collect();
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("corpus directory")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "s"))
+            .collect();
+        paths.sort();
+        assert!(paths.len() >= 3, "corpus too small");
+        for path in paths {
+            let src = std::fs::read_to_string(&path).expect("corpus file");
+            let program = smarq_guest::parse_program(&src).expect("corpus parses");
+            out.push((path.display().to_string(), program));
+        }
+        out
+    }
+
+    /// Every region keeps the facts verify-on-emit derived for its trace,
+    /// and the chain analysis that reads them, seeded from the context's
+    /// one reference dataflow, reports exactly what the unseeded analyzer
+    /// reports over freshly derived facts: same findings, same order.
+    #[test]
+    fn retained_facts_and_seeded_chain_analysis_match_fresh_derivations() {
+        let nospec = NospecRanges::parse("0x1000..0x1040").expect("range parses");
+        let mut regions = 0;
+        for (name, program) in programs() {
+            for ranges in [NospecRanges::none(), nospec.clone()] {
+                let mut cfg = SystemConfig {
+                    hot_threshold: 10,
+                    verify_translations: true,
+                    ..SystemConfig::default()
+                };
+                cfg.nospec_ranges = ranges;
+                let hub = TranslationHub::with_executor(HubConfig::from_system(&cfg), None);
+                let mut ctx = GuestContext::new(0, program.clone(), &hub);
+                ctx.run_to_completion(&hub, 2_000_000);
+                let views: Vec<ChainRegionView<'_>> = (0..ctx.regions.len())
+                    .map(|i| ctx.chain_view(i).expect("verify-on-emit keeps facts"))
+                    .collect();
+                let fresh: Vec<RegionFacts> = views
+                    .iter()
+                    .map(|v| RegionFacts::derive(&v.trace.spec, &v.trace.mem_schedule))
+                    .collect();
+                for (v, f) in views.iter().zip(&fresh) {
+                    assert_eq!(v.facts, f, "{name}: region {}", v.region_id);
+                    regions += 1;
+                }
+                let fresh_views: Vec<ChainRegionView<'_>> = views
+                    .iter()
+                    .zip(&fresh)
+                    .map(|(v, f)| ChainRegionView { facts: f, ..*v })
+                    .collect();
+                let Some(seeded) = ctx.analyze_chain() else {
+                    continue;
+                };
+                let fresh =
+                    smarq_verify::analyze_chain(&ctx.program, &fresh_views, &cfg.nospec_ranges);
+                assert_eq!(seeded.diagnostics, fresh.diagnostics, "{name}");
+                assert_eq!(seeded.entry_states, fresh.entry_states, "{name}");
+            }
+        }
+        assert!(regions > 20, "only {regions} regions formed");
     }
 }

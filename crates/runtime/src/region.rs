@@ -12,6 +12,7 @@ use smarq_guest::BlockId;
 use smarq_ir::{IrOp, OpOrigin, Superblock};
 use smarq_opt::fastcomp::FastProgram;
 use smarq_opt::{OptStats, OptTrace};
+use smarq_verify::RegionFacts;
 use smarq_vliw::{RegionWriteMask, VliwProgram};
 
 /// Flat-cache sentinels (values below [`ABANDONED`] are region slots):
@@ -78,8 +79,11 @@ pub(crate) struct RegionCode {
     /// Optimization statistics at emit time (per-region records).
     pub opt_stats: OptStats,
     /// The optimizer's trace, retained under verify-on-emit only — the
-    /// link-time chain checks re-derive their facts from it.
+    /// link-time chain checks read it.
     pub trace: Option<OptTrace>,
+    /// The validator's facts for `trace`, kept from emit-time
+    /// verification (verify-on-emit only).
+    pub facts: Option<RegionFacts>,
     /// The entry register state the nospec taint assumed (`None` = ⊤);
     /// the chain analyzer proves every chained predecessor delivers it.
     pub assumed_entry: Option<RegState>,
@@ -102,6 +106,7 @@ impl RegionCode {
             blacklist_gen: fin.blacklist_gen,
             opt_stats: fin.opt.stats,
             trace: fin.trace,
+            facts: fin.facts,
             assumed_entry: fin.entry_state,
         }
     }

@@ -1,5 +1,6 @@
 //! End-to-end execution statistics.
 
+use smarq::{Diagnostic, Severity};
 use smarq_guest::BlockId;
 use smarq_opt::OptStats;
 
@@ -70,9 +71,13 @@ pub struct SystemStats {
     /// correct optimizer — any other value is a translation bug caught
     /// before the region ever ran.
     pub verify_errors: usize,
-    /// JSON-serialized diagnostics from verify-on-emit, capped at
-    /// [`Self::VERIFY_DIAGNOSTIC_CAP`] entries.
-    pub verify_diagnostics: Vec<String>,
+    /// Findings from verify-on-emit and the link-time chain checks, kept
+    /// as values (serialize one with [`Diagnostic::to_json`]) and capped
+    /// at [`Self::VERIFY_DIAGNOSTIC_CAP`] entries. Error-severity findings
+    /// come first, each group in arrival order: once the list is full, a
+    /// new error displaces the latest warning or note, so no error is
+    /// crowded out while any non-error is kept.
+    pub verify_diagnostics: Vec<Diagnostic>,
     /// Chain-boundary verifications run when the chained dispatcher
     /// memoized a region→region link (verify-on-emit mode).
     pub chain_checks: u64,
@@ -132,6 +137,29 @@ impl SystemStats {
     /// Upper bound on retained verify-on-emit diagnostics (the counters
     /// keep counting past it).
     pub const VERIFY_DIAGNOSTIC_CAP: usize = 64;
+
+    /// Keeps `d` in [`Self::verify_diagnostics`] under the cap, errors
+    /// ahead of every other severity.
+    pub(crate) fn keep_diagnostic(&mut self, d: Diagnostic) {
+        let kept = &mut self.verify_diagnostics;
+        if d.severity < Severity::Error {
+            if kept.len() < Self::VERIFY_DIAGNOSTIC_CAP {
+                kept.push(d);
+            }
+            return;
+        }
+        let first_non_error = kept
+            .iter()
+            .position(|k| k.severity < Severity::Error)
+            .unwrap_or(kept.len());
+        if kept.len() == Self::VERIFY_DIAGNOSTIC_CAP {
+            if first_non_error == kept.len() {
+                return; // the cap is all errors already
+            }
+            kept.pop();
+        }
+        kept.insert(first_non_error, d);
+    }
 
     /// Total simulated execution cycles (interpretation + regions).
     pub fn total_cycles(&self) -> u64 {

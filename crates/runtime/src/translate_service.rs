@@ -27,6 +27,7 @@ use smarq_guest::{Profile, Program};
 use smarq_ir::{form_superblock, unroll_superblock, Superblock};
 use smarq_opt::fastcomp::{self, FastProgram};
 use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized};
+use smarq_verify::RegionFacts;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -85,6 +86,9 @@ pub struct FinishedTranslation {
     pub diags: Option<Vec<Diagnostic>>,
     /// The optimizer's trace, retained when verification ran.
     pub trace: Option<OptTrace>,
+    /// The validator's facts for `trace`, derived once by verification
+    /// and kept for the link-time chain checks.
+    pub facts: Option<RegionFacts>,
     /// The entry state the optimization assumed (echoed from the job).
     pub entry_state: Option<RegState>,
     /// Fast-functional lowering, timed for the hub's machine.
@@ -119,9 +123,12 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
         job.entry_state.as_ref(),
     );
     let translate_ns = t0.elapsed().as_nanos() as u64;
-    let verify = cfg.verify_translations;
-    let diags = verify
-        .then(|| smarq_verify::verify_trace(job.key.entry.index(), &trace, cfg.opt.num_alias_regs));
+    let (diags, facts) = if cfg.verify_translations {
+        let (diags, facts) = smarq_verify::verify_trace_facts(job.key.entry.index(), &trace);
+        (Some(diags), Some(facts))
+    } else {
+        (None, None)
+    };
     let fast =
         fastcomp::compile_for(&opt.vliw, &cfg.machine).expect("translated region is well formed");
     FinishedTranslation {
@@ -129,8 +136,9 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
         program: job.program,
         sb,
         opt,
+        trace: diags.is_some().then_some(trace),
         diags,
-        trace: verify.then_some(trace),
+        facts,
         entry_state: job.entry_state,
         fast,
         blacklist_gen: job.blacklist_gen,

@@ -17,7 +17,8 @@
 //!
 //! [`analyze_chain`] proves all three. It seeds each region's entry state
 //! from the never-faulted whole-program dataflow
-//! ([`crate::dataflow::analyze_reference`]), then propagates superblock
+//! ([`crate::dataflow::analyze_reference`]; a caller that already holds it
+//! passes it to [`analyze_chain_seeded`]), then propagates superblock
 //! exit states ([`smarq_ir::analyze_superblock`]) along chain edges —
 //! joining, and widening loop back-edges after [`WIDEN_AFTER`] joins —
 //! until the region entry states stabilize. On the fixpoint it runs five
@@ -31,11 +32,12 @@
 //! | `cross-region-dead-amov`  | Warning | an `AMOV` after the region's last scan, proven dead *chain-wide* by the entry queue reset |
 //! | `chain-unreachable-check` | Warning | a required check whose two address ranges are provably disjoint — the scan can never fire |
 //!
-//! Everything here re-derives its facts from the caller-provided views;
-//! in particular the write-mask walk deliberately does **not** call the
-//! production [`RegionWriteMask::of`] (that is the code under test).
+//! Everything here re-derives its facts from the caller-provided views,
+//! or reads the validator's own [`RegionFacts`] they carry; in particular
+//! the write-mask walk deliberately does **not** call the production
+//! [`RegionWriteMask::of`] (that is the code under test).
 
-use crate::dataflow::{self, WIDEN_AFTER};
+use crate::dataflow::{self, ProgramDataflow, WIDEN_AFTER};
 use crate::facts::RegionFacts;
 use smarq::range::{join_state, widen_state, NospecRanges, RegState};
 use smarq::{AliasCode, Diagnostic, MemOpId, Severity};
@@ -58,6 +60,10 @@ pub struct ChainRegionView<'a> {
     /// The optimizer's trace for the region (spec, schedule, allocation,
     /// and the [`smarq_opt::OptTrace::mem_origin`] index back into `sb`).
     pub trace: &'a OptTrace,
+    /// The validator's facts for `trace`: must equal
+    /// `RegionFacts::derive(&trace.spec, &trace.mem_schedule)`, as kept
+    /// from emit-time verification ([`crate::verify_trace_facts`]).
+    pub facts: &'a RegionFacts,
     /// The emitted code, for the independent write-mask re-derivation.
     pub vliw: &'a VliwProgram,
     /// The write mask the dispatcher will actually use (possibly produced
@@ -105,13 +111,24 @@ pub fn analyze_chain(
     regions: &[ChainRegionView<'_>],
     nospec: &NospecRanges,
 ) -> ChainReport {
+    analyze_chain_seeded(&dataflow::analyze_reference(program), regions, nospec)
+}
+
+/// [`analyze_chain`] seeded from `reference`, which must be the
+/// never-faulted whole-program dataflow of the regions' program
+/// ([`crate::dataflow::analyze_reference`]'s result, or equal to it): a
+/// caller that checks many chains of one program computes it once.
+pub fn analyze_chain_seeded(
+    reference: &ProgramDataflow,
+    regions: &[ChainRegionView<'_>],
+    nospec: &NospecRanges,
+) -> ChainReport {
     let n = regions.len();
     // Seed from the never-faulted whole-program dataflow: sound for any
     // path into the region, chained or interpreted.
-    let df = dataflow::analyze_reference(program);
     let mut entry: Vec<RegState> = regions
         .iter()
-        .map(|r| *df.entry_state(r.sb.entry))
+        .map(|r| *reference.entry_state(r.sb.entry))
         .collect();
 
     // Chain edges from the exit tables: A exits to B's entry block.
@@ -419,9 +436,8 @@ fn check_unreachable(view: &ChainRegionView<'_>, ranges: &SbRanges, out: &mut Ve
     if trace.mem_origin.is_empty() {
         return;
     }
-    let facts = RegionFacts::derive(&trace.spec, &trace.mem_schedule);
     let addr_of = |id: MemOpId| ranges.addr[trace.mem_origin[id.index()]];
-    for (checker, checkee) in facts.required_checks() {
+    for (checker, checkee) in view.facts.required_checks() {
         let (Some(a), Some(b)) = (addr_of(checker), addr_of(checkee)) else {
             continue;
         };
@@ -481,6 +497,7 @@ mod tests {
     struct Fixture {
         sb: Superblock,
         trace: OptTrace,
+        facts: RegionFacts,
         vliw: VliwProgram,
     }
 
@@ -551,7 +568,13 @@ mod tests {
                 guest_block: Some(1),
             }],
         };
-        Fixture { sb, trace, vliw }
+        let facts = RegionFacts::derive(&trace.spec, &trace.mem_schedule);
+        Fixture {
+            sb,
+            trace,
+            facts,
+            vliw,
+        }
     }
 
     fn hoisted() -> Vec<MemOpId> {
@@ -563,6 +586,7 @@ mod tests {
             region_id: 0,
             sb: &f.sb,
             trace: &f.trace,
+            facts: &f.facts,
             vliw: &f.vliw,
             write_mask: RegionWriteMask::of(&f.vliw),
             assumed_entry: assumed,
@@ -685,6 +709,7 @@ mod tests {
         // A tainted op missing from the schedule entirely (eliminated).
         let mut gone = fixture(hoisted());
         gone.trace.mem_schedule = vec![MemOpId::new(0)];
+        gone.facts = RegionFacts::derive(&gone.trace.spec, &gone.trace.mem_schedule);
         let report = analyze_chain(&p, &[view(&gone, None)], &nospec);
         assert!(
             errors(&report)

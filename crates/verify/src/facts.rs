@@ -5,8 +5,9 @@
 //! shares **no derivation code** with `smarq::deps` or `smarq::constraints`:
 //! where the production path enumerates candidate pairs from sealed
 //! location-class buckets and stores edge lists plus hash sets, this module
-//! walks every pair with plain loops against the spec's public `may_alias`
-//! relation and stores dense `n × n` boolean matrices. The two
+//! reads the spec's stored alias relation (its `loc_class` default plus
+//! the explicit overrides) into one may-alias bit row per op and derives
+//! every rule below as word-wide operations on those rows. The two
 //! implementations must agree on every region the optimizer ever forms;
 //! divergence in either direction is a bug in one of them, which is exactly
 //! the point of keeping both.
@@ -34,24 +35,113 @@
 //!   must produce and `Y` must check: `X`'s register must leave `Y`'s scan
 //!   window before `Y` executes, or a genuine runtime alias raises a false
 //!   positive exception.
+//!
+//! The relations are kept as bit rows for membership queries, and the
+//! check and anti sets also as `(x, y)` lists in row-major order, which is
+//! the order every consumer reports its findings in.
 
+use smarq::hash::FastMap;
 use smarq::{MemOpId, RegionSpec};
+
+/// An `n × n` relation over a region's ops: row `x` holds bit `y` when
+/// the pair is in the relation, `⌈n / 64⌉` words per row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct BitMatrix {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// The empty relation over `n` ops.
+    pub(crate) fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitMatrix {
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
+    fn row(&self, x: usize) -> &[u64] {
+        &self.bits[x * self.words..(x + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, x: usize) -> &mut [u64] {
+        &mut self.bits[x * self.words..(x + 1) * self.words]
+    }
+
+    /// Adds `(x, y)`.
+    pub(crate) fn set(&mut self, x: usize, y: usize) {
+        self.bits[x * self.words + y / 64] |= 1 << (y % 64);
+    }
+
+    /// Removes `(x, y)`.
+    fn clear(&mut self, x: usize, y: usize) {
+        self.bits[x * self.words + y / 64] &= !(1 << (y % 64));
+    }
+
+    /// Is `(x, y)` in the relation?
+    pub(crate) fn get(&self, x: usize, y: usize) -> bool {
+        self.bits[x * self.words + y / 64] >> (y % 64) & 1 == 1
+    }
+
+    /// Every `(x, y)` in the relation, row-major.
+    fn pairs(&self) -> Vec<(MemOpId, MemOpId)> {
+        let count = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(count);
+        if self.words == 0 {
+            return out;
+        }
+        for (x, row) in self.bits.chunks_exact(self.words).enumerate() {
+            for_each_one(row, |y| out.push((MemOpId::new(x), MemOpId::new(y))));
+        }
+        out
+    }
+}
+
+/// Calls `f` with the index of each set bit of `row`, ascending.
+fn for_each_one(row: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in row.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The bits of word `w` whose op index `k` satisfies `lo <= k < hi`.
+fn span(w: usize, lo: usize, hi: usize) -> u64 {
+    let base = w * 64;
+    let lo = lo.clamp(base, base + 64) - base;
+    let hi = hi.clamp(base, base + 64) - base;
+    if lo >= hi {
+        return 0;
+    }
+    let below_hi = if hi == 64 { !0 } else { (1u64 << hi) - 1 };
+    below_hi & !((1u64 << lo) - 1)
+}
 
 /// The required protection sets for one region under one schedule,
 /// independently derived. See the [module docs](self).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionFacts {
     n: usize,
-    /// `dep[x * n + y]` ⇔ `X →dep Y`.
-    dep: Vec<bool>,
-    /// `check[x * n + y]` ⇔ `X →check Y` (`X` must examine `Y`'s register).
-    check: Vec<bool>,
-    /// `anti[x * n + y]` ⇔ `X →anti Y`.
-    anti: Vec<bool>,
-    /// Op must set an alias register (`P`).
-    p_req: Vec<bool>,
-    /// Op must check alias registers (`C`).
-    c_req: Vec<bool>,
+    /// The spec's may-alias relation (reflexive and symmetric).
+    alias: BitMatrix,
+    /// `X →dep Y`.
+    dep: BitMatrix,
+    /// `X →check Y` (`X` must examine `Y`'s register).
+    check: BitMatrix,
+    /// `X →anti Y`.
+    anti: BitMatrix,
+    /// The pairs of `check`, row-major.
+    checks: Vec<(MemOpId, MemOpId)>,
+    /// The pairs of `anti`, row-major.
+    antis: Vec<(MemOpId, MemOpId)>,
+    /// Ops that must set an alias register (`P`), one bit per op.
+    p_req: Vec<u64>,
+    /// Ops that must check alias registers (`C`), one bit per op.
+    c_req: Vec<u64>,
     /// Position of each surviving op in the schedule.
     pos: Vec<Option<usize>>,
 }
@@ -60,107 +150,178 @@ impl RegionFacts {
     /// Derives all facts for `region` under `schedule`.
     pub fn derive(region: &RegionSpec, schedule: &[MemOpId]) -> Self {
         let n = region.len();
-        let mut f = RegionFacts {
-            n,
-            dep: vec![false; n * n],
-            check: vec![false; n * n],
-            anti: vec![false; n * n],
-            p_req: vec![false; n],
-            c_req: vec![false; n],
-            pos: vec![None; n],
+        let words = n.div_ceil(64);
+        let bit = |i: usize| (i / 64, 1u64 << (i % 64));
+
+        // Per-op sets, read once off the spec's records: the survivors,
+        // the stores and the unspeculatable ops.
+        let mut live: Vec<u64> = (0..words).map(|w| span(w, 0, n)).collect();
+        for i in region
+            .load_elims()
+            .iter()
+            .map(|le| le.eliminated)
+            .chain(region.store_elims().iter().map(|se| se.eliminated))
+        {
+            let (w, b) = bit(i.index());
+            live[w] &= !b;
+        }
+        let mut stores = vec![0u64; words];
+        let mut nospec = vec![0u64; words];
+        for (id, op) in region.iter() {
+            let (w, b) = bit(id.index());
+            if op.kind.is_store() {
+                stores[w] |= b;
+            }
+            if region.has_nospec() && region.is_nospec(id) {
+                nospec[w] |= b;
+            }
+        }
+        let is = |set: &[u64], i: usize| {
+            let (w, b) = bit(i);
+            set[w] & b != 0
         };
-        // Survivors and unspeculatable ops, read once off the spec's
-        // records rather than probed per pair.
-        let mut survives = vec![true; n];
-        for le in region.load_elims() {
-            survives[le.eliminated.index()] = false;
-        }
-        for se in region.store_elims() {
-            survives[se.eliminated.index()] = false;
-        }
-        let live = |i: usize| survives[i];
-        let nospec: Vec<bool> = (0..n).map(|i| region.is_nospec(MemOpId::new(i))).collect();
 
-        // DEPENDENCE: all-pairs walk, original order.
-        for i in 0..n {
-            if !live(i) {
-                continue;
+        // MAY-ALIAS rows: ops of one `loc_class` alias by default, then
+        // the explicit overrides win.
+        let mut alias = BitMatrix::new(n);
+        let mut class_of: FastMap<u32, usize> = FastMap::default();
+        let mut members: Vec<Vec<u64>> = Vec::new();
+        let class: Vec<usize> = region
+            .iter()
+            .map(|(id, op)| {
+                let c = *class_of.entry(op.loc_class).or_insert_with(|| {
+                    members.push(vec![0; words]);
+                    members.len() - 1
+                });
+                let (w, b) = bit(id.index());
+                members[c][w] |= b;
+                c
+            })
+            .collect();
+        for (x, &c) in class.iter().enumerate() {
+            alias.row_mut(x).copy_from_slice(&members[c]);
+        }
+        for (a, b, may) in region.may_alias_overrides() {
+            let (a, b) = (a.index(), b.index());
+            if b >= n {
+                continue; // names no op of this region: never consulted
             }
-            for j in (i + 1)..n {
-                if !live(j) {
-                    continue;
-                }
-                let (x, y) = (MemOpId::new(i), MemOpId::new(j));
-                let a_store = region.op(x).kind.is_store();
-                let b_store = region.op(y).kind.is_store();
-                let ordered = region.may_alias(x, y) || nospec[i] || nospec[j];
-                if (a_store || b_store) && ordered {
-                    f.dep[i * n + j] = true;
-                }
+            if may {
+                alias.set(a, b);
+                alias.set(b, a);
+            } else {
+                alias.clear(a, b);
+                alias.clear(b, a);
             }
         }
 
-        // EXTENDED-DEPENDENCE 1: backward Y ->dep X per load elimination.
+        // DEPENDENCE (and NOSPEC-DEPENDENCE): for each survivor `x`, every
+        // later survivor that may alias it, or any later survivor when
+        // either is unspeculatable, with at least one of the pair a store.
+        let mut dep = BitMatrix::new(n);
+        for x in (0..n).filter(|&x| is(&live, x)) {
+            let (x_nospec, x_store) = (is(&nospec, x), is(&stores, x));
+            let alias_x = alias.row(x);
+            let row = dep.row_mut(x);
+            for w in 0..words {
+                let ordered = if x_nospec { !0 } else { alias_x[w] | nospec[w] };
+                let partner = if x_store { !0 } else { stores[w] };
+                row[w] = ordered & partner & live[w] & span(w, x + 1, n);
+            }
+        }
+
+        // EXTENDED-DEPENDENCE 1: `Y →dep source` for every surviving store
+        // `Y` strictly between the source and the eliminated load that may
+        // alias the source.
         for le in region.load_elims() {
             let (src, elim) = (le.source.index(), le.eliminated.index());
-            for y in (src + 1)..elim {
-                if live(y)
-                    && region.op(MemOpId::new(y)).kind.is_store()
-                    && region.may_alias(MemOpId::new(y), le.source)
-                {
-                    f.dep[y * n + src] = true;
-                }
-            }
+            let alias_src = alias.row(src);
+            let between: Vec<u64> = (0..words)
+                .map(|w| alias_src[w] & live[w] & stores[w] & span(w, src + 1, elim))
+                .collect();
+            for_each_one(&between, |y| dep.set(y, src));
         }
 
-        // EXTENDED-DEPENDENCE 2: backward Z ->dep Y per store elimination.
+        // EXTENDED-DEPENDENCE 2: `overwriter →dep Y` for every surviving
+        // load `Y` strictly between the eliminated store and its
+        // overwriter that may alias the overwriter.
         for se in region.store_elims() {
             let (elim, over) = (se.eliminated.index(), se.overwriter.index());
-            for y in (elim + 1)..over {
-                if live(y)
-                    && region.op(MemOpId::new(y)).kind.is_load()
-                    && region.may_alias(se.overwriter, MemOpId::new(y))
-                {
-                    f.dep[over * n + y] = true;
-                }
+            for w in 0..words {
+                let add = alias.row(over)[w] & live[w] & !stores[w] & span(w, elim + 1, over);
+                dep.row_mut(over)[w] |= add;
             }
         }
 
+        let mut pos = vec![None; n];
         for (k, &op) in schedule.iter().enumerate() {
-            f.pos[op.index()] = Some(k);
+            pos[op.index()] = Some(k);
         }
+        // Each scheduled op once, at the position it was last scheduled
+        // at, in schedule order.
+        let order: Vec<usize> = schedule
+            .iter()
+            .enumerate()
+            .filter(|&(k, op)| pos[op.index()] == Some(k))
+            .map(|(_, op)| op.index())
+            .collect();
 
-        // CHECK-CONSTRAINT pass: needs only deps + schedule positions.
-        for x in 0..n {
-            for y in 0..n {
-                if !f.dep[x * n + y] {
-                    continue;
-                }
-                if let (Some(px), Some(py)) = (f.pos[x], f.pos[y]) {
-                    if py < px {
-                        f.check[x * n + y] = true;
-                        f.c_req[x] = true;
-                        f.p_req[y] = true;
-                    }
+        // CHECK-CONSTRAINT: `X →check Y` for each `X →dep Y` with `Y`
+        // scheduled above `X`.
+        let mut check = BitMatrix::new(n);
+        let mut p_req = vec![0u64; words];
+        let mut c_req = vec![0u64; words];
+        let mut before = vec![0u64; words];
+        for &x in &order {
+            let mut any = 0;
+            for w in 0..words {
+                let c = dep.row(x)[w] & before[w];
+                check.row_mut(x)[w] = c;
+                p_req[w] |= c;
+                any |= c;
+            }
+            let (w, b) = bit(x);
+            if any != 0 {
+                c_req[w] |= b;
+            }
+            before[w] |= b;
+        }
+        let checks = check.pairs();
+
+        // ANTI-CONSTRAINT: needs the *final* P/C requirement bits, so it
+        // runs strictly after the check pass. `X →anti Y` for each
+        // `X →dep Y` kept in order where `X` must produce, `Y` must check
+        // and `Y` is not already required to check `X`.
+        let mut checked_by = BitMatrix::new(n);
+        for &(x, y) in &checks {
+            checked_by.set(y.index(), x.index());
+        }
+        let mut anti = BitMatrix::new(n);
+        let mut after = vec![0u64; words];
+        for &x in order.iter().rev() {
+            if is(&p_req, x) {
+                for w in 0..words {
+                    anti.row_mut(x)[w] =
+                        dep.row(x)[w] & after[w] & c_req[w] & !checked_by.row(x)[w];
                 }
             }
+            let (w, b) = bit(x);
+            after[w] |= b;
         }
+        let antis = anti.pairs();
 
-        // ANTI-CONSTRAINT pass: needs the *final* P/C requirement bits, so
-        // it runs strictly after the check pass.
-        for x in 0..n {
-            for y in 0..n {
-                if !f.dep[x * n + y] {
-                    continue;
-                }
-                if let (Some(px), Some(py)) = (f.pos[x], f.pos[y]) {
-                    if px < py && !f.check[y * n + x] && f.p_req[x] && f.c_req[y] {
-                        f.anti[x * n + y] = true;
-                    }
-                }
-            }
+        RegionFacts {
+            n,
+            alias,
+            dep,
+            check,
+            anti,
+            checks,
+            antis,
+            p_req,
+            c_req,
+            pos,
         }
-        f
     }
 
     /// Number of ops in the region.
@@ -173,29 +334,35 @@ impl RegionFacts {
         self.n == 0
     }
 
+    /// May `x` and `y` access the same memory? The spec's relation as
+    /// this derivation read it: reflexive, and symmetric.
+    pub fn may_alias(&self, x: MemOpId, y: MemOpId) -> bool {
+        self.alias.get(x.index(), y.index())
+    }
+
     /// `X →dep Y`?
     pub fn has_dep(&self, x: MemOpId, y: MemOpId) -> bool {
-        self.dep[x.index() * self.n + y.index()]
+        self.dep.get(x.index(), y.index())
     }
 
     /// Is `checker →check checkee` required?
     pub fn is_required_check(&self, checker: MemOpId, checkee: MemOpId) -> bool {
-        self.check[checker.index() * self.n + checkee.index()]
+        self.check.get(checker.index(), checkee.index())
     }
 
     /// Is `X →anti Y` required?
     pub fn has_anti(&self, x: MemOpId, y: MemOpId) -> bool {
-        self.anti[x.index() * self.n + y.index()]
+        self.anti.get(x.index(), y.index())
     }
 
     /// Must `op` set an alias register?
     pub fn requires_p(&self, op: MemOpId) -> bool {
-        self.p_req[op.index()]
+        self.p_req[op.index() / 64] >> (op.index() % 64) & 1 == 1
     }
 
     /// Must `op` check alias registers?
     pub fn requires_c(&self, op: MemOpId) -> bool {
-        self.c_req[op.index()]
+        self.c_req[op.index() / 64] >> (op.index() % 64) & 1 == 1
     }
 
     /// Schedule position of `op`, if it was scheduled.
@@ -203,31 +370,20 @@ impl RegionFacts {
         self.pos[op.index()]
     }
 
-    /// All required checks `(checker, checkee)`.
+    /// All required checks `(checker, checkee)`, row-major.
     pub fn required_checks(&self) -> impl Iterator<Item = (MemOpId, MemOpId)> + '_ {
-        pairs(&self.check, self.n)
+        self.checks.iter().copied()
     }
 
-    /// All required anti-constraints `(producer, checker)`.
+    /// All required anti-constraints `(producer, checker)`, row-major.
     pub fn anti_constraints(&self) -> impl Iterator<Item = (MemOpId, MemOpId)> + '_ {
-        pairs(&self.anti, self.n)
+        self.antis.iter().copied()
     }
 
     /// `(checks, antis)` counts.
     pub fn counts(&self) -> (usize, usize) {
-        (
-            self.check.iter().filter(|&&b| b).count(),
-            self.anti.iter().filter(|&&b| b).count(),
-        )
+        (self.checks.len(), self.antis.len())
     }
-}
-
-fn pairs(matrix: &[bool], n: usize) -> impl Iterator<Item = (MemOpId, MemOpId)> + '_ {
-    matrix
-        .iter()
-        .enumerate()
-        .filter(|&(_, &set)| set)
-        .map(move |(idx, _)| (MemOpId::new(idx / n), MemOpId::new(idx % n)))
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod lint;
 pub mod registry;
 pub mod replay;
 
-pub use chain::{analyze_chain, ChainEdge, ChainRegionView, ChainReport};
+pub use chain::{analyze_chain, analyze_chain_seeded, ChainEdge, ChainRegionView, ChainReport};
 pub use dataflow::{analyze, analyze_reference, ProgramDataflow};
 pub use facts::RegionFacts;
 pub use lint::{default_passes, run_passes, LintContext, LintPass};
@@ -119,6 +119,20 @@ pub fn verify_trace(region_id: usize, trace: &OptTrace, _num_regs: u32) -> Vec<D
         Some(alloc) => verify_region(region_id, &trace.spec, &trace.mem_schedule, alloc),
         None => Vec::new(),
     }
+}
+
+/// [`verify_trace`] that also returns the facts it derived, for a caller
+/// that keeps the trace: the chain analyzer's views carry them
+/// ([`ChainRegionView::facts`]) instead of deriving them again. The facts
+/// are derived even for a trace without an allocation, which verifies
+/// vacuously.
+pub fn verify_trace_facts(region_id: usize, trace: &OptTrace) -> (Vec<Diagnostic>, RegionFacts) {
+    let facts = RegionFacts::derive(&trace.spec, &trace.mem_schedule);
+    let diags = match &trace.allocation {
+        Some(alloc) => replay::replay(region_id, &trace.spec, alloc, &facts),
+        None => Vec::new(),
+    };
+    (diags, facts)
 }
 
 /// [`check_region`] over an optimizer trace (validator + lints).

@@ -28,7 +28,7 @@
 //! Every violation becomes a structured [`Diagnostic`]; the replay collects
 //! all of them instead of stopping at the first.
 
-use crate::facts::RegionFacts;
+use crate::facts::{BitMatrix, RegionFacts};
 use smarq::hash::FastSet;
 use smarq::{AliasCode, Allocation, Diagnostic, MemOpId, RegionSpec, Severity};
 use std::collections::BTreeMap;
@@ -58,7 +58,7 @@ pub fn replay(
     let num_regs = alloc.working_set().max(1) as u64;
     let mut base = 0u64;
     let mut entries: BTreeMap<u64, SymEntry> = BTreeMap::new();
-    let mut performed: FastSet<(MemOpId, MemOpId)> = FastSet::default();
+    let mut performed = BitMatrix::new(spec.len());
     // Code position of each op, for diagnostic spans.
     let mut op_span: Vec<Option<usize>> = vec![None; spec.len()];
 
@@ -131,11 +131,11 @@ pub fn replay(
                         if is_load && e.set_by_load {
                             continue; // loads never check load-set entries
                         }
-                        performed.insert((id, e.op));
+                        performed.set(id.index(), e.op.index());
                         // Precision: a genuine alias must be a required
                         // check, else the hardware could raise a false
                         // positive exception here.
-                        if spec.may_alias(id, e.op)
+                        if facts.may_alias(id, e.op)
                             && !(is_load && spec.op(e.op).kind.is_load())
                             && !facts.is_required_check(id, e.op)
                         {
@@ -238,7 +238,7 @@ pub fn replay(
 
     // Soundness: every required check was actually performed.
     for (checker, checkee) in facts.required_checks() {
-        if !performed.contains(&(checker, checkee)) {
+        if !performed.get(checker.index(), checkee.index()) {
             let mut d = err(
                 "missing-check",
                 format!(

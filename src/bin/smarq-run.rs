@@ -298,7 +298,7 @@ fn report(
             sum(|s| s.chain_checks)
         );
         for d in guests.iter().flat_map(|s| &s.verify_diagnostics) {
-            outln!("  {d}");
+            outln!("  {}", d.to_json());
         }
     }
     if let Some(r) = guests

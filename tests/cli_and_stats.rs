@@ -140,6 +140,81 @@ fn verify_errors_fail_single_and_multi_guest_runs() {
     assert!(stdout.contains("\"severity\": \"error\""), "{stdout}");
 }
 
+/// Error findings are listed ahead of warnings under the findings cap.
+/// Three loops run one after another, each a region whose loads are
+/// hoisted past stores to provably disjoint addresses, so each link's
+/// chain check reports dozens of `chain-unreachable-check` warnings. The
+/// first link alone brings more warnings than the cap leaves room for;
+/// under the dependence-dropping fault the second and third regions'
+/// verify errors arrive after it and must still be listed.
+#[test]
+fn verify_errors_are_listed_ahead_of_warnings_under_the_cap() {
+    let mut src = String::from(
+        "b0:\n    iconst r1, 0\n    iconst r2, 200\n    iconst r3, 0x1000\n    \
+         iconst r5, 0x2000\n    iconst r6, 0x3000\n    iconst r7, 0x4000\n    jump b1\n",
+    );
+    for l in 1..=3 {
+        src.push_str(&format!("b{l}:\n"));
+        for k in 0..6 {
+            let d = k * 8;
+            src.push_str(&format!(
+                "    st r1, [r5+{d}]\n    ld r4, [r3+{d}]\n    st r4, [r6+{d}]\n    \
+                 ld r8, [r7+{d}]\n    add r9, r4, r8\n"
+            ));
+        }
+        src.push_str(&format!(
+            "    addi r1, r1, 1\n    blt r1, r2, b{l}, e{l}\ne{l}:\n    iconst r1, 0\n    \
+             jump b{}\n",
+            l + 1
+        ));
+    }
+    src.push_str("b4:\n    halt\n");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("three_loops.s");
+    std::fs::write(&path, src).expect("write program");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_smarq-run"))
+        .arg(&path)
+        .arg("--verify")
+        .env("SMARQ_FAULT_DROP_DEPS", "1")
+        .output()
+        .expect("spawn smarq-run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // "verification: 3 region(s) statically verified, E error(s), C chain
+    // check(s) with CE error(s)"
+    let counts: Vec<u64> = stdout
+        .lines()
+        .find(|l| l.starts_with("verification:"))
+        .expect("verification line")
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [regions, verify_errors, chain_checks, chain_errors] = counts[..] else {
+        panic!("unexpected verification line: {counts:?}\n{stdout}");
+    };
+    let listed: Vec<&str> = stdout.lines().filter(|l| l.starts_with("  {")).collect();
+    let listed_errors = listed
+        .iter()
+        .filter(|l| l.contains("\"severity\": \"error\""))
+        .count() as u64;
+    assert!(
+        regions >= 3 && chain_checks >= 2,
+        "precondition: three regions, links checked\n{stdout}"
+    );
+    assert_eq!(
+        listed.len(),
+        smarq_runtime::SystemStats::VERIFY_DIAGNOSTIC_CAP,
+        "precondition: warnings fill the cap\n{stdout}"
+    );
+    let errors = verify_errors + chain_errors;
+    assert!(errors > 0 && errors < listed.len() as u64, "{stdout}");
+    assert_eq!(listed_errors, errors, "every error is listed\n{stdout}");
+    assert!(
+        listed[..errors as usize]
+            .iter()
+            .all(|l| l.contains("\"severity\": \"error\"")),
+        "errors come first\n{stdout}"
+    );
+}
+
 /// `--regs` is bounded by the paper's 64-register machine: a larger file
 /// is a usage error (exit 2, no panic or allocation abort), while the
 /// full 64-register file runs bit-exact against pure interpretation.
