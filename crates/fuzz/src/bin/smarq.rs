@@ -154,6 +154,12 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         outcome.skipped,
         outcome.repros.len()
     );
+    let rollbacks: Vec<String> = smarq_fuzz::oracle::schemes()
+        .iter()
+        .zip(outcome.rollbacks)
+        .map(|((label, _), n)| format!("{label} {n}"))
+        .collect();
+    outln!("[fuzz] rollbacks by scheme: {}", rollbacks.join(", "));
     for repro in &outcome.repros {
         match repro.write_to(&corpus_dir) {
             Ok(path) => {

@@ -57,6 +57,10 @@ pub struct CampaignOutcome {
     pub skipped: u64,
     /// Minimized repros, one per diverging seed.
     pub repros: Vec<Repro>,
+    /// Alias-exception rollbacks over the green cases, per scheme of
+    /// [`crate::oracle::schemes`]: evidence that the campaign reached the
+    /// rollback path under each.
+    pub rollbacks: [u64; 6],
 }
 
 /// Runs a fuzz campaign; `progress` receives human-readable event lines.
@@ -78,7 +82,10 @@ pub fn run_campaign(params: &CampaignParams, mut progress: impl FnMut(String)) -
         let program = generate(seed, &params.gen);
         outcome.cases_run += 1;
         match check_program(&program, &params.oracle) {
-            Ok(_) => {
+            Ok(report) => {
+                for (sum, n) in outcome.rollbacks.iter_mut().zip(report.rollbacks) {
+                    *sum += n;
+                }
                 // Single-guest layers green: run the case as guest 0 of a
                 // shared-hub multi-guest set with derived companions.
                 if params.multi_guests >= 2 {

@@ -18,9 +18,15 @@
 //! * **Register pressure** — up to six live pointers with mid-loop bumps
 //!   plus hoisted-load bursts, stressing AMOV cycle-breaking and the
 //!   8-register SMARQ configuration's overflow fallback.
+//! * **Late aliasing** — in about half the programs one pointer reads a
+//!   word of its own while the loop warms up and moves onto a pool slot
+//!   at a random trip count past the hot threshold. The runtime never
+//!   speculates on a pair it saw aliasing during warm-up, so this is what
+//!   reaches alias exceptions, rollback and retranslation.
 //!
 //! Generation is deterministic in the seed.
 
+use crate::oracle::OracleParams;
 use smarq::prng::Prng;
 use smarq_guest::{AluOp, BlockId, CmpOp, FReg, FpuOp, Program, ProgramBuilder, Reg};
 
@@ -55,6 +61,18 @@ const VAL_LO: u32 = 16;
 const VAL_HI: u32 = 24;
 const FREG_LO: u32 = 8;
 const FREG_HI: u32 = 16;
+/// Late aliasing: r5 holds the flip iteration, r6 is scratch, r7 the
+/// warm-up offset and r8 the pool slot address.
+const FLIP: Reg = Reg(5);
+const FLIP_TMP: Reg = Reg(6);
+const FLIP_OFFSET: Reg = Reg(7);
+const FLIP_SLOT: Reg = Reg(8);
+/// How far above its pool slot a late-aliasing pointer sits during
+/// warm-up: past every pool slot and every pointer bump of a run.
+const WARM_UP_OFFSET: i64 = 0x8000;
+/// Mixed into the seed for the late-aliasing draws, which use a stream of
+/// their own so the rest of a seed's program does not depend on them.
+const LATE_SEED: u64 = 0x1a7e_a11a_5000_0001;
 
 struct Gen<'a> {
     rng: &'a mut Prng,
@@ -194,6 +212,18 @@ pub fn generate(seed: u64, params: &FuzzParams) -> Program {
     let body = g.b.block();
     let done = g.b.block();
 
+    // Late aliasing: pointer `p` reads `slot + WARM_UP_OFFSET` while
+    // `i < flip` and `slot` from then on (recomputed at the loop head);
+    // `flip` lies past the oracle's hot threshold.
+    let mut late_rng = Prng::new(seed ^ LATE_SEED);
+    let first_flip = OracleParams::default().hot_threshold as i64 + 1;
+    let late = (iters > first_flip && late_rng.chance(1, 2)).then(|| {
+        let flip = late_rng.range_i64(first_flip, iters);
+        let p = Reg(late_rng.range_u32(PTR_LO, PTR_HI) as u8);
+        let slot = late_rng.bounded(pool) as i64;
+        (flip, p, slot)
+    });
+
     g.b.iconst(entry, Reg(1), 0);
     g.b.iconst(entry, Reg(2), iters);
     // Pool stride 4 (fine-grained) straddles word boundaries between
@@ -210,6 +240,14 @@ pub fn generate(seed: u64, params: &FuzzParams) -> Program {
     for f in FREG_LO..FREG_HI {
         let v = f64::from(g.rng.range_u32(1, 32)) * 0.5;
         g.b.fconst(entry, FReg(f as u8), v);
+    }
+    if let Some((flip, p, slot)) = late {
+        g.b.iconst(entry, FLIP, flip);
+        g.b.iconst(entry, FLIP_OFFSET, WARM_UP_OFFSET);
+        g.b.iconst(entry, FLIP_SLOT, 0x1000 + slot * stride);
+        g.b.alu(body, AluOp::Slt, FLIP_TMP, Reg(1), FLIP);
+        g.b.alu(body, AluOp::Mul, FLIP_TMP, FLIP_TMP, FLIP_OFFSET);
+        g.b.alu(body, AluOp::Add, p, FLIP_SLOT, FLIP_TMP);
     }
     g.b.jump(entry, body);
 
@@ -291,6 +329,18 @@ mod tests {
                 "seed {seed} did not halt"
             );
         }
+    }
+
+    #[test]
+    fn about_half_the_programs_alias_late() {
+        let late = (0..64)
+            .filter(|&seed| {
+                let p = generate(seed, &FuzzParams::default());
+                let head = &p.block(BlockId(1)).instrs;
+                matches!(head.first(), Some(smarq_guest::Instr::Alu { op: AluOp::Slt, rd, .. }) if *rd == FLIP_TMP)
+            })
+            .count();
+        assert!((16..48).contains(&late), "{late} of 64 programs alias late");
     }
 
     #[test]

@@ -279,6 +279,9 @@ pub struct OracleReport {
     pub regions_verified: usize,
     /// Regions covered by a converged whole-chain analysis (layer 5).
     pub chain_regions: usize,
+    /// Alias-exception rollbacks of the main run, per scheme of
+    /// [`schemes`] (same order).
+    pub rollbacks: [u64; 6],
 }
 
 fn arch_diff(expected: &ArchState, got: &ArchState) -> String {
@@ -326,6 +329,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         cfg.verify_translations = true;
         let mut sys = DynOptSystem::new(program.clone(), cfg.clone());
         sys.run_to_completion(u64::MAX);
+        report.rollbacks[report.schemes] = sys.stats().rollbacks;
         report.schemes += 1;
 
         // Layer 1: bit-exact architectural state.

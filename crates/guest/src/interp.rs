@@ -16,13 +16,29 @@ struct BlockCounters {
     fall: u64,
 }
 
+/// `addr_base` slot of a block whose addresses were never recorded.
+const NOT_RECORDED: u32 = u32::MAX;
+
 /// Block-level execution profile collected by the interpreter. This is what
 /// the dynamic optimizer consumes for hot-region formation (paper §6:
 /// "the system profiles the execution for hot basic blocks").
+///
+/// A dynamic optimizer's interpreter also records the last effective
+/// address of every memory instruction it executes
+/// ([`Interpreter::step_block_recording`]), so region formation can tell
+/// which memory pairs aliased while their blocks warmed up
+/// ([`Profile::last_addr`]).
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// One counter slot per block.
     blocks: Vec<BlockCounters>,
+    /// Per block: the index of its first instruction's slot in `addrs`,
+    /// or [`NOT_RECORDED`]. Slots are handed out on a block's first
+    /// recorded execution, one per instruction.
+    addr_base: Vec<u32>,
+    /// The last effective address of each recorded instruction (unused
+    /// for non-memory instructions).
+    addrs: Vec<u64>,
 }
 
 impl Profile {
@@ -30,6 +46,30 @@ impl Profile {
         if self.blocks.len() < n {
             self.blocks.resize(n, BlockCounters::default());
         }
+    }
+
+    /// The first `addrs` slot of `block`, handing out its slots on first
+    /// use.
+    fn addr_slots(&mut self, block: BlockId, instrs: usize) -> usize {
+        if self.addr_base.len() <= block.index() {
+            self.addr_base.resize(block.index() + 1, NOT_RECORDED);
+        }
+        let base = &mut self.addr_base[block.index()];
+        if *base == NOT_RECORDED {
+            *base = u32::try_from(self.addrs.len()).expect("fewer than 2^32 recorded instructions");
+            self.addrs.resize(self.addrs.len() + instrs, 0);
+        }
+        *base as usize
+    }
+
+    /// The effective address instruction `instr` of `block` accessed the
+    /// last time the block was stepped with
+    /// [`Interpreter::step_block_recording`]; `None` when it never was or
+    /// `instr` is not a memory instruction of `program`.
+    pub fn last_addr(&self, program: &Program, block: BlockId, instr: u32) -> Option<u64> {
+        let base = *self.addr_base.get(block.index())?;
+        let i = program.block(block).instrs.get(instr as usize)?;
+        (base != NOT_RECORDED && i.is_mem()).then(|| self.addrs[base as usize + instr as usize])
     }
 
     /// Execution count of `block`.
@@ -64,9 +104,11 @@ impl Profile {
         }
     }
 
-    /// Resets all counters.
+    /// Resets all counters and recorded addresses.
     pub fn clear(&mut self) {
         self.blocks.clear();
+        self.addr_base.clear();
+        self.addrs.clear();
     }
 }
 
@@ -183,14 +225,38 @@ impl Interpreter {
         self.executed += 1;
     }
 
-    /// Executes one whole block (body + terminator), updating the profile,
-    /// and returns the successor (`None` on `Halt`).
+    /// Executes one whole block (body + terminator), updating the profile's
+    /// counters, and returns the successor (`None` on `Halt`).
     pub fn step_block(&mut self, program: &Program, block: BlockId) -> Option<BlockId> {
+        self.step::<false>(program, block)
+    }
+
+    /// Like [`step_block`](Self::step_block), and also records the
+    /// effective address of each of the block's memory instructions in
+    /// the profile ([`Profile::last_addr`]). A dynamic optimizer steps
+    /// its interpreter this way; [`run`](Self::run) records no addresses.
+    pub fn step_block_recording(&mut self, program: &Program, block: BlockId) -> Option<BlockId> {
+        self.step::<true>(program, block)
+    }
+
+    #[inline]
+    fn step<const RECORD: bool>(&mut self, program: &Program, block: BlockId) -> Option<BlockId> {
         self.profile.ensure(program.num_blocks());
         self.profile.blocks[block.index()].count += 1;
         let b = program.block(block);
-        for instr in &b.instrs {
-            self.exec_instr(instr);
+        if RECORD {
+            let slots = self.profile.addr_slots(block, b.instrs.len());
+            for (i, instr) in b.instrs.iter().enumerate() {
+                if let Some((base, disp)) = instr.mem_operand() {
+                    let addr = self.regs[base.0 as usize].wrapping_add(disp) as u64;
+                    self.profile.addrs[slots + i] = addr;
+                }
+                self.exec_instr(instr);
+            }
+        } else {
+            for instr in &b.instrs {
+                self.exec_instr(instr);
+            }
         }
         self.executed += 1; // the terminator
         match b.term {
@@ -354,6 +420,33 @@ mod more_tests {
         let mut prof = i.profile().clone();
         prof.clear();
         assert_eq!(prof.block_count(BlockId(0)), 0);
+    }
+
+    #[test]
+    fn only_recording_steps_record_addresses() {
+        let mut b = ProgramBuilder::new();
+        let e = b.block();
+        b.iconst(e, Reg(1), 0x1000);
+        b.st(e, Reg(1), Reg(1), 12);
+        b.ld(e, Reg(2), Reg(1), 0);
+        b.halt(e);
+        let p = b.finish(e);
+        let mut i = Interpreter::new();
+        i.run(&p, 100);
+        assert_eq!(i.profile().last_addr(&p, e, 1), None, "run records nothing");
+        let mut i = Interpreter::new();
+        i.step_block_recording(&p, e);
+        assert_eq!(i.profile().last_addr(&p, e, 1), Some(0x100c));
+        assert_eq!(i.profile().last_addr(&p, e, 2), Some(0x1000));
+        assert_eq!(
+            i.profile().last_addr(&p, e, 0),
+            None,
+            "not a memory instruction"
+        );
+        assert_eq!(i.profile().last_addr(&p, e, 9), None, "out of range");
+        let mut prof = i.profile().clone();
+        prof.clear();
+        assert_eq!(prof.last_addr(&p, e, 1), None);
     }
 
     #[test]

@@ -295,6 +295,18 @@ impl Instr {
     pub fn is_store(&self) -> bool {
         matches!(self, Instr::St { .. } | Instr::FSt { .. })
     }
+
+    /// `(base, disp)` of a load or store: its effective address is
+    /// `base + disp`.
+    pub fn mem_operand(&self) -> Option<(Reg, i64)> {
+        match *self {
+            Instr::Ld { base, disp, .. }
+            | Instr::St { base, disp, .. }
+            | Instr::FLd { base, disp, .. }
+            | Instr::FSt { base, disp, .. } => Some((base, disp)),
+            _ => None,
+        }
+    }
 }
 
 /// Block terminator.

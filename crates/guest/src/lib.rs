@@ -46,4 +46,4 @@ pub use asm::{disassemble, parse_program, ParseAsmError};
 pub use builder::ProgramBuilder;
 pub use interp::{ArchState, Interpreter, Profile, RunOutcome};
 pub use isa::{AluOp, Block, BlockId, CmpOp, FReg, FpuOp, Instr, Program, Reg, Terminator};
-pub use mem::Memory;
+pub use mem::{MemRange, Memory};

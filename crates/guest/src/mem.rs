@@ -2,6 +2,31 @@
 
 use smarq::hash::FastMap;
 
+/// The byte range `[lo, hi]` one guest access touches. Every access is
+/// one aligned 8-byte word ([`MemRange::word`]), the footprint both
+/// [`Memory`] and the alias hardware use: two accesses alias exactly when
+/// their words overlap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct MemRange {
+    /// First byte.
+    pub lo: u64,
+    /// Last byte (inclusive).
+    pub hi: u64,
+}
+
+impl MemRange {
+    /// The 8-byte range starting at `addr` (aligned down).
+    pub fn word(addr: u64) -> Self {
+        let lo = addr & !7;
+        MemRange { lo, hi: lo + 7 }
+    }
+
+    /// Whether two ranges overlap.
+    pub fn overlaps(self, other: MemRange) -> bool {
+        self.lo <= other.hi && other.lo <= self.hi
+    }
+}
+
 /// A sparse, word-addressed (8-byte) memory.
 ///
 /// Addresses are byte addresses; accesses are aligned down to 8 bytes (the

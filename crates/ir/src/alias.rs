@@ -126,6 +126,7 @@ mod tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         }
     }
 

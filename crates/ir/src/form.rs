@@ -3,7 +3,7 @@
 //! basic block until it reaches a cold block").
 
 use crate::sblock::{IrExit, IrOp, OpOrigin, Superblock};
-use smarq_guest::{BlockId, Instr, Profile, Program, Terminator};
+use smarq_guest::{BlockId, Instr, MemRange, Profile, Program, Terminator};
 
 /// Parameters of hot-region formation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,6 +78,16 @@ fn translate_instr(i: &Instr) -> IrOp {
 /// or a size limit. Every off-trace branch direction becomes a conditional
 /// side exit; the region ends with an unconditional exit to the next guest
 /// block (or to `None` for halt).
+///
+/// The region's memory pairs that aliased while its blocks warmed up
+/// become [`Superblock::profiled_aliases`]: a pair of memory operations
+/// of which at least one is a store, both with a recorded last address
+/// ([`Profile::last_addr`]), and whose words overlap under the alias
+/// hardware's footprint test ([`MemRange::word`]). The optimizer never
+/// speculates across such a pair, so a pair that aliases from its first
+/// iteration costs no alias exception. A profile recorded without
+/// addresses (such as [`Interpreter::run`](smarq_guest::Interpreter::run)'s)
+/// yields no pairs.
 ///
 /// ```
 /// use smarq_guest::{ProgramBuilder, Interpreter, Reg, CmpOp, AluOp};
@@ -214,15 +224,53 @@ pub fn form_superblock(
 
     // Guarantee the final unconditional exit exists (Jump/Branch paths that
     // broke out pushed it; Halt pushed one too).
+    let profiled_aliases = profiled_aliases(program, profile, &ops, &origins);
     let sb = Superblock {
         ops,
         origins,
         exits,
         entry: start,
         trace,
+        profiled_aliases,
     };
     debug_assert!(sb.validate().is_ok(), "{:?}", sb.validate());
     sb
+}
+
+/// The memory pairs of `ops` whose last recorded addresses overlap, with
+/// at least one store (the rule of [`form_superblock`]): each pair ordered,
+/// sorted, deduplicated.
+fn profiled_aliases(
+    program: &Program,
+    profile: &Profile,
+    ops: &[IrOp],
+    origins: &[OpOrigin],
+) -> Vec<(OpOrigin, OpOrigin)> {
+    let mut seen: Vec<(MemRange, usize)> = ops
+        .iter()
+        .zip(origins)
+        .enumerate()
+        .filter(|(_, (op, _))| op.is_mem())
+        .filter_map(|(i, (_, o))| {
+            let addr = profile.last_addr(program, o.block, o.instr)?;
+            Some((MemRange::word(addr), i))
+        })
+        .collect();
+    // Sorted by first byte, the words overlapping one are the run after
+    // it (every access is one word wide).
+    seen.sort_unstable_by_key(|&(r, i)| (r.lo, i));
+    let mut pairs = Vec::new();
+    for (k, &(ra, a)) in seen.iter().enumerate() {
+        for &(_, b) in seen[k + 1..].iter().take_while(|(rb, _)| rb.overlaps(ra)) {
+            if ops[a].is_store() || ops[b].is_store() {
+                let (x, y) = (origins[a], origins[b]);
+                pairs.push((x.min(y), x.max(y)));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 #[cfg(test)]
@@ -326,6 +374,91 @@ mod tests {
         );
         assert_eq!(sb.trace.len(), 1);
         sb.validate().unwrap();
+    }
+
+    /// Steps `p` from its entry with address recording until it halts.
+    fn run_recording(p: &Program) -> Interpreter {
+        let mut i = Interpreter::new();
+        let mut block = Some(p.entry());
+        while let Some(b) = block {
+            block = i.step_block_recording(p, b);
+        }
+        i
+    }
+
+    fn origin(block: BlockId, instr: u32) -> OpOrigin {
+        OpOrigin { block, instr }
+    }
+
+    /// `entry` stores to `0x1004`; the loop body stores to `0x1000 + 4`,
+    /// loads `0x1000`, `0x1007` and `0x1008`, and loads `0x1000` again.
+    fn pair_program() -> (Program, BlockId, BlockId) {
+        let mut b = ProgramBuilder::new();
+        let entry = b.block();
+        let body = b.block();
+        let done = b.block();
+        b.iconst(entry, Reg(2), 20);
+        b.iconst(entry, Reg(3), 0x1000);
+        b.st(entry, Reg(2), Reg(3), 4); // 2
+        b.jump(entry, body);
+        b.st(body, Reg(1), Reg(3), 4); // 0: word 0x1000, unaligned
+        b.ld(body, Reg(4), Reg(3), 0); // 1: word 0x1000
+        b.ld(body, Reg(5), Reg(3), 7); // 2: word 0x1000, unaligned
+        b.ld(body, Reg(6), Reg(3), 8); // 3: word 0x1008
+        b.ld(body, Reg(7), Reg(3), 0); // 4: word 0x1000
+        b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
+        b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
+        b.halt(done);
+        (b.finish(entry), entry, body)
+    }
+
+    #[test]
+    fn overlapping_words_with_a_store_are_profiled_pairs() {
+        let (p, _, body) = pair_program();
+        let i = run_recording(&p);
+        let sb = form_superblock(&p, i.profile(), body, FormationParams::default());
+        // The store pairs with every load of its word, aligned or not;
+        // the load/load pairs (1, 2), (1, 4), (2, 4) and the load of the
+        // next word are not pairs.
+        let want = vec![
+            (origin(body, 0), origin(body, 1)),
+            (origin(body, 0), origin(body, 2)),
+            (origin(body, 0), origin(body, 4)),
+        ];
+        assert_eq!(sb.profiled_aliases, want);
+        assert!(
+            sb.profiled_alias(origin(body, 2), origin(body, 0)),
+            "either order"
+        );
+        assert!(!sb.profiled_alias(origin(body, 1), origin(body, 4)));
+        assert!(!sb.profiled_alias(origin(body, 0), origin(body, 3)));
+    }
+
+    #[test]
+    fn an_op_the_profile_never_executed_pairs_with_nothing() {
+        let (p, entry, body) = pair_program();
+        // The entry block runs once without recording, the loop with it.
+        let mut i = Interpreter::new();
+        let mut block = i.step_block(&p, entry);
+        while let Some(b) = block {
+            block = i.step_block_recording(&p, b);
+        }
+        let sb = form_superblock(&p, i.profile(), entry, FormationParams::default());
+        assert_eq!(sb.trace, vec![entry, body]);
+        assert!(!sb.profiled_alias(origin(entry, 2), origin(body, 1)));
+        assert!(sb.profiled_alias(origin(body, 0), origin(body, 1)));
+        // Recorded, the entry store pairs with both the store and the
+        // loads of its word.
+        let i = run_recording(&p);
+        let sb = form_superblock(&p, i.profile(), entry, FormationParams::default());
+        assert!(sb.profiled_alias(origin(entry, 2), origin(body, 0)));
+        assert!(sb.profiled_alias(origin(entry, 2), origin(body, 1)));
+        assert!(!sb.profiled_alias(origin(entry, 2), origin(body, 3)));
+        // A profile without addresses yields no pairs.
+        let mut i = Interpreter::new();
+        i.run(&p, 100_000);
+        let sb = form_superblock(&p, i.profile(), body, FormationParams::default());
+        assert!(sb.profiled_aliases.is_empty());
     }
 
     #[test]

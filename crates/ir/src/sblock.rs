@@ -4,8 +4,8 @@ use smarq_guest::{AluOp, BlockId, CmpOp, FpuOp};
 
 /// Where an IR operation came from in the guest program (used to identify
 /// memory operations stably across re-translations, e.g. for the runtime's
-/// alias blacklist).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// alias blacklist). Ordered by block, then instruction.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpOrigin {
     /// Guest block.
     pub block: BlockId,
@@ -250,9 +250,22 @@ pub struct Superblock {
     pub entry: BlockId,
     /// The guest blocks forming the trace, in order.
     pub trace: Vec<BlockId>,
+    /// Memory-operation pairs seen aliasing while the trace's blocks
+    /// warmed up in the interpreter (see [`crate::form_superblock`]): each
+    /// pair ordered, the list sorted and deduplicated. The optimizer never
+    /// speculates across such a pair.
+    pub profiled_aliases: Vec<(OpOrigin, OpOrigin)>,
 }
 
 impl Superblock {
+    /// Whether the memory operations from `a` and `b` are a profiled-alias
+    /// pair (in either order).
+    pub fn profiled_alias(&self, a: OpOrigin, b: OpOrigin) -> bool {
+        self.profiled_aliases
+            .binary_search(&(a.min(b), a.max(b)))
+            .is_ok()
+    }
+
     /// Number of memory operations.
     pub fn mem_op_count(&self) -> usize {
         self.ops.iter().filter(|o| o.is_mem()).count()
@@ -340,6 +353,7 @@ mod tests {
             exits: vec![],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         };
         assert!(sb.validate().is_err());
     }
@@ -355,6 +369,7 @@ mod tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         };
         assert!(sb.validate().is_err());
     }
@@ -397,6 +412,7 @@ mod tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         };
         assert!(sb.validate().is_ok());
         assert_eq!(sb.mem_op_count(), 2);

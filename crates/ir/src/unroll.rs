@@ -76,6 +76,7 @@ pub fn unroll_superblock(sb: &Superblock, factor: u32, max_ops: usize) -> (Super
         exits: sb.exits.clone(),
         entry: sb.entry,
         trace: sb.trace.clone(),
+        profiled_aliases: sb.profiled_aliases.clone(),
     };
     debug_assert!(out.validate().is_ok());
     // `applied` is at least 2 here.

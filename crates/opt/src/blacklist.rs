@@ -28,11 +28,7 @@ impl AliasBlacklist {
     }
 
     fn key(a: OpOrigin, b: OpOrigin) -> (OpOrigin, OpOrigin) {
-        if (a.block, a.instr) <= (b.block, b.instr) {
-            (a, b)
-        } else {
-            (b, a)
-        }
+        (a.min(b), a.max(b))
     }
 
     /// Records that `a` and `b` aliased at runtime. Returns `false` when

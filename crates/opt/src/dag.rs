@@ -91,13 +91,14 @@ fn droppable(a: &IrOp, b: &IrOp, config: &OptConfig) -> bool {
 ///
 /// The memory edges are read off `deps`, the dependence graph of the
 /// region's [`RegionSpec`](smarq::RegionSpec) (`map` relates its
-/// [`MemOpId`]s to superblock ops): the work list's memory ops are
+/// [`MemOpId`](smarq::MemOpId)s to superblock ops): the work list's memory ops are
 /// exactly the spec's live ops, and the graph's plain edges are exactly
 /// the forward pairs of them that may alias, or touch an unspeculatable
 /// op, with at least one store. So the scheduler and the alias register
 /// allocator consume one memory-dependence walk. Each edge is then made
-/// hard (must-alias, unspeculatable, blacklisted or not droppable under
-/// the hardware policy) or a speculation candidate.
+/// hard (must-alias, unspeculatable, blacklisted, a profiled-alias pair of
+/// [`Superblock::profiled_aliases`], or not droppable under the hardware
+/// policy) or a speculation candidate.
 ///
 /// `taint` flags per *superblock* op index the memory operations whose
 /// address can touch an unspeculatable range. Every memory pair involving
@@ -226,6 +227,11 @@ pub fn build_dag(
             && member[b]
             && blacklist.contains(sb.origins[work.orig[a]], sb.origins[work.orig[b]])
     };
+    // A pair seen aliasing during warm-up is pinned like a blacklisted one,
+    // but only itself: the ALAT rule below that stops a blacklisted op
+    // from ever advancing reacts to faults, not to the profile.
+    let profiled =
+        |a: usize, b: usize| sb.profiled_alias(sb.origins[work.orig[a]], sb.origins[work.orig[b]]);
 
     // The ALAT has a bounded entry file (32 on real Itanium): only the
     // first ALAT_CAPACITY loads that could benefit become advanced loads;
@@ -259,6 +265,7 @@ pub fn build_dag(
             add(&mut hard_preds, &mut hard_succs, a, b, 0); // must alias
         } else {
             let pinned = blacklisted(a, b)
+                || profiled(a, b)
                 || (config.hw == HwKind::Alat && (!alat_advanced[b] || member[a] || member[b]));
             if !pinned && droppable(&work.ops[a], &work.ops[b], config) {
                 spec_before[b].push(a);
@@ -322,6 +329,7 @@ mod tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         }
     }
 

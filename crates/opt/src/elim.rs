@@ -51,6 +51,9 @@ impl Eliminations {
 /// elimination, speculative or not: not as the eliminated op, not as the
 /// forwarding source / overwriter, and not as a window op that would have
 /// to carry an extended-dependence check bit.
+///
+/// No speculative elimination speculates across a blacklisted pair or a
+/// profiled-alias pair ([`Superblock::profiled_aliases`]).
 pub fn run_eliminations(
     sb: &Superblock,
     analysis: &AliasAnalysis,
@@ -75,6 +78,12 @@ pub fn run_eliminations(
         |reg: u8, lo: usize, hi: usize| sb.ops[lo + 1..hi].iter().any(|o| o.int_def() == Some(reg));
     let redefined_fp =
         |reg: u8, lo: usize, hi: usize| sb.ops[lo + 1..hi].iter().any(|o| o.fp_def() == Some(reg));
+
+    // Pairs known to alias, from a fault or from the profile.
+    let known_alias = |x: usize, y: usize| {
+        let (a, b) = (sb.origins[x], sb.origins[y]);
+        blacklist.contains(a, b) || sb.profiled_alias(a, b)
+    };
 
     // Per op index: the ultimate forwarding source of an eliminated load.
     let mut fwd: Vec<Option<usize>> = vec![None; n];
@@ -157,10 +166,9 @@ pub fn run_eliminations(
             if !config.allow_spec_load_elim || !config.supports_spec_elim() {
                 continue;
             }
-            let risky = window_stores.iter().any(|&s| {
-                blacklist.contains(sb.origins[s], sb.origins[l])
-                    || blacklist.contains(sb.origins[s], sb.origins[src])
-            });
+            let risky = window_stores
+                .iter()
+                .any(|&s| known_alias(s, l) || known_alias(s, src));
             if risky {
                 continue;
             }
@@ -255,10 +263,9 @@ pub fn run_eliminations(
             if !config.allow_spec_store_elim || !config.supports_spec_elim() {
                 continue;
             }
-            let risky = may_loads.iter().any(|&y| {
-                blacklist.contains(sb.origins[y], sb.origins[z])
-                    || blacklist.contains(sb.origins[y], sb.origins[i])
-            });
+            let risky = may_loads
+                .iter()
+                .any(|&y| known_alias(y, z) || known_alias(y, i));
             if risky {
                 continue;
             }
@@ -303,6 +310,7 @@ mod tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         }
     }
 
@@ -857,6 +865,7 @@ mod dce_tests {
             exits: vec![IrExit { target: None }; exits.max(1)],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         }
     }
 

@@ -535,6 +535,7 @@ mod efficeon_tests {
             exits: vec![IrExit { target: None }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
         };
         // Make the loads latency-critical so the scheduler hoists them.
         sb.ops.insert(

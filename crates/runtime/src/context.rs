@@ -22,11 +22,11 @@ use crate::stats::{RegionRecord, SystemStats};
 use crate::system::{RunStatus, StopReason};
 use crate::translate_service::{run_translation_job, FinishedTranslation, JobInput};
 use crate::HubConfig;
-use smarq::{AllocScratch, Diagnostic};
+use smarq::{AllocScratch, Diagnostic, Severity};
 use smarq_guest::{BlockId, Interpreter, Memory, Program};
 use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
-use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace};
+use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized};
 use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
 use smarq_vliw::{AliasViolation, AnyAliasHw, RegionOutcome, RegionStats, Simulator, VliwState};
 use std::sync::Arc;
@@ -154,26 +154,32 @@ impl GuestContext {
     /// Re-derives the optimizer trace of region `i` (indexed like
     /// [`SystemStats::per_region`]) by optimizing its superblock again,
     /// under the hub's configuration, the blacklist it was translated
-    /// against and the entry state it assumed. Translation keeps no trace
+    /// against and the entry state it assumed; the superblock carries the
+    /// pairs its profile saw aliasing. Translation keeps no trace
     /// unless verify-on-emit is on, so what only a trace answers, such as
     /// Figure 17's [`OptTrace::lower_bound`], is computed here, off the
     /// translation path. `None` when `i` is out of range or the region is
     /// stale (the blacklist grew after its last translation, so a
     /// re-optimization would not reproduce it).
     pub fn region_trace(&self, i: usize) -> Option<OptTrace> {
+        self.reoptimize(i).map(|(_, trace)| trace)
+    }
+
+    /// Optimizes region `i`'s superblock (with its profiled-alias pairs)
+    /// again, as [`region_trace`](Self::region_trace) describes.
+    fn reoptimize(&self, i: usize) -> Option<(Optimized, OptTrace)> {
         let code = &self.regions.get(i)?.shared.code;
         if code.blacklist_gen != self.blacklist.0 {
             return None;
         }
-        let (_, trace) = optimize_superblock_traced_ranged(
+        Some(optimize_superblock_traced_ranged(
             &code.sb,
             &self.cfg.opt,
             &self.cfg.machine,
             &self.blacklist.1,
             &mut AllocScratch::new(),
             code.assumed_entry.as_ref(),
-        );
-        Some(trace)
+        ))
     }
 
     /// Runs the whole-chain static analyzer over every installed region
@@ -183,19 +189,19 @@ impl GuestContext {
         let views: Vec<ChainRegionView<'_>> = (0..self.regions.len())
             .filter_map(|i| self.chain_view(i))
             .collect();
-        (!views.is_empty()).then(|| self.analyze_views(&views))
+        (!views.is_empty()).then(|| self.analyze_views(&views, Severity::Info))
     }
 
     /// The chain analysis of `views`, seeded from this program's
     /// never-faulted dataflow (every view implies verify-on-emit, which
-    /// computes it).
-    fn analyze_views(&self, views: &[ChainRegionView<'_>]) -> ChainReport {
+    /// computes it), with the findings of severity `min` or above.
+    fn analyze_views(&self, views: &[ChainRegionView<'_>], min: Severity) -> ChainReport {
         let reference = self
             .reference
             .as_ref()
             .or(self.dataflow.as_ref())
             .expect("verify-on-emit computes the program dataflow");
-        smarq_verify::analyze_chain_seeded(reference, views, &self.cfg.opt.nospec)
+        smarq_verify::analyze_chain_seeded(reference, views, &self.cfg.opt.nospec, min)
     }
 
     fn chain_view(&self, i: usize) -> Option<ChainRegionView<'_>> {
@@ -312,7 +318,7 @@ impl GuestContext {
         if let Some(idx) = self.cached_region(cur) {
             return self.run_chain(hub, idx, budget);
         }
-        let next = self.interp.step_block(&self.program, cur);
+        let next = self.interp.step_block_recording(&self.program, cur);
         self.maybe_request(hub, cur);
         next
     }
@@ -411,7 +417,7 @@ impl GuestContext {
         if let Some(diags) = diags {
             self.stats.regions_verified += 1;
             for d in diags {
-                if d.severity == smarq::Severity::Error {
+                if d.severity == Severity::Error {
                     self.stats.verify_errors += 1;
                 }
                 self.stats.keep_diagnostic(d);
@@ -669,10 +675,17 @@ impl GuestContext {
         else {
             return;
         };
-        let report = self.analyze_views(&views);
+        // Once the kept list is full no warning can be kept again: build
+        // only the errors, which still count and can displace a warning.
+        let min = if self.stats.keeps_non_errors() {
+            Severity::Info
+        } else {
+            Severity::Error
+        };
+        let report = self.analyze_views(&views, min);
         self.stats.chain_checks += 1;
         for d in report.diagnostics {
-            if d.severity == smarq::Severity::Error {
+            if d.severity == Severity::Error {
                 self.stats.chain_errors += 1;
             }
             self.stats.keep_diagnostic(d);
@@ -696,7 +709,7 @@ impl GuestContext {
         if let Some(s) = hub.report_rollback(&shared, a, b) {
             self.submitted_since(hub, shared.key, s, t0);
         }
-        self.interp.step_block(&self.program, entry)
+        self.interp.step_block_recording(&self.program, entry)
     }
 }
 
@@ -777,5 +790,51 @@ mod tests {
             }
         }
         assert!(regions > 20, "only {regions} regions formed");
+    }
+    /// Re-optimizing a region from what it was translated with, as
+    /// `region_trace` does, reproduces the installed `VliwProgram` byte
+    /// for byte and the trace verify-on-emit kept, for regions whose
+    /// superblocks carry profiled-alias pairs (equake's strand, a loop
+    /// that aliases from its first iteration) under every scheme.
+    #[test]
+    fn region_trace_reproduces_regions_with_profiled_pairs() {
+        let programs = [
+            crate::system::tests::truly_aliasing_loop(300),
+            smarq_workloads::scaled("equake", 300)
+                .expect("stand-in exists")
+                .program,
+        ];
+        let schemes = [
+            smarq_opt::OptConfig::smarq(64),
+            smarq_opt::OptConfig::efficeon(),
+            smarq_opt::OptConfig::alat(),
+        ];
+        let mut profiled = 0;
+        for program in programs {
+            for opt in schemes.clone() {
+                let mut cfg = SystemConfig::with_opt(opt);
+                cfg.hot_threshold = 10;
+                cfg.verify_translations = true;
+                let hub = TranslationHub::with_executor(HubConfig::from_system(&cfg), None);
+                let mut ctx = GuestContext::new(0, program.clone(), &hub);
+                ctx.run_to_completion(&hub, 2_000_000);
+                assert!(!ctx.regions.is_empty());
+                for i in 0..ctx.regions.len() {
+                    let code = &ctx.regions[i].shared.code;
+                    profiled += usize::from(!code.sb.profiled_aliases.is_empty());
+                    let (opt, trace) = ctx.reoptimize(i).expect("no rollback, no stale region");
+                    assert_eq!(opt.vliw.to_string(), code.vliw.to_string());
+                    assert_eq!(opt.vliw, code.vliw);
+                    let kept = code.trace.as_ref().expect("verify-on-emit keeps the trace");
+                    assert_eq!(format!("{trace:?}"), format!("{kept:?}"));
+                    let derived = ctx.region_trace(i).expect("same region");
+                    assert_eq!(format!("{derived:?}"), format!("{kept:?}"));
+                }
+            }
+        }
+        assert!(
+            profiled >= 6,
+            "only {profiled} regions carry profiled pairs"
+        );
     }
 }

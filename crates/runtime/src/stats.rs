@@ -138,16 +138,23 @@ impl SystemStats {
     /// keep counting past it).
     pub const VERIFY_DIAGNOSTIC_CAP: usize = 64;
 
+    /// Whether [`Self::verify_diagnostics`] can still take a diagnostic
+    /// below [`Severity::Error`]: once the list is full, only errors get
+    /// in (each displacing the last non-error).
+    pub(crate) fn keeps_non_errors(&self) -> bool {
+        self.verify_diagnostics.len() < Self::VERIFY_DIAGNOSTIC_CAP
+    }
+
     /// Keeps `d` in [`Self::verify_diagnostics`] under the cap, errors
     /// ahead of every other severity.
     pub(crate) fn keep_diagnostic(&mut self, d: Diagnostic) {
-        let kept = &mut self.verify_diagnostics;
         if d.severity < Severity::Error {
-            if kept.len() < Self::VERIFY_DIAGNOSTIC_CAP {
-                kept.push(d);
+            if self.keeps_non_errors() {
+                self.verify_diagnostics.push(d);
             }
             return;
         }
+        let kept = &mut self.verify_diagnostics;
         let first_non_error = kept
             .iter()
             .position(|k| k.severity < Severity::Error)
@@ -230,7 +237,7 @@ impl SystemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::truly_aliasing_loop as aliasing_loop;
+    use crate::system::tests::late_aliasing_loop;
     use crate::{DynOptSystem, StopReason, SystemConfig};
     use smarq_guest::{AluOp, CmpOp, Program, ProgramBuilder, Reg};
     use smarq_opt::OptConfig;
@@ -323,7 +330,7 @@ mod tests {
             hot_threshold: 10,
             ..SystemConfig::default()
         };
-        let s = run(aliasing_loop(300), cfg);
+        let s = run(late_aliasing_loop(300, 20), cfg);
 
         assert!(s.rollbacks >= 1, "true aliasing must fault at least once");
         assert!(s.retranslations >= 1);
@@ -351,7 +358,7 @@ mod tests {
     /// equals the interpreter's own counter at every stop point.
     #[test]
     fn batched_stat_sync_preserves_guest_instr_totals() {
-        for p in [counted_loop(300), aliasing_loop(300)] {
+        for p in [counted_loop(300), late_aliasing_loop(300, 20)] {
             let cfg = SystemConfig {
                 hot_threshold: 10,
                 ..SystemConfig::default()

@@ -417,8 +417,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// Loop where the "unlikely" aliasing pair truly aliases: forces an
-    /// alias exception, a rollback and a conservative re-translation.
+    /// Loop where the "unlikely" aliasing pair truly aliases from the
+    /// first iteration: the pair aliases while the block warms up, so
+    /// formation records it and no scheme speculates on it.
     pub(crate) fn truly_aliasing_loop(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
         let entry = b.block();
@@ -440,7 +441,7 @@ pub(crate) mod tests {
 
     #[test]
     fn alias_exception_rolls_back_and_blacklists() {
-        let p = truly_aliasing_loop(400);
+        let p = late_aliasing_loop(400, 60);
         let expected = reference_state(&p);
         let mut sys = DynOptSystem::new(p, SystemConfig::with_opt(OptConfig::smarq(64)));
         assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
@@ -451,6 +452,69 @@ pub(crate) mod tests {
         // After re-translation the region must run cleanly (no livelock).
         let last = sys.stats().per_region.last().unwrap();
         assert!(last.rollbacks < 5, "blacklisting must converge");
+    }
+
+    /// The three speculating schemes, by name.
+    fn speculating_schemes() -> [(&'static str, OptConfig); 3] {
+        [
+            ("smarq", OptConfig::smarq(64)),
+            ("efficeon", OptConfig::efficeon()),
+            ("alat", OptConfig::alat()),
+        ]
+    }
+
+    /// The store at `instr` of the aliasing loops' body block and the load
+    /// right after it.
+    fn body_pair(instr: u32) -> (smarq_ir::OpOrigin, smarq_ir::OpOrigin) {
+        let at = |instr| smarq_ir::OpOrigin {
+            block: BlockId(1),
+            instr,
+        };
+        (at(instr), at(instr + 1))
+    }
+
+    /// A pair that aliases from the first iteration aliases while its
+    /// block warms up: formation records it, no scheme speculates on it,
+    /// and the region is translated once and never rolls back.
+    #[test]
+    fn a_pair_aliasing_during_warm_up_is_never_speculated() {
+        let p = truly_aliasing_loop(400);
+        let expected = reference_state(&p);
+        let (st, ld) = body_pair(0);
+        for (label, opt) in speculating_schemes() {
+            let mut sys = DynOptSystem::new(p.clone(), SystemConfig::with_opt(opt));
+            assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
+            assert_eq!(sys.interp().arch_state(), expected, "{label}");
+            let s = sys.stats();
+            assert_eq!(s.rollbacks, 0, "{label}: the pair was speculated on");
+            assert_eq!(s.retranslations, 0, "{label}");
+            assert_eq!(s.regions_formed, s.per_region.len(), "{label}");
+            assert!(s.region_entries > 0, "{label}: the region runs");
+            assert!(sys.blacklist().is_empty(), "{label}");
+            let sb = sys.formed_superblocks().next().expect("the loop is hot");
+            assert_eq!(sb.profiled_aliases, vec![(st, ld)], "{label}");
+        }
+    }
+
+    /// A pair that starts to alias only after warm-up is not among the
+    /// profiled pairs: under every scheme it still faults, is blacklisted
+    /// and the region is retranslated.
+    #[test]
+    fn a_pair_aliasing_after_warm_up_still_faults_and_is_blacklisted() {
+        let p = late_aliasing_loop(400, 60);
+        let expected = reference_state(&p);
+        let (st, ld) = body_pair(3);
+        for (label, opt) in speculating_schemes() {
+            let mut sys = DynOptSystem::new(p.clone(), SystemConfig::with_opt(opt));
+            assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
+            assert_eq!(sys.interp().arch_state(), expected, "{label}");
+            let s = sys.stats();
+            assert!(s.rollbacks >= 1, "{label}: late aliasing must fault");
+            assert!(s.retranslations >= 1, "{label}");
+            assert!(sys.blacklist().contains(st, ld), "{label}");
+            let sb = sys.formed_superblocks().next().expect("the loop is hot");
+            assert!(sb.profiled_aliases.is_empty(), "{label}");
+        }
     }
 
     #[test]
@@ -513,8 +577,8 @@ pub(crate) mod tests {
     #[test]
     fn abandoned_regions_fall_back_to_interpretation() {
         // Force abandonment with a zero rollback budget on a program that
-        // always faults: execution must still complete correctly.
-        let p = truly_aliasing_loop(300);
+        // faults once warm: execution must still complete correctly.
+        let p = late_aliasing_loop(300, 60);
         let expected = reference_state(&p);
         let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
         cfg.max_rollbacks_per_region = 0;
@@ -697,33 +761,15 @@ pub(crate) mod tests {
         );
     }
 
-    /// Loop that truly aliases only after a warm phase: the exception
-    /// fires *inside a chained region* (entered over a memoized link).
-    /// The rollback must surface the resident state exactly, the chain
-    /// links must be invalidated, and blacklisting must re-converge.
-    fn late_aliasing_loop(iters: i64, flip: i64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let entry = b.block();
-        let body = b.block();
-        let done = b.block();
-        b.iconst(entry, Reg(1), 0);
-        b.iconst(entry, Reg(2), iters);
-        b.iconst(entry, Reg(3), 0x1000);
-        b.iconst(entry, Reg(7), flip);
-        b.iconst(entry, Reg(8), 0x1000);
-        b.jump(entry, body);
-        // r5 = 0x1000 + (i < flip) * 0x1000: distinct address while warm,
-        // then exactly the store's address.
-        b.alu(body, AluOp::Slt, Reg(6), Reg(1), Reg(7));
-        b.alu(body, AluOp::Mul, Reg(6), Reg(6), Reg(8));
-        b.alu(body, AluOp::Add, Reg(5), Reg(3), Reg(6));
-        b.st(body, Reg(1), Reg(3), 0);
-        b.ld(body, Reg(4), Reg(5), 0); // may-alias; truly aliases at i >= flip
-        b.alu_imm(body, AluOp::Add, Reg(9), Reg(4), 0);
-        b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
-        b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
-        b.halt(done);
-        b.finish(entry)
+    /// Loop that truly aliases only from iteration `flip` on
+    /// ([`smarq_workloads::late_aliasing`]: the store is `instr` 3 of
+    /// block 1, the load `instr` 4). With `flip` past the hot threshold
+    /// the region speculates on the pair and the exception fires *inside
+    /// a chained region* (entered over a memoized link). The rollback must
+    /// surface the resident state exactly, the chain links must be
+    /// invalidated, and blacklisting must re-converge.
+    pub(crate) fn late_aliasing_loop(iters: i64, flip: i64) -> Program {
+        smarq_workloads::late_aliasing(iters, flip).program
     }
 
     #[test]
@@ -878,7 +924,7 @@ pub(crate) mod tests {
     /// the same blacklist/retranslate machinery as the cycle tier.
     #[test]
     fn functional_tier_deopt_is_exact_and_converges() {
-        for p in [truly_aliasing_loop(400), late_aliasing_loop(500, 250)] {
+        for p in [late_aliasing_loop(400, 60), late_aliasing_loop(500, 250)] {
             let expected = reference_state(&p);
             let sys = run_functional(&p, 16);
             let s = sys.stats();
@@ -906,7 +952,7 @@ pub(crate) mod tests {
     /// rollback budget falls back to interpretation permanently.
     #[test]
     fn functional_tier_abandonment_falls_back() {
-        let p = truly_aliasing_loop(300);
+        let p = late_aliasing_loop(300, 60);
         let expected = reference_state(&p);
         let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
         cfg.tier_sample_interval = 16;
@@ -977,7 +1023,7 @@ pub(crate) mod tests {
     /// keep firing across the deopt boundary.
     #[test]
     fn deopt_during_sampled_entry_stays_exact() {
-        for p in [truly_aliasing_loop(400), late_aliasing_loop(500, 250)] {
+        for p in [late_aliasing_loop(400, 60), late_aliasing_loop(500, 250)] {
             let expected = reference_state(&p);
             let sys = run_functional(&p, 1);
             let s = sys.stats();
@@ -1062,7 +1108,7 @@ pub(crate) mod tests {
     /// converges — bit-exact with the reference throughout.
     #[test]
     fn async_deopt_retranslates_through_the_queue() {
-        for p in [truly_aliasing_loop(400), late_aliasing_loop(500, 250)] {
+        for p in [late_aliasing_loop(400, 60), late_aliasing_loop(500, 250)] {
             let expected = reference_state(&p);
             let mut sys = DynOptSystem::new(p, async_auto_cfg());
             assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);

@@ -401,9 +401,9 @@ fn double_publish_of_same_block_is_rejected() {
 fn seeded_schedule_sweep_is_bit_exact() {
     let programs = [
         ("plain", plain_loop(400)),
-        ("alias_both", two_loop(120, 8, true, true, None)),
+        ("alias_both", two_loop(120, 8, true, true, Some(10))),
         ("alias_flip", two_loop(120, 8, true, true, Some(40))),
-        ("alias_half", two_loop(120, 8, true, false, None)),
+        ("alias_half", two_loop(120, 8, true, false, Some(10))),
     ];
     for (name, p) in &programs {
         let expected = reference_state(p);

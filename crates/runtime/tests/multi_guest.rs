@@ -106,25 +106,12 @@ fn store_shadowed_loop(iters: i64) -> Program {
     b.finish(entry)
 }
 
-/// Loop whose "unlikely" aliasing pair truly aliases: forces rollbacks,
+/// Loop whose "unlikely" aliasing pair truly aliases from iteration
+/// `flip` on ([`smarq_workloads::late_aliasing`]). With `flip` past the
+/// hot threshold the region speculates on the pair: forces rollbacks,
 /// blacklist growth and cross-guest retranslation.
-fn truly_aliasing_loop(iters: i64) -> Program {
-    let mut b = ProgramBuilder::new();
-    let entry = b.block();
-    let body = b.block();
-    let done = b.block();
-    b.iconst(entry, Reg(1), 0);
-    b.iconst(entry, Reg(2), iters);
-    b.iconst(entry, Reg(3), 0x1000);
-    b.iconst(entry, Reg(5), 0x1000); // same address, different register!
-    b.jump(entry, body);
-    b.st(body, Reg(1), Reg(3), 0);
-    b.ld(body, Reg(4), Reg(5), 0);
-    b.alu_imm(body, AluOp::Add, Reg(6), Reg(4), 0);
-    b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
-    b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
-    b.halt(done);
-    b.finish(entry)
+fn late_aliasing_loop(iters: i64, flip: i64) -> Program {
+    smarq_workloads::late_aliasing(iters, flip).program
 }
 
 /// Loop storing an `fconst` NaN with the given payload bits: programs
@@ -298,7 +285,7 @@ fn nan_payloads_are_keyed_separately() {
 
 #[test]
 fn cross_guest_blacklist_and_invalidation() {
-    let p = truly_aliasing_loop(400);
+    let p = late_aliasing_loop(400, 60);
     let expected = reference_state(&p);
     let hub = TranslationHub::new(hub_config(0, 8));
     let mut guests: Vec<GuestContext> = (0..4)
@@ -349,7 +336,7 @@ fn interleaved_schedule_replays_from_seed() {
 fn stepped_executor_interleavings_are_bit_exact_and_replay() {
     let corpus = [
         two_phase_program(300),
-        truly_aliasing_loop(300),
+        late_aliasing_loop(300, 60),
         store_shadowed_loop(300),
     ];
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
@@ -394,7 +381,7 @@ fn multiguest_threaded_stress_bit_exact_and_ledger() {
         accumulating_loop(600),
         two_phase_program(400),
         store_shadowed_loop(500),
-        truly_aliasing_loop(400),
+        late_aliasing_loop(400, 60),
     ];
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
     for depth in [1u32, 8] {
@@ -476,7 +463,7 @@ fn threaded_executor_stress_bit_exact_and_publish_ledger() {
         accumulating_loop(600),
         two_phase_program(400),
         store_shadowed_loop(500),
-        truly_aliasing_loop(400),
+        late_aliasing_loop(400, 60),
     ];
     let expected: Vec<ArchState> = corpus.iter().map(reference_state).collect();
     for depth in [1u32, 8] {

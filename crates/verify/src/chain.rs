@@ -111,17 +111,28 @@ pub fn analyze_chain(
     regions: &[ChainRegionView<'_>],
     nospec: &NospecRanges,
 ) -> ChainReport {
-    analyze_chain_seeded(&dataflow::analyze_reference(program), regions, nospec)
+    analyze_chain_seeded(
+        &dataflow::analyze_reference(program),
+        regions,
+        nospec,
+        Severity::Info,
+    )
 }
 
 /// [`analyze_chain`] seeded from `reference`, which must be the
 /// never-faulted whole-program dataflow of the regions' program
 /// ([`crate::dataflow::analyze_reference`]'s result, or equal to it): a
 /// caller that checks many chains of one program computes it once.
+///
+/// Only findings of severity `min` or above are built: with
+/// [`Severity::Error`] the two warning checks do not run, and the report
+/// holds exactly the errors of a [`Severity::Info`] run. A caller that
+/// can keep no more warnings skips deriving and formatting them.
 pub fn analyze_chain_seeded(
     reference: &ProgramDataflow,
     regions: &[ChainRegionView<'_>],
     nospec: &NospecRanges,
+    min: Severity,
 ) -> ChainReport {
     let n = regions.len();
     // Seed from the never-faulted whole-program dataflow: sound for any
@@ -194,8 +205,10 @@ pub fn analyze_chain_seeded(
         check_write_mask(view, &mut diagnostics);
         check_entry_state(view, &entry, regions, &edges, r, &mut diagnostics);
         check_nospec(view, &ranges, nospec, &mut diagnostics);
-        check_dead_amov(view, regions, &out_edges[r], &mut diagnostics);
-        check_unreachable(view, &ranges, &mut diagnostics);
+        if min <= Severity::Warning {
+            check_dead_amov(view, regions, &out_edges[r], &mut diagnostics);
+            check_unreachable(view, &ranges, &mut diagnostics);
+        }
     }
 
     ChainReport {
@@ -531,6 +544,7 @@ mod tests {
             }],
             entry: BlockId(1),
             trace: vec![BlockId(1)],
+            profiled_aliases: Vec::new(),
         };
         let mut spec = RegionSpec::new();
         let m0 = spec.push(MemKind::Store, 0);
@@ -628,6 +642,29 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == "chain-unreachable-check" && d.severity == Severity::Warning));
+    }
+
+    /// An errors-only run reports exactly the errors of a full run, in
+    /// order, on a chain that has both errors and warnings.
+    #[test]
+    fn an_errors_only_run_reports_exactly_the_errors() {
+        let p = base_program();
+        let f = fixture(hoisted());
+        let mut v = view(&f, None);
+        v.write_mask.ints &= !(1u64 << 5);
+        let reference = dataflow::analyze_reference(&p);
+        let none = NospecRanges::none();
+        let views = [v];
+        let full = analyze_chain_seeded(&reference, &views, &none, Severity::Info);
+        let errs = analyze_chain_seeded(&reference, &views, &none, Severity::Error);
+        assert!(full
+            .diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Warning));
+        assert!(!errs.diagnostics.is_empty());
+        assert_eq!(errs.diagnostics.iter().collect::<Vec<_>>(), errors(&full));
+        assert_eq!(errs.entry_states, full.entry_states);
+        assert_eq!(errs.edges, full.edges);
     }
 
     #[test]

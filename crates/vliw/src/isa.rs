@@ -7,30 +7,9 @@
 //! in order, one bundle per cycle at best.
 
 use crate::alias_hw::HwKind;
+pub use smarq_guest::MemRange;
 use smarq_guest::{AluOp, CmpOp, FpuOp};
 use std::fmt;
-
-/// A byte range `[lo, hi]` accessed by a memory operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct MemRange {
-    /// First byte.
-    pub lo: u64,
-    /// Last byte (inclusive).
-    pub hi: u64,
-}
-
-impl MemRange {
-    /// The 8-byte range starting at `addr` (aligned down).
-    pub fn word(addr: u64) -> Self {
-        let lo = addr & !7;
-        MemRange { lo, hi: lo + 7 }
-    }
-
-    /// Whether two ranges overlap.
-    pub fn overlaps(self, other: MemRange) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-}
 
 /// Alias-detection annotation attached to a memory operation. Which
 /// variants appear depends on the hardware model the optimizer targets.

@@ -53,17 +53,18 @@ struct Kernel {
     /// mesa pattern: early store pinned behind the late stores feeds a
     /// must-alias load chain (benefits from store-store reordering).
     pinned_early_store: bool,
-    /// equake pattern: one strand's pointer *truly* equals the store base,
-    /// causing a real alias exception on first execution.
+    /// equake pattern: one strand's pointer *truly* equals the store base
+    /// from the first iteration, so the runtime sees the pair alias while
+    /// the loop warms up and never speculates on it (no rollback).
     true_alias_strand: bool,
     /// Figure 3 pattern: a load/store pair that truly aliases but is never
     /// reordered. SMARQ's anti-constraints keep it silent; the ALAT's
     /// check-everything stores raise a *false positive*.
     alat_fp_pair: bool,
     /// ammp pattern (paper Figure 16 note): an early-value store that
-    /// store-reordering hoists above a late store it *truly* aliases —
-    /// the speculation faults at runtime and rolls the region back, so
-    /// enabling store reordering costs a little here.
+    /// store-reordering would hoist above a late store it *truly* aliases.
+    /// The pair aliases from the first iteration, so the runtime sees it
+    /// while the loop warms up and keeps the stores in order.
     reordered_true_alias_stores: bool,
 }
 
@@ -350,7 +351,7 @@ fn all_configs() -> Vec<(&'static str, &'static str, Kernel)> {
         ),
         (
             "equake",
-            "earthquake FEM: occasional true pointer aliasing (rollbacks)",
+            "earthquake FEM: a truly aliasing strand pointer, seen during warm-up",
             Kernel {
                 strands: 4,
                 groups: 2,

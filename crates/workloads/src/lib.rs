@@ -11,8 +11,8 @@
 //!   16 in-flight alias registers);
 //! * `mesa`'s sensitivity to store reordering (an early store pinned
 //!   behind a late store feeds a must-alias load);
-//! * `equake`'s occasional *true* runtime aliasing (exercising rollback +
-//!   conservative re-optimization);
+//! * `equake`'s *true* runtime aliasing of one strand pointer, which the
+//!   runtime sees while the loop warms up and so never speculates on;
 //! * load/store-elimination opportunities (`galgel`, `lucas`, `fma3d`)
 //!   that produce the paper's extended dependences, anti-constraints and
 //!   AMOVs.
@@ -20,15 +20,21 @@
 //! Every kernel is a counted loop whose body becomes one hot superblock;
 //! all speculation is on pairs the simple alias analysis cannot
 //! disambiguate (distinct base registers) but that never truly alias —
-//! except where a benchmark deliberately aliases to trigger rollbacks.
+//! except where a benchmark deliberately aliases. Such a pair aliases from
+//! the first iteration, so the runtime records it while the loop warms up
+//! and never speculates on it; [`late_aliasing`] is the loop whose pair
+//! starts to alias only once the region runs, which is what reaches
+//! rollback and conservative re-optimization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod kernels;
+mod late;
 mod random;
 mod scale;
 
 pub use kernels::{all, by_name, scaled, Workload, WORKLOAD_NAMES};
+pub use late::late_aliasing;
 pub use random::{random_workload, random_workload_with, RandomParams};
 pub use scale::{scaled_count, scaled_iters, test_scale};

@@ -2,10 +2,11 @@
 //!
 //! Complements the 14 named kernels with arbitrarily many pseudo-random
 //! loop workloads: random bodies over a small pool of base addresses, so
-//! some pointer pairs truly alias at runtime (exercising detection,
-//! rollback and blacklisting) while others only *may* alias to the
-//! analysis (exercising speculation). Generation is deterministic in the
-//! seed.
+//! some pointer pairs truly alias at runtime while others only *may*
+//! alias to the analysis (exercising speculation). The pointers are fixed
+//! for the whole run, so a truly aliasing pair aliases while the loop
+//! warms up and the runtime never speculates on it. Generation is
+//! deterministic in the seed.
 
 use crate::kernels::Workload;
 use smarq::prng::Prng;

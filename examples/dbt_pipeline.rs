@@ -1,7 +1,11 @@
 //! The full dynamic binary optimization pipeline (paper Figure 1) on a
-//! guest program with a *truly aliasing* pointer pair: the first region
-//! execution raises an alias exception, rolls back, blacklists the pair,
-//! re-optimizes conservatively, and then runs cleanly.
+//! guest program with a pointer pair that *truly aliases* only once the
+//! loop is hot. While the loop warms up in the interpreter the pair reads
+//! distinct words, so the translated region speculates on it; the first
+//! region execution after the pointers meet raises an alias exception,
+//! rolls back, blacklists the pair, re-optimizes conservatively, and then
+//! runs cleanly. (A pair that aliased during warm-up would never have been
+//! speculated on.)
 //!
 //! Run with: `cargo run --example dbt_pipeline`
 
@@ -11,7 +15,8 @@ use smarq_runtime::{DynOptSystem, SystemConfig};
 
 fn main() {
     // A loop that writes through r3 and reads through r5 — two registers
-    // the runtime cannot disambiguate, holding the SAME address.
+    // the runtime cannot disambiguate. From iteration 1000 on (well past
+    // the hot threshold) they hold the SAME address.
     let mut b = ProgramBuilder::new();
     let entry = b.block();
     let body = b.block();
@@ -19,10 +24,15 @@ fn main() {
     b.iconst(entry, Reg(1), 0);
     b.iconst(entry, Reg(2), 2_000);
     b.iconst(entry, Reg(3), 0x1000);
-    b.iconst(entry, Reg(5), 0x1000); // same address, different register
+    b.iconst(entry, Reg(7), 1_000); // the iteration the pointers meet
+    b.iconst(entry, Reg(8), 0x1000);
     b.jump(entry, body);
+    // r5 = r3 + (i < 1000) * 0x1000
+    b.alu(body, AluOp::Slt, Reg(5), Reg(1), Reg(7));
+    b.alu(body, AluOp::Mul, Reg(5), Reg(5), Reg(8));
+    b.alu(body, AluOp::Add, Reg(5), Reg(3), Reg(5));
     b.st(body, Reg(1), Reg(3), 0);
-    b.ld(body, Reg(4), Reg(5), 0); // must observe the store
+    b.ld(body, Reg(4), Reg(5), 0); // must observe the store once aliased
     b.alu(body, AluOp::Add, Reg(6), Reg(6), Reg(4));
     b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
     b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);

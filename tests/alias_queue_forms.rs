@@ -9,9 +9,11 @@
 //! `fastcomp::compile` reads off one replay of the same hardware, from
 //! the guest states the interpreter reaches at that region's entry.
 //! Outcome (including the alias exception and its producer), the work
-//! counters, registers and memory must agree. The speculative regions of
-//! `equake`, whose strand pointer truly aliases a store, fault and roll
-//! back; Efficeon and ALAT regions fault too.
+//! counters, registers and memory must agree. This tests lowering, not
+//! speculation policy, so the regions are optimized with their
+//! profiled-alias pairs cleared: the speculative regions of `equake`,
+//! whose strand pointer truly aliases a store, fault and roll back;
+//! Efficeon and ALAT regions fault too.
 
 use smarq_guest::{ArchState, BlockId, Interpreter, Program};
 use smarq_ir::Superblock;
@@ -45,13 +47,18 @@ fn programs() -> Vec<(String, Program)> {
     kernels.chain(random).collect()
 }
 
-/// The regions the runtime forms for `program`.
+/// The regions the runtime forms for `program`, without the pairs the
+/// profile saw aliasing, so truly aliasing pairs are speculated on.
 fn formed_regions(program: &Program) -> Vec<Superblock> {
     let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
     cfg.hot_threshold = HOT_THRESHOLD;
     let mut sys = DynOptSystem::new(program.clone(), cfg);
     sys.run_to_completion(BUDGET);
-    sys.formed_superblocks().cloned().collect()
+    let mut sbs: Vec<Superblock> = sys.formed_superblocks().cloned().collect();
+    for sb in &mut sbs {
+        sb.profiled_aliases.clear();
+    }
+    sbs
 }
 
 /// Interpreter states at the first [`VISITS`] visits of each block in
