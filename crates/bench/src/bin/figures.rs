@@ -6,7 +6,7 @@
 //! `figures bench-json [OUT.json]` instead runs the before/after perf
 //! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
 //! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR23.json`). The convention: a PR
+//! JSON baseline (default `BENCH_PR25.json`). The convention: a PR
 //! claiming performance work commits the file this prints, named
 //! `BENCH_PR<n>.json`.
 
@@ -32,11 +32,14 @@ fn bench_json(out_path: &str) {
         eprintln!("{}", c.report());
         comparisons.push(c);
     }
-    eprintln!("measuring absolute dispatch + simulator + validator + analyzer throughput ...");
+    eprintln!(
+        "measuring absolute dispatch + simulator + guest memory + validator + analyzer throughput ..."
+    );
     let (analyzer_region, analyzer_chain) = perf::measure_analyzer();
     let absolutes = vec![
         perf::measure_dispatch(),
         perf::measure_simulator_region(),
+        perf::measure_memory_stream(),
         perf::measure_validator_regions(),
         analyzer_region,
         analyzer_chain,
@@ -101,7 +104,7 @@ fn main() {
     if arg == "bench-json" {
         let out = std::env::args()
             .nth(2)
-            .unwrap_or_else(|| "BENCH_PR23.json".into());
+            .unwrap_or_else(|| "BENCH_PR25.json".into());
         bench_json(&out);
         return;
     }

@@ -376,6 +376,21 @@ pub fn measure_simulator_region() -> Measurement {
     })
 }
 
+/// Guest memory throughput: the interpreter runs the `swim` stand-in from
+/// a fresh state to halt, so each iteration grows its pages' extents from
+/// empty and then streams loads and stores through them. An absolute
+/// trajectory point.
+pub fn measure_memory_stream() -> Measurement {
+    let program = smarq_workloads::scaled("swim", 200)
+        .expect("swim is a stand-in")
+        .program;
+    time_fn("guest/memory_stream", move || {
+        let mut interp = Interpreter::new();
+        interp.run(&program, u64::MAX);
+        interp.executed_instrs()
+    })
+}
+
 /// Static validator + lint throughput (`crates/verify`): every region
 /// the system forms for a batch of seeded random workloads, fully
 /// re-checked per iteration — independent fact derivation, symbolic

@@ -511,8 +511,8 @@ impl<'a> Allocator<'a> {
         }
 
         // Walk dependences X ->dep Y.
-        let incoming: Vec<_> = self.deps.deps_into(y).collect();
-        for d in incoming {
+        let deps = self.deps;
+        for d in deps.deps_into(y) {
             let x = d.src;
             let xn = x.index();
             if self.region.is_eliminated(x) {

@@ -54,11 +54,15 @@ pub struct Dep {
 /// "when scheduling `Y`, walk every `X →dep Y`".
 #[derive(Clone, Debug, Default)]
 pub struct DepGraph {
+    /// Sorted by `(src, dst)`, one dependence per pair.
     deps: Vec<Dep>,
-    /// `into[y]` = indices into `deps` with `dst == y`.
-    into: Vec<Vec<u32>>,
-    /// `from[x]` = indices into `deps` with `src == x`.
-    from: Vec<Vec<u32>>,
+    /// `deps[from[x]..from[x + 1]]` are the dependences with `src == x`
+    /// (`n + 1` offsets, a CSR row index).
+    from: Vec<u32>,
+    /// `into_deps[into[y]..into[y + 1]]` are the indices into `deps` with
+    /// `dst == y`, in `deps` order (a counting sort by `dst`).
+    into: Vec<u32>,
+    into_deps: Vec<u32>,
 }
 
 impl DepGraph {
@@ -286,13 +290,31 @@ impl DepGraph {
         deps.sort_by_key(|d| (d.src, d.dst, d.kind as u8));
         deps.dedup_by_key(|d| (d.src, d.dst));
 
-        let mut into = vec![Vec::new(); n];
-        let mut from = vec![Vec::new(); n];
-        for (i, d) in deps.iter().enumerate() {
-            into[d.dst.index()].push(i as u32);
-            from[d.src.index()].push(i as u32);
+        // Row offsets by counting: `from` over `deps` directly, `into`
+        // over a stable counting sort of the dependence indices.
+        let mut from = vec![0u32; n + 1];
+        let mut into = vec![0u32; n + 1];
+        for d in &deps {
+            from[d.src.index() + 1] += 1;
+            into[d.dst.index() + 1] += 1;
         }
-        DepGraph { deps, into, from }
+        for i in 0..n {
+            from[i + 1] += from[i];
+            into[i + 1] += into[i];
+        }
+        let mut next = into.clone();
+        let mut into_deps = vec![0u32; deps.len()];
+        for (i, d) in deps.iter().enumerate() {
+            let slot = &mut next[d.dst.index()];
+            into_deps[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        DepGraph {
+            deps,
+            from,
+            into,
+            into_deps,
+        }
     }
 
     /// All dependences.
@@ -313,23 +335,21 @@ impl DepGraph {
     /// Dependences `X →dep y` ending at `y` (the allocator walks these when
     /// the list scheduler schedules `y`).
     pub fn deps_into(&self, y: MemOpId) -> impl Iterator<Item = Dep> + '_ {
-        self.into[y.index()]
+        let (lo, hi) = (self.into[y.index()], self.into[y.index() + 1]);
+        self.into_deps[lo as usize..hi as usize]
             .iter()
             .map(move |&i| self.deps[i as usize])
     }
 
     /// Dependences `x →dep Y` starting at `x`.
     pub fn deps_from(&self, x: MemOpId) -> impl Iterator<Item = Dep> + '_ {
-        self.from[x.index()]
-            .iter()
-            .map(move |&i| self.deps[i as usize])
+        let (lo, hi) = (self.from[x.index()], self.from[x.index() + 1]);
+        self.deps[lo as usize..hi as usize].iter().copied()
     }
 
     /// `true` if `src →dep dst` exists.
     pub fn has_dep(&self, src: MemOpId, dst: MemOpId) -> bool {
-        self.into[dst.index()]
-            .iter()
-            .any(|&i| self.deps[i as usize].src == src)
+        self.deps_from(src).any(|d| d.dst == dst)
     }
 }
 

@@ -212,28 +212,79 @@ impl IrOp {
     }
 
     /// Integer source registers.
-    pub fn int_uses(&self) -> Vec<u8> {
+    pub fn int_uses(&self) -> RegUses {
         match *self {
-            IrOp::Alu { ra, rb, .. } => vec![ra, rb],
-            IrOp::AluImm { ra, .. } | IrOp::Copy { ra, .. } | IrOp::ItoF { ra, .. } => vec![ra],
-            IrOp::Ld { base, .. } | IrOp::FLd { base, .. } | IrOp::FSt { base, .. } => vec![base],
-            IrOp::St { rs, base, .. } => vec![rs, base],
+            IrOp::Alu { ra, rb, .. } => RegUses::two(ra, rb),
+            IrOp::AluImm { ra, .. } | IrOp::Copy { ra, .. } | IrOp::ItoF { ra, .. } => {
+                RegUses::one(ra)
+            }
+            IrOp::Ld { base, .. } | IrOp::FLd { base, .. } | IrOp::FSt { base, .. } => {
+                RegUses::one(base)
+            }
+            IrOp::St { rs, base, .. } => RegUses::two(rs, base),
             IrOp::Exit {
                 cond: Some((_, ra, rb)),
                 ..
-            } => vec![ra, rb],
-            _ => vec![],
+            } => RegUses::two(ra, rb),
+            _ => RegUses::NONE,
         }
     }
 
     /// FP source registers.
-    pub fn fp_uses(&self) -> Vec<u8> {
+    pub fn fp_uses(&self) -> RegUses {
         match *self {
-            IrOp::Fpu { fa, fb, .. } => vec![fa, fb],
-            IrOp::FCopy { fa, .. } | IrOp::FtoI { fa, .. } => vec![fa],
-            IrOp::FSt { fs, .. } => vec![fs],
-            _ => vec![],
+            IrOp::Fpu { fa, fb, .. } => RegUses::two(fa, fb),
+            IrOp::FCopy { fa, .. } | IrOp::FtoI { fa, .. } => RegUses::one(fa),
+            IrOp::FSt { fs, .. } => RegUses::one(fs),
+            _ => RegUses::NONE,
         }
+    }
+}
+
+/// The source registers of one [`IrOp`] in one register file: at most
+/// two, held inline so asking for them allocates nothing. Derefs to the
+/// register slice and iterates by value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RegUses {
+    regs: [u8; 2],
+    len: u8,
+}
+
+impl RegUses {
+    const NONE: RegUses = RegUses {
+        regs: [0; 2],
+        len: 0,
+    };
+
+    fn one(r: u8) -> Self {
+        RegUses {
+            regs: [r, 0],
+            len: 1,
+        }
+    }
+
+    fn two(a: u8, b: u8) -> Self {
+        RegUses {
+            regs: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for RegUses {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for RegUses {
+    type Item = u8;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u8, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
     }
 }
 
@@ -315,7 +366,7 @@ mod tests {
         };
         assert!(st.is_mem() && st.is_store());
         assert_eq!(st.mem_addr(), Some((4, 8)));
-        assert_eq!(st.int_uses(), vec![3, 4]);
+        assert_eq!(*st.int_uses(), [3, 4]);
         assert_eq!(st.int_def(), None);
 
         let ld = IrOp::Ld {
@@ -324,22 +375,24 @@ mod tests {
             disp: 0,
         };
         assert_eq!(ld.int_def(), Some(1));
-        assert_eq!(ld.int_uses(), vec![2]);
+        assert_eq!(*ld.int_uses(), [2]);
 
         let fst = IrOp::FSt {
             fs: 5,
             base: 6,
             disp: 0,
         };
-        assert_eq!(fst.fp_uses(), vec![5]);
-        assert_eq!(fst.int_uses(), vec![6]);
+        assert_eq!(*fst.fp_uses(), [5]);
+        assert_eq!(*fst.int_uses(), [6]);
+        assert!(fst.int_uses().into_iter().eq([6]));
 
         let exit = IrOp::Exit {
             exit_id: 0,
             cond: Some((smarq_guest::CmpOp::Lt, 1, 2)),
         };
         assert!(exit.is_exit());
-        assert_eq!(exit.int_uses(), vec![1, 2]);
+        assert_eq!(*exit.int_uses(), [1, 2]);
+        assert!(exit.fp_uses().is_empty());
     }
 
     #[test]

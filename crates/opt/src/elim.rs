@@ -782,61 +782,43 @@ mod tests {
 /// side exits observe all guest registers, so a value that survives to an
 /// exit is live. Memory operations are never removed here (their identity
 /// is fixed by the region spec; loads/stores are handled by the
-/// speculative eliminations above). Runs to a fixpoint: removing one op
-/// can make its producers dead in turn.
+/// speculative eliminations above). One backward liveness pass: an op is
+/// judged against the ops after it that survive, so removing one op makes
+/// its producers dead in the same pass.
 pub fn dce(sb: &Superblock, elims: &mut Eliminations) {
-    let n = sb.ops.len();
-    let effective = |i: usize, elims: &Eliminations| -> Option<IrOp> {
+    // Live registers after the op being visited, one bit per register
+    // (IR registers are guest registers, below 64). Past the last op, as
+    // at every exit, all are live.
+    let (mut live_int, mut live_fp) = (u64::MAX, u64::MAX);
+    for i in (0..sb.ops.len()).rev() {
         if elims.removed[i] {
-            None
-        } else {
-            Some(elims.replaced[i].unwrap_or(sb.ops[i]))
+            continue;
         }
-    };
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            let Some(op) = effective(i, elims) else {
-                continue;
-            };
-            if op.is_mem() || op.is_exit() {
-                continue;
-            }
-            let (int_def, fp_def) = (op.int_def(), op.fp_def());
-            if int_def.is_none() && fp_def.is_none() {
-                continue;
-            }
-            let mut dead = false;
-            let mut decided = false;
-            for j in (i + 1)..n {
-                let Some(later) = effective(j, elims) else {
-                    continue;
-                };
-                if later.is_exit() {
-                    break; // the exit observes the register: live
-                }
-                let read = int_def.is_some_and(|d| later.int_uses().contains(&d))
-                    || fp_def.is_some_and(|d| later.fp_uses().contains(&d));
-                if read {
-                    decided = true;
-                    break;
-                }
-                let redef = (int_def.is_some() && later.int_def() == int_def)
-                    || (fp_def.is_some() && later.fp_def() == fp_def);
-                if redef {
-                    dead = true;
-                    decided = true;
-                    break;
-                }
-            }
-            let _ = decided;
-            if dead {
+        let op = elims.replaced[i].unwrap_or(sb.ops[i]);
+        if op.is_exit() {
+            (live_int, live_fp) = (u64::MAX, u64::MAX);
+            continue;
+        }
+        let (int_def, fp_def) = (op.int_def(), op.fp_def());
+        if !op.is_mem() && (int_def.is_some() || fp_def.is_some()) {
+            let live = int_def.is_some_and(|r| live_int & (1 << r) != 0)
+                || fp_def.is_some_and(|r| live_fp & (1 << r) != 0);
+            if !live {
                 elims.removed[i] = true;
-                changed = true;
+                continue;
             }
         }
-        if !changed {
-            break;
+        if let Some(r) = int_def {
+            live_int &= !(1 << r);
+        }
+        if let Some(r) = fp_def {
+            live_fp &= !(1 << r);
+        }
+        for r in op.int_uses() {
+            live_int |= 1 << r;
+        }
+        for r in op.fp_uses() {
+            live_fp |= 1 << r;
         }
     }
 }
@@ -983,5 +965,148 @@ mod dce_tests {
         e.replaced[1] = Some(IrOp::Copy { rd: 3, ra: 2 });
         dce(&sb, &mut e);
         assert!(e.removed[1], "the forwarding copy is dead");
+    }
+
+    /// The fixpoint formulation `dce` replaced: rescan forward from every
+    /// definition for its first read or redefinition, until nothing
+    /// changes.
+    fn dce_fixpoint(sb: &Superblock, elims: &mut Eliminations) {
+        let n = sb.ops.len();
+        let effective = |i: usize, elims: &Eliminations| -> Option<IrOp> {
+            (!elims.removed[i]).then(|| elims.replaced[i].unwrap_or(sb.ops[i]))
+        };
+        loop {
+            let mut changed = false;
+            for i in 0..n {
+                let Some(op) = effective(i, elims) else {
+                    continue;
+                };
+                if op.is_mem() || op.is_exit() {
+                    continue;
+                }
+                let (int_def, fp_def) = (op.int_def(), op.fp_def());
+                if int_def.is_none() && fp_def.is_none() {
+                    continue;
+                }
+                let mut dead = false;
+                for j in (i + 1)..n {
+                    let Some(later) = effective(j, elims) else {
+                        continue;
+                    };
+                    if later.is_exit() {
+                        break;
+                    }
+                    let read = int_def.is_some_and(|d| later.int_uses().contains(&d))
+                        || fp_def.is_some_and(|d| later.fp_uses().contains(&d));
+                    if read {
+                        break;
+                    }
+                    if (int_def.is_some() && later.int_def() == int_def)
+                        || (fp_def.is_some() && later.fp_def() == fp_def)
+                    {
+                        dead = true;
+                        break;
+                    }
+                }
+                if dead {
+                    elims.removed[i] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// A random op over four integer and four FP registers, so defs are
+    /// often overwritten before a read.
+    fn random_op(rng: &mut smarq::prng::Prng) -> IrOp {
+        let mut r = || rng.bounded(4) as u8;
+        let (a, b, c) = (r(), r(), r());
+        match rng.bounded(13) {
+            0 => IrOp::IConst { rd: a, value: 1 },
+            1 => IrOp::Alu {
+                op: AluOp::Add,
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            2 => IrOp::AluImm {
+                op: AluOp::Add,
+                rd: a,
+                ra: b,
+                imm: 1,
+            },
+            3 => IrOp::Copy { rd: a, ra: b },
+            4 => IrOp::FConst { fd: a, value: 1.0 },
+            5 => IrOp::Fpu {
+                op: smarq_guest::FpuOp::Add,
+                fd: a,
+                fa: b,
+                fb: c,
+            },
+            6 => IrOp::FCopy { fd: a, fa: b },
+            7 => IrOp::ItoF { fd: a, ra: b },
+            8 => IrOp::FtoI { rd: a, fa: b },
+            9 => IrOp::Ld {
+                rd: a,
+                base: b,
+                disp: 0,
+            },
+            10 => IrOp::St {
+                rs: a,
+                base: b,
+                disp: 0,
+            },
+            11 => IrOp::FSt {
+                fs: a,
+                base: b,
+                disp: 8,
+            },
+            _ => IrOp::Exit {
+                exit_id: 0,
+                cond: Some((CmpOp::Lt, a, b)),
+            },
+        }
+    }
+
+    #[test]
+    fn backward_pass_matches_the_fixpoint() {
+        let mut dead = 0;
+        for seed in 0..500 {
+            let mut rng = smarq::prng::Prng::new(seed);
+            let len = rng.range_usize(1, 40);
+            let sb = mk_sb((0..len).map(|_| random_op(&mut rng)).collect(), 1);
+            let mut before = fresh(&sb);
+            // Earlier eliminations: removed stores and loads replaced by
+            // copies.
+            for (i, op) in sb.ops.iter().enumerate() {
+                match *op {
+                    IrOp::St { .. } if rng.chance(1, 4) => before.removed[i] = true,
+                    IrOp::Ld { rd, .. } if rng.chance(1, 4) => {
+                        before.replaced[i] = Some(IrOp::Copy {
+                            rd,
+                            ra: rng.bounded(4) as u8,
+                        })
+                    }
+                    _ => {}
+                }
+            }
+            let (mut pass, mut fixpoint) = (before.clone(), before.clone());
+            dce(&sb, &mut pass);
+            dce_fixpoint(&sb, &mut fixpoint);
+            assert_eq!(pass.removed, fixpoint.removed, "seed {seed}: {:?}", sb.ops);
+            dead += pass
+                .removed
+                .iter()
+                .zip(&before.removed)
+                .filter(|(a, b)| a != b)
+                .count();
+        }
+        assert!(
+            dead > 500,
+            "the random blocks must exercise removal: {dead}"
+        );
     }
 }

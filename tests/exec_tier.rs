@@ -17,6 +17,9 @@
 //! half.
 
 use smarq_fuzz::{load_dir, schemes};
+use smarq_guest::{
+    AluOp, CmpOp, FReg, FpuOp, Interpreter, Program, ProgramBuilder, Reg, RunOutcome,
+};
 use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
 use smarq_vliw::MachineConfig;
 use std::path::Path;
@@ -173,4 +176,99 @@ fn stand_ins_sample_clean_on_the_sensitivity_machines() {
     ] {
         stand_ins_sample_clean_on(machine);
     }
+}
+
+/// Guest memory's page directory covers the low 16 MiB; words above it
+/// live in a hash map.
+const DIRECTORY_WINDOW: i64 = 1 << 24;
+
+/// A streaming loop over two pointers, `base` and `base + 0x400`: each
+/// iteration loads `a[i]`, stores `a[i + 1] = a[i] + i` (a dependence
+/// through memory into the next iteration), and updates a second FP
+/// stream the same way. The two pointers are unrelated registers, so the
+/// optimizer speculates between their accesses.
+fn pointer_loop(base: i64, iters: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let entry = b.block();
+    let body = b.block();
+    let done = b.block();
+    b.iconst(entry, Reg(1), 0);
+    b.iconst(entry, Reg(2), iters);
+    b.iconst(entry, Reg(3), base);
+    b.iconst(entry, Reg(5), base + 0x400);
+    b.iconst(entry, Reg(6), 7);
+    b.st(entry, Reg(6), Reg(3), 0);
+    b.fconst(entry, FReg(1), 0.5);
+    b.jump(entry, body);
+    b.ld(body, Reg(4), Reg(3), 0);
+    b.alu(body, AluOp::Add, Reg(4), Reg(4), Reg(1));
+    b.st(body, Reg(4), Reg(3), 8);
+    b.fld(body, FReg(2), Reg(5), 0);
+    b.fpu(body, FpuOp::Add, FReg(2), FReg(2), FReg(1));
+    b.fst(body, FReg(2), Reg(5), 8);
+    b.alu_imm(body, AluOp::Add, Reg(3), Reg(3), 8);
+    b.alu_imm(body, AluOp::Add, Reg(5), Reg(5), 8);
+    b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
+    b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
+    b.halt(done);
+    b.finish(entry)
+}
+
+/// Runs `program` through the system under every scheme with every
+/// region entry tier-down sampled, and checks the final state against
+/// pure interpretation.
+fn bit_exact_with_every_entry_sampled(label: &str, program: &Program) {
+    let mut interp = Interpreter::new();
+    assert_eq!(interp.run(program, u64::MAX), RunOutcome::Halted);
+    let reference = interp.arch_state();
+    for (scheme, opt) in schemes() {
+        let mut cfg = SystemConfig::with_opt(opt);
+        cfg.hot_threshold = 10;
+        cfg.exec_tier = ExecTier::Functional;
+        cfg.tier_sample_interval = 1;
+        let mut sys = DynOptSystem::new(program.clone(), cfg);
+        sys.run_to_completion(u64::MAX);
+        assert_eq!(
+            sys.interp().arch_state(),
+            reference,
+            "{label} under {scheme}: final state differs from interpretation"
+        );
+        let s = sys.stats();
+        assert!(
+            s.tier_fast_entries > 0,
+            "{label} under {scheme}: no region ran"
+        );
+        assert_eq!(
+            s.tier_samples, s.tier_fast_entries,
+            "{label} under {scheme}"
+        );
+        assert_eq!(
+            s.tier_sample_mismatches, 0,
+            "{label} under {scheme}: {} of {} samples disagreed",
+            s.tier_sample_mismatches, s.tier_samples
+        );
+    }
+}
+
+#[test]
+fn pointers_above_the_directory_window_are_bit_exact() {
+    let base = 0x7_0000_0000;
+    let program = pointer_loop(base, 300);
+    let mut interp = Interpreter::new();
+    interp.run(&program, u64::MAX);
+    assert_ne!(interp.mem.read(base as u64 + 8 * 300), 0);
+    bit_exact_with_every_entry_sampled("above the window", &program);
+}
+
+#[test]
+fn pointers_straddling_the_directory_window_are_bit_exact() {
+    // Both streams cross the window's top while the region runs hot.
+    let base = DIRECTORY_WINDOW - 0x800;
+    let program = pointer_loop(base, 512);
+    let mut interp = Interpreter::new();
+    interp.run(&program, u64::MAX);
+    let mem = &interp.mem;
+    assert_ne!(mem.read(DIRECTORY_WINDOW as u64 - 8), 0, "below the window");
+    assert_ne!(mem.read(DIRECTORY_WINDOW as u64), 0, "above the window");
+    bit_exact_with_every_entry_sampled("straddling the window", &program);
 }
