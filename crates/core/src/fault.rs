@@ -107,14 +107,14 @@ static WIDEN_FROM_ENV: OnceLock<bool> = OnceLock::new();
 /// Enables (or disables) the broken-widening fault: the dataflow
 /// analyzer's fixpoint loop (`smarq_verify::dataflow`) skips widening at
 /// loop heads and pretends the state converged, leaving derived value
-/// ranges unsoundly narrow. Decisions made from those ranges — most
-/// importantly the *unspeculatable address range* taint — then miss
-/// addresses that later loop iterations actually reach, so the optimizer
-/// speculates across a range it was told never to. Speculating on plain
-/// memory is functionally correct, so execution oracles cannot see the
-/// bug; only the chain analyzer's reference (never-faulted) range
-/// computation flags it. Process-wide; tests belong in their own
-/// integration-test binary.
+/// ranges unsoundly narrow. Decisions made from those ranges — the
+/// optimizer's range-proven disjoint pairs and the *unspeculatable address
+/// range* taint — then miss addresses that later loop iterations actually
+/// reach, so the optimizer drops a dependence the program needs, or
+/// speculates across a range it was told never to. Execution oracles see
+/// the first only if the alias is reached and the second not at all; the
+/// chain analyzer's reference (never-faulted) range computation flags
+/// both. Process-wide; tests belong in their own integration-test binary.
 pub fn set_widen_range(on: bool) {
     WIDEN_FORCED.store(on, Ordering::SeqCst);
 }
@@ -126,5 +126,29 @@ pub fn widen_range_enabled() -> bool {
     WIDEN_FORCED.load(Ordering::SeqCst)
         || *WIDEN_FROM_ENV.get_or_init(|| {
             std::env::var_os("SMARQ_FAULT_WIDEN_RANGE").is_some_and(|v| !v.is_empty())
+        })
+}
+
+static RANGES_FORCED: AtomicBool = AtomicBool::new(false);
+static RANGES_FROM_ENV: OnceLock<bool> = OnceLock::new();
+
+/// Enables (or disables) the lost-precision fault: the optimizer's alias
+/// relation ignores the address intervals of the region's entry state
+/// (`smarq_opt::optimize_superblock_traced_ranged`), as if the
+/// translation request had carried none. The result is correct but
+/// speculates on, and checks, pairs the intervals prove disjoint; only the
+/// chain analyzer's `chain-unreachable-check` warning sees the waste.
+/// Process-wide; tests belong in their own integration-test binary.
+pub fn set_drop_ranges(on: bool) {
+    RANGES_FORCED.store(on, Ordering::SeqCst);
+}
+
+/// `true` when the lost-precision fault is active, either via
+/// [`set_drop_ranges`] or the `SMARQ_FAULT_DROP_RANGES` environment
+/// variable (checked once, non-empty value enables).
+pub fn drop_ranges_enabled() -> bool {
+    RANGES_FORCED.load(Ordering::SeqCst)
+        || *RANGES_FROM_ENV.get_or_init(|| {
+            std::env::var_os("SMARQ_FAULT_DROP_RANGES").is_some_and(|v| !v.is_empty())
         })
 }

@@ -88,6 +88,19 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
+    /// `true` when two word accesses whose start addresses lie in `self`
+    /// and `other` provably never touch the same word: both intervals are
+    /// bounded (neither ⊥ nor ⊤) and their byte footprints
+    /// `[lo, hi + ACCESS_BYTES - 1]` are disjoint. The optimizer's alias
+    /// relation and the verifier both decide range disjointness here.
+    pub fn access_disjoint(self, other: Interval) -> bool {
+        if self.is_bottom() || other.is_bottom() || self.is_top() || other.is_top() {
+            return false;
+        }
+        let reach = ACCESS_BYTES - 1;
+        self.hi.saturating_add(reach) < other.lo || other.hi.saturating_add(reach) < self.lo
+    }
+
     /// Partial order: `self` ⊑ `other` (every value of `self` is a value
     /// of `other`). ⊥ is below everything.
     pub fn le(self, other: Interval) -> bool {

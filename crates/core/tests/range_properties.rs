@@ -165,3 +165,49 @@ fn interval_arithmetic_contains_wrapping_results() {
         );
     }
 }
+
+/// `Interval::access_disjoint` is sound and symmetric: start addresses
+/// drawn from two disjoint intervals never name the same guest word
+/// (`addr as u64 >> 3`, as every executor computes it). Half the cases
+/// start the second interval just past the first one's footprint, where an
+/// off-by-one would show.
+#[test]
+fn disjoint_accesses_never_share_a_word() {
+    let mut rng = Prng::new(0xd157_0000);
+    let mut disjoint = 0;
+    for case in 0..CASES {
+        let a = interval(&mut rng);
+        let b = if rng.bounded(2) == 0 && !a.is_bottom() {
+            let lo = a.hi.saturating_add(rng.range_i64(0, 16));
+            Interval::of(lo, lo.saturating_add(rng.range_i64(0, 64)))
+        } else {
+            interval(&mut rng)
+        };
+        assert_eq!(
+            a.access_disjoint(b),
+            b.access_disjoint(a),
+            "case {case}: {a} vs {b}"
+        );
+        if !a.access_disjoint(b) {
+            continue;
+        }
+        disjoint += 1;
+        let word = |v: i64| (v as u64) >> 3;
+        for (x, y) in [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)] {
+            assert_ne!(word(x), word(y), "case {case}: {a} vs {b} at {x}, {y}");
+        }
+        for _ in 0..16 {
+            let (x, y) = (
+                point_in(&mut rng, a).unwrap(),
+                point_in(&mut rng, b).unwrap(),
+            );
+            assert_ne!(word(x), word(y), "case {case}: {a} vs {b} at {x}, {y}");
+        }
+    }
+    assert!(disjoint > CASES / 8, "only {disjoint} disjoint cases");
+    // Seven bytes apart the footprints still overlap; eight apart they do not.
+    assert!(!Interval::exact(0).access_disjoint(Interval::exact(7)));
+    assert!(Interval::exact(0).access_disjoint(Interval::exact(8)));
+    assert!(!Interval::TOP.access_disjoint(Interval::exact(8)));
+    assert!(!Interval::BOTTOM.access_disjoint(Interval::exact(8)));
+}

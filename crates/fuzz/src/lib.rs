@@ -36,6 +36,6 @@ pub use lint::{
 };
 pub use minimize::{minimize, Minimized};
 pub use oracle::{
-    check_multi_guest, check_program, schemes, Divergence, MultiGuestReport, OracleParams,
-    OracleReport,
+    check_containment, check_multi_guest, check_program, schemes, Divergence, MultiGuestReport,
+    OracleParams, OracleReport,
 };

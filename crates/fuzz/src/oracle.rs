@@ -1,7 +1,15 @@
 //! Layered differential oracles.
 //!
-//! One fuzz case is checked at five layers, cheapest evidence last:
+//! One fuzz case is checked at five layers, cheapest evidence last, after
+//! the reference run and its range check:
 //!
+//! 0. **Range containment** — the reference interpreter steps the program
+//!    block by block, and at every block entry each guest register must lie
+//!    in the interval the never-faulted whole-program dataflow
+//!    ([`smarq_verify::analyze_reference`]) derived for it
+//!    ([`check_containment`]). The optimizer reads those intervals to
+//!    disambiguate memory pairs, so an escape is a miscompile waiting for
+//!    the right addresses.
 //! 1. **End-to-end** — a pure [`Interpreter`] run is the reference; the
 //!    full [`DynOptSystem`] must reproduce the architectural state
 //!    bit-exactly under every hardware scheme. A second run tier-down
@@ -13,9 +21,11 @@
 //!    bit-exact — every publish/execute/deopt interleaving is
 //!    architecturally invisible.
 //! 2. **Allocation validation** — every superblock the system formed is
-//!    re-optimized through [`smarq_opt::optimize_superblock_traced`] and
-//!    the resulting allocation is replayed symbolically by
-//!    [`validate_allocation`] (soundness, precision, mechanics).
+//!    re-optimized through [`smarq_opt::optimize_superblock_traced_ranged`]
+//!    against the entry state the runtime assumed for it, so the code under
+//!    check is the code that ran, and the resulting allocation is replayed
+//!    symbolically by [`validate_allocation`] (soundness, precision,
+//!    mechanics).
 //! 3. **Static verification** — the same regions go through
 //!    [`smarq_verify`]'s independent constraint re-derivation and
 //!    symbolic queue replay; any error-severity diagnostic is a
@@ -51,7 +61,7 @@
 use smarq::validate::validate_allocation;
 use smarq::{AllocScratch, Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
-use smarq_opt::{optimize_superblock_traced, OptConfig};
+use smarq_opt::{optimize_superblock_traced_ranged, OptConfig};
 use smarq_runtime::{
     run_multi_interleaved, DynOptSystem, GuestContext, HubConfig, StepExecutor, StopReason,
     SystemConfig, TranslationHub,
@@ -101,6 +111,12 @@ pub enum Divergence {
     /// signal and is skipped (the minimizer also uses this to reject edits
     /// that break termination).
     Nontermination,
+    /// Layer 0: a concrete register value at a block entry escaped the
+    /// interval the whole-program dataflow derived for it.
+    RangeEscape {
+        /// The block, register, value and interval.
+        detail: String,
+    },
     /// Layer 1: optimized execution left different architectural state.
     ArchMismatch {
         /// Scheme label from [`schemes`].
@@ -188,6 +204,7 @@ impl Divergence {
     pub fn kind(&self) -> &'static str {
         match self {
             Divergence::Nontermination => "nontermination",
+            Divergence::RangeEscape { .. } => "range-escape",
             Divergence::ArchMismatch { .. } => "arch-mismatch",
             Divergence::TierMismatch { .. } => "tier-mismatch",
             Divergence::AsyncMismatch { .. } => "async-mismatch",
@@ -210,6 +227,7 @@ impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Divergence::Nontermination => write!(f, "nontermination (skipped)"),
+            Divergence::RangeEscape { detail } => write!(f, "range-escape: {detail}"),
             Divergence::ArchMismatch { scheme, detail } => {
                 write!(f, "arch-mismatch under {scheme}: {detail}")
             }
@@ -263,6 +281,9 @@ impl std::fmt::Display for Divergence {
 /// What a green oracle run covered.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OracleReport {
+    /// Block entries whose concrete registers the range check (layer 0)
+    /// found inside the derived intervals.
+    pub range_entries: u64,
     /// Schemes executed end to end.
     pub schemes: usize,
     /// Functional-tier-vs-cycle-sim differentials that came out bit-exact
@@ -282,6 +303,44 @@ pub struct OracleReport {
     /// Alias-exception rollbacks of the main run, per scheme of
     /// [`schemes`] (same order).
     pub rollbacks: [u64; 6],
+}
+
+/// Steps `program` concretely block by block from its entry and checks,
+/// at every block entry, that each guest register lies inside the
+/// interval the never-faulted whole-program dataflow derived for it.
+/// Returns the number of block entries checked.
+///
+/// # Errors
+/// The first escape, a dataflow that did not converge, or a program that
+/// has not halted after `max_entries` block entries.
+pub fn check_containment(program: &Program, max_entries: u64) -> Result<u64, String> {
+    let df = smarq_verify::analyze_reference(program);
+    if !df.converged {
+        return Err("the dataflow did not converge".to_string());
+    }
+    let mut interp = Interpreter::new();
+    interp.load_data(program);
+    let mut block = program.entry();
+    let mut checked = 0u64;
+    loop {
+        let st = df.entry_state(block);
+        for (r, iv) in st.iter().enumerate().take(32) {
+            if !iv.contains(interp.regs[r]) {
+                return Err(format!(
+                    "at block {block:?} entry #{checked}, r{r} = {} outside derived {iv}",
+                    interp.regs[r]
+                ));
+            }
+        }
+        checked += 1;
+        match interp.step_block(program, block) {
+            Some(next) => block = next,
+            None => return Ok(checked),
+        }
+        if checked >= max_entries {
+            return Err(format!("no halt within {max_entries} block entries"));
+        }
+    }
 }
 
 fn arch_diff(expected: &ArchState, got: &ArchState) -> String {
@@ -317,7 +376,13 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
     }
     let expected = reference.arch_state();
 
-    let mut report = OracleReport::default();
+    // Layer 0: the reference run halted, so stepping it again does too.
+    let range_entries = check_containment(program, u64::MAX)
+        .map_err(|detail| Divergence::RangeEscape { detail })?;
+    let mut report = OracleReport {
+        range_entries,
+        ..OracleReport::default()
+    };
     let mut scratch = AllocScratch::new();
     for (label, opt) in schemes() {
         let mut cfg = SystemConfig::with_opt(opt.clone());
@@ -420,10 +485,17 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         // profile snapshots than the inline run does.)
         report.async_differentials += 1;
 
-        // Layers 2 and 3 over every region the system actually formed.
+        // Layers 2 and 3 over every region the system actually formed,
+        // optimized against the entry state the runtime assumed for it.
         for (region, sb) in sys.formed_superblocks().enumerate() {
-            let (_, trace) =
-                optimize_superblock_traced(sb, &opt, &cfg.machine, sys.blacklist(), &mut scratch);
+            let (_, trace) = optimize_superblock_traced_ranged(
+                sb,
+                &opt,
+                &cfg.machine,
+                sys.blacklist(),
+                &mut scratch,
+                sys.assumed_entry(region),
+            );
 
             // Layer 4: dependence fast path vs naive oracle.
             let mut fast: Vec<_> = DepGraph::compute(&trace.spec).iter().collect();
@@ -486,7 +558,9 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
                 .iter()
                 .find(|d| {
                     d.severity == smarq::Severity::Error
-                        && (d.code.starts_with("chain-") || d.code == "nospec-speculation")
+                        && (d.code.starts_with("chain-")
+                            || d.code == "nospec-speculation"
+                            || d.code == "range-unproven-disjoint")
                 })
                 .map_or_else(
                     || "link-time chain check failed".to_string(),
@@ -712,6 +786,7 @@ mod tests {
         assert_eq!(report.schemes, 6);
         assert_eq!(report.tier_differentials, 6);
         assert_eq!(report.async_differentials, 6);
+        assert!(report.range_entries > 0, "no block entry range-checked");
         assert!(report.regions_checked > 0, "no regions formed");
         assert!(report.allocations_validated > 0, "no allocations replayed");
         assert!(

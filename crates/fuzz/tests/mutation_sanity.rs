@@ -17,8 +17,12 @@
 //! Two further faults target the *chain* layer: `set_drop_boundary`
 //! (the region write mask forgets a written register) and
 //! `set_widen_range` (the runtime's dataflow keeps unsoundly narrow
-//! entry ranges). Both are invisible to execution oracles *and* to the
-//! per-region validator — the whole-chain analyzer alone must flag them.
+//! entry ranges). Both are invisible to the per-region validator, and on
+//! programs whose pointers never meet they are invisible to execution
+//! oracles too — the whole-chain analyzer alone must flag them. A narrow
+//! range can also make the optimizer drop a dependence on a pair that
+//! does meet, after the widening point; the chain analyzer re-proves every
+//! such range-derived disjointness and flags that one as well.
 //!
 //! The fault switches are process-wide, which is why this lives in its
 //! own integration-test binary: cargo gives it a dedicated process, so
@@ -264,10 +268,12 @@ fn chain_analyzer_alone_catches_dropped_write_mask_bit() {
 /// `SMARQ_FAULT_WIDEN_RANGE` makes the runtime's whole-program dataflow
 /// skip widening — the optimizer's entry-range assumption for the loop
 /// head stays unsoundly narrow while the chain actually delivers an
-/// ever-growing pointer. Execution is untouched (the entry state only
-/// feeds the nospec taint, and none is configured), the per-region
-/// validator holds no cross-region facts to object with — only the chain
-/// analyzer's never-faulted reference fixpoint exposes the lie.
+/// ever-growing pointer. The optimizer reads that state: it calls the
+/// striding store and the load disjoint, and drops their dependence. Here
+/// the pointer never reaches the load's word, so execution is untouched;
+/// the per-region validator holds no cross-region facts to object with —
+/// only the chain analyzer's never-faulted reference fixpoint exposes the
+/// lie.
 #[test]
 fn chain_analyzer_alone_catches_unsound_range_widening() {
     let _guard = fault_lock();
@@ -307,6 +313,78 @@ fn chain_analyzer_alone_catches_unsound_range_widening() {
         "{:?}",
         report.diagnostics
     );
+}
+
+/// Loop whose store pointer strides by 8 from `0x1000` and reaches the
+/// load's fixed word `0x1000 + 8 * meet` at iteration `meet`. The store's
+/// value comes from a multiply chain, so a load free of the store hoists
+/// above it.
+fn striding_loop_meeting(iters: i64, meet: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let entry = b.block();
+    let body = b.block();
+    let done = b.block();
+    b.iconst(entry, Reg(1), 0);
+    b.iconst(entry, Reg(2), iters);
+    b.iconst(entry, Reg(3), 0x1000);
+    b.iconst(entry, Reg(5), 0x1000 + 8 * meet);
+    b.jump(entry, body);
+    b.alu(body, AluOp::Mul, Reg(6), Reg(1), Reg(1));
+    b.alu(body, AluOp::Mul, Reg(6), Reg(6), Reg(1));
+    b.st(body, Reg(6), Reg(3), 0);
+    b.ld(body, Reg(4), Reg(5), 0);
+    b.alu(body, AluOp::Add, Reg(7), Reg(7), Reg(4));
+    b.alu_imm(body, AluOp::Add, Reg(3), Reg(3), 8);
+    b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
+    b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, done);
+    b.halt(done);
+    b.finish(entry)
+}
+
+/// Under `SMARQ_FAULT_WIDEN_RANGE` the loop head's store pointer keeps an
+/// unsoundly narrow interval, and the load's word lies past it: the
+/// optimizer calls the pair disjoint although the pointer reaches the
+/// load's word at iteration 40, long after the widening point and the
+/// warm-up profile. The chain analyzer's `range-unproven-disjoint` flags
+/// exactly that pair; without the fault the pair stays may-alias and
+/// nothing is flagged.
+#[test]
+fn chain_analyzer_catches_a_range_disjointness_the_widening_fault_invented() {
+    let _guard = fault_lock();
+    let p = striding_loop_meeting(200, 40);
+    let unproven = |sys: &DynOptSystem| {
+        let report = sys.analyze_chain().expect("verify mode keeps traces");
+        report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "range-unproven-disjoint")
+            .map(|d| d.severity)
+            .collect::<Vec<_>>()
+    };
+
+    smarq::fault::set_widen_range(true);
+    let sys = run_verified(&p);
+    smarq::fault::set_widen_range(false);
+    let found = unproven(&sys);
+    assert!(
+        !found.is_empty(),
+        "the invented disjointness went unflagged"
+    );
+    assert!(
+        found.iter().all(|&s| s == smarq::Severity::Error),
+        "{found:?}"
+    );
+    assert!(
+        sys.stats().chain_errors > 0,
+        "link-time chain check missed it"
+    );
+
+    let clean = run_verified(&p);
+    assert_eq!(unproven(&clean), vec![]);
+    assert_eq!(clean.stats().chain_errors, 0);
+    let mut reference = smarq_guest::Interpreter::new();
+    reference.run(&p, u64::MAX);
+    assert_eq!(clean.interp().arch_state(), reference.arch_state());
 }
 
 /// The static validator alone catches the dropped-anti fault, which NO

@@ -52,6 +52,18 @@ impl ProgramBuilder {
         self.push(block, Instr::IConst { rd, value });
     }
 
+    /// `rd = value`, passed through the memory word at `slot`: stores
+    /// `value` there through `rd` and loads it back. Execution sees an
+    /// `iconst` (and the written word); a static range analysis sees a
+    /// loaded, unknown value, as it sees an array a caller passes by
+    /// reference.
+    pub fn iconst_via_memory(&mut self, block: BlockId, rd: Reg, value: i64, slot: i64) {
+        let disp = slot.wrapping_sub(value);
+        self.iconst(block, rd, value);
+        self.st(block, rd, rd, disp);
+        self.ld(block, rd, rd, disp);
+    }
+
     /// `rd = ra <op> rb`.
     pub fn alu(&mut self, block: BlockId, op: AluOp, rd: Reg, ra: Reg, rb: Reg) {
         self.push(block, Instr::Alu { op, rd, ra, rb });

@@ -1,15 +1,28 @@
-//! Simple binary-level alias analysis.
+//! Binary-level alias analysis: the optimizer's one alias relation.
 //!
 //! The paper (§1, §7) argues that dynamic optimizers cannot afford strong
 //! alias analysis and instead rely on a simple, fast one plus hardware
-//! detection for the speculated remainder. We implement the standard
-//! `base register version + displacement` disambiguation: two accesses are
-//! compared precisely when they use the *same value* of the same base
-//! register (same SSA-style version within the region); any other pair is
-//! conservatively *may-alias* — exactly the class of pairs the optimizer
-//! speculates on.
+//! detection for the speculated remainder. The base of the relation is the
+//! standard `base register version + displacement` disambiguation: two
+//! accesses are compared precisely when they use the *same value* of the
+//! same base register (same SSA-style version within the region).
+//!
+//! Where the runtime knows more, the relation knows more. A region
+//! translated with an abstract entry register state (the whole-program
+//! interval dataflow of `smarq-verify`) carries the start-address interval
+//! of every memory operation ([`crate::analyze_superblock`]), and a pair
+//! that base+displacement leaves *may-alias* is *no-alias* when both
+//! intervals are bounded and their word footprints are disjoint
+//! ([`smarq::range::Interval::access_disjoint`]). Every other pair stays
+//! *may-alias*: exactly the class the optimizer speculates on.
+//!
+//! Every optimizer pass (the region spec, the eliminations, the dependence
+//! DAG with its ALAT rule, emission) reads [`AliasAnalysis::relation`], so
+//! a range-proven pair is disjoint to all of them at once.
 
-use crate::sblock::Superblock;
+use crate::range::SbRanges;
+use crate::sblock::{IrOp, Superblock};
+use smarq::range::{Interval, ACCESS_BYTES};
 
 /// Result of an alias query.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -58,31 +71,60 @@ impl MemRef {
     }
 }
 
+/// The [`MemRef`] of every op of a straight-line op sequence (`None` for
+/// non-memory ops).
+pub(crate) fn mem_refs(ops: &[IrOp]) -> Vec<Option<MemRef>> {
+    let mut version = [0u32; 64];
+    let mut refs = Vec::with_capacity(ops.len());
+    for op in ops {
+        refs.push(op.mem_addr().map(|(base, disp)| MemRef {
+            base,
+            version: version[base as usize],
+            disp,
+        }));
+        if let Some(rd) = op.int_def() {
+            version[rd as usize] += 1;
+        }
+    }
+    refs
+}
+
 /// Alias analysis over a superblock: a [`MemRef`] for every memory
-/// operation, queryable by op index.
+/// operation, and optionally its start-address interval, queryable by op
+/// index.
 #[derive(Clone, Debug)]
 pub struct AliasAnalysis {
     /// `refs[i]` is `Some(MemRef)` when op `i` is a memory operation.
     refs: Vec<Option<MemRef>>,
+    /// `addr[i]`: op `i`'s start-address interval under the region's entry
+    /// state; empty when the region was analysed without one.
+    addr: Vec<Option<Interval>>,
 }
 
 impl AliasAnalysis {
-    /// Runs the analysis over `sb`.
+    /// Runs the base+displacement analysis over `sb`, with no address
+    /// intervals: the relation of a region with no known entry state.
     pub fn new(sb: &Superblock) -> Self {
-        let mut version = [0u32; 64];
-        let mut refs = Vec::with_capacity(sb.ops.len());
-        for op in &sb.ops {
-            let r = op.mem_addr().map(|(base, disp)| MemRef {
-                base,
-                version: version[base as usize],
-                disp,
-            });
-            refs.push(r);
-            if let Some(rd) = op.int_def() {
-                version[rd as usize] += 1;
-            }
+        AliasAnalysis {
+            refs: mem_refs(&sb.ops),
+            addr: Vec::new(),
         }
-        AliasAnalysis { refs }
+    }
+
+    /// [`AliasAnalysis::new`], sharpened by `ranges` (the result of
+    /// [`crate::analyze_superblock`] over the same `sb` from the region's
+    /// entry state): a may-alias pair whose address intervals are provably
+    /// disjoint becomes [`AliasRel::No`].
+    pub fn with_ranges(sb: &Superblock, ranges: &SbRanges) -> Self {
+        debug_assert_eq!(
+            ranges.addr.len(),
+            sb.ops.len(),
+            "ranges of another superblock"
+        );
+        AliasAnalysis {
+            addr: ranges.addr.clone(),
+            ..AliasAnalysis::new(sb)
+        }
     }
 
     /// The memory reference of op `i`, if it is a memory op.
@@ -90,14 +132,60 @@ impl AliasAnalysis {
         self.refs.get(i).copied().flatten()
     }
 
-    /// Alias relation between ops `i` and `j`.
+    /// Alias relation between ops `i` and `j`: the base+displacement
+    /// relation, with a may-alias pair proven disjoint by its address
+    /// intervals answered [`AliasRel::No`].
     ///
     /// # Panics
     /// Panics if either op is not a memory operation.
     pub fn relation(&self, i: usize, j: usize) -> AliasRel {
         let a = self.refs[i].expect("op i is a memory op");
         let b = self.refs[j].expect("op j is a memory op");
-        a.relation(&b)
+        match a.relation(&b) {
+            AliasRel::May if self.range_disjoint(i, j) => AliasRel::No,
+            rel => rel,
+        }
+    }
+
+    /// A class per op of `mem_ops` (superblock op indices) such that two
+    /// ops in different classes are provably disjoint by their address
+    /// intervals, so [`relation`](Self::relation) calls them
+    /// [`AliasRel::No`]: the connected components of word-footprint
+    /// overlap. Every op is in class 0 when the analysis has no intervals
+    /// or some op's interval is ⊥ or ⊤ (it may overlap anything).
+    pub fn range_classes(&self, mem_ops: &[usize]) -> Vec<u32> {
+        let mut class = vec![0u32; mem_ops.len()];
+        if self.addr.is_empty() {
+            return class;
+        }
+        let mut spans = Vec::with_capacity(mem_ops.len());
+        for (k, &i) in mem_ops.iter().enumerate() {
+            match self.addr[i] {
+                Some(iv) if !iv.is_bottom() && !iv.is_top() => {
+                    spans.push((iv.lo, iv.hi.saturating_add(ACCESS_BYTES - 1), k));
+                }
+                _ => return class,
+            }
+        }
+        spans.sort_unstable();
+        let (mut c, mut reach) = (0u32, i64::MIN);
+        for (n, &(lo, hi, k)) in spans.iter().enumerate() {
+            if n > 0 && lo > reach {
+                c += 1;
+            }
+            reach = reach.max(hi);
+            class[k] = c;
+        }
+        class
+    }
+
+    /// `true` when ops `i` and `j` have address intervals and those
+    /// intervals are provably disjoint.
+    fn range_disjoint(&self, i: usize, j: usize) -> bool {
+        match (self.addr.get(i), self.addr.get(j)) {
+            (Some(Some(a)), Some(Some(b))) => a.access_disjoint(*b),
+            _ => false,
+        }
     }
 }
 
@@ -241,6 +329,44 @@ mod tests {
         assert_eq!(at(6).relation(&at(6)), AliasRel::Must);
         assert_eq!(at(0).relation(&at(8)), AliasRel::No);
         assert_eq!(at(16).relation(&at(4)), AliasRel::No);
+    }
+
+    #[test]
+    fn entry_ranges_disambiguate_different_bases() {
+        use crate::range::{analyze_superblock, analyze_superblock_top};
+        // r2 lies in [0x1000, 0x1038] and r3 is 0x1040 at entry: different
+        // bases, so base+displacement says May, and the intervals say No
+        // for the load at r3 but not for the one reaching back to 0x1000.
+        let s = sb(vec![
+            IrOp::St {
+                rs: 1,
+                base: 2,
+                disp: 0,
+            },
+            IrOp::Ld {
+                rd: 4,
+                base: 3,
+                disp: 0,
+            },
+            IrOp::Ld {
+                rd: 5,
+                base: 3,
+                disp: -64,
+            },
+        ]);
+        let mut entry = smarq::range::top_state();
+        entry[2] = Interval::of(0x1000, 0x1038);
+        entry[3] = Interval::exact(0x1040);
+        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        assert_eq!(a.relation(0, 1), AliasRel::No);
+        assert_eq!(a.relation(1, 0), AliasRel::No);
+        assert_eq!(a.relation(0, 2), AliasRel::May);
+        // Same base, 64 bytes apart: base+displacement already knows.
+        assert_eq!(a.relation(1, 2), AliasRel::No);
+        // No entry state, or an unknown one, proves nothing new.
+        assert_eq!(AliasAnalysis::new(&s).relation(0, 1), AliasRel::May);
+        let top = AliasAnalysis::with_ranges(&s, &analyze_superblock_top(&s));
+        assert_eq!(top.relation(0, 1), AliasRel::May);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! optimizer forms a region along the hot execution paths starting from the
 //! basic block until it reaches a cold block").
 
+use crate::alias::AliasRel;
 use crate::sblock::{IrExit, IrOp, OpOrigin, Superblock};
 use smarq_guest::{BlockId, Instr, MemRange, Profile, Program, Terminator};
 
@@ -239,7 +240,9 @@ pub fn form_superblock(
 
 /// The memory pairs of `ops` whose last recorded addresses overlap, with
 /// at least one store (the rule of [`form_superblock`]): each pair ordered,
-/// sorted, deduplicated.
+/// sorted, deduplicated. A pair the alias analysis already calls
+/// must-alias (same base value, same displacement) is left out: it is
+/// never speculated on, so recording it would change no decision.
 fn profiled_aliases(
     program: &Program,
     profile: &Profile,
@@ -259,10 +262,15 @@ fn profiled_aliases(
     // Sorted by first byte, the words overlapping one are the run after
     // it (every access is one word wide).
     seen.sort_unstable_by_key(|&(r, i)| (r.lo, i));
+    let refs = crate::alias::mem_refs(ops);
+    let must = |a: usize, b: usize| match (refs[a], refs[b]) {
+        (Some(x), Some(y)) => x.relation(&y) == AliasRel::Must,
+        _ => false,
+    };
     let mut pairs = Vec::new();
     for (k, &(ra, a)) in seen.iter().enumerate() {
         for &(_, b) in seen[k + 1..].iter().take_while(|(rb, _)| rb.overlaps(ra)) {
-            if ops[a].is_store() || ops[b].is_store() {
+            if (ops[a].is_store() || ops[b].is_store()) && !must(a, b) {
                 let (x, y) = (origins[a], origins[b]);
                 pairs.push((x.min(y), x.max(y)));
             }
@@ -447,11 +455,12 @@ mod tests {
         assert_eq!(sb.trace, vec![entry, body]);
         assert!(!sb.profiled_alias(origin(entry, 2), origin(body, 1)));
         assert!(sb.profiled_alias(origin(body, 0), origin(body, 1)));
-        // Recorded, the entry store pairs with both the store and the
-        // loads of its word.
+        // Recorded, the entry store pairs with the loads of its word. The
+        // body's store writes the same base value at the same
+        // displacement: must-alias, never speculated, so not recorded.
         let i = run_recording(&p);
         let sb = form_superblock(&p, i.profile(), entry, FormationParams::default());
-        assert!(sb.profiled_alias(origin(entry, 2), origin(body, 0)));
+        assert!(!sb.profiled_alias(origin(entry, 2), origin(body, 0)));
         assert!(sb.profiled_alias(origin(entry, 2), origin(body, 1)));
         assert!(!sb.profiled_alias(origin(entry, 2), origin(body, 3)));
         // A profile without addresses yields no pairs.

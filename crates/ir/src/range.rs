@@ -10,11 +10,12 @@
 //!   propagation in `crates/verify`.
 //!
 //! Superblocks are loop-free, so this is a single pass with no widening.
-//! The same transfer is used by the optimizer (to *taint* operations
-//! whose address can touch an unspeculatable range) and by the static
-//! chain analyzer (to independently re-derive those ranges) — keeping the
-//! two in one place is what makes the analyzer's nospec verdicts exact
-//! rather than heuristic.
+//! The same transfer is used by the optimizer (to disambiguate memory
+//! pairs whose intervals are disjoint, and to *taint* operations whose
+//! address can touch an unspeculatable range) and by the static chain
+//! analyzer (to independently re-derive those ranges) — keeping the two
+//! in one place is what makes the analyzer's verdicts exact rather than
+//! heuristic.
 
 use crate::sblock::{IrOp, Superblock};
 use smarq::range::{top_state, Interval, NospecRanges, RegState};

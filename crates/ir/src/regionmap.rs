@@ -41,33 +41,32 @@ impl RegionMap {
 /// every memory operation in original order, and the pairwise may-alias
 /// facts (`May`/`Must` → may alias, `No` → no alias).
 ///
-/// The relation is stored sparsely: every op shares one `loc_class`, so
-/// by default every pair may alias, and only the analysis's disjoint
-/// (`No`) pairs are recorded, as `false` overrides. A region of n memory
-/// ops with d disjoint pairs costs d map entries instead of n(n−1)/2.
+/// The relation is stored sparsely. An op's `loc_class` is its
+/// [`AliasAnalysis::range_classes`] class: ops the address intervals prove
+/// apart sit in different classes and never alias, ops of one class alias
+/// by default, and only the analysis's disjoint (`No`) pairs within a
+/// class are recorded, as `false` overrides. Without intervals every op
+/// shares one class. A region of n memory ops with d disjoint pairs in
+/// its classes costs d map entries instead of n(n−1)/2.
 ///
 /// Eliminations are recorded by the optimizer afterwards via
 /// [`RegionSpec::add_load_elim`]/[`RegionSpec::add_store_elim`].
 pub fn build_region_spec(sb: &Superblock, analysis: &AliasAnalysis) -> (RegionSpec, RegionMap) {
     let mut spec = RegionSpec::new();
-    let mut op_index = Vec::new();
+    let op_index: Vec<usize> = (0..sb.ops.len()).filter(|&i| sb.ops[i].is_mem()).collect();
+    let class = analysis.range_classes(&op_index);
     let mut mem_id = vec![None; sb.ops.len()];
-    for (i, op) in sb.ops.iter().enumerate() {
-        if !op.is_mem() {
-            continue;
-        }
-        let kind = if op.is_store() {
+    for (&i, &c) in op_index.iter().zip(&class) {
+        let kind = if sb.ops[i].is_store() {
             MemKind::Store
         } else {
             MemKind::Load
         };
-        let id = spec.push(kind, 0);
-        mem_id[i] = Some(id);
-        op_index.push(i);
+        mem_id[i] = Some(spec.push(kind, c));
     }
     for a in 0..op_index.len() {
         for b in (a + 1)..op_index.len() {
-            if analysis.relation(op_index[a], op_index[b]) == AliasRel::No {
+            if class[a] == class[b] && analysis.relation(op_index[a], op_index[b]) == AliasRel::No {
                 spec.set_may_alias(MemOpId::new(a), MemOpId::new(b), false);
             }
         }
@@ -142,6 +141,37 @@ mod tests {
         let deps = DepGraph::compute(&spec);
         assert!(!deps.has_dep(MemOpId::new(0), MemOpId::new(1)));
         assert!(deps.has_dep(MemOpId::new(0), MemOpId::new(2)));
+    }
+
+    #[test]
+    fn range_classes_keep_the_relation_and_split_the_buckets() {
+        use crate::range::analyze_superblock;
+        use smarq::range::{top_state, Interval};
+        // r2 = 0x1000 and r3 = 0x1004 overlap a word; r4 = 0x2000 is apart.
+        let st = |base, disp| IrOp::St { rs: 1, base, disp };
+        let ld = |base, disp| IrOp::Ld { rd: 1, base, disp };
+        let s = sb(vec![st(2, 0), ld(3, 0), st(4, 0), ld(2, 16), ld(4, 0)]);
+        let mut entry = top_state();
+        entry[2] = Interval::exact(0x1000);
+        entry[3] = Interval::exact(0x1004);
+        entry[4] = Interval::exact(0x2000);
+        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        let (spec, map) = build_region_spec(&s, &a);
+        for x in 0..map.len() {
+            for y in (x + 1)..map.len() {
+                let (mx, my) = (MemOpId::new(x), MemOpId::new(y));
+                let rel = a.relation(map.op_index(mx), map.op_index(my));
+                assert_eq!(spec.may_alias(mx, my), rel != AliasRel::No, "{mx} {my}");
+            }
+        }
+        assert!(spec.may_alias(MemOpId::new(0), MemOpId::new(1)));
+        assert!(!spec.may_alias(MemOpId::new(0), MemOpId::new(2)));
+        assert_eq!(spec.sealed().class_buckets().len(), 3);
+        // One op of unknown address puts every op back in one class.
+        entry[4] = Interval::TOP;
+        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        let (spec, _) = build_region_spec(&s, &a);
+        assert_eq!(spec.sealed().class_buckets().len(), 1);
     }
 
     #[test]

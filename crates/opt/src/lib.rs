@@ -176,12 +176,20 @@ pub fn optimize_superblock_traced(
 
 /// Like [`optimize_superblock_traced`], with an optional abstract **entry
 /// register state** from a whole-program dataflow analysis (see
-/// `smarq-verify`). When [`OptConfig::nospec`] is non-empty, the entry
-/// state sharpens the address intervals used to decide which memory
-/// operations are *tainted* (can touch an unspeculatable range): with
-/// `None`, every entry-dependent address is unknown (⊤) and conservatively
-/// tainted. Tainted ops are excluded from every elimination and pinned in
-/// program order against all other memory operations.
+/// `smarq-verify`). The entry state gives every memory operation an
+/// address interval ([`smarq_ir::analyze_superblock`], run once per
+/// region), and both consumers of those intervals read the same result:
+///
+/// * the alias relation ([`AliasAnalysis::with_ranges`]): a pair whose
+///   intervals are provably disjoint is no-alias to every pass, so it gets
+///   no dependence, no check and no P bit;
+/// * the nospec taint, when [`OptConfig::nospec`] is non-empty: a memory
+///   op whose interval can touch an unspeculatable range is excluded from
+///   every elimination and pinned in program order against all other
+///   memory operations.
+///
+/// With `None` the relation is base+displacement alone, and every
+/// entry-dependent address is unknown (⊤), so conservatively tainted.
 ///
 /// # Panics
 /// Panics if `sb` fails [`Superblock::validate`] (caller bug).
@@ -194,9 +202,26 @@ pub fn optimize_superblock_traced_ranged(
     entry: Option<&smarq::RegState>,
 ) -> (Optimized, OptTrace) {
     sb.validate().expect("well-formed superblock");
+    let ranges = match entry {
+        Some(e) => Some(smarq_ir::analyze_superblock(sb, e)),
+        None if !config.nospec.is_empty() => Some(smarq_ir::analyze_superblock_top(sb)),
+        None => None,
+    };
+    // The drop-ranges fault models an optimizer that lost the entry
+    // state's precision: correct code that checks range-disjoint pairs.
+    let analysis = match (entry, &ranges) {
+        (Some(_), Some(r)) if !smarq::fault::drop_ranges_enabled() => {
+            AliasAnalysis::with_ranges(sb, r)
+        }
+        _ => AliasAnalysis::new(sb),
+    };
+    let taint = match &ranges {
+        Some(r) => smarq_ir::nospec_taint(sb, r, &config.nospec),
+        None => vec![false; sb.ops.len()],
+    };
     let mut cfg = config.clone();
     for retry in 0..3u32 {
-        match try_optimize(sb, &cfg, machine, blacklist, scratch, entry) {
+        match try_optimize(sb, &analysis, &taint, &cfg, machine, blacklist, scratch) {
             Ok((mut opt, trace)) => {
                 opt.stats.overflow_retries = retry;
                 return (opt, trace);
@@ -220,26 +245,14 @@ struct Overflowed;
 
 fn try_optimize(
     sb: &Superblock,
+    analysis: &AliasAnalysis,
+    taint: &[bool],
     config: &OptConfig,
     machine: &MachineConfig,
     blacklist: &AliasBlacklist,
     scratch: &mut smarq::AllocScratch,
-    entry: Option<&smarq::RegState>,
 ) -> Result<(Optimized, OptTrace), Overflowed> {
-    let analysis = AliasAnalysis::new(sb);
-    let (mut spec, map) = build_region_spec(sb, &analysis);
-    // Nospec taint: which memory ops can touch an unspeculatable range,
-    // under the derived address intervals (entry state from the caller's
-    // whole-program dataflow, or ⊤ when none is available).
-    let taint = if config.nospec.is_empty() {
-        vec![false; sb.ops.len()]
-    } else {
-        let ranges = match entry {
-            Some(e) => smarq_ir::analyze_superblock(sb, e),
-            None => smarq_ir::analyze_superblock_top(sb),
-        };
-        smarq_ir::nospec_taint(sb, &ranges, &config.nospec)
-    };
+    let (mut spec, map) = build_region_spec(sb, analysis);
     for (i, &t) in taint.iter().enumerate() {
         if t {
             if let Some(id) = map.mem_id(i) {
@@ -247,8 +260,7 @@ fn try_optimize(
             }
         }
     }
-    let mut elims =
-        elim::run_eliminations(sb, &analysis, &mut spec, &map, config, blacklist, &taint);
+    let mut elims = elim::run_eliminations(sb, analysis, &mut spec, &map, config, blacklist, taint);
     elim::dce(sb, &mut elims);
     let deps = DepGraph::compute(&spec);
     // The drop-deps fault models an allocator that misses a dependence the
@@ -262,7 +274,7 @@ fn try_optimize(
     };
     let work = dag::build_work_list(sb, &elims);
     let graph = dag::build_dag(
-        sb, &analysis, &work, dag_deps, &map, config, machine, blacklist, &taint,
+        sb, analysis, &work, dag_deps, &map, config, machine, blacklist, taint,
     );
     let sched_start = std::time::Instant::now();
     // On overflow the scratch is dropped inside the allocator; leave the
@@ -294,7 +306,7 @@ fn try_optimize(
             }
         }
     }
-    let vliw = emit::emit(sb, &analysis, &work, &sched, config, machine, &map);
+    let vliw = emit::emit(sb, analysis, &work, &sched, config, machine, &map);
 
     let mut stats = OptStats {
         ir_ops: sb.ops.len(),

@@ -22,7 +22,7 @@ use crate::stats::{RegionRecord, SystemStats};
 use crate::system::{RunStatus, StopReason};
 use crate::translate_service::{run_translation_job, FinishedTranslation, JobInput};
 use crate::HubConfig;
-use smarq::{AllocScratch, Diagnostic, Severity};
+use smarq::{AllocScratch, Diagnostic, RegState, Severity};
 use smarq_guest::{BlockId, Interpreter, Memory, Program};
 use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
@@ -61,9 +61,10 @@ pub struct GuestContext {
     /// [`PENDING`] or [`ABANDONED`].
     cache: Vec<u32>,
     regions: Vec<LocalRegion>,
-    /// Whole-program value-range analysis; `None` unless nospec ranges or
-    /// verify-on-emit need it.
-    dataflow: Option<ProgramDataflow>,
+    /// Whole-program value-range analysis: every translation request
+    /// carries its entry block's state, which the optimizer's alias
+    /// relation and nospec taint read.
+    dataflow: ProgramDataflow,
     /// The never-faulted analysis that seeds the chain checks, computed
     /// only when `dataflow` ran under the `SMARQ_FAULT_WIDEN_RANGE`
     /// mutation (otherwise `dataflow` is that analysis).
@@ -90,8 +91,7 @@ impl GuestContext {
         let num_blocks = program.num_blocks();
         let entry = program.entry();
         let program_hash = crate::hub::hash_program(&program);
-        let dataflow = (!cfg.opt.nospec.is_empty() || cfg.verify_translations)
-            .then(|| smarq_verify::analyze(&program));
+        let dataflow = smarq_verify::analyze(&program);
         let reference = (cfg.verify_translations && smarq::fault::widen_range_enabled())
             .then(|| smarq_verify::analyze_reference(&program));
         GuestContext {
@@ -151,6 +151,14 @@ impl GuestContext {
         self.regions.iter().map(|r| &r.shared.code.sb)
     }
 
+    /// The entry register state region `i` (indexed like
+    /// [`SystemStats::per_region`]) was optimized against: its entry
+    /// block's state in the program's dataflow. `None` when `i` is out of
+    /// range.
+    pub fn assumed_entry(&self, i: usize) -> Option<&RegState> {
+        Some(&self.regions.get(i)?.shared.code.assumed_entry)
+    }
+
     /// Re-derives the optimizer trace of region `i` (indexed like
     /// [`SystemStats::per_region`]) by optimizing its superblock again,
     /// under the hub's configuration, the blacklist it was translated
@@ -178,7 +186,7 @@ impl GuestContext {
             &self.cfg.machine,
             &self.blacklist.1,
             &mut AllocScratch::new(),
-            code.assumed_entry.as_ref(),
+            Some(&code.assumed_entry),
         ))
     }
 
@@ -193,14 +201,10 @@ impl GuestContext {
     }
 
     /// The chain analysis of `views`, seeded from this program's
-    /// never-faulted dataflow (every view implies verify-on-emit, which
-    /// computes it), with the findings of severity `min` or above.
+    /// never-faulted dataflow, with the findings of severity `min` or
+    /// above.
     fn analyze_views(&self, views: &[ChainRegionView<'_>], min: Severity) -> ChainReport {
-        let reference = self
-            .reference
-            .as_ref()
-            .or(self.dataflow.as_ref())
-            .expect("verify-on-emit computes the program dataflow");
+        let reference = self.reference.as_ref().unwrap_or(&self.dataflow);
         smarq_verify::analyze_chain_seeded(reference, views, &self.cfg.opt.nospec, min)
     }
 
@@ -213,7 +217,7 @@ impl GuestContext {
             facts: code.facts.as_ref()?,
             vliw: &code.vliw,
             write_mask: code.write_mask,
-            assumed_entry: code.assumed_entry,
+            assumed_entry: Some(code.assumed_entry),
         })
     }
 
@@ -283,7 +287,8 @@ impl GuestContext {
             profile: self.interp.profile().clone(),
         };
         let key = self.key(entry);
-        let s = hub.submit(hub.job(key, Arc::clone(&self.program), input, None));
+        let entry_state = *self.dataflow.entry_state(entry);
+        let s = hub.submit(hub.job(key, Arc::clone(&self.program), input, entry_state));
         self.submitted(hub, key, s);
     }
 
@@ -334,7 +339,7 @@ impl GuestContext {
         }
         let t0 = Instant::now();
         let key = self.key(cur);
-        let entry_state = self.dataflow.as_ref().map(|d| *d.entry_state(cur));
+        let entry_state = *self.dataflow.entry_state(cur);
         match hub.request(key, &self.program, self.interp.profile(), entry_state) {
             HubProbe::Hit(r) => self.pin(r),
             HubProbe::Abandoned => self.cache[cur.index()] = ABANDONED,

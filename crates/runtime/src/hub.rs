@@ -356,7 +356,7 @@ impl TranslationHub {
         key: RegionKey,
         program: Arc<Program>,
         input: JobInput,
-        entry_state: Option<RegState>,
+        entry_state: RegState,
     ) -> TranslationJob {
         let (blacklist_gen, blacklist) = self.blacklist();
         TranslationJob {
@@ -379,7 +379,7 @@ impl TranslationHub {
         key: RegionKey,
         program: &Arc<Program>,
         profile: &Profile,
-        entry_state: Option<RegState>,
+        entry_state: RegState,
     ) -> HubProbe {
         let mut shard = lock(self.shard(key));
         let found = Self::lookup(&shard, key);

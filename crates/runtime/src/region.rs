@@ -84,9 +84,10 @@ pub(crate) struct RegionCode {
     /// The validator's facts for `trace`, kept from emit-time
     /// verification (verify-on-emit only).
     pub facts: Option<RegionFacts>,
-    /// The entry register state the nospec taint assumed (`None` = ⊤);
-    /// the chain analyzer proves every chained predecessor delivers it.
-    pub assumed_entry: Option<RegState>,
+    /// The entry register state the optimization assumed (its alias
+    /// relation and nospec taint); the chain analyzer proves every chained
+    /// predecessor delivers it.
+    pub assumed_entry: RegState,
 }
 
 impl RegionCode {

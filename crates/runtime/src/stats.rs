@@ -268,8 +268,8 @@ mod tests {
         let done = b.block();
         b.iconst(entry, Reg(1), 0);
         b.iconst(entry, Reg(2), iters);
-        b.iconst(entry, Reg(3), 0x1000);
-        b.iconst(entry, Reg(5), 0x2000);
+        b.iconst_via_memory(entry, Reg(3), 0x1000, 0x800);
+        b.iconst_via_memory(entry, Reg(5), 0x2000, 0x808);
         b.jump(entry, body);
         b.st(body, Reg(1), Reg(5), 0);
         b.ld(body, Reg(4), Reg(3), 0); // never truly aliases the store

@@ -6,7 +6,7 @@ use crate::hub::{HubConfig, TranslationHub};
 use crate::multi::run_multi_interleaved;
 use crate::stats::SystemStats;
 use crate::translate_service::{StepExecutor, ThreadedExecutor, TranslationExecutor};
-use smarq::range::NospecRanges;
+use smarq::range::{NospecRanges, RegState};
 use smarq_guest::{BlockId, Interpreter, Program};
 use smarq_ir::{FormationParams, Superblock};
 use smarq_opt::{AliasBlacklist, OptConfig, OptTrace};
@@ -97,7 +97,7 @@ pub struct SystemConfig {
     /// contract for MMIO-like regions). Propagated into
     /// [`OptConfig::nospec`] at system construction; the whole-program
     /// value-range analysis ([`smarq_verify::analyze`]) supplies each
-    /// region's entry state so the taint is range-precise. None by
+    /// region's entry state, so the taint is range-precise. None by
     /// default; the CLIs default `--nospec` to `SMARQ_NOSPEC` through
     /// [`nospec_ranges_from_env`].
     pub nospec_ranges: NospecRanges,
@@ -238,6 +238,12 @@ impl DynOptSystem {
         self.ctx.formed_superblocks()
     }
 
+    /// The entry register state region `i` was optimized against (see
+    /// [`GuestContext::assumed_entry`]).
+    pub fn assumed_entry(&self, i: usize) -> Option<&RegState> {
+        self.ctx.assumed_entry(i)
+    }
+
     /// Region `i`'s optimizer trace, re-derived on demand (see
     /// [`GuestContext::region_trace`]).
     pub fn region_trace(&self, i: usize) -> Option<OptTrace> {
@@ -372,8 +378,8 @@ pub(crate) mod tests {
         let done = b.block();
         b.iconst(entry, Reg(1), 0);
         b.iconst(entry, Reg(2), iters);
-        b.iconst(entry, Reg(3), 0x1000);
-        b.iconst(entry, Reg(5), 0x2000);
+        b.iconst_via_memory(entry, Reg(3), 0x1000, 0x800);
+        b.iconst_via_memory(entry, Reg(5), 0x2000, 0x808);
         b.fconst(entry, smarq_guest::FReg(3), 1.0001);
         b.jump(entry, body);
         b.fld(body, smarq_guest::FReg(1), Reg(5), 0);

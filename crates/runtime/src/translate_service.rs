@@ -65,9 +65,10 @@ pub struct TranslationJob {
     /// Generation of that snapshot; a result older than the hub's is
     /// resubmitted.
     pub blacklist_gen: u64,
-    /// Entry register state from the range analysis (`None` = ⊤), for the
-    /// range-precise nospec taint.
-    pub entry_state: Option<RegState>,
+    /// Entry register state from the whole-program range analysis: the
+    /// optimizer's alias relation and nospec taint read the address
+    /// intervals it gives.
+    pub entry_state: RegState,
 }
 
 /// A finished translation, ready to be installed by a guest at a
@@ -90,7 +91,7 @@ pub struct FinishedTranslation {
     /// and kept for the link-time chain checks.
     pub facts: Option<RegionFacts>,
     /// The entry state the optimization assumed (echoed from the job).
-    pub entry_state: Option<RegState>,
+    pub entry_state: RegState,
     /// Fast-functional lowering, timed for the hub's machine.
     pub fast: FastProgram,
     /// Blacklist generation the job optimized against.
@@ -120,7 +121,7 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
         &cfg.machine,
         &job.blacklist,
         scratch,
-        job.entry_state.as_ref(),
+        Some(&job.entry_state),
     );
     let translate_ns = t0.elapsed().as_nanos() as u64;
     let (diags, facts) = if cfg.verify_translations {

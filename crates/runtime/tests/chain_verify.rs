@@ -7,8 +7,9 @@ use smarq_guest::{AluOp, CmpOp, Program, ProgramBuilder, Reg};
 use smarq_runtime::{DynOptSystem, StopReason, SystemConfig};
 
 /// Counted loop with a store to 0x2000 ahead of a load from 0x1000: the
-/// addresses never truly alias, so the optimizer normally hoists the load
-/// above the store under alias-register protection.
+/// addresses never truly alias, but the store's base arrives through
+/// memory, so no range analysis proves the pair apart and the optimizer
+/// hoists the load above the store under alias-register protection.
 fn hoistable_loop(iters: i64) -> Program {
     let mut b = ProgramBuilder::new();
     let entry = b.block();
@@ -17,7 +18,7 @@ fn hoistable_loop(iters: i64) -> Program {
     b.iconst(entry, Reg(1), 0);
     b.iconst(entry, Reg(2), iters);
     b.iconst(entry, Reg(3), 0x1000);
-    b.iconst(entry, Reg(5), 0x2000);
+    b.iconst_via_memory(entry, Reg(5), 0x2000, 0x800);
     b.jump(entry, body);
     b.st(body, Reg(1), Reg(5), 0);
     b.ld(body, Reg(4), Reg(3), 0);

@@ -8,9 +8,11 @@
 //! * the successor's **resident-state write mask** covers every register
 //!   the emitted code can write (masked checkpointing restores exactly
 //!   those — an under-approximate mask corrupts rollback state);
-//! * the register-range facts the optimizer **assumed at entry** (for the
-//!   unspeculatable-address-range taint) over-approximate every state a
-//!   predecessor can actually deliver;
+//! * the register-range facts the optimizer **assumed at entry** (for its
+//!   alias relation and the unspeculatable-address-range taint)
+//!   over-approximate every state a predecessor can actually deliver, and
+//!   every pair the optimizer called disjoint on the strength of those
+//!   ranges is disjoint under the states the chain can deliver;
 //! * the alias-register queue is **reset at region entry** (hardware
 //!   semantics, `smarq::AliasQueue::reset`), so no queue state crosses
 //!   the edge.
@@ -21,16 +23,28 @@
 //! passes it to [`analyze_chain_seeded`]), then propagates superblock
 //! exit states ([`smarq_ir::analyze_superblock`]) along chain edges —
 //! joining, and widening loop back-edges after [`WIDEN_AFTER`] joins —
-//! until the region entry states stabilize. On the fixpoint it runs five
+//! until the region entry states stabilize. On the fixpoint it runs six
 //! chain-level checks (codes in [`crate::registry`]):
 //!
 //! | code | severity | catches |
 //! |------|----------|---------|
 //! | `chain-writemask-gap`     | Error   | a write mask missing an emitted destination register (the `SMARQ_FAULT_DROP_BOUNDARY` mutation) |
 //! | `chain-entry-state`       | Error   | an optimizer entry assumption no predecessor guarantees (the `SMARQ_FAULT_WIDEN_RANGE` mutation) |
+//! | `range-unproven-disjoint` | Error   | a pair the region spec calls disjoint that base+displacement leaves may-alias and the chain-derived address ranges do not prove apart |
 //! | `nospec-speculation`      | Error   | a memory op whose chain-derived address can touch a configured nospec range yet was eliminated, reordered, or given P/C bits |
 //! | `cross-region-dead-amov`  | Warning | an `AMOV` after the region's last scan, proven dead *chain-wide* by the entry queue reset |
-//! | `chain-unreachable-check` | Warning | a required check whose two address ranges are provably disjoint — the scan can never fire |
+//! | `chain-unreachable-check` | Warning | a required check whose two address ranges are provably disjoint — the scan can never fire (the `SMARQ_FAULT_DROP_RANGES` mutation) |
+//!
+//! `range-unproven-disjoint` re-proves, from the verifier's own interval
+//! derivation, every disjointness the optimizer took from the ranges: a
+//! wrong interval there drops a dependence with no check behind it, so it
+//! is an error even where execution happens not to reach the alias.
+//! `chain-unreachable-check` stays a warning: the optimizer already drops
+//! every pair its entry state proves apart, so the check flags only a
+//! region translated with a less precise entry state than the chain
+//! proves, or with none (the `SMARQ_FAULT_DROP_RANGES` mutation makes the
+//! optimizer ignore its entry state's intervals). Such a check wastes a
+//! scan and cannot miss an alias.
 //!
 //! Everything here re-derives its facts from the caller-provided views,
 //! or reads the validator's own [`RegionFacts`] they carry; in particular
@@ -39,10 +53,10 @@
 
 use crate::dataflow::{self, ProgramDataflow, WIDEN_AFTER};
 use crate::facts::RegionFacts;
-use smarq::range::{join_state, widen_state, NospecRanges, RegState};
+use smarq::range::{join_state, widen_state, Interval, NospecRanges, RegState};
 use smarq::{AliasCode, Diagnostic, MemOpId, Severity};
 use smarq_guest::Program;
-use smarq_ir::{analyze_superblock, nospec_taint, SbRanges, Superblock};
+use smarq_ir::{analyze_superblock, nospec_taint, AliasAnalysis, AliasRel, SbRanges, Superblock};
 use smarq_opt::OptTrace;
 use smarq_vliw::{RegionWriteMask, VliwOp, VliwProgram};
 use std::collections::VecDeque;
@@ -51,7 +65,8 @@ use std::collections::VecDeque;
 /// id, the formed superblock, the optimizer's trace, the emitted code and
 /// the two runtime-facing artifacts under scrutiny (the write mask the
 /// dispatcher will checkpoint by, and the entry state the optimizer's
-/// taint analysis assumed — `None` when it assumed nothing, i.e. ⊤).
+/// alias relation and taint assumed — `None` when it assumed nothing,
+/// i.e. ⊤).
 pub struct ChainRegionView<'a> {
     /// Region index in formation order (goes into diagnostics).
     pub region_id: usize,
@@ -69,8 +84,9 @@ pub struct ChainRegionView<'a> {
     /// The write mask the dispatcher will actually use (possibly produced
     /// under the `SMARQ_FAULT_DROP_BOUNDARY` mutation).
     pub write_mask: RegionWriteMask,
-    /// The entry register state the optimizer's nospec taint used
-    /// (possibly produced under the `SMARQ_FAULT_WIDEN_RANGE` mutation).
+    /// The entry register state the optimizer's alias relation and nospec
+    /// taint used (possibly produced under the `SMARQ_FAULT_WIDEN_RANGE`
+    /// mutation).
     pub assumed_entry: Option<RegState>,
 }
 
@@ -99,7 +115,7 @@ pub struct ChainReport {
     pub edges: Vec<ChainEdge>,
     /// Fixpoint entry state per region (same order as the input views).
     pub entry_states: Vec<RegState>,
-    /// Findings from all five chain checks.
+    /// Findings from all six chain checks.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -205,6 +221,7 @@ pub fn analyze_chain_seeded(
         check_write_mask(view, &mut diagnostics);
         check_entry_state(view, &entry, regions, &edges, r, &mut diagnostics);
         check_nospec(view, &ranges, nospec, &mut diagnostics);
+        check_range_disjoint(view, &ranges, &mut diagnostics);
         if min <= Severity::Warning {
             check_dead_amov(view, regions, &out_edges[r], &mut diagnostics);
             check_unreachable(view, &ranges, &mut diagnostics);
@@ -400,6 +417,54 @@ fn check_nospec(
     }
 }
 
+/// Every pair the region spec calls disjoint although base+displacement
+/// leaves it may-alias was disambiguated by address ranges; the chain's
+/// own intervals (`ranges`, from the never-faulted fixpoint entry state)
+/// must prove it disjoint again. The intervals are compared first: where
+/// the chain knows the addresses, most pairs are proven without reading
+/// the spec.
+fn check_range_disjoint(view: &ChainRegionView<'_>, ranges: &SbRanges, out: &mut Vec<Diagnostic>) {
+    let trace = view.trace;
+    let origin = &trace.mem_origin;
+    let mut base: Option<AliasAnalysis> = None;
+    for a in 0..origin.len() {
+        for b in a + 1..origin.len() {
+            let (ia, ib) = (ranges.addr[origin[a]], ranges.addr[origin[b]]);
+            if ia.zip(ib).is_some_and(|(x, y)| x.access_disjoint(y)) {
+                continue;
+            }
+            let (ma, mb) = (MemOpId::new(a), MemOpId::new(b));
+            if trace.spec.may_alias(ma, mb) {
+                continue;
+            }
+            let base = base.get_or_insert_with(|| AliasAnalysis::new(view.sb));
+            if base.relation(origin[a], origin[b]) != AliasRel::May {
+                continue;
+            }
+            let shown = |iv: Option<Interval>| {
+                iv.map_or_else(|| "unknown".to_string(), |iv| iv.to_string())
+            };
+            out.push(
+                Diagnostic::new(
+                    Severity::Error,
+                    view.region_id,
+                    "range-unproven-disjoint",
+                    format!(
+                        "the optimizer treated {ma} and {mb} as disjoint, but \
+                         base+displacement cannot tell them apart and their chain-derived \
+                         address ranges {} and {} can overlap; the dropped dependence is \
+                         unprotected",
+                        shown(ia),
+                        shown(ib)
+                    ),
+                )
+                .with_op(mb)
+                .with_witness(format!("{ma} <-> {mb}")),
+            );
+        }
+    }
+}
+
 fn check_dead_amov(
     view: &ChainRegionView<'_>,
     regions: &[ChainRegionView<'_>],
@@ -456,7 +521,7 @@ fn check_unreachable(view: &ChainRegionView<'_>, ranges: &SbRanges, out: &mut Ve
         };
         // Word footprints: [lo, hi + 7]. Disjoint ⇒ the scan can never
         // observe a genuine alias — dead protection overhead.
-        if crate::lint::provably_disjoint(a, b) {
+        if a.access_disjoint(b) {
             out.push(
                 Diagnostic::new(
                     Severity::Warning,
@@ -487,12 +552,17 @@ mod tests {
     /// Guest program: B0 pins r1=0x1000, r2=0x2000; B1 is a self-loop
     /// with a store through r1 and a load through r2; B2 halts.
     fn base_program() -> Program {
+        program_with_load_base(0x2000)
+    }
+
+    /// [`base_program`] with the load's base pinned to `r2`.
+    fn program_with_load_base(r2: i64) -> Program {
         let mut b = ProgramBuilder::new();
         let entry = b.block();
         let body = b.block();
         let done = b.block();
         b.iconst(entry, Reg(1), 0x1000);
-        b.iconst(entry, Reg(2), 0x2000);
+        b.iconst(entry, Reg(2), r2);
         b.iconst(entry, Reg(3), 0);
         b.iconst(entry, Reg(4), 100);
         b.jump(entry, body);
@@ -515,6 +585,11 @@ mod tests {
     }
 
     fn fixture(schedule: Vec<MemOpId>) -> Fixture {
+        fixture_with(schedule, true)
+    }
+
+    /// [`fixture`] with the pair's may-alias fact set to `may`.
+    fn fixture_with(schedule: Vec<MemOpId>, may: bool) -> Fixture {
         let ops = vec![
             IrOp::St {
                 rs: 3,
@@ -549,7 +624,7 @@ mod tests {
         let mut spec = RegionSpec::new();
         let m0 = spec.push(MemKind::Store, 0);
         let m1 = spec.push(MemKind::Load, 1);
-        spec.set_may_alias(m0, m1, true);
+        spec.set_may_alias(m0, m1, may);
         let deps = DepGraph::compute(&spec);
         let allocation = Some(allocate(&spec, &deps, &schedule, 64).unwrap());
         let trace = OptTrace {
@@ -755,6 +830,40 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
+    }
+
+    /// The store (through r1) and the load (through r2) have different
+    /// bases, so only address ranges can call them disjoint. The chain
+    /// proves that again when r2 points elsewhere, and flags it when r2
+    /// points at the store's word.
+    #[test]
+    fn range_derived_disjointness_is_proven_again() {
+        let f = fixture_with(hoisted(), false);
+        let unproven = |p: &Program| {
+            let report = analyze_chain(p, &[view(&f, None)], &NospecRanges::none());
+            report
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == "range-unproven-disjoint")
+                .map(|d| d.severity)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(unproven(&base_program()), vec![]);
+        assert_eq!(
+            unproven(&program_with_load_base(0x1004)),
+            vec![Severity::Error]
+        );
+        // A pair the spec leaves may-alias needs no proof.
+        let may = fixture(hoisted());
+        let report = analyze_chain(
+            &program_with_load_base(0x1004),
+            &[view(&may, None)],
+            &NospecRanges::none(),
+        );
+        assert!(!report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "range-unproven-disjoint"));
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! The result feeds two consumers:
 //!
 //! * the **runtime**, which hands each region's entry-block state to the
-//!   optimizer so the unspeculatable-address-range taint
-//!   ([`smarq_ir::nospec_taint`]) is range-precise instead of
-//!   assume-the-worst;
+//!   optimizer: its alias relation calls a memory pair disjoint when the
+//!   derived address intervals prove it (`smarq_ir::AliasAnalysis`), and
+//!   the unspeculatable-address-range taint ([`smarq_ir::nospec_taint`])
+//!   is range-precise instead of assume-the-worst;
 //! * the **chain analyzer** ([`crate::chain`]), which seeds its
 //!   cross-region fixpoint from these states and re-derives every taint
-//!   decision independently.
+//!   decision and every range-derived disjointness independently.
 //!
 //! [`analyze`] honours the `SMARQ_FAULT_WIDEN_RANGE` mutation switch
 //! (`smarq::fault`): at widening points the faulted analysis keeps the

@@ -10,7 +10,7 @@
 //! [`run_passes`]).
 
 use crate::facts::RegionFacts;
-use smarq::range::{Interval, ACCESS_BYTES};
+use smarq::range::Interval;
 use smarq::{AliasCode, Allocation, Diagnostic, MemOpId, RegionSpec, Severity};
 
 /// Everything a lint pass may inspect about one optimized region.
@@ -32,15 +32,6 @@ pub struct LintContext<'a> {
     /// unknown), from the value-range analysis; `None` when no range
     /// analysis ran. Range-aware passes refine their verdicts with it.
     pub addr: Option<&'a [Interval]>,
-}
-
-/// `true` when two word accesses with the given start-address intervals
-/// provably never overlap (both bounded, footprints disjoint).
-pub(crate) fn provably_disjoint(a: Interval, b: Interval) -> bool {
-    if a.is_bottom() || b.is_bottom() || a.is_top() || b.is_top() {
-        return false;
-    }
-    a.hi.saturating_add(ACCESS_BYTES - 1) < b.lo || b.hi.saturating_add(ACCESS_BYTES - 1) < a.lo
 }
 
 /// One lint pass. Implementations must be pure observers: they read the
@@ -257,7 +248,12 @@ impl LintPass for OverflowRisk {
 /// ([`LintContext::addr`]) and the pair's access footprints are provably
 /// disjoint, the missing bit cannot cause a missed alias at runtime — the
 /// finding is downgraded from [`Severity::Error`] to
-/// [`Severity::Warning`] (the may-alias fact is stale, not the bits).
+/// [`Severity::Warning`] (the may-alias fact is stale, not the bits). The
+/// downgrade stays a warning although the optimizer now drops such pairs
+/// itself: the intervals come from the caller's own derivation (`smarq
+/// lint` uses the never-faulted `analyze_reference`), so a pair they call
+/// disjoint cannot alias, whatever entry state the region was optimized
+/// with.
 pub struct UnprotectedSpeculation;
 
 impl LintPass for UnprotectedSpeculation {
@@ -270,9 +266,9 @@ impl LintPass for UnprotectedSpeculation {
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         for (checker, checkee) in cx.facts.required_checks() {
             let witness = format!("{checker} ->check {checkee}");
-            let harmless = cx.addr.is_some_and(|addr| {
-                provably_disjoint(addr[checker.index()], addr[checkee.index()])
-            });
+            let harmless = cx
+                .addr
+                .is_some_and(|addr| addr[checker.index()].access_disjoint(addr[checkee.index()]));
             let (sev, note) = if harmless {
                 (
                     Severity::Warning,

@@ -19,7 +19,7 @@ use smarq::{Diagnostic, Severity};
 /// Version of the code table. Bump when a code is added, removed, or its
 /// meaning changes; the JSON report carries this so downstream tooling
 /// can detect skew.
-pub const CODE_TABLE_VERSION: u32 = 1;
+pub const CODE_TABLE_VERSION: u32 = 2;
 
 /// Which layer of the verifier emits a code.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -163,6 +163,12 @@ pub const CODES: &[CodeInfo] = &[
         description: "an optimizer entry-range assumption no chain predecessor guarantees",
     },
     CodeInfo {
+        code: "range-unproven-disjoint",
+        origin: CodeOrigin::Chain,
+        default_severity: Severity::Error,
+        description: "a range-derived disjoint pair the chain-derived address ranges do not prove",
+    },
+    CodeInfo {
         code: "nospec-speculation",
         origin: CodeOrigin::Chain,
         default_severity: Severity::Error,
@@ -271,6 +277,7 @@ mod tests {
         for c in [
             "chain-writemask-gap",
             "chain-entry-state",
+            "range-unproven-disjoint",
             "nospec-speculation",
             "cross-region-dead-amov",
             "chain-unreachable-check",

@@ -98,6 +98,9 @@ impl Default for Kernel {
 //   f3: FP constant near 1; f1: chain carrier; f2: chain result
 //   f4/f5: strand temporaries; f6: early-store value; f7: accumulator
 
+/// Where the entry block passes the array bases (below every array).
+const DESCRIPTOR: i64 = 0x800;
+
 fn build(k: &Kernel) -> Program {
     let mut b = ProgramBuilder::new();
     let entry = b.block();
@@ -106,13 +109,23 @@ fn build(k: &Kernel) -> Program {
 
     b.iconst(entry, Reg(1), 0);
     b.iconst(entry, Reg(2), k.iters);
-    b.iconst(entry, Reg(5), 0x2000);
-    b.iconst(entry, Reg(6), 0x8000);
-    b.iconst(entry, Reg(7), 0x20000);
-    b.iconst(entry, Reg(8), 0x40000);
-    b.iconst(entry, Reg(9), 0x2000); // same address as r5, distinct register
-    b.iconst(entry, Reg(10), 0x5000); // FP-pattern load pointer
-    b.iconst(entry, Reg(11), 0x5000); // same address, used by its stores
+    // The array bases reach the loop through memory, as a compiled caller
+    // passes arrays by reference: the entry block writes them to a
+    // descriptor at DESCRIPTOR and loads them back. No static range
+    // analysis sees through the loads, so the loop's pairs stay may-alias
+    // to the optimizer, the premise of the paper's alias hardware (§1).
+    let bases = [
+        (5, 0x2000),
+        (6, 0x8000),
+        (7, 0x20000),
+        (8, 0x40000),
+        (9, 0x2000),  // same address as r5, distinct register
+        (10, 0x5000), // FP-pattern load pointer
+        (11, 0x5000), // same address, used by its stores
+    ];
+    for (slot, &(r, addr)) in (0..).zip(&bases) {
+        b.iconst_via_memory(entry, Reg(r), addr, DESCRIPTOR + slot * 8);
+    }
     b.fconst(entry, FReg(1), 3.5);
     b.fconst(entry, FReg(3), 1.0001);
     b.fconst(entry, FReg(6), 2.25);

@@ -8,10 +8,11 @@ use smarq_runtime::{DynOptSystem, SystemConfig};
 
 const KERNEL: &str = r"
 .word 0x9000, 7
+.word 0x800, 0x1000      ; the store's base, passed in memory
 entry:
     iconst r1, 0
     iconst r2, 800
-    iconst r3, 0x1000
+    ld r3, [r0+0x800]    ; no static range analysis sees this value
     iconst r4, 0x9000
     fconst f1, 1.5
     fconst f2, 1.0
@@ -142,11 +143,14 @@ fn verify_errors_fail_single_and_multi_guest_runs() {
 
 /// Error findings are listed ahead of warnings under the findings cap.
 /// Three loops run one after another, each a region whose loads are
-/// hoisted past stores to provably disjoint addresses, so each link's
-/// chain check reports dozens of `chain-unreachable-check` warnings. The
-/// first link alone brings more warnings than the cap leaves room for;
-/// under the dependence-dropping fault the second and third regions'
-/// verify errors arrive after it and must still be listed.
+/// hoisted past stores to provably disjoint addresses. Under the
+/// lost-precision fault (`SMARQ_FAULT_DROP_RANGES`) the optimizer still
+/// speculates on those pairs, so each link's chain check reports dozens
+/// of `chain-unreachable-check` warnings: with the entry state's ranges
+/// in use no runtime check emits a warning at all. The first link alone
+/// brings more warnings than the cap leaves room for; under the
+/// dependence-dropping fault the second and third regions' verify errors
+/// arrive after it and must still be listed.
 #[test]
 fn verify_errors_are_listed_ahead_of_warnings_under_the_cap() {
     let mut src = String::from(
@@ -175,6 +179,7 @@ fn verify_errors_are_listed_ahead_of_warnings_under_the_cap() {
         .arg(&path)
         .arg("--verify")
         .env("SMARQ_FAULT_DROP_DEPS", "1")
+        .env("SMARQ_FAULT_DROP_RANGES", "1")
         .output()
         .expect("spawn smarq-run");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -88,7 +88,7 @@ fn lint_exit_status_separates_malformed_arguments_from_findings() {
     // warning's code turns them into errors.
     let (code, stderr) = lint(&["examples/hoist_loop.s"]);
     assert_eq!(code, Some(0), "{stderr}");
-    let (code, stderr) = lint(&["examples/hoist_loop.s", "--deny", "chain-unreachable-check"]);
+    let (code, stderr) = lint(&["examples/hoist_loop.s", "--deny", "overflow-risk"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error-severity finding"), "{stderr}");
 }
@@ -104,12 +104,7 @@ fn closed_stdout_keeps_the_exit_status_without_panicking() {
         (&["lint", "--list"], 0),
         (&["lint", "examples/hoist_loop.s"], 0),
         (
-            &[
-                "lint",
-                "examples/hoist_loop.s",
-                "--deny",
-                "chain-unreachable-check",
-            ],
+            &["lint", "examples/hoist_loop.s", "--deny", "overflow-risk"],
             1,
         ),
         (&["lint", "tests/corpus", "--bogus"], 2),

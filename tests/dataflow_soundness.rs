@@ -11,7 +11,7 @@
 //!   every hardware scheme the runtime forms regions for, and reports no
 //!   error-severity finding on the clean corpus.
 
-use smarq_guest::{Interpreter, Program};
+use smarq_guest::Program;
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use std::path::Path;
 
@@ -26,33 +26,10 @@ fn corpus() -> Vec<(String, Program)> {
 }
 
 /// Steps `program` concretely block-by-block and asserts containment in
-/// `df` at every block entry. Returns the number of block entries checked.
+/// its derived ranges at every block entry (the fuzz oracle's layer 0).
+/// Returns the number of block entries checked.
 fn check_containment(name: &str, program: &Program) -> u64 {
-    let df = smarq_verify::analyze_reference(program);
-    assert!(df.converged, "{name}: dataflow did not converge");
-    let mut interp = Interpreter::new();
-    interp.load_data(program);
-    let mut block = program.entry();
-    let mut checked = 0u64;
-    loop {
-        let st = df.entry_state(block);
-        for (r, iv) in st.iter().enumerate().take(32) {
-            assert!(
-                iv.contains(interp.regs[r]),
-                "{name}: at block {block:?} entry #{checked}, r{r} = {} outside derived {iv}",
-                interp.regs[r]
-            );
-        }
-        checked += 1;
-        match interp.step_block(program, block) {
-            Some(next) => block = next,
-            None => return checked,
-        }
-        assert!(
-            checked < 3_000_000,
-            "{name}: runaway program (corpus entries must halt)"
-        );
-    }
+    smarq_fuzz::check_containment(program, 3_000_000).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 #[test]
