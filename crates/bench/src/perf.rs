@@ -9,7 +9,7 @@
 //! file at the repository root; each PR that claims a performance win
 //! commits one so the trajectory is reviewable.
 
-use crate::harness::{median, time_fn, Comparison, Measurement};
+use crate::harness::{median, time_fn, time_fn_cfg, Comparison, Measurement};
 use crate::synth::hoist_region;
 use crate::Evaluation;
 use smarq::{allocate, AllocScratch, Allocator, DepGraph};
@@ -379,12 +379,14 @@ pub fn measure_simulator_region() -> Measurement {
 /// Guest memory throughput: the interpreter runs the `swim` stand-in from
 /// a fresh state to halt, so each iteration grows its pages' extents from
 /// empty and then streams loads and stores through them. An absolute
-/// trajectory point.
+/// trajectory point, timed over 100 ms samples (median of 9) rather than
+/// the default 10 ms x 5, since one iteration takes only tens of
+/// microseconds.
 pub fn measure_memory_stream() -> Measurement {
     let program = smarq_workloads::scaled("swim", 200)
         .expect("swim is a stand-in")
         .program;
-    time_fn("guest/memory_stream", move || {
+    time_fn_cfg("guest/memory_stream", 100, 9, move || {
         let mut interp = Interpreter::new();
         interp.run(&program, u64::MAX);
         interp.executed_instrs()

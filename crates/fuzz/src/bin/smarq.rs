@@ -14,10 +14,13 @@
 //!
 //! `fuzz` exits non-zero when a divergence was found (or, with
 //! `--expect-divergence`, when none was — the mutation sanity mode).
-//! Minimized repros are written to `--corpus-dir` (default
-//! `tests/corpus`). `lint` exits 1 on any error-severity finding
-//! *after* the `--deny`/`--allow` policy is applied and 2 on a malformed
-//! command line, as `smarq-run lint` does (both run
+//! Minimized repros are written to `--corpus-dir`, by default
+//! `tests/corpus`, or `target/fault-repros` under `--inject-fault` (its
+//! repros diverge only under the fault, so they do not belong in the
+//! regression corpus); no existing file is overwritten. `lint` exits 1
+//! on any error-severity finding *after* the `--deny`/`--allow` policy
+//! is applied and 2 on a malformed command line, as `smarq-run lint` does
+//! (both run
 //! `smarq_fuzz::lint::cli`); `--json` additionally writes the structured
 //! report for CI artifacts, and
 //! `--nospec` forbids speculation across the given half-open address
@@ -85,7 +88,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         ..CampaignParams::default()
     };
     let mut cases_set = false;
-    let mut corpus_dir = PathBuf::from("tests/corpus");
+    let mut corpus_dir = None;
     let mut expect_divergence = false;
     let mut i = 0;
     while i < args.len() {
@@ -119,7 +122,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--corpus-dir" => match value {
-                Some(v) => corpus_dir = PathBuf::from(v),
+                Some(v) => corpus_dir = Some(PathBuf::from(v)),
                 None => return fail("--corpus-dir needs a value"),
             },
             "--inject-fault" => match value.map(String::as_str) {
@@ -146,6 +149,13 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     if params.budget.is_none() && !cases_set {
         params.budget = Some(Duration::from_secs(60));
     }
+    let corpus_dir = corpus_dir.unwrap_or_else(|| {
+        PathBuf::from(if args.iter().any(|a| a == "--inject-fault") {
+            "target/fault-repros"
+        } else {
+            "tests/corpus"
+        })
+    });
 
     let outcome = run_campaign(&params, |line| outln!("[fuzz] {line}"));
     outln!(

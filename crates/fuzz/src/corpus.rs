@@ -7,7 +7,7 @@
 //! `tests/corpus_replay.rs` at the workspace root.
 
 use smarq_guest::{disassemble, parse_program, ParseAsmError, Program};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Everything recorded about one captured divergence.
@@ -45,15 +45,32 @@ impl Repro {
         )
     }
 
-    /// Writes the repro into `dir`, creating it if needed. Returns the
-    /// path written.
+    /// Writes the repro into `dir`, creating it if needed, as
+    /// [`file_name`](Self::file_name) or, when that file exists, as the
+    /// first free `seed_<seed>_<k>.s`: an existing entry is never
+    /// overwritten. Returns the path written.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.render())?;
+        let mut path = dir.join(self.file_name());
+        for k in 1u32.. {
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(mut file) => {
+                    file.write_all(self.render().as_bytes())?;
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    path = dir.join(format!("seed_{:06}_{k}.s", self.seed));
+                }
+                Err(e) => return Err(e),
+            }
+        }
         Ok(path)
     }
 
@@ -140,6 +157,17 @@ mod tests {
         let loaded = load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].1, program);
+        // The same seed again takes the next free name.
+        let first = std::fs::read(&path).unwrap();
+        let again = Repro {
+            seed: 9,
+            divergence: "arch-mismatch".to_string(),
+            ..repro
+        };
+        assert!(again.write_to(&dir).unwrap().ends_with("seed_000009_1.s"));
+        assert!(again.write_to(&dir).unwrap().ends_with("seed_000009_2.s"));
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        assert_eq!(load_dir(&dir).unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -114,3 +114,54 @@ fn closed_stdout_keeps_the_exit_status_without_panicking() {
         assert_eq!(out.status.code(), Some(status), "{args:?}: {stderr}");
     }
 }
+
+/// A mutation run keeps its repros out of the committed corpus, and no
+/// run overwrites an entry: in a working directory that already holds
+/// `tests/corpus/seed_000000.s`, a fault-injected campaign whose first
+/// repro is seed 0 leaves that file byte-unchanged, with and without
+/// `--corpus-dir tests/corpus`.
+#[test]
+fn fault_injected_fuzz_never_overwrites_the_corpus() {
+    let dir = std::env::temp_dir().join(format!("smarq-cli-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.join("tests/corpus");
+    std::fs::create_dir_all(&corpus).expect("create corpus dir");
+    let entry = corpus.join("seed_000000.s");
+    let committed = "; a committed entry\nb0:\n  halt\n";
+    std::fs::write(&entry, committed).expect("write entry");
+    let fuzz = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_smarq"))
+            .current_dir(&dir)
+            .args(["fuzz", "--seed", "0", "--cases", "4", "--max-repros", "1"])
+            .args(["--inject-fault", "drop-plain-deps", "--expect-divergence"])
+            .args(extra)
+            .output()
+            .expect("spawn smarq");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {stdout}");
+        stdout
+    };
+    let names = |d: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(d)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let stdout = fuzz(&[]);
+    assert!(
+        stdout.contains("wrote target/fault-repros/seed_000000.s"),
+        "{stdout}"
+    );
+    assert_eq!(names(&corpus), ["seed_000000.s"]);
+    let stdout = fuzz(&["--corpus-dir", "tests/corpus"]);
+    assert!(
+        stdout.contains("wrote tests/corpus/seed_000000_1.s"),
+        "{stdout}"
+    );
+    assert_eq!(names(&corpus), ["seed_000000.s", "seed_000000_1.s"]);
+    assert_eq!(std::fs::read_to_string(&entry).unwrap(), committed);
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

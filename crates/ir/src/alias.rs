@@ -16,9 +16,11 @@
 //! ([`smarq::range::Interval::access_disjoint`]). Every other pair stays
 //! *may-alias*: exactly the class the optimizer speculates on.
 //!
-//! Every optimizer pass (the region spec, the eliminations, the dependence
-//! DAG with its ALAT rule, emission) reads [`AliasAnalysis::relation`], so
-//! a range-proven pair is disjoint to all of them at once.
+//! The region spec and emission read [`AliasAnalysis::relation`]
+//! directly. The eliminations and the dependence DAG with its ALAT rule
+//! read the optimizer's per-region pair table (`smarq_opt::PairPolicy`),
+//! whose verdict on a pair starts from this relation. So a range-proven
+//! pair is disjoint to all of them at once.
 
 use crate::range::SbRanges;
 use crate::sblock::{IrOp, Superblock};

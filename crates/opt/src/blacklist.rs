@@ -39,10 +39,12 @@ impl AliasBlacklist {
         self.pairs.insert(Self::key(a, b))
     }
 
-    /// Whether `op` appears in any blacklisted pair. Used by the ALAT
-    /// policy: a load involved in a (possibly spurious) exception must stop
-    /// being an advanced load altogether — ALAT cannot express "check only
-    /// these stores", so the only cure is to stop speculating on that op.
+    /// Whether `op` appears in any blacklisted pair. The region's
+    /// [`PairPolicy`](crate::PairPolicy) reads it for the ALAT rule
+    /// ([`Verdict::FaultedOp`](crate::Verdict::FaultedOp)): a load involved
+    /// in a (possibly spurious) exception must stop being an advanced load
+    /// altogether — ALAT cannot express "check only these stores", so the
+    /// only cure is to stop speculating on that op.
     pub fn involves(&self, op: OpOrigin) -> bool {
         self.members.contains(&op)
     }

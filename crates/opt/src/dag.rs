@@ -8,11 +8,11 @@
 //! while the alias register allocator is in non-speculation mode
 //! (paper §5.3).
 
-use crate::blacklist::AliasBlacklist;
 use crate::config::OptConfig;
 use crate::elim::Eliminations;
+use crate::pairs::{PairPolicy, Verdict};
 use smarq::{DepGraph, DepKind};
-use smarq_ir::{AliasAnalysis, AliasRel, IrOp, RegionMap, Superblock};
+use smarq_ir::{AliasRel, IrOp, RegionMap, Superblock};
 use smarq_vliw::{HwKind, MachineConfig};
 
 /// The post-elimination operation list the scheduler works on.
@@ -95,28 +95,23 @@ fn droppable(a: &IrOp, b: &IrOp, config: &OptConfig) -> bool {
 /// exactly the spec's live ops, and the graph's plain edges are exactly
 /// the forward pairs of them that may alias, or touch an unspeculatable
 /// op, with at least one store. So the scheduler and the alias register
-/// allocator consume one memory-dependence walk. Each edge is then made
-/// hard (must-alias, unspeculatable, blacklisted, a profiled-alias pair of
-/// [`Superblock::profiled_aliases`], or not droppable under the hardware
-/// policy) or a speculation candidate.
+/// allocator consume one memory-dependence walk. An edge is a speculation
+/// candidate when the region's [`PairPolicy`] says
+/// [`Verdict::Speculate`] and the hardware policy can check the
+/// reordering; every other edge is hard.
 ///
-/// `taint` flags per *superblock* op index the memory operations whose
-/// address can touch an unspeculatable range. Every memory pair involving
-/// a tainted op is pinned as a hard edge — regardless of the alias
-/// relation, and including load/load pairs — so tainted accesses execute
-/// in exact program order (MMIO-style side effects make even re-ordered
-/// reads unsafe) and never need alias-register bits.
-#[allow(clippy::too_many_arguments)]
+/// An op the policy pins ([`PairPolicy::pinned_op`]) keeps order against
+/// every memory op, including the load/load pairs that carry no
+/// dependence, so tainted accesses execute in exact program order
+/// (MMIO-style side effects make even re-ordered reads unsafe) and never
+/// need alias-register bits.
 pub fn build_dag(
-    sb: &Superblock,
-    analysis: &AliasAnalysis,
     work: &WorkList,
     deps: &DepGraph,
     map: &RegionMap,
+    pairs: &PairPolicy,
     config: &OptConfig,
     machine: &MachineConfig,
-    blacklist: &AliasBlacklist,
-    taint: &[bool],
 ) -> Dag {
     let n = work.ops.len();
     let mut hard_preds: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
@@ -212,26 +207,8 @@ pub fn build_dag(
             }
         }
     }
-    let tainted = |k: usize| taint[work.orig[k]];
-    let may = |a: usize, b: usize| analysis.relation(work.orig[a], work.orig[b]) == AliasRel::May;
-    // The blacklist, resolved once per region: one membership probe per
-    // op, and a pair probe only when both ops are members.
-    let mut member = vec![false; n];
-    if !blacklist.is_empty() {
-        for (k, op) in work.ops.iter().enumerate() {
-            member[k] = op.is_mem() && blacklist.involves(sb.origins[work.orig[k]]);
-        }
-    }
-    let blacklisted = |a: usize, b: usize| {
-        member[a]
-            && member[b]
-            && blacklist.contains(sb.origins[work.orig[a]], sb.origins[work.orig[b]])
-    };
-    // A pair seen aliasing during warm-up is pinned like a blacklisted one,
-    // but only itself: the ALAT rule below that stops a blacklisted op
-    // from ever advancing reacts to faults, not to the profile.
-    let profiled =
-        |a: usize, b: usize| sb.profiled_alias(sb.origins[work.orig[a]], sb.origins[work.orig[b]]);
+    let pinned = |k: usize| pairs.pinned_op(work.orig[k]);
+    let verdict = |a: usize, b: usize| pairs.verdict(work.orig[a], work.orig[b]);
 
     // The ALAT has a bounded entry file (32 on real Itanium): only the
     // first ALAT_CAPACITY loads that could benefit become advanced loads;
@@ -241,15 +218,15 @@ pub fn build_dag(
     if config.hw == HwKind::Alat {
         let mut count = 0usize;
         for &l in &loads {
-            if tainted(l) {
-                continue; // tainted loads never advance
+            if pinned(l) {
+                continue; // pinned loads never advance
             }
             let id = map.mem_id(work.orig[l]).expect("memory op has a region id");
             let wants = deps
                 .deps_into(id)
                 .filter(|d| d.kind == DepKind::Plain)
                 .map(|d| node[d.src.index()])
-                .any(|s| work.ops[s].is_store() && may(s, l));
+                .any(|s| work.ops[s].is_store() && verdict(s, l).relation() == AliasRel::May);
             if wants && count < ALAT_CAPACITY {
                 alat_advanced[l] = true;
                 count += 1;
@@ -258,27 +235,22 @@ pub fn build_dag(
     }
     for d in deps.iter().filter(|d| d.kind == DepKind::Plain) {
         let (a, b) = (node[d.src.index()], node[d.dst.index()]);
-        if tainted(a) || tainted(b) {
-            // Unspeculatable: exact program order vs every memory op.
-            add(&mut hard_preds, &mut hard_succs, a, b, 0);
-        } else if !may(a, b) {
-            add(&mut hard_preds, &mut hard_succs, a, b, 0); // must alias
+        // A pinned op's dependences include disjoint and must-alias pairs;
+        // those stay hard like every verdict but `Speculate`.
+        let speculate = verdict(a, b) == Verdict::Speculate
+            && (config.hw != HwKind::Alat || alat_advanced[b])
+            && droppable(&work.ops[a], &work.ops[b], config);
+        if speculate {
+            spec_before[b].push(a);
         } else {
-            let pinned = blacklisted(a, b)
-                || profiled(a, b)
-                || (config.hw == HwKind::Alat && (!alat_advanced[b] || member[a] || member[b]));
-            if !pinned && droppable(&work.ops[a], &work.ops[b], config) {
-                spec_before[b].push(a);
-            } else {
-                add(&mut hard_preds, &mut hard_succs, a, b, 0);
-            }
+            add(&mut hard_preds, &mut hard_succs, a, b, 0);
         }
     }
-    // Unspeculatable dependences need a store, but a tainted load keeps
+    // Unspeculatable dependences need a store, but a pinned load keeps
     // program order against every other load too.
-    for &t in loads.iter().filter(|&&l| tainted(l)) {
+    for &t in loads.iter().filter(|&&l| pinned(l)) {
         for &b in &loads {
-            if b != t && !(tainted(b) && b < t) {
+            if b != t && !(pinned(b) && b < t) {
                 add(&mut hard_preds, &mut hard_succs, t.min(b), t.max(b), 0);
             }
         }
@@ -308,8 +280,9 @@ pub fn build_dag(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blacklist::AliasBlacklist;
     use smarq_guest::BlockId;
-    use smarq_ir::{IrExit, OpOrigin};
+    use smarq_ir::{AliasAnalysis, IrExit, OpOrigin};
 
     fn mk_sb(ops: Vec<IrOp>) -> Superblock {
         let n = ops.len();
@@ -343,9 +316,10 @@ mod tests {
         }
     }
 
-    /// Builds the DAG the way the optimizer does: the region spec (taint
-    /// marks its ops unspeculatable), its dependence graph, then
-    /// `build_dag` reading the memory edges off that graph.
+    /// Builds the DAG the way the optimizer does: the pair policy, the
+    /// region spec (the policy's pinned ops are unspeculatable), its
+    /// dependence graph, then `build_dag` reading the memory edges off
+    /// that graph.
     fn dag_with(
         sb: &Superblock,
         config: &OptConfig,
@@ -353,24 +327,22 @@ mod tests {
         taint: &[bool],
     ) -> (WorkList, Dag) {
         let analysis = AliasAnalysis::new(sb);
+        let pairs = PairPolicy::new(sb, &analysis, taint, blacklist, config.hw);
         let (mut spec, map) = smarq_ir::build_region_spec(sb, &analysis);
-        for (i, &t) in taint.iter().enumerate() {
-            if let Some(id) = map.mem_id(i).filter(|_| t) {
+        for i in (0..sb.ops.len()).filter(|&i| pairs.pinned_op(i)) {
+            if let Some(id) = map.mem_id(i) {
                 spec.set_nospec(id);
             }
         }
         let deps = DepGraph::compute(&spec);
         let work = build_work_list(sb, &no_elims(sb));
         let dag = build_dag(
-            sb,
-            &analysis,
             &work,
             &deps,
             &map,
+            &pairs,
             config,
             &MachineConfig::default(),
-            blacklist,
-            taint,
         );
         (work, dag)
     }
@@ -665,7 +637,9 @@ mod tests {
     type Edges = Vec<(usize, usize)>;
 
     /// The memory edges as the all-pairs walk over the work list derives
-    /// them, straight from the alias analysis: `(hard, speculated)` pairs.
+    /// them, straight from the five sources the pair policy reads (the
+    /// alias analysis, the taint, the blacklist's pairs and members, and
+    /// the profiled pairs): `(hard, speculated)` pairs.
     fn all_pairs_mem_edges(
         sb: &Superblock,
         work: &WorkList,
@@ -710,7 +684,10 @@ mod tests {
                     AliasRel::No => {}
                     AliasRel::Must => hard.push((a, b)),
                     AliasRel::May => {
+                        // A profiled pair pins itself, but its ops still
+                        // advance under the ALAT.
                         let pinned = blacklist.contains(origin(a), origin(b))
+                            || sb.profiled_alias(origin(a), origin(b))
                             || (config.hw == HwKind::Alat
                                 && (!advanced[b]
                                     || blacklist.involves(origin(a))
@@ -761,7 +738,21 @@ mod tests {
                     }
                 })
                 .collect();
-            let sb = mk_sb(ops);
+            let mut sb = mk_sb(ops);
+            // Half the seeds repeat origins, as an unrolled region does.
+            if rng.chance(1, 2) {
+                let period = rng.range_usize(1, n + 1);
+                for k in period..n {
+                    sb.origins[k] = sb.origins[k % period];
+                }
+            }
+            for _ in 0..rng.range_usize(0, 4) {
+                let (a, b) = (rng.range_usize(0, n), rng.range_usize(0, n));
+                let (x, y) = (sb.origins[a], sb.origins[b]);
+                sb.profiled_aliases.push((x.min(y), x.max(y)));
+            }
+            sb.profiled_aliases.sort_unstable();
+            sb.profiled_aliases.dedup();
             let mut taint = vec![false; sb.ops.len()];
             if rng.chance(1, 2) {
                 for t in taint.iter_mut().take(n) {

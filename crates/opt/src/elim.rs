@@ -15,10 +15,10 @@
 //! eliminated loads inside a store-elimination window block it (their
 //! extended dependences would otherwise silently disappear).
 
-use crate::blacklist::AliasBlacklist;
 use crate::config::OptConfig;
+use crate::pairs::{PairPolicy, Verdict};
 use smarq::RegionSpec;
-use smarq_ir::{AliasAnalysis, AliasRel, IrOp, RegionMap, Superblock};
+use smarq_ir::{AliasRel, IrOp, RegionMap, Superblock};
 
 /// The outcome of the elimination pass.
 #[derive(Clone, Debug)]
@@ -45,23 +45,18 @@ impl Eliminations {
 /// Runs both eliminations, recording them in `spec` so the dependence
 /// computation derives the paper's extended dependences.
 ///
-/// `taint` flags per superblock op index the memory operations whose
-/// address can touch an unspeculatable range (see
-/// [`smarq_ir::nospec_taint`]). Tainted ops take part in **no**
-/// elimination, speculative or not: not as the eliminated op, not as the
-/// forwarding source / overwriter, and not as a window op that would have
-/// to carry an extended-dependence check bit.
-///
-/// No speculative elimination speculates across a blacklisted pair or a
-/// profiled-alias pair ([`Superblock::profiled_aliases`]).
+/// Both scans read the region's [`PairPolicy`]. An op it pins
+/// ([`PairPolicy::pinned_op`]) takes part in **no** elimination,
+/// speculative or not: not as the eliminated op, not as the forwarding
+/// source / overwriter, and not as a window op that would have to carry an
+/// extended-dependence check bit. A speculative elimination speculates
+/// only across window pairs whose verdict is [`Verdict::Speculate`].
 pub fn run_eliminations(
     sb: &Superblock,
-    analysis: &AliasAnalysis,
+    pairs: &PairPolicy,
     spec: &mut RegionSpec,
     map: &RegionMap,
     config: &OptConfig,
-    blacklist: &AliasBlacklist,
-    taint: &[bool],
 ) -> Eliminations {
     let n = sb.ops.len();
     let mut out = Eliminations {
@@ -79,11 +74,11 @@ pub fn run_eliminations(
     let redefined_fp =
         |reg: u8, lo: usize, hi: usize| sb.ops[lo + 1..hi].iter().any(|o| o.fp_def() == Some(reg));
 
-    // Pairs known to alias, from a fault or from the profile.
-    let known_alias = |x: usize, y: usize| {
-        let (a, b) = (sb.origins[x], sb.origins[y]);
-        blacklist.contains(a, b) || sb.profiled_alias(a, b)
-    };
+    let relation = |i: usize, j: usize| pairs.verdict(i, j).relation();
+    // Speculating across a window pair needs the policy's consent. The
+    // elimination's two ends share an address, so each window op has the
+    // same relation (may-alias) with both.
+    let refused = |x: usize, y: usize| pairs.verdict(x, y) != Verdict::Speculate;
 
     // Per op index: the ultimate forwarding source of an eliminated load.
     let mut fwd: Vec<Option<usize>> = vec![None; n];
@@ -105,7 +100,7 @@ pub fn run_eliminations(
             if !sb.ops[j].is_mem() {
                 continue;
             }
-            match analysis.relation(j, l) {
+            match relation(j, l) {
                 AliasRel::No => {}
                 AliasRel::May => {
                     if sb.ops[j].is_store() {
@@ -152,13 +147,17 @@ pub fn run_eliminations(
                 (src..l)
                     .filter(|&s| {
                         sb.ops[s].is_store()
-                            && analysis.relation(s, l) == AliasRel::May
+                            && relation(s, l) == AliasRel::May
                             && !may_stores.contains(&s)
                     })
                     .collect::<Vec<_>>(),
             )
             .collect();
-        if taint[l] || taint[src] || window_stores.iter().any(|&s| taint[s]) {
+        if [l, src]
+            .iter()
+            .chain(&window_stores)
+            .any(|&i| pairs.pinned_op(i))
+        {
             continue; // unspeculatable ops take part in no elimination
         }
         let speculative = !window_stores.is_empty();
@@ -168,7 +167,7 @@ pub fn run_eliminations(
             }
             let risky = window_stores
                 .iter()
-                .any(|&s| known_alias(s, l) || known_alias(s, src));
+                .any(|&s| refused(s, l) || refused(s, src));
             if risky {
                 continue;
             }
@@ -218,7 +217,7 @@ pub fn run_eliminations(
             if !sb.ops[j].is_mem() || out.removed[j] {
                 continue;
             }
-            let rel = analysis.relation(i, j);
+            let rel = relation(i, j);
             if sb.ops[j].is_store() {
                 if rel == AliasRel::Must {
                     overwriter = Some(j);
@@ -255,7 +254,7 @@ pub fn run_eliminations(
         if blocked {
             continue;
         }
-        if taint[i] || taint[z] || may_loads.iter().any(|&y| taint[y]) {
+        if [i, z].iter().chain(&may_loads).any(|&k| pairs.pinned_op(k)) {
             continue; // unspeculatable ops take part in no elimination
         }
         let speculative = !may_loads.is_empty();
@@ -263,9 +262,7 @@ pub fn run_eliminations(
             if !config.allow_spec_store_elim || !config.supports_spec_elim() {
                 continue;
             }
-            let risky = may_loads
-                .iter()
-                .any(|&y| known_alias(y, z) || known_alias(y, i));
+            let risky = may_loads.iter().any(|&y| refused(y, z) || refused(y, i));
             if risky {
                 continue;
             }
@@ -289,8 +286,9 @@ pub fn run_eliminations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blacklist::AliasBlacklist;
     use smarq_guest::BlockId;
-    use smarq_ir::{IrExit, OpOrigin};
+    use smarq_ir::{AliasAnalysis, IrExit, OpOrigin};
 
     fn mk_sb(ops: Vec<IrOp>) -> Superblock {
         let n = ops.len();
@@ -314,19 +312,26 @@ mod tests {
         }
     }
 
-    fn run(sb: &Superblock, config: &OptConfig) -> (Eliminations, RegionSpec) {
+    fn run_with(
+        sb: &Superblock,
+        config: &OptConfig,
+        blacklist: &AliasBlacklist,
+        taint: &[bool],
+    ) -> (Eliminations, RegionSpec) {
         let analysis = AliasAnalysis::new(sb);
         let (mut spec, map) = smarq_ir::build_region_spec(sb, &analysis);
-        let e = run_eliminations(
+        let pairs = PairPolicy::new(sb, &analysis, taint, blacklist, config.hw);
+        let e = run_eliminations(sb, &pairs, &mut spec, &map, config);
+        (e, spec)
+    }
+
+    fn run(sb: &Superblock, config: &OptConfig) -> (Eliminations, RegionSpec) {
+        run_with(
             sb,
-            &analysis,
-            &mut spec,
-            &map,
             config,
             &AliasBlacklist::new(),
             &vec![false; sb.ops.len()],
-        );
-        (e, spec)
+        )
     }
 
     #[test]
@@ -639,39 +644,85 @@ mod tests {
         );
     }
 
+    /// `ld A; st B; ld A` (load elimination across the store) and
+    /// `st A; ld B; st A` (store elimination across the load), with
+    /// origins 0, 1, 2: both speculative only across their middle op.
+    fn spec_elim_shapes() -> [Superblock; 2] {
+        [
+            mk_sb(vec![
+                IrOp::Ld {
+                    rd: 3,
+                    base: 1,
+                    disp: 0,
+                },
+                IrOp::St {
+                    rs: 5,
+                    base: 4,
+                    disp: 0,
+                },
+                IrOp::Ld {
+                    rd: 6,
+                    base: 1,
+                    disp: 0,
+                },
+            ]),
+            mk_sb(vec![
+                IrOp::St {
+                    rs: 2,
+                    base: 1,
+                    disp: 0,
+                },
+                IrOp::Ld {
+                    rd: 3,
+                    base: 4,
+                    disp: 0,
+                },
+                IrOp::St {
+                    rs: 5,
+                    base: 1,
+                    disp: 0,
+                },
+            ]),
+        ]
+    }
+
     #[test]
     fn blacklisted_pairs_disable_speculative_elims() {
-        let sb = mk_sb(vec![
-            IrOp::Ld {
-                rd: 3,
-                base: 1,
-                disp: 0,
-            },
-            IrOp::St {
-                rs: 5,
-                base: 4,
-                disp: 0,
-            },
-            IrOp::Ld {
-                rd: 6,
-                base: 1,
-                disp: 0,
-            },
-        ]);
-        let analysis = AliasAnalysis::new(&sb);
-        let (mut spec, map) = smarq_ir::build_region_spec(&sb, &analysis);
+        let [sb, _] = spec_elim_shapes();
         let mut bl = AliasBlacklist::new();
         bl.insert(sb.origins[1], sb.origins[2]);
-        let e = run_eliminations(
-            &sb,
-            &analysis,
-            &mut spec,
-            &map,
-            &OptConfig::smarq(64),
-            &bl,
-            &vec![false; sb.ops.len()],
-        );
+        let (e, _) = run_with(&sb, &OptConfig::smarq(64), &bl, &vec![false; sb.ops.len()]);
         assert_eq!(e.replaced[2], None, "blacklisted pair is never speculated");
+    }
+
+    #[test]
+    fn profiled_pairs_disable_speculative_elims() {
+        let config = OptConfig::smarq(64);
+        let [loads, stores] = spec_elim_shapes();
+        let clean = vec![false; 4];
+        let eliminated = |sb: &Superblock, bl: &AliasBlacklist| {
+            let (e, _) = run_with(sb, &config, bl, &clean);
+            e.spec_load_elims + e.spec_store_elims
+        };
+        assert_eq!(eliminated(&loads, &AliasBlacklist::new()), 1);
+        assert_eq!(eliminated(&stores, &AliasBlacklist::new()), 1);
+        // The (window store, load) and (may-load, overwriter) pairs
+        // aliased during warm-up.
+        for sb in [&loads, &stores] {
+            let mut profiled = sb.clone();
+            profiled.profiled_aliases = vec![(sb.origins[1], sb.origins[2])];
+            assert_eq!(eliminated(&profiled, &AliasBlacklist::new()), 0);
+        }
+        // The middle op faulted with an op outside the region: a member
+        // of the blacklist, but in no pair of the window.
+        let mut bl = AliasBlacklist::new();
+        let outside = OpOrigin {
+            block: BlockId(9),
+            instr: 0,
+        };
+        bl.insert(loads.origins[1], outside);
+        assert_eq!(eliminated(&loads, &bl), 1);
+        assert_eq!(eliminated(&stores, &bl), 1);
     }
 
     #[test]
@@ -689,57 +740,22 @@ mod tests {
                 disp: 0,
             },
         ]);
-        let analysis = AliasAnalysis::new(&sb);
         let config = OptConfig::smarq(64);
+        let none = AliasBlacklist::new();
         for hot in [0usize, 1] {
-            let (mut spec, map) = smarq_ir::build_region_spec(&sb, &analysis);
             let mut taint = vec![false; sb.ops.len()];
             taint[hot] = true;
-            let e = run_eliminations(
-                &sb,
-                &analysis,
-                &mut spec,
-                &map,
-                &config,
-                &AliasBlacklist::new(),
-                &taint,
-            );
+            let (e, _) = run_with(&sb, &config, &none, &taint);
             assert_eq!(e.replaced[1], None, "taint on op {hot} blocks forwarding");
             assert_eq!(e.nonspec_elims, 0);
         }
 
         // Tainted may-store inside a speculative forwarding window also
         // blocks (it would have to carry a check bit).
-        let sb2 = mk_sb(vec![
-            IrOp::Ld {
-                rd: 3,
-                base: 1,
-                disp: 0,
-            },
-            IrOp::St {
-                rs: 5,
-                base: 4,
-                disp: 0,
-            },
-            IrOp::Ld {
-                rd: 6,
-                base: 1,
-                disp: 0,
-            },
-        ]);
-        let analysis2 = AliasAnalysis::new(&sb2);
-        let (mut spec2, map2) = smarq_ir::build_region_spec(&sb2, &analysis2);
+        let [sb2, _] = spec_elim_shapes();
         let mut taint2 = vec![false; sb2.ops.len()];
         taint2[1] = true;
-        let e2 = run_eliminations(
-            &sb2,
-            &analysis2,
-            &mut spec2,
-            &map2,
-            &config,
-            &AliasBlacklist::new(),
-            &taint2,
-        );
+        let (e2, _) = run_with(&sb2, &config, &none, &taint2);
         assert_eq!(
             e2.replaced[2], None,
             "tainted window store blocks spec elim"
@@ -758,19 +774,9 @@ mod tests {
                 disp: 0,
             },
         ]);
-        let analysis3 = AliasAnalysis::new(&sb3);
-        let (mut spec3, map3) = smarq_ir::build_region_spec(&sb3, &analysis3);
         let mut taint3 = vec![false; sb3.ops.len()];
         taint3[0] = true;
-        let e3 = run_eliminations(
-            &sb3,
-            &analysis3,
-            &mut spec3,
-            &map3,
-            &config,
-            &AliasBlacklist::new(),
-            &taint3,
-        );
+        let (e3, _) = run_with(&sb3, &config, &none, &taint3);
         assert!(!e3.removed[0], "tainted dead store must still execute");
     }
 }

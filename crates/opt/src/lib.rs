@@ -30,10 +30,12 @@ pub mod dag;
 pub mod elim;
 pub mod emit;
 pub mod fastcomp;
+mod pairs;
 pub mod sched;
 
 pub use blacklist::AliasBlacklist;
 pub use config::OptConfig;
+pub use pairs::{PairPolicy, Verdict};
 
 use smarq::DepGraph;
 use smarq_ir::{build_region_spec, AliasAnalysis, OpOrigin, Superblock};
@@ -188,6 +190,9 @@ pub fn optimize_superblock_traced(
 ///   every elimination and pinned in program order against all other
 ///   memory operations.
 ///
+/// Both, with the blacklist and the profiled-alias pairs, go into the
+/// region's one [`PairPolicy`], built once before the overflow retries.
+///
 /// With `None` the relation is base+displacement alone, and every
 /// entry-dependent address is unknown (⊤), so conservatively tainted.
 ///
@@ -219,9 +224,10 @@ pub fn optimize_superblock_traced_ranged(
         Some(r) => smarq_ir::nospec_taint(sb, r, &config.nospec),
         None => vec![false; sb.ops.len()],
     };
+    let pairs = PairPolicy::new(sb, &analysis, &taint, blacklist, config.hw);
     let mut cfg = config.clone();
     for retry in 0..3u32 {
-        match try_optimize(sb, &analysis, &taint, &cfg, machine, blacklist, scratch) {
+        match try_optimize(sb, &analysis, &pairs, &cfg, machine, scratch) {
             Ok((mut opt, trace)) => {
                 opt.stats.overflow_retries = retry;
                 return (opt, trace);
@@ -246,21 +252,18 @@ struct Overflowed;
 fn try_optimize(
     sb: &Superblock,
     analysis: &AliasAnalysis,
-    taint: &[bool],
+    pairs: &PairPolicy,
     config: &OptConfig,
     machine: &MachineConfig,
-    blacklist: &AliasBlacklist,
     scratch: &mut smarq::AllocScratch,
 ) -> Result<(Optimized, OptTrace), Overflowed> {
     let (mut spec, map) = build_region_spec(sb, analysis);
-    for (i, &t) in taint.iter().enumerate() {
-        if t {
-            if let Some(id) = map.mem_id(i) {
-                spec.set_nospec(id);
-            }
+    for id in (0..map.len()).map(smarq::MemOpId::new) {
+        if pairs.pinned_op(map.op_index(id)) {
+            spec.set_nospec(id);
         }
     }
-    let mut elims = elim::run_eliminations(sb, analysis, &mut spec, &map, config, blacklist, taint);
+    let mut elims = elim::run_eliminations(sb, pairs, &mut spec, &map, config);
     elim::dce(sb, &mut elims);
     let deps = DepGraph::compute(&spec);
     // The drop-deps fault models an allocator that misses a dependence the
@@ -273,9 +276,7 @@ fn try_optimize(
         &deps
     };
     let work = dag::build_work_list(sb, &elims);
-    let graph = dag::build_dag(
-        sb, analysis, &work, dag_deps, &map, config, machine, blacklist, taint,
-    );
+    let graph = dag::build_dag(&work, dag_deps, &map, pairs, config, machine);
     let sched_start = std::time::Instant::now();
     // On overflow the scratch is dropped inside the allocator; leave the
     // caller's slot holding a fresh (empty) one.

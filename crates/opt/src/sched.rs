@@ -210,6 +210,7 @@ mod tests {
     use crate::blacklist::AliasBlacklist;
     use crate::dag::{build_dag, build_work_list};
     use crate::elim::Eliminations;
+    use crate::pairs::PairPolicy;
     use smarq_guest::BlockId;
     use smarq_ir::{build_region_spec, AliasAnalysis, IrExit, OpOrigin, Superblock};
 
@@ -248,16 +249,15 @@ mod tests {
             nonspec_elims: 0,
         };
         let work = build_work_list(&sb, &elims);
+        let no_taint = vec![false; sb.ops.len()];
+        let pairs = PairPolicy::new(&sb, &analysis, &no_taint, &AliasBlacklist::new(), config.hw);
         let dag = build_dag(
-            &sb,
-            &analysis,
             &work,
             &deps,
             &map,
+            &pairs,
             config,
             &MachineConfig::default(),
-            &AliasBlacklist::new(),
-            &vec![false; sb.ops.len()],
         );
         let res = schedule(
             &work,
