@@ -6,7 +6,7 @@
 //! `figures bench-json [OUT.json]` instead runs the before/after perf
 //! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
 //! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR25.json`). The convention: a PR
+//! JSON baseline (default `BENCH_PR28.json`). The convention: a PR
 //! claiming performance work commits the file this prints, named
 //! `BENCH_PR<n>.json`.
 
@@ -33,7 +33,7 @@ fn bench_json(out_path: &str) {
         comparisons.push(c);
     }
     eprintln!(
-        "measuring absolute dispatch + simulator + guest memory + validator + analyzer throughput ..."
+        "measuring absolute dispatch + simulator + guest memory + validator + analyzer + optimizer throughput ..."
     );
     let (analyzer_region, analyzer_chain) = perf::measure_analyzer();
     let absolutes = vec![
@@ -43,6 +43,7 @@ fn bench_json(out_path: &str) {
         perf::measure_validator_regions(),
         analyzer_region,
         analyzer_chain,
+        perf::measure_optimizer_regions(),
     ];
     for m in &absolutes {
         eprintln!("{}", m.line());
@@ -104,7 +105,7 @@ fn main() {
     if arg == "bench-json" {
         let out = std::env::args()
             .nth(2)
-            .unwrap_or_else(|| "BENCH_PR25.json".into());
+            .unwrap_or_else(|| "BENCH_PR28.json".into());
         bench_json(&out);
         return;
     }

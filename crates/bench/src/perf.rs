@@ -12,13 +12,15 @@
 use crate::harness::{median, time_fn, time_fn_cfg, Comparison, Measurement};
 use crate::synth::hoist_region;
 use crate::Evaluation;
+use smarq::range::RegState;
 use smarq::{allocate, AllocScratch, Allocator, DepGraph};
 use smarq_guest::Program;
 use smarq_guest::{AluOp, BlockId, CmpOp, Interpreter, Memory, ProgramBuilder, Reg};
-use smarq_ir::{form_superblock, FormationParams};
+use smarq_ir::{form_superblock, FormationParams, Superblock};
 use smarq_opt::fastcomp::{self, FastSim};
 use smarq_opt::{
-    optimize_superblock, optimize_superblock_traced, AliasBlacklist, OptConfig, OptTrace,
+    optimize_superblock, optimize_superblock_traced, optimize_superblock_traced_ranged,
+    AliasBlacklist, OptConfig, OptTrace,
 };
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_vliw::{
@@ -393,6 +395,26 @@ pub fn measure_memory_stream() -> Measurement {
     })
 }
 
+/// Every region the system forms for a batch of seeded random workloads
+/// (hot threshold 10, SMARQ with 64 registers), each with the entry state
+/// the whole-program dataflow assumes at its entry block.
+fn random_regions(opt_cfg: &OptConfig) -> Vec<(Superblock, RegState)> {
+    let mut regions = Vec::new();
+    for seed in 0..8u64 {
+        let w = smarq_workloads::random_workload(seed);
+        let df = smarq_verify::analyze_reference(&w.program);
+        let mut cfg = SystemConfig::with_opt(opt_cfg.clone());
+        cfg.hot_threshold = 10;
+        let mut sys = DynOptSystem::new(w.program, cfg);
+        sys.run_to_completion(2_000_000);
+        for sb in sys.formed_superblocks() {
+            regions.push((sb.clone(), *df.entry_state(sb.entry)));
+        }
+    }
+    assert!(!regions.is_empty(), "random workloads must form regions");
+    regions
+}
+
 /// Static validator + lint throughput (`crates/verify`): every region
 /// the system forms for a batch of seeded random workloads, fully
 /// re-checked per iteration — independent fact derivation, symbolic
@@ -401,33 +423,49 @@ pub fn measure_memory_stream() -> Measurement {
 pub fn measure_validator_regions() -> Measurement {
     let machine = MachineConfig::default();
     let opt_cfg = OptConfig::smarq(64);
-    let mut traces: Vec<OptTrace> = Vec::new();
+    let blacklist = AliasBlacklist::new();
     let mut scratch = AllocScratch::new();
-    for seed in 0..8u64 {
-        let w = smarq_workloads::random_workload(seed);
-        let mut cfg = SystemConfig::with_opt(opt_cfg.clone());
-        cfg.hot_threshold = 10;
-        let mut sys = DynOptSystem::new(w.program, cfg);
-        sys.run_to_completion(2_000_000);
-        for sb in sys.formed_superblocks() {
-            let (_, trace) = optimize_superblock_traced(
-                sb,
-                &opt_cfg,
-                &machine,
-                &AliasBlacklist::new(),
-                &mut scratch,
-            );
-            if trace.allocation.is_some() {
-                traces.push(trace);
-            }
-        }
-    }
-    assert!(!traces.is_empty(), "random workloads must form regions");
+    let traces: Vec<OptTrace> = random_regions(&opt_cfg)
+        .iter()
+        .map(|(sb, _)| {
+            optimize_superblock_traced(sb, &opt_cfg, &machine, &blacklist, &mut scratch).1
+        })
+        .filter(|trace| trace.allocation.is_some())
+        .collect();
     let mut i = 0usize;
     time_fn("verify/random_region_check", move || {
         let t = &traces[i % traces.len()];
         i += 1;
         smarq_verify::check_trace(0, t, 64).len()
+    })
+}
+
+/// Optimizer throughput (`crates/opt`): one
+/// [`optimize_superblock_traced_ranged`] call per iteration — alias and
+/// range analysis, eliminations, the dependence DAG, list scheduling with
+/// alias register allocation, and emission — over the regions
+/// [`measure_validator_regions`] forms, each with its assumed entry state,
+/// as the runtime translates them. One scratch serves every call, as one
+/// translation context's does.
+pub fn measure_optimizer_regions() -> Measurement {
+    let machine = MachineConfig::default();
+    let opt_cfg = OptConfig::smarq(64);
+    let regions = random_regions(&opt_cfg);
+    let blacklist = AliasBlacklist::new();
+    let mut scratch = AllocScratch::new();
+    let mut i = 0usize;
+    time_fn("opt/random_region_optimize", move || {
+        let (sb, entry) = &regions[i % regions.len()];
+        i += 1;
+        let (opt, _) = optimize_superblock_traced_ranged(
+            sb,
+            &opt_cfg,
+            &machine,
+            &blacklist,
+            &mut scratch,
+            Some(entry),
+        );
+        opt.vliw.bundles.len()
     })
 }
 
@@ -450,7 +488,7 @@ pub fn measure_analyzer() -> (Measurement, Measurement) {
     let opt_cfg = OptConfig::smarq(64);
     let mut scratch = AllocScratch::new();
     let mut systems: Vec<DynOptSystem> = Vec::new();
-    let mut regions: Vec<(smarq_ir::Superblock, OptTrace, smarq::range::RegState)> = Vec::new();
+    let mut regions: Vec<(Superblock, OptTrace, RegState)> = Vec::new();
     for seed in 0..8u64 {
         let w = smarq_workloads::random_workload(seed);
         let df = smarq_verify::analyze_reference(&w.program);

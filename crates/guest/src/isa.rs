@@ -23,6 +23,57 @@ impl fmt::Display for Reg {
     }
 }
 
+/// The source registers of one operation in one register file: at most
+/// two, held inline so asking for them allocates nothing. Derefs to the
+/// register slice and iterates by value. The optimizer IR and the VLIW
+/// ISA both answer their source-register queries with it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RegUses {
+    regs: [u8; 2],
+    len: u8,
+}
+
+impl RegUses {
+    /// No source register.
+    pub const NONE: RegUses = RegUses {
+        regs: [0; 2],
+        len: 0,
+    };
+
+    /// The one source register `r`.
+    pub fn one(r: u8) -> Self {
+        RegUses {
+            regs: [r, 0],
+            len: 1,
+        }
+    }
+
+    /// The two source registers `a` and `b`, in that order.
+    pub fn two(a: u8, b: u8) -> Self {
+        RegUses {
+            regs: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for RegUses {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for RegUses {
+    type Item = u8;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u8, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
 /// A floating-point guest register, `f0`–`f31`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FReg(pub u8);

@@ -45,5 +45,7 @@ mod mem;
 pub use asm::{disassemble, parse_program, ParseAsmError};
 pub use builder::ProgramBuilder;
 pub use interp::{ArchState, Interpreter, Profile, RunOutcome};
-pub use isa::{AluOp, Block, BlockId, CmpOp, FReg, FpuOp, Instr, Program, Reg, Terminator};
+pub use isa::{
+    AluOp, Block, BlockId, CmpOp, FReg, FpuOp, Instr, Program, Reg, RegUses, Terminator,
+};
 pub use mem::{MemRange, Memory};

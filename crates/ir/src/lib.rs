@@ -37,5 +37,6 @@ pub use range::{
     analyze_superblock, analyze_superblock_top, apply_alu, bottom_state, nospec_taint, SbRanges,
 };
 pub use regionmap::{build_region_spec, RegionMap};
-pub use sblock::{IrExit, IrOp, OpOrigin, RegUses, Superblock};
+pub use sblock::{IrExit, IrOp, OpOrigin, Superblock};
+pub use smarq_guest::RegUses;
 pub use unroll::unroll_superblock;

@@ -1,6 +1,6 @@
 //! The superblock IR.
 
-use smarq_guest::{AluOp, BlockId, CmpOp, FpuOp};
+use smarq_guest::{AluOp, BlockId, CmpOp, FpuOp, RegUses};
 
 /// Where an IR operation came from in the guest program (used to identify
 /// memory operations stably across re-translations, e.g. for the runtime's
@@ -238,53 +238,6 @@ impl IrOp {
             IrOp::FSt { fs, .. } => RegUses::one(fs),
             _ => RegUses::NONE,
         }
-    }
-}
-
-/// The source registers of one [`IrOp`] in one register file: at most
-/// two, held inline so asking for them allocates nothing. Derefs to the
-/// register slice and iterates by value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RegUses {
-    regs: [u8; 2],
-    len: u8,
-}
-
-impl RegUses {
-    const NONE: RegUses = RegUses {
-        regs: [0; 2],
-        len: 0,
-    };
-
-    fn one(r: u8) -> Self {
-        RegUses {
-            regs: [r, 0],
-            len: 1,
-        }
-    }
-
-    fn two(a: u8, b: u8) -> Self {
-        RegUses {
-            regs: [a, b],
-            len: 2,
-        }
-    }
-}
-
-impl std::ops::Deref for RegUses {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.regs[..self.len as usize]
-    }
-}
-
-impl IntoIterator for RegUses {
-    type Item = u8;
-    type IntoIter = std::iter::Take<std::array::IntoIter<u8, 2>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.regs.into_iter().take(self.len as usize)
     }
 }
 

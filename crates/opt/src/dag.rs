@@ -7,6 +7,11 @@
 //! remembered in [`Dag::spec_before`] so the scheduler can re-impose them
 //! while the alias register allocator is in non-speculation mode
 //! (paper §5.3).
+//!
+//! The DAG is built in time linear in the region plus its edges, with a
+//! fixed handful of flat allocations: edges are collected into one list
+//! and grouped by node in compressed sparse row form, and the register
+//! reads since each definition share one pool of per-register chains.
 
 use crate::config::OptConfig;
 use crate::elim::Eliminations;
@@ -39,18 +44,76 @@ pub fn build_work_list(sb: &Superblock, elims: &Eliminations) -> WorkList {
     WorkList { ops, orig }
 }
 
-/// The dependence DAG. All edges run forward in work-list order.
+/// The dependence DAG in compressed sparse row form: one flat edge array
+/// grouped by source node, and one flat array of dropped speculation
+/// edges grouped by the later op. All edges run forward in work-list
+/// order.
 #[derive(Clone, Debug)]
 pub struct Dag {
-    /// `(pred, delay)` hard predecessors per node.
-    pub hard_preds: Vec<Vec<(usize, u64)>>,
-    /// `(succ, delay)` hard successors per node.
-    pub hard_succs: Vec<Vec<(usize, u64)>>,
-    /// Earlier memory operations this op was allowed to speculate across
-    /// (dropped may-alias edges); re-imposed in non-speculation mode.
-    pub spec_before: Vec<Vec<usize>>,
+    /// `succ_start[k]..succ_start[k + 1]` indexes node `k`'s hard
+    /// successor edges in `succs`.
+    succ_start: Vec<u32>,
+    /// `(succ, delay)` hard edges, grouped by source node.
+    succs: Vec<(u32, u32)>,
+    /// Hard predecessor edges per node, counted with multiplicity (a node
+    /// can reach another through several dependences).
+    pred_count: Vec<u32>,
+    /// `spec_start[k]..spec_start[k + 1]` indexes node `k`'s entries in
+    /// `spec`.
+    spec_start: Vec<u32>,
+    /// Earlier memory operations each op was allowed to speculate across
+    /// (dropped may-alias edges), grouped by the later op.
+    spec: Vec<u32>,
     /// Critical-path priority (longest latency chain to a sink).
     pub priority: Vec<u64>,
+}
+
+impl Dag {
+    /// `(succ, delay)` of node `k`'s hard successor edges.
+    pub fn succs(&self, k: usize) -> impl ExactSizeIterator<Item = (usize, u64)> + '_ {
+        let span = self.succ_start[k] as usize..self.succ_start[k + 1] as usize;
+        self.succs[span]
+            .iter()
+            .map(|&(s, d)| (s as usize, u64::from(d)))
+    }
+
+    /// The number of node `k`'s hard predecessor edges.
+    pub fn hard_pred_count(&self, k: usize) -> u32 {
+        self.pred_count[k]
+    }
+
+    /// The earlier memory operations node `k` was allowed to speculate
+    /// across (dropped may-alias edges), in the order the dependence graph
+    /// lists them; re-imposed while the allocator is in non-speculation
+    /// mode.
+    pub fn spec_before(&self, k: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let span = self.spec_start[k] as usize..self.spec_start[k + 1] as usize;
+        self.spec[span].iter().map(|&a| a as usize)
+    }
+}
+
+/// Groups `(key, value)` items by key, keeping their order within a key:
+/// `start[k]..start[k + 1]` indexes key `k`'s values in the returned
+/// array. One counting pass and one scatter.
+fn group_by_key<T: Copy + Default>(keys: usize, items: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; keys + 1];
+    for &(k, _) in items {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut values = vec![T::default(); items.len()];
+    // Scatter with `start[k]` as key `k`'s cursor; each cursor ends at
+    // the next key's start, so shifting restores the offsets.
+    for &(k, v) in items {
+        let at = &mut start[k as usize];
+        values[*at as usize] = v;
+        *at += 1;
+    }
+    start.copy_within(0..keys, 1);
+    start[0] = 0;
+    (start, values)
 }
 
 /// Latency of the value an op produces (order-only ops get 1).
@@ -114,84 +177,65 @@ pub fn build_dag(
     machine: &MachineConfig,
 ) -> Dag {
     let n = work.ops.len();
-    let mut hard_preds: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    let mut hard_succs: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    let mut spec_before: Vec<Vec<usize>> = vec![Vec::new(); n];
-
-    let add = |hp: &mut Vec<Vec<(usize, u64)>>,
-               hs: &mut Vec<Vec<(usize, u64)>>,
-               src: usize,
-               dst: usize,
-               delay: u64| {
+    // `(src, (dst, delay))` hard edges in the order they are found.
+    let mut edges: Vec<(u32, (u32, u32))> = Vec::with_capacity(4 * n);
+    let mut pred_count = vec![0u32; n];
+    let mut add = |src: usize, dst: usize, delay: u64| {
         debug_assert!(src < dst, "edges must run forward");
-        hp[dst].push((src, delay));
-        hs[src].push((dst, delay));
+        edges.push((src as u32, (dst as u32, delay as u32)));
+        pred_count[dst] += 1;
     };
 
-    // Register dependences.
-    let mut last_def_int: [Option<usize>; 64] = [None; 64];
-    let mut last_def_fp: [Option<usize>; 64] = [None; 64];
-    let mut uses_int: Vec<Vec<usize>> = vec![Vec::new(); 64];
-    let mut uses_fp: Vec<Vec<usize>> = vec![Vec::new(); 64];
+    // Register dependences. The reads of each register since its last
+    // definition form one chain through `use_pool` (`(reader, next)`,
+    // newest first): a definition draws a WAR edge from every reader on
+    // its register's chain and then empties the chain.
+    const NIL: u32 = u32::MAX;
+    let mut last_def: [[Option<usize>; 64]; 2] = [[None; 64]; 2];
+    let mut use_head = [[NIL; 64]; 2];
+    let mut use_pool: Vec<(u32, u32)> = Vec::with_capacity(2 * n);
     // Exit barriers.
     let mut last_barrier: Option<usize> = None;
-    let mut since_barrier: Vec<usize> = Vec::new();
 
     for k in 0..n {
         let op = &work.ops[k];
-        for r in op.int_uses() {
-            if let Some(d) = last_def_int[r as usize] {
-                let lat = op_latency(&work.ops[d], machine);
-                add(&mut hard_preds, &mut hard_succs, d, k, lat);
-            }
-            uses_int[r as usize].push(k);
-        }
-        for r in op.fp_uses() {
-            if let Some(d) = last_def_fp[r as usize] {
-                let lat = op_latency(&work.ops[d], machine);
-                add(&mut hard_preds, &mut hard_succs, d, k, lat);
-            }
-            uses_fp[r as usize].push(k);
-        }
-        if let Some(rd) = op.int_def() {
-            for &u in &uses_int[rd as usize] {
-                if u != k {
-                    add(&mut hard_preds, &mut hard_succs, u, k, 0); // WAR
+        for (file, uses) in [(0, op.int_uses()), (1, op.fp_uses())] {
+            for r in uses {
+                let r = r as usize;
+                if let Some(d) = last_def[file][r] {
+                    add(d, k, op_latency(&work.ops[d], machine));
                 }
+                use_pool.push((k as u32, use_head[file][r]));
+                use_head[file][r] = use_pool.len() as u32 - 1;
             }
-            if let Some(d) = last_def_int[rd as usize] {
-                add(&mut hard_preds, &mut hard_succs, d, k, 0); // WAW
-            }
-            last_def_int[rd as usize] = Some(k);
-            uses_int[rd as usize].clear();
         }
-        if let Some(fd) = op.fp_def() {
-            for &u in &uses_fp[fd as usize] {
-                if u != k {
-                    add(&mut hard_preds, &mut hard_succs, u, k, 0);
+        for (file, def) in [(0, op.int_def()), (1, op.fp_def())] {
+            let Some(r) = def else { continue };
+            let r = r as usize;
+            let mut u = use_head[file][r];
+            while u != NIL {
+                let (reader, next) = use_pool[u as usize];
+                if reader as usize != k {
+                    add(reader as usize, k, 0); // WAR
                 }
+                u = next;
             }
-            if let Some(d) = last_def_fp[fd as usize] {
-                add(&mut hard_preds, &mut hard_succs, d, k, 0);
+            if let Some(d) = last_def[file][r] {
+                add(d, k, 0); // WAW
             }
-            last_def_fp[fd as usize] = Some(k);
-            uses_fp[fd as usize].clear();
+            last_def[file][r] = Some(k);
+            use_head[file][r] = NIL;
         }
 
+        if let Some(b) = last_barrier {
+            add(b, k, 0);
+        }
         if op.is_exit() {
-            for &p in &since_barrier {
-                add(&mut hard_preds, &mut hard_succs, p, k, 0);
-            }
-            if let Some(b) = last_barrier {
-                add(&mut hard_preds, &mut hard_succs, b, k, 0);
+            // Every op since the previous exit is a non-exit.
+            for p in last_barrier.map_or(0, |b| b + 1)..k {
+                add(p, k, 0);
             }
             last_barrier = Some(k);
-            since_barrier.clear();
-        } else {
-            if let Some(b) = last_barrier {
-                add(&mut hard_preds, &mut hard_succs, b, k, 0);
-            }
-            since_barrier.push(k);
         }
     }
 
@@ -233,6 +277,8 @@ pub fn build_dag(
             }
         }
     }
+    // `(later, earlier)` dropped may-alias edges.
+    let mut spec: Vec<(u32, u32)> = Vec::new();
     for d in deps.iter().filter(|d| d.kind == DepKind::Plain) {
         let (a, b) = (node[d.src.index()], node[d.dst.index()]);
         // A pinned op's dependences include disjoint and must-alias pairs;
@@ -241,9 +287,9 @@ pub fn build_dag(
             && (config.hw != HwKind::Alat || alat_advanced[b])
             && droppable(&work.ops[a], &work.ops[b], config);
         if speculate {
-            spec_before[b].push(a);
+            spec.push((b as u32, a as u32));
         } else {
-            add(&mut hard_preds, &mut hard_succs, a, b, 0);
+            add(a, b, 0);
         }
     }
     // Unspeculatable dependences need a store, but a pinned load keeps
@@ -251,30 +297,33 @@ pub fn build_dag(
     for &t in loads.iter().filter(|&&l| pinned(l)) {
         for &b in &loads {
             if b != t && !(pinned(b) && b < t) {
-                add(&mut hard_preds, &mut hard_succs, t.min(b), t.max(b), 0);
+                add(t.min(b), t.max(b), 0);
             }
         }
     }
 
+    let (succ_start, succs) = group_by_key(n, &edges);
+    let (spec_start, spec) = group_by_key(n, &spec);
+    let mut dag = Dag {
+        succ_start,
+        succs,
+        pred_count,
+        spec_start,
+        spec,
+        priority: vec![0; n],
+    };
     // Critical-path priorities over hard edges (edges run forward, so a
     // reverse index sweep is a reverse-topological traversal).
-    let mut priority = vec![0u64; n];
     for k in (0..n).rev() {
         let own = op_latency(&work.ops[k], machine);
-        let best_succ = hard_succs[k]
-            .iter()
-            .map(|&(s, d)| priority[s] + d)
+        let best_succ = dag
+            .succs(k)
+            .map(|(s, d)| dag.priority[s] + d)
             .max()
             .unwrap_or(0);
-        priority[k] = own + best_succ;
+        dag.priority[k] = own + best_succ;
     }
-
-    Dag {
-        hard_preds,
-        hard_succs,
-        spec_before,
-        priority,
-    }
+    dag
 }
 
 #[cfg(test)]
@@ -359,7 +408,15 @@ mod tests {
     }
 
     fn has_edge(dag: &Dag, a: usize, b: usize) -> bool {
-        dag.hard_succs[a].iter().any(|&(s, _)| s == b)
+        dag.succs(a).any(|(s, _)| s == b)
+    }
+
+    fn spec_before(dag: &Dag, k: usize) -> Vec<usize> {
+        dag.spec_before(k).collect()
+    }
+
+    fn no_spec_edges(dag: &Dag) -> bool {
+        (0..dag.priority.len()).all(|k| dag.spec_before(k).len() == 0)
     }
 
     #[test]
@@ -405,8 +462,8 @@ mod tests {
         let (_, _, d) = dag_for(ops.clone(), &OptConfig::smarq(64));
         assert!(!has_edge(&d, 0, 1));
         assert!(!has_edge(&d, 0, 2));
-        assert_eq!(d.spec_before[1], vec![0]);
-        assert!(d.spec_before[2].contains(&0));
+        assert_eq!(spec_before(&d, 1), vec![0]);
+        assert!(spec_before(&d, 2).contains(&0));
 
         // SMARQ without store reorder: store-store stays hard.
         let (_, _, d) = dag_for(ops.clone(), &OptConfig::smarq_no_store_reorder(64));
@@ -478,7 +535,7 @@ mod tests {
         bl.insert(sb.origins[0], sb.origins[1]);
         let (_, dag) = dag_with(&sb, &OptConfig::smarq(64), &bl, &vec![false; sb.ops.len()]);
         assert!(has_edge(&dag, 0, 1));
-        assert!(dag.spec_before[1].is_empty());
+        assert!(spec_before(&dag, 1).is_empty());
     }
 
     #[test]
@@ -538,11 +595,11 @@ mod tests {
         // load/load pair, and nothing involving it is speculated.
         assert!(has_edge(&dag, 0, 1));
         assert!(has_edge(&dag, 1, 2));
-        assert!(dag.spec_before[1].is_empty());
-        assert!(!dag.spec_before[2].contains(&1));
+        assert!(spec_before(&dag, 1).is_empty());
+        assert!(!spec_before(&dag, 2).contains(&1));
         // The untainted may-alias pair (0, 2) still speculates.
         assert!(!has_edge(&dag, 0, 2));
-        assert!(dag.spec_before[2].contains(&0));
+        assert!(spec_before(&dag, 2).contains(&0));
     }
 
     fn ld(rd: u8, base: u8, disp: i64) -> IrOp {
@@ -591,12 +648,12 @@ mod tests {
         let (_, dag) = dag_with(&sb, &OptConfig::smarq(64), &bl, &taint);
         assert!(has_edge(&dag, 0, 1), "the blacklisted pair is hard");
         assert!(!has_edge(&dag, 0, 2), "a mere member still speculates");
-        assert_eq!(dag.spec_before[2], vec![0]);
+        assert_eq!(spec_before(&dag, 2), vec![0]);
         // The ALAT cannot check selectively: a member never advances.
         let (_, dag) = dag_with(&sb, &OptConfig::alat(), &bl, &taint);
         assert!(has_edge(&dag, 0, 1));
         assert!(has_edge(&dag, 0, 2));
-        assert!(dag.spec_before.iter().all(Vec::is_empty));
+        assert!(no_spec_edges(&dag));
     }
 
     #[test]
@@ -613,7 +670,7 @@ mod tests {
             let (_, dag) = dag_with(&sb, &config, &AliasBlacklist::new(), &[false; 4]);
             assert!(has_edge(&dag, 0, 1), "{:?}", config.hw);
             assert!(!has_edge(&dag, 0, 2), "{:?}", config.hw);
-            assert!(dag.spec_before.iter().all(Vec::is_empty));
+            assert!(no_spec_edges(&dag));
         }
     }
 
@@ -628,7 +685,7 @@ mod tests {
         let (_, dag) = dag_with(&sb, &OptConfig::alat(), &AliasBlacklist::new(), &taint);
         for l in 1..=32 {
             assert!(!has_edge(&dag, 0, l), "load {l} advances");
-            assert_eq!(dag.spec_before[l], vec![0]);
+            assert_eq!(spec_before(&dag, l), vec![0]);
         }
         assert!(has_edge(&dag, 0, 33), "the 33rd load keeps its edge");
     }
@@ -769,12 +826,12 @@ mod tests {
             for config in &configs {
                 let (work, dag) = dag_with(&sb, config, &bl, &taint);
                 let mut hard: Edges = (0..n)
-                    .flat_map(|a| dag.hard_succs[a].iter().map(move |&(b, _)| (a, b)))
+                    .flat_map(|a| dag.succs(a).map(move |(b, _)| (a, b)))
                     .filter(|&(_, b)| work.ops[b].is_mem())
                     .collect();
                 hard.sort_unstable();
                 let mut spec: Edges = (0..work.ops.len())
-                    .flat_map(|b| dag.spec_before[b].iter().map(move |&a| (a, b)))
+                    .flat_map(|b| dag.spec_before(b).map(move |a| (a, b)))
                     .collect();
                 spec.sort_unstable();
                 let (want_hard, want_spec) = all_pairs_mem_edges(&sb, &work, config, &bl, &taint);

@@ -17,9 +17,10 @@
 
 use crate::config::OptConfig;
 use crate::dag::WorkList;
+use crate::pairs::PairPolicy;
 use crate::sched::ScheduleResult;
 use smarq::alloc::{AliasCode, Allocation, AmovInsn};
-use smarq_ir::{AliasAnalysis, AliasRel, IrOp, RegionMap, Superblock};
+use smarq_ir::{AliasRel, IrOp, RegionMap, Superblock};
 use smarq_vliw::{
     AliasAnnot, Bundle, CondExit, ExitTarget, HwKind, MachineConfig, VliwOp, VliwProgram,
 };
@@ -152,7 +153,7 @@ struct AlatPlan {
     clear_after: Vec<Vec<u32>>,
 }
 
-fn alat_plan(analysis: &AliasAnalysis, work: &WorkList, linear: &[usize]) -> AlatPlan {
+fn alat_plan(pairs: &PairPolicy, work: &WorkList, linear: &[usize]) -> AlatPlan {
     let n = work.ops.len();
     let mut pos = vec![usize::MAX; n];
     for (p, &k) in linear.iter().enumerate() {
@@ -171,7 +172,9 @@ fn alat_plan(analysis: &AliasAnalysis, work: &WorkList, linear: &[usize]) -> Ala
             if !work.ops[s].is_store() {
                 continue;
             }
-            if analysis.relation(work.orig[s], work.orig[l]) == AliasRel::May && pos[s] > pos[l] {
+            if pos[s] > pos[l]
+                && pairs.verdict(work.orig[s], work.orig[l]).relation() == AliasRel::May
+            {
                 last_checker = match last_checker {
                     Some(prev) if pos[prev] >= pos[s] => Some(prev),
                     _ => Some(s),
@@ -237,54 +240,6 @@ fn translate(op: &IrOp, alias: AliasAnnot, tag: u32) -> VliwOp {
     }
 }
 
-fn int_sources(op: &VliwOp) -> Vec<u8> {
-    match *op {
-        VliwOp::Alu { ra, rb, .. } => vec![ra, rb],
-        VliwOp::AluImm { ra, .. } | VliwOp::Copy { ra, .. } | VliwOp::ItoF { ra, .. } => vec![ra],
-        VliwOp::Load { base, .. } | VliwOp::FLoad { base, .. } | VliwOp::FStore { base, .. } => {
-            vec![base]
-        }
-        VliwOp::Store { rs, base, .. } => vec![rs, base],
-        VliwOp::Exit {
-            cond: Some(CondExit { ra, rb, .. }),
-            ..
-        } => vec![ra, rb],
-        _ => vec![],
-    }
-}
-
-fn fp_sources(op: &VliwOp) -> Vec<u8> {
-    match *op {
-        VliwOp::Fpu { fa, fb, .. } => vec![fa, fb],
-        VliwOp::FCopy { fa, .. } | VliwOp::FtoI { fa, .. } => vec![fa],
-        VliwOp::FStore { fs, .. } => vec![fs],
-        _ => vec![],
-    }
-}
-
-fn int_def(op: &VliwOp) -> Option<u8> {
-    match *op {
-        VliwOp::IConst { rd, .. }
-        | VliwOp::Alu { rd, .. }
-        | VliwOp::AluImm { rd, .. }
-        | VliwOp::Copy { rd, .. }
-        | VliwOp::FtoI { rd, .. }
-        | VliwOp::Load { rd, .. } => Some(rd),
-        _ => None,
-    }
-}
-
-fn fp_def(op: &VliwOp) -> Option<u8> {
-    match *op {
-        VliwOp::FConst { fd, .. }
-        | VliwOp::Fpu { fd, .. }
-        | VliwOp::FCopy { fd, .. }
-        | VliwOp::ItoF { fd, .. }
-        | VliwOp::FLoad { fd, .. } => Some(fd),
-        _ => None,
-    }
-}
-
 /// Greedy in-order bundling for the machine's slot mix.
 fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
     let mut bundles = Vec::new();
@@ -298,8 +253,8 @@ fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
             smarq_vliw::SlotClass::Fpu => &mut fpu,
             smarq_vliw::SlotClass::Alu | smarq_vliw::SlotClass::Branch => &mut alu,
         };
-        let raw_conflict = int_sources(&op).iter().any(|&r| int_defs[r as usize])
-            || fp_sources(&op).iter().any(|&r| fp_defs[r as usize]);
+        let raw_conflict = op.int_sources().iter().any(|&r| int_defs[r as usize])
+            || op.fp_sources().iter().any(|&r| fp_defs[r as usize]);
         if *slot == 0 || raw_conflict {
             bundles.push(std::mem::take(&mut cur));
             mem = machine.mem_slots;
@@ -315,10 +270,10 @@ fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
         } else {
             *slot -= 1;
         }
-        if let Some(r) = int_def(&op) {
+        if let Some(r) = op.int_def() {
             int_defs[r as usize] = true;
         }
-        if let Some(r) = fp_def(&op) {
+        if let Some(r) = op.fp_def() {
             fp_defs[r as usize] = true;
         }
         cur.ops.push(op);
@@ -332,7 +287,7 @@ fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
 /// Emits the final annotated, bundled region.
 pub fn emit(
     sb: &Superblock,
-    analysis: &AliasAnalysis,
+    pairs: &PairPolicy,
     work: &WorkList,
     sched: &ScheduleResult,
     config: &OptConfig,
@@ -343,7 +298,7 @@ pub fn emit(
         .then(|| sched.allocation.as_ref().map(smarq_groups))
         .flatten()
         .unwrap_or_default();
-    let alat = (config.hw == HwKind::Alat).then(|| alat_plan(analysis, work, &sched.linear));
+    let alat = (config.hw == HwKind::Alat).then(|| alat_plan(pairs, work, &sched.linear));
     let efficeon = (config.hw == HwKind::Efficeon)
         .then(|| {
             sched.allocation.as_ref().map(|alloc| {

@@ -307,7 +307,7 @@ fn try_optimize(
             }
         }
     }
-    let vliw = emit::emit(sb, analysis, &work, &sched, config, machine, &map);
+    let vliw = emit::emit(sb, pairs, &work, &sched, config, machine, &map);
 
     let mut stats = OptStats {
         ir_ops: sb.ops.len(),

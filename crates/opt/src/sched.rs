@@ -36,7 +36,44 @@ fn pool(op: &IrOp) -> Pool {
     }
 }
 
+/// A set of priority ranks, one bit each.
+struct RankSet {
+    words: Vec<u64>,
+}
+
+impl RankSet {
+    fn new(len: usize) -> Self {
+        RankSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, r: usize) {
+        self.words[r / 64] |= 1 << (r % 64);
+    }
+
+    fn remove(&mut self, r: usize) {
+        self.words[r / 64] &= !(1 << (r % 64));
+    }
+
+    /// The smallest member `>= from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// Schedules the work list.
+///
+/// Each cycle fills the machine's slots in descending critical-path
+/// priority from the ops whose hard predecessors are placed and whose
+/// latencies have elapsed. A cycle visits only the ops whose predecessors
+/// are all placed (the ready set), not the whole region.
 ///
 /// Memory operations are fed to the [`Allocator`] in schedule order; its
 /// overflow estimate gates further speculation (an op whose placement would
@@ -88,7 +125,7 @@ pub fn schedule_with_scratch(
     scratch: AllocScratch,
 ) -> Result<(ScheduleResult, AllocScratch), AllocError> {
     let n = work.ops.len();
-    let mut unsched_preds: Vec<u32> = dag.hard_preds.iter().map(|p| p.len() as u32).collect();
+    let mut unsched_preds: Vec<u32> = (0..n).map(|k| dag.hard_pred_count(k)).collect();
     let mut est = vec![0u64; n];
     let mut done = vec![false; n];
     let mut linear = Vec::with_capacity(n);
@@ -115,7 +152,17 @@ pub fn schedule_with_scratch(
     let mut cycle = 0u64;
     // Candidate order: priority descending, original order as tiebreak.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| dag.priority[b].cmp(&dag.priority[a]).then(a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| dag.priority[b].cmp(&dag.priority[a]).then(a.cmp(&b)));
+    let mut rank = vec![0usize; n];
+    for (r, &k) in order.iter().enumerate() {
+        rank[k] = r;
+    }
+    // The ready set holds, by rank, every unplaced op whose hard
+    // predecessors are all placed: the only candidates a cycle visits.
+    let mut ready = RankSet::new(n);
+    for k in (0..n).filter(|&k| unsched_preds[k] == 0) {
+        ready.insert(rank[k]);
+    }
 
     // Slack-aware deferral: a memory operation with slack is not hoisted
     // earlier than its latest start time minus the remaining memory-issue
@@ -130,9 +177,14 @@ pub fn schedule_with_scratch(
         let mut mem_slots = machine.mem_slots;
         let mut fpu_slots = machine.fpu_slots;
         let mut alu_slots = machine.alu_slots;
-        let mut progressed = false;
-        for &k in &order {
-            if done[k] || unsched_preds[k] != 0 || est[k] > cycle {
+        // Visit the ready ops in rank order. The set is re-read at each
+        // step, so a zero-delay successor woken here at a later rank is
+        // still placed in this cycle.
+        let mut from = 0;
+        while let Some(r) = ready.next_from(from) {
+            from = r + 1;
+            let k = order[r];
+            if est[k] > cycle {
                 continue;
             }
             let slot = match pool(&work.ops[k]) {
@@ -150,8 +202,10 @@ pub fn schedule_with_scratch(
                     continue; // plenty of slack: do not hoist yet
                 }
                 if let Some(alloc) = &allocator {
-                    if alloc.mode() == SchedulerMode::NonSpeculation
-                        && dag.spec_before[k].iter().any(|&p| !done[p])
+                    // The cheap test first: the mode estimate walks every
+                    // memory op.
+                    if dag.spec_before(k).any(|p| !done[p])
+                        && alloc.mode() == SchedulerMode::NonSpeculation
                     {
                         // Register pressure: no new speculation until
                         // rotation has drained the file.
@@ -161,9 +215,9 @@ pub fn schedule_with_scratch(
             }
             // Place the op.
             *slot -= 1;
+            ready.remove(r);
             done[k] = true;
             remaining -= 1;
-            progressed = true;
             linear.push(k);
             cycles.push(cycle);
             if work.ops[k].is_mem() {
@@ -175,15 +229,17 @@ pub fn schedule_with_scratch(
                     alloc.schedule_op(id)?;
                 }
             }
-            for &(s, d) in &dag.hard_succs[k] {
+            for (s, d) in dag.succs(k) {
                 unsched_preds[s] -= 1;
                 est[s] = est[s].max(cycle + d);
+                if unsched_preds[s] == 0 {
+                    ready.insert(rank[s]);
+                }
             }
             if mem_slots == 0 && fpu_slots == 0 && alu_slots == 0 {
                 break;
             }
         }
-        let _ = progressed;
         cycle += 1;
     }
 
@@ -209,7 +265,7 @@ mod tests {
     use super::*;
     use crate::blacklist::AliasBlacklist;
     use crate::dag::{build_dag, build_work_list};
-    use crate::elim::Eliminations;
+    use crate::elim::{dce, run_eliminations, Eliminations};
     use crate::pairs::PairPolicy;
     use smarq_guest::BlockId;
     use smarq_ir::{build_region_spec, AliasAnalysis, IrExit, OpOrigin, Superblock};
@@ -362,5 +418,223 @@ mod tests {
         for w in res.cycles.windows(2) {
             assert!(w[0] <= w[1]);
         }
+    }
+
+    /// The cycle loop the ready set replaced, kept as the oracle: every
+    /// cycle walks all ops in rank order and skips the placed and the
+    /// blocked ones. Also returns how many placements the
+    /// non-speculation mode deferred.
+    fn full_scan(
+        work: &WorkList,
+        dag: &Dag,
+        config: &OptConfig,
+        machine: &MachineConfig,
+        spec: &RegionSpec,
+        deps: &DepGraph,
+        map: &RegionMap,
+    ) -> (Result<ScheduleResult, AllocError>, usize) {
+        let n = work.ops.len();
+        let mut unsched_preds: Vec<u32> = (0..n).map(|k| dag.hard_pred_count(k)).collect();
+        let mut est = vec![0u64; n];
+        let mut done = vec![false; n];
+        let (mut linear, mut cycles) = (Vec::new(), Vec::new());
+        let mut allocator = matches!(config.hw, HwKind::Smarq | HwKind::Efficeon)
+            .then(|| Allocator::new(spec, deps, config.num_alias_regs.max(1)));
+        let mut deferred = 0;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| dag.priority[b].cmp(&dag.priority[a]).then(a.cmp(&b)));
+        let cp: u64 = dag.priority.iter().copied().max().unwrap_or(0);
+        let mut remaining_mem = work.ops.iter().filter(|o| o.is_mem()).count() as u64;
+        let mem_slots_per_cycle = u64::from(machine.mem_slots.max(1));
+        let (mut remaining, mut cycle) = (n, 0u64);
+        while remaining > 0 {
+            let mut mem_slots = machine.mem_slots;
+            let mut fpu_slots = machine.fpu_slots;
+            let mut alu_slots = machine.alu_slots;
+            for &k in &order {
+                if done[k] || unsched_preds[k] != 0 || est[k] > cycle {
+                    continue;
+                }
+                let slot = match pool(&work.ops[k]) {
+                    Pool::Mem => &mut mem_slots,
+                    Pool::Fpu => &mut fpu_slots,
+                    Pool::Alu => &mut alu_slots,
+                };
+                if *slot == 0 {
+                    continue;
+                }
+                if work.ops[k].is_mem() {
+                    let latest_start = cp.saturating_sub(dag.priority[k]);
+                    let resource_bound = remaining_mem.div_ceil(mem_slots_per_cycle);
+                    if cycle + resource_bound + 4 < latest_start {
+                        continue;
+                    }
+                    if let Some(alloc) = &allocator {
+                        if alloc.mode() == SchedulerMode::NonSpeculation
+                            && dag.spec_before(k).any(|p| !done[p])
+                        {
+                            deferred += 1;
+                            continue;
+                        }
+                    }
+                }
+                *slot -= 1;
+                done[k] = true;
+                remaining -= 1;
+                linear.push(k);
+                cycles.push(cycle);
+                if work.ops[k].is_mem() {
+                    remaining_mem -= 1;
+                    if let Some(alloc) = &mut allocator {
+                        let id = map.mem_id(work.orig[k]).unwrap();
+                        if let Err(e) = alloc.schedule_op(id) {
+                            return (Err(e), deferred);
+                        }
+                    }
+                }
+                for (s, d) in dag.succs(k) {
+                    unsched_preds[s] -= 1;
+                    est[s] = est[s].max(cycle + d);
+                }
+                if mem_slots == 0 && fpu_slots == 0 && alu_slots == 0 {
+                    break;
+                }
+            }
+            cycle += 1;
+        }
+        let allocation = match allocator.map(Allocator::finish).transpose() {
+            Ok(a) => a,
+            Err(e) => return (Err(e), deferred),
+        };
+        let res = ScheduleResult {
+            linear,
+            cycles,
+            allocation,
+        };
+        (Ok(res), deferred)
+    }
+
+    /// A random region: integer and FP chains over a few registers, loads
+    /// and stores over four bases that are never defined (so every pair
+    /// of different bases may alias), and conditional side exits.
+    fn random_superblock(rng: &mut smarq::prng::Prng) -> Superblock {
+        let n = rng.range_usize(4, 61);
+        let (mut ops, mut exits) = (Vec::with_capacity(n + 1), 0u32);
+        for _ in 0..n {
+            let r = |rng: &mut smarq::prng::Prng| rng.range_u32(1, 9) as u8;
+            let base = rng.range_u32(20, 24) as u8;
+            let disp = [0, 8, 16][rng.range_usize(0, 3)];
+            ops.push(match rng.range_u32(0, 10) {
+                0 => IrOp::IConst {
+                    rd: r(rng),
+                    value: 3,
+                },
+                1 => IrOp::AluImm {
+                    op: smarq_guest::AluOp::Add,
+                    rd: r(rng),
+                    ra: r(rng),
+                    imm: 1,
+                },
+                2 => IrOp::Fpu {
+                    op: *rng.pick(&[smarq_guest::FpuOp::Mul, smarq_guest::FpuOp::Div]),
+                    fd: r(rng),
+                    fa: r(rng),
+                    fb: r(rng),
+                },
+                3 | 4 => IrOp::FLd {
+                    fd: r(rng),
+                    base,
+                    disp,
+                },
+                5 => IrOp::Ld {
+                    rd: r(rng),
+                    base,
+                    disp,
+                },
+                6 | 7 => IrOp::FSt {
+                    fs: r(rng),
+                    base,
+                    disp,
+                },
+                8 => IrOp::St {
+                    rs: r(rng),
+                    base,
+                    disp,
+                },
+                _ => {
+                    exits += 1;
+                    IrOp::Exit {
+                        exit_id: exits,
+                        cond: Some((smarq_guest::CmpOp::Lt, r(rng), r(rng))),
+                    }
+                }
+            });
+        }
+        ops.push(IrOp::Exit {
+            exit_id: 0,
+            cond: None,
+        });
+        Superblock {
+            origins: (0..ops.len() as u32)
+                .map(|instr| OpOrigin {
+                    block: BlockId(0),
+                    instr,
+                })
+                .collect(),
+            ops,
+            exits: vec![IrExit { target: None }; exits as usize + 1],
+            entry: BlockId(0),
+            trace: vec![BlockId(0)],
+            profiled_aliases: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn ready_set_matches_the_full_scan() {
+        let configs = [
+            OptConfig::smarq(64),
+            OptConfig::smarq(8),
+            OptConfig::smarq(2),
+            OptConfig::efficeon(),
+            OptConfig::alat(),
+            OptConfig::no_alias_hw(),
+        ];
+        let machine = MachineConfig::default();
+        let mut deferred = [0usize; 6];
+        for seed in 0..500u64 {
+            let mut rng = smarq::prng::Prng::new(0x5C4E_D000 + seed);
+            let sb = random_superblock(&mut rng);
+            sb.validate().unwrap();
+            let analysis = AliasAnalysis::new(&sb);
+            let no_taint = vec![false; sb.ops.len()];
+            for (c, config) in configs.iter().enumerate() {
+                let pairs =
+                    PairPolicy::new(&sb, &analysis, &no_taint, &AliasBlacklist::new(), config.hw);
+                let (mut spec, map) = build_region_spec(&sb, &analysis);
+                let mut elims = run_eliminations(&sb, &pairs, &mut spec, &map, config);
+                dce(&sb, &mut elims);
+                let deps = DepGraph::compute(&spec);
+                let work = build_work_list(&sb, &elims);
+                let dag = build_dag(&work, &deps, &map, &pairs, config, &machine);
+                let got = schedule(&work, &dag, config, &machine, &spec, &deps, &map);
+                let (want, d) = full_scan(&work, &dag, config, &machine, &spec, &deps, &map);
+                deferred[c] += d;
+                let what = format!("seed {seed}, {:?} x{}", config.hw, config.num_alias_regs);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.linear, want.linear, "{what}");
+                        assert_eq!(got.cycles, want.cycles, "{what}");
+                        assert_eq!(
+                            format!("{:?}", got.allocation),
+                            format!("{:?}", want.allocation),
+                            "{what}"
+                        );
+                    }
+                    (got, want) => assert_eq!(got.err(), want.err(), "{what}"),
+                }
+            }
+        }
+        // The small files reach the non-speculation mode.
+        assert!(deferred[1] > 0 && deferred[2] > 0, "{deferred:?}");
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::alias_hw::HwKind;
 pub use smarq_guest::MemRange;
-use smarq_guest::{AluOp, CmpOp, FpuOp};
+use smarq_guest::{AluOp, CmpOp, FpuOp, RegUses};
 use std::fmt;
 
 /// Alias-detection annotation attached to a memory operation. Which
@@ -241,6 +241,60 @@ impl VliwOp {
     /// `true` for loads and stores.
     pub fn is_mem(&self) -> bool {
         self.slot_class() == SlotClass::Mem
+    }
+
+    /// Integer source registers.
+    pub fn int_sources(&self) -> RegUses {
+        match *self {
+            VliwOp::Alu { ra, rb, .. } => RegUses::two(ra, rb),
+            VliwOp::AluImm { ra, .. } | VliwOp::Copy { ra, .. } | VliwOp::ItoF { ra, .. } => {
+                RegUses::one(ra)
+            }
+            VliwOp::Load { base, .. }
+            | VliwOp::FLoad { base, .. }
+            | VliwOp::FStore { base, .. } => RegUses::one(base),
+            VliwOp::Store { rs, base, .. } => RegUses::two(rs, base),
+            VliwOp::Exit {
+                cond: Some(CondExit { ra, rb, .. }),
+                ..
+            } => RegUses::two(ra, rb),
+            _ => RegUses::NONE,
+        }
+    }
+
+    /// FP source registers.
+    pub fn fp_sources(&self) -> RegUses {
+        match *self {
+            VliwOp::Fpu { fa, fb, .. } => RegUses::two(fa, fb),
+            VliwOp::FCopy { fa, .. } | VliwOp::FtoI { fa, .. } => RegUses::one(fa),
+            VliwOp::FStore { fs, .. } => RegUses::one(fs),
+            _ => RegUses::NONE,
+        }
+    }
+
+    /// Destination integer register, if any.
+    pub fn int_def(&self) -> Option<u8> {
+        match *self {
+            VliwOp::IConst { rd, .. }
+            | VliwOp::Alu { rd, .. }
+            | VliwOp::AluImm { rd, .. }
+            | VliwOp::Copy { rd, .. }
+            | VliwOp::FtoI { rd, .. }
+            | VliwOp::Load { rd, .. } => Some(rd),
+            _ => None,
+        }
+    }
+
+    /// Destination FP register, if any.
+    pub fn fp_def(&self) -> Option<u8> {
+        match *self {
+            VliwOp::FConst { fd, .. }
+            | VliwOp::Fpu { fd, .. }
+            | VliwOp::FCopy { fd, .. }
+            | VliwOp::ItoF { fd, .. }
+            | VliwOp::FLoad { fd, .. } => Some(fd),
+            _ => None,
+        }
     }
 
     /// The largest register index any field of the op names (`0` for

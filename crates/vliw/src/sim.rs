@@ -486,9 +486,9 @@ impl Simulator {
 }
 
 /// Raises `issue` to the ready time of every source register of `op` —
-/// one flat match on the hot path instead of the iterator-based
-/// [`int_sources`]/[`fp_sources`] pair, which the unit tests keep it
-/// honest against.
+/// one flat match on the hot path instead of the
+/// [`VliwOp::int_sources`]/[`VliwOp::fp_sources`] pair, which the unit
+/// tests keep it honest against.
 #[inline]
 fn stall_on_sources(mut issue: u64, op: &VliwOp, ir: &[u64; 64], fr: &[u64; 64]) -> u64 {
     match *op {
@@ -643,41 +643,6 @@ pub fn entry_stamps(
         }
     }
     Ok(stamps)
-}
-
-/// Integer source registers of an op (the readable reference form of
-/// [`stall_on_sources`]; kept as the differential oracle for the tests).
-#[cfg(test)]
-fn int_sources(op: &VliwOp) -> impl Iterator<Item = u8> {
-    let mut v: [Option<u8>; 2] = [None, None];
-    match *op {
-        VliwOp::Alu { ra, rb, .. } => v = [Some(ra), Some(rb)],
-        VliwOp::AluImm { ra, .. } | VliwOp::Copy { ra, .. } | VliwOp::ItoF { ra, .. } => {
-            v[0] = Some(ra)
-        }
-        VliwOp::Load { base, .. } | VliwOp::FLoad { base, .. } => v[0] = Some(base),
-        VliwOp::Store { rs, base, .. } => v = [Some(rs), Some(base)],
-        VliwOp::FStore { base, .. } => v[0] = Some(base),
-        VliwOp::Exit {
-            cond: Some(CondExit { ra, rb, .. }),
-            ..
-        } => v = [Some(ra), Some(rb)],
-        _ => {}
-    }
-    v.into_iter().flatten()
-}
-
-/// FP source registers of an op (reference form, see [`int_sources`]).
-#[cfg(test)]
-fn fp_sources(op: &VliwOp) -> impl Iterator<Item = u8> {
-    let mut v: [Option<u8>; 2] = [None, None];
-    match *op {
-        VliwOp::Fpu { fa, fb, .. } => v = [Some(fa), Some(fb)],
-        VliwOp::FCopy { fa, .. } | VliwOp::FtoI { fa, .. } => v[0] = Some(fa),
-        VliwOp::FStore { fs, .. } => v[0] = Some(fs),
-        _ => {}
-    }
-    v.into_iter().flatten()
 }
 
 #[cfg(test)]
@@ -1410,9 +1375,11 @@ mod trace_tests {
         ];
         for op in &ops {
             let fast = stall_on_sources(3, op, &ir, &fr);
-            let reference = int_sources(op)
+            let reference = op
+                .int_sources()
+                .into_iter()
                 .map(|r| ir[r as usize])
-                .chain(fp_sources(op).map(|r| fr[r as usize]))
+                .chain(op.fp_sources().into_iter().map(|r| fr[r as usize]))
                 .fold(3u64, u64::max);
             assert_eq!(fast, reference, "issue stall differs for {op:?}");
         }
