@@ -6,7 +6,7 @@
 //! `figures bench-json [OUT.json]` instead runs the before/after perf
 //! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
 //! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR28.json`). The convention: a PR
+//! JSON baseline (default `BENCH_PR29.json`). The convention: a PR
 //! claiming performance work commits the file this prints, named
 //! `BENCH_PR<n>.json`.
 
@@ -105,7 +105,7 @@ fn main() {
     if arg == "bench-json" {
         let out = std::env::args()
             .nth(2)
-            .unwrap_or_else(|| "BENCH_PR28.json".into());
+            .unwrap_or_else(|| "BENCH_PR29.json".into());
         bench_json(&out);
         return;
     }

@@ -23,17 +23,21 @@
 //! * **Compiled-out alias hardware**: a region is straight-line, so
 //!   under every scheme the detection state at each annotated op is
 //!   fixed by the op's position. `compile` replays the region's hardware
-//!   once over the stream (`QueuePlan`) and records, per memory op, the
-//!   ordered producers its check compares against and its static
-//!   examined count. A check is then a few address compares, and
-//!   `Rotate`/`Amov`/`AlatClear` do nothing at run time: the executor has
-//!   no alias hardware of its own.
-//! * **Compiled-out timing**: every latency is a machine constant, so an
-//!   entry's cycles and bundles depend only on the op where it ends. `compile_for` runs the
-//!   simulator's scoreboard once over the region
-//!   ([`smarq_vliw::entry_stamps`]), and the executor reads the stamp of
-//!   the op where the entry ended, once per entry, off the positional op
-//!   count it already keeps.
+//!   once over the emitted ops (`QueuePlan`) and records, per memory op,
+//!   the ordered producers its check compares against. A check is then a
+//!   few address compares. `Rotate`, `Amov` and `AlatClear` have no
+//!   effect left to run and are dropped from the stream, and a memory op
+//!   whose check compares against nothing and which no later check reads
+//!   is *inert*: it runs as a plain load or store.
+//! * **Compiled-out counters**: every latency is a machine constant and
+//!   every check's examined count is fixed by its position, so every
+//!   [`RegionStats`] field of an entry depends only on the op where it
+//!   ends. `compile_for` runs the simulator's scoreboard once over the
+//!   region ([`smarq_vliw::entry_stamps`]) and counts the memory ops,
+//!   alias checks and examined entries before each op. The executor
+//!   keeps no counter: it reads the stats of the op where the entry
+//!   ended, once per entry, through a per-stream-op table of the emitted
+//!   ops before each stream op.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -42,21 +46,24 @@
 use smarq_guest::{AluOp, CmpOp, Memory};
 use smarq_vliw::{
     enforce_alias_bounds, entry_stamps, AliasAnnot, AliasViolation, AnyAliasHw, CondExit,
-    EfficeonHw, EntryStamp, HwKind, MachineConfig, MemRange, RegionOutcome, RegionStats,
-    RegionWriteMask, SimError, VliwOp, VliwProgram, VliwState, SMARQ_MAX_REGS,
+    EfficeonHw, HwKind, MachineConfig, MemRange, RegionOutcome, RegionStats, RegionWriteMask,
+    SimError, VliwOp, VliwProgram, VliwState, SMARQ_MAX_REGS,
 };
 
 /// One op of the fast-functional stream: a [`VliwOp`] as emitted, or one
 /// of the forms only the lowering creates. `compile` drops `Nop` padding
-/// and splits `Exit` by predication, so the hot path never matches on an
-/// `Option`; `Op` never holds `Nop` or `Exit`.
+/// and the alias-management ops, splits `Exit` by predication, and gives
+/// every memory op the plan reads its own form, so the hot path never
+/// matches on an `Option` or an annotation; `Op` never holds `Nop`,
+/// `Exit`, `Rotate`, `Amov` or `AlatClear`, and holds a memory op only
+/// when it is inert.
 ///
-/// `Op` comes last, and the lowering forms take the tag values 0–3 that
-/// `VliwOp` leaves free: a `FastOp` is then no wider than a `VliwOp`, and
-/// the region loop dispatches every op on one jump table over the shared
-/// tag byte. With `Op` first, or `VliwOp`'s tags starting at 0, the
-/// compiler switches on the wrapper first and takes a second indirect
-/// jump per emitted op.
+/// `Op` comes last, and the eight lowering forms take the tag values 0–7
+/// that `VliwOp` leaves free: a `FastOp` is then no wider than a
+/// `VliwOp`, and the region loop dispatches every op on one jump table
+/// over the shared tag byte. With `Op` first, or with fewer free tags
+/// below `VliwOp`'s than lowering forms, the compiler switches on the
+/// wrapper first and takes a second indirect jump per emitted op.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FastOp {
     /// Unconditional region exit (always the last op of the stream).
@@ -126,10 +133,160 @@ pub enum FastOp {
         /// Repetition count (≥ 2; single pairs stay `AluImmExitIf`).
         n: u16,
     },
-    /// An emitted op other than `Nop` and `Exit`, unchanged. Declared
-    /// last (see above).
+    /// A `Load` the plan reads: it checks its word against the words of
+    /// the producers `producers[start..end]` of the plan, then records it
+    /// under its plan ordinal.
+    CheckedLoad {
+        /// Destination.
+        rd: u8,
+        /// Base register.
+        base: u8,
+        /// The op's plan ordinal.
+        ordinal: u32,
+        /// Displacement.
+        disp: i64,
+        /// Start of the op's check list in the plan's producers.
+        start: u32,
+        /// End of the op's check list.
+        end: u32,
+    },
+    /// An `FLoad` the plan reads (see [`FastOp::CheckedLoad`]).
+    CheckedFLoad {
+        /// Destination.
+        fd: u8,
+        /// Base register.
+        base: u8,
+        /// The op's plan ordinal.
+        ordinal: u32,
+        /// Displacement.
+        disp: i64,
+        /// Start of the op's check list in the plan's producers.
+        start: u32,
+        /// End of the op's check list.
+        end: u32,
+    },
+    /// A `Store` the plan reads (see [`FastOp::CheckedLoad`]).
+    CheckedStore {
+        /// Source.
+        rs: u8,
+        /// Base register.
+        base: u8,
+        /// The op's plan ordinal.
+        ordinal: u32,
+        /// Displacement.
+        disp: i64,
+        /// Start of the op's check list in the plan's producers.
+        start: u32,
+        /// End of the op's check list.
+        end: u32,
+    },
+    /// An `FStore` the plan reads (see [`FastOp::CheckedLoad`]).
+    CheckedFStore {
+        /// Source.
+        fs: u8,
+        /// Base register.
+        base: u8,
+        /// The op's plan ordinal.
+        ordinal: u32,
+        /// Displacement.
+        disp: i64,
+        /// Start of the op's check list in the plan's producers.
+        start: u32,
+        /// End of the op's check list.
+        end: u32,
+    },
+    /// An emitted op with a run-time effect, unchanged. Declared last
+    /// (see above).
     Op(VliwOp),
 }
+
+impl FastOp {
+    /// The checked form of memory op `op`, planned as `check`.
+    fn checked(op: VliwOp, check: Check) -> FastOp {
+        let Check {
+            ordinal,
+            start,
+            end,
+        } = check;
+        match op {
+            VliwOp::Load { rd, base, disp, .. } => FastOp::CheckedLoad {
+                rd,
+                base,
+                ordinal,
+                disp,
+                start,
+                end,
+            },
+            VliwOp::FLoad { fd, base, disp, .. } => FastOp::CheckedFLoad {
+                fd,
+                base,
+                ordinal,
+                disp,
+                start,
+                end,
+            },
+            VliwOp::Store { rs, base, disp, .. } => FastOp::CheckedStore {
+                rs,
+                base,
+                ordinal,
+                disp,
+                start,
+                end,
+            },
+            VliwOp::FStore { fs, base, disp, .. } => FastOp::CheckedFStore {
+                fs,
+                base,
+                ordinal,
+                disp,
+                start,
+                end,
+            },
+            op => unreachable!("{op:?} is not a memory op"),
+        }
+    }
+
+    /// The emitted ops this stream op stands for.
+    fn width(&self) -> u32 {
+        match *self {
+            FastOp::AluImmExitIf { .. } => 2,
+            FastOp::AluImmExitIfRep { n, .. } => 2 * u32::from(n),
+            _ => 1,
+        }
+    }
+
+    /// A self-updating fused pair (`ra == ca == rd`, invariant bound), or
+    /// a run of them, as the pair and the run length: the form a
+    /// repetition run extends.
+    fn run(&self) -> Option<(RunPair, u16)> {
+        match *self {
+            FastOp::AluImmExitIf {
+                op,
+                rd,
+                ra,
+                imm,
+                cmp,
+                ca,
+                cb,
+                exit_id,
+            } if ra == rd && ca == rd && cb != rd => Some(((op, rd, imm, cmp, cb, exit_id), 1)),
+            FastOp::AluImmExitIfRep {
+                op,
+                rd,
+                imm,
+                cmp,
+                cb,
+                exit_id,
+                n,
+            } => Some(((op, rd, imm, cmp, cb, exit_id), n)),
+            _ => None,
+        }
+    }
+}
+
+/// A self-updating fused pair, as a repetition run repeats it: the update
+/// operation, the induction register, the immediate, the predicate, the
+/// bound register and the exit.
+type RunPair = (AluOp, u8, i64, CmpOp, u8, u32);
 
 /// The alias hardware of one region, compiled out.
 ///
@@ -141,6 +298,10 @@ pub enum FastOp {
 /// addresses, and records per memory op what its check compares
 /// against. At run time a check only compares its address with the
 /// recorded addresses of its producers.
+///
+/// The plan keeps only the memory ops it reads: those whose check has a
+/// producer, and the producers. Each gets a *plan ordinal*, its index
+/// among them; the other memory ops are inert.
 ///
 /// The plan holds on any file of `n` registers that satisfies the bounds
 /// contract (every register named below `n`, every rotation at most
@@ -155,11 +316,11 @@ pub(crate) struct QueuePlan {
     /// The scheme the region's annotations target (`HwKind::None` when
     /// it carries none).
     kind: HwKind,
-    /// One entry per memory op, indexed by its position among the
-    /// region's memory ops (its *ordinal*).
-    mem: Box<[MemPlan]>,
-    /// Every check's producer list, concatenated.
-    producers: Box<[Producer]>,
+    /// The tag of each planned memory op, by plan ordinal, reported in
+    /// the alias exception.
+    tags: Box<[u32]>,
+    /// Every check's producers (plan ordinals), concatenated.
+    producers: Box<[u32]>,
     /// Largest register the region names (SMARQ offset or AMOV operand,
     /// Efficeon set index), if any.
     max_reg: Option<u32>,
@@ -167,47 +328,44 @@ pub(crate) struct QueuePlan {
     max_rotation: u32,
 }
 
-/// What one memory op's check does under the compiled-out hardware.
+/// A planned memory op.
 #[derive(Clone, Copy, Debug)]
-struct MemPlan {
+struct Check {
+    /// The op's plan ordinal.
+    ordinal: u32,
     /// `producers[start..end]` is the op's check list, in the order the
-    /// hardware's walk visits them (empty without a check).
+    /// hardware's walk visits them (empty for a producer that checks
+    /// nothing).
     start: u32,
     /// End of the check list.
     end: u32,
-    /// Valid entries the check examines (the `entries_scanned` proxy).
-    examined: u32,
 }
 
-/// A producer a check compares against.
+/// What the replay found for one memory op of the region, in stream
+/// order.
 #[derive(Clone, Copy, Debug)]
-struct Producer {
-    /// The producer's memory-op ordinal (where its address is recorded).
-    ordinal: u32,
-    /// The producer's tag, reported in the alias exception.
-    tag: u32,
+struct MemOpPlan {
+    /// Valid entries the op's check examines (the `entries_scanned`
+    /// proxy).
+    examined: u32,
+    /// The op's plan; `None` for an inert op.
+    check: Option<Check>,
 }
 
 impl QueuePlan {
-    /// Replays the region's alias hardware over `ops`. The scheme comes
-    /// from the annotations: SMARQ annotations, `Rotate` or `Amov` mean
-    /// SMARQ; Efficeon annotations Efficeon; `AlatSet` or `AlatClear` the
-    /// ALAT; none of these no hardware.
+    /// Replays the region's alias hardware over its emitted ops. The
+    /// scheme comes from the annotations: SMARQ annotations, `Rotate` or
+    /// `Amov` mean SMARQ; Efficeon annotations Efficeon; `AlatSet` or
+    /// `AlatClear` the ALAT; none of these no hardware. Returns the plan
+    /// and, per memory op, its examined count and its plan.
     ///
     /// # Errors
     /// [`SimError::MixedAliasKinds`] for a region that mixes schemes,
     /// [`SimError::AliasOutOfRange`] for a register or rotation no file
     /// of its scheme holds.
-    fn build(ops: &[FastOp]) -> Result<QueuePlan, SimError> {
-        // The lowering-only forms are exits and induction updates: only
-        // the emitted ops touch alias hardware.
-        let emitted = || {
-            ops.iter().filter_map(|op| match op {
-                FastOp::Op(op) => Some(op),
-                _ => None,
-            })
-        };
-        let mut kinds = emitted()
+    fn build(emitted: &[VliwOp]) -> Result<(QueuePlan, Vec<MemOpPlan>), SimError> {
+        let mut kinds = emitted
+            .iter()
             .map(VliwOp::alias_kind)
             .filter(|&k| k != HwKind::None);
         let kind = kinds.next().unwrap_or(HwKind::None);
@@ -224,7 +382,7 @@ impl QueuePlan {
         };
         let out_of_range = |value| SimError::AliasOutOfRange { kind, value };
         let (mut max_reg, mut max_rotation) = (None, 0);
-        for op in emitted() {
+        for op in emitted {
             match *op {
                 VliwOp::Rotate { amount } => {
                     if amount > widest {
@@ -249,8 +407,10 @@ impl QueuePlan {
         // same on every admissible file, and a smaller one scans less.
         let num_regs = max_reg.map_or(0, |r| r + 1).max(max_rotation);
         let mut hw = AnyAliasHw::for_kind(kind, num_regs);
-        let (mut mem, mut producers, mut tags) = (Vec::new(), Vec::new(), Vec::new());
-        for op in emitted() {
+        // Per memory op, in stream order: its check list as a range of
+        // `lists` (memory-op ordinals), its examined count and its tag.
+        let (mut mem, mut lists) = (Vec::<(u32, u32, u32, u32)>::new(), Vec::new());
+        for op in emitted {
             let Some((alias, is_load, tag)) = op.mem_access() else {
                 match *op {
                     VliwOp::Rotate { amount } => hw.rotate(amount),
@@ -261,7 +421,7 @@ impl QueuePlan {
                 continue;
             };
             let ordinal = mem.len() as u32;
-            let start = producers.len() as u32;
+            let start = lists.len() as u32;
             // One access per op: the check collects every producer it
             // compares against and never hits, so the replay follows the
             // no-alias path, counts the examined entries and records the
@@ -269,72 +429,96 @@ impl QueuePlan {
             let word = MemRange::word(u64::from(ordinal) * 8);
             let examined = hw
                 .access_with(alias, word, is_load, ordinal, |_, producer| {
-                    producers.push(Producer {
-                        ordinal: producer,
-                        tag: tags[producer as usize],
-                    });
+                    lists.push(producer);
                     false
                 })
                 .expect("a check that never hits raises no violation");
-            mem.push(MemPlan {
-                start,
-                end: producers.len() as u32,
-                examined,
-            });
-            tags.push(tag);
+            mem.push((start, lists.len() as u32, examined, tag));
         }
-        Ok(QueuePlan {
+        // A memory op is planned when its check has a producer or it is
+        // one; plan ordinals number the planned ops in stream order.
+        let mut planned: Vec<bool> = mem.iter().map(|&(start, end, ..)| start < end).collect();
+        for &producer in &lists {
+            planned[producer as usize] = true;
+        }
+        let mut next = 0u32;
+        let ordinals: Vec<Option<u32>> = planned
+            .iter()
+            .map(|&p| {
+                p.then(|| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect();
+        let (mut tags, mut producers, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        for (&(start, end, examined, tag), &ordinal) in mem.iter().zip(&ordinals) {
+            let check = ordinal.map(|ordinal| {
+                tags.push(tag);
+                let from = producers.len() as u32;
+                producers.extend(
+                    lists[start as usize..end as usize]
+                        .iter()
+                        .map(|&p| ordinals[p as usize].expect("a producer is planned")),
+                );
+                Check {
+                    ordinal,
+                    start: from,
+                    end: producers.len() as u32,
+                }
+            });
+            ops.push(MemOpPlan { examined, check });
+        }
+        let plan = QueuePlan {
             kind,
-            mem: mem.into_boxed_slice(),
+            tags: tags.into_boxed_slice(),
             producers: producers.into_boxed_slice(),
             max_reg,
             max_rotation,
-        })
+        };
+        Ok((plan, ops))
     }
 
-    /// One planned memory access, the compiled-out form of the
-    /// hardware's `mem_access`: compares the address of memory op
-    /// `ordinal` with the words its producers recorded in `words`, in
-    /// walk order. The first overlap raises the [`AliasViolation`];
-    /// otherwise the op records its own word and the result is the static
-    /// examined count.
+    /// One planned check, the compiled-out form of the hardware's
+    /// `mem_access`: compares the address of the planned op `check` with
+    /// the words its producers recorded in `words`, in walk order. The
+    /// first overlap raises the [`AliasViolation`]; otherwise the op
+    /// records its own word.
     #[inline]
-    fn access(
-        &self,
-        ordinal: usize,
-        addr: u64,
-        tag: u32,
-        words: &mut [u64],
-    ) -> Result<u32, AliasViolation> {
-        let m = self.mem[ordinal];
+    fn check(&self, check: Check, addr: u64, words: &mut [u64]) -> Result<(), AliasViolation> {
         // Accesses are single words (`MemRange::word`), and two word
         // ranges overlap exactly when they share the aligned word.
         let word = addr & !7;
-        for p in &self.producers[m.start as usize..m.end as usize] {
-            if words[p.ordinal as usize] == word {
+        for &p in &self.producers[check.start as usize..check.end as usize] {
+            if words[p as usize] == word {
                 return Err(AliasViolation {
-                    checker_tag: tag,
-                    producer_tag: p.tag,
+                    checker_tag: self.tags[check.ordinal as usize],
+                    producer_tag: self.tags[p as usize],
                 });
             }
         }
-        words[ordinal] = word;
-        Ok(m.examined)
+        words[check.ordinal as usize] = word;
+        Ok(())
     }
 }
 
 /// A region compiled for the fast-functional tier: the flattened op
-/// stream, the compiled-out alias hardware and timing, and the two facts
-/// the executor needs up front — the write mask (for the masked
-/// checkpoint) and whether any op can raise an alias exception at all.
+/// stream, the compiled-out alias hardware, timing and work counters,
+/// and the two facts the executor needs up front — the write mask (for
+/// the masked checkpoint) and whether any op can raise an alias
+/// exception at all.
 #[derive(Clone, Debug)]
 pub struct FastProgram {
     ops: Box<[FastOp]>,
+    /// `base[at]` is the count of emitted ops before stream op `at`,
+    /// dropped ones included: the position an entry reached is
+    /// `base[at]` plus the ops stream op `at` executed.
+    base: Box<[u32]>,
     /// The compiled-out alias hardware.
     plan: QueuePlan,
-    /// The compiled-out timing: `timing[n - 1]` is the cycles and bundles
-    /// of an entry that executed `n` ops ([`entry_stamps`]).
-    timing: Box<[EntryStamp]>,
+    /// The compiled-out timing and work counters: `stats[n - 1]` is the
+    /// whole [`RegionStats`] of an entry that executed `n` emitted ops.
+    stats: Box<[RegionStats]>,
     /// Registers the region may write (drives the masked checkpoint).
     pub write_mask: RegionWriteMask,
     /// `true` when some check in the region has a producer to compare
@@ -358,15 +542,15 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
 }
 
 /// Lowers an emitted region into a [`FastProgram`] for `machine`, whose
-/// latencies, checkpoint and rollback costs the timing table reads.
+/// latencies, checkpoint and rollback costs the stats table reads.
 ///
 /// Validation happens here, once, instead of on every execution: every
 /// exit id must be in range, every register of an issuing bundle must
 /// index the 64-entry files, the stream must end in an unconditional
 /// exit, and the alias annotations must target one scheme within its
 /// widest file (the emitter guarantees all of this for well-formed
-/// regions). The region's alias hardware (`QueuePlan`) and timing
-/// ([`entry_stamps`]) are compiled out here too.
+/// regions). The region's alias hardware (`QueuePlan`), timing
+/// ([`entry_stamps`]) and work counters are compiled out here too.
 ///
 /// # Errors
 /// [`SimError::BadExitId`] for an out-of-range exit,
@@ -379,9 +563,10 @@ pub fn compile_for(
     program: &VliwProgram,
     machine: &MachineConfig,
 ) -> Result<FastProgram, SimError> {
-    let mut ops = Vec::with_capacity(program.op_count());
-    let mut terminated = false;
-
+    // The ops an entry can execute, in slot order: every non-`Nop` op up
+    // to and including the first unconditional exit. An entry that
+    // executed `n` of them ended at `emitted[n - 1]`.
+    let mut emitted = Vec::with_capacity(program.op_count());
     'bundles: for bundle in &program.bundles {
         for &op in &bundle.ops {
             match op {
@@ -390,137 +575,141 @@ pub fn compile_for(
                     if exit_id as usize >= program.exits.len() {
                         return Err(SimError::BadExitId { exit_id });
                     }
-                    match cond {
-                        None => {
-                            ops.push(FastOp::Exit { exit_id });
-                            terminated = true;
-                            break 'bundles;
-                        }
-                        Some(CondExit { op, ra, rb }) => ops.push(FastOp::ExitIf {
-                            op,
-                            ra,
-                            rb,
-                            exit_id,
-                        }),
+                    emitted.push(op);
+                    if cond.is_none() {
+                        break 'bundles;
                     }
                 }
-                op => ops.push(FastOp::Op(op)),
+                op => emitted.push(op),
             }
         }
     }
-    if !terminated {
+    if !matches!(emitted.last(), Some(VliwOp::Exit { cond: None, .. })) {
         return Err(SimError::MissingExit);
     }
     // The executor masks register indices to the 64-entry files instead
     // of bounds-checking each access; the timing pass rejects wider
     // indices here, where the op stream is born, which makes the mask a
     // no-op.
-    let timing = entry_stamps(program, machine)?.into_boxed_slice();
-    // Peephole superinstruction fusion. The stream is straight-line, so
-    // any adjacent pair may be fused without reordering concerns; the
-    // executor performs the two halves in original order.
-    let mut fused: Vec<FastOp> = Vec::with_capacity(ops.len());
-    let mut it = ops.into_iter().peekable();
-    while let Some(op) = it.next() {
-        if let FastOp::Op(VliwOp::AluImm {
-            op: alu,
-            rd,
-            ra,
-            imm,
-        }) = op
-        {
-            if let Some(&FastOp::ExitIf {
-                op: cmp,
-                ra: ca,
-                rb: cb,
+    let stamps = entry_stamps(program, machine)?;
+    let (plan, mem_plans) = QueuePlan::build(&emitted)?;
+
+    // The work counters of an entry that ends at each op. Only a fault
+    // ends an entry at a memory op, and a check that hits adds nothing to
+    // `entries_scanned`: the examined count of an op counts from the next
+    // position on.
+    let mut stats = Vec::with_capacity(emitted.len());
+    let mut so_far = RegionStats::default();
+    let mut mem_plan = mem_plans.iter();
+    for (op, stamp) in emitted.iter().zip(&stamps) {
+        so_far.ops += 1;
+        so_far.cycles = stamp.cycles;
+        so_far.bundles = stamp.bundles;
+        let mut examined = 0;
+        if let Some((alias, ..)) = op.mem_access() {
+            so_far.mem_ops += 1;
+            so_far.alias_checks += u64::from(!matches!(alias, AliasAnnot::None));
+            examined = mem_plan.next().expect("one plan per memory op").examined;
+        }
+        stats.push(so_far);
+        so_far.entries_scanned += u64::from(examined);
+    }
+
+    // The stream: only the ops with a run-time effect, each with the
+    // count of emitted ops before it.
+    let mut ops: Vec<FastOp> = Vec::with_capacity(emitted.len());
+    let mut base: Vec<u32> = Vec::with_capacity(emitted.len());
+    let mut mem_plan = mem_plans.iter();
+    for (pos, op) in (0u32..).zip(emitted) {
+        let fast = match op {
+            // The plan already holds every alias-hardware effect.
+            VliwOp::Rotate { .. } | VliwOp::Amov { .. } | VliwOp::AlatClear { .. } => continue,
+            VliwOp::Exit {
                 exit_id,
-            }) = it.peek()
-            {
-                it.next();
-                // Second pass of the peephole, applied on the fly: a
-                // self-updating fused pair (`ra == ca == rd`, invariant
-                // bound) that repeats the previous stream element extends
-                // a repetition run instead of appending another copy.
-                // Loop unrolling produces exactly such runs.
-                if ra == rd && ca == rd && cb != rd {
-                    let extends = match fused.last_mut() {
-                        Some(&mut FastOp::AluImmExitIfRep {
-                            op: p_op,
-                            rd: p_rd,
-                            imm: p_imm,
-                            cmp: p_cmp,
-                            cb: p_cb,
-                            exit_id: p_exit,
-                            ref mut n,
-                        }) if p_op == alu
-                            && p_rd == rd
-                            && p_imm == imm
-                            && p_cmp == cmp
-                            && p_cb == cb
-                            && p_exit == exit_id
-                            && *n < u16::MAX =>
-                        {
-                            *n += 1;
-                            true
-                        }
-                        Some(&mut FastOp::AluImmExitIf {
-                            op: p_op,
-                            rd: p_rd,
-                            ra: p_ra,
-                            imm: p_imm,
-                            cmp: p_cmp,
-                            ca: p_ca,
-                            cb: p_cb,
-                            exit_id: p_exit,
-                        }) if p_op == alu
-                            && p_rd == rd
-                            && p_ra == rd
-                            && p_ca == rd
-                            && p_imm == imm
-                            && p_cmp == cmp
-                            && p_cb == cb
-                            && p_exit == exit_id =>
-                        {
-                            *fused.last_mut().unwrap() = FastOp::AluImmExitIfRep {
-                                op: alu,
+                cond: None,
+            } => FastOp::Exit { exit_id },
+            VliwOp::Exit {
+                exit_id,
+                cond:
+                    Some(CondExit {
+                        op: cmp,
+                        ra: ca,
+                        rb: cb,
+                    }),
+            } => match ops.last() {
+                // Peephole superinstruction fusion: an induction update
+                // directly before its check (adjacent emitted ops, so the
+                // pair counts as two) fuses; the executor performs the
+                // two halves in original order.
+                Some(&FastOp::Op(VliwOp::AluImm {
+                    op: alu,
+                    rd,
+                    ra,
+                    imm,
+                })) if base.last() == Some(&(pos - 1)) => {
+                    ops.pop();
+                    let at = base.pop().expect("one base per stream op");
+                    let pair = FastOp::AluImmExitIf {
+                        op: alu,
+                        rd,
+                        ra,
+                        imm,
+                        cmp,
+                        ca,
+                        cb,
+                        exit_id,
+                    };
+                    // A self-updating pair that repeats the run ending
+                    // right before it extends the run instead: loop
+                    // unrolling produces exactly such runs.
+                    let run = match (ops.last(), base.last()) {
+                        (Some(last), Some(&b)) if b + last.width() == at => last.run(),
+                        _ => None,
+                    };
+                    match (run, pair.run()) {
+                        (Some((prev, n)), Some((this, _))) if prev == this && n < u16::MAX => {
+                            let (op, rd, imm, cmp, cb, exit_id) = this;
+                            *ops.last_mut().expect("the run") = FastOp::AluImmExitIfRep {
+                                op,
                                 rd,
                                 imm,
                                 cmp,
                                 cb,
                                 exit_id,
-                                n: 2,
+                                n: n + 1,
                             };
-                            true
                         }
-                        _ => false,
-                    };
-                    if extends {
-                        continue;
+                        _ => {
+                            ops.push(pair);
+                            base.push(at);
+                        }
                     }
+                    continue;
                 }
-                fused.push(FastOp::AluImmExitIf {
-                    op: alu,
-                    rd,
-                    ra,
-                    imm,
-                    cmp,
-                    ca,
-                    cb,
+                _ => FastOp::ExitIf {
+                    op: cmp,
+                    ra: ca,
+                    rb: cb,
                     exit_id,
-                });
-                continue;
-            }
-        }
-        fused.push(op);
+                },
+            },
+            op if op.is_mem() => match mem_plan.next().expect("one plan per memory op").check {
+                Some(check) => FastOp::checked(op, check),
+                None => FastOp::Op(op),
+            },
+            op => FastOp::Op(op),
+        };
+        ops.push(fast);
+        base.push(pos);
     }
-    let ops = fused;
-    let plan = QueuePlan::build(&ops)?;
-    // Only a check with a producer to compare against can fire.
-    let can_fault = !plan.producers.is_empty();
+    // Only a check with a producer to compare against can fire, and
+    // every planned op is such a check or its producer.
+    let can_fault = !plan.tags.is_empty();
     Ok(FastProgram {
         ops: ops.into_boxed_slice(),
+        base: base.into_boxed_slice(),
         plan,
-        timing,
+        stats: stats.into_boxed_slice(),
         write_mask: RegionWriteMask::of(program),
         can_fault,
     })
@@ -563,22 +752,22 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
 }
 
 /// Executor for [`FastProgram`]s: runs regions over a resident
-/// [`VliwState`] with no scoreboard and no alias hardware of its own.
+/// [`VliwState`] with no scoreboard, no alias hardware and no counters
+/// of its own.
 ///
-/// Every region carries its compiled-out hardware (`QueuePlan`) and
-/// timing, so the only run-time detection state is the word each memory
-/// op recorded on the current entry, `Rotate`/`Amov`/`AlatClear` do
-/// nothing, and an entry's cycles are one table lookup.
+/// Every region carries its compiled-out hardware (`QueuePlan`), timing
+/// and work counters, so the only run-time detection state is the word
+/// each planned memory op recorded on the current entry, and an entry's
+/// statistics are one table lookup.
 #[derive(Clone, Debug)]
 pub struct FastSim {
     /// The scheme regions are translated for.
     kind: HwKind,
     /// The register count of that scheme's file ([`HwKind::file_regs`]).
     num_regs: u32,
-    /// The word each memory op recorded on the current entry, by
-    /// memory-op ordinal. Recycled across entries: a check's producers
-    /// always record earlier in the same entry, so stale words are never
-    /// read.
+    /// The word each planned memory op recorded on the current entry, by
+    /// plan ordinal. Recycled across entries: a check's producers always
+    /// record earlier in the same entry, so stale words are never read.
     words: Vec<u64>,
 }
 
@@ -599,8 +788,8 @@ impl FastSim {
     /// Runs one region entry to completion. Architectural effects
     /// (registers, memory, exit choice, alias-exception outcome and
     /// rollback) and every statistic are bit-exact with the cycle
-    /// simulator on the machine the region was compiled for. `cycles` and
-    /// `bundles` come from the region's timing table, rollback penalty
+    /// simulator on the machine the region was compiled for. The
+    /// statistics come from the region's table, rollback penalty
     /// included.
     ///
     /// # Panics
@@ -618,35 +807,33 @@ impl FastSim {
             kind_mismatch(plan.kind, self.kind);
         }
         enforce_alias_bounds(self.kind, self.num_regs, plan.max_reg, plan.max_rotation);
-        if self.words.len() < plan.mem.len() {
-            self.words.resize(plan.mem.len(), 0);
+        if self.words.len() < plan.tags.len() {
+            self.words.resize(plan.tags.len(), 0);
         }
         // Atomic-region entry: the register checkpoint and store-undo log
         // only exist on regions that can actually fault.
         if prog.can_fault {
             state.begin_region(prog.write_mask);
         }
-        let (outcome, mut stats) = self.exec(prog, state, mem);
-        // The positional op count names the op where the entry ended.
-        let stamp = prog.timing[stats.ops as usize - 1];
-        stats.cycles = stamp.cycles;
-        stats.bundles = stamp.bundles;
-        (outcome, stats)
+        let (outcome, ops) = self.exec(prog, state, mem);
+        (outcome, prog.stats[ops - 1])
     }
 
-    /// The region loop.
+    /// The region loop. Returns the outcome and the count of emitted ops
+    /// the entry executed: the stream is straight-line, so that count is
+    /// the base of the stream op where the entry ended plus the ops it
+    /// executed — no per-op counter on the hot path.
     fn exec(
         &mut self,
         prog: &FastProgram,
         state: &mut VliwState,
         mem: &mut Memory,
-    ) -> (RegionOutcome, RegionStats) {
-        let mut stats = RegionStats::default();
-        // Executed-op accounting is positional: the stream is
-        // straight-line, so the op count at any return is the current
-        // index plus one, plus one more per fused pair already passed
-        // (`extra`) — no per-op counter increment on the hot path.
-        let mut extra = 0u64;
+    ) -> (RegionOutcome, usize) {
+        let plan = &prog.plan;
+        let words = &mut self.words[..];
+        // The count of emitted ops an entry that ends at stream op `at`
+        // executed, given the ops `at` itself executed.
+        let ended = |at: usize, executed: u64| prog.base[at] as usize + executed as usize;
         for (at, op) in prog.ops.iter().enumerate() {
             match *op {
                 FastOp::Op(VliwOp::IConst { rd, value }) => state.regs[ridx(rd)] = value,
@@ -670,73 +857,112 @@ impl FastSim {
                 FastOp::Op(VliwOp::FtoI { rd, fa }) => {
                     state.regs[ridx(rd)] = state.fregs[ridx(fa)] as i64
                 }
-                FastOp::Op(VliwOp::Load {
-                    rd,
-                    base,
-                    disp,
-                    alias,
-                    tag,
-                }) => {
+                // Inert memory ops: no check, no recording.
+                FastOp::Op(VliwOp::Load { rd, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
-                        stats.ops = at as u64 + 1 + extra;
-                        return fault(state, mem, v, stats);
-                    }
                     state.regs[ridx(rd)] = mem.read(addr) as i64;
                 }
-                FastOp::Op(VliwOp::FLoad {
-                    fd,
-                    base,
-                    disp,
-                    alias,
-                    tag,
-                }) => {
+                FastOp::Op(VliwOp::FLoad { fd, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
-                        stats.ops = at as u64 + 1 + extra;
-                        return fault(state, mem, v, stats);
-                    }
                     state.fregs[ridx(fd)] = mem.read_f64(addr);
                 }
-                FastOp::Op(VliwOp::Store {
-                    rs,
-                    base,
-                    disp,
-                    alias,
-                    tag,
-                }) => {
+                FastOp::Op(VliwOp::Store { rs, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
-                        stats.ops = at as u64 + 1 + extra;
-                        return fault(state, mem, v, stats);
-                    }
                     let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
                     if prog.can_fault {
                         state.log_store(addr, old);
                     }
                 }
-                FastOp::Op(VliwOp::FStore {
-                    fs,
-                    base,
-                    disp,
-                    alias,
-                    tag,
-                }) => {
+                FastOp::Op(VliwOp::FStore { fs, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
-                    if let Err(v) = self.access(&prog.plan, alias, addr, tag, &mut stats) {
-                        stats.ops = at as u64 + 1 + extra;
-                        return fault(state, mem, v, stats);
-                    }
                     let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
                     if prog.can_fault {
                         state.log_store(addr, old);
                     }
                 }
-                // The plan already holds every alias-hardware effect, and
-                // `compile` never wraps a `Nop` or an `Exit`. An
-                // `unreachable!` arm for those two would cost the loop a
-                // register: the region state spills, and specfp-fast ran
-                // ~15% slower with one.
+                // Planned memory ops. A planned op exists only in a
+                // region that can fault, so its stores always log.
+                FastOp::CheckedLoad {
+                    rd,
+                    base,
+                    ordinal,
+                    disp,
+                    start,
+                    end,
+                } => {
+                    let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
+                    let check = Check {
+                        ordinal,
+                        start,
+                        end,
+                    };
+                    if let Err(v) = plan.check(check, addr, words) {
+                        return (fault(state, mem, v), ended(at, 1));
+                    }
+                    state.regs[ridx(rd)] = mem.read(addr) as i64;
+                }
+                FastOp::CheckedFLoad {
+                    fd,
+                    base,
+                    ordinal,
+                    disp,
+                    start,
+                    end,
+                } => {
+                    let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
+                    let check = Check {
+                        ordinal,
+                        start,
+                        end,
+                    };
+                    if let Err(v) = plan.check(check, addr, words) {
+                        return (fault(state, mem, v), ended(at, 1));
+                    }
+                    state.fregs[ridx(fd)] = mem.read_f64(addr);
+                }
+                FastOp::CheckedStore {
+                    rs,
+                    base,
+                    ordinal,
+                    disp,
+                    start,
+                    end,
+                } => {
+                    let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
+                    let check = Check {
+                        ordinal,
+                        start,
+                        end,
+                    };
+                    if let Err(v) = plan.check(check, addr, words) {
+                        return (fault(state, mem, v), ended(at, 1));
+                    }
+                    let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
+                    state.log_store(addr, old);
+                }
+                FastOp::CheckedFStore {
+                    fs,
+                    base,
+                    ordinal,
+                    disp,
+                    start,
+                    end,
+                } => {
+                    let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
+                    let check = Check {
+                        ordinal,
+                        start,
+                        end,
+                    };
+                    if let Err(v) = plan.check(check, addr, words) {
+                        return (fault(state, mem, v), ended(at, 1));
+                    }
+                    let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
+                    state.log_store(addr, old);
+                }
+                // `compile` never wraps these. An `unreachable!` arm for
+                // them would cost the loop a register: the region state
+                // spills, and specfp-fast ran ~15% slower with one.
                 FastOp::Op(
                     VliwOp::AlatClear { .. }
                     | VliwOp::Rotate { .. }
@@ -745,8 +971,7 @@ impl FastSim {
                     | VliwOp::Exit { .. },
                 ) => {}
                 FastOp::Exit { exit_id } => {
-                    stats.ops = at as u64 + 1 + extra;
-                    return (RegionOutcome::Exited { exit_id }, stats);
+                    return (RegionOutcome::Exited { exit_id }, ended(at, 1));
                 }
                 FastOp::ExitIf {
                     op,
@@ -755,8 +980,7 @@ impl FastSim {
                     exit_id,
                 } => {
                     if op.eval(state.regs[ridx(ra)], state.regs[ridx(rb)]) {
-                        stats.ops = at as u64 + 1 + extra;
-                        return (RegionOutcome::Exited { exit_id }, stats);
+                        return (RegionOutcome::Exited { exit_id }, ended(at, 1));
                     }
                 }
                 FastOp::AluImmExitIf {
@@ -778,10 +1002,8 @@ impl FastSim {
                     let a = if ca == rd { v } else { state.regs[ridx(ca)] };
                     if cmp.eval(a, state.regs[ridx(cb)]) {
                         // The fused pair counts as two executed ops.
-                        stats.ops = at as u64 + 2 + extra;
-                        return (RegionOutcome::Exited { exit_id }, stats);
+                        return (RegionOutcome::Exited { exit_id }, ended(at, 2));
                     }
-                    extra += 1;
                 }
                 FastOp::AluImmExitIfRep {
                     op,
@@ -810,37 +1032,12 @@ impl FastSim {
                     state.regs[ridx(rd)] = v;
                     if taken != 0 {
                         // `taken` fused pairs executed, two ops each.
-                        stats.ops = at as u64 + extra + 2 * taken;
-                        return (RegionOutcome::Exited { exit_id }, stats);
+                        return (RegionOutcome::Exited { exit_id }, ended(at, 2 * taken));
                     }
-                    extra += 2 * reps - 1;
                 }
             }
         }
         unreachable!("compile() guarantees a terminal unconditional exit")
-    }
-
-    /// The fast tier's copy of the simulator's `mem_hook`: count the
-    /// memory op and the check, run the planned detection, accumulate
-    /// the energy proxy.
-    #[inline(always)]
-    fn access(
-        &mut self,
-        plan: &QueuePlan,
-        alias: AliasAnnot,
-        addr: u64,
-        tag: u32,
-        stats: &mut RegionStats,
-    ) -> Result<(), AliasViolation> {
-        // The memory op's ordinal is the count of memory ops before it.
-        let ordinal = stats.mem_ops as usize;
-        stats.mem_ops += 1;
-        if !matches!(alias, AliasAnnot::None) {
-            stats.alias_checks += 1;
-        }
-        let examined = plan.access(ordinal, addr, tag, &mut self.words)?;
-        stats.entries_scanned += u64::from(examined);
-        Ok(())
     }
 }
 
@@ -853,18 +1050,13 @@ fn kind_mismatch(region: HwKind, executor: HwKind) -> ! {
 }
 
 /// Alias-exception path: the cycle simulator's own rollback
-/// ([`VliwState::rollback`]); the timing table charges the rollback
+/// ([`VliwState::rollback`]); the stats table charges the rollback
 /// cycles. Only reachable from a check, so `can_fault` regions are the
 /// only callers and the checkpoint taken in `run_region` is always live.
 #[inline(never)]
-fn fault(
-    state: &mut VliwState,
-    mem: &mut Memory,
-    v: AliasViolation,
-    stats: RegionStats,
-) -> (RegionOutcome, RegionStats) {
+fn fault(state: &mut VliwState, mem: &mut Memory, v: AliasViolation) -> RegionOutcome {
     state.rollback(mem);
-    (RegionOutcome::AliasException(v), stats)
+    RegionOutcome::AliasException(v)
 }
 
 #[cfg(test)]
@@ -1310,17 +1502,79 @@ mod tests {
         }
     }
 
+    /// The emitted ops of `program` an entry can execute, in slot order:
+    /// the non-`Nop` ops up to the first unconditional exit.
+    fn emitted(program: &VliwProgram) -> Vec<VliwOp> {
+        let ops = program.bundles.iter().flat_map(|b| &b.ops);
+        let mut out: Vec<VliwOp> = ops.filter(|op| **op != VliwOp::Nop).copied().collect();
+        let end = out
+            .iter()
+            .position(|op| matches!(op, VliwOp::Exit { cond: None, .. }))
+            .expect("a terminal exit");
+        out.truncate(end + 1);
+        out
+    }
+
+    /// The stream op of `prog` that stands for each emitted op, by
+    /// position; `None` for a dropped op and the second half of a fused
+    /// pair or run.
+    fn stream_op_at(prog: &FastProgram, len: usize) -> Vec<Option<FastOp>> {
+        let mut at = vec![None; len];
+        for (op, &b) in prog.ops().iter().zip(prog.base.iter()) {
+            at[b as usize] = Some(*op);
+        }
+        at
+    }
+
+    /// The plan of a checked memory op; `None` for the other ops.
+    fn planned(op: &FastOp) -> Option<Check> {
+        match *op {
+            FastOp::CheckedLoad {
+                ordinal,
+                start,
+                end,
+                ..
+            }
+            | FastOp::CheckedFLoad {
+                ordinal,
+                start,
+                end,
+                ..
+            }
+            | FastOp::CheckedStore {
+                ordinal,
+                start,
+                end,
+                ..
+            }
+            | FastOp::CheckedFStore {
+                ordinal,
+                start,
+                end,
+                ..
+            } => Some(Check {
+                ordinal,
+                start,
+                end,
+            }),
+            _ => None,
+        }
+    }
+
     /// The compiled-out hardware against the hardware it replaces, for
     /// every scheme. Random streams of annotated loads and stores plus
     /// the scheme's management ops (SMARQ rotations and AMOVs, ALAT
     /// clears) are lowered by `compile`, which plans on the smallest
-    /// admissible file, and replayed access by access: every planned
-    /// access must return
-    /// what `AnyAliasHw::mem_access` returns at the real width — the
-    /// examined count, or the first conflicting producer. A stream ends
-    /// at its first hit, as a region entry does. Each whole stream also
-    /// runs on `FastSim` and on the cycle simulator, which must agree on
-    /// outcome, every statistic (timing too) and memory.
+    /// admissible file and drops the management ops, and replayed access
+    /// by access from the source program, the management ops included:
+    /// every memory op must do what `AnyAliasHw::mem_access` does at the
+    /// real width. A planned op's check must return the first
+    /// conflicting producer, an inert op must never conflict, and the
+    /// examined count the stats table adds after the op must be the
+    /// hardware's. A stream ends at its first hit, as a region entry
+    /// does. Each whole stream also runs on `FastSim` and on the cycle
+    /// simulator, which must agree on outcome, every statistic (timing
+    /// too) and memory.
     #[test]
     fn plan_matches_the_dynamic_queue_on_random_streams() {
         use smarq::prng::Prng;
@@ -1365,14 +1619,22 @@ mod tests {
                 };
                 let prog = compile(&program).unwrap();
                 let plan = &prog.plan;
+                let source = emitted(&program);
+                let lowered = stream_op_at(&prog, source.len());
+                assert!(
+                    !prog.ops().iter().any(|op| matches!(
+                        op,
+                        FastOp::Op(VliwOp::Rotate { .. } | VliwOp::Amov { .. })
+                            | FastOp::Op(VliwOp::AlatClear { .. })
+                    )),
+                    "{at} stream={stream}: management ops are dropped"
+                );
 
                 // Access by access. The recorded words start out holding
                 // a pool word: a stale word must never be read.
                 let mut hw = AnyAliasHw::for_kind(kind, width);
-                let mut words = vec![0x100; plan.mem.len()];
-                let mut ordinal = 0;
-                for op in prog.ops() {
-                    let FastOp::Op(op) = op else { continue };
+                let mut words = vec![0x100; plan.tags.len()];
+                for (pos, op) in source.iter().enumerate() {
                     let addr = match *op {
                         VliwOp::Load { disp, .. } | VliwOp::Store { disp, .. } => disp as u64,
                         VliwOp::Rotate { amount } => {
@@ -1391,9 +1653,20 @@ mod tests {
                     };
                     let (alias, is_load, tag) = op.mem_access().unwrap();
                     let want = hw.mem_access(alias, MemRange::word(addr), is_load, tag);
-                    let got = plan.access(ordinal, addr, tag, &mut words);
-                    assert_eq!(got, want, "{at} stream={stream} access={ordinal}");
-                    ordinal += 1;
+                    let examined =
+                        prog.stats[pos + 1].entries_scanned - prog.stats[pos].entries_scanned;
+                    let got = match lowered[pos].expect("a memory op is never dropped") {
+                        FastOp::Op(inert) => {
+                            assert_eq!(inert, *op, "{at} stream={stream} access={pos}");
+                            Ok(())
+                        }
+                        other => match planned(&other) {
+                            Some(check) => plan.check(check, addr, &mut words),
+                            None => panic!("{at} stream={stream}: {op:?} lowered to {other:?}"),
+                        },
+                    }
+                    .map(|()| examined as u32);
+                    assert_eq!(got, want, "{at} stream={stream} access={pos}");
                     match got {
                         Ok(n) => scanned += n,
                         Err(_) => {
@@ -1424,25 +1697,271 @@ mod tests {
         }
     }
 
+    /// `op` addressing through register `base` with no displacement.
+    fn rebased(op: VliwOp, base: u8) -> VliwOp {
+        match op {
+            VliwOp::Load { rd, tag, alias, .. } => VliwOp::Load {
+                rd,
+                base,
+                tag,
+                disp: 0,
+                alias,
+            },
+            VliwOp::Store { rs, tag, alias, .. } => VliwOp::Store {
+                rs,
+                base,
+                tag,
+                disp: 0,
+                alias,
+            },
+            op => op,
+        }
+    }
+
+    /// Every way an entry can end, against the cycle simulator, on random
+    /// streams with fused pairs, repetition runs, pairs split by another
+    /// op, `Nop`s and dropped management ops. Each stream runs once to
+    /// its terminal exit, once to each conditional exit at each of its
+    /// iterations, and once to each fault each planned check can raise,
+    /// against each of its producers. Every entry must end where it was
+    /// steered, and all six `RegionStats` fields must equal the
+    /// simulator's.
+    #[test]
+    fn entries_end_at_every_exit_and_fault_with_the_simulators_stats() {
+        use smarq::prng::Prng;
+        // Exit group `g` counts in register 4 + g against the bound in
+        // register 10 + g and leaves through exit g + 1. Memory op `i`
+        // addresses through register 16 + i, by default a word of its
+        // own.
+        const GROUPS: u8 = 6;
+        const MEM_OPS: u32 = 48;
+        let word_of = |i: usize| 0x1000 + 8 * i as i64;
+        let schemes = [
+            (HwKind::Smarq, 16u32),
+            (HwKind::Smarq, 64),
+            (HwKind::Efficeon, 15),
+            (HwKind::Alat, 0),
+            (HwKind::None, 0),
+        ];
+        for (kind, width) in schemes {
+            let at = format!("{kind:?}/{width}");
+            let mut rng = Prng::new(0xE17 + u64::from(width) * 31 + kind as u64);
+            let mut sim =
+                Simulator::new(MachineConfig::default(), AnyAliasHw::for_kind(kind, width));
+            let mut fast = FastSim::new(kind, width);
+            let (mut exits, mut faults, mut dropped) = (0, 0, 0);
+            for stream in 0..60 {
+                let mut ops = Vec::new();
+                // Per exit group, the bounds that fire it at each of its
+                // checks in turn.
+                let mut fire = Vec::new();
+                let mut mem_ops = 0;
+                for g in 0..GROUPS {
+                    for _ in 0..rng.range_u32(0, 8) {
+                        if rng.chance(1, 10) {
+                            ops.push(VliwOp::Nop);
+                        }
+                        let op = random_op(&mut rng, kind, width.max(1), mem_ops + 1);
+                        if op.is_mem() && mem_ops < MEM_OPS {
+                            ops.push(rebased(op, 16 + mem_ops as u8));
+                            mem_ops += 1;
+                        } else if !op.is_mem() {
+                            ops.push(op);
+                        }
+                    }
+                    let (ind, bnd, exit_id) = (4 + g, 10 + g, u32::from(g) + 1);
+                    let update = VliwOp::AluImm {
+                        op: AluOp::Add,
+                        rd: ind,
+                        ra: ind,
+                        imm: 1,
+                    };
+                    let check = VliwOp::Exit {
+                        exit_id,
+                        cond: Some(CondExit {
+                            op: CmpOp::Ge,
+                            ra: ind,
+                            rb: bnd,
+                        }),
+                    };
+                    match rng.range_u32(0, 4) {
+                        // A plain check.
+                        0 => {
+                            ops.push(check);
+                            fire.push((g, vec![0]));
+                        }
+                        // A pair kept apart by a management op (dropped
+                        // from the stream), or by a plain op where the
+                        // scheme has none.
+                        1 => {
+                            let between = match kind {
+                                HwKind::Smarq => VliwOp::Rotate { amount: 0 },
+                                HwKind::Alat => VliwOp::AlatClear { entry: 0 },
+                                _ => VliwOp::IConst { rd: 3, value: 0 },
+                            };
+                            ops.extend([update, between, check]);
+                            fire.push((g, vec![1]));
+                        }
+                        // A fused pair, or a run of `n` of them, with a
+                        // `Nop` in the way now and then.
+                        _ => {
+                            let n = rng.range_u32(1, 6);
+                            for _ in 0..n {
+                                ops.push(update);
+                                if rng.chance(1, 8) {
+                                    ops.push(VliwOp::Nop);
+                                }
+                                ops.push(check);
+                            }
+                            fire.push((g, (1..=i64::from(n)).collect()));
+                        }
+                    }
+                }
+                ops.push(VliwOp::Exit {
+                    exit_id: 0,
+                    cond: None,
+                });
+                let mut bundles = Vec::new();
+                while !ops.is_empty() {
+                    let take = (rng.range_u32(1, 5) as usize).min(ops.len());
+                    bundles.push(Bundle {
+                        ops: ops.drain(..take).collect(),
+                    });
+                }
+                let program = VliwProgram {
+                    bundles,
+                    exits: exit_targets(u32::from(GROUPS) + 1),
+                };
+                let prog = compile(&program).unwrap();
+                let source = emitted(&program);
+                let widths: u32 = prog.ops().iter().map(FastOp::width).sum();
+                dropped += source.len() - widths as usize;
+
+                // One entry from the default state with `steer` applied;
+                // returns the outcome once both tiers agree on it.
+                let mut run = |steer: &dyn Fn(&mut [i64; 64])| {
+                    let mut regs = [0i64; 64];
+                    for g in 0..GROUPS {
+                        regs[usize::from(10 + g)] = i64::MAX;
+                    }
+                    for i in 0..mem_ops as usize {
+                        regs[16 + i] = word_of(i);
+                    }
+                    steer(&mut regs);
+                    let (mut vstate, mut fstate) = (VliwState::new(), VliwState::new());
+                    (vstate.regs, fstate.regs) = (regs, regs);
+                    let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
+                    let (vout, vstats) = sim
+                        .run_region_resident(&program, prog.write_mask, &mut vstate, &mut vmem)
+                        .unwrap();
+                    let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
+                    assert_eq!(fout, vout, "{at} stream={stream}");
+                    assert_eq!(fstats, vstats, "{at} stream={stream} {fout:?}");
+                    assert_eq!(fmem, vmem, "{at} stream={stream}");
+                    assert_eq!(fstate.regs, vstate.regs, "{at} stream={stream}");
+                    fout
+                };
+                assert_eq!(run(&|_| {}), RegionOutcome::Exited { exit_id: 0 });
+                for (g, bounds) in &fire {
+                    for &bound in bounds {
+                        let out = run(&|regs| regs[usize::from(10 + g)] = bound);
+                        let exit_id = u32::from(*g) + 1;
+                        assert_eq!(out, RegionOutcome::Exited { exit_id }, "{at} {stream}");
+                        exits += 1;
+                    }
+                }
+
+                // Faults: the memory op behind each plan ordinal, then
+                // every check against every producer it compares with.
+                let lowered = stream_op_at(&prog, source.len());
+                let plan = &prog.plan;
+                let mut mem_of = vec![0; plan.tags.len()];
+                let mut checks = Vec::new();
+                let memory = source.iter().enumerate().filter(|(_, op)| op.is_mem());
+                for (i, (pos, _)) in memory.enumerate() {
+                    if let Some(check) = lowered[pos].as_ref().and_then(planned) {
+                        mem_of[check.ordinal as usize] = i;
+                        checks.push((i, check));
+                    }
+                }
+                for (victim, c) in checks {
+                    for &p in &plan.producers[c.start as usize..c.end as usize] {
+                        let target = mem_of[p as usize];
+                        let skew = i64::from(rng.range_u32(0, 8));
+                        let out = run(&|regs| regs[16 + victim] = word_of(target) + skew);
+                        let want = AliasViolation {
+                            checker_tag: victim as u32 + 1,
+                            producer_tag: target as u32 + 1,
+                        };
+                        assert_eq!(out, RegionOutcome::AliasException(want), "{at} {stream}");
+                        faults += 1;
+                    }
+                }
+            }
+            let tame = |n: usize| format!("{at}: streams too tame ({n})");
+            assert!(exits > 500, "{}", tame(exits));
+            if kind != HwKind::None {
+                assert!(faults > 200, "{}", tame(faults));
+            }
+            if matches!(kind, HwKind::Smarq | HwKind::Alat) {
+                assert!(dropped > 100, "{}", tame(dropped));
+            }
+        }
+    }
+
     #[test]
     fn compile_flattens_and_truncates_after_exit() {
         let mut program = speculative_region();
-        // Dead code after the unconditional exit must be dropped.
+        // A rotation, an inert load, and dead code after the
+        // unconditional exit.
+        program.bundles[1].ops.push(VliwOp::Rotate { amount: 0 });
+        program.bundles[1].ops.push(VliwOp::Nop);
+        program.bundles[1]
+            .ops
+            .push(load(smarq_annot(true, false, 3)));
         program.bundles.push(Bundle {
             ops: vec![VliwOp::IConst { rd: 1, value: 0 }],
         });
         let prog = compile(&program).unwrap();
-        // Every emitted op but the exit is wrapped unchanged, in slot
-        // order; the exit becomes the terminal lowering form.
-        let emitted: Vec<FastOp> = program.bundles[..3]
-            .iter()
-            .flat_map(|b| &b.ops)
-            .filter(|op| !matches!(op, VliwOp::Exit { .. }))
-            .map(|&op| FastOp::Op(op))
-            .chain([FastOp::Exit { exit_id: 0 }])
-            .collect();
-        assert_eq!(prog.ops(), &emitted[..]);
-        assert_eq!(prog.ops().len(), program.op_count() - 1);
+        // In slot order: the planned load and store (the store checks
+        // the load) in their checked forms, the other ops with a run-time
+        // effect unchanged, the rotation dropped and the exit the
+        // terminal lowering form.
+        assert_eq!(
+            prog.ops(),
+            &[
+                FastOp::CheckedLoad {
+                    rd: 10,
+                    base: 1,
+                    ordinal: 0,
+                    disp: 0,
+                    start: 0,
+                    end: 0,
+                },
+                FastOp::Op(VliwOp::IConst { rd: 11, value: 7 }),
+                FastOp::CheckedStore {
+                    rs: 11,
+                    base: 2,
+                    ordinal: 1,
+                    disp: 0,
+                    start: 0,
+                    end: 1,
+                },
+                FastOp::Op(load(smarq_annot(true, false, 3))),
+                FastOp::Op(VliwOp::Alu {
+                    op: AluOp::Add,
+                    rd: 12,
+                    ra: 10,
+                    rb: 11,
+                }),
+                FastOp::Exit { exit_id: 0 },
+            ]
+        );
+        // The emitted ops before each stream op, the rotation included.
+        assert_eq!(&prog.base[..], &[0, 1, 2, 4, 5, 6]);
+        assert_eq!(prog.stats.len(), 7, "one entry per emitted op");
+        assert_eq!(prog.stats[6].ops, 7);
+        assert_eq!(prog.stats[6].mem_ops, 3);
         assert!(prog.can_fault, "region has a C-bit check");
     }
 

@@ -57,16 +57,18 @@ pub struct CondExit {
 
 /// One VLIW operation (slot content).
 ///
-/// The tag is a `u8` starting at 4. The functional tier's op stream wraps
-/// `VliwOp` in an enum with four forms of its own, which take tag values
-/// 0–3: the wrapper stays the size of a `VliwOp` and dispatches on one
-/// jump table. `repr(u8)` keeps each variant's fields in declaration
-/// order, so a memory op lists its `tag` before `disp` to fit 32 bytes.
+/// The tag is a `u8` starting at 8. The functional tier's op stream wraps
+/// `VliwOp` in an enum with eight forms of its own, which take tag values
+/// 0–7: the wrapper stays the size of a `VliwOp` and dispatches on one
+/// jump table. Forms that do not fit below the first tag go after the
+/// last one, and the compiler then switches twice per op. `repr(u8)`
+/// keeps each variant's fields in declaration order, so a memory op
+/// lists its `tag` before `disp` to fit 32 bytes.
 #[derive(Clone, Copy, PartialEq, Debug)]
 #[repr(u8)]
 pub enum VliwOp {
     /// No operation.
-    Nop = 4,
+    Nop = 8,
     /// `rd = value`.
     IConst {
         /// Destination (integer file).
