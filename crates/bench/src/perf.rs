@@ -378,6 +378,64 @@ pub fn measure_simulator_region() -> Measurement {
     })
 }
 
+/// One [`FastSim`] entry of the `ammp` stand-in's hot region: the region
+/// the runtime formed, optimized as the runtime translates it, with the
+/// entry state the whole-program dataflow assumes at its entry block.
+/// Every timed entry starts from the registers the interpreter held on
+/// entering the loop after warm-up, so each takes the same path to the
+/// loop-back exit, and the region's alias guard clears it. An absolute
+/// trajectory point for the per-entry cost of a stand-in region.
+pub fn measure_standin_entry() -> Measurement {
+    let program = smarq_workloads::scaled("ammp", 1_000)
+        .expect("ammp is a stand-in")
+        .program;
+    let cfg = SystemConfig {
+        hot_threshold: 50,
+        ..Default::default()
+    };
+    let mut sys = DynOptSystem::new(program.clone(), cfg.clone());
+    sys.run_to_completion(u64::MAX);
+    let records = &sys.stats().per_region;
+    let hot = (0..records.len())
+        .max_by_key(|&r| records[r].entries)
+        .expect("ammp forms a region");
+    let sb = sys
+        .formed_superblocks()
+        .nth(hot)
+        .expect("one superblock per region");
+    let (opt, _) = optimize_superblock_traced_ranged(
+        sb,
+        &cfg.opt,
+        &cfg.machine,
+        sys.blacklist(),
+        &mut AllocScratch::new(),
+        sys.assumed_entry(hot),
+    );
+    let fast = fastcomp::compile_for(&opt.vliw, &cfg.machine).expect("an emitted region lowers");
+    let mut interp = Interpreter::new();
+    interp.load_data(&program);
+    let mut block = program.entry();
+    while block != sb.entry || interp.profile().block_count(block) < 2 * cfg.hot_threshold {
+        block = interp
+            .step_block(&program, block)
+            .expect("the loop runs past warm-up");
+    }
+    let mut state = VliwState::new();
+    state.load_guest(&interp.regs, &interp.fregs);
+    let regs = state.regs;
+    let mut mem = interp.mem;
+    let mut fast_sim = FastSim::new(cfg.opt.hw, cfg.opt.num_alias_regs);
+    // Prove the entry is the steady-state one: the region can fault, its
+    // guard clears the entry, and the entry leaves through an exit.
+    let (outcome, _) = fast_sim.run_region(&fast, &mut state, &mut mem);
+    assert!(matches!(outcome, RegionOutcome::Exited { .. }));
+    assert!(fast.can_fault() && fast.guarded() && fast_sim.guard_misses() == 0);
+    time_fn("exec_tier/standin_entry", move || {
+        state.regs = regs;
+        fast_sim.run_region(&fast, &mut state, &mut mem)
+    })
+}
+
 /// Guest memory throughput: the interpreter runs the `swim` stand-in from
 /// a fresh state to halt, so each iteration grows its pages' extents from
 /// empty and then streams loads and stores through them. An absolute

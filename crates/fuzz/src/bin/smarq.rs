@@ -164,12 +164,22 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         outcome.skipped,
         outcome.repros.len()
     );
-    let rollbacks: Vec<String> = smarq_fuzz::oracle::schemes()
-        .iter()
-        .zip(outcome.rollbacks)
-        .map(|((label, _), n)| format!("{label} {n}"))
-        .collect();
-    outln!("[fuzz] rollbacks by scheme: {}", rollbacks.join(", "));
+    let by_scheme = |counts: [u64; 6]| {
+        smarq_fuzz::oracle::schemes()
+            .iter()
+            .zip(counts)
+            .map(|((label, _), n)| format!("{label} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    outln!(
+        "[fuzz] rollbacks by scheme: {}",
+        by_scheme(outcome.rollbacks)
+    );
+    outln!(
+        "[fuzz] guard misses by scheme: {}",
+        by_scheme(outcome.guard_misses)
+    );
     for repro in &outcome.repros {
         match repro.write_to(&corpus_dir) {
             Ok(path) => {

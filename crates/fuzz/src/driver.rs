@@ -61,6 +61,10 @@ pub struct CampaignOutcome {
     /// [`crate::oracle::schemes`]: evidence that the campaign reached the
     /// rollback path under each.
     pub rollbacks: [u64; 6],
+    /// Entry-time alias guard misses over the green cases, per scheme of
+    /// [`crate::oracle::schemes`]: evidence that guarded regions still
+    /// reached their checks under each.
+    pub guard_misses: [u64; 6],
 }
 
 /// Runs a fuzz campaign; `progress` receives human-readable event lines.
@@ -84,6 +88,9 @@ pub fn run_campaign(params: &CampaignParams, mut progress: impl FnMut(String)) -
         match check_program(&program, &params.oracle) {
             Ok(report) => {
                 for (sum, n) in outcome.rollbacks.iter_mut().zip(report.rollbacks) {
+                    *sum += n;
+                }
+                for (sum, n) in outcome.guard_misses.iter_mut().zip(report.guard_misses) {
                     *sum += n;
                 }
                 // Single-guest layers green: run the case as guest 0 of a

@@ -303,6 +303,9 @@ pub struct OracleReport {
     /// Alias-exception rollbacks of the main run, per scheme of
     /// [`schemes`] (same order).
     pub rollbacks: [u64; 6],
+    /// Entry-time alias guard misses of the main run, per scheme of
+    /// [`schemes`] (same order).
+    pub guard_misses: [u64; 6],
 }
 
 /// Steps `program` concretely block by block from its entry and checks,
@@ -395,6 +398,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         let mut sys = DynOptSystem::new(program.clone(), cfg.clone());
         sys.run_to_completion(u64::MAX);
         report.rollbacks[report.schemes] = sys.stats().rollbacks;
+        report.guard_misses[report.schemes] = sys.stats().guard_misses;
         report.schemes += 1;
 
         // Layer 1: bit-exact architectural state.

@@ -38,6 +38,17 @@
 //!   keeps no counter: it reads the stats of the op where the entry
 //!   ended, once per entry, through a per-stream-op table of the emitted
 //!   ops before each stream op.
+//! * **Entry-time alias guards**: when every planned op addresses through
+//!   a base register no earlier op of the region writes, with a
+//!   word-aligned displacement, each check compares two words a fixed
+//!   distance apart at entry, and fires exactly when the aligned entry
+//!   bases differ by the displacements' difference. `compile_for` groups
+//!   the checks by their two base registers and keeps each group's
+//!   forbidden differences (`Guard`). `FastSim` tests them once per
+//!   entry; an entry they clear runs every check as a plain load or
+//!   store, with no checkpoint and no store-undo log, and any other
+//!   entry runs the checked path unchanged. The executor body is one
+//!   function, monomorphized on whether it checks.
 //!
 //! The op stream is a dense enum array rather than boxed host closures:
 //! on this workload the indirect call per op costs more than the match
@@ -502,11 +513,114 @@ impl QueuePlan {
     }
 }
 
+/// The entry-time alias guard of a region: a test, on the registers at
+/// entry, that no check of the region can fire on this entry.
+///
+/// It exists when every planned op addresses through a base register no
+/// earlier op of the region writes, with a word-aligned displacement.
+/// Such an op's word is `(base & !7) + disp` for the base's value at
+/// entry, so a check of `(a, d)` against a producer `(b, e)` fires
+/// exactly when `(a & !7) - (b & !7) == e - d` (wrapping): the two
+/// expressions differ by the bases' difference minus the displacements'
+/// difference. The guard holds, per (checker base, producer base) group,
+/// the sorted forbidden differences `e - d`; an entry whose aligned base
+/// differences avoid them all cannot fault.
+#[derive(Clone, Debug)]
+struct Guard {
+    /// Per group: the checker base, the producer base and the end of the
+    /// group's differences in `deltas` (each starts where the previous
+    /// one ends).
+    groups: Box<[(u8, u8, u32)]>,
+    /// Every group's forbidden differences, each group's sorted.
+    deltas: Box<[u64]>,
+}
+
+impl Guard {
+    /// The guard of the region whose executable ops are `emitted`, with
+    /// the per-memory-op plans `mem_plans` over the plan's `producers`:
+    /// `None` when some planned op addresses through a base register an
+    /// earlier op writes, or with a displacement that is not
+    /// word-aligned. A check of two ops on one base compares two words a
+    /// fixed distance apart: it never fires when that distance is not
+    /// zero, and it fires on every entry that reaches it when it is,
+    /// which leaves the region no guard.
+    fn build(emitted: &[VliwOp], mem_plans: &[MemOpPlan], producers: &[u32]) -> Option<Guard> {
+        // Integer registers written so far, and per plan ordinal the op's
+        // base and displacement and its check list.
+        let (mut written, mut operands, mut checks) = (0u64, Vec::new(), Vec::new());
+        let mut mem_plan = mem_plans.iter();
+        for op in emitted {
+            if let VliwOp::Load { base, disp, .. }
+            | VliwOp::FLoad { base, disp, .. }
+            | VliwOp::Store { base, disp, .. }
+            | VliwOp::FStore { base, disp, .. } = *op
+            {
+                if let Some(check) = mem_plan.next().expect("one plan per memory op").check {
+                    if written >> ridx(base) & 1 != 0 || disp & 7 != 0 {
+                        return None;
+                    }
+                    operands.push((base, disp));
+                    checks.push(check);
+                }
+            }
+            if let Some(rd) = op.int_def() {
+                written |= 1 << ridx(rd);
+            }
+        }
+        let mut keys: Vec<(u8, u8, u64)> = Vec::new();
+        for check in &checks {
+            let (a, d) = operands[check.ordinal as usize];
+            for &p in &producers[check.start as usize..check.end as usize] {
+                let (b, e) = operands[p as usize];
+                let delta = e.wrapping_sub(d) as u64;
+                match (a == b, delta == 0) {
+                    (true, true) => return None,
+                    (true, false) => {}
+                    (false, _) => keys.push((a, b, delta)),
+                }
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let (mut groups, mut deltas) = (Vec::new(), Vec::with_capacity(keys.len()));
+        for (i, &(a, b, delta)) in keys.iter().enumerate() {
+            deltas.push(delta);
+            if keys
+                .get(i + 1)
+                .is_none_or(|&(na, nb, _)| (na, nb) != (a, b))
+            {
+                groups.push((a, b, deltas.len() as u32));
+            }
+        }
+        Some(Guard {
+            groups: groups.into_boxed_slice(),
+            deltas: deltas.into_boxed_slice(),
+        })
+    }
+
+    /// Whether no check of the region can fire on an entry from `regs`.
+    #[inline]
+    fn clears(&self, regs: &[i64; 64]) -> bool {
+        let mut start = 0;
+        for &(a, b, end) in self.groups.iter() {
+            let diff = (regs[ridx(a)] as u64 & !7).wrapping_sub(regs[ridx(b)] as u64 & !7);
+            if self.deltas[start..end as usize]
+                .binary_search(&diff)
+                .is_ok()
+            {
+                return false;
+            }
+            start = end as usize;
+        }
+        true
+    }
+}
+
 /// A region compiled for the fast-functional tier: the flattened op
 /// stream, the compiled-out alias hardware, timing and work counters,
-/// and the two facts the executor needs up front — the write mask (for
-/// the masked checkpoint) and whether any op can raise an alias
-/// exception at all.
+/// and the facts the executor needs up front — the write mask (for the
+/// masked checkpoint), whether any op can raise an alias exception at
+/// all, and the entry-time guard that rules it out for one entry.
 #[derive(Clone, Debug)]
 pub struct FastProgram {
     ops: Box<[FastOp]>,
@@ -516,20 +630,36 @@ pub struct FastProgram {
     base: Box<[u32]>,
     /// The compiled-out alias hardware.
     plan: QueuePlan,
+    /// The entry-time guard; `None` when some planned op's address is
+    /// not a fixed distance from an entry register (every entry then
+    /// runs its checks). A region that cannot fault has the empty guard.
+    guard: Option<Guard>,
     /// The compiled-out timing and work counters: `stats[n - 1]` is the
     /// whole [`RegionStats`] of an entry that executed `n` emitted ops.
     stats: Box<[RegionStats]>,
     /// Registers the region may write (drives the masked checkpoint).
     pub write_mask: RegionWriteMask,
-    /// `true` when some check in the region has a producer to compare
-    /// against; `false` regions skip checkpoint and undo logging.
-    pub can_fault: bool,
 }
 
 impl FastProgram {
     /// The flattened op stream (terminal op is always [`FastOp::Exit`]).
     pub fn ops(&self) -> &[FastOp] {
         &self.ops
+    }
+
+    /// Whether some check in the region has a producer to compare
+    /// against: only such a check can fire, and every planned op is one
+    /// or its producer. A region that cannot fault has the empty guard,
+    /// so no entry of it checkpoints or logs a store.
+    pub fn can_fault(&self) -> bool {
+        !self.plan.tags.is_empty()
+    }
+
+    /// Whether the region has an entry-time alias guard: every planned op
+    /// addresses through a base register no earlier op writes, with a
+    /// word-aligned displacement.
+    pub fn guarded(&self) -> bool {
+        self.guard.is_some()
     }
 }
 
@@ -593,6 +723,7 @@ pub fn compile_for(
     // no-op.
     let stamps = entry_stamps(program, machine)?;
     let (plan, mem_plans) = QueuePlan::build(&emitted)?;
+    let guard = Guard::build(&emitted, &mem_plans, &plan.producers);
 
     // The work counters of an entry that ends at each op. Only a fault
     // ends an entry at a memory op, and a check that hits adds nothing to
@@ -702,16 +833,13 @@ pub fn compile_for(
         ops.push(fast);
         base.push(pos);
     }
-    // Only a check with a producer to compare against can fire, and
-    // every planned op is such a check or its producer.
-    let can_fault = !plan.tags.is_empty();
     Ok(FastProgram {
         ops: ops.into_boxed_slice(),
         base: base.into_boxed_slice(),
         plan,
+        guard,
         stats: stats.into_boxed_slice(),
         write_mask: RegionWriteMask::of(program),
-        can_fault,
     })
 }
 
@@ -758,7 +886,8 @@ fn rep_run(mut v: i64, bound: i64, n: u64, upd: impl Fn(i64) -> i64, cmp: CmpOp)
 /// Every region carries its compiled-out hardware (`QueuePlan`), timing
 /// and work counters, so the only run-time detection state is the word
 /// each planned memory op recorded on the current entry, and an entry's
-/// statistics are one table lookup.
+/// statistics are one table lookup. An entry its region's guard clears
+/// keeps no detection state at all.
 #[derive(Clone, Debug)]
 pub struct FastSim {
     /// The scheme regions are translated for.
@@ -769,6 +898,8 @@ pub struct FastSim {
     /// plan ordinal. Recycled across entries: a check's producers always
     /// record earlier in the same entry, so stale words are never read.
     words: Vec<u64>,
+    /// Entries whose region's guard found a check that could fire.
+    guard_misses: u64,
 }
 
 impl FastSim {
@@ -782,7 +913,15 @@ impl FastSim {
             kind,
             num_regs: kind.file_regs(num_regs),
             words: Vec::new(),
+            guard_misses: 0,
         }
+    }
+
+    /// Entries so far whose region's entry-time guard found a check
+    /// that could fire, so that they ran every check; an entry of a
+    /// region without a guard is not one.
+    pub fn guard_misses(&self) -> u64 {
+        self.guard_misses
     }
 
     /// Runs one region entry to completion. Architectural effects
@@ -791,6 +930,10 @@ impl FastSim {
     /// simulator on the machine the region was compiled for. The
     /// statistics come from the region's table, rollback penalty
     /// included.
+    ///
+    /// An entry the region's guard clears cannot fault: it runs the
+    /// checked ops as plain loads and stores, with no checkpoint and no
+    /// store-undo log. Any other entry runs every check.
     ///
     /// # Panics
     /// Panics when the region's annotations target another scheme than
@@ -807,23 +950,28 @@ impl FastSim {
             kind_mismatch(plan.kind, self.kind);
         }
         enforce_alias_bounds(self.kind, self.num_regs, plan.max_reg, plan.max_rotation);
-        if self.words.len() < plan.tags.len() {
-            self.words.resize(plan.tags.len(), 0);
-        }
-        // Atomic-region entry: the register checkpoint and store-undo log
-        // only exist on regions that can actually fault.
-        if prog.can_fault {
-            state.begin_region(prog.write_mask);
-        }
-        let (outcome, ops) = self.exec(prog, state, mem);
+        let (outcome, ops) = match &prog.guard {
+            Some(guard) if guard.clears(&state.regs) => self.exec::<false>(prog, state, mem),
+            guard => {
+                self.guard_misses += u64::from(guard.is_some());
+                if self.words.len() < plan.tags.len() {
+                    self.words.resize(plan.tags.len(), 0);
+                }
+                // Atomic-region entry: the register checkpoint and the
+                // store-undo log exist only on entries that can fault.
+                state.begin_region(prog.write_mask);
+                self.exec::<true>(prog, state, mem)
+            }
+        };
         (outcome, prog.stats[ops - 1])
     }
 
-    /// The region loop. Returns the outcome and the count of emitted ops
-    /// the entry executed: the stream is straight-line, so that count is
-    /// the base of the stream op where the entry ended plus the ops it
-    /// executed — no per-op counter on the hot path.
-    fn exec(
+    /// The region loop, with the checks (`CHECKED`) or without them.
+    /// Returns the outcome and the count of emitted ops the entry
+    /// executed: the stream is straight-line, so that count is the base
+    /// of the stream op where the entry ended plus the ops it executed —
+    /// no per-op counter on the hot path.
+    fn exec<const CHECKED: bool>(
         &mut self,
         prog: &FastProgram,
         state: &mut VliwState,
@@ -869,19 +1017,19 @@ impl FastSim {
                 FastOp::Op(VliwOp::Store { rs, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
                     let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
-                    if prog.can_fault {
+                    if CHECKED {
                         state.log_store(addr, old);
                     }
                 }
                 FastOp::Op(VliwOp::FStore { fs, base, disp, .. }) => {
                     let addr = (state.regs[ridx(base)].wrapping_add(disp)) as u64;
                     let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
-                    if prog.can_fault {
+                    if CHECKED {
                         state.log_store(addr, old);
                     }
                 }
-                // Planned memory ops. A planned op exists only in a
-                // region that can fault, so its stores always log.
+                // Planned memory ops: checked and logged on a checked
+                // entry, plain loads and stores on one the guard cleared.
                 FastOp::CheckedLoad {
                     rd,
                     base,
@@ -896,8 +1044,10 @@ impl FastSim {
                         start,
                         end,
                     };
-                    if let Err(v) = plan.check(check, addr, words) {
-                        return (fault(state, mem, v), ended(at, 1));
+                    if CHECKED {
+                        if let Err(v) = plan.check(check, addr, words) {
+                            return (fault(state, mem, v), ended(at, 1));
+                        }
                     }
                     state.regs[ridx(rd)] = mem.read(addr) as i64;
                 }
@@ -915,8 +1065,10 @@ impl FastSim {
                         start,
                         end,
                     };
-                    if let Err(v) = plan.check(check, addr, words) {
-                        return (fault(state, mem, v), ended(at, 1));
+                    if CHECKED {
+                        if let Err(v) = plan.check(check, addr, words) {
+                            return (fault(state, mem, v), ended(at, 1));
+                        }
                     }
                     state.fregs[ridx(fd)] = mem.read_f64(addr);
                 }
@@ -934,11 +1086,15 @@ impl FastSim {
                         start,
                         end,
                     };
-                    if let Err(v) = plan.check(check, addr, words) {
-                        return (fault(state, mem, v), ended(at, 1));
+                    if CHECKED {
+                        if let Err(v) = plan.check(check, addr, words) {
+                            return (fault(state, mem, v), ended(at, 1));
+                        }
                     }
                     let old = mem.replace(addr, state.regs[ridx(rs)] as u64);
-                    state.log_store(addr, old);
+                    if CHECKED {
+                        state.log_store(addr, old);
+                    }
                 }
                 FastOp::CheckedFStore {
                     fs,
@@ -954,11 +1110,15 @@ impl FastSim {
                         start,
                         end,
                     };
-                    if let Err(v) = plan.check(check, addr, words) {
-                        return (fault(state, mem, v), ended(at, 1));
+                    if CHECKED {
+                        if let Err(v) = plan.check(check, addr, words) {
+                            return (fault(state, mem, v), ended(at, 1));
+                        }
                     }
                     let old = mem.replace(addr, state.fregs[ridx(fs)].to_bits());
-                    state.log_store(addr, old);
+                    if CHECKED {
+                        state.log_store(addr, old);
+                    }
                 }
                 // `compile` never wraps these. An `unreachable!` arm for
                 // them would cost the loop a register: the region state
@@ -1051,8 +1211,8 @@ fn kind_mismatch(region: HwKind, executor: HwKind) -> ! {
 
 /// Alias-exception path: the cycle simulator's own rollback
 /// ([`VliwState::rollback`]); the stats table charges the rollback
-/// cycles. Only reachable from a check, so `can_fault` regions are the
-/// only callers and the checkpoint taken in `run_region` is always live.
+/// cycles. Only reachable from a check, so only checked entries call it
+/// and the checkpoint taken in `run_region` is always live.
 #[inline(never)]
 fn fault(state: &mut VliwState, mem: &mut Memory, v: AliasViolation) -> RegionOutcome {
     state.rollback(mem);
@@ -1697,21 +1857,21 @@ mod tests {
         }
     }
 
-    /// `op` addressing through register `base` with no displacement.
-    fn rebased(op: VliwOp, base: u8) -> VliwOp {
+    /// `op` addressing through register `base` with displacement `disp`.
+    fn rebased(op: VliwOp, base: u8, disp: i64) -> VliwOp {
         match op {
             VliwOp::Load { rd, tag, alias, .. } => VliwOp::Load {
                 rd,
                 base,
                 tag,
-                disp: 0,
+                disp,
                 alias,
             },
             VliwOp::Store { rs, tag, alias, .. } => VliwOp::Store {
                 rs,
                 base,
                 tag,
-                disp: 0,
+                disp,
                 alias,
             },
             op => op,
@@ -1763,7 +1923,7 @@ mod tests {
                         }
                         let op = random_op(&mut rng, kind, width.max(1), mem_ops + 1);
                         if op.is_mem() && mem_ops < MEM_OPS {
-                            ops.push(rebased(op, 16 + mem_ops as u8));
+                            ops.push(rebased(op, 16 + mem_ops as u8, 0));
                             mem_ops += 1;
                         } else if !op.is_mem() {
                             ops.push(op);
@@ -1909,6 +2069,197 @@ mod tests {
         }
     }
 
+    /// The guard against the simulator on every kind of entry. Random
+    /// streams under SMARQ 16 and 64, Efficeon 15 and the ALAT address
+    /// through four base registers no op writes, with word-aligned
+    /// displacements, so every stream has a guard. Each runs from bases
+    /// far apart (some unaligned), which the guard must clear; then, for
+    /// every group and every forbidden difference, from a checker base
+    /// that hits it exactly, hits it from elsewhere in the word (an
+    /// unaligned base) or misses it by 8 either way. A hit must miss the
+    /// guard and fault; every entry must equal the simulator's in
+    /// outcome, registers, memory and all six `RegionStats` fields.
+    #[test]
+    fn guarded_entries_match_the_simulator_at_every_forbidden_difference() {
+        use smarq::prng::Prng;
+        const BASES: u32 = 4;
+        // Base register `16 + i` starts at `home(i)`: far from the
+        // others, and off the word for odd `i`.
+        let home = |i: u32| 0x10_0000 * (i64::from(i) + 1) + 3 * i64::from(i % 2);
+        let schemes = [
+            (HwKind::Smarq, 16u32),
+            (HwKind::Smarq, 64),
+            (HwKind::Efficeon, 15),
+            (HwKind::Alat, 0),
+        ];
+        for (kind, width) in schemes {
+            let at = format!("{kind:?}/{width}");
+            let mut rng = Prng::new(0x6A7D + u64::from(width) * 13 + kind as u64);
+            let mut sim =
+                Simulator::new(MachineConfig::default(), AnyAliasHw::for_kind(kind, width));
+            let mut fast = FastSim::new(kind, width);
+            let (mut clears, mut hits, mut near) = (0, 0, 0);
+            for stream in 0..80 {
+                let mut ops = Vec::new();
+                // Each memory op addresses a word of its own at the home
+                // bases: two ops on one base and one word would fault on
+                // every entry, which leaves no guard.
+                let mut slots: Vec<(u8, i64)> = (0..BASES as u8)
+                    .flat_map(|i| (-2..4).map(move |w| (16 + i, 8 * w)))
+                    .collect();
+                for tag in 1..=rng.range_u32(2, 24) {
+                    let op = random_op(&mut rng, kind, width.max(1), tag);
+                    if op.is_mem() {
+                        let pick = rng.range_u32(0, slots.len() as u32) as usize;
+                        let (base, disp) = slots.swap_remove(pick);
+                        ops.push(rebased(op, base, disp));
+                    } else {
+                        ops.push(op);
+                    }
+                    if rng.chance(1, 6) {
+                        ops.push(VliwOp::AluImm {
+                            op: AluOp::Add,
+                            rd: 3,
+                            ra: 3,
+                            imm: 1,
+                        });
+                    }
+                }
+                ops.push(VliwOp::Exit {
+                    exit_id: 0,
+                    cond: None,
+                });
+                let mut bundles = Vec::new();
+                while !ops.is_empty() {
+                    let take = (rng.range_u32(1, 5) as usize).min(ops.len());
+                    bundles.push(Bundle {
+                        ops: ops.drain(..take).collect(),
+                    });
+                }
+                let program = VliwProgram {
+                    bundles,
+                    exits: exit_targets(1),
+                };
+                let prog = compile(&program).unwrap();
+                let guard = prog
+                    .guard
+                    .clone()
+                    .expect("fixed bases, aligned displacements");
+
+                // One entry with `steer` applied to the home bases, on
+                // both tiers; returns the outcome and whether the guard
+                // missed.
+                let mut run = |steer: &dyn Fn(&mut [i64; 64])| {
+                    let mut regs = [0i64; 64];
+                    for i in 0..BASES {
+                        regs[16 + i as usize] = home(i);
+                    }
+                    steer(&mut regs);
+                    let (mut vstate, mut fstate) = (VliwState::new(), VliwState::new());
+                    (vstate.regs, fstate.regs) = (regs, regs);
+                    let (mut vmem, mut fmem) = (Memory::new(), Memory::new());
+                    let (vout, vstats) = sim
+                        .run_region_resident(&program, prog.write_mask, &mut vstate, &mut vmem)
+                        .unwrap();
+                    let misses = fast.guard_misses();
+                    let (fout, fstats) = fast.run_region(&prog, &mut fstate, &mut fmem);
+                    assert_eq!(fout, vout, "{at} stream={stream}");
+                    assert_eq!(fstats, vstats, "{at} stream={stream} {fout:?}");
+                    assert_eq!(fmem, vmem, "{at} stream={stream}");
+                    assert_eq!(fstate.regs, vstate.regs, "{at} stream={stream}");
+                    (fout, fast.guard_misses() != misses)
+                };
+                let clear = run(&|_| {});
+                assert_eq!(clear, (RegionOutcome::Exited { exit_id: 0 }, false), "{at}");
+                clears += 1;
+                let mut start = 0;
+                for &(a, b, end) in guard.groups.iter() {
+                    for &delta in &guard.deltas[start..end as usize] {
+                        let (a, b) = (usize::from(a), usize::from(b));
+                        let word = rng.range_u32(0, 8) as i64;
+                        for skew in [0, word, -8, 8] {
+                            let (out, missed) = run(&|regs| {
+                                regs[a] = (regs[b] & !7).wrapping_add(delta as i64) + skew;
+                            });
+                            if (0..8).contains(&skew) {
+                                assert!(missed, "{at} stream={stream}: a hit cleared");
+                                assert!(
+                                    matches!(out, RegionOutcome::AliasException(_)),
+                                    "{at} stream={stream}: {out:?}"
+                                );
+                                hits += 1;
+                            } else {
+                                near += 1;
+                            }
+                        }
+                    }
+                    start = end as usize;
+                }
+            }
+            let tame = |n: usize| format!("{at}: streams too tame ({n})");
+            assert!(hits > 200, "{}", tame(hits));
+            assert!(near > 200, "{}", tame(near));
+            assert_eq!(clears, 80);
+        }
+    }
+
+    /// A guard exists exactly when no planned op's base is written before
+    /// it and every planned displacement is word-aligned.
+    #[test]
+    fn guard_needs_unwritten_bases_and_aligned_displacements() {
+        // The load of r1 is the producer, the store through r2 checks it.
+        let with = |extra: Vec<(usize, VliwOp)>, store_disp: i64| {
+            let mut program = speculative_region();
+            for (bundle, op) in extra {
+                program.bundles[bundle].ops.push(op);
+            }
+            if let VliwOp::Store { disp, .. } = &mut program.bundles[1].ops[0] {
+                *disp = store_disp;
+            }
+            compile(&program).unwrap()
+        };
+        let write = |rd| VliwOp::IConst { rd, value: 0x100 };
+        let guard = with(vec![], 0).guard.expect("fixed bases");
+        assert_eq!(
+            (&guard.groups[..], &guard.deltas[..]),
+            (&[(2, 1, 1)][..], &[0][..])
+        );
+        // The checker's base written before the check: no guard.
+        assert!(with(vec![(0, write(2))], 0).guard.is_none());
+        // The producer's base written after the producer ran: the
+        // recorded word is still the entry value's.
+        assert!(with(vec![(0, write(1))], 0).guard.is_some());
+        // A base written after the last planned op.
+        assert!(with(vec![(2, write(2))], 0).guard.is_some());
+        // A sub-word displacement.
+        assert!(with(vec![], 4).guard.is_none());
+        let guard = with(vec![], -16).guard.expect("aligned");
+        assert_eq!(&guard.deltas[..], &[16]);
+
+        // One base: the distance is fixed. Apart, the check never fires;
+        // on the same word, every entry that reaches it faults.
+        let same_base = |disp| {
+            compile(&region_of(vec![
+                load(smarq_annot(true, false, 0)),
+                VliwOp::Store {
+                    rs: 2,
+                    base: 1,
+                    disp,
+                    alias: smarq_annot(false, true, 0),
+                    tag: 2,
+                },
+            ]))
+            .unwrap()
+            .guard
+        };
+        assert!(same_base(8).is_some_and(|g| g.groups.is_empty()));
+        assert!(same_base(0).is_none());
+        // A region that cannot fault clears every entry.
+        let check_free = compile(&region_of(vec![load(smarq_annot(true, false, 0))])).unwrap();
+        assert!(!check_free.can_fault());
+        assert!(check_free.guard.is_some_and(|g| g.groups.is_empty()));
+    }
+
     #[test]
     fn compile_flattens_and_truncates_after_exit() {
         let mut program = speculative_region();
@@ -1962,7 +2313,7 @@ mod tests {
         assert_eq!(prog.stats.len(), 7, "one entry per emitted op");
         assert_eq!(prog.stats[6].ops, 7);
         assert_eq!(prog.stats[6].mem_ops, 3);
-        assert!(prog.can_fault, "region has a C-bit check");
+        assert!(prog.can_fault(), "region has a C-bit check");
     }
 
     /// Wrapping `VliwOp` costs no space: the lowering forms fit in its
@@ -1993,7 +2344,7 @@ mod tests {
             exits: exit_targets(1),
         };
         let prog = compile(&program).unwrap();
-        assert!(!prog.can_fault, "P-only annotations cannot fault");
+        assert!(!prog.can_fault(), "P-only annotations cannot fault");
 
         // A check whose window is empty at its position cannot fire.
         let lone_check = VliwProgram {
@@ -2014,7 +2365,7 @@ mod tests {
             }],
             exits: exit_targets(1),
         };
-        assert!(!compile(&lone_check).unwrap().can_fault);
+        assert!(!compile(&lone_check).unwrap().can_fault());
 
         // ALAT: an allocation plus a later store can spuriously fault.
         let alat = VliwProgram {
@@ -2042,7 +2393,7 @@ mod tests {
             }],
             exits: exit_targets(1),
         };
-        assert!(compile(&alat).unwrap().can_fault);
+        assert!(compile(&alat).unwrap().can_fault());
 
         // A store before the allocation has no entry to check.
         let alat_store_first = region_of(vec![
@@ -2055,7 +2406,7 @@ mod tests {
             },
             load(AliasAnnot::AlatSet { entry: 0 }),
         ]);
-        assert!(!compile(&alat_store_first).unwrap().can_fault);
+        assert!(!compile(&alat_store_first).unwrap().can_fault());
     }
 
     #[test]

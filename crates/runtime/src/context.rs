@@ -524,6 +524,7 @@ impl GuestContext {
         self.stats.chain_follows += acc.follows;
         self.stats.dispatch_lookups += acc.lookups;
         self.stats.async_stale_entries += acc.stale;
+        self.stats.guard_misses = self.fast_sim.guard_misses();
     }
 
     /// Whether this region entry is a tier-down sample. The countdown

@@ -57,6 +57,12 @@ pub struct SystemStats {
     pub chain_unlinks: u64,
     /// Total rollbacks.
     pub rollbacks: u64,
+    /// Region entries whose entry-time alias guard found a check that
+    /// could fire, so that they ran every check under a checkpoint
+    /// ([`smarq_opt::fastcomp::FastSim::guard_misses`]). Every rollback
+    /// of a guarded region is one; entries of regions without a guard
+    /// are not.
+    pub guard_misses: u64,
     /// Total re-translations.
     pub retranslations: usize,
     /// Memory operations executed inside translated regions.

@@ -24,7 +24,9 @@
 //! the first iteration, so the runtime records it while the loop warms up
 //! and never speculates on it; [`late_aliasing`] is the loop whose pair
 //! starts to alias only once the region runs, which is what reaches
-//! rollback and conservative re-optimization.
+//! rollback and conservative re-optimization, and
+//! [`late_entry_aliasing`] the loop nest whose inner pointer does so
+//! while staying fixed across each inner-region entry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +37,6 @@ mod random;
 mod scale;
 
 pub use kernels::{all, by_name, scaled, Workload, WORKLOAD_NAMES};
-pub use late::late_aliasing;
+pub use late::{late_aliasing, late_entry_aliasing};
 pub use random::{random_workload, random_workload_with, RandomParams};
 pub use scale::{scaled_count, scaled_iters, test_scale};

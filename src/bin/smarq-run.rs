@@ -31,7 +31,9 @@
 //! runs. No other variable changes the configuration.
 //! Optimized regions run on the timed fast executor, with a sample of
 //! region entries replayed on the cycle simulator; the `functional tier:`
-//! line reports those tier-down checks. `--async-translate`
+//! line reports those tier-down checks. The `alias guards:` line counts
+//! the entries whose region's entry-time alias guard could not rule out
+//! a firing check, so that they ran their checks. `--async-translate`
 //! moves region formation, optimization and verification onto background
 //! worker threads: the guest keeps interpreting while translations are
 //! in flight and finished regions publish atomically at dispatch-step
@@ -236,6 +238,10 @@ fn report(
         sum(|s| s.region_entries),
         sum(|s| s.rollbacks),
         sum(|s| s.retranslations as u64)
+    );
+    outln!(
+        "alias guards:        {} guard misses (entries that ran their checks)",
+        sum(|s| s.guard_misses)
     );
     let overhead = SystemStats {
         vliw_cycles: sum(|s| s.vliw_cycles),

@@ -107,24 +107,39 @@ fn speculative_configs_never_lose_to_the_baseline_badly() {
 
 #[test]
 fn rollback_workloads_converge() {
-    // A pair that truly aliases only once the region runs: equake's
-    // strand aliases from the first iteration, so the runtime sees it
-    // while the loop warms up and never speculates on it.
-    let w = smarq_workloads::late_aliasing(500, 250);
-    let name = w.name;
-    let mut sys = DynOptSystem::new(
-        w.program.clone(),
-        SystemConfig::with_opt(OptConfig::smarq(64)),
-    );
-    sys.run_to_completion(u64::MAX);
-    let s = sys.stats();
-    assert!(s.rollbacks >= 1, "{name} must fault at least once");
-    assert!(
-        s.rollbacks <= 8,
-        "{name}: blacklisting must converge, saw {} rollbacks",
-        s.rollbacks
-    );
-    assert!(!sys.blacklist().is_empty());
+    // Pairs that truly alias only once the region runs: equake's strand
+    // aliases from the first iteration, so the runtime sees it while the
+    // loop warms up and never speculates on it. The loop nest's inner
+    // pointer is fixed across each inner-region entry, so that region
+    // has an entry-time guard, and the faulting entry is a guard miss.
+    for w in [
+        smarq_workloads::late_aliasing(500, 250),
+        smarq_workloads::late_entry_aliasing(20, 100, 8),
+    ] {
+        let name = w.name;
+        let mut interp = Interpreter::new();
+        interp.run(&w.program, u64::MAX);
+        let mut sys = DynOptSystem::new(
+            w.program.clone(),
+            SystemConfig::with_opt(OptConfig::smarq(64)),
+        );
+        sys.run_to_completion(u64::MAX);
+        assert_eq!(sys.interp().arch_state(), interp.arch_state(), "{name}");
+        let s = sys.stats();
+        assert!(s.rollbacks >= 1, "{name} must fault at least once");
+        assert!(
+            s.rollbacks <= 8,
+            "{name}: blacklisting must converge, saw {} rollbacks",
+            s.rollbacks
+        );
+        if name == "late-entry-aliasing" {
+            assert!(
+                s.guard_misses >= s.rollbacks,
+                "{name}: every fault misses the guard"
+            );
+        }
+        assert!(!sys.blacklist().is_empty());
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@ use smarq_guest::{
     AluOp, CmpOp, FReg, FpuOp, Interpreter, Program, ProgramBuilder, Reg, RunOutcome,
 };
 use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
-use smarq_vliw::MachineConfig;
+use smarq_vliw::{HwKind, MachineConfig};
 use std::path::Path;
 
 #[test]
@@ -175,6 +175,47 @@ fn stand_ins_sample_clean_on_the_sensitivity_machines() {
         },
     ] {
         stand_ins_sample_clean_on(machine);
+    }
+}
+
+/// The late-entry-aliasing loop nest under every speculating scheme, on
+/// both tiers, with every region entry tier-down sampled. The inner
+/// region's pointers are fixed across an entry, so it has an entry-time
+/// guard, which clears every entry until the inner pointer lands on the
+/// store base. That entry misses the guard, runs its checks and rolls
+/// back; the run must still end bit-exact with pure interpretation.
+#[test]
+fn guard_misses_roll_back_bit_exactly() {
+    let w = smarq_workloads::late_entry_aliasing(12, 60, 6);
+    let mut interp = Interpreter::new();
+    assert_eq!(interp.run(&w.program, u64::MAX), RunOutcome::Halted);
+    let reference = interp.arch_state();
+    for (scheme, opt) in schemes() {
+        if opt.hw == HwKind::None {
+            continue;
+        }
+        for tier in [ExecTier::CycleSim, ExecTier::Functional] {
+            let mut cfg = SystemConfig::with_opt(opt.clone());
+            cfg.hot_threshold = 10;
+            cfg.exec_tier = tier;
+            cfg.tier_sample_interval = 1;
+            let mut sys = DynOptSystem::new(w.program.clone(), cfg);
+            sys.run_to_completion(u64::MAX);
+            let at = format!("{scheme} on {tier:?}");
+            assert_eq!(sys.interp().arch_state(), reference, "{at}");
+            let s = sys.stats();
+            assert!(s.rollbacks >= 1, "{at}: the late pointer must fault");
+            assert!(
+                s.guard_misses > 0,
+                "{at}: the faulting entry misses the guard"
+            );
+            assert_eq!(s.tier_samples, s.tier_fast_entries, "{at}");
+            assert_eq!(
+                s.tier_sample_mismatches, 0,
+                "{at}: {} of {} samples disagreed",
+                s.tier_sample_mismatches, s.tier_samples
+            );
+        }
     }
 }
 
