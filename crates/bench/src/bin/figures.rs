@@ -6,7 +6,7 @@
 //! `figures bench-json [OUT.json]` instead runs the before/after perf
 //! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
 //! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR30.json`). The convention: a PR
+//! JSON baseline (default `BENCH_PR31.json`). The convention: a PR
 //! claiming performance work commits the file this prints, named
 //! `BENCH_PR<n>.json`.
 
@@ -33,7 +33,7 @@ fn bench_json(out_path: &str) {
         comparisons.push(c);
     }
     eprintln!(
-        "measuring absolute dispatch + simulator + stand-in entry + guest memory + validator + analyzer + optimizer throughput ..."
+        "measuring absolute dispatch + simulator + stand-in entry + guest memory + validator + analyzer + optimizer + lowering throughput ..."
     );
     let (analyzer_region, analyzer_chain) = perf::measure_analyzer();
     let absolutes = vec![
@@ -45,6 +45,7 @@ fn bench_json(out_path: &str) {
         analyzer_region,
         analyzer_chain,
         perf::measure_optimizer_regions(),
+        perf::measure_lowering_regions(),
     ];
     for m in &absolutes {
         eprintln!("{}", m.line());
@@ -106,7 +107,7 @@ fn main() {
     if arg == "bench-json" {
         let out = std::env::args()
             .nth(2)
-            .unwrap_or_else(|| "BENCH_PR30.json".into());
+            .unwrap_or_else(|| "BENCH_PR31.json".into());
         bench_json(&out);
         return;
     }

@@ -20,7 +20,7 @@ use smarq_ir::{form_superblock, FormationParams, Superblock};
 use smarq_opt::fastcomp::{self, FastSim};
 use smarq_opt::{
     optimize_superblock, optimize_superblock_traced, optimize_superblock_traced_ranged,
-    AliasBlacklist, OptConfig, OptTrace,
+    AliasBlacklist, OptConfig, OptTrace, TranslationScratch,
 };
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_vliw::{
@@ -177,7 +177,8 @@ fn compare_executors(
         .next()
         .expect("hot loop must be translated before timing");
     let vliw = optimize_superblock(sb, &cfg.opt, &cfg.machine, sys.blacklist()).vliw;
-    let fast = fastcomp::compile_for(&vliw, &cfg.machine).expect("an emitted region lowers");
+    let fast = fastcomp::compile_for(&vliw, &cfg.machine, &mut TranslationScratch::new())
+        .expect("an emitted region lowers");
     let mask = RegionWriteMask::of(&vliw);
     let warm = || {
         let mut state = VliwState::new();
@@ -408,10 +409,11 @@ pub fn measure_standin_entry() -> Measurement {
         &cfg.opt,
         &cfg.machine,
         sys.blacklist(),
-        &mut AllocScratch::new(),
+        &mut TranslationScratch::new(),
         sys.assumed_entry(hot),
     );
-    let fast = fastcomp::compile_for(&opt.vliw, &cfg.machine).expect("an emitted region lowers");
+    let fast = fastcomp::compile_for(&opt.vliw, &cfg.machine, &mut TranslationScratch::new())
+        .expect("an emitted region lowers");
     let mut interp = Interpreter::new();
     interp.load_data(&program);
     let mut block = program.entry();
@@ -504,13 +506,13 @@ pub fn measure_validator_regions() -> Measurement {
 /// alias register allocation, and emission — over the regions
 /// [`measure_validator_regions`] forms, each with its assumed entry state,
 /// as the runtime translates them. One scratch serves every call, as one
-/// translation context's does.
+/// translating thread's does.
 pub fn measure_optimizer_regions() -> Measurement {
     let machine = MachineConfig::default();
     let opt_cfg = OptConfig::smarq(64);
     let regions = random_regions(&opt_cfg);
     let blacklist = AliasBlacklist::new();
-    let mut scratch = AllocScratch::new();
+    let mut scratch = TranslationScratch::new();
     let mut i = 0usize;
     time_fn("opt/random_region_optimize", move || {
         let (sb, entry) = &regions[i % regions.len()];
@@ -524,6 +526,41 @@ pub fn measure_optimizer_regions() -> Measurement {
             Some(entry),
         );
         opt.vliw.bundles.len()
+    })
+}
+
+/// Fast-tier lowering throughput (`crates/opt/src/fastcomp.rs`): one
+/// [`fastcomp::compile_for_in`] call per iteration over the emitted code
+/// of the [`measure_optimizer_regions`] regions, each optimized as the
+/// runtime translates it. One translation scratch serves every call, as
+/// one translating thread's does.
+pub fn measure_lowering_regions() -> Measurement {
+    let machine = MachineConfig::default();
+    let opt_cfg = OptConfig::smarq(64);
+    let blacklist = AliasBlacklist::new();
+    let mut scratch = TranslationScratch::new();
+    let programs: Vec<_> = random_regions(&opt_cfg)
+        .iter()
+        .map(|(sb, entry)| {
+            let (opt, _) = optimize_superblock_traced_ranged(
+                sb,
+                &opt_cfg,
+                &machine,
+                &blacklist,
+                &mut scratch,
+                Some(entry),
+            );
+            opt.vliw
+        })
+        .collect();
+    let mut i = 0usize;
+    time_fn("fastcomp/random_region_compile", move || {
+        let program = &programs[i % programs.len()];
+        i += 1;
+        fastcomp::compile_for(program, &machine, &mut scratch)
+            .expect("an emitted region lowers")
+            .ops()
+            .len()
     })
 }
 

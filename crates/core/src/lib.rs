@@ -66,6 +66,7 @@
 pub mod alloc;
 pub mod baseline;
 pub mod constraints;
+pub mod csr;
 pub mod deps;
 pub mod error;
 pub mod fault;

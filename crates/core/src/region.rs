@@ -13,6 +13,7 @@
 //! Everything else (non-memory instructions, values, addressing modes) is
 //! irrelevant here and stays in the front-end IR crate.
 
+use crate::csr::group_by_key;
 use crate::hash::{FastMap, FastSet};
 use crate::ids::MemOpId;
 use std::fmt;
@@ -120,6 +121,14 @@ impl RegionSpec {
     /// Creates an empty region.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty region with room for `ops` memory operations.
+    pub fn with_capacity(ops: usize) -> Self {
+        RegionSpec {
+            ops: Vec::with_capacity(ops),
+            ..Self::default()
+        }
     }
 
     /// Appends a memory operation in original program order and returns its
@@ -311,7 +320,9 @@ pub struct SealedRegion<'a> {
     eliminated: Vec<u64>,
     /// Op indices grouped by `loc_class` (classes in first-seen order;
     /// indices within a bucket ascending).
-    buckets: Vec<Vec<u32>>,
+    buckets: Vec<u32>,
+    /// `buckets[bucket_start[b]..bucket_start[b + 1]]` is bucket `b`.
+    bucket_start: Vec<u32>,
     /// Explicit overrides as sorted `(lo, hi, may)` triples.
     overrides: Vec<(u32, u32, bool)>,
     /// Unspeculatable op indices, sorted ascending.
@@ -323,29 +334,35 @@ impl<'a> SealedRegion<'a> {
         let n = spec.ops.len();
 
         // Bucket ops by loc_class (first-seen class order, ascending
-        // indices within each bucket).
-        let mut class_of: FastMap<u32, usize> = FastMap::default();
-        let mut buckets: Vec<Vec<u32>> = Vec::new();
-        for (i, op) in spec.ops.iter().enumerate() {
-            let b = *class_of.entry(op.loc_class).or_insert_with(|| {
-                buckets.push(Vec::new());
-                buckets.len() - 1
-            });
-            buckets[b].push(i as u32);
-        }
+        // indices within each bucket): number the classes as they are
+        // first seen, then group the ops by that number. The map starts
+        // with room for eight classes, so a region with at most that many
+        // allocates it once.
+        let mut class_of: FastMap<u32, u32> =
+            FastMap::with_capacity_and_hasher(n.min(8), Default::default());
+        let numbered: Vec<(u32, u32)> = (0..n as u32)
+            .zip(&spec.ops)
+            .map(|(i, op)| {
+                let next = class_of.len() as u32;
+                (*class_of.entry(op.loc_class).or_insert(next), i)
+            })
+            .collect();
+        let (mut bucket_start, mut buckets) = (Vec::new(), Vec::new());
+        group_by_key(class_of.len(), &numbered, &mut bucket_start, &mut buckets);
 
         // Default relation: within-bucket pairs alias. Cost is
         // Σ|bucket|² — output-sensitive, not n², when classes are spread;
         // one class covering every op sets every bit a word at a time.
         let pairs = n * n.saturating_sub(1) / 2;
         let mut alias_bits = vec![0u64; pairs.div_ceil(64)];
-        if buckets.len() == 1 {
+        if bucket_start.len() == 2 {
             alias_bits.fill(u64::MAX);
             if !pairs.is_multiple_of(64) {
                 *alias_bits.last_mut().expect("pairs > 0") = (1u64 << (pairs % 64)) - 1;
             }
         } else {
-            for bucket in &buckets {
+            for w in bucket_start.windows(2) {
+                let bucket = &buckets[w[0] as usize..w[1] as usize];
                 for (k, &i) in bucket.iter().enumerate() {
                     for &j in &bucket[k + 1..] {
                         let idx = Self::pair_index(n, i, j);
@@ -390,6 +407,7 @@ impl<'a> SealedRegion<'a> {
             alias_bits,
             eliminated,
             buckets,
+            bucket_start,
             overrides,
             nospec,
         }
@@ -441,8 +459,10 @@ impl<'a> SealedRegion<'a> {
     /// aliasing each other, ops in different slices default to not
     /// aliasing. Explicit [`overrides`](Self::overrides) punch holes in
     /// both directions.
-    pub fn class_buckets(&self) -> &[Vec<u32>] {
-        &self.buckets
+    pub fn class_buckets(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.bucket_start
+            .windows(2)
+            .map(|w| &self.buckets[w[0] as usize..w[1] as usize])
     }
 
     /// The explicit override triples `(lo, hi, may)`, sorted ascending,
@@ -557,7 +577,7 @@ mod tests {
             assert_eq!(sealed.is_eliminated(a), r.is_eliminated(a));
         }
         assert_eq!(sealed.len(), r.len());
-        let total: usize = sealed.class_buckets().iter().map(Vec::len).sum();
+        let total: usize = sealed.class_buckets().map(<[u32]>::len).sum();
         assert_eq!(total, r.len());
         assert_eq!(sealed.overrides().len(), 2);
     }

@@ -13,9 +13,9 @@
 use crate::oracle::schemes;
 use crate::outln;
 use smarq::range::NospecRanges;
-use smarq::{AllocScratch, Diagnostic, Severity};
+use smarq::{Diagnostic, Severity};
 use smarq_guest::Program;
-use smarq_opt::optimize_superblock_traced_ranged;
+use smarq_opt::{optimize_superblock_traced_ranged, TranslationScratch};
 use smarq_runtime::{DynOptSystem, SystemConfig};
 use smarq_verify::{check_trace_ranged, LintPolicy};
 use std::path::{Path, PathBuf};
@@ -89,7 +89,7 @@ pub fn lint_program_with(
     out: &mut Vec<Finding>,
 ) -> usize {
     let mut regions = 0;
-    let mut scratch = AllocScratch::new();
+    let mut scratch = TranslationScratch::new();
     // Whole-program dataflow once; each region is checked under its
     // proven entry state instead of the all-unknown default.
     let dataflow = smarq_verify::analyze_reference(program);

@@ -59,9 +59,9 @@
 //! machinery the single-guest layers cannot reach.
 
 use smarq::validate::validate_allocation;
-use smarq::{AllocScratch, Dep, DepGraph, MemOpId};
+use smarq::{Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
-use smarq_opt::{optimize_superblock_traced_ranged, OptConfig};
+use smarq_opt::{optimize_superblock_traced_ranged, OptConfig, TranslationScratch};
 use smarq_runtime::{
     run_multi_interleaved, DynOptSystem, GuestContext, HubConfig, StepExecutor, StopReason,
     SystemConfig, TranslationHub,
@@ -386,7 +386,7 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         range_entries,
         ..OracleReport::default()
     };
-    let mut scratch = AllocScratch::new();
+    let mut scratch = TranslationScratch::new();
     for (label, opt) in schemes() {
         let mut cfg = SystemConfig::with_opt(opt.clone());
         cfg.hot_threshold = params.hot_threshold;

@@ -22,7 +22,6 @@
 //! whose verdict on a pair starts from this relation. So a range-proven
 //! pair is disjoint to all of them at once.
 
-use crate::range::SbRanges;
 use crate::sblock::{IrOp, Superblock};
 use smarq::range::{Interval, ACCESS_BYTES};
 
@@ -113,18 +112,14 @@ impl AliasAnalysis {
         }
     }
 
-    /// [`AliasAnalysis::new`], sharpened by `ranges` (the result of
-    /// [`crate::analyze_superblock`] over the same `sb` from the region's
-    /// entry state): a may-alias pair whose address intervals are provably
-    /// disjoint becomes [`AliasRel::No`].
-    pub fn with_ranges(sb: &Superblock, ranges: &SbRanges) -> Self {
-        debug_assert_eq!(
-            ranges.addr.len(),
-            sb.ops.len(),
-            "ranges of another superblock"
-        );
+    /// [`AliasAnalysis::new`], sharpened by `addr`, the start-address
+    /// interval of every op of `sb` under the region's entry state
+    /// ([`crate::address_intervals`]): a may-alias pair whose address
+    /// intervals are provably disjoint becomes [`AliasRel::No`].
+    pub fn with_ranges(sb: &Superblock, addr: Vec<Option<Interval>>) -> Self {
+        debug_assert_eq!(addr.len(), sb.ops.len(), "intervals of another superblock");
         AliasAnalysis {
-            addr: ranges.addr.clone(),
+            addr,
             ..AliasAnalysis::new(sb)
         }
     }
@@ -335,7 +330,7 @@ mod tests {
 
     #[test]
     fn entry_ranges_disambiguate_different_bases() {
-        use crate::range::{analyze_superblock, analyze_superblock_top};
+        use crate::range::address_intervals;
         // r2 lies in [0x1000, 0x1038] and r3 is 0x1040 at entry: different
         // bases, so base+displacement says May, and the intervals say No
         // for the load at r3 but not for the one reaching back to 0x1000.
@@ -359,7 +354,7 @@ mod tests {
         let mut entry = smarq::range::top_state();
         entry[2] = Interval::of(0x1000, 0x1038);
         entry[3] = Interval::exact(0x1040);
-        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        let a = AliasAnalysis::with_ranges(&s, address_intervals(&s, &entry));
         assert_eq!(a.relation(0, 1), AliasRel::No);
         assert_eq!(a.relation(1, 0), AliasRel::No);
         assert_eq!(a.relation(0, 2), AliasRel::May);
@@ -367,7 +362,7 @@ mod tests {
         assert_eq!(a.relation(1, 2), AliasRel::No);
         // No entry state, or an unknown one, proves nothing new.
         assert_eq!(AliasAnalysis::new(&s).relation(0, 1), AliasRel::May);
-        let top = AliasAnalysis::with_ranges(&s, &analyze_superblock_top(&s));
+        let top = AliasAnalysis::with_ranges(&s, address_intervals(&s, &smarq::range::top_state()));
         assert_eq!(top.relation(0, 1), AliasRel::May);
     }
 

@@ -34,7 +34,7 @@ mod unroll;
 pub use alias::{AliasAnalysis, AliasRel, MemRef};
 pub use form::{form_superblock, FormationParams};
 pub use range::{
-    analyze_superblock, analyze_superblock_top, apply_alu, bottom_state, nospec_taint, SbRanges,
+    address_intervals, analyze_superblock, apply_alu, bottom_state, nospec_taint, SbRanges,
 };
 pub use regionmap::{build_region_spec, RegionMap};
 pub use sblock::{IrExit, IrOp, OpOrigin, Superblock};

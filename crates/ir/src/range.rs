@@ -18,7 +18,7 @@
 //! heuristic.
 
 use crate::sblock::{IrOp, Superblock};
-use smarq::range::{top_state, Interval, NospecRanges, RegState};
+use smarq::range::{Interval, NospecRanges, RegState};
 use smarq_guest::AluOp;
 
 /// Sound abstract counterpart of [`AluOp::apply`] (wrapping semantics:
@@ -64,12 +64,32 @@ pub fn bottom_state() -> RegState {
 /// temporaries (`32..`) are reset to ⊤ regardless of what `entry` says,
 /// since no value flows into a region through them.
 pub fn analyze_superblock(sb: &Superblock, entry: &RegState) -> SbRanges {
+    let mut exit_states = vec![bottom_state(); sb.exits.len()];
+    let addr = transfer(sb, entry, |exit_id, state| {
+        smarq::range::join_state(&mut exit_states[exit_id as usize], state);
+    });
+    SbRanges { addr, exit_states }
+}
+
+/// The address intervals of [`analyze_superblock`] alone
+/// ([`SbRanges::addr`]), without the exit states, which only the chain
+/// analysis reads.
+pub fn address_intervals(sb: &Superblock, entry: &RegState) -> Vec<Option<Interval>> {
+    transfer(sb, entry, |_, _| {})
+}
+
+/// The interval transfer: the start-address interval of every op, with
+/// the register state at each exit handed to `at_exit`.
+fn transfer(
+    sb: &Superblock,
+    entry: &RegState,
+    mut at_exit: impl FnMut(u32, &RegState),
+) -> Vec<Option<Interval>> {
     let mut state = *entry;
     for r in state.iter_mut().skip(32) {
         *r = Interval::TOP;
     }
     let mut addr = Vec::with_capacity(sb.ops.len());
-    let mut exit_states = vec![bottom_state(); sb.exits.len()];
     for op in &sb.ops {
         addr.push(
             op.mem_addr()
@@ -89,10 +109,7 @@ pub fn analyze_superblock(sb: &Superblock, entry: &RegState) -> SbRanges {
             // Values entering the integer file from memory or the FP file
             // are unconstrained.
             IrOp::FtoI { rd, .. } | IrOp::Ld { rd, .. } => state[rd as usize & 63] = Interval::TOP,
-            IrOp::Exit { exit_id, .. } => {
-                let slot = &mut exit_states[exit_id as usize];
-                smarq::range::join_state(slot, &state);
-            }
+            IrOp::Exit { exit_id, .. } => at_exit(exit_id, &state),
             IrOp::FConst { .. }
             | IrOp::Fpu { .. }
             | IrOp::FCopy { .. }
@@ -102,36 +119,28 @@ pub fn analyze_superblock(sb: &Superblock, entry: &RegState) -> SbRanges {
             | IrOp::FSt { .. } => {}
         }
     }
-    SbRanges { addr, exit_states }
+    addr
 }
 
 /// Per-op *taint*: `true` when the op is a memory operation whose access
 /// (word footprint) can touch a configured unspeculatable range given the
-/// derived address intervals. Tainted ops must never be reordered,
+/// derived address intervals `addr` ([`address_intervals`]). Tainted ops must never be reordered,
 /// eliminated, or given P/C bits. With an unknown entry state
 /// (`top_state`) every memory op is tainted — the sound fallback.
-pub fn nospec_taint(sb: &Superblock, ranges: &SbRanges, nospec: &NospecRanges) -> Vec<bool> {
+pub fn nospec_taint(addr: &[Option<Interval>], nospec: &NospecRanges) -> Vec<bool> {
     if nospec.is_empty() {
-        return vec![false; sb.ops.len()];
+        return vec![false; addr.len()];
     }
-    ranges
-        .addr
-        .iter()
+    addr.iter()
         .map(|a| a.is_some_and(|iv| nospec.intersects_access(iv)))
         .collect()
-}
-
-/// [`analyze_superblock`] from the unconstrained entry state — what the
-/// optimizer uses when no whole-program dataflow result is available.
-pub fn analyze_superblock_top(sb: &Superblock) -> SbRanges {
-    analyze_superblock(sb, &top_state())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sblock::{IrExit, OpOrigin};
-    use smarq::range::zeroed_state;
+    use smarq::range::{top_state, zeroed_state};
     use smarq_guest::BlockId;
 
     fn sb(ops: Vec<IrOp>) -> Superblock {
@@ -217,14 +226,14 @@ mod tests {
         ]);
         let ranges = analyze_superblock(&s, &zeroed_state());
         let nospec = NospecRanges::parse("0x1100..0x1108").unwrap();
-        let taint = nospec_taint(&s, &ranges, &nospec);
+        let taint = nospec_taint(&ranges.addr, &nospec);
         assert_eq!(taint, vec![false, false, true, false]);
-        assert!(nospec_taint(&s, &ranges, &NospecRanges::none())
+        assert!(nospec_taint(&ranges.addr, &NospecRanges::none())
             .iter()
             .all(|&t| !t));
         // In-superblock constants pin the address even from ⊤ entry.
-        let top = analyze_superblock_top(&s);
-        assert_eq!(nospec_taint(&s, &top, &nospec), taint);
+        let top = address_intervals(&s, &top_state());
+        assert_eq!(nospec_taint(&top, &nospec), taint);
         // An entry-dependent base is only tainted when entry is unknown.
         let s2 = sb(vec![IrOp::Ld {
             rd: 2,
@@ -232,8 +241,8 @@ mod tests {
             disp: 0,
         }]);
         let zero = analyze_superblock(&s2, &zeroed_state());
-        assert_eq!(nospec_taint(&s2, &zero, &nospec), vec![false, false]);
-        let t2 = nospec_taint(&s2, &analyze_superblock_top(&s2), &nospec);
+        assert_eq!(nospec_taint(&zero.addr, &nospec), vec![false, false]);
+        let t2 = nospec_taint(&address_intervals(&s2, &top_state()), &nospec);
         assert_eq!(t2, vec![true, false]);
     }
 

@@ -52,8 +52,9 @@ impl RegionMap {
 /// Eliminations are recorded by the optimizer afterwards via
 /// [`RegionSpec::add_load_elim`]/[`RegionSpec::add_store_elim`].
 pub fn build_region_spec(sb: &Superblock, analysis: &AliasAnalysis) -> (RegionSpec, RegionMap) {
-    let mut spec = RegionSpec::new();
-    let op_index: Vec<usize> = (0..sb.ops.len()).filter(|&i| sb.ops[i].is_mem()).collect();
+    let mut op_index: Vec<usize> = Vec::with_capacity(sb.ops.iter().filter(|o| o.is_mem()).count());
+    op_index.extend((0..sb.ops.len()).filter(|&i| sb.ops[i].is_mem()));
+    let mut spec = RegionSpec::with_capacity(op_index.len());
     let class = analysis.range_classes(&op_index);
     let mut mem_id = vec![None; sb.ops.len()];
     for (&i, &c) in op_index.iter().zip(&class) {
@@ -145,7 +146,7 @@ mod tests {
 
     #[test]
     fn range_classes_keep_the_relation_and_split_the_buckets() {
-        use crate::range::analyze_superblock;
+        use crate::range::address_intervals;
         use smarq::range::{top_state, Interval};
         // r2 = 0x1000 and r3 = 0x1004 overlap a word; r4 = 0x2000 is apart.
         let st = |base, disp| IrOp::St { rs: 1, base, disp };
@@ -155,7 +156,7 @@ mod tests {
         entry[2] = Interval::exact(0x1000);
         entry[3] = Interval::exact(0x1004);
         entry[4] = Interval::exact(0x2000);
-        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        let a = AliasAnalysis::with_ranges(&s, address_intervals(&s, &entry));
         let (spec, map) = build_region_spec(&s, &a);
         for x in 0..map.len() {
             for y in (x + 1)..map.len() {
@@ -169,7 +170,7 @@ mod tests {
         assert_eq!(spec.sealed().class_buckets().len(), 3);
         // One op of unknown address puts every op back in one class.
         entry[4] = Interval::TOP;
-        let a = AliasAnalysis::with_ranges(&s, &analyze_superblock(&s, &entry));
+        let a = AliasAnalysis::with_ranges(&s, address_intervals(&s, &entry));
         let (spec, _) = build_region_spec(&s, &a);
         assert_eq!(spec.sealed().class_buckets().len(), 1);
     }

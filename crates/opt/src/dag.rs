@@ -16,6 +16,7 @@
 use crate::config::OptConfig;
 use crate::elim::Eliminations;
 use crate::pairs::{PairPolicy, Verdict};
+use smarq::csr::group_by_key;
 use smarq::{DepGraph, DepKind};
 use smarq_ir::{AliasRel, IrOp, RegionMap, Superblock};
 use smarq_vliw::{HwKind, MachineConfig};
@@ -30,10 +31,18 @@ pub struct WorkList {
     pub orig: Vec<usize>,
 }
 
-/// Builds the work list from the superblock and the elimination outcome.
-pub fn build_work_list(sb: &Superblock, elims: &Eliminations) -> WorkList {
-    let mut ops = Vec::with_capacity(sb.ops.len());
-    let mut orig = Vec::with_capacity(sb.ops.len());
+/// Builds the work list from the superblock and the elimination outcome,
+/// into buffers recycled from `scratch` (hand the list back with
+/// [`DagScratch::recycle_work_list`]).
+pub fn build_work_list(
+    sb: &Superblock,
+    elims: &Eliminations,
+    scratch: &mut DagScratch,
+) -> WorkList {
+    let mut ops = std::mem::take(&mut scratch.work_ops);
+    let mut orig = std::mem::take(&mut scratch.work_orig);
+    ops.clear();
+    orig.clear();
     for (i, op) in sb.ops.iter().enumerate() {
         if elims.removed[i] {
             continue;
@@ -42,6 +51,35 @@ pub fn build_work_list(sb: &Superblock, elims: &Eliminations) -> WorkList {
         orig.push(i);
     }
     WorkList { ops, orig }
+}
+
+/// Working memory of the work list and the DAG, reused across regions:
+/// the construction's temporaries, and the arrays of the last
+/// [`WorkList`] and [`Dag`] once they are handed back.
+#[derive(Clone, Debug, Default)]
+pub struct DagScratch {
+    work_ops: Vec<IrOp>,
+    work_orig: Vec<usize>,
+    edges: Vec<(u32, (u32, u32))>,
+    use_pool: Vec<(u32, u32)>,
+    node: Vec<usize>,
+    loads: Vec<usize>,
+    alat_advanced: Vec<bool>,
+    spec_edges: Vec<(u32, u32)>,
+    dag: Option<Dag>,
+}
+
+impl DagScratch {
+    /// Takes back the arrays of a work list that is no longer needed.
+    pub fn recycle_work_list(&mut self, work: WorkList) {
+        self.work_ops = work.ops;
+        self.work_orig = work.orig;
+    }
+
+    /// Takes back the arrays of a DAG that is no longer needed.
+    pub fn recycle_dag(&mut self, dag: Dag) {
+        self.dag = Some(dag);
+    }
 }
 
 /// The dependence DAG in compressed sparse row form: one flat edge array
@@ -90,30 +128,6 @@ impl Dag {
         let span = self.spec_start[k] as usize..self.spec_start[k + 1] as usize;
         self.spec[span].iter().map(|&a| a as usize)
     }
-}
-
-/// Groups `(key, value)` items by key, keeping their order within a key:
-/// `start[k]..start[k + 1]` indexes key `k`'s values in the returned
-/// array. One counting pass and one scatter.
-fn group_by_key<T: Copy + Default>(keys: usize, items: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; keys + 1];
-    for &(k, _) in items {
-        start[k as usize + 1] += 1;
-    }
-    for k in 0..keys {
-        start[k + 1] += start[k];
-    }
-    let mut values = vec![T::default(); items.len()];
-    // Scatter with `start[k]` as key `k`'s cursor; each cursor ends at
-    // the next key's start, so shifting restores the offsets.
-    for &(k, v) in items {
-        let at = &mut start[k as usize];
-        values[*at as usize] = v;
-        *at += 1;
-    }
-    start.copy_within(0..keys, 1);
-    start[0] = 0;
-    (start, values)
 }
 
 /// Latency of the value an op produces (order-only ops get 1).
@@ -168,6 +182,9 @@ fn droppable(a: &IrOp, b: &IrOp, config: &OptConfig) -> bool {
 /// dependence, so tainted accesses execute in exact program order
 /// (MMIO-style side effects make even re-ordered reads unsafe) and never
 /// need alias-register bits.
+///
+/// The DAG's arrays come from `scratch` (hand the DAG back with
+/// [`DagScratch::recycle_dag`]).
 pub fn build_dag(
     work: &WorkList,
     deps: &DepGraph,
@@ -175,11 +192,31 @@ pub fn build_dag(
     pairs: &PairPolicy,
     config: &OptConfig,
     machine: &MachineConfig,
+    scratch: &mut DagScratch,
 ) -> Dag {
     let n = work.ops.len();
+    let mut dag = scratch.dag.take().unwrap_or_else(|| Dag {
+        succ_start: Vec::new(),
+        succs: Vec::new(),
+        pred_count: Vec::new(),
+        spec_start: Vec::new(),
+        spec: Vec::new(),
+        priority: Vec::new(),
+    });
+    let DagScratch {
+        edges,
+        use_pool,
+        node,
+        loads,
+        alat_advanced,
+        spec_edges: spec,
+        ..
+    } = scratch;
     // `(src, (dst, delay))` hard edges in the order they are found.
-    let mut edges: Vec<(u32, (u32, u32))> = Vec::with_capacity(4 * n);
-    let mut pred_count = vec![0u32; n];
+    edges.clear();
+    let pred_count = &mut dag.pred_count;
+    pred_count.clear();
+    pred_count.resize(n, 0);
     let mut add = |src: usize, dst: usize, delay: u64| {
         debug_assert!(src < dst, "edges must run forward");
         edges.push((src as u32, (dst as u32, delay as u32)));
@@ -193,7 +230,7 @@ pub fn build_dag(
     const NIL: u32 = u32::MAX;
     let mut last_def: [[Option<usize>; 64]; 2] = [[None; 64]; 2];
     let mut use_head = [[NIL; 64]; 2];
-    let mut use_pool: Vec<(u32, u32)> = Vec::with_capacity(2 * n);
+    use_pool.clear();
     // Exit barriers.
     let mut last_barrier: Option<usize> = None;
 
@@ -240,8 +277,9 @@ pub fn build_dag(
     }
 
     // Memory dependences. `node[id]` is the work index of memory op `id`.
-    let mut node = vec![usize::MAX; map.len()];
-    let mut loads = Vec::new();
+    node.clear();
+    node.resize(map.len(), usize::MAX);
+    loads.clear();
     for (k, op) in work.ops.iter().enumerate() {
         if op.is_mem() {
             let id = map.mem_id(work.orig[k]).expect("memory op has a region id");
@@ -258,10 +296,11 @@ pub fn build_dag(
     // first ALAT_CAPACITY loads that could benefit become advanced loads;
     // the rest keep their hard edges.
     const ALAT_CAPACITY: usize = 32;
-    let mut alat_advanced: Vec<bool> = vec![false; n];
+    alat_advanced.clear();
+    alat_advanced.resize(n, false);
     if config.hw == HwKind::Alat {
         let mut count = 0usize;
-        for &l in &loads {
+        for &l in loads.iter() {
             if pinned(l) {
                 continue; // pinned loads never advance
             }
@@ -278,7 +317,7 @@ pub fn build_dag(
         }
     }
     // `(later, earlier)` dropped may-alias edges.
-    let mut spec: Vec<(u32, u32)> = Vec::new();
+    spec.clear();
     for d in deps.iter().filter(|d| d.kind == DepKind::Plain) {
         let (a, b) = (node[d.src.index()], node[d.dst.index()]);
         // A pinned op's dependences include disjoint and must-alias pairs;
@@ -295,23 +334,17 @@ pub fn build_dag(
     // Unspeculatable dependences need a store, but a pinned load keeps
     // program order against every other load too.
     for &t in loads.iter().filter(|&&l| pinned(l)) {
-        for &b in &loads {
+        for &b in loads.iter() {
             if b != t && !(pinned(b) && b < t) {
                 add(t.min(b), t.max(b), 0);
             }
         }
     }
 
-    let (succ_start, succs) = group_by_key(n, &edges);
-    let (spec_start, spec) = group_by_key(n, &spec);
-    let mut dag = Dag {
-        succ_start,
-        succs,
-        pred_count,
-        spec_start,
-        spec,
-        priority: vec![0; n],
-    };
+    group_by_key(n, edges, &mut dag.succ_start, &mut dag.succs);
+    group_by_key(n, spec, &mut dag.spec_start, &mut dag.spec);
+    dag.priority.clear();
+    dag.priority.resize(n, 0);
     // Critical-path priorities over hard edges (edges run forward, so a
     // reverse index sweep is a reverse-topological traversal).
     for k in (0..n).rev() {
@@ -384,7 +417,7 @@ mod tests {
             }
         }
         let deps = DepGraph::compute(&spec);
-        let work = build_work_list(sb, &no_elims(sb));
+        let work = build_work_list(sb, &no_elims(sb), &mut Default::default());
         let dag = build_dag(
             &work,
             &deps,
@@ -392,6 +425,7 @@ mod tests {
             &pairs,
             config,
             &MachineConfig::default(),
+            &mut Default::default(),
         );
         (work, dag)
     }
@@ -560,7 +594,7 @@ mod tests {
             nonspec_elims: 1,
         };
         elims.replaced[1] = Some(IrOp::Copy { rd: 3, ra: 2 });
-        let work = build_work_list(&sb, &elims);
+        let work = build_work_list(&sb, &elims, &mut Default::default());
         assert_eq!(work.ops.len(), 3);
         assert_eq!(work.ops[1], IrOp::Copy { rd: 3, ra: 2 });
         assert_eq!(work.orig[1], 1);

@@ -19,48 +19,11 @@ use crate::config::OptConfig;
 use crate::dag::WorkList;
 use crate::pairs::PairPolicy;
 use crate::sched::ScheduleResult;
-use smarq::alloc::{AliasCode, Allocation, AmovInsn};
+use smarq::alloc::{AliasCode, Allocation};
 use smarq_ir::{AliasRel, IrOp, RegionMap, Superblock};
 use smarq_vliw::{
     AliasAnnot, Bundle, CondExit, ExitTarget, HwKind, MachineConfig, VliwOp, VliwProgram,
 };
-
-#[derive(Default)]
-struct SmarqGroup {
-    amovs: Vec<AmovInsn>,
-    annot: Option<(bool, bool, u32)>,
-    rotates: Vec<u32>,
-}
-
-fn smarq_groups(alloc: &Allocation) -> Vec<SmarqGroup> {
-    let mut groups: Vec<SmarqGroup> = Vec::new();
-    let mut pending: Vec<AmovInsn> = Vec::new();
-    for c in alloc.code() {
-        match *c {
-            AliasCode::Amov(a) => pending.push(a),
-            AliasCode::Op {
-                p_bit,
-                c_bit,
-                offset,
-                ..
-            } => {
-                groups.push(SmarqGroup {
-                    amovs: std::mem::take(&mut pending),
-                    annot: offset.map(|o| (p_bit, c_bit, o.value())),
-                    rotates: Vec::new(),
-                });
-            }
-            AliasCode::Rotate(r) => {
-                groups
-                    .last_mut()
-                    .expect("rotation always follows a memory op")
-                    .rotates
-                    .push(r.amount);
-            }
-        }
-    }
-    groups
-}
 
 /// Efficeon annotation plan: a physical bit-mask register per checked op
 /// (assigned by linear scan over its live range) and the exact check mask
@@ -240,14 +203,17 @@ fn translate(op: &IrOp, alias: AliasAnnot, tag: u32) -> VliwOp {
     }
 }
 
-/// Greedy in-order bundling for the machine's slot mix.
-fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
-    let mut bundles = Vec::new();
-    let mut cur = Bundle::default();
+/// Greedy in-order bundling for the machine's slot mix: an op joins the
+/// current bundle while a slot of its class is free and none of its
+/// sources are defined within the bundle. The bundle boundaries are found
+/// first (into the reused
+/// `ends`), so every bundle is allocated once at its final size.
+fn pack(vops: &[VliwOp], machine: &MachineConfig, ends: &mut Vec<usize>) -> Vec<Bundle> {
+    ends.clear();
     let (mut mem, mut fpu, mut alu) = (machine.mem_slots, machine.fpu_slots, machine.alu_slots);
     let mut int_defs = [false; 64];
     let mut fp_defs = [false; 64];
-    for op in vops {
+    for (k, op) in vops.iter().enumerate() {
         let slot = match op.slot_class() {
             smarq_vliw::SlotClass::Mem => &mut mem,
             smarq_vliw::SlotClass::Fpu => &mut fpu,
@@ -256,7 +222,7 @@ fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
         let raw_conflict = op.int_sources().iter().any(|&r| int_defs[r as usize])
             || op.fp_sources().iter().any(|&r| fp_defs[r as usize]);
         if *slot == 0 || raw_conflict {
-            bundles.push(std::mem::take(&mut cur));
+            ends.push(k);
             mem = machine.mem_slots;
             fpu = machine.fpu_slots;
             alu = machine.alu_slots;
@@ -276,15 +242,32 @@ fn pack(vops: Vec<VliwOp>, machine: &MachineConfig) -> Vec<Bundle> {
         if let Some(r) = op.fp_def() {
             fp_defs[r as usize] = true;
         }
-        cur.ops.push(op);
     }
-    if !cur.ops.is_empty() {
-        bundles.push(cur);
+    if !vops.is_empty() {
+        ends.push(vops.len());
     }
-    bundles
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let ops = vops[start..end].to_vec();
+            start = end;
+            Bundle { ops }
+        })
+        .collect()
 }
 
-/// Emits the final annotated, bundled region.
+/// Working memory of [`emit`], reused across regions.
+#[derive(Clone, Debug, Default)]
+pub struct EmitScratch {
+    /// The annotated ops in schedule order.
+    vops: Vec<VliwOp>,
+    /// The bundle boundaries.
+    ends: Vec<usize>,
+}
+
+/// Emits the final annotated, bundled region, building it in the reusable
+/// buffers of `scratch`.
+#[allow(clippy::too_many_arguments)]
 pub fn emit(
     sb: &Superblock,
     pairs: &PairPolicy,
@@ -293,11 +276,15 @@ pub fn emit(
     config: &OptConfig,
     machine: &MachineConfig,
     map: &RegionMap,
+    scratch: &mut EmitScratch,
 ) -> VliwProgram {
-    let groups = (config.hw == HwKind::Smarq)
-        .then(|| sched.allocation.as_ref().map(smarq_groups))
-        .flatten()
-        .unwrap_or_default();
+    // SMARQ: the allocation's code lists, per memory op in schedule
+    // order, the AMOVs to insert before it, its annotation and the
+    // rotations after it; `code` is the cursor into it.
+    let mut code: &[AliasCode] = match (config.hw, &sched.allocation) {
+        (HwKind::Smarq, Some(alloc)) => alloc.code(),
+        _ => &[],
+    };
     let alat = (config.hw == HwKind::Alat).then(|| alat_plan(pairs, work, &sched.linear));
     let efficeon = (config.hw == HwKind::Efficeon)
         .then(|| {
@@ -313,8 +300,8 @@ pub fn emit(
         })
         .flatten();
 
-    let mut vops = Vec::with_capacity(sched.linear.len() + groups.len());
-    let mut mem_seq = 0usize;
+    let vops = &mut scratch.vops;
+    vops.clear();
     for &k in &sched.linear {
         let op = &work.ops[k];
         if op.is_mem() {
@@ -322,21 +309,41 @@ pub fn emit(
                 .mem_id(work.orig[k])
                 .expect("live memory op has a region id")
                 .index() as u32;
-            let mut rotates: &[u32] = &[];
             let annot = match config.hw {
-                HwKind::Smarq => {
-                    let g = &groups[mem_seq];
-                    for a in &g.amovs {
-                        vops.push(VliwOp::Amov {
-                            src: a.src_offset.value(),
-                            dst: a.dst_offset.value(),
-                        });
+                HwKind::Smarq => loop {
+                    match code.split_first() {
+                        Some((&AliasCode::Amov(a), rest)) => {
+                            vops.push(VliwOp::Amov {
+                                src: a.src_offset.value(),
+                                dst: a.dst_offset.value(),
+                            });
+                            code = rest;
+                        }
+                        Some((
+                            &AliasCode::Op {
+                                p_bit,
+                                c_bit,
+                                offset,
+                                ..
+                            },
+                            rest,
+                        )) => {
+                            code = rest;
+                            break offset
+                                .map(|o| AliasAnnot::Smarq {
+                                    p: p_bit,
+                                    c: c_bit,
+                                    offset: o.value(),
+                                })
+                                .unwrap_or(AliasAnnot::None);
+                        }
+                        Some((AliasCode::Rotate(_), _)) => {
+                            unreachable!("rotation always follows a memory op")
+                        }
+                        // Without an allocation no op is annotated.
+                        None => break AliasAnnot::None,
                     }
-                    rotates = &g.rotates;
-                    g.annot
-                        .map(|(p, c, offset)| AliasAnnot::Smarq { p, c, offset })
-                        .unwrap_or(AliasAnnot::None)
-                }
+                },
                 HwKind::Alat => alat
                     .as_ref()
                     .and_then(|p| p.set_entry[k])
@@ -357,15 +364,15 @@ pub fn emit(
                 _ => AliasAnnot::None,
             };
             vops.push(translate(op, annot, tag));
-            for &amount in rotates {
-                vops.push(VliwOp::Rotate { amount });
+            while let Some((&AliasCode::Rotate(r), rest)) = code.split_first() {
+                vops.push(VliwOp::Rotate { amount: r.amount });
+                code = rest;
             }
             if let Some(plan) = &alat {
                 for &entry in &plan.clear_after[k] {
                     vops.push(VliwOp::AlatClear { entry });
                 }
             }
-            mem_seq += 1;
         } else {
             vops.push(translate(op, AliasAnnot::None, 0));
         }
@@ -380,7 +387,7 @@ pub fn emit(
         .collect();
 
     VliwProgram {
-        bundles: pack(vops, machine),
+        bundles: pack(vops, machine, &mut scratch.ends),
         exits,
     }
 }
@@ -408,7 +415,7 @@ mod tests {
                 imm: 1,
             },
         ];
-        let bundles = pack(vops, &m);
+        let bundles = pack(&vops, &m, &mut Vec::new());
         assert_eq!(bundles.len(), 3);
 
         // Independent ops pack together.
@@ -417,7 +424,7 @@ mod tests {
             VliwOp::IConst { rd: 2, value: 2 },
             VliwOp::FConst { fd: 1, value: 1.0 },
         ];
-        let bundles = pack(vops, &m);
+        let bundles = pack(&vops, &m, &mut Vec::new());
         assert_eq!(bundles.len(), 1);
     }
 
@@ -432,7 +439,7 @@ mod tests {
             tag: 0,
         };
         let vops = vec![ld(1, 10), ld(2, 11), ld(3, 12)];
-        let bundles = pack(vops, &m);
+        let bundles = pack(&vops, &m, &mut Vec::new());
         assert_eq!(bundles.len(), 2);
         assert_eq!(bundles[0].ops.len(), 2);
     }

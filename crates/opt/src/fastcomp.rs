@@ -16,6 +16,14 @@
 //!   sequentially in slot order either way, so the fast stream drops
 //!   them entirely, along with `Nop` padding and everything after the
 //!   first unconditional exit (statically unreachable).
+//! * **Plan-free lowering**: a region with no alias annotation and no
+//!   `Rotate`, `Amov` or `AlatClear` (every region of the churn
+//!   benchmark, for one) skips the hardware replay and the guard: it
+//!   gets the empty plan, the empty guard and inert memory ops that examine nothing, which is what the replay would
+//!   compute for it.
+//! * **Reused buffers**: [`compile_for`] lowers through a
+//!   [`TranslationScratch`]'s buffers, so only the [`FastProgram`] it
+//!   returns allocates.
 //! * **Fault-free fast path**: a region whose annotations can never
 //!   raise an alias exception ([`FastProgram::can_fault`] false) skips
 //!   the register checkpoint *and* the store-undo log — commit is a
@@ -54,11 +62,12 @@
 //! on this workload the indirect call per op costs more than the match
 //! dispatch, and the array keeps the whole region in two cache lines.
 
+use crate::TranslationScratch;
 use smarq_guest::{AluOp, CmpOp, Memory};
 use smarq_vliw::{
     enforce_alias_bounds, entry_stamps, AliasAnnot, AliasViolation, AnyAliasHw, CondExit,
-    EfficeonHw, HwKind, MachineConfig, MemRange, RegionOutcome, RegionStats, RegionWriteMask,
-    SimError, VliwOp, VliwProgram, VliwState, SMARQ_MAX_REGS,
+    EfficeonHw, EntryStamp, HwKind, MachineConfig, MemRange, RegionOutcome, RegionStats,
+    RegionWriteMask, SimError, VliwOp, VliwProgram, VliwState, SMARQ_MAX_REGS,
 };
 
 /// One op of the fast-functional stream: a [`VliwOp`] as emitted, or one
@@ -363,7 +372,26 @@ struct MemOpPlan {
     check: Option<Check>,
 }
 
+impl MemOpPlan {
+    /// An op that checks nothing and is checked by nothing.
+    const INERT: MemOpPlan = MemOpPlan {
+        examined: 0,
+        check: None,
+    };
+}
+
 impl QueuePlan {
+    /// The plan of a region with no alias hardware to replay.
+    fn empty() -> QueuePlan {
+        QueuePlan {
+            kind: HwKind::None,
+            tags: Box::default(),
+            producers: Box::default(),
+            max_reg: None,
+            max_rotation: 0,
+        }
+    }
+
     /// Replays the region's alias hardware over its emitted ops. The
     /// scheme comes from the annotations: SMARQ annotations, `Rotate` or
     /// `Amov` mean SMARQ; Efficeon annotations Efficeon; `AlatSet` or
@@ -536,6 +564,14 @@ struct Guard {
 }
 
 impl Guard {
+    /// The guard of a region that cannot fault: it clears every entry.
+    fn empty() -> Guard {
+        Guard {
+            groups: Box::default(),
+            deltas: Box::default(),
+        }
+    }
+
     /// The guard of the region whose executable ops are `emitted`, with
     /// the per-memory-op plans `mem_plans` over the plan's `producers`:
     /// `None` when some planned op addresses through a base register an
@@ -663,12 +699,25 @@ impl FastProgram {
     }
 }
 
-/// [`compile_for`] on the default machine.
+/// Working memory of [`compile_for`], reused across regions.
+#[derive(Clone, Debug, Default)]
+pub struct LowerScratch {
+    /// The ops an entry can execute.
+    emitted: Vec<VliwOp>,
+    /// Their timing stamps.
+    stamps: Vec<EntryStamp>,
+}
+
+/// [`compile_for`] on the default machine, with a fresh scratch.
 ///
 /// # Errors
 /// As [`compile_for`].
 pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
-    compile_for(program, &MachineConfig::default())
+    compile_for(
+        program,
+        &MachineConfig::default(),
+        &mut TranslationScratch::new(),
+    )
 }
 
 /// Lowers an emitted region into a [`FastProgram`] for `machine`, whose
@@ -680,7 +729,8 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
 /// exit, and the alias annotations must target one scheme within its
 /// widest file (the emitter guarantees all of this for well-formed
 /// regions). The region's alias hardware (`QueuePlan`), timing
-/// ([`entry_stamps`]) and work counters are compiled out here too.
+/// ([`smarq_vliw::entry_stamps`]) and work counters are compiled out here
+/// too, in the reusable buffers of `scratch`.
 ///
 /// # Errors
 /// [`SimError::BadExitId`] for an out-of-range exit,
@@ -692,11 +742,13 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
 pub fn compile_for(
     program: &VliwProgram,
     machine: &MachineConfig,
+    scratch: &mut TranslationScratch,
 ) -> Result<FastProgram, SimError> {
+    let LowerScratch { emitted, stamps } = &mut scratch.lower;
     // The ops an entry can execute, in slot order: every non-`Nop` op up
     // to and including the first unconditional exit. An entry that
     // executed `n` of them ended at `emitted[n - 1]`.
-    let mut emitted = Vec::with_capacity(program.op_count());
+    emitted.clear();
     'bundles: for bundle in &program.bundles {
         for &op in &bundle.ops {
             match op {
@@ -721,9 +773,27 @@ pub fn compile_for(
     // of bounds-checking each access; the timing pass rejects wider
     // indices here, where the op stream is born, which makes the mask a
     // no-op.
-    let stamps = entry_stamps(program, machine)?;
-    let (plan, mem_plans) = QueuePlan::build(&emitted)?;
-    let guard = Guard::build(&emitted, &mem_plans, &plan.producers);
+    entry_stamps(program, machine, stamps)?;
+    let emitted = &emitted[..];
+    // A region with no alias annotation and no queue management op plans
+    // nothing: the replay would find no scheme, no check and no producer,
+    // and leave every memory op inert with nothing examined.
+    let plan_free = emitted.iter().all(|op| op.alias_kind() == HwKind::None);
+    let (plan, mem_plans, guard) = if plan_free {
+        (QueuePlan::empty(), Vec::new(), Some(Guard::empty()))
+    } else {
+        let (plan, mem_plans) = QueuePlan::build(emitted)?;
+        let guard = Guard::build(emitted, &mem_plans, &plan.producers);
+        (plan, mem_plans, guard)
+    };
+    // The plan of each memory op in stream order.
+    let plans = || {
+        let mut mem_plan = mem_plans.iter();
+        move || match plan_free {
+            true => MemOpPlan::INERT,
+            false => *mem_plan.next().expect("one plan per memory op"),
+        }
+    };
 
     // The work counters of an entry that ends at each op. Only a fault
     // ends an entry at a memory op, and a check that hits adds nothing to
@@ -731,8 +801,8 @@ pub fn compile_for(
     // position on.
     let mut stats = Vec::with_capacity(emitted.len());
     let mut so_far = RegionStats::default();
-    let mut mem_plan = mem_plans.iter();
-    for (op, stamp) in emitted.iter().zip(&stamps) {
+    let mut next_plan = plans();
+    for (op, stamp) in emitted.iter().zip(stamps.iter()) {
         so_far.ops += 1;
         so_far.cycles = stamp.cycles;
         so_far.bundles = stamp.bundles;
@@ -740,7 +810,7 @@ pub fn compile_for(
         if let Some((alias, ..)) = op.mem_access() {
             so_far.mem_ops += 1;
             so_far.alias_checks += u64::from(!matches!(alias, AliasAnnot::None));
-            examined = mem_plan.next().expect("one plan per memory op").examined;
+            examined = next_plan().examined;
         }
         stats.push(so_far);
         so_far.entries_scanned += u64::from(examined);
@@ -750,8 +820,8 @@ pub fn compile_for(
     // count of emitted ops before it.
     let mut ops: Vec<FastOp> = Vec::with_capacity(emitted.len());
     let mut base: Vec<u32> = Vec::with_capacity(emitted.len());
-    let mut mem_plan = mem_plans.iter();
-    for (pos, op) in (0u32..).zip(emitted) {
+    let mut next_plan = plans();
+    for (pos, &op) in (0u32..).zip(emitted) {
         let fast = match op {
             // The plan already holds every alias-hardware effect.
             VliwOp::Rotate { .. } | VliwOp::Amov { .. } | VliwOp::AlatClear { .. } => continue,
@@ -824,7 +894,7 @@ pub fn compile_for(
                     exit_id,
                 },
             },
-            op if op.is_mem() => match mem_plan.next().expect("one plan per memory op").check {
+            op if op.is_mem() => match next_plan().check {
                 Some(check) => FastOp::checked(op, check),
                 None => FastOp::Op(op),
             },
@@ -2321,6 +2391,39 @@ mod tests {
     #[test]
     fn fast_ops_are_no_wider_than_vliw_ops() {
         assert_eq!(std::mem::size_of::<FastOp>(), std::mem::size_of::<VliwOp>());
+    }
+
+    /// The plan-free shortcut of `compile_for` is what the replay and the
+    /// guard produce for a stream with no alias annotation and no queue
+    /// management op.
+    #[test]
+    fn plan_free_regions_lower_as_the_replay_would() {
+        let mut rng = smarq::prng::Prng::new(31);
+        for _ in 0..200 {
+            let len = rng.range_usize(1, 12);
+            let mut ops: Vec<VliwOp> = (0..len as u32)
+                .map(|tag| random_op(&mut rng, HwKind::None, 0, tag))
+                .collect();
+            ops.push(VliwOp::Exit {
+                exit_id: 0,
+                cond: None,
+            });
+            assert!(ops.iter().all(|op| op.alias_kind() == HwKind::None));
+            let (plan, mem_plans) = QueuePlan::build(&ops).unwrap();
+            let guard = Guard::build(&ops, &mem_plans, &plan.producers);
+            let memory_ops = ops.iter().filter(|op| op.is_mem()).count();
+            assert_eq!(
+                format!("{:?}", (plan, mem_plans, guard)),
+                format!(
+                    "{:?}",
+                    (
+                        QueuePlan::empty(),
+                        vec![MemOpPlan::INERT; memory_ops],
+                        Some(Guard::empty())
+                    )
+                )
+            );
+        }
     }
 
     #[test]

@@ -30,11 +30,13 @@ pub mod dag;
 pub mod elim;
 pub mod emit;
 pub mod fastcomp;
+mod ledger;
 mod pairs;
 pub mod sched;
 
 pub use blacklist::AliasBlacklist;
 pub use config::OptConfig;
+pub use ledger::{Lap, Phase, PhaseNs};
 pub use pairs::{PairPolicy, Verdict};
 
 use smarq::DepGraph;
@@ -79,8 +81,38 @@ pub struct OptStats {
     /// overflow.
     pub overflow_retries: u32,
     /// Host nanoseconds spent in list scheduling + alias register
-    /// allocation (the paper instruments exactly this slice for Figure 18).
+    /// allocation in the successful attempt (the paper instruments exactly
+    /// this slice for Figure 18). The [`Phase::Schedule`] entry of
+    /// [`phase_ns`](Self::phase_ns) also counts the attempts that
+    /// overflowed.
     pub sched_ns: u64,
+    /// Host nanoseconds of each optimizer phase ([`Phase::OPTIMIZER`]),
+    /// summed over every attempt; the other phases are 0 here.
+    pub phase_ns: PhaseNs,
+}
+
+/// The working memory of one region translation at a time: every phase's
+/// per-region buffers, each reset by length when a phase starts, so
+/// back-to-back translations on one thread reuse them. What escapes a
+/// translation (the [`Optimized`] region, its [`OptTrace`] and the
+/// lowered [`fastcomp::FastProgram`]) still allocates. Results are
+/// identical to a fresh scratch.
+#[derive(Clone, Debug, Default)]
+pub struct TranslationScratch {
+    /// The embedded alias register allocator's buffers.
+    pub alloc: smarq::AllocScratch,
+    elim: elim::ElimScratch,
+    dag: dag::DagScratch,
+    sched: sched::SchedScratch,
+    emit: emit::EmitScratch,
+    lower: fastcomp::LowerScratch,
+}
+
+impl TranslationScratch {
+    /// An empty scratch (no capacity reserved yet).
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 /// A fully optimized, annotated, bundled region.
@@ -145,24 +177,24 @@ pub fn optimize_superblock(
     machine: &MachineConfig,
     blacklist: &AliasBlacklist,
 ) -> Optimized {
-    optimize_superblock_traced(
+    optimize_superblock_traced_ranged(
         sb,
         config,
         machine,
         blacklist,
-        &mut smarq::AllocScratch::new(),
+        &mut TranslationScratch::new(),
+        None,
     )
     .0
 }
 
-/// Like [`optimize_superblock`], but recycles `scratch` for the embedded
-/// alias register allocator and also returns the [`OptTrace`] of the
-/// successful attempt. A long-running translator (see `smarq-runtime`)
-/// keeps one scratch per thread so back-to-back region translations reuse
-/// the allocator's working memory; results are identical to a fresh
-/// scratch. The trace lets callers replay external oracles (allocation
-/// validation, differential dependence checks) over the exact
-/// region/schedule/allocation the optimizer committed to.
+/// Like [`optimize_superblock`], but recycles the allocator's `scratch`
+/// and also returns the [`OptTrace`] of the successful attempt. The trace
+/// lets callers replay external oracles (allocation validation,
+/// differential dependence checks) over the exact
+/// region/schedule/allocation the optimizer committed to. A translator
+/// that keeps every phase's buffers uses
+/// [`optimize_superblock_traced_ranged`] with a [`TranslationScratch`].
 ///
 /// # Panics
 /// Panics if `sb` fails [`Superblock::validate`] (caller bug).
@@ -173,14 +205,24 @@ pub fn optimize_superblock_traced(
     blacklist: &AliasBlacklist,
     scratch: &mut smarq::AllocScratch,
 ) -> (Optimized, OptTrace) {
-    optimize_superblock_traced_ranged(sb, config, machine, blacklist, scratch, None)
+    let mut whole = TranslationScratch {
+        alloc: std::mem::take(scratch),
+        ..TranslationScratch::default()
+    };
+    let out = optimize_superblock_traced_ranged(sb, config, machine, blacklist, &mut whole, None);
+    *scratch = whole.alloc;
+    out
 }
 
-/// Like [`optimize_superblock_traced`], with an optional abstract **entry
-/// register state** from a whole-program dataflow analysis (see
-/// `smarq-verify`). The entry state gives every memory operation an
-/// address interval ([`smarq_ir::analyze_superblock`], run once per
-/// region), and both consumers of those intervals read the same result:
+/// Like [`optimize_superblock_traced`], over a whole
+/// [`TranslationScratch`] (a long-running translator reuses its
+/// scratches, so back-to-back region translations reuse every phase's
+/// working memory; results are identical to a fresh scratch), with an
+/// optional abstract **entry register state** from a whole-program
+/// dataflow analysis (see `smarq-verify`). The entry state gives every
+/// memory operation an address interval
+/// ([`smarq_ir::address_intervals`], run once per region), and both
+/// consumers of those intervals read the same result:
 ///
 /// * the alias relation ([`AliasAnalysis::with_ranges`]): a pair whose
 ///   intervals are provably disjoint is no-alias to every pass, so it gets
@@ -196,6 +238,8 @@ pub fn optimize_superblock_traced(
 /// With `None` the relation is base+displacement alone, and every
 /// entry-dependent address is unknown (⊤), so conservatively tainted.
 ///
+/// The phases are timed into [`OptStats::phase_ns`].
+///
 /// # Panics
 /// Panics if `sb` fails [`Superblock::validate`] (caller bug).
 pub fn optimize_superblock_traced_ranged(
@@ -203,33 +247,48 @@ pub fn optimize_superblock_traced_ranged(
     config: &OptConfig,
     machine: &MachineConfig,
     blacklist: &AliasBlacklist,
-    scratch: &mut smarq::AllocScratch,
+    scratch: &mut TranslationScratch,
     entry: Option<&smarq::RegState>,
 ) -> (Optimized, OptTrace) {
+    let mut clock = Lap::start();
+    let mut ledger = PhaseNs::default();
     sb.validate().expect("well-formed superblock");
     let ranges = match entry {
-        Some(e) => Some(smarq_ir::analyze_superblock(sb, e)),
-        None if !config.nospec.is_empty() => Some(smarq_ir::analyze_superblock_top(sb)),
+        Some(e) => Some(smarq_ir::address_intervals(sb, e)),
+        None if !config.nospec.is_empty() => {
+            Some(smarq_ir::address_intervals(sb, &smarq::range::top_state()))
+        }
         None => None,
+    };
+    let taint = match &ranges {
+        Some(r) => smarq_ir::nospec_taint(r, &config.nospec),
+        None => vec![false; sb.ops.len()],
     };
     // The drop-ranges fault models an optimizer that lost the entry
     // state's precision: correct code that checks range-disjoint pairs.
-    let analysis = match (entry, &ranges) {
+    let analysis = match (entry, ranges) {
         (Some(_), Some(r)) if !smarq::fault::drop_ranges_enabled() => {
             AliasAnalysis::with_ranges(sb, r)
         }
         _ => AliasAnalysis::new(sb),
     };
-    let taint = match &ranges {
-        Some(r) => smarq_ir::nospec_taint(sb, r, &config.nospec),
-        None => vec![false; sb.ops.len()],
-    };
     let pairs = PairPolicy::new(sb, &analysis, &taint, blacklist, config.hw);
+    clock.lap(&mut ledger, Phase::Analysis);
     let mut cfg = config.clone();
     for retry in 0..3u32 {
-        match try_optimize(sb, &analysis, &pairs, &cfg, machine, scratch) {
+        let attempt = try_optimize(
+            sb,
+            &analysis,
+            &pairs,
+            &cfg,
+            machine,
+            scratch,
+            (&mut clock, &mut ledger),
+        );
+        match attempt {
             Ok((mut opt, trace)) => {
                 opt.stats.overflow_retries = retry;
+                opt.stats.phase_ns = ledger;
                 return (opt, trace);
             }
             Err(Overflowed) => {
@@ -255,7 +314,8 @@ fn try_optimize(
     pairs: &PairPolicy,
     config: &OptConfig,
     machine: &MachineConfig,
-    scratch: &mut smarq::AllocScratch,
+    scratch: &mut TranslationScratch,
+    (clock, ledger): (&mut Lap, &mut PhaseNs),
 ) -> Result<(Optimized, OptTrace), Overflowed> {
     let (mut spec, map) = build_region_spec(sb, analysis);
     for id in (0..map.len()).map(smarq::MemOpId::new) {
@@ -263,8 +323,10 @@ fn try_optimize(
             spec.set_nospec(id);
         }
     }
-    let mut elims = elim::run_eliminations(sb, pairs, &mut spec, &map, config);
+    clock.lap(ledger, Phase::RegionSpec);
+    let mut elims = elim::run_eliminations(sb, pairs, &mut spec, &map, config, &mut scratch.elim);
     elim::dce(sb, &mut elims);
+    clock.lap(ledger, Phase::Eliminations);
     let deps = DepGraph::compute(&spec);
     // The drop-deps fault models an allocator that misses a dependence the
     // scheduler speculated past, so the scheduler keeps the whole graph.
@@ -275,39 +337,48 @@ fn try_optimize(
     } else {
         &deps
     };
-    let work = dag::build_work_list(sb, &elims);
-    let graph = dag::build_dag(&work, dag_deps, &map, pairs, config, machine);
-    let sched_start = std::time::Instant::now();
-    // On overflow the scratch is dropped inside the allocator; leave the
-    // caller's slot holding a fresh (empty) one.
-    let sched = match sched::schedule_with_scratch(
+    clock.lap(ledger, Phase::Dependences);
+    let work = dag::build_work_list(sb, &elims, &mut scratch.dag);
+    let graph = dag::build_dag(
         &work,
-        &graph,
+        dag_deps,
+        &map,
+        pairs,
         config,
         machine,
-        &spec,
-        &deps,
-        &map,
-        std::mem::take(scratch),
-    ) {
-        Ok((res, s)) => {
-            *scratch = s;
-            res
-        }
-        Err(_) => return Err(Overflowed),
+        &mut scratch.dag,
+    );
+    clock.lap(ledger, Phase::Dag);
+    let before = ledger[Phase::Schedule];
+    let sched = sched::schedule(&work, &graph, config, machine, &spec, &deps, &map, scratch);
+    scratch.dag.recycle_dag(graph);
+    clock.lap(ledger, Phase::Schedule);
+    let sched_ns = ledger[Phase::Schedule] - before;
+    let Ok(sched) = sched else {
+        scratch.dag.recycle_work_list(work);
+        return Err(Overflowed);
     };
-    let sched_ns = sched_start.elapsed().as_nanos() as u64;
     if config.hw == smarq_vliw::HwKind::Efficeon {
         if let Some(alloc) = &sched.allocation {
             if alloc.stats().amovs > 0 {
                 // The bit-mask file has no AMOV: a cyclic constraint graph
                 // cannot be realized. Retry with less speculation (the
                 // cycles come from speculative eliminations).
+                scratch.dag.recycle_work_list(work);
                 return Err(Overflowed);
             }
         }
     }
-    let vliw = emit::emit(sb, pairs, &work, &sched, config, machine, &map);
+    let vliw = emit::emit(
+        sb,
+        pairs,
+        &work,
+        &sched,
+        config,
+        machine,
+        &map,
+        &mut scratch.emit,
+    );
 
     let mut stats = OptStats {
         ir_ops: sb.ops.len(),
@@ -326,12 +397,14 @@ fn try_optimize(
     // Surviving memory operations in final scheduled order (eliminated
     // loads appear as copies in the work list; their original memory ids
     // must not be resurrected here).
-    let mem_sched: Vec<_> = sched
-        .linear
-        .iter()
-        .filter(|&&k| work.ops[k].is_mem())
-        .filter_map(|&k| map.mem_id(work.orig[k]))
-        .collect();
+    let mut mem_sched = Vec::with_capacity(stats.scheduled_mem_ops);
+    mem_sched.extend(
+        sched
+            .linear
+            .iter()
+            .filter(|&&k| work.ops[k].is_mem())
+            .filter_map(|&k| map.mem_id(work.orig[k])),
+    );
     if let Some(alloc) = &sched.allocation {
         let s = alloc.stats();
         stats.checks = s.checks;
@@ -347,6 +420,8 @@ fn try_optimize(
         .map(|k| map.op_index(smarq::MemOpId::new(k)))
         .collect();
     let tag_origin: Vec<OpOrigin> = mem_origin.iter().map(|&i| sb.origins[i]).collect();
+    scratch.dag.recycle_work_list(work);
+    clock.lap(ledger, Phase::Emission);
 
     Ok((
         Optimized {

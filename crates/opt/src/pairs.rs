@@ -12,7 +12,7 @@
 //! reaches every pass by being added here.
 
 use crate::blacklist::AliasBlacklist;
-use smarq_ir::{AliasAnalysis, AliasRel, OpOrigin, Superblock};
+use smarq_ir::{AliasAnalysis, AliasRel, MemRef, OpOrigin, Superblock};
 use smarq_vliw::HwKind;
 
 /// Whether a pair of memory operations may be speculated on, and if not,
@@ -190,6 +190,14 @@ impl<'a> PairPolicy<'a> {
     /// memory operation, whatever their relation.
     pub fn pinned_op(&self, i: usize) -> bool {
         self.marks[i].pinned
+    }
+
+    /// The memory reference of op `i` (`None` for a non-memory op). Two
+    /// memory ops with equal references are exactly the pairs whose
+    /// verdict is [`Verdict::MustAlias`]: address intervals only ever turn
+    /// a may-alias pair disjoint.
+    pub fn mem_ref(&self, i: usize) -> Option<MemRef> {
+        self.analysis.mem_ref(i)
     }
 }
 

@@ -5,7 +5,8 @@
 
 use crate::config::OptConfig;
 use crate::dag::{Dag, WorkList};
-use smarq::{AllocError, AllocScratch, Allocation, Allocator, DepGraph, RegionSpec, SchedulerMode};
+use crate::TranslationScratch;
+use smarq::{AllocError, Allocation, Allocator, DepGraph, RegionSpec, SchedulerMode};
 use smarq_ir::{IrOp, RegionMap};
 use smarq_vliw::{HwKind, MachineConfig};
 
@@ -37,15 +38,16 @@ fn pool(op: &IrOp) -> Pool {
 }
 
 /// A set of priority ranks, one bit each.
-struct RankSet {
-    words: Vec<u64>,
+struct RankSet<'a> {
+    words: &'a mut Vec<u64>,
 }
 
-impl RankSet {
-    fn new(len: usize) -> Self {
-        RankSet {
-            words: vec![0; len.div_ceil(64)],
-        }
+impl<'a> RankSet<'a> {
+    /// The empty set over ranks `0..len`, in the reused `words`.
+    fn new(len: usize, words: &'a mut Vec<u64>) -> Self {
+        words.clear();
+        words.resize(len.div_ceil(64), 0);
+        RankSet { words }
     }
 
     fn insert(&mut self, r: usize) {
@@ -68,6 +70,18 @@ impl RankSet {
     }
 }
 
+/// Working memory of the list scheduler, reused across regions: every
+/// buffer is reset by length when a schedule starts.
+#[derive(Clone, Debug, Default)]
+pub struct SchedScratch {
+    unsched_preds: Vec<u32>,
+    est: Vec<u64>,
+    done: Vec<bool>,
+    order: Vec<usize>,
+    rank: Vec<usize>,
+    ready: Vec<u64>,
+}
+
 /// Schedules the work list.
 ///
 /// Each cycle fills the machine's slots in descending critical-path
@@ -79,6 +93,9 @@ impl RankSet {
 /// overflow estimate gates further speculation (an op whose placement would
 /// cross an unscheduled may-alias memop is deferred while the allocator
 /// reports [`SchedulerMode::NonSpeculation`]).
+///
+/// `scratch` holds the scheduler's own arrays and the allocator's; after
+/// an error the allocator's part is fresh (the caller retries with it).
 ///
 /// # Errors
 /// Returns the allocator's [`AllocError::Overflow`] when even the
@@ -93,41 +110,23 @@ pub fn schedule(
     spec: &RegionSpec,
     deps: &DepGraph,
     map: &RegionMap,
+    scratch: &mut TranslationScratch,
 ) -> Result<ScheduleResult, AllocError> {
-    schedule_with_scratch(
-        work,
-        dag,
-        config,
-        machine,
-        spec,
-        deps,
-        map,
-        AllocScratch::new(),
-    )
-    .map(|(res, _)| res)
-}
-
-/// Like [`schedule`], but recycles (and hands back) the allocator's scratch
-/// buffers so a translation loop avoids per-region allocation. The scratch
-/// is dropped on error (the caller restarts with a fresh one).
-///
-/// # Errors
-/// Same as [`schedule`].
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_with_scratch(
-    work: &WorkList,
-    dag: &Dag,
-    config: &OptConfig,
-    machine: &MachineConfig,
-    spec: &RegionSpec,
-    deps: &DepGraph,
-    map: &RegionMap,
-    scratch: AllocScratch,
-) -> Result<(ScheduleResult, AllocScratch), AllocError> {
+    let SchedScratch {
+        unsched_preds,
+        est,
+        done,
+        order,
+        rank,
+        ready,
+    } = &mut scratch.sched;
     let n = work.ops.len();
-    let mut unsched_preds: Vec<u32> = (0..n).map(|k| dag.hard_pred_count(k)).collect();
-    let mut est = vec![0u64; n];
-    let mut done = vec![false; n];
+    unsched_preds.clear();
+    unsched_preds.extend((0..n).map(|k| dag.hard_pred_count(k)));
+    est.clear();
+    est.resize(n, 0);
+    done.clear();
+    done.resize(n, false);
     let mut linear = Vec::with_capacity(n);
     let mut cycles = Vec::with_capacity(n);
     // The Efficeon target reuses the ordered-queue constraint machinery:
@@ -135,31 +134,29 @@ pub fn schedule_with_scratch(
     // (interval max-overlap <= queue working set), and the final check
     // pairs are exactly what the masks must encode.
     let use_alloc = matches!(config.hw, HwKind::Smarq | HwKind::Efficeon);
-    let mut spare = None;
-    let mut allocator = if use_alloc {
-        Some(Allocator::with_scratch(
+    let mut allocator = use_alloc.then(|| {
+        Allocator::with_scratch(
             spec,
             deps,
             config.num_alias_regs.max(1),
-            scratch,
-        ))
-    } else {
-        spare = Some(scratch);
-        None
-    };
+            std::mem::take(&mut scratch.alloc),
+        )
+    });
 
     let mut remaining = n;
     let mut cycle = 0u64;
     // Candidate order: priority descending, original order as tiebreak.
-    let mut order: Vec<usize> = (0..n).collect();
+    order.clear();
+    order.extend(0..n);
     order.sort_unstable_by(|&a, &b| dag.priority[b].cmp(&dag.priority[a]).then(a.cmp(&b)));
-    let mut rank = vec![0usize; n];
+    rank.clear();
+    rank.resize(n, 0);
     for (r, &k) in order.iter().enumerate() {
         rank[k] = r;
     }
     // The ready set holds, by rank, every unplaced op whose hard
     // predecessors are all placed: the only candidates a cycle visits.
-    let mut ready = RankSet::new(n);
+    let mut ready = RankSet::new(n, ready);
     for k in (0..n).filter(|&k| unsched_preds[k] == 0) {
         ready.insert(rank[k]);
     }
@@ -243,21 +240,19 @@ pub fn schedule_with_scratch(
         cycle += 1;
     }
 
-    let (allocation, scratch) = match allocator {
+    let allocation = match allocator {
         Some(a) => {
-            let (alloc, scratch) = a.finish_reclaim()?;
-            (Some(alloc), scratch)
+            let (alloc, reclaimed) = a.finish_reclaim()?;
+            scratch.alloc = reclaimed;
+            Some(alloc)
         }
-        None => (None, spare.expect("scratch parked when no allocator")),
+        None => None,
     };
-    Ok((
-        ScheduleResult {
-            linear,
-            cycles,
-            allocation,
-        },
-        scratch,
-    ))
+    Ok(ScheduleResult {
+        linear,
+        cycles,
+        allocation,
+    })
 }
 
 #[cfg(test)]
@@ -304,7 +299,7 @@ mod tests {
             spec_store_elims: 0,
             nonspec_elims: 0,
         };
-        let work = build_work_list(&sb, &elims);
+        let work = build_work_list(&sb, &elims, &mut Default::default());
         let no_taint = vec![false; sb.ops.len()];
         let pairs = PairPolicy::new(&sb, &analysis, &no_taint, &AliasBlacklist::new(), config.hw);
         let dag = build_dag(
@@ -314,6 +309,7 @@ mod tests {
             &pairs,
             config,
             &MachineConfig::default(),
+            &mut Default::default(),
         );
         let res = schedule(
             &work,
@@ -323,6 +319,7 @@ mod tests {
             &spec,
             &deps,
             &map,
+            &mut Default::default(),
         )
         .unwrap();
         (sb, work, res)
@@ -611,12 +608,37 @@ mod tests {
                 let pairs =
                     PairPolicy::new(&sb, &analysis, &no_taint, &AliasBlacklist::new(), config.hw);
                 let (mut spec, map) = build_region_spec(&sb, &analysis);
-                let mut elims = run_eliminations(&sb, &pairs, &mut spec, &map, config);
+                let mut elims = run_eliminations(
+                    &sb,
+                    &pairs,
+                    &mut spec,
+                    &map,
+                    config,
+                    &mut Default::default(),
+                );
                 dce(&sb, &mut elims);
                 let deps = DepGraph::compute(&spec);
-                let work = build_work_list(&sb, &elims);
-                let dag = build_dag(&work, &deps, &map, &pairs, config, &machine);
-                let got = schedule(&work, &dag, config, &machine, &spec, &deps, &map);
+                let mut scratch = crate::TranslationScratch::new();
+                let work = build_work_list(&sb, &elims, &mut Default::default());
+                let dag = build_dag(
+                    &work,
+                    &deps,
+                    &map,
+                    &pairs,
+                    config,
+                    &machine,
+                    &mut Default::default(),
+                );
+                let got = schedule(
+                    &work,
+                    &dag,
+                    config,
+                    &machine,
+                    &spec,
+                    &deps,
+                    &map,
+                    &mut scratch,
+                );
                 let (want, d) = full_scan(&work, &dag, config, &machine, &spec, &deps, &map);
                 deferred[c] += d;
                 let what = format!("seed {seed}, {:?} x{}", config.hw, config.num_alias_regs);

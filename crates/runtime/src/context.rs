@@ -22,11 +22,13 @@ use crate::stats::{RegionRecord, SystemStats};
 use crate::system::{RunStatus, StopReason};
 use crate::translate_service::{run_translation_job, FinishedTranslation, JobInput};
 use crate::HubConfig;
-use smarq::{AllocScratch, Diagnostic, RegState, Severity};
+use smarq::{Diagnostic, RegState, Severity};
 use smarq_guest::{BlockId, Interpreter, Memory, Program};
 use smarq_ir::Superblock;
 use smarq_opt::fastcomp::FastSim;
-use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized};
+use smarq_opt::{
+    optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized, TranslationScratch,
+};
 use smarq_verify::{ChainRegionView, ChainReport, ProgramDataflow};
 use smarq_vliw::{AliasViolation, AnyAliasHw, RegionOutcome, RegionStats, Simulator, VliwState};
 use std::sync::Arc;
@@ -71,7 +73,6 @@ pub struct GuestContext {
     reference: Option<ProgramDataflow>,
     /// The hub's blacklist as of the last stop, with its generation.
     blacklist: (u64, Arc<AliasBlacklist>),
-    scratch: AllocScratch,
     stats: SystemStats,
     /// Hub invalidation epoch last seen.
     seen_epoch: u64,
@@ -112,7 +113,6 @@ impl GuestContext {
             dataflow,
             reference,
             blacklist: hub.blacklist(),
-            scratch: AllocScratch::new(),
             stats: SystemStats::default(),
             seen_epoch: hub.epoch(),
             cursor: Some(entry),
@@ -185,7 +185,7 @@ impl GuestContext {
             &self.cfg.opt,
             &self.cfg.machine,
             &self.blacklist.1,
-            &mut AllocScratch::new(),
+            &mut TranslationScratch::new(),
             Some(&code.assumed_entry),
         ))
     }
@@ -374,7 +374,7 @@ impl GuestContext {
             }
             Submitted::Full => self.stats.async_queue_full += 1,
             Submitted::Inline(job) => {
-                let fin = run_translation_job(*job, &mut self.scratch);
+                let fin = run_translation_job(*job);
                 self.stats.translation_ns += fin.translate_ns;
                 self.stats.scheduling_ns += fin.opt.stats.sched_ns;
                 self.install(hub, fin, false);
@@ -394,6 +394,7 @@ impl GuestContext {
     /// it is this guest's code; a stale result is resubmitted. Results an
     /// executor produced (`background`) count in the async counters.
     fn install(&mut self, hub: &TranslationHub, mut fin: FinishedTranslation, background: bool) {
+        self.stats.translation_phases.add(&fin.phase_ns);
         let diags = fin.diags.take();
         match hub.install(fin) {
             Installed::Published(r) => {

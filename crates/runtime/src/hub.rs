@@ -41,7 +41,7 @@ use smarq::hash::FastHasher;
 use smarq::range::RegState;
 use smarq_guest::{BlockId, Instr, Profile, Program, Terminator};
 use smarq_ir::{FormationParams, OpOrigin};
-use smarq_opt::{AliasBlacklist, OptConfig};
+use smarq_opt::{AliasBlacklist, OptConfig, PhaseNs};
 use smarq_vliw::MachineConfig;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -279,6 +279,9 @@ pub struct TranslationHub {
     outstanding: AtomicUsize,
     /// The counters; the cache-shape fields are filled in by `stats`.
     c: Mutex<HubStats>,
+    /// The translation phase ledger, kept apart from the counters: it is
+    /// host time, so it does not replay.
+    phases: Mutex<PhaseNs>,
 }
 
 impl TranslationHub {
@@ -307,6 +310,7 @@ impl TranslationHub {
             exec: exec.map(Mutex::new),
             outstanding: AtomicUsize::new(0),
             c: Mutex::default(),
+            phases: Mutex::default(),
         }
     }
 
@@ -468,6 +472,7 @@ impl TranslationHub {
     /// blacklist lock is held across the swap so a publish never
     /// interleaves with a generation bump.
     pub(crate) fn install(&self, fin: FinishedTranslation) -> Installed {
+        lock(&self.phases).add(&fin.phase_ns);
         let _bl = lock(&self.blacklist);
         if fin.blacklist_gen != self.blacklist_gen() {
             self.count(|c| c.gen_conflicts += 1);
@@ -572,6 +577,14 @@ impl TranslationHub {
 
     fn count(&self, f: impl FnOnce(&mut HubStats)) {
         f(&mut lock(&self.c));
+    }
+
+    /// The translation phase ledger: host nanoseconds per phase, summed
+    /// over every finished translation offered for publication (stale
+    /// ones included). Kept out of [`HubStats`], whose counters replay
+    /// exactly under one schedule seed.
+    pub fn translation_phases(&self) -> PhaseNs {
+        *lock(&self.phases)
     }
 
     /// Snapshot of the hub counters and cache shape.

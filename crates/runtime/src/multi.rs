@@ -32,7 +32,7 @@ pub const DEFAULT_SLICE_STEPS: u64 = 1024;
 /// Returns the contexts in their original order for inspection.
 pub fn run_multi(
     hub: &TranslationHub,
-    guests: Vec<GuestContext>,
+    mut guests: Vec<GuestContext>,
     threads: usize,
     budget: u64,
     slice: u64,
@@ -40,7 +40,6 @@ pub fn run_multi(
     let slice = slice.max(1);
     if threads <= 1 {
         // Degenerate single-threaded run: plain round-robin, no locks.
-        let mut guests = guests;
         loop {
             let mut live = false;
             for g in &mut guests {
@@ -56,9 +55,10 @@ pub fn run_multi(
             }
         }
     }
+    // Each worker locks a borrowed context in place, so the (large)
+    // contexts are neither moved into a second vector nor back out of it.
     let n = guests.len();
-    let slots: Vec<Mutex<Option<GuestContext>>> =
-        guests.into_iter().map(|g| Mutex::new(Some(g))).collect();
+    let slots: Vec<Mutex<&mut GuestContext>> = guests.iter_mut().map(Mutex::new).collect();
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
     let remaining = AtomicUsize::new(n);
     thread::scope(|s| {
@@ -76,10 +76,7 @@ pub fn run_multi(
                 };
                 // Uncontended: a guest index is in the queue xor owned by
                 // a worker, so this lock never blocks meaningfully.
-                let mut slot = slots[i].lock().unwrap();
-                let g = slot.as_mut().expect("queued guest is present");
-                let status = g.run_bounded(hub, slice, budget);
-                drop(slot);
+                let status = slots[i].lock().unwrap().run_bounded(hub, slice, budget);
                 if status == RunStatus::Running {
                     queue.lock().unwrap().push_back(i);
                 } else {
@@ -88,10 +85,8 @@ pub fn run_multi(
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("all workers exited"))
-        .collect()
+    drop(slots);
+    guests
 }
 
 /// Single-threaded seeded round-robin: each turn picks a live guest and a

@@ -2,7 +2,7 @@
 
 use smarq::{Diagnostic, Severity};
 use smarq_guest::BlockId;
-use smarq_opt::OptStats;
+use smarq_opt::{OptStats, PhaseNs};
 
 /// Per-formed-region record (drives the paper's Figures 14, 17, 19).
 #[derive(Clone, Debug)]
@@ -40,6 +40,10 @@ pub struct SystemStats {
     pub translation_ns: u64,
     /// Host nanoseconds of that spent inside scheduling + allocation.
     pub scheduling_ns: u64,
+    /// The translation phase ledger: host nanoseconds per phase, summed
+    /// over every translation this guest installed, inline or from a
+    /// worker (stale results that were resubmitted included).
+    pub translation_phases: PhaseNs,
     /// Regions formed.
     pub regions_formed: usize,
     /// Total region entries.
@@ -326,6 +330,34 @@ mod tests {
         let c = run(counted_loop(200), cold);
         assert!(c.interp_instrs > s.interp_instrs);
         assert!(c.region_entries < s.region_entries);
+    }
+
+    /// The phase ledger times every translation phase, and the phases
+    /// the optimizer call times fit inside the translation time around
+    /// it.
+    #[test]
+    fn phase_ledger_covers_every_translation_phase() {
+        use smarq_opt::Phase;
+        let cfg = SystemConfig {
+            hot_threshold: 10,
+            verify_translations: true,
+            ..SystemConfig::default()
+        };
+        let s = run(counted_loop(200), cfg);
+        assert!(s.regions_formed >= 1);
+        let phases = &s.translation_phases;
+        for (phase, ns) in phases.iter() {
+            assert!(ns > 0, "{phase:?} is timed: {phases:?}");
+        }
+        let optimizer = phases.sum(&Phase::OPTIMIZER);
+        assert!(
+            optimizer + phases[Phase::Formation] <= s.translation_ns,
+            "{optimizer} + formation within {}",
+            s.translation_ns
+        );
+        // `scheduling_ns` counts the successful attempts only; the ledger
+        // also counts the ones that overflowed.
+        assert!(s.scheduling_ns <= phases[Phase::Schedule]);
     }
 
     /// Rollback and re-translation events must be mirrored exactly between

@@ -22,11 +22,14 @@
 
 use crate::hub::{HubConfig, RegionKey};
 use smarq::range::RegState;
-use smarq::{AllocScratch, Diagnostic};
+use smarq::Diagnostic;
 use smarq_guest::{Profile, Program};
 use smarq_ir::{form_superblock, unroll_superblock, Superblock};
 use smarq_opt::fastcomp::{self, FastProgram};
-use smarq_opt::{optimize_superblock_traced_ranged, AliasBlacklist, OptTrace, Optimized};
+use smarq_opt::{
+    optimize_superblock_traced_ranged, AliasBlacklist, Lap, OptTrace, Optimized, Phase, PhaseNs,
+    TranslationScratch,
+};
 use smarq_verify::RegionFacts;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, TrySendError};
@@ -101,12 +104,36 @@ pub struct FinishedTranslation {
     pub translate_ns: u64,
     /// Host nanoseconds of the whole job.
     pub worker_ns: u64,
+    /// Host nanoseconds of each translation phase: formation, the
+    /// optimizer's phases ([`smarq_opt::OptStats::phase_ns`]), lowering
+    /// and verify-on-emit (0 when verification is off).
+    pub phase_ns: PhaseNs,
 }
 
-/// Runs one translation job to completion; pure with respect to the
-/// runtime.
-pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> FinishedTranslation {
+/// Idle translation scratches. A translation takes one for the job and
+/// puts it back, so the pool holds at most as many as there were
+/// translations running at once, each sized to the largest region it
+/// translated. Scratches outlive the threads that used them: a runtime
+/// whose guest threads come and go (a multi-guest batch spawns its own)
+/// reuses them instead of growing fresh ones per thread.
+static SCRATCH_POOL: Mutex<Vec<TranslationScratch>> = Mutex::new(Vec::new());
+
+/// Runs one translation job to completion on a pooled translation
+/// scratch; pure with respect to the runtime.
+pub fn run_translation_job(job: TranslationJob) -> FinishedTranslation {
+    let idle = SCRATCH_POOL.lock().ok().and_then(|mut pool| pool.pop());
+    let mut scratch = idle.unwrap_or_default();
+    let fin = translate(job, &mut scratch);
+    if let Ok(mut pool) = SCRATCH_POOL.lock() {
+        pool.push(scratch);
+    }
+    fin
+}
+
+fn translate(job: TranslationJob, scratch: &mut TranslationScratch) -> FinishedTranslation {
     let t0 = Instant::now();
+    let mut clock = Lap::start();
+    let mut formation = PhaseNs::default();
     let cfg = &job.cfg;
     let sb = match job.input {
         JobInput::Ready(sb) => *sb,
@@ -115,6 +142,7 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
             unroll_superblock(&sb, cfg.unroll_factor, cfg.formation.max_ops).0
         }
     };
+    clock.lap(&mut formation, Phase::Formation);
     let (opt, trace) = optimize_superblock_traced_ranged(
         &sb,
         &cfg.opt,
@@ -124,14 +152,19 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
         Some(&job.entry_state),
     );
     let translate_ns = t0.elapsed().as_nanos() as u64;
+    let mut phase_ns = opt.stats.phase_ns;
+    phase_ns.add(&formation);
+    let mut clock = Lap::start();
     let (diags, facts) = if cfg.verify_translations {
         let (diags, facts) = smarq_verify::verify_trace_facts(job.key.entry.index(), &trace);
         (Some(diags), Some(facts))
     } else {
         (None, None)
     };
-    let fast =
-        fastcomp::compile_for(&opt.vliw, &cfg.machine).expect("translated region is well formed");
+    clock.lap(&mut phase_ns, Phase::Verify);
+    let fast = fastcomp::compile_for(&opt.vliw, &cfg.machine, scratch)
+        .expect("translated region is well formed");
+    clock.lap(&mut phase_ns, Phase::Lowering);
     FinishedTranslation {
         key: job.key,
         program: job.program,
@@ -145,6 +178,7 @@ pub fn run_translation_job(job: TranslationJob, scratch: &mut AllocScratch) -> F
         blacklist_gen: job.blacklist_gen,
         translate_ns,
         worker_ns: t0.elapsed().as_nanos() as u64,
+        phase_ns,
     }
 }
 
@@ -198,9 +232,6 @@ impl ThreadedExecutor {
                 let jrx = Arc::clone(&jrx);
                 let rtx = rtx.clone();
                 thread::spawn(move || {
-                    // Each worker recycles its own allocator scratch, like
-                    // the inline path recycles the guest's.
-                    let mut scratch = AllocScratch::new();
                     loop {
                         // Hold the lock only for the dequeue, not the job.
                         let job = match jrx.lock() {
@@ -208,7 +239,7 @@ impl ThreadedExecutor {
                             Err(_) => break,
                         };
                         let Ok(job) = job else { break };
-                        if rtx.send(run_translation_job(job, &mut scratch)).is_err() {
+                        if rtx.send(run_translation_job(job)).is_err() {
                             break;
                         }
                     }
@@ -288,7 +319,6 @@ pub struct StepExecutor {
     queued: VecDeque<TranslationJob>,
     computed: VecDeque<FinishedTranslation>,
     released: VecDeque<FinishedTranslation>,
-    scratch: AllocScratch,
 }
 
 impl StepExecutor {
@@ -311,7 +341,6 @@ impl StepExecutor {
             queued: VecDeque::new(),
             computed: VecDeque::new(),
             released: VecDeque::new(),
-            scratch: AllocScratch::new(),
         }
     }
 }
@@ -358,7 +387,7 @@ impl TranslationExecutor for StepExecutor {
         let Some(job) = self.queued.pop_front() else {
             return false;
         };
-        let fin = run_translation_job(job, &mut self.scratch);
+        let fin = run_translation_job(job);
         self.computed.push_back(fin);
         true
     }

@@ -348,7 +348,7 @@ fn check_nospec(
     if nospec.is_empty() {
         return;
     }
-    let taint = nospec_taint(view.sb, ranges, nospec);
+    let taint = nospec_taint(&ranges.addr, nospec);
     let trace = view.trace;
     let pos = |id: MemOpId| trace.mem_schedule.iter().position(|&x| x == id);
     for k in 0..trace.mem_origin.len() {

@@ -616,14 +616,18 @@ pub struct EntryStamp {
 /// bundle an entry can issue: every bundle up to and including the one
 /// that holds the first unconditional exit, whose issue stall reads every
 /// slot.
+///
+/// The stamps go into `stamps` (cleared first), so a caller that lowers
+/// region after region reuses one buffer.
 pub fn entry_stamps(
     program: &VliwProgram,
     cfg: &MachineConfig,
-) -> Result<Vec<EntryStamp>, SimError> {
+    stamps: &mut Vec<EntryStamp>,
+) -> Result<(), SimError> {
+    stamps.clear();
     check_registers(program)?;
     let (mut ir, mut fr) = ([0u64; 64], [0u64; 64]);
     let mut clock = cfg.checkpoint_cycles;
-    let mut stamps = Vec::new();
     for (b, bundle) in program.bundles.iter().enumerate() {
         let issue = bundle
             .ops
@@ -637,12 +641,12 @@ pub fn entry_stamps(
                 bundles: b as u64 + 1,
             });
             if matches!(op, VliwOp::Exit { cond: None, .. }) {
-                return Ok(stamps);
+                return Ok(());
             }
             mark_ready(cfg, op, issue, &mut ir, &mut fr);
         }
     }
-    Ok(stamps)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1253,7 +1257,8 @@ mod trace_tests {
             ..MachineConfig::default()
         };
         for cfg in [MachineConfig::default(), slow] {
-            let stamps = entry_stamps(&p, &cfg).unwrap();
+            let mut stamps = Vec::new();
+            entry_stamps(&p, &cfg, &mut stamps).unwrap();
             assert_eq!(
                 stamps.len(),
                 7,

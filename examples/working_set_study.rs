@@ -9,7 +9,7 @@ use smarq::baseline::{program_order_allocate, BaselineOptions, BaselineScope};
 use smarq::{allocate, live_range_lower_bound, ConstraintGraph, DepGraph};
 use smarq_guest::Interpreter;
 use smarq_ir::{build_region_spec, form_superblock, AliasAnalysis, FormationParams};
-use smarq_opt::{dag, elim, sched, AliasBlacklist, OptConfig, PairPolicy};
+use smarq_opt::{dag, elim, sched, AliasBlacklist, OptConfig, PairPolicy, TranslationScratch};
 use smarq_vliw::MachineConfig;
 
 fn main() {
@@ -38,13 +38,38 @@ fn main() {
     let (mut spec, map) = build_region_spec(&sb, &analysis);
     let no_taint = vec![false; sb.ops.len()];
     let pairs = PairPolicy::new(&sb, &analysis, &no_taint, &AliasBlacklist::new(), config.hw);
-    let mut elims = elim::run_eliminations(&sb, &pairs, &mut spec, &map, &config);
+    let mut scratch = TranslationScratch::new();
+    let mut elims = elim::run_eliminations(
+        &sb,
+        &pairs,
+        &mut spec,
+        &map,
+        &config,
+        &mut Default::default(),
+    );
     elim::dce(&sb, &mut elims);
     let deps = DepGraph::compute(&spec);
-    let work = dag::build_work_list(&sb, &elims);
-    let graph = dag::build_dag(&work, &deps, &map, &pairs, &config, &machine);
-    let res = sched::schedule(&work, &graph, &config, &machine, &spec, &deps, &map)
-        .expect("scheduling succeeds");
+    let work = dag::build_work_list(&sb, &elims, &mut Default::default());
+    let graph = dag::build_dag(
+        &work,
+        &deps,
+        &map,
+        &pairs,
+        &config,
+        &machine,
+        &mut Default::default(),
+    );
+    let res = sched::schedule(
+        &work,
+        &graph,
+        &config,
+        &machine,
+        &spec,
+        &deps,
+        &map,
+        &mut scratch,
+    )
+    .expect("scheduling succeeds");
     let schedule: Vec<_> = res
         .linear
         .iter()

@@ -58,7 +58,7 @@
 //! and exit with status 1 when verification found an error.
 
 use smarq_fuzz::outln;
-use smarq_opt::OptConfig;
+use smarq_opt::{OptConfig, PhaseNs};
 use smarq_runtime::{
     run_multi, DynOptSystem, GuestContext, HubConfig, HubStats, SystemConfig, SystemStats,
     TranslationHub, DEFAULT_SLICE_STEPS,
@@ -250,9 +250,19 @@ fn report(
         ..SystemStats::default()
     }
     .optimization_overhead();
+    // The phase ledger is host time too, so it shares the line.
+    let mut phases = PhaseNs::default();
+    for s in guests {
+        phases.add(&s.translation_phases);
+    }
+    let ledger: Vec<String> = phases
+        .iter()
+        .map(|(p, ns)| format!("{} {:.1}", p.name(), ns as f64 / 1e3))
+        .collect();
     outln!(
-        "optimization:        {:.4}% of execution time",
-        overhead * 100.0
+        "optimization:        {:.4}% of execution time; translation phases (host us): {}",
+        overhead * 100.0,
+        ledger.join(", ")
     );
     if sum(|s| s.tier_samples) > 0 {
         outln!(

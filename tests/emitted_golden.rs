@@ -88,7 +88,7 @@ fn render() -> String {
             let mut sys = DynOptSystem::new(program.clone(), cfg.clone());
             sys.run_to_completion(u64::MAX);
             let (mut vliw, mut fast, mut regions) = (String::new(), String::new(), 0usize);
-            let mut scratch = smarq::AllocScratch::new();
+            let mut scratch = smarq_opt::TranslationScratch::new();
             for sb in sys.formed_superblocks() {
                 let (o, _) = optimize_superblock_traced_ranged(
                     sb,
@@ -98,7 +98,7 @@ fn render() -> String {
                     &mut scratch,
                     Some(dataflow.entry_state(sb.entry)),
                 );
-                let f = fastcomp::compile_for(&o.vliw, &cfg.machine)
+                let f = fastcomp::compile_for(&o.vliw, &cfg.machine, &mut scratch)
                     .expect("an emitted region lowers to the fast tier");
                 writeln!(vliw, "{}", o.vliw).unwrap();
                 writeln!(fast, "{f:?}").unwrap();

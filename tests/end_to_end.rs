@@ -53,7 +53,7 @@ fn all_workloads_match_interpretation_under_all_hardware() {
 /// paper's alias hardware is for, and fails here.
 #[test]
 fn stand_in_pairs_stay_beyond_static_range_analysis() {
-    let mut scratch = smarq::AllocScratch::new();
+    let mut scratch = smarq_opt::TranslationScratch::new();
     for name in smarq_workloads::WORKLOAD_NAMES {
         let w = smarq_workloads::scaled(name, TEST_ITERS).unwrap();
         for (label, opt) in configs() {
